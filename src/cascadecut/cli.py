@@ -27,13 +27,13 @@ from .experiment import (
     SCATTER_HEADER,
     SEEDS_HEADER,
     ExperimentConfig,
+    _write_csv,
     budget_for,
     load_dataset,
     run_sweep,
     scatter_report,
     seed_analysis,
     write_gnuplot_script,
-    write_rows_csv,
 )
 from .ingest import compute_stats, filter_cascades, load_cascades, load_follow_edges
 
@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--variants", help="comma-separated variant list")
     p_sweep.add_argument("--fractions", help="comma-separated budget fractions in [0,1]")
     p_sweep.add_argument("--seed", type=int, help="rng seed for the random strategy")
-    p_sweep.add_argument("--threads", type=int, help="worker threads")
+    p_sweep.add_argument("--threads", type=int, help="worker threads for betweenness scoring")
     p_sweep.add_argument("--out", type=Path, help="output directory")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
@@ -288,7 +288,7 @@ def _cmd_seeds(args, settings) -> int:
     rows = seed_analysis(network, logs, max_size=args.max_size)
     out = _out_dir(args, settings)
     path = out / "seeds.csv"
-    write_rows_csv(path, SEEDS_HEADER, rows)
+    _write_csv(path, SEEDS_HEADER, rows)
     print(path)
     return EXIT_OK
 
@@ -298,7 +298,7 @@ def _cmd_scatter(args, settings) -> int:
     rows = scatter_report(report)
     out = _out_dir(args, settings)
     path = out / f"scatter_{Path(args.report).stem}.csv"
-    write_rows_csv(path, SCATTER_HEADER, rows)
+    _write_csv(path, SCATTER_HEADER, rows)
     print(path)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ lexicographically smallest user id so rebuilds are deterministic.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,13 +37,28 @@ VARIANTS = (NON_TREE, TREE_FIRST, TREE_LAST)
 
 @dataclass(frozen=True)
 class DiffusionGraph:
-    """One cascade's spread graph: edge (u, v) means it spread from u to v."""
+    """One cascade's spread graph: edge (u, v) means it spread from u to v.
+
+    ``parent_ids``, ``child_ids`` and ``follow_edge_pos`` hold the same edges
+    in integer form: the dense network ids of each edge's endpoints and the
+    position of the follow edge it used (child follows parent) in the
+    network's canonical edge arrays.  They are ordered by (child, parent),
+    which is the order of ``sorted((c, p) for p, c in edges)`` because dense
+    ids follow sorted external ids.  They take no part in ``==``.
+    """
 
     cascade_id: str
     variant: str
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
     seeds: frozenset[str]
+    parent_ids: np.ndarray = field(compare=False, repr=False)
+    child_ids: np.ndarray = field(compare=False, repr=False)
+    follow_edge_pos: np.ndarray = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        for arr in (self.parent_ids, self.child_ids, self.follow_edge_pos):
+            arr.flags.writeable = False
 
 
 def build_non_tree(network: DirectedGraph, log: CascadeLog) -> DiffusionGraph:
@@ -91,57 +106,56 @@ def to_dot(dg: DiffusionGraph) -> str:
 
 
 def _build(network: DirectedGraph, log: CascadeLog, variant: str) -> DiffusionGraph:
-    present: list[str] = []
-    missing: list[str] = []
-    for user, _ in log.events:
-        (present if network.has_node(user) else missing).append(user)
+    # Participants present in the network, sorted by dense id; membership and
+    # timestamps of the other endpoint are looked up by binary search.
+    present = sorted((network.index_of(u), t) for u, t in log.events if network.has_node(u))
+    missing = len(log.events) - len(present)
     if missing:
         logger.warning(
             "cascade %s: %d user(s) absent from the follow network; kept as isolated seeds",
             log.cascade_id,
-            len(missing),
+            missing,
         )
     nodes = frozenset(u for u, _ in log.events)
     if not present:
-        return DiffusionGraph(log.cascade_id, variant, nodes, frozenset(), nodes)
+        empty = np.empty(0, dtype=np.int64)
+        return DiffusionGraph(log.cascade_id, variant, nodes, frozenset(), nodes, empty, empty, empty)
 
-    tau_by_user = log.timestamps()
-    n = network.node_count
-    member = np.zeros(n, dtype=bool)
-    tau = np.zeros(n, dtype=np.int64)
-    idx = np.fromiter((network.index_of(u) for u in present), dtype=np.int64, count=len(present))
-    member[idx] = True
-    tau[idx] = np.fromiter((tau_by_user[u] for u in present), dtype=np.int64, count=len(present))
-
-    followers, followees, _ = network.out_edges_bulk(np.sort(idx))
-    qualifies = member[followees] & (tau[followees] < tau[followers])
+    idx = np.fromiter((i for i, _ in present), dtype=np.int64, count=len(present))
+    tau = np.fromiter((t for _, t in present), dtype=np.int64, count=len(present))
+    followers, followees, edge_pos = network.out_edges_bulk(idx)
+    followee_at = np.searchsorted(idx, followees)
+    qualifies = (idx.take(followee_at, mode="clip") == followees) & (
+        tau.take(followee_at, mode="clip") < tau[np.searchsorted(idx, followers)]
+    )
     parents = followees[qualifies]
     children = followers[qualifies]
+    edge_pos = edge_pos[qualifies]
 
     if variant != NON_TREE and parents.size:
-        parents, children = _single_parent(parents, children, tau, keep_last=variant == TREE_LAST)
+        parent_tau = tau[followee_at[qualifies]]
+        chosen = _single_parent(parents, children, parent_tau, keep_last=variant == TREE_LAST)
+        parents, children, edge_pos = parents[chosen], children[chosen], edge_pos[chosen]
 
     ids = network.external_ids
     edges = frozenset(
         (ids[p], ids[c]) for p, c in zip(parents.tolist(), children.tolist())
     )
     seeds = frozenset(nodes - {ids[c] for c in children.tolist()})
-    return DiffusionGraph(log.cascade_id, variant, nodes, edges, seeds)
+    return DiffusionGraph(log.cascade_id, variant, nodes, edges, seeds, parents, children, edge_pos)
 
 
 def _single_parent(
-    parents: np.ndarray, children: np.ndarray, tau: np.ndarray, keep_last: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce candidate parents to one per child.
+    parents: np.ndarray, children: np.ndarray, parent_tau: np.ndarray, keep_last: bool
+) -> np.ndarray:
+    """Indices of the one candidate parent kept per child, in child order.
 
     Candidates are ordered by timestamp (reversed for the "last" rule) with
     the dense node id as tie-break; dense ids follow sorted external ids, so
     the tie-break is the lexicographically smallest user id.
     """
-    parent_tau = -tau[parents] if keep_last else tau[parents]
-    order = np.lexsort((parents, parent_tau, children))
+    order = np.lexsort((parents, -parent_tau if keep_last else parent_tau, children))
     sorted_children = children[order]
     first = np.ones(order.size, dtype=bool)
     first[1:] = sorted_children[1:] != sorted_children[:-1]
-    chosen = order[first]
-    return parents[chosen], children[chosen]
+    return order[first]

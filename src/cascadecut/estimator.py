@@ -6,20 +6,31 @@ estimate for a cascade after deletion is the number of nodes reachable from
 the cascade's original seed set.  Seeds stay fixed even when a deletion
 leaves other nodes with no incoming edge: such nodes are exactly the users
 the deletion cut off.
+
+Plan prefixes are nested, so :func:`estimate_budgets` gives the sizes at
+every budget in one pass over integer edge arrays.  :func:`apply_deletion`
+and :func:`estimate_size` are the direct form of a single budget point.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .deletion import DeletionPlan
 from .diffusion import DiffusionGraph, build_variant
 from .errors import InputError, InvariantError
 from .graph import DirectedGraph, build_graph, reachable_from
+
+logger = logging.getLogger(__name__)
+
+# Rank of a follow edge that no budget deletes.
+NEVER_DELETED = np.iinfo(np.int64).max
 
 REPORT_HEADER = ("strategy", "variant", "k", "cascade_id", "original_size", "estimated_size", "seed_count")
 
@@ -67,14 +78,26 @@ class EstimateReport:
         )
 
 
-def deleted_diffusion_edges(plan: DeletionPlan) -> frozenset[tuple[str, str]]:
-    """Translate a plan's follow edges into the diffusion edges they block."""
-    return frozenset((dst, src) for src, dst in plan.ranked_edges)
-
-
 def apply_deletion(dg: DiffusionGraph, plan: DeletionPlan) -> DiffusionGraph:
-    """Remove the plan's blocked diffusion edges; nodes and seeds unchanged."""
-    return _apply_deleted(dg, deleted_diffusion_edges(plan))
+    """Remove the plan's blocked diffusion edges; nodes and seeds unchanged.
+
+    This is the direct set-based form of one budget point, kept as the
+    reference for :func:`estimate_budgets`.
+    """
+    blocked = {(dst, src) for src, dst in plan.ranked_edges}
+    # The integer edge arrays run in (child, parent) order.
+    keep = np.fromiter(
+        ((p, c) not in blocked for c, p in sorted((c, p) for p, c in dg.edges)),
+        dtype=bool,
+        count=len(dg.edges),
+    )
+    return replace(
+        dg,
+        edges=frozenset(dg.edges - blocked),
+        parent_ids=dg.parent_ids[keep],
+        child_ids=dg.child_ids[keep],
+        follow_edge_pos=dg.follow_edge_pos[keep],
+    )
 
 
 def estimate_size(dg_after: DiffusionGraph, original_seeds: Iterable[str]) -> int:
@@ -87,6 +110,82 @@ def estimate_size(dg_after: DiffusionGraph, original_seeds: Iterable[str]) -> in
     return len(reachable_from(graph, seeds))
 
 
+def plan_ranks(network: DirectedGraph, plan: DeletionPlan) -> np.ndarray:
+    """Plan rank of every follow edge of ``network``, aligned with its edges.
+
+    An edge's rank is the index of its first occurrence in
+    ``plan.ranked_edges``, or :data:`NEVER_DELETED` when the plan does not
+    name it, so a budget of k deletes exactly the edges ranked below k.
+    Plan edges that are not in the network delete nothing; their count is
+    logged as one warning.
+    """
+    pos = network.edge_positions(plan.ranked_edges)
+    known = pos >= 0
+    unknown = int(pos.size - known.sum())
+    if unknown:
+        logger.warning(
+            "%s plan: %d of %d edge(s) not in the follow network; they delete nothing",
+            plan.strategy, unknown, pos.size,
+        )
+    ranks = np.full(network.edge_count, NEVER_DELETED, dtype=np.int64)
+    edge, first = np.unique(pos[known], return_index=True)
+    ranks[edge] = np.flatnonzero(known)[first]
+    return ranks
+
+
+def estimate_budgets(
+    graphs: Sequence[DiffusionGraph],
+    ranks: np.ndarray,
+    budgets: Sequence[int],
+) -> list[list[CascadeResult]]:
+    """Per-cascade sizes after deleting the top-k ranked edges, for every k.
+
+    Diffusion edge p -> v survives budget k when its follow edge's rank is
+    at least k.  So v is still reached at budget k exactly when its
+    bottleneck value b(v) = max over parents p of min(b(p), rank(p -> v)) is
+    at least k, with b = infinity on seeds: the maximum-capacity path of
+    Pollack (1960).  Spread runs strictly forward in time, so diffusion
+    graphs are DAGs and relaxing all cascades' edges together reaches the
+    fixed point within the longest path length.  ``ranks`` comes from
+    :func:`plan_ranks` on the network the graphs were built from.
+    """
+    if any(k < 0 for k in budgets):
+        raise InputError("deletion budget k must be >= 0")
+    cascade = np.repeat(np.arange(len(graphs)), [dg.child_ids.size for dg in graphs])
+    parent = _concat([dg.parent_ids for dg in graphs])
+    child = _concat([dg.child_ids for dg in graphs])
+    rank = ranks[_concat([dg.follow_edge_pos for dg in graphs])]
+
+    # One slot per (cascade, non-seed user); every seed parent reads the
+    # last slot, which stays at infinity.
+    span = int(max(parent.max(initial=0), child.max(initial=0))) + 1
+    non_seeds, child_slot = np.unique(cascade * span + child, return_inverse=True)
+    parent_key = cascade * span + parent
+    parent_slot = np.searchsorted(non_seeds, parent_key)
+    parent_slot[non_seeds.take(parent_slot, mode="clip") != parent_key] = non_seeds.size
+    best = np.full(non_seeds.size + 1, -1, dtype=np.int64)
+    best[-1] = NEVER_DELETED
+    while True:
+        offer = np.minimum(best[parent_slot], rank)
+        if not (offer > best[child_slot]).any():
+            break
+        np.maximum.at(best, child_slot, offer)
+
+    owner, best = non_seeds // span, best[:-1]
+    sizes = [len(dg.nodes) for dg in graphs]
+    expected = [size - len(dg.seeds) for dg, size in zip(graphs, sizes)]
+    if np.bincount(owner, minlength=len(graphs)).tolist() != expected:
+        raise InputError("every non-seed user must have a parent, as in graphs from build_variant")
+    out = []
+    for k in budgets:
+        lost = np.bincount(owner[best < k], minlength=len(graphs)).tolist()
+        out.append([
+            CascadeResult(dg.cascade_id, size, size - cut, len(dg.seeds))
+            for dg, size, cut in zip(graphs, sizes, lost)
+        ])
+    return out
+
+
 def run_estimation(
     network: DirectedGraph,
     logs: list,
@@ -96,41 +195,20 @@ def run_estimation(
 ) -> EstimateReport:
     """Build, cut, and measure every cascade; totals are order-independent.
 
-    Cascades are processed independently (in parallel when ``threads`` > 1)
-    and merged by cascade id, so the report does not depend on input or
-    execution order.
+    Every edge the plan lists is deleted.  The estimate is one vectorised
+    pass over all cascades, so ``threads`` (which must be >= 1) does not
+    change the work done.  The report is merged by cascade id and does not
+    depend on input order.
     """
+    if threads < 1:
+        raise InputError("threads must be >= 1")
     graphs = [build_variant(network, log, variant) for log in logs]
-    rows = estimate_rows(graphs, deleted_diffusion_edges(plan), threads=threads)
+    (rows,) = estimate_budgets(graphs, plan_ranks(network, plan), [len(plan.ranked_edges)])
     return EstimateReport.from_rows(plan.strategy, variant, plan.k, rows)
 
 
-def estimate_rows(
-    graphs: list[DiffusionGraph],
-    deleted: frozenset[tuple[str, str]],
-    threads: int = 1,
-) -> list[CascadeResult]:
-    """Post-deletion sizes for pre-built diffusion graphs."""
-    if threads < 1:
-        raise InputError("threads must be >= 1")
-    if threads == 1 or len(graphs) < 2:
-        return [_estimate_one(dg, deleted) for dg in graphs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda dg: _estimate_one(dg, deleted), graphs))
-
-
-def _apply_deleted(dg: DiffusionGraph, deleted: frozenset[tuple[str, str]]) -> DiffusionGraph:
-    return replace(dg, edges=frozenset(dg.edges - deleted))
-
-
-def _estimate_one(dg: DiffusionGraph, deleted: frozenset[tuple[str, str]]) -> CascadeResult:
-    after = _apply_deleted(dg, deleted)
-    return CascadeResult(
-        cascade_id=dg.cascade_id,
-        original_size=len(dg.nodes),
-        estimated_size=estimate_size(after, dg.seeds),
-        seed_count=len(dg.seeds),
-    )
+def _concat(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
 
 
 def write_report_csv(report: EstimateReport, path: str | Path) -> None:

@@ -1,10 +1,12 @@
 """Budget sweeps across deletion strategies and diffusion variants.
 
-A sweep loads one dataset, scores each requested strategy once at the
-largest budget, then walks the budget grid taking plan prefixes, writing
-one per-cascade report CSV per (strategy, variant, fraction) plus a single
-summary CSV.  Expensive plans are cached to disk in the plan file format
-and reused on re-runs against the same output directory.
+A sweep loads one dataset, builds each variant's diffusion graphs once,
+and scores each requested strategy once at the largest budget.  For every
+(strategy, variant) pair one bottleneck pass over the plan's edge ranks
+gives the sizes at all budget points; the sweep writes one per-cascade
+report CSV per (strategy, variant, fraction) plus a single summary CSV.
+Expensive plans are cached to disk in the plan file format and reused on
+re-runs against the same output directory.
 
 All outputs are plain CSV figure data; re-running an identical
 configuration reproduces every file byte for byte.
@@ -20,7 +22,7 @@ from pathlib import Path
 from .deletion import RANDOM, STRATEGIES, DeletionPlan, load_plan, plan_strategy, save_plan
 from .diffusion import VARIANTS, build_non_tree, build_variant
 from .errors import ConvergenceError, InputError
-from .estimator import EstimateReport, estimate_rows, deleted_diffusion_edges, write_report_csv
+from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_report_csv
 from .graph import DirectedGraph, build_graph
 from .ingest import CascadeLog, filter_cascades, load_cascades, load_follow_edges
 
@@ -100,11 +102,10 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
     for strategy in config.strategies:
         plan, plan_path = _materialise_plan(config, network, strategy, max_budget)
         written.append(plan_path)
+        ranks = plan_ranks(network, plan)
         for variant in config.variants:
-            graphs = graphs_by_variant[variant]
-            for fraction, k in zip(config.budget_fractions, budgets):
-                sub = plan.prefix(k)
-                rows = estimate_rows(graphs, deleted_diffusion_edges(sub), threads=config.threads)
+            per_budget = estimate_budgets(graphs_by_variant[variant], ranks, budgets)
+            for fraction, k, rows in zip(config.budget_fractions, budgets, per_budget):
                 report = EstimateReport.from_rows(strategy, variant, k, rows)
                 path = config.out_dir / f"report_{strategy}_{variant}_{fraction:g}.csv"
                 write_report_csv(report, path)
@@ -186,11 +187,8 @@ def write_gnuplot_script(out_dir: Path, strategies: tuple[str, ...], variants: t
     return path
 
 
-def write_rows_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    _write_csv(path, header, rows)
-
-
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
+    """Write figure-data rows under a header; the summary, seeds and scatter files."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -16,7 +16,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -144,6 +144,27 @@ class DirectedGraph:
         """All in-edges of the given nodes: (targets, sources, edge positions)."""
         rep, pos = _slice_gather(self._rev_indptr, node_indices)
         return rep, self._rev_sources[pos], self._rev_edge_pos[pos]
+
+    def edge_positions(self, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+        """Canonical position of each (src, dst) external-id pair, -1 where absent."""
+        if self.edge_count == 0:
+            return np.full(len(pairs), -1, dtype=np.int64)
+        index, n = self._index, len(self._ids)
+        wanted = np.fromiter((index.get(s, -1) for s, _ in pairs), dtype=np.int64, count=len(pairs))
+        dst = np.fromiter((index.get(d, -1) for _, d in pairs), dtype=np.int64, count=len(pairs))
+        unknown = (wanted < 0) | (dst < 0)
+        # Canonical edges are sorted by (src, dst), so their codes are sorted.
+        # Codes are built in place: plans and networks can be large.
+        wanted *= n
+        wanted += dst
+        del dst
+        codes = self._edge_src * n
+        codes += self._edge_dst
+        pos = np.searchsorted(codes, wanted)
+        np.minimum(pos, codes.size - 1, out=pos)
+        unknown |= codes[pos] != wanted
+        pos[unknown] = -1
+        return pos
 
     def __repr__(self) -> str:
         return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"

@@ -2,15 +2,30 @@
 
 Everything here is deliberately naive (dictionary DFS, per-pair path
 counting, dense eigensolvers, double loops over user pairs) and shares no
-code with the package, so agreement is meaningful.
+code with the package, so agreement is meaningful.  The one exception is
+:func:`per_budget_sweep`, the sweep computed one budget point at a time
+through the package's direct single-budget path.
 """
 
 from __future__ import annotations
 
+import csv
 import random
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
+
+from cascadecut.deletion import plan_strategy
+from cascadecut.diffusion import build_variant
+from cascadecut.estimator import (
+    CascadeResult,
+    EstimateReport,
+    apply_deletion,
+    estimate_size,
+    write_report_csv,
+)
+from cascadecut.experiment import SUMMARY_HEADER, budget_for, load_dataset
 
 
 def adjacency(edges):
@@ -147,3 +162,40 @@ def random_digraph(rng: random.Random, n, p, prefix="u"):
     nodes = [f"{prefix}{i:03d}" for i in range(n)]
     edges = [(a, b) for a in nodes for b in nodes if a != b and rng.random() < p]
     return nodes, edges
+
+
+def per_budget_sweep(config, out_dir: Path) -> None:
+    """Write a sweep's report and summary files one budget point at a time.
+
+    For every (strategy, variant, budget): take the plan prefix, cut each
+    cascade with ``apply_deletion`` and count with ``estimate_size``.  File
+    names and formats follow ``run_sweep``; plan files are not written.
+    """
+    network, logs = load_dataset(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    budgets = [budget_for(f, network.edge_count) for f in config.budget_fractions]
+    summary = []
+    for strategy in config.strategies:
+        plan = plan_strategy(network, strategy, max(budgets), rng_seed=config.rng_seed)
+        for variant in config.variants:
+            graphs = [build_variant(network, log, variant) for log in logs]
+            for fraction, k in zip(config.budget_fractions, budgets):
+                sub = plan.prefix(k)
+                rows = [
+                    CascadeResult(
+                        dg.cascade_id,
+                        len(dg.nodes),
+                        estimate_size(apply_deletion(dg, sub), dg.seeds),
+                        len(dg.seeds),
+                    )
+                    for dg in graphs
+                ]
+                report = EstimateReport.from_rows(strategy, variant, k, rows)
+                write_report_csv(report, out_dir / f"report_{strategy}_{variant}_{fraction:g}.csv")
+                summary.append(
+                    (strategy, variant, k, f"{fraction:g}", report.total_estimated, report.total_original)
+                )
+    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SUMMARY_HEADER)
+        writer.writerows(summary)

@@ -272,14 +272,13 @@ def test_a8_public_dataset_trends():
     budgets = [budget_for(f, network.edge_count) for f in fractions]
     graphs = [build_non_tree(network, log) for log in logs]
 
-    from cascadecut.estimator import EstimateReport, deleted_diffusion_edges, estimate_rows
+    from cascadecut.estimator import EstimateReport, estimate_budgets, plan_ranks
 
     totals = {}
     for strategy in ("netmelt", "random"):
         plan = plan_strategy(network, strategy, max(budgets), rng_seed=0)
         per_budget = []
-        for k in budgets:
-            rows = estimate_rows(graphs, deleted_diffusion_edges(plan.prefix(k)))
+        for k, rows in zip(budgets, estimate_budgets(graphs, plan_ranks(network, plan), budgets)):
             report = EstimateReport.from_rows(strategy, "non-tree", k, rows)
             per_budget.append(report.total_estimated)
         totals[strategy] = (per_budget, report.total_original)

@@ -159,6 +159,22 @@ class TestRandomInstances:
                 g = build_graph(dg.edges, nodes=dg.nodes)
                 assert len(reachable_from(g, dg.seeds)) == len(dg.nodes)
 
+    def test_edge_arrays_describe_the_edges(self):
+        rng = random.Random(101)
+        for _ in range(25):
+            network, log, _, _ = random_instance(rng)
+            ids = network.external_ids
+            src, dst = network.edge_src_indices, network.edge_dst_indices
+            for variant in VARIANTS:
+                dg = build_variant(network, log, variant)
+                pairs = list(zip(dg.child_ids.tolist(), dg.parent_ids.tolist()))
+                assert pairs == sorted(pairs)
+                assert {(ids[p], ids[c]) for c, p in pairs} == dg.edges
+                assert len(pairs) == len(dg.edges)
+                # the child follows the parent along the recorded follow edge
+                assert src[dg.follow_edge_pos].tolist() == dg.child_ids.tolist()
+                assert dst[dg.follow_edge_pos].tolist() == dg.parent_ids.tolist()
+
     def test_build_independent_of_event_order(self, eight_node_network):
         rng = random.Random(97)
         events = [("1", 1), ("2", 2), ("5", 5), ("4", 4)]

@@ -17,14 +17,17 @@ from cascadecut import (
     apply_deletion,
     build_non_tree,
     build_variant,
+    estimate_budgets,
     estimate_size,
     plan_random,
+    plan_ranks,
     read_report_csv,
     run_estimation,
     write_report_csv,
 )
 from conftest import (
     EIGHT_NODE_CUT_FOLLOW_EDGES,
+    EIGHT_NODE_FOLLOW_EDGES,
     EIGHT_NODE_SEEDS,
     random_instance,
 )
@@ -52,6 +55,22 @@ class TestApplyDeletion:
         assert not any(child == "6" for _, child in after.edges)
         assert after.seeds == EIGHT_NODE_SEEDS
         assert after.nodes == dg.nodes
+
+    def test_edge_arrays_follow_the_cut(self):
+        rng = random.Random(239)
+        for _ in range(20):
+            network, log, edges, _ = random_instance(rng)
+            ids = network.external_ids
+            for variant in VARIANTS:
+                dg = build_variant(network, log, variant)
+                chosen = rng.sample(edges, rng.randint(0, min(len(edges), 10))) if edges else []
+                after = apply_deletion(dg, manual_plan(chosen))
+                pairs = list(zip(after.parent_ids.tolist(), after.child_ids.tolist()))
+                assert {(ids[p], ids[c]) for p, c in pairs} == after.edges
+                assert len(pairs) == len(after.edges)
+                assert after.follow_edge_pos.tolist() == network.edge_positions(
+                    [(ids[c], ids[p]) for p, c in pairs]
+                ).tolist()
 
     def test_empty_plan_is_identity(self, eight_node_network, eight_node_log):
         dg = build_non_tree(eight_node_network, eight_node_log)
@@ -97,6 +116,142 @@ class TestEstimateSize:
         dg = build_non_tree(eight_node_network, eight_node_log)
         with pytest.raises(InputError):
             estimate_size(dg, {"nope"})
+
+
+def prefix_oracle(graphs, plan, k):
+    """Sizes at budget k the direct way: cut the plan prefix, then search."""
+    sub = plan.prefix(k)
+    return [estimate_size(apply_deletion(dg, sub), dg.seeds) for dg in graphs]
+
+
+def all_budget_sizes(network, graphs, plan, budgets):
+    per_budget = estimate_budgets(graphs, plan_ranks(network, plan), budgets)
+    return [[row.estimated_size for row in rows] for rows in per_budget]
+
+
+class TestEstimateBudgets:
+    def test_matches_prefix_oracle_on_random_instances(self):
+        rng = random.Random(223)
+        for _ in range(25):
+            network, log, edges, _ = random_instance(rng)
+            shuffled = rng.sample(edges, len(edges))
+            plan = manual_plan(shuffled)
+            budgets = list(range(len(shuffled) + 3))  # k = 0 .. beyond the plan's end
+            for variant in VARIANTS:
+                graphs = [build_variant(network, log, variant)]
+                got = all_budget_sizes(network, graphs, plan, budgets)
+                assert got == [prefix_oracle(graphs, plan, k) for k in budgets]
+
+    def test_duplicate_and_unknown_plan_edges(self):
+        rng = random.Random(227)
+        for _ in range(20):
+            network, log, edges, _ = random_instance(rng)
+            if not edges:
+                continue
+            ranked = rng.sample(edges, rng.randint(1, len(edges)))
+            # repeats of earlier edges, a reversed edge the network may lack,
+            # and edges naming users the network has never seen
+            ranked += rng.choices(ranked, k=3)
+            ranked.insert(rng.randint(0, len(ranked)), ("zz-unknown", edges[0][1]))
+            ranked.insert(rng.randint(0, len(ranked)), (edges[0][1], edges[0][0]))
+            ranked.append(("zz-a", "zz-b"))
+            plan = manual_plan(ranked)
+            budgets = list(range(len(ranked) + 2))
+            for variant in VARIANTS:
+                graphs = [build_variant(network, log, variant)]
+                got = all_budget_sizes(network, graphs, plan, budgets)
+                assert got == [prefix_oracle(graphs, plan, k) for k in budgets]
+
+    def test_cascades_with_absent_users(self):
+        rng = random.Random(229)
+        for _ in range(15):
+            network, log, edges, _ = random_instance(rng, outside_user_chance=1.0)
+            assert any(not network.has_node(u) for u in log.users())
+            plan = manual_plan(rng.sample(edges, len(edges)))
+            budgets = [0, len(edges) // 2, len(edges), len(edges) + 5]
+            for variant in VARIANTS:
+                graphs = [build_variant(network, log, variant)]
+                got = all_budget_sizes(network, graphs, plan, budgets)
+                assert got == [prefix_oracle(graphs, plan, k) for k in budgets]
+
+    def test_many_cascades_in_one_pass(self):
+        rng = random.Random(233)
+        network, _, edges, _ = random_instance(rng, max_nodes=25)
+        users = list(network.external_ids)
+        logs = []
+        for i in range(15):
+            events = [(u, rng.randint(0, 30)) for u in rng.sample(users, rng.randint(1, len(users)))]
+            if i % 3 == 0:
+                events.append((f"x{i}", rng.randint(0, 30)))  # absent from the network
+            logs.append(CascadeLog.from_events(f"c{i}", events))
+        plan = manual_plan(rng.sample(edges, len(edges)))
+        budgets = list(range(0, len(edges) + 2, max(1, len(edges) // 7)))
+        for variant in VARIANTS:
+            graphs = [build_variant(network, log, variant) for log in logs]
+            per_budget = estimate_budgets(graphs, plan_ranks(network, plan), budgets)
+            for k, rows in zip(budgets, per_budget):
+                assert [r.estimated_size for r in rows] == prefix_oracle(graphs, plan, k)
+                assert [(r.cascade_id, r.original_size, r.seed_count) for r in rows] == [
+                    (dg.cascade_id, len(dg.nodes), len(dg.seeds)) for dg in graphs
+                ]
+
+    def test_eight_node_every_budget(self, eight_node_network, eight_node_log):
+        # The cut edges first, so k = 2 is the hand-checked cut.
+        rest = [e for e in EIGHT_NODE_FOLLOW_EDGES if e not in EIGHT_NODE_CUT_FOLLOW_EDGES]
+        plan = manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES + rest)
+        budgets = list(range(len(EIGHT_NODE_FOLLOW_EDGES) + 2))
+        for variant in VARIANTS:
+            graphs = [build_variant(eight_node_network, eight_node_log, variant)]
+            got = all_budget_sizes(eight_node_network, graphs, plan, budgets)
+            assert got == [prefix_oracle(graphs, plan, k) for k in budgets]
+            if variant == "non-tree":
+                assert got[2] == [5]
+            assert got[0] == [8] and got[-1] == [len(EIGHT_NODE_SEEDS)]
+
+    def test_no_graphs(self, eight_node_network):
+        ranks = plan_ranks(eight_node_network, manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES))
+        assert estimate_budgets([], ranks, [0, 3]) == [[], []]
+
+    def test_negative_budget_rejected(self, eight_node_network, eight_node_log):
+        dg = build_non_tree(eight_node_network, eight_node_log)
+        with pytest.raises(InputError):
+            estimate_budgets([dg], plan_ranks(eight_node_network, manual_plan([])), [-1])
+
+    def test_cut_graph_rejected(self, eight_node_network, eight_node_log):
+        # After the cut, node 6 has no parent yet is no seed: the pass only
+        # takes graphs as built.
+        dg = build_non_tree(eight_node_network, eight_node_log)
+        plan = manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES)
+        after = apply_deletion(dg, plan)
+        with pytest.raises(InputError):
+            estimate_budgets([after], plan_ranks(eight_node_network, manual_plan([])), [0])
+
+
+class TestPlanRanks:
+    def test_first_occurrence_wins(self, eight_node_network):
+        plan = manual_plan([("5", "1"), ("6", "3"), ("5", "1")])
+        ranks = plan_ranks(eight_node_network, plan)
+        edges = list(eight_node_network.edges())
+        by_edge = dict(zip(edges, ranks.tolist()))
+        assert by_edge[("5", "1")] == 0
+        assert by_edge[("6", "3")] == 1
+        assert sum(r < 3 for r in ranks.tolist()) == 2
+
+    def test_unknown_edges_warn_once_with_count(self, eight_node_network, caplog):
+        plan = manual_plan([("5", "1"), ("1", "5"), ("nobody", "1"), ("6", "3")])
+        with caplog.at_level("WARNING", logger="cascadecut.estimator"):
+            ranks = plan_ranks(eight_node_network, plan)
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "2 of 4 edge(s) not in the follow network" in warnings[0].getMessage()
+        # unknown entries still take their place in the ranking
+        by_edge = dict(zip(eight_node_network.edges(), ranks.tolist()))
+        assert by_edge[("6", "3")] == 3
+
+    def test_known_plan_is_silent(self, eight_node_network, caplog):
+        with caplog.at_level("WARNING", logger="cascadecut.estimator"):
+            plan_ranks(eight_node_network, manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES))
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 class TestRunEstimation:

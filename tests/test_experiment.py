@@ -24,6 +24,7 @@ from cascadecut import (
 from cascadecut.estimator import CascadeResult
 from cascadecut.experiment import budget_for, write_gnuplot_script
 from conftest import random_instance, write_eight_node_dataset
+from oracles import per_budget_sweep
 
 
 def read_summary(out_dir):
@@ -152,6 +153,33 @@ class TestRunSweep:
                         report.total_estimated,
                         report.total_original,
                     )
+
+    def test_files_match_per_budget_loop_byte_for_byte(self, tmp_path):
+        rng = random.Random(241)
+        for trial in range(3):
+            root = tmp_path / f"trial{trial}"
+            root.mkdir()
+            edges_path, cascades_path = write_random_dataset(root, rng, n_cascades=6)
+            with open(cascades_path, "a", encoding="utf-8") as fh:
+                fh.write(f"c1\tghost{trial}\t{rng.randint(0, 30)}\n")  # user absent from the network
+            config = ExperimentConfig(
+                edges_path=edges_path,
+                cascades_path=cascades_path,
+                out_dir=root / "out",
+                min_cascade_size=0,
+                budget_fractions=(0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0),
+                rng_seed=13 + trial,
+            )
+            run_sweep(config)
+            per_budget_sweep(config, root / "oracle")
+            expected = {p.name: p.read_bytes() for p in (root / "oracle").iterdir()}
+            got = {
+                p.name: p.read_bytes()
+                for p in config.out_dir.iterdir()
+                if not p.name.startswith("plan_")
+            }
+            assert len(expected) == len(STRATEGIES) * len(VARIANTS) * 7 + 1
+            assert got == expected
 
     def test_totals_non_increasing_and_trees_bounded(self, tmp_path):
         rng = random.Random(197)

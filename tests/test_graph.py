@@ -79,6 +79,18 @@ class TestBuildGraph:
         with pytest.raises(InputError):
             build_graph([(1, 2)])
 
+    def test_edge_positions(self):
+        rng = random.Random(17)
+        nodes, edges = random_digraph(rng, 15, 0.25)
+        g = build_graph(edges)
+        canonical = list(g.edges())
+        absent = [(a, b) for a in nodes for b in nodes if (a, b) not in set(edges)][:20]
+        queries = rng.sample(edges, len(edges)) + absent + [("zz", nodes[0]), (nodes[0], "zz")]
+        expected = [canonical.index(q) if q in canonical else -1 for q in queries]
+        assert g.edge_positions(queries).tolist() == expected
+        assert build_graph([], nodes=["a"]).edge_positions([("a", "a")]).tolist() == [-1]
+        assert g.edge_positions([]).tolist() == []
+
 
 class TestReachability:
     def test_eight_node_after_cut(self):

@@ -49,6 +49,10 @@ _CONFIG_KEYS = {
     "fractions", "seed", "out", "strict_parse", "threads",
 }
 
+# --threads and the config key threads are still accepted and validated so
+# that existing scripts and config files keep working; no result depends on them.
+_THREADS_HELP = "no effect (accepted for compatibility; must be an integer >= 1)"
+
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
@@ -101,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--k", type=int, help="edge budget")
     group.add_argument("--fraction", type=float, help="edge budget as a fraction of |E|")
     p_plan.add_argument("--seed", type=int, help="rng seed (random strategy)")
-    p_plan.add_argument("--threads", type=int, help="worker threads for betweenness")
+    p_plan.add_argument("--threads", type=int, help=_THREADS_HELP)
     p_plan.add_argument("--out", type=Path, help="output directory")
     p_plan.set_defaults(handler=_cmd_plan)
 
@@ -111,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--variants", help="comma-separated variant list")
     p_sweep.add_argument("--fractions", help="comma-separated budget fractions in [0,1]")
     p_sweep.add_argument("--seed", type=int, help="rng seed for the random strategy")
-    p_sweep.add_argument("--threads", type=int, help="worker threads for betweenness scoring")
+    p_sweep.add_argument("--threads", type=int, help=_THREADS_HELP)
     p_sweep.add_argument("--out", type=Path, help="output directory")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
@@ -180,6 +184,23 @@ def _setting(args: argparse.Namespace, settings: dict[str, str], flag: str, key:
     return default
 
 
+def _number(value, convert, name: str):
+    """``convert(value)``, or an InputError naming the setting it came from."""
+    try:
+        return convert(value)
+    except ValueError:
+        raise InputError(f"{name}: expected {convert.__name__}, got {value!r}") from None
+
+
+def _int_setting(args, settings, flag: str, key: str, default: int) -> int:
+    return _number(_setting(args, settings, flag, key, default), int, key)
+
+
+def _check_threads(args, settings) -> None:
+    if _int_setting(args, settings, "threads", "threads", 1) < 1:
+        raise InputError("threads must be >= 1")
+
+
 def _bool_setting(args, settings, flag: str, key: str) -> bool:
     value = getattr(args, flag, None)
     if value:
@@ -217,7 +238,7 @@ def _load_inputs(args, settings, need_cascades: bool = True):
 
 
 def _min_size(args, settings) -> int:
-    return int(_setting(args, settings, "min_size", "min_size", DEFAULT_MIN_CASCADE_SIZE))
+    return _int_setting(args, settings, "min_size", "min_size", DEFAULT_MIN_CASCADE_SIZE)
 
 
 def _out_dir(args, settings) -> Path:
@@ -238,6 +259,8 @@ def _cmd_stats(args, settings) -> int:
 
 
 def _cmd_plan(args, settings) -> int:
+    _check_threads(args, settings)
+    seed = _int_setting(args, settings, "seed", "seed", 0)
     edges, _ = _load_inputs(args, settings, need_cascades=False)
     network = build_graph(edges)
     if args.k is not None:
@@ -246,9 +269,7 @@ def _cmd_plan(args, settings) -> int:
         if not 0.0 <= args.fraction <= 1.0:
             raise InputError("--fraction must lie in [0, 1]")
         k = budget_for(args.fraction, network.edge_count)
-    seed = int(_setting(args, settings, "seed", "seed", 0))
-    threads = int(_setting(args, settings, "threads", "threads", 1))
-    plan = plan_strategy(network, args.strategy, k, rng_seed=seed, threads=threads)
+    plan = plan_strategy(network, args.strategy, k, rng_seed=seed)
     out = _out_dir(args, settings)
     path = out / f"plan_{args.strategy}.tsv"
     save_plan(plan, path)
@@ -257,7 +278,9 @@ def _cmd_plan(args, settings) -> int:
 
 
 def _cmd_sweep(args, settings) -> int:
+    _check_threads(args, settings)
     fractions = _split_list(_setting(args, settings, "fractions", "fractions"))
+    fractions = tuple(_number(f, float, "fractions") for f in fractions) if fractions else DEFAULT_FRACTIONS
     config = ExperimentConfig(
         edges_path=_require_path(_setting(args, settings, "edges", "edges"), "--edges"),
         cascades_path=_require_path(_setting(args, settings, "cascades", "cascades"), "--cascades"),
@@ -265,10 +288,9 @@ def _cmd_sweep(args, settings) -> int:
         min_cascade_size=_min_size(args, settings),
         strategies=_split_list(_setting(args, settings, "strategies", "strategies")) or STRATEGIES,
         variants=_split_list(_setting(args, settings, "variants", "variants")) or VARIANTS,
-        budget_fractions=tuple(float(f) for f in fractions) if fractions else DEFAULT_FRACTIONS,
-        rng_seed=int(_setting(args, settings, "seed", "seed", 0)),
+        budget_fractions=fractions,
+        rng_seed=_int_setting(args, settings, "seed", "seed", 0),
         strict_parse=_bool_setting(args, settings, "strict_parse", "strict_parse"),
-        threads=int(_setting(args, settings, "threads", "threads", 1)),
     )
     written = run_sweep(config)
     for path in written:

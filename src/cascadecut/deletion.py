@@ -105,13 +105,13 @@ def plan_netmelt(
     return _ranked_plan(network, NETMELT, k, scores)
 
 
-def plan_betweenness(network: DirectedGraph, k: int, threads: int = 1) -> DeletionPlan:
+def plan_betweenness(network: DirectedGraph, k: int) -> DeletionPlan:
     """Top-k edges by descending edge betweenness."""
     if k < 0:
         raise InputError("deletion budget k must be >= 0")
     if k == 0 or network.edge_count == 0:
         return DeletionPlan(BETWEENNESS, k, (), (), method=_METHODS[BETWEENNESS])
-    scores = betweenness_scores(network, threads=threads)
+    scores = betweenness_scores(network)
     return _ranked_plan(network, BETWEENNESS, k, scores)
 
 
@@ -146,12 +146,12 @@ def plan_random(network: DirectedGraph, k: int, rng_seed: int) -> DeletionPlan:
     return DeletionPlan(RANDOM, k, ranked, (0.0,) * cut, rng_seed=rng_seed, method=_METHODS[RANDOM])
 
 
-def plan_strategy(network: DirectedGraph, strategy: str, k: int, rng_seed: int = 0, threads: int = 1) -> DeletionPlan:
+def plan_strategy(network: DirectedGraph, strategy: str, k: int, rng_seed: int = 0) -> DeletionPlan:
     """Dispatch to the named strategy."""
     if strategy == NETMELT:
         return plan_netmelt(network, k)
     if strategy == BETWEENNESS:
-        return plan_betweenness(network, k, threads=threads)
+        return plan_betweenness(network, k)
     if strategy == EDGE_DEGREE:
         return plan_edge_degree(network, k)
     if strategy == RANDOM:
@@ -182,7 +182,10 @@ def load_plan(path: str | Path) -> DeletionPlan:
             k = int(k_text)
         except ValueError:
             raise ParseError(f"{path}: bad budget {k_text!r} in plan header") from None
-        seed = int(seed_text) if seed_text else None
+        try:
+            seed = int(seed_text) if seed_text else None
+        except ValueError:
+            raise ParseError(f"{path}: bad seed {seed_text!r} in plan header") from None
         ranked: list[tuple[str, str]] = []
         scores: list[float] = []
         for lineno, raw in enumerate(fh, start=2):

@@ -85,12 +85,6 @@ def build_variant(network: DirectedGraph, log: CascadeLog, variant: str) -> Diff
     return builder(network, log)
 
 
-def seeds_of(dg: DiffusionGraph) -> frozenset[str]:
-    """Nodes with no incoming diffusion edge."""
-    children = {child for _, child in dg.edges}
-    return frozenset(dg.nodes - children)
-
-
 def to_dot(dg: DiffusionGraph) -> str:
     """Render as deterministic DOT text, seed nodes filled light green."""
     lines = [f'digraph "{dg.cascade_id}" {{']

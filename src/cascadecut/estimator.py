@@ -191,17 +191,13 @@ def run_estimation(
     logs: list,
     plan: DeletionPlan,
     variant: str,
-    threads: int = 1,
 ) -> EstimateReport:
     """Build, cut, and measure every cascade; totals are order-independent.
 
-    Every edge the plan lists is deleted.  The estimate is one vectorised
-    pass over all cascades, so ``threads`` (which must be >= 1) does not
-    change the work done.  The report is merged by cascade id and does not
-    depend on input order.
+    Every edge the plan lists is deleted, in one vectorised pass over all
+    cascades.  The report is merged by cascade id and does not depend on
+    input order.
     """
-    if threads < 1:
-        raise InputError("threads must be >= 1")
     graphs = [build_variant(network, log, variant) for log in logs]
     (rows,) = estimate_budgets(graphs, plan_ranks(network, plan), [len(plan.ranked_edges)])
     return EstimateReport.from_rows(plan.strategy, variant, plan.k, rows)

@@ -50,7 +50,6 @@ class ExperimentConfig:
     budget_fractions: tuple[float, ...] = DEFAULT_FRACTIONS
     rng_seed: int = 0
     strict_parse: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         self.edges_path = Path(self.edges_path)
@@ -58,8 +57,6 @@ class ExperimentConfig:
         self.out_dir = Path(self.out_dir)
         if self.min_cascade_size < 0:
             raise InputError("min_cascade_size must be >= 0")
-        if self.threads < 1:
-            raise InputError("threads must be >= 1")
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise InputError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
@@ -212,7 +209,7 @@ def _materialise_plan(
             return cached, path
         logger.info("cached plan at %s does not cover the request; recomputing", path)
     try:
-        plan = plan_strategy(network, strategy, max_budget, rng_seed=config.rng_seed, threads=config.threads)
+        plan = plan_strategy(network, strategy, max_budget, rng_seed=config.rng_seed)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"plan({strategy}): {exc}", exc.best_residual, exc.iterations

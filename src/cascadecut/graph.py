@@ -7,14 +7,13 @@ provides BFS reachability, directed edge betweenness (Brandes-style
 accumulation), and the leading eigenpair of the adjacency matrix via power
 iteration.
 
-Graphs are immutable after construction and safe to share across threads.
+Graphs are immutable after construction.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -241,52 +240,35 @@ def _reachable_mask(graph: DirectedGraph, source_indices: np.ndarray) -> np.ndar
     return visited
 
 
-def betweenness_scores(graph: DirectedGraph, threads: int = 1) -> np.ndarray:
+def betweenness_scores(graph: DirectedGraph) -> np.ndarray:
     """Edge betweenness aligned with the canonical edge order of ``graph``.
 
     Score of an edge is the sum over ordered node pairs (s, t) of the
-    fraction of shortest s->t paths passing through the edge.  Per-source
-    passes may run in parallel; partial sums are reduced in fixed source-id
-    order so the result is deterministic for a given thread count.  Under
-    CPython the interpreter lock caps the speedup, so threads > 1 mainly
-    matters on builds without it; correctness is identical either way.
+    fraction of shortest s->t paths passing through the edge.  Sources are
+    accumulated one at a time in dense-id order, so the floating-point sums,
+    and the plans ranked by them, are the same on every run.
     """
     if graph.node_count == 0:
         raise InputError("betweenness requires a nonempty graph")
-    if threads < 1:
-        raise InputError("threads must be >= 1")
-    sources = np.arange(graph.node_count, dtype=np.int64)
-    if threads == 1 or graph.node_count < 2 * threads:
-        return _betweenness_partial(graph, sources)
-    chunks = np.array_split(sources, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(lambda c: _betweenness_partial(graph, c), chunks))
-    total = np.zeros(graph.edge_count)
-    for part in partials:
-        total += part
-    return total
-
-
-def edge_betweenness(graph: DirectedGraph, threads: int = 1) -> dict[tuple[str, str], float]:
-    """Edge betweenness keyed by external-id pair.
-
-    Convenience form of :func:`betweenness_scores`; prefer the array form
-    when ranking millions of edges.
-    """
-    scores = betweenness_scores(graph, threads=threads)
-    return {edge: float(score) for edge, score in zip(graph.edges(), scores.tolist())}
-
-
-def _betweenness_partial(graph: DirectedGraph, sources: np.ndarray) -> np.ndarray:
     scores = np.zeros(graph.edge_count)
     # Workspace reused across sources; only entries touched by a BFS are
     # reset afterwards, so sparse passes stay cheap.
     depth = np.full(graph.node_count, -1, dtype=np.int64)
     sigma = np.zeros(graph.node_count)
     delta = np.zeros(graph.node_count)
-    for s in sources.tolist():
+    for s in range(graph.node_count):
         _accumulate_source(graph, s, scores, depth, sigma, delta)
     return scores
+
+
+def edge_betweenness(graph: DirectedGraph) -> dict[tuple[str, str], float]:
+    """Edge betweenness keyed by external-id pair.
+
+    Convenience form of :func:`betweenness_scores`; prefer the array form
+    when ranking millions of edges.
+    """
+    scores = betweenness_scores(graph)
+    return {edge: float(score) for edge, score in zip(graph.edges(), scores.tolist())}
 
 
 def _accumulate_source(graph, source, scores, depth, sigma, delta) -> None:

@@ -53,9 +53,6 @@ class CascadeLog:
     def users(self) -> list[str]:
         return [user for user, _ in self.events]
 
-    def timestamps(self) -> dict[str, int]:
-        return dict(self.events)
-
 
 @dataclass(frozen=True)
 class DatasetStats:

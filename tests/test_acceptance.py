@@ -219,7 +219,6 @@ def test_a9_sweep_runs_are_byte_identical(tmp_path):
             variants=VARIANTS,
             budget_fractions=(0.0, 0.25, 0.5),
             rng_seed=33,
-            threads=2,
         )
         run_sweep(config)
         snapshots.append(

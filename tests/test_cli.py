@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from cascadecut import InvariantError, ParseError
@@ -14,6 +16,7 @@ from cascadecut.cli import (
     read_config_file,
 )
 from conftest import write_eight_node_dataset
+from oracles import random_digraph
 
 
 @pytest.fixture
@@ -149,6 +152,26 @@ class TestSweep:
             ]
         )
         assert code == EXIT_INVARIANT
+
+    def test_cached_plan_with_bad_seed_exits_1(self, dataset, tmp_path, capsys):
+        edges_path, cascades_path = dataset
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "plan_random.tsv").write_text("random,2,abc\n1\t2\t0.0\n", encoding="utf-8")
+        code = main(
+            [
+                "sweep",
+                "--edges", str(edges_path),
+                "--cascades", str(cascades_path),
+                "--min-size", "0",
+                "--strategies", "random",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error [parse]" in err
+        assert "plan_random.tsv" in err
 
 
 class TestPlanCommand:
@@ -291,3 +314,118 @@ class TestConfigFile:
         cfg.write_text("edges\n", encoding="utf-8")
         with pytest.raises(ParseError):
             read_config_file(cfg)
+
+
+def _sweep_args(edges_path, cascades_path, out, *extra):
+    return [
+        "sweep",
+        "--edges", str(edges_path),
+        "--cascades", str(cascades_path),
+        "--min-size", "0",
+        "--out", str(out),
+        *extra,
+    ]
+
+
+class TestNumericSettings:
+    @pytest.mark.parametrize(
+        "line, name",
+        [
+            ("seed=x", "seed"),
+            ("threads=two", "threads"),
+            ("min_size=x", "min_size"),
+            ("fractions=0.1,abc", "fractions"),
+        ],
+    )
+    def test_unparsable_config_value_exits_1(self, dataset, tmp_path, capsys, line, name):
+        edges_path, cascades_path = dataset
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"edges={edges_path}\ncascades={cascades_path}\nout={tmp_path / 'out'}\n{line}\n",
+            encoding="utf-8",
+        )
+        code = main(["sweep", "--config", str(cfg), "--strategies", "random"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error [input]: {name}:" in err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_unparsable_fraction_flag_exits_1(self, dataset, tmp_path, capsys):
+        edges_path, cascades_path = dataset
+        code = main(_sweep_args(edges_path, cascades_path, tmp_path / "out", "--fractions", "0.1,abc"))
+        assert code == EXIT_INPUT
+        assert "error [input]: fractions: expected float, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["seed=x", "threads=two"])
+    def test_plan_command_reports_unparsable_config_value(self, dataset, tmp_path, capsys, line):
+        edges_path, _ = dataset
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n", encoding="utf-8")
+        code = main(
+            [
+                "plan", "--config", str(cfg),
+                "--edges", str(edges_path),
+                "--strategy", "random",
+                "--k", "2",
+                "--out", str(tmp_path / "plans"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "error [input]" in capsys.readouterr().err
+        assert not (tmp_path / "plans").exists()
+
+
+class TestThreadsOption:
+    """``--threads`` and the ``threads`` key are validated but change nothing."""
+
+    @pytest.fixture
+    def random_dataset(self, tmp_path):
+        # A graph on which summing per-source betweenness partials in three
+        # chunks ranks the edges differently from one pass over all sources.
+        rng = random.Random(13)
+        nodes, edges = random_digraph(rng, 24, 0.12)
+        rows = [f"c{i}\t{u}\t{rng.randint(0, 9)}\n" for i in range(3) for u in rng.sample(nodes, 12)]
+        edges_path = tmp_path / "edges.tsv"
+        cascades_path = tmp_path / "cascades.tsv"
+        edges_path.write_text("".join(f"{a}\t{b}\n" for a, b in edges), encoding="utf-8")
+        cascades_path.write_text("".join(rows), encoding="utf-8")
+        return edges_path, cascades_path
+
+    def test_betweenness_sweep_is_byte_identical_for_any_thread_count(self, random_dataset, tmp_path):
+        edges_path, cascades_path = random_dataset
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=2\n", encoding="utf-8")
+        runs = {
+            "flag-1": ("--threads", "1"),
+            "flag-3": ("--threads", "3"),
+            "config-2": ("--config", str(cfg)),
+        }
+        snapshots = {}
+        for name, extra in runs.items():
+            out = tmp_path / name
+            argv = _sweep_args(edges_path, cascades_path, out, "--strategies", "betweenness",
+                               "--fractions", "0.1,0.5", *extra)
+            assert main(argv) == EXIT_OK
+            snapshots[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert "plan_betweenness.tsv" in snapshots["flag-1"]
+        assert snapshots["flag-3"] == snapshots["flag-1"]
+        assert snapshots["config-2"] == snapshots["flag-1"]
+
+    @pytest.mark.parametrize("command", ["sweep", "plan"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_threads_below_one_exits_1(self, dataset, tmp_path, capsys, command, source):
+        edges_path, cascades_path = dataset
+        out = tmp_path / "out"
+        if command == "sweep":
+            argv = _sweep_args(edges_path, cascades_path, out, "--strategies", "random")
+        else:
+            argv = ["plan", "--edges", str(edges_path), "--strategy", "random", "--k", "1", "--out", str(out)]
+        if source == "flag":
+            argv += ["--threads", "0"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("threads=0\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_INPUT
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()

@@ -9,6 +9,7 @@ import pytest
 
 from cascadecut import (
     InputError,
+    ParseError,
     STRATEGIES,
     build_graph,
     load_plan,
@@ -233,6 +234,12 @@ class TestPlanSerialization:
         save_plan(plan, path)
         assert path.read_text().splitlines()[0] == "edge-degree,1,"
         assert load_plan(path).rng_seed is None
+
+    def test_bad_seed_in_header_is_parse_error(self, tmp_path):
+        path = tmp_path / "plan_random.tsv"
+        path.write_text("random,2,abc\na\tb\t0.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"plan_random\.tsv.*bad seed 'abc'"):
+            load_plan(path)
 
     def test_netmelt_method_recorded(self):
         g = build_graph([("a", "b"), ("b", "a")])

@@ -17,7 +17,6 @@ from cascadecut import (
     build_tree_last,
     build_variant,
     reachable_from,
-    seeds_of,
     to_dot,
 )
 from conftest import (
@@ -148,7 +147,6 @@ class TestRandomInstances:
             for variant in VARIANTS:
                 dg = build_variant(network, log, variant)
                 assert dg.seeds == indegree_zero(dg.nodes, dg.edges)
-                assert seeds_of(dg) == dg.seeds
 
     def test_everyone_reachable_from_seeds_without_deletion(self):
         rng = random.Random(89)

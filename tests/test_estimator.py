@@ -337,19 +337,6 @@ class TestRunEstimation:
         )
         assert set(halves) == set(combined.per_cascade)
 
-    def test_threaded_equals_serial(self, eight_node_network):
-        rng = random.Random(181)
-        logs = [
-            CascadeLog.from_events(
-                f"c{i}", [(str(u), rng.randint(0, 9)) for u in rng.sample(range(1, 9), 6)]
-            )
-            for i in range(6)
-        ]
-        plan = manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES)
-        serial = run_estimation(eight_node_network, logs, plan, "non-tree", threads=1)
-        threaded = run_estimation(eight_node_network, logs, plan, "non-tree", threads=3)
-        assert serial == threaded
-
 
 class TestReportInvariants:
     def test_bad_row_rejected(self):

@@ -217,7 +217,6 @@ class TestRunSweep:
                 min_cascade_size=0,
                 budget_fractions=(0.0, 0.3, 0.9),
                 rng_seed=21,
-                threads=2,
             )
             run_sweep(config)
             outputs.append(

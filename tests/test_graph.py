@@ -12,7 +12,6 @@ from cascadecut import (
     InputError,
     build_graph,
     edge_betweenness,
-    betweenness_scores,
     leading_eigenpair,
     reachable_from,
 )
@@ -183,14 +182,6 @@ class TestEdgeBetweenness:
             g = build_graph(edges, nodes=nodes)
             total = sum(edge_betweenness(g).values())
             assert total == pytest.approx(all_pairs_distance_sum(nodes, edges), abs=1e-6)
-
-    def test_threaded_matches_reference_totals(self):
-        rng = random.Random(37)
-        nodes, edges = random_digraph(rng, 25, 0.2)
-        g = build_graph(edges, nodes=nodes)
-        single = betweenness_scores(g, threads=1)
-        threaded = betweenness_scores(g, threads=3)
-        assert np.allclose(single, threaded, atol=1e-9)
 
 
 class TestLeadingEigenpair:

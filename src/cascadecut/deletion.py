@@ -8,7 +8,7 @@ every smaller budget by taking prefixes:
   the leading adjacency eigenpair, the first-order estimate of how much
   deleting the edge lowers the spectral radius.  One-shot scoring (no
   re-computation between deletions) keeps multi-million-edge budgets
-  tractable; the choice is recorded in the plan's ``method`` field.
+  tractable; the plan's ``method`` property names the choice.
 * ``betweenness``: descending directed edge betweenness.
 * ``edge-degree``: score of (u, v) is in_degree(u) * out_degree(v).
 * ``random``: a seeded Fisher-Yates shuffle of all edges, prefix taken.
@@ -19,7 +19,7 @@ Score ties are broken by (src, dst) order so plans are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,6 @@ class DeletionPlan:
     ranked_edges: tuple[tuple[str, str], ...]
     scores: tuple[float, ...]
     rng_seed: int | None = None
-    method: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.k < 0:
@@ -71,6 +70,11 @@ class DeletionPlan:
             arr = np.asarray(self.scores)
             if (arr[1:] > arr[:-1]).any():
                 raise InputError("scores must be non-increasing along the ranking")
+
+    @property
+    def method(self) -> str:
+        """How the strategy scores edges; follows from ``strategy``."""
+        return _METHODS[self.strategy]
 
     def prefix(self, k: int) -> "DeletionPlan":
         """The same ranking truncated to budget ``k``."""
@@ -83,7 +87,6 @@ class DeletionPlan:
             ranked_edges=self.ranked_edges[:cut],
             scores=self.scores[:cut],
             rng_seed=self.rng_seed,
-            method=self.method,
         )
 
 
@@ -99,7 +102,7 @@ def plan_netmelt(
     if network.edge_count == 0:
         raise InputError("netmelt requires a network with at least one edge")
     if k == 0:
-        return DeletionPlan(NETMELT, 0, (), (), method=_METHODS[NETMELT])
+        return DeletionPlan(NETMELT, 0, (), ())
     pair = leading_eigenpair(network, tolerance=tolerance, max_iterations=max_iterations)
     scores = pair.left_vector[network.edge_src_indices] * pair.right_vector[network.edge_dst_indices]
     return _ranked_plan(network, NETMELT, k, scores)
@@ -110,7 +113,7 @@ def plan_betweenness(network: DirectedGraph, k: int) -> DeletionPlan:
     if k < 0:
         raise InputError("deletion budget k must be >= 0")
     if k == 0 or network.edge_count == 0:
-        return DeletionPlan(BETWEENNESS, k, (), (), method=_METHODS[BETWEENNESS])
+        return DeletionPlan(BETWEENNESS, k, (), ())
     scores = betweenness_scores(network)
     return _ranked_plan(network, BETWEENNESS, k, scores)
 
@@ -120,7 +123,7 @@ def plan_edge_degree(network: DirectedGraph, k: int) -> DeletionPlan:
     if k < 0:
         raise InputError("deletion budget k must be >= 0")
     if k == 0 or network.edge_count == 0:
-        return DeletionPlan(EDGE_DEGREE, k, (), (), method=_METHODS[EDGE_DEGREE])
+        return DeletionPlan(EDGE_DEGREE, k, (), ())
     scores = (
         network.in_degrees[network.edge_src_indices]
         * network.out_degrees[network.edge_dst_indices]
@@ -143,7 +146,7 @@ def plan_random(network: DirectedGraph, k: int, rng_seed: int) -> DeletionPlan:
     ids = network.external_ids
     src, dst = network.edge_src_indices, network.edge_dst_indices
     ranked = tuple((ids[src[i]], ids[dst[i]]) for i in order[:cut])
-    return DeletionPlan(RANDOM, k, ranked, (0.0,) * cut, rng_seed=rng_seed, method=_METHODS[RANDOM])
+    return DeletionPlan(RANDOM, k, ranked, (0.0,) * cut, rng_seed=rng_seed)
 
 
 def plan_strategy(network: DirectedGraph, strategy: str, k: int, rng_seed: int = 0) -> DeletionPlan:
@@ -206,7 +209,6 @@ def load_plan(path: str | Path) -> DeletionPlan:
         ranked_edges=tuple(ranked),
         scores=tuple(scores),
         rng_seed=seed,
-        method=_METHODS.get(strategy, ""),
     )
 
 
@@ -221,5 +223,4 @@ def _ranked_plan(network: DirectedGraph, strategy: str, k: int, scores: np.ndarr
         k=k,
         ranked_edges=ranked,
         scores=tuple(float(scores[i]) for i in top.tolist()),
-        method=_METHODS[strategy],
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .deletion import DeletionPlan
 from .diffusion import DiffusionGraph, build_variant
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, ParseError
 from .graph import DirectedGraph, build_graph, reachable_from
 
 logger = logging.getLogger(__name__)
@@ -229,6 +229,12 @@ def read_report_csv(path: str | Path) -> EstimateReport:
         for fields in reader:
             if not fields:
                 continue
-            strategy, variant, k = fields[0], fields[1], int(fields[2])
-            rows.append(CascadeResult(fields[3], int(fields[4]), int(fields[5]), int(fields[6])))
+            where = f"{path}: line {reader.line_num}"
+            if len(fields) != len(REPORT_HEADER):
+                raise ParseError(f"{where}: expected {len(REPORT_HEADER)} fields, got {len(fields)}")
+            try:
+                strategy, variant, k = fields[0], fields[1], int(fields[2])
+                rows.append(CascadeResult(fields[3], int(fields[4]), int(fields[5]), int(fields[6])))
+            except ValueError:
+                raise ParseError(f"{where}: expected integer k and sizes, got {fields!r}") from None
     return EstimateReport.from_rows(strategy, variant, k, rows)

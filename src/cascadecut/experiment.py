@@ -57,6 +57,8 @@ class ExperimentConfig:
         self.out_dir = Path(self.out_dir)
         if self.min_cascade_size < 0:
             raise InputError("min_cascade_size must be >= 0")
+        self.strategies = tuple(dict.fromkeys(self.strategies))
+        self.variants = tuple(dict.fromkeys(self.variants))
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise InputError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
@@ -116,19 +118,24 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
     return written
 
 
-def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, list[CascadeLog]]:
-    """Parse, filter, and index the configured dataset."""
+def load_network(edges_path: Path, strict_parse: bool) -> DirectedGraph:
+    """Parse and index a follow-edge file."""
     try:
-        with open(config.edges_path, "r", encoding="utf-8") as fh:
-            edges = load_follow_edges(fh, strict=config.strict_parse)
+        with open(edges_path, "r", encoding="utf-8") as fh:
+            edges = load_follow_edges(fh, strict=strict_parse)
     except OSError as exc:
         raise InputError(f"ingest: cannot read edges file: {exc}") from exc
+    return build_graph(edges)
+
+
+def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, list[CascadeLog]]:
+    """Parse, filter, and index the configured dataset."""
+    network = load_network(config.edges_path, config.strict_parse)
     try:
         with open(config.cascades_path, "r", encoding="utf-8") as fh:
             logs = load_cascades(fh, strict=config.strict_parse)
     except OSError as exc:
         raise InputError(f"ingest: cannot read cascades file: {exc}") from exc
-    network = build_graph(edges)
     kept = filter_cascades(logs, config.min_cascade_size)
     logger.info(
         "loaded %d nodes, %d edges, %d/%d cascades at min size %d",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError, ParseError
+from .graph import DirectedGraph
 
 logger = logging.getLogger(__name__)
 
@@ -175,29 +176,19 @@ def filter_cascades(logs: list[CascadeLog], min_size: int) -> list[CascadeLog]:
     return [log for log in logs if log.size >= min_size]
 
 
-def compute_stats(edges: list[tuple[str, str]], logs: list[CascadeLog]) -> DatasetStats:
-    """Dataset-level counts over a raw edge list and cascade logs.
+def compute_stats(network: DirectedGraph, logs: list[CascadeLog]) -> DatasetStats:
+    """Dataset-level counts over a built follow network and cascade logs.
 
-    ``user_count`` covers every user mentioned in either input (the follow
-    network's nodes plus all event users); ``link_count`` is the number of
-    distinct non-self-loop follow edges.
+    ``user_count`` covers every user mentioned in either input (the
+    network's nodes plus event users absent from it); ``link_count`` is the
+    network's edge count, i.e. distinct non-self-loop follow edges.
     """
-    users: set[str] = set()
-    links: set[tuple[str, str]] = set()
-    for src, dst in edges:
-        users.add(src)
-        users.add(dst)
-        if src != dst:
-            links.add((src, dst))
-    total_size = 0
-    for log in logs:
-        users.update(log.users())
-        total_size += log.size
+    absent = {user for log in logs for user in log.users() if not network.has_node(user)}
     count = len(logs)
-    mean = total_size / count if count else 0.0
+    mean = sum(log.size for log in logs) / count if count else 0.0
     return DatasetStats(
-        user_count=len(users),
-        link_count=len(links),
+        user_count=network.node_count + len(absent),
+        link_count=network.edge_count,
         cascade_count=count,
         mean_cascade_size=mean,
     )

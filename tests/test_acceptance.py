@@ -262,7 +262,7 @@ def test_a8_public_dataset_trends():
         logs = load_higgs_activity(fh, interactions=frozenset())
     logs = filter_cascades(logs, 100)
 
-    stats = compute_stats(edges, logs)
+    stats = compute_stats(build_graph(edges), logs)
     assert stats.link_count == 14_855_842
     assert stats.user_count == 456_626
 

@@ -12,6 +12,7 @@ from cascadecut.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
     EXIT_OK,
+    SETTINGS,
     main,
     read_config_file,
 )
@@ -174,6 +175,17 @@ class TestSweep:
         assert "plan_random.tsv" in err
 
 
+    def test_repeated_names_give_one_summary_row_each(self, dataset, tmp_path, capsys):
+        edges_path, cascades_path = dataset
+        out = tmp_path / "out"
+        argv = _sweep_args(edges_path, cascades_path, out, "--strategies", "random,edge-degree,random",
+                           "--variants", "non-tree,non-tree", "--fractions", "0,1")
+        assert main(argv) == EXIT_OK
+        assert len((out / "summary.csv").read_text().splitlines()) == 1 + 2 * 1 * 2
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(set(printed))
+
+
 class TestPlanCommand:
     def test_writes_plan_file(self, dataset, tmp_path, capsys):
         edges_path, _ = dataset
@@ -237,6 +249,20 @@ class TestScatterCommand:
         assert scatter == ["cascade_id,original_size,estimated_size", "t,8,8"]
 
 
+    def test_malformed_report_exits_1(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        report.write_text(
+            "strategy,variant,k,cascade_id,original_size,estimated_size,seed_count\n"
+            "random,non-tree,x,t,8,8,2\n",
+            encoding="utf-8",
+        )
+        code = main(["scatter", "--report", str(report), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error [parse]" in err
+        assert "report.csv: line 2" in err
+
+
 class TestExportDot:
     def test_writes_dot_file(self, dataset, tmp_path):
         edges_path, cascades_path = dataset
@@ -297,6 +323,21 @@ class TestGnuplotCommand:
         assert code == EXIT_INPUT
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--strategies", "bogus"),
+        ("--strategies", ""),
+        ("--variants", "non-tree,bogus"),
+        ("--variants", ""),
+    ])
+    def test_bad_name_list_exits_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.csv").write_text("strategy,variant,k,fraction,total_estimated,total_original\n")
+        assert main(["gnuplot", flag, value, "--out", str(out)]) == EXIT_INPUT
+        assert f"error [input]: {flag[2:]}:" in capsys.readouterr().err
+        assert not (out / "plots.gp").exists()
+
+
 class TestConfigFile:
     def test_parse(self, tmp_path):
         cfg = tmp_path / "a.cfg"
@@ -314,6 +355,38 @@ class TestConfigFile:
         cfg.write_text("edges\n", encoding="utf-8")
         with pytest.raises(ParseError):
             read_config_file(cfg)
+
+
+    @pytest.mark.parametrize("in_file", [(key,) for key in SETTINGS] + [tuple(SETTINGS)],
+                             ids=[*SETTINGS, "all"])
+    def test_config_keys_give_the_same_sweep_as_flags(self, dataset, tmp_path, in_file):
+        edges_path, cascades_path = dataset
+
+        def sweep(name, in_file):
+            out = tmp_path / name
+            # Values away from the defaults wherever a default exists.
+            values = {
+                "edges": str(edges_path), "cascades": str(cascades_path), "out": str(out),
+                "min_size": "0", "strategies": "random,edge-degree", "variants": "tree-last,non-tree",
+                "fractions": "0.5,0.25,1", "seed": "7", "strict_parse": "on", "threads": "2",
+            }
+            assert set(values) == set(SETTINGS)
+            argv, lines = ["sweep"], []
+            for key, value in values.items():
+                if key in in_file:
+                    lines.append(f"{key}={value}\n")
+                elif key == "strict_parse":
+                    argv.append("--strict-parse")
+                else:
+                    argv += [f"--{key.replace('_', '-')}", value]
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text("".join(lines), encoding="utf-8")
+            assert main(argv + ["--config", str(cfg)]) == EXIT_OK
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        from_flags = sweep("flags", ())
+        assert "report_edge-degree_non-tree_0.25.csv" in from_flags
+        assert sweep("file", in_file) == from_flags
 
 
 def _sweep_args(edges_path, cascades_path, out, *extra):
@@ -375,6 +448,44 @@ class TestNumericSettings:
         assert not (tmp_path / "plans").exists()
 
 
+    @pytest.mark.parametrize(
+        "source, key, value",
+        [
+            (source, key, value)
+            for source in ("flag", "config")
+            for key, value in [
+                ("edges", ""), ("cascades", ""), ("out", ""),
+                ("min_size", "x"), ("min_size", "1.5"), ("seed", "x"),
+                ("threads", "two"), ("threads", "0"),
+                ("fractions", "0.1,abc"), ("fractions", ""),
+                ("strategies", ""), ("strategies", "random,bogus"),
+                ("variants", ""), ("variants", "bogus"),
+                ("strict_parse", "ture"), ("strict_parse", ""),
+            ]
+            if not (source == "flag" and key == "strict_parse")  # --strict-parse takes no value
+        ],
+    )
+    def test_bad_value_exits_1_naming_the_key(self, dataset, tmp_path, capsys, source, key, value):
+        edges_path, cascades_path = dataset
+        settings = {
+            "edges": str(edges_path), "cascades": str(cascades_path), "out": str(tmp_path / "out"),
+            "min_size": "0", "strategies": "random", "variants": "non-tree", "fractions": "0.5",
+        }
+        settings.pop(key, None)
+        argv = ["sweep"]
+        for name, setting in settings.items():
+            argv += [f"--{name.replace('_', '-')}", setting]
+        if source == "flag":
+            argv += [f"--{key.replace('_', '-')}", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_INPUT
+        assert f"error [input]: {key}:" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("summary.csv"))
+
+
 class TestThreadsOption:
     """``--threads`` and the ``threads`` key are validated but change nothing."""
 
@@ -429,3 +540,51 @@ class TestThreadsOption:
         assert main(argv) == EXIT_INPUT
         assert "threads must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUsageErrors:
+    """A command line the parser rejects exits 1, never argparse's 2 (the eigensolver's code)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--strategy", "random", "--k", "x"],
+            ["plan", "--strategy", "random", "--fraction", "x"],
+            ["plan", "--strategy", "random"],
+            ["plan", "--strategy", "bogus", "--k", "1"],
+            ["seeds", "--max-size", "x"],
+            ["export-dot", "--cascade-id", "t", "--variant", "bogus"],
+            ["sweep", "--no-such-flag"],
+            ["no-such-command"],
+            [],
+        ],
+    )
+    def test_rejected_command_line_exits_1(self, dataset, tmp_path, capsys, argv):
+        edges_path, cascades_path = dataset
+        if argv:
+            argv = argv + ["--edges", str(edges_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_INPUT
+        assert "error [input]: cascadecut" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: cascadecut" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["stats", "sweep", "seeds", "export-dot", "plan"])
+    def test_missing_edges_file_reports_the_same_error(self, dataset, tmp_path, capsys, command):
+        _, cascades_path = dataset
+        cascades, out = ["--cascades", str(cascades_path)], ["--out", str(tmp_path / "out")]
+        extra = {
+            "stats": cascades,
+            "sweep": cascades + out,
+            "seeds": cascades + out,
+            "export-dot": cascades + out + ["--cascade-id", "t"],
+            "plan": out + ["--strategy", "random", "--k", "1"],
+        }[command]
+        argv = [command, "--edges", str(tmp_path / "nope.tsv"), *extra]
+        assert main(argv) == EXIT_INPUT
+        assert "error [input]: ingest: cannot read edges file" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from cascadecut import (
     EstimateReport,
     InputError,
     InvariantError,
+    ParseError,
     VARIANTS,
     apply_deletion,
     build_non_tree,
@@ -363,3 +364,17 @@ class TestReportInvariants:
         assert read_report_csv(path) == report
         header = path.read_text().splitlines()[0]
         assert header == "strategy,variant,k,cascade_id,original_size,estimated_size,seed_count"
+
+    @pytest.mark.parametrize(
+        "row",
+        ["random,non-tree,x,c,3,3,1", "random,non-tree,1,c", "random,non-tree,1,c,3,three,1"],
+    )
+    def test_malformed_row_is_parse_error_naming_the_line(self, tmp_path, row):
+        path = tmp_path / "report.csv"
+        path.write_text(
+            "strategy,variant,k,cascade_id,original_size,estimated_size,seed_count\n"
+            f"random,non-tree,1,a,2,2,1\n{row}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=r"report\.csv: line 3"):
+            read_report_csv(path)

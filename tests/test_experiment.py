@@ -61,6 +61,15 @@ class TestConfigValidation:
         config = self._config(tmp_path, budget_fractions=(0.5, 0.1, 0.5))
         assert config.budget_fractions == (0.1, 0.5)
 
+    def test_strategies_and_variants_deduplicated_in_order(self, tmp_path):
+        config = self._config(
+            tmp_path,
+            strategies=("random", "netmelt", "random"),
+            variants=("tree-last", "non-tree", "tree-last"),
+        )
+        assert config.strategies == ("random", "netmelt")
+        assert config.variants == ("tree-last", "non-tree")
+
     def test_fraction_out_of_range_rejected(self, tmp_path):
         with pytest.raises(InputError):
             self._config(tmp_path, budget_fractions=(1.5,))

@@ -12,6 +12,7 @@ from cascadecut import (
     CascadeLog,
     InputError,
     ParseError,
+    build_graph,
     compute_stats,
     dump_cascades,
     dump_follow_edges,
@@ -143,7 +144,7 @@ class TestFilterCascades:
 
 class TestComputeStats:
     def test_empty_inputs(self):
-        stats = compute_stats([], [])
+        stats = compute_stats(build_graph([]), [])
         assert (stats.user_count, stats.link_count, stats.cascade_count) == (0, 0, 0)
         assert stats.mean_cascade_size == 0.0
 
@@ -153,7 +154,7 @@ class TestComputeStats:
             CascadeLog.from_events("t1", [("a", 1), ("b", 2), ("e", 3)]),
             CascadeLog.from_events("t2", [("c", 1)]),
         ]
-        stats = compute_stats(edges, logs)
+        stats = compute_stats(build_graph(edges), logs)
         assert stats.user_count == 5  # a b c d from edges, e from events
         assert stats.link_count == 3  # dedup + self-loop dropped
         assert stats.cascade_count == 2
@@ -167,4 +168,4 @@ class TestComputeStats:
         )
         shuffled_edges = edges[:]
         rng.shuffle(shuffled_edges)
-        assert compute_stats(edges, logs) == compute_stats(shuffled_edges, list(reversed(logs)))
+        assert compute_stats(build_graph(edges), logs) == compute_stats(build_graph(shuffled_edges), list(reversed(logs)))

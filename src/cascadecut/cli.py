@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -219,8 +220,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def read_config_file(path: Path) -> dict[str, str]:
-    """Parse a flat key=value file; blank lines and # comments are ignored."""
+    """Parse a flat key=value file; blank lines and # comments are ignored.
+
+    An unknown or repeated key is a :class:`ParseError`.
+    """
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -235,6 +240,9 @@ def read_config_file(path: Path) -> dict[str, str]:
         key = key.strip()
         if key not in SETTINGS:
             raise ParseError(f"config {path}: line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ParseError(f"config {path}: line {lineno}: key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = value.strip()
     return values
 
@@ -323,13 +331,19 @@ def _cmd_scatter(args, setting) -> int:
 
 
 def _cmd_export_dot(args, setting) -> int:
+    # The cascade id becomes a file name inside --out, so it must not name
+    # another directory.
+    cascade_id = args.cascade_id
+    separators = {"/", os.sep, os.altsep, "\0"} - {None}
+    if cascade_id in ("", ".", "..") or any(sep in cascade_id for sep in separators):
+        raise InputError(f"cascade id {cascade_id!r} cannot be used as a file name")
     network, kept = load_dataset(_dataset(setting, out_dir=setting("out")))
     by_id = {log.cascade_id: log for log in kept}
-    if args.cascade_id not in by_id:
-        raise InputError(f"cascade {args.cascade_id!r} not found after filtering")
-    dg = build_variant(network, by_id[args.cascade_id], args.variant)
+    if cascade_id not in by_id:
+        raise InputError(f"cascade {cascade_id!r} not found after filtering")
+    dg = build_variant(network, by_id[cascade_id], args.variant)
     out = _out_dir(setting)
-    path = out / f"{args.cascade_id}_{args.variant}.dot"
+    path = out / f"{cascade_id}_{args.variant}.dot"
     path.write_text(to_dot(dg), encoding="utf-8")
     print(path)
     return EXIT_OK

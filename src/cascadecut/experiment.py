@@ -24,7 +24,7 @@ from .diffusion import VARIANTS, build_non_tree, build_variant
 from .errors import ConvergenceError, InputError
 from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_report_csv
 from .graph import DirectedGraph, build_graph
-from .ingest import CascadeLog, filter_cascades, load_cascades, load_follow_edges
+from .ingest import CascadeLog, filter_cascades, iter_follow_edges, load_cascades
 
 logger = logging.getLogger(__name__)
 
@@ -119,13 +119,12 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
 
 
 def load_network(edges_path: Path, strict_parse: bool) -> DirectedGraph:
-    """Parse and index a follow-edge file."""
+    """Parse and index a follow-edge file in one streaming pass; no edge list is held."""
     try:
         with open(edges_path, "r", encoding="utf-8") as fh:
-            edges = load_follow_edges(fh, strict=strict_parse)
+            return build_graph(iter_follow_edges(fh, strict=strict_parse))
     except OSError as exc:
         raise InputError(f"ingest: cannot read edges file: {exc}") from exc
-    return build_graph(edges)
 
 
 def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, list[CascadeLog]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -185,38 +186,63 @@ class EigenPair:
 
 
 def build_graph(
-    edges: Iterable[tuple[str, str]],
+    edges: Iterable[Sequence[str]],
     nodes: Iterable[str] = (),
 ) -> DirectedGraph:
     """Build a graph from raw (src, dst) external-id pairs.
 
-    Duplicate edges and self-loops are dropped.  ``nodes`` may list extra
-    ids to include as isolated nodes.  Dense ids are assigned in sorted
-    external-id order, so the same edge set always builds the same graph
-    regardless of input ordering.
+    ``edges`` may be any iterable of pairs, a one-shot stream included: it
+    is consumed once and never held as a list.  Duplicate edges and
+    self-loops are dropped.  ``nodes`` may list extra ids to include as
+    isolated nodes.  Dense ids are assigned in sorted external-id order, so
+    the same edge set always builds the same graph regardless of input
+    ordering.
     """
-    edge_list = list(edges)
-    id_set = set(nodes)
-    for src, dst in edge_list:
-        id_set.add(src)
-        id_set.add(dst)
-    for ext in id_set:
+    # Intern ids in first-seen order while the pairs stream by, then sort the
+    # id table once and remap the codes to sorted order.
+    index = _Interner()
+    codes = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)), dtype=np.int64)
+    if codes.size % 2:
+        raise InputError("edges must be (src, dst) pairs")
+    for ext in nodes:
+        index.setdefault(ext, len(index))
+    for ext in index:
         if not isinstance(ext, str):
             raise InputError(f"node ids must be strings, got {ext!r}")
-    external_ids = tuple(sorted(id_set))
+    external_ids = tuple(sorted(index))
     n = len(external_ids)
-    index = {ext: i for i, ext in enumerate(external_ids)}
-    if edge_list and n:
-        src = np.fromiter((index[s] for s, _ in edge_list), dtype=np.int64, count=len(edge_list))
-        dst = np.fromiter((index[d] for _, d in edge_list), dtype=np.int64, count=len(edge_list))
-        keep = src != dst
-        # Encode pairs into one key so dedup + (src, dst) sort is a single pass.
-        codes = np.unique(src[keep] * np.int64(n) + dst[keep])
-        src, dst = codes // n, codes % n
-    else:
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.fromiter(map(index.__getitem__, external_ids), dtype=np.int64, count=n)] = np.arange(n)
+    del index
+    codes = rank[codes]
+    src, dst = codes[0::2], codes[1::2]
+    keep = src != dst
+    # Encode pairs into one key so dedup + (src, dst) sort is a single pass.
+    key = src[keep] * np.int64(n)
+    key += dst[keep]
+    del codes, src, dst, keep  # free the per-edge arrays before the dedup allocates its own
+    src, dst = np.divmod(_sorted_unique(key), np.int64(n))
     return DirectedGraph(external_ids, src, dst)
+
+
+class _Interner(dict):
+    """External id -> dense code; an unseen id gets the next code."""
+
+    def __missing__(self, ext):
+        code = self[ext] = len(self)
+        return code
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by sort and neighbour comparison; sorts ``values`` in place.
+
+    numpy's own ``unique`` may take a hash path that is far slower on int64.
+    """
+    values.sort()
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def reachable_from(graph: DirectedGraph, sources: Iterable[str]) -> set[str]:
@@ -229,13 +255,13 @@ def reachable_from(graph: DirectedGraph, sources: Iterable[str]) -> set[str]:
 
 def _reachable_mask(graph: DirectedGraph, source_indices: np.ndarray) -> np.ndarray:
     visited = np.zeros(graph.node_count, dtype=bool)
-    frontier = np.unique(source_indices)
+    frontier = _sorted_unique(np.array(source_indices, dtype=np.int64))
     visited[frontier] = True
     while frontier.size:
         _, targets, _ = graph.out_edges_bulk(frontier)
         if targets.size == 0:
             break
-        frontier = np.unique(targets[~visited[targets]])
+        frontier = _sorted_unique(targets[~visited[targets]])
         visited[frontier] = True
     return visited
 
@@ -282,7 +308,7 @@ def _accumulate_source(graph, source, scores, depth, sigma, delta) -> None:
         srcs, dsts, _ = graph.out_edges_bulk(frontier)
         if dsts.size == 0:
             break
-        new_nodes = np.unique(dsts[depth[dsts] == -1])
+        new_nodes = _sorted_unique(dsts[depth[dsts] == -1])
         depth[new_nodes] = level + 1
         on_dag = depth[dsts] == level + 1
         if on_dag.any():

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .errors import InputError, ParseError
 from .graph import DirectedGraph
@@ -65,13 +66,13 @@ class DatasetStats:
     mean_cascade_size: float
 
 
-def load_follow_edges(stream: Iterable[str], strict: bool = False) -> list[tuple[str, str]]:
-    """Read follower->followee pairs, in file order, duplicates preserved.
+def _scan(stream: Iterable[str], width: int, kind: str, strict: bool) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each record line with ``width`` fields.
 
-    Malformed lines (wrong field count) are skipped and counted; with
-    ``strict`` they raise :class:`ParseError` naming the first offender.
+    Blank lines and ``#`` comments are skipped.  Lines with another field
+    count are skipped and counted, with one WARNING naming the first once the
+    stream is exhausted; with ``strict`` the first raises :class:`ParseError`.
     """
-    edges: list[tuple[str, str]] = []
     malformed = 0
     first_bad = ""
     for lineno, raw in enumerate(stream, start=1):
@@ -79,17 +80,42 @@ def load_follow_edges(stream: Iterable[str], strict: bool = False) -> list[tuple
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if len(fields) != 2:
+        if len(fields) != width:
             if strict:
-                raise ParseError(f"line {lineno}: expected 2 fields, got {len(fields)}: {line!r}")
+                raise ParseError(f"line {lineno}: expected {width} fields, got {len(fields)}: {line!r}")
             malformed += 1
             if not first_bad:
                 first_bad = f"line {lineno}: {line!r}"
             continue
-        edges.append((fields[0], fields[1]))
+        yield lineno, fields
     if malformed:
-        logger.warning("skipped %d malformed edge line(s); first: %s", malformed, first_bad)
-    return edges
+        logger.warning("skipped %d malformed %s line(s); first: %s", malformed, kind, first_bad)
+
+
+def iter_follow_edges(stream: Iterable[str], strict: bool = False) -> Iterator[list[str]]:
+    """Stream follower->followee pairs (two-item lists) in file order.
+
+    Consumes ``stream`` lazily, so a caller such as
+    :func:`~cascadecut.graph.build_graph` never holds the whole edge list.
+    Malformed lines follow the rule of :func:`load_follow_edges`.
+    """
+    return map(itemgetter(1), _scan(stream, 2, "edge", strict))
+
+
+def load_follow_edges(stream: Iterable[str], strict: bool = False) -> list[tuple[str, str]]:
+    """Read follower->followee pairs, in file order, duplicates preserved.
+
+    Malformed lines (wrong field count) are skipped and counted; with
+    ``strict`` they raise :class:`ParseError` naming the first offender.
+    """
+    return [(src, dst) for src, dst in iter_follow_edges(stream, strict)]
+
+
+def _timestamp(lineno: int, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"line {lineno}: invalid timestamp {text!r}") from None
 
 
 def load_cascades(stream: Iterable[str], strict: bool = False) -> list[CascadeLog]:
@@ -101,28 +127,8 @@ def load_cascades(stream: Iterable[str], strict: bool = False) -> list[CascadeLo
     :func:`load_follow_edges`.
     """
     grouped: dict[str, list[tuple[str, int]]] = {}
-    malformed = 0
-    first_bad = ""
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            if strict:
-                raise ParseError(f"line {lineno}: expected 3 fields, got {len(fields)}: {line!r}")
-            malformed += 1
-            if not first_bad:
-                first_bad = f"line {lineno}: {line!r}"
-            continue
-        cascade_id, user, ts_text = fields
-        try:
-            ts = int(ts_text)
-        except ValueError:
-            raise ParseError(f"line {lineno}: invalid timestamp {ts_text!r}") from None
-        grouped.setdefault(cascade_id, []).append((user, ts))
-    if malformed:
-        logger.warning("skipped %d malformed event line(s); first: %s", malformed, first_bad)
+    for lineno, (cascade_id, user, ts_text) in _scan(stream, 3, "event", strict):
+        grouped.setdefault(cascade_id, []).append((user, _timestamp(lineno, ts_text)))
     return [CascadeLog.from_events(cid, events) for cid, events in grouped.items()]
 
 
@@ -139,31 +145,11 @@ def load_higgs_activity(
     cascade.  ``interactions`` picks the row kinds to keep (retweets by
     default); pass ``frozenset()`` to keep everything.
     """
-    events: list[tuple[str, int]] = []
-    malformed = 0
-    first_bad = ""
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 4:
-            if strict:
-                raise ParseError(f"line {lineno}: expected 4 fields, got {len(fields)}: {line!r}")
-            malformed += 1
-            if not first_bad:
-                first_bad = f"line {lineno}: {line!r}"
-            continue
-        user, _, ts_text, kind = fields
-        if interactions and kind not in interactions:
-            continue
-        try:
-            ts = int(ts_text)
-        except ValueError:
-            raise ParseError(f"line {lineno}: invalid timestamp {ts_text!r}") from None
-        events.append((user, ts))
-    if malformed:
-        logger.warning("skipped %d malformed activity line(s); first: %s", malformed, first_bad)
+    events = [
+        (user, _timestamp(lineno, ts_text))
+        for lineno, (user, _, ts_text, kind) in _scan(stream, 4, "activity", strict)
+        if not interactions or kind in interactions
+    ]
     if not events:
         return []
     return [CascadeLog.from_events(cascade_id, events)]

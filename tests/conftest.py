@@ -95,6 +95,14 @@ def write_eight_node_dataset(tmp_path):
     return edges_path, cascades_path
 
 
+def assert_same_graph(got, want):
+    """Same id table and bit-identical canonical edge arrays."""
+    assert got.external_ids == want.external_ids
+    for name in ("edge_src_indices", "edge_dst_indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def random_instance(rng: random.Random, max_nodes=30, outside_user_chance=0.3):
     """A random follow network plus one random cascade over (most of) it.
 

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive (dictionary DFS, per-pair path
 counting, dense eigensolvers, double loops over user pairs) and shares no
-code with the package, so agreement is meaningful.  The one exception is
+code with the package, so agreement is meaningful.  The exceptions are
 :func:`per_budget_sweep`, the sweep computed one budget point at a time
-through the package's direct single-budget path.
+through the package's direct single-budget path, and
+:func:`reference_build_graph`, the earlier list-based graph build, which
+hands its arrays to the package's ``DirectedGraph``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from cascadecut.estimator import (
     estimate_size,
     write_report_csv,
 )
+from cascadecut.errors import InputError
 from cascadecut.experiment import SUMMARY_HEADER, budget_for, load_dataset
+from cascadecut.graph import DirectedGraph
 
 
 def adjacency(edges):
@@ -199,3 +203,32 @@ def per_budget_sweep(config, out_dir: Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
         writer.writerows(summary)
+
+
+def reference_build_graph(edges, nodes=()):
+    """The list-based graph build that streaming ``build_graph`` replaced.
+
+    Materialises the edges, collects the id set, indexes each endpoint
+    through a dict and deduplicates with ``np.unique``.
+    """
+    edge_list = list(edges)
+    id_set = set(nodes)
+    for src, dst in edge_list:
+        id_set.add(src)
+        id_set.add(dst)
+    for ext in id_set:
+        if not isinstance(ext, str):
+            raise InputError(f"node ids must be strings, got {ext!r}")
+    external_ids = tuple(sorted(id_set))
+    n = len(external_ids)
+    index = {ext: i for i, ext in enumerate(external_ids)}
+    if edge_list and n:
+        src = np.fromiter((index[s] for s, _ in edge_list), dtype=np.int64, count=len(edge_list))
+        dst = np.fromiter((index[d] for _, d in edge_list), dtype=np.int64, count=len(edge_list))
+        keep = src != dst
+        codes = np.unique(src[keep] * np.int64(n) + dst[keep])
+        src, dst = codes // n, codes % n
+    else:
+        src = np.empty(0, dtype=np.int64)
+        dst = np.empty(0, dtype=np.int64)
+    return DirectedGraph(external_ids, src, dst)

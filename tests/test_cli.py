@@ -297,6 +297,30 @@ class TestExportDot:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("cascade_id", ["x/../../escape", "..", ".", "", "a\0b"])
+    def test_id_that_is_not_a_file_name_exits_1(self, tmp_path, capsys, cascade_id):
+        edges_path, _ = write_eight_node_dataset(tmp_path)
+        cascades_path = tmp_path / "escape.tsv"
+        cascades_path.write_text("x/../../escape\ta\t1\nx/../../escape\tb\t2\n", encoding="utf-8")
+        out = tmp_path / "d" / "sub"
+        # With out/x present, writing out/x/../../escape_non-tree.dot would
+        # succeed and land in tmp_path/d, outside --out.
+        (out / "x").mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        code = main(
+            [
+                "export-dot",
+                "--edges", str(edges_path),
+                "--cascades", str(cascades_path),
+                "--min-size", "0",
+                "--cascade-id", cascade_id,
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "error [input]" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestGnuplotCommand:
     def test_emits_script(self, dataset, tmp_path):
@@ -356,6 +380,17 @@ class TestConfigFile:
         with pytest.raises(ParseError):
             read_config_file(cfg)
 
+    def test_repeated_key_exits_1_naming_both_lines(self, dataset, tmp_path, capsys):
+        edges_path, cascades_path = dataset
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"seed=1\nedges={edges_path}\n# later edit\nseed = 2\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"line 4: key 'seed' already set on line 1"):
+            read_config_file(cfg)
+        out = tmp_path / "out"
+        code = main(["plan", "--config", str(cfg), "--strategy", "random", "--k", "2", "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "error [parse]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("in_file", [(key,) for key in SETTINGS] + [tuple(SETTINGS)],
                              ids=[*SETTINGS, "all"])

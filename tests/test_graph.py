@@ -15,13 +15,14 @@ from cascadecut import (
     leading_eigenpair,
     reachable_from,
 )
-from conftest import EIGHT_NODE_FOLLOW_EDGES
+from conftest import EIGHT_NODE_FOLLOW_EDGES, assert_same_graph
 from oracles import (
     all_pairs_distance_sum,
     closure_from,
     dense_spectral_radius,
     path_count_betweenness,
     random_digraph,
+    reference_build_graph,
 )
 
 
@@ -89,6 +90,33 @@ class TestBuildGraph:
         assert g.edge_positions(queries).tolist() == expected
         assert build_graph([], nodes=["a"]).edge_positions([("a", "a")]).tolist() == [-1]
         assert g.edge_positions([]).tolist() == []
+
+
+# Ids drawn from this pool collide often (duplicates, self-loops) and mix
+# ASCII with non-ASCII text, whose code-point order the dense ids must keep.
+ID_POOL = [f"u{i}" for i in range(12)] + ["ü", "é1", "用户", "z", "Z", "u1\u0301", "0"]
+
+
+class TestStreamingBuildMatchesReference:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_pair_lists(self, seed):
+        rng = random.Random(seed)
+        pool = rng.sample(ID_POOL, rng.randint(1, len(ID_POOL)))
+        edges = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 60))]
+        edges += rng.sample(edges, min(len(edges), 5))  # explicit repeats
+        nodes = rng.sample(ID_POOL, rng.randint(0, 4)) + ["isolated-only"]
+        want = reference_build_graph(edges, nodes=nodes)
+        assert_same_graph(build_graph(edges, nodes=nodes), want)
+        # A one-shot generator is consumed once and gives the same graph.
+        assert_same_graph(build_graph((pair for pair in edges), nodes=iter(nodes)), want)
+
+    def test_self_loops_only(self):
+        edges = [("a", "a"), ("b", "b"), ("a", "a")]
+        assert_same_graph(build_graph(edges), reference_build_graph(edges))
+
+    def test_odd_field_count_rejected(self):
+        with pytest.raises(InputError, match="pairs"):
+            build_graph([("a", "b"), ("c",)])
 
 
 class TestReachability:

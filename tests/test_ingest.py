@@ -21,6 +21,9 @@ from cascadecut import (
     load_follow_edges,
     load_higgs_activity,
 )
+from cascadecut.experiment import load_network
+from conftest import assert_same_graph
+from oracles import reference_build_graph
 
 
 class TestLoadFollowEdges:
@@ -49,6 +52,71 @@ class TestLoadFollowEdges:
     def test_strict_mode_names_first_offender(self):
         with pytest.raises(ParseError, match="line 2"):
             load_follow_edges(io.StringIO("a\tb\nbroken\n"), strict=True)
+
+
+def write_random_edge_file(rng, path):
+    """Write a messy edge file; returns its malformed lines as (line number, text, field count).
+
+    Mixes comments, blank lines, malformed lines, CRLF and LF line ends, tab
+    and space separators, padding, non-ASCII ids, duplicates and self-loops.
+    """
+    ids = ["a", "b", "B", "ü", "用户", "c1", "c10", "x"]
+    lines, malformed = [], []
+    for lineno in range(1, rng.randint(0, 60) + 1):
+        roll = rng.random()
+        if roll < 0.1:
+            line = rng.choice(["# comment", "#a\tb", "  # indented comment"])
+        elif roll < 0.2:
+            line = rng.choice(["", "   ", "\t"])
+        elif roll < 0.3:
+            fields = rng.choice([["lonely"], ["a", "b", "c"], ["a", "b", "c", "d"]])
+            line = rng.choice(["\t", " "]).join(fields)
+            malformed.append((lineno, line, len(fields)))
+        else:
+            sep = rng.choice(["\t", " ", " \t ", "  "])
+            pad = rng.choice(["", " ", "\t"])
+            line = f"{pad}{rng.choice(ids)}{sep}{rng.choice(ids)}{pad}"
+        lines.append(line + rng.choice(["\n", "\r\n"]))
+    if lines and rng.random() < 0.3:
+        lines[-1] = lines[-1].rstrip("\r\n")
+    path.write_bytes("".join(lines).encode("utf-8"))
+    return malformed
+
+
+class TestStreamingLoadNetwork:
+    """``load_network`` streams the file into ``build_graph``; the list-based path is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_list_based_build(self, tmp_path, caplog, seed):
+        path = tmp_path / "edges.tsv"
+        malformed = write_random_edge_file(random.Random(seed), path)
+        with open(path, encoding="utf-8") as fh:
+            want = reference_build_graph(load_follow_edges(fh))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cascadecut"):
+            got = load_network(path, strict_parse=False)
+        assert_same_graph(got, want)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        if malformed:
+            lineno, text, _ = malformed[0]
+            assert warnings == [f"skipped {len(malformed)} malformed edge line(s); first: line {lineno}: {text!r}"]
+        else:
+            assert warnings == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_strict_fails_at_the_same_line(self, tmp_path, seed):
+        path = tmp_path / "edges.tsv"
+        malformed = write_random_edge_file(random.Random(seed), path)
+        if not malformed:
+            assert_same_graph(load_network(path, strict_parse=True), load_network(path, strict_parse=False))
+            return
+        lineno, text, count = malformed[0]
+        expected = f"line {lineno}: expected 2 fields, got {count}: {text!r}"
+        with open(path, encoding="utf-8") as fh, pytest.raises(ParseError) as listed:
+            load_follow_edges(fh, strict=True)
+        with pytest.raises(ParseError) as streamed:
+            load_network(path, strict_parse=True)
+        assert str(streamed.value) == str(listed.value) == expected
 
 
 class TestLoadCascades:
@@ -108,6 +176,18 @@ class TestHiggsAdapter:
         text = "u1 u2 100 RT\nu4 u1 120 MT\n"
         logs = load_higgs_activity(io.StringIO(text), interactions=frozenset())
         assert logs[0].size == 2
+
+    def test_malformed_lines_and_timestamps(self, caplog):
+        # A row of an unselected kind is dropped before its timestamp is read.
+        text = "# log\nu1 u2 100 RT\nu5 u2 soon MT\nbroken row\n\nu3 u2 90\r\n"
+        with caplog.at_level(logging.WARNING):
+            logs = load_higgs_activity(io.StringIO(text))
+        assert logs[0].events == (("u1", 100),)
+        assert "skipped 2 malformed activity line(s); first: line 4: 'broken row'" in caplog.text
+        with pytest.raises(ParseError, match=r"^line 4: expected 4 fields, got 2: 'broken row'$"):
+            load_higgs_activity(io.StringIO(text), strict=True)
+        with pytest.raises(ParseError, match=r"^line 2: invalid timestamp 'soon'$"):
+            load_higgs_activity(io.StringIO("u1 u2 100 RT\nu5 u2 soon RT\n"))
 
 
 class TestFilterCascades:

@@ -14,12 +14,19 @@ Users with no qualifying parent are the cascade's seeds.  Simultaneous
 events never produce an edge (the rule is strictly "earlier"), and equal
 candidate-parent timestamps in the tree variants are broken by the
 lexicographically smallest user id so rebuilds are deterministic.
+
+:func:`build_batch` builds one variant for many cascades at once, as flat
+integer arrays; :func:`build_variant` is the string-level view of one
+cascade, built through it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -34,17 +41,44 @@ TREE_FIRST = "tree-first"
 TREE_LAST = "tree-last"
 VARIANTS = (NON_TREE, TREE_FIRST, TREE_LAST)
 
+# Follow edges gathered per chunk of participants in a batch build.
+_GATHER_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class DiffusionBatch:
+    """One variant's spread graphs for many cascades, as flat integer arrays.
+
+    Per cascade, in input order: ``cascade_ids``, ``sizes`` (users in the
+    log, those absent from the network included) and ``seed_counts``.  Per
+    spread edge, sorted by (cascade, child, parent): ``cascade`` (an index
+    into ``cascade_ids``), ``parent`` and ``child`` (dense network ids) and
+    ``follow_edge_pos`` (the position of the follow edge child -> parent in
+    the network's canonical edge arrays).
+    """
+
+    cascade_ids: tuple[str, ...]
+    sizes: np.ndarray = field(repr=False)
+    seed_counts: np.ndarray = field(repr=False)
+    cascade: np.ndarray = field(repr=False)
+    parent: np.ndarray = field(repr=False)
+    child: np.ndarray = field(repr=False)
+    follow_edge_pos: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for arr in (self.sizes, self.seed_counts, self.cascade, self.parent, self.child, self.follow_edge_pos):
+            arr.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class DiffusionGraph:
     """One cascade's spread graph: edge (u, v) means it spread from u to v.
 
     ``parent_ids``, ``child_ids`` and ``follow_edge_pos`` hold the same edges
-    in integer form: the dense network ids of each edge's endpoints and the
-    position of the follow edge it used (child follows parent) in the
-    network's canonical edge arrays.  They are ordered by (child, parent),
-    which is the order of ``sorted((c, p) for p, c in edges)`` because dense
-    ids follow sorted external ids.  They take no part in ``==``.
+    in integer form, as in :class:`DiffusionBatch`.  They are ordered by
+    (child, parent), which is the order of ``sorted((c, p) for p, c in
+    edges)`` because dense ids follow sorted external ids.  They take no
+    part in ``==``.
     """
 
     cascade_id: str
@@ -61,28 +95,73 @@ class DiffusionGraph:
             arr.flags.writeable = False
 
 
-def build_non_tree(network: DirectedGraph, log: CascadeLog) -> DiffusionGraph:
-    """Diffusion graph keeping every qualifying parent of every user."""
-    return _build(network, log, NON_TREE)
+def build_batch(network: DirectedGraph, logs: Sequence[CascadeLog], variant: str) -> DiffusionBatch:
+    """Every cascade's diffusion graph for one variant, in one array pass.
 
+    Users absent from the network are kept as isolated seeds; their count is
+    logged as one warning.
+    """
+    if variant not in VARIANTS:
+        raise InputError(f"unknown diffusion variant {variant!r}; expected one of {VARIANTS}")
+    sizes = np.fromiter((log.size for log in logs), dtype=np.int64, count=len(logs))
+    events = list(chain.from_iterable(log.events for log in logs))
+    times = np.fromiter(map(itemgetter(1), events), dtype=np.int64, count=len(events))
+    node = network.indices_of(map(itemgetter(0), events), len(events))
+    del events
+    event_cascade = np.repeat(np.arange(len(logs), dtype=np.int64), sizes)
+    present = node >= 0
+    if not present.all():
+        logger.warning(
+            "%d user(s) in %d of %d cascade(s) absent from the follow network; kept as isolated seeds",
+            node.size - np.count_nonzero(present),
+            np.unique(event_cascade[~present]).size,
+            len(logs),
+        )
 
-def build_tree_first(network: DirectedGraph, log: CascadeLog) -> DiffusionGraph:
-    """Diffusion tree keeping each user's earliest-posting followee."""
-    return _build(network, log, TREE_FIRST)
+    # Participants present in the network, sorted by the key cascade * n +
+    # dense id (unique: a log holds one event per user).  The followee end
+    # of each gathered follow edge is looked up by binary search on the key.
+    n = np.int64(network.node_count)
+    key = event_cascade[present] * n
+    key += node[present]
+    order = np.argsort(key)
+    key, tau = key[order], times[present][order]
+    del node, times, event_cascade, present, order
+    owner, idx = np.divmod(key, n)
+    # Gather the participants' follow edges a chunk at a time, so the
+    # temporaries stay small however many cascades the batch holds.
+    ends = np.cumsum(network.out_degrees[idx])
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.searchsorted(ends, np.arange(_GATHER_CHUNK, total, _GATHER_CHUNK), side="right")
+    bounds = np.r_[0, np.unique(cuts), idx.size].tolist()
+    base = key - idx
+    parts = [_candidates(network, key, base, tau, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    slot, at, parent, edge_pos = (np.concatenate(arrays) for arrays in zip(*parts))
+    del ends, cuts, base, parts
 
+    if variant != NON_TREE and slot.size:
+        chosen = _single_parent(parent, slot, tau[at], keep_last=variant == TREE_LAST)
+        slot, parent, edge_pos = slot[chosen], parent[chosen], edge_pos[chosen]
 
-def build_tree_last(network: DirectedGraph, log: CascadeLog) -> DiffusionGraph:
-    """Diffusion tree keeping each user's latest strictly-earlier followee."""
-    return _build(network, log, TREE_LAST)
+    has_parent = np.zeros(key.size, dtype=bool)
+    has_parent[slot] = True
+    seed_counts = sizes - np.bincount(owner[has_parent], minlength=len(logs))
+    return DiffusionBatch(
+        tuple(log.cascade_id for log in logs), sizes, seed_counts, owner[slot], parent, idx[slot], edge_pos
+    )
 
 
 def build_variant(network: DirectedGraph, log: CascadeLog, variant: str) -> DiffusionGraph:
-    builders = {NON_TREE: build_non_tree, TREE_FIRST: build_tree_first, TREE_LAST: build_tree_last}
-    try:
-        builder = builders[variant]
-    except KeyError:
-        raise InputError(f"unknown diffusion variant {variant!r}; expected one of {VARIANTS}") from None
-    return builder(network, log)
+    """One cascade's diffusion graph with string nodes, edges and seeds."""
+    batch = build_batch(network, [log], variant)
+    ids = network.external_ids
+    children = batch.child.tolist()
+    nodes = frozenset(log.users())
+    edges = frozenset((ids[p], ids[c]) for p, c in zip(batch.parent.tolist(), children))
+    seeds = nodes - {ids[c] for c in children}
+    return DiffusionGraph(
+        log.cascade_id, variant, nodes, edges, seeds, batch.parent, batch.child, batch.follow_edge_pos
+    )
 
 
 def to_dot(dg: DiffusionGraph) -> str:
@@ -99,44 +178,26 @@ def to_dot(dg: DiffusionGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build(network: DirectedGraph, log: CascadeLog, variant: str) -> DiffusionGraph:
-    # Participants present in the network, sorted by dense id; membership and
-    # timestamps of the other endpoint are looked up by binary search.
-    present = sorted((network.index_of(u), t) for u, t in log.events if network.has_node(u))
-    missing = len(log.events) - len(present)
-    if missing:
-        logger.warning(
-            "cascade %s: %d user(s) absent from the follow network; kept as isolated seeds",
-            log.cascade_id,
-            missing,
-        )
-    nodes = frozenset(u for u, _ in log.events)
-    if not present:
-        empty = np.empty(0, dtype=np.int64)
-        return DiffusionGraph(log.cascade_id, variant, nodes, frozenset(), nodes, empty, empty, empty)
+def _candidates(
+    network: DirectedGraph, key: np.ndarray, base: np.ndarray, tau: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Qualifying spread edges into participants ``lo:hi``.
 
-    idx = np.fromiter((i for i, _ in present), dtype=np.int64, count=len(present))
-    tau = np.fromiter((t for _, t in present), dtype=np.int64, count=len(present))
-    followers, followees, edge_pos = network.out_edges_bulk(idx)
-    followee_at = np.searchsorted(idx, followees)
-    qualifies = (idx.take(followee_at, mode="clip") == followees) & (
-        tau.take(followee_at, mode="clip") < tau[np.searchsorted(idx, followers)]
-    )
-    parents = followees[qualifies]
-    children = followers[qualifies]
-    edge_pos = edge_pos[qualifies]
-
-    if variant != NON_TREE and parents.size:
-        parent_tau = tau[followee_at[qualifies]]
-        chosen = _single_parent(parents, children, parent_tau, keep_last=variant == TREE_LAST)
-        parents, children, edge_pos = parents[chosen], children[chosen], edge_pos[chosen]
-
-    ids = network.external_ids
-    edges = frozenset(
-        (ids[p], ids[c]) for p, c in zip(parents.tolist(), children.tolist())
-    )
-    seeds = frozenset(nodes - {ids[c] for c in children.tolist()})
-    return DiffusionGraph(log.cascade_id, variant, nodes, edges, seeds, parents, children, edge_pos)
+    Participants are sorted by ``key`` = cascade * n + dense id, and ``base``
+    is each one's cascade * n.  A follow edge child -> parent qualifies when
+    the parent is a participant of the child's cascade that posted strictly
+    earlier.  Returns (child slot, parent slot, parent id, follow-edge
+    position) per qualifying edge, in (child, parent) order.
+    """
+    slot, edge_pos = network.out_edge_slots(key[lo:hi] - base[lo:hi])
+    slot += lo
+    parent = network.edge_dst_indices[edge_pos]
+    parent_key = base[slot]
+    parent_key += parent
+    at = np.searchsorted(key, parent_key)
+    qualifies = key.take(at, mode="clip") == parent_key
+    qualifies &= tau.take(at, mode="clip") < tau[slot]
+    return slot[qualifies], at[qualifies], parent[qualifies], edge_pos[qualifies]
 
 
 def _single_parent(
@@ -144,9 +205,11 @@ def _single_parent(
 ) -> np.ndarray:
     """Indices of the one candidate parent kept per child, in child order.
 
-    Candidates are ordered by timestamp (reversed for the "last" rule) with
-    the dense node id as tie-break; dense ids follow sorted external ids, so
-    the tie-break is the lexicographically smallest user id.
+    ``children`` may be any key that identifies a child, such as its
+    (cascade, user) slot.  Candidates are ordered by timestamp (reversed for
+    the "last" rule) with the dense node id as tie-break; dense ids follow
+    sorted external ids, so the tie-break is the lexicographically smallest
+    user id.
     """
     order = np.lexsort((parents, -parent_tau if keep_last else parent_tau, children))
     sorted_children = children[order]

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .deletion import DeletionPlan
-from .diffusion import DiffusionGraph, build_variant
+from .diffusion import DiffusionBatch, DiffusionGraph, build_batch
 from .errors import InputError, InvariantError, ParseError
 from .graph import DirectedGraph, build_graph, reachable_from
 
@@ -134,7 +134,7 @@ def plan_ranks(network: DirectedGraph, plan: DeletionPlan) -> np.ndarray:
 
 
 def estimate_budgets(
-    graphs: Sequence[DiffusionGraph],
+    batch: DiffusionBatch,
     ranks: np.ndarray,
     budgets: Sequence[int],
 ) -> list[list[CascadeResult]]:
@@ -147,19 +147,22 @@ def estimate_budgets(
     Pollack (1960).  Spread runs strictly forward in time, so diffusion
     graphs are DAGs and relaxing all cascades' edges together reaches the
     fixed point within the longest path length.  ``ranks`` comes from
-    :func:`plan_ranks` on the network the graphs were built from.
+    :func:`plan_ranks` on the network the batch was built from.
     """
     if any(k < 0 for k in budgets):
         raise InputError("deletion budget k must be >= 0")
-    cascade = np.repeat(np.arange(len(graphs)), [dg.child_ids.size for dg in graphs])
-    parent = _concat([dg.parent_ids for dg in graphs])
-    child = _concat([dg.child_ids for dg in graphs])
-    rank = ranks[_concat([dg.follow_edge_pos for dg in graphs])]
+    cascade, parent, child = batch.cascade, batch.parent, batch.child
+    rank = ranks[batch.follow_edge_pos]
 
-    # One slot per (cascade, non-seed user); every seed parent reads the
-    # last slot, which stays at infinity.
+    # One slot per (cascade, non-seed user).  Edges are sorted by (cascade,
+    # child), so a slot starts wherever that pair changes.  Every seed
+    # parent reads the last slot, which stays at infinity.
     span = int(max(parent.max(initial=0), child.max(initial=0))) + 1
-    non_seeds, child_slot = np.unique(cascade * span + child, return_inverse=True)
+    child_key = cascade * span + child
+    starts = np.ones(child_key.size, dtype=bool)
+    np.not_equal(child_key[1:], child_key[:-1], out=starts[1:])
+    child_slot = np.cumsum(starts) - 1
+    non_seeds = child_key[starts]
     parent_key = cascade * span + parent
     parent_slot = np.searchsorted(non_seeds, parent_key)
     parent_slot[non_seeds.take(parent_slot, mode="clip") != parent_key] = non_seeds.size
@@ -171,17 +174,17 @@ def estimate_budgets(
             break
         np.maximum.at(best, child_slot, offer)
 
-    owner, best = non_seeds // span, best[:-1]
-    sizes = [len(dg.nodes) for dg in graphs]
-    expected = [size - len(dg.seeds) for dg, size in zip(graphs, sizes)]
-    if np.bincount(owner, minlength=len(graphs)).tolist() != expected:
-        raise InputError("every non-seed user must have a parent, as in graphs from build_variant")
+    owner, best = cascade[starts], best[:-1]
+    count = len(batch.cascade_ids)
+    if not np.array_equal(np.bincount(owner, minlength=count), batch.sizes - batch.seed_counts):
+        raise InputError("every non-seed user must have a parent, as in batches from build_batch")
+    sizes, seed_counts = batch.sizes.tolist(), batch.seed_counts.tolist()
     out = []
     for k in budgets:
-        lost = np.bincount(owner[best < k], minlength=len(graphs)).tolist()
+        lost = np.bincount(owner[best < k], minlength=count).tolist()
         out.append([
-            CascadeResult(dg.cascade_id, size, size - cut, len(dg.seeds))
-            for dg, size, cut in zip(graphs, sizes, lost)
+            CascadeResult(cascade_id, size, size - cut, seeds)
+            for cascade_id, size, cut, seeds in zip(batch.cascade_ids, sizes, lost, seed_counts)
         ])
     return out
 
@@ -198,13 +201,9 @@ def run_estimation(
     cascades.  The report is merged by cascade id and does not depend on
     input order.
     """
-    graphs = [build_variant(network, log, variant) for log in logs]
-    (rows,) = estimate_budgets(graphs, plan_ranks(network, plan), [len(plan.ranked_edges)])
+    batch = build_batch(network, logs, variant)
+    (rows,) = estimate_budgets(batch, plan_ranks(network, plan), [len(plan.ranked_edges)])
     return EstimateReport.from_rows(plan.strategy, variant, plan.k, rows)
-
-
-def _concat(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
 
 
 def write_report_csv(report: EstimateReport, path: str | Path) -> None:

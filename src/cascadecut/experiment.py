@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .deletion import RANDOM, STRATEGIES, DeletionPlan, load_plan, plan_strategy, save_plan
-from .diffusion import VARIANTS, build_non_tree, build_variant
+# build_variant stays importable here because bench/tracer.py wraps experiment.build_variant.
+from .diffusion import NON_TREE, VARIANTS, build_batch, build_variant  # noqa: F401
 from .errors import ConvergenceError, InputError
 from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_report_csv
 from .graph import DirectedGraph, build_graph
@@ -88,10 +89,7 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
     network, logs = load_dataset(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
-    graphs_by_variant = {
-        variant: [build_variant(network, log, variant) for log in logs]
-        for variant in config.variants
-    }
+    batches = {variant: build_batch(network, logs, variant) for variant in config.variants}
     edge_count = network.edge_count
     budgets = [budget_for(f, edge_count) for f in config.budget_fractions]
     max_budget = max(budgets)
@@ -103,7 +101,7 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
         written.append(plan_path)
         ranks = plan_ranks(network, plan)
         for variant in config.variants:
-            per_budget = estimate_budgets(graphs_by_variant[variant], ranks, budgets)
+            per_budget = estimate_budgets(batches[variant], ranks, budgets)
             for fraction, k, rows in zip(config.budget_fractions, budgets, per_budget):
                 report = EstimateReport.from_rows(strategy, variant, k, rows)
                 path = config.out_dir / f"report_{strategy}_{variant}_{fraction:g}.csv"
@@ -153,12 +151,8 @@ def seed_analysis(
     Seed sets are identical across diffusion variants, so the rows are
     variant-independent.
     """
-    rows = []
-    for log in logs:
-        if log.size <= max_size:
-            dg = build_non_tree(network, log)
-            rows.append((log.cascade_id, log.size, len(dg.seeds)))
-    return sorted(rows)
+    batch = build_batch(network, [log for log in logs if log.size <= max_size], NON_TREE)
+    return sorted(zip(batch.cascade_ids, batch.sizes.tolist(), batch.seed_counts.tolist()))
 
 
 def scatter_report(report: EstimateReport) -> list[tuple[str, int, int]]:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -98,6 +99,13 @@ class DirectedGraph:
     def id_of(self, index: int) -> str:
         return self._ids[index]
 
+    def indices_of(self, external_ids: Iterable[str], count: int = -1) -> np.ndarray:
+        """Dense id of each external id, -1 where it is not a node.
+
+        ``count``, when known, is the number of ids.
+        """
+        return np.fromiter(map(self._index.get, external_ids, repeat(-1)), dtype=np.int64, count=count)
+
     # ---- edges and degrees ------------------------------------------------
 
     def edges(self) -> Iterator[tuple[str, str]]:
@@ -140,6 +148,14 @@ class DirectedGraph:
         rep, pos = _slice_gather(self._fwd_indptr, node_indices)
         return rep, self._edge_dst[pos], pos
 
+    def out_edge_slots(self, node_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """All out-edges of the given nodes: (slot, edge positions).
+
+        ``slot`` is the index into ``node_indices`` of each edge's source, so
+        repeated nodes get their edges once per occurrence.
+        """
+        return _slice_gather(self._fwd_indptr, node_indices, labels=np.arange(len(node_indices)))
+
     def in_edges_bulk(self, node_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All in-edges of the given nodes: (targets, sources, edge positions)."""
         rep, pos = _slice_gather(self._rev_indptr, node_indices)
@@ -149,9 +165,9 @@ class DirectedGraph:
         """Canonical position of each (src, dst) external-id pair, -1 where absent."""
         if self.edge_count == 0:
             return np.full(len(pairs), -1, dtype=np.int64)
-        index, n = self._index, len(self._ids)
-        wanted = np.fromiter((index.get(s, -1) for s, _ in pairs), dtype=np.int64, count=len(pairs))
-        dst = np.fromiter((index.get(d, -1) for _, d in pairs), dtype=np.int64, count=len(pairs))
+        n = len(self._ids)
+        wanted = self.indices_of(map(itemgetter(0), pairs), len(pairs))
+        dst = self.indices_of(map(itemgetter(1), pairs), len(pairs))
         unknown = (wanted < 0) | (dst < 0)
         # Canonical edges are sorted by (src, dst), so their codes are sorted.
         # Codes are built in place: plans and networks can be large.
@@ -446,11 +462,13 @@ def _indptr(endpoint_ids: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _slice_gather(indptr: np.ndarray, node_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _slice_gather(
+    indptr: np.ndarray, node_indices: np.ndarray, labels: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Expand CSR slices for many nodes at once.
 
-    Returns (node repeated per its slice length, flat positions into the
-    data array backing ``indptr``).
+    Returns (node, or its entry of ``labels``, repeated per its slice
+    length; flat positions into the data array backing ``indptr``).
     """
     node_indices = np.asarray(node_indices, dtype=np.int64)
     starts = indptr[node_indices]
@@ -458,7 +476,7 @@ def _slice_gather(indptr: np.ndarray, node_indices: np.ndarray) -> tuple[np.ndar
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    rep = np.repeat(node_indices, counts)
+    rep = np.repeat(node_indices if labels is None else labels, counts)
     exclusive = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]))
     pos = np.repeat(starts - exclusive, counts) + np.arange(total, dtype=np.int64)
     return rep, pos

@@ -120,3 +120,28 @@ def random_instance(rng: random.Random, max_nodes=30, outside_user_chance=0.3):
     network = build_graph(edges)
     log = CascadeLog.from_events("c0", events)
     return network, log, edges, events
+
+
+def random_logs(rng: random.Random, network, count):
+    """Random cascades over a network, hitting every edge case of a batch build.
+
+    Timestamps collide, some users post more than once, some are absent from
+    the network, and the mix includes one-user cascades and cascades with no
+    user in the network at all.
+    """
+    users = list(network.external_ids)
+    logs = []
+    for i in range(count):
+        kind = rng.random()
+        if kind < 0.15 or not users:
+            participants = [f"x{i}-{j}" for j in range(rng.randint(1, 3))]
+        elif kind < 0.3:
+            participants = [rng.choice(users)]
+        else:
+            participants = rng.sample(users, rng.randint(1, len(users)))
+            participants += rng.choices(participants, k=rng.randint(0, 3))
+            if rng.random() < 0.4:
+                participants.append(f"x{i}")
+        events = [(u, rng.randint(0, 12)) for u in participants]
+        logs.append(CascadeLog.from_events(f"c{i:02d}", events))
+    return logs

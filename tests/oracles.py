@@ -4,9 +4,11 @@ Everything here is deliberately naive (dictionary DFS, per-pair path
 counting, dense eigensolvers, double loops over user pairs) and shares no
 code with the package, so agreement is meaningful.  The exceptions are
 :func:`per_budget_sweep`, the sweep computed one budget point at a time
-through the package's direct single-budget path, and
+through the package's direct single-budget path,
 :func:`reference_build_graph`, the earlier list-based graph build, which
-hands its arrays to the package's ``DirectedGraph``.
+hands its arrays to the package's ``DirectedGraph``, and
+:func:`list_estimate_budgets`, the earlier bottleneck pass over a list of
+per-cascade graphs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from cascadecut.deletion import plan_strategy
 from cascadecut.diffusion import build_variant
 from cascadecut.estimator import (
+    NEVER_DELETED,
     CascadeResult,
     EstimateReport,
     apply_deletion,
@@ -232,3 +235,48 @@ def reference_build_graph(edges, nodes=()):
         src = np.empty(0, dtype=np.int64)
         dst = np.empty(0, dtype=np.int64)
     return DirectedGraph(external_ids, src, dst)
+
+
+def list_estimate_budgets(graphs, ranks, budgets):
+    """The bottleneck pass over a list of ``DiffusionGraph`` that the batch replaced.
+
+    Concatenates the graphs' edge arrays, numbers the (cascade, child) slots
+    with ``np.unique`` and relaxes max-min offers to the fixed point.
+    """
+    if any(k < 0 for k in budgets):
+        raise InputError("deletion budget k must be >= 0")
+
+    def concat(arrays):
+        return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+
+    cascade = np.repeat(np.arange(len(graphs)), [dg.child_ids.size for dg in graphs])
+    parent = concat([dg.parent_ids for dg in graphs])
+    child = concat([dg.child_ids for dg in graphs])
+    rank = ranks[concat([dg.follow_edge_pos for dg in graphs])]
+
+    span = int(max(parent.max(initial=0), child.max(initial=0))) + 1
+    non_seeds, child_slot = np.unique(cascade * span + child, return_inverse=True)
+    parent_key = cascade * span + parent
+    parent_slot = np.searchsorted(non_seeds, parent_key)
+    parent_slot[non_seeds.take(parent_slot, mode="clip") != parent_key] = non_seeds.size
+    best = np.full(non_seeds.size + 1, -1, dtype=np.int64)
+    best[-1] = NEVER_DELETED
+    while True:
+        offer = np.minimum(best[parent_slot], rank)
+        if not (offer > best[child_slot]).any():
+            break
+        np.maximum.at(best, child_slot, offer)
+
+    owner, best = non_seeds // span, best[:-1]
+    sizes = [len(dg.nodes) for dg in graphs]
+    expected = [size - len(dg.seeds) for dg, size in zip(graphs, sizes)]
+    if np.bincount(owner, minlength=len(graphs)).tolist() != expected:
+        raise InputError("every non-seed user must have a parent, as in graphs from build_variant")
+    out = []
+    for k in budgets:
+        lost = np.bincount(owner[best < k], minlength=len(graphs)).tolist()
+        out.append([
+            CascadeResult(dg.cascade_id, size, size - cut, len(dg.seeds))
+            for dg, size, cut in zip(graphs, sizes, lost)
+        ])
+    return out

@@ -27,11 +27,13 @@ from cascadecut import (
     CascadeLog,
     DeletionPlan,
     ExperimentConfig,
+    NON_TREE,
     STRATEGIES,
     VARIANTS,
     apply_deletion,
+    build_batch,
     build_graph,
-    build_non_tree,
+    build_variant,
     compute_stats,
     edge_betweenness,
     estimate_size,
@@ -66,7 +68,7 @@ def _manual_plan(follow_edges):
 
 
 def test_a1_golden_eight_node_example(eight_node_network, eight_node_log):
-    dg = build_non_tree(eight_node_network, eight_node_log)
+    dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
     assert dg.edges == EIGHT_NODE_SPREAD_EDGES
     assert dg.seeds == EIGHT_NODE_SEEDS
 
@@ -269,7 +271,7 @@ def test_a8_public_dataset_trends():
     network = build_graph(edges)
     fractions = tuple(round(0.05 * i, 2) for i in range(1, 11))
     budgets = [budget_for(f, network.edge_count) for f in fractions]
-    graphs = [build_non_tree(network, log) for log in logs]
+    batch = build_batch(network, logs, NON_TREE)
 
     from cascadecut.estimator import EstimateReport, estimate_budgets, plan_ranks
 
@@ -277,7 +279,7 @@ def test_a8_public_dataset_trends():
     for strategy in ("netmelt", "random"):
         plan = plan_strategy(network, strategy, max(budgets), rng_seed=0)
         per_budget = []
-        for k, rows in zip(budgets, estimate_budgets(graphs, plan_ranks(network, plan), budgets)):
+        for k, rows in zip(budgets, estimate_budgets(batch, plan_ranks(network, plan), budgets)):
             report = EstimateReport.from_rows(strategy, "non-tree", k, rows)
             per_budget.append(report.total_estimated)
         totals[strategy] = (per_budget, report.total_original)

@@ -5,45 +5,49 @@ from __future__ import annotations
 import logging
 import random
 
+import numpy as np
 import pytest
 
 from cascadecut import (
     CascadeLog,
     InputError,
+    NON_TREE,
+    TREE_FIRST,
+    TREE_LAST,
     VARIANTS,
+    build_batch,
     build_graph,
-    build_non_tree,
-    build_tree_first,
-    build_tree_last,
     build_variant,
     reachable_from,
     to_dot,
 )
+from cascadecut import diffusion
 from conftest import (
     EIGHT_NODE_SEEDS,
     EIGHT_NODE_SPREAD_EDGES,
     EIGHT_NODE_TREE_FIRST_EDGES,
     EIGHT_NODE_TREE_LAST_EDGES,
     random_instance,
+    random_logs,
 )
 from oracles import indegree_zero, single_parent_edges, spread_rule_edges
 
 
 class TestEightNodeExample:
     def test_non_tree_edges_and_seeds(self, eight_node_network, eight_node_log):
-        dg = build_non_tree(eight_node_network, eight_node_log)
+        dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
         assert dg.edges == EIGHT_NODE_SPREAD_EDGES
         assert dg.seeds == EIGHT_NODE_SEEDS
         assert dg.nodes == {str(i) for i in range(1, 9)}
 
     def test_tree_first_parent_of_node_5(self, eight_node_network, eight_node_log):
-        dg = build_tree_first(eight_node_network, eight_node_log)
+        dg = build_variant(eight_node_network, eight_node_log, TREE_FIRST)
         assert ("1", "5") in dg.edges
         assert ("4", "5") not in dg.edges
         assert dg.edges == EIGHT_NODE_TREE_FIRST_EDGES
 
     def test_tree_last_parent_of_node_5(self, eight_node_network, eight_node_log):
-        dg = build_tree_last(eight_node_network, eight_node_log)
+        dg = build_variant(eight_node_network, eight_node_log, TREE_LAST)
         assert ("4", "5") in dg.edges
         assert ("1", "5") not in dg.edges
         assert dg.edges == EIGHT_NODE_TREE_LAST_EDGES
@@ -58,33 +62,33 @@ class TestEightNodeExample:
 class TestConstructionRules:
     def test_single_event_cascade(self, eight_node_network):
         log = CascadeLog.from_events("solo", [("3", 10)])
-        dg = build_non_tree(eight_node_network, log)
+        dg = build_variant(eight_node_network, log, NON_TREE)
         assert dg.edges == frozenset()
         assert dg.seeds == {"3"}
 
     def test_single_earlier_followee_is_forced_parent(self):
         network = build_graph([("b", "a")])
         log = CascadeLog.from_events("t", [("a", 1), ("b", 2)])
-        for builder in (build_tree_first, build_tree_last):
-            assert builder(network, log).edges == {("a", "b")}
+        for variant in (TREE_FIRST, TREE_LAST):
+            assert build_variant(network, log, variant).edges == {("a", "b")}
 
     def test_equal_timestamps_produce_no_edge(self):
         network = build_graph([("b", "a"), ("a", "b")])
         log = CascadeLog.from_events("t", [("a", 5), ("b", 5)])
-        dg = build_non_tree(network, log)
+        dg = build_variant(network, log, NON_TREE)
         assert dg.edges == frozenset()
         assert dg.seeds == {"a", "b"}
 
     def test_equal_parent_timestamps_break_by_user_id(self):
         network = build_graph([("v", "p2"), ("v", "p1")])
         log = CascadeLog.from_events("t", [("p1", 3), ("p2", 3), ("v", 9)])
-        assert build_tree_first(network, log).edges == {("p1", "v")}
-        assert build_tree_last(network, log).edges == {("p1", "v")}
+        assert build_variant(network, log, TREE_FIRST).edges == {("p1", "v")}
+        assert build_variant(network, log, TREE_LAST).edges == {("p1", "v")}
 
     def test_missing_users_become_isolated_seeds(self, eight_node_network, caplog):
         log = CascadeLog.from_events("t", [("1", 1), ("2", 2), ("ghost", 0)])
         with caplog.at_level(logging.WARNING):
-            dg = build_non_tree(eight_node_network, log)
+            dg = build_variant(eight_node_network, log, NON_TREE)
         assert "ghost" not in {u for edge in dg.edges for u in edge}
         assert "ghost" in dg.seeds
         assert "absent from the follow network" in caplog.text
@@ -100,7 +104,7 @@ class TestRandomInstances:
         for _ in range(40):
             network, log, edges, _ = random_instance(rng)
             tau = {u: t for u, t in log.events if network.has_node(u)}
-            dg = build_non_tree(network, log)
+            dg = build_variant(network, log, NON_TREE)
             assert dg.edges == spread_rule_edges(edges, tau)
 
     def test_tree_variants_match_argmin_argmax_oracles(self):
@@ -108,16 +112,18 @@ class TestRandomInstances:
         for _ in range(40):
             network, log, edges, _ = random_instance(rng)
             tau = {u: t for u, t in log.events if network.has_node(u)}
-            assert build_tree_first(network, log).edges == single_parent_edges(edges, tau, latest=False)
-            assert build_tree_last(network, log).edges == single_parent_edges(edges, tau, latest=True)
+            first = build_variant(network, log, TREE_FIRST)
+            last = build_variant(network, log, TREE_LAST)
+            assert first.edges == single_parent_edges(edges, tau, latest=False)
+            assert last.edges == single_parent_edges(edges, tau, latest=True)
 
     def test_tree_edges_subset_of_non_tree(self):
         rng = random.Random(71)
         for _ in range(25):
             network, log, _, _ = random_instance(rng)
-            non_tree = build_non_tree(network, log)
-            for builder in (build_tree_first, build_tree_last):
-                dg = builder(network, log)
+            non_tree = build_variant(network, log, NON_TREE)
+            for variant in (TREE_FIRST, TREE_LAST):
+                dg = build_variant(network, log, variant)
                 assert dg.edges <= non_tree.edges
                 assert dg.nodes == non_tree.nodes
                 assert dg.seeds == non_tree.seeds
@@ -126,8 +132,8 @@ class TestRandomInstances:
         rng = random.Random(73)
         for _ in range(25):
             network, log, _, _ = random_instance(rng)
-            for builder in (build_tree_first, build_tree_last):
-                dg = builder(network, log)
+            for variant in (TREE_FIRST, TREE_LAST):
+                dg = build_variant(network, log, variant)
                 children = [child for _, child in dg.edges]
                 assert len(children) == len(set(children))
 
@@ -184,9 +190,80 @@ class TestRandomInstances:
             assert a == b
 
 
+class TestBuildBatch:
+    def test_matches_build_variant_cascade_by_cascade(self):
+        rng = random.Random(401)
+        for _ in range(30):
+            network, _, follow_edges, _ = random_instance(rng, max_nodes=20, outside_user_chance=0.0)
+            logs = random_logs(rng, network, rng.randint(1, 12))
+            ids = network.external_ids
+            for variant in VARIANTS:
+                batch = build_batch(network, logs, variant)
+                assert batch.cascade_ids == tuple(log.cascade_id for log in logs)
+                keys = list(zip(batch.cascade.tolist(), batch.child.tolist(), batch.parent.tolist()))
+                assert keys == sorted(keys)
+                for i, log in enumerate(logs):
+                    dg = build_variant(network, log, variant)
+                    mine = batch.cascade == i
+                    for got, want in ((batch.parent, dg.parent_ids), (batch.child, dg.child_ids),
+                                      (batch.follow_edge_pos, dg.follow_edge_pos)):
+                        assert got[mine].tolist() == want.tolist()
+                    pairs = zip(batch.parent[mine].tolist(), batch.child[mine].tolist())
+                    edges = {(ids[p], ids[c]) for p, c in pairs}
+                    assert edges == dg.edges
+                    assert batch.sizes[i] == len(dg.nodes) == log.size
+                    assert batch.seed_counts[i] == len(dg.seeds)
+                    tau = {u: t for u, t in log.events if network.has_node(u)}
+                    if variant == NON_TREE:
+                        assert edges == spread_rule_edges(follow_edges, tau)
+                    else:
+                        assert edges == single_parent_edges(follow_edges, tau, latest=variant == TREE_LAST)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 17])
+    def test_gather_chunks_change_nothing(self, monkeypatch, chunk):
+        rng = random.Random(chunk)
+        for _ in range(10):
+            network, _, _, _ = random_instance(rng, max_nodes=20, outside_user_chance=0.0)
+            logs = random_logs(rng, network, rng.randint(1, 12))
+            whole = {variant: build_batch(network, logs, variant) for variant in VARIANTS}
+            with monkeypatch.context() as patch:
+                patch.setattr(diffusion, "_GATHER_CHUNK", chunk)
+                for variant in VARIANTS:
+                    got, want = build_batch(network, logs, variant), whole[variant]
+                    for name in ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos"):
+                        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
+    def test_empty_logs_give_an_empty_batch(self, eight_node_network):
+        for variant in VARIANTS:
+            batch = build_batch(eight_node_network, [], variant)
+            assert batch.cascade_ids == ()
+            for arr in (batch.sizes, batch.seed_counts, batch.cascade, batch.parent, batch.child,
+                        batch.follow_edge_pos):
+                assert arr.size == 0 and arr.dtype == np.int64
+
+    def test_one_absent_user_warning_per_build(self, eight_node_network, caplog):
+        logs = [
+            CascadeLog.from_events("a", [("1", 1), ("ghost", 0), ("spook", 2)]),
+            CascadeLog.from_events("b", [("2", 2)]),
+            CascadeLog.from_events("c", [("ghost", 5)]),
+        ]
+        with caplog.at_level(logging.WARNING, logger="cascadecut.diffusion"):
+            batch = build_batch(eight_node_network, logs, NON_TREE)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [
+            "3 user(s) in 2 of 3 cascade(s) absent from the follow network; kept as isolated seeds"
+        ]
+        assert batch.sizes.tolist() == [3, 1, 1]
+        assert batch.seed_counts.tolist() == [3, 1, 1]
+
+    def test_unknown_variant_rejected(self, eight_node_network, eight_node_log):
+        with pytest.raises(InputError):
+            build_batch(eight_node_network, [eight_node_log], "bogus")
+
+
 class TestDotExport:
     def test_seeds_annotated_and_output_stable(self, eight_node_network, eight_node_log):
-        dg = build_non_tree(eight_node_network, eight_node_log)
+        dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
         text = to_dot(dg)
         assert text == to_dot(dg)
         assert '"1" [style=filled, fillcolor=lightgreen];' in text

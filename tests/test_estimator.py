@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cascadecut import (
@@ -13,10 +15,11 @@ from cascadecut import (
     EstimateReport,
     InputError,
     InvariantError,
+    NON_TREE,
     ParseError,
     VARIANTS,
     apply_deletion,
-    build_non_tree,
+    build_batch,
     build_variant,
     estimate_budgets,
     estimate_size,
@@ -31,8 +34,9 @@ from conftest import (
     EIGHT_NODE_FOLLOW_EDGES,
     EIGHT_NODE_SEEDS,
     random_instance,
+    random_logs,
 )
-from oracles import closure_from
+from oracles import closure_from, list_estimate_budgets
 
 
 def manual_plan(follow_edges, strategy="netmelt", k=None):
@@ -47,7 +51,7 @@ def manual_plan(follow_edges, strategy="netmelt", k=None):
 
 class TestApplyDeletion:
     def test_eight_node_cut(self, eight_node_network, eight_node_log):
-        dg = build_non_tree(eight_node_network, eight_node_log)
+        dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
         after = apply_deletion(dg, manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES))
         assert after.edges == {
             ("1", "2"), ("2", "3"), ("4", "5"), ("5", "3"), ("6", "7"), ("6", "8"),
@@ -74,14 +78,14 @@ class TestApplyDeletion:
                 ).tolist()
 
     def test_empty_plan_is_identity(self, eight_node_network, eight_node_log):
-        dg = build_non_tree(eight_node_network, eight_node_log)
+        dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
         assert apply_deletion(dg, manual_plan([])) == dg
 
     def test_matches_set_difference_oracle(self):
         rng = random.Random(139)
         for _ in range(25):
             network, log, edges, _ = random_instance(rng)
-            dg = build_non_tree(network, log)
+            dg = build_variant(network, log, NON_TREE)
             if not edges:
                 continue
             chosen = rng.sample(edges, rng.randint(0, min(len(edges), 10)))
@@ -91,7 +95,7 @@ class TestApplyDeletion:
 
 class TestEstimateSize:
     def test_eight_node_post_deletion_size(self, eight_node_network, eight_node_log):
-        dg = build_non_tree(eight_node_network, eight_node_log)
+        dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
         after = apply_deletion(dg, manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES))
         assert estimate_size(after, dg.seeds) == 5
 
@@ -107,14 +111,14 @@ class TestEstimateSize:
         rng = random.Random(151)
         for _ in range(25):
             network, log, edges, _ = random_instance(rng)
-            dg = build_non_tree(network, log)
+            dg = build_variant(network, log, NON_TREE)
             chosen = rng.sample(edges, rng.randint(0, min(len(edges), 8))) if edges else []
             after = apply_deletion(dg, manual_plan(chosen))
             reached = closure_from(after.edges, dg.seeds)
             assert estimate_size(after, dg.seeds) == len(reached | dg.seeds)
 
     def test_unknown_seed_rejected(self, eight_node_network, eight_node_log):
-        dg = build_non_tree(eight_node_network, eight_node_log)
+        dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
         with pytest.raises(InputError):
             estimate_size(dg, {"nope"})
 
@@ -125,8 +129,8 @@ def prefix_oracle(graphs, plan, k):
     return [estimate_size(apply_deletion(dg, sub), dg.seeds) for dg in graphs]
 
 
-def all_budget_sizes(network, graphs, plan, budgets):
-    per_budget = estimate_budgets(graphs, plan_ranks(network, plan), budgets)
+def all_budget_sizes(network, logs, variant, plan, budgets):
+    per_budget = estimate_budgets(build_batch(network, logs, variant), plan_ranks(network, plan), budgets)
     return [[row.estimated_size for row in rows] for rows in per_budget]
 
 
@@ -140,7 +144,7 @@ class TestEstimateBudgets:
             budgets = list(range(len(shuffled) + 3))  # k = 0 .. beyond the plan's end
             for variant in VARIANTS:
                 graphs = [build_variant(network, log, variant)]
-                got = all_budget_sizes(network, graphs, plan, budgets)
+                got = all_budget_sizes(network, [log], variant, plan, budgets)
                 assert got == [prefix_oracle(graphs, plan, k) for k in budgets]
 
     def test_duplicate_and_unknown_plan_edges(self):
@@ -160,7 +164,7 @@ class TestEstimateBudgets:
             budgets = list(range(len(ranked) + 2))
             for variant in VARIANTS:
                 graphs = [build_variant(network, log, variant)]
-                got = all_budget_sizes(network, graphs, plan, budgets)
+                got = all_budget_sizes(network, [log], variant, plan, budgets)
                 assert got == [prefix_oracle(graphs, plan, k) for k in budgets]
 
     def test_cascades_with_absent_users(self):
@@ -172,7 +176,7 @@ class TestEstimateBudgets:
             budgets = [0, len(edges) // 2, len(edges), len(edges) + 5]
             for variant in VARIANTS:
                 graphs = [build_variant(network, log, variant)]
-                got = all_budget_sizes(network, graphs, plan, budgets)
+                got = all_budget_sizes(network, [log], variant, plan, budgets)
                 assert got == [prefix_oracle(graphs, plan, k) for k in budgets]
 
     def test_many_cascades_in_one_pass(self):
@@ -189,12 +193,26 @@ class TestEstimateBudgets:
         budgets = list(range(0, len(edges) + 2, max(1, len(edges) // 7)))
         for variant in VARIANTS:
             graphs = [build_variant(network, log, variant) for log in logs]
-            per_budget = estimate_budgets(graphs, plan_ranks(network, plan), budgets)
+            batch = build_batch(network, logs, variant)
+            per_budget = estimate_budgets(batch, plan_ranks(network, plan), budgets)
             for k, rows in zip(budgets, per_budget):
                 assert [r.estimated_size for r in rows] == prefix_oracle(graphs, plan, k)
                 assert [(r.cascade_id, r.original_size, r.seed_count) for r in rows] == [
                     (dg.cascade_id, len(dg.nodes), len(dg.seeds)) for dg in graphs
                 ]
+
+    def test_matches_list_oracle_on_random_batches(self):
+        rng = random.Random(409)
+        for _ in range(25):
+            network, _, edges, _ = random_instance(rng, max_nodes=20, outside_user_chance=0.0)
+            logs = random_logs(rng, network, rng.randint(0, 10))
+            ranked = rng.sample(edges, len(edges)) + [("zz-a", "zz-b")]
+            ranks = plan_ranks(network, manual_plan(ranked))
+            budgets = list(range(len(ranked) + 3))  # k = 0 .. beyond the plan's end
+            for variant in VARIANTS:
+                graphs = [build_variant(network, log, variant) for log in logs]
+                got = estimate_budgets(build_batch(network, logs, variant), ranks, budgets)
+                assert got == list_estimate_budgets(graphs, ranks, budgets)
 
     def test_eight_node_every_budget(self, eight_node_network, eight_node_log):
         # The cut edges first, so k = 2 is the hand-checked cut.
@@ -203,7 +221,7 @@ class TestEstimateBudgets:
         budgets = list(range(len(EIGHT_NODE_FOLLOW_EDGES) + 2))
         for variant in VARIANTS:
             graphs = [build_variant(eight_node_network, eight_node_log, variant)]
-            got = all_budget_sizes(eight_node_network, graphs, plan, budgets)
+            got = all_budget_sizes(eight_node_network, [eight_node_log], variant, plan, budgets)
             assert got == [prefix_oracle(graphs, plan, k) for k in budgets]
             if variant == "non-tree":
                 assert got[2] == [5]
@@ -211,21 +229,29 @@ class TestEstimateBudgets:
 
     def test_no_graphs(self, eight_node_network):
         ranks = plan_ranks(eight_node_network, manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES))
-        assert estimate_budgets([], ranks, [0, 3]) == [[], []]
+        for variant in VARIANTS:
+            assert estimate_budgets(build_batch(eight_node_network, [], variant), ranks, [0, 3]) == [[], []]
 
     def test_negative_budget_rejected(self, eight_node_network, eight_node_log):
-        dg = build_non_tree(eight_node_network, eight_node_log)
+        batch = build_batch(eight_node_network, [eight_node_log], NON_TREE)
         with pytest.raises(InputError):
-            estimate_budgets([dg], plan_ranks(eight_node_network, manual_plan([])), [-1])
+            estimate_budgets(batch, plan_ranks(eight_node_network, manual_plan([])), [-1])
 
     def test_cut_graph_rejected(self, eight_node_network, eight_node_log):
         # After the cut, node 6 has no parent yet is no seed: the pass only
-        # takes graphs as built.
-        dg = build_non_tree(eight_node_network, eight_node_log)
-        plan = manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES)
-        after = apply_deletion(dg, plan)
+        # takes batches as built.
+        batch = build_batch(eight_node_network, [eight_node_log], NON_TREE)
+        cut = eight_node_network.edge_positions(EIGHT_NODE_CUT_FOLLOW_EDGES)
+        keep = ~np.isin(batch.follow_edge_pos, cut)
+        after = replace(
+            batch,
+            cascade=batch.cascade[keep],
+            parent=batch.parent[keep],
+            child=batch.child[keep],
+            follow_edge_pos=batch.follow_edge_pos[keep],
+        )
         with pytest.raises(InputError):
-            estimate_budgets([after], plan_ranks(eight_node_network, manual_plan([])), [0])
+            estimate_budgets(after, plan_ranks(eight_node_network, manual_plan([])), [0])
 
 
 class TestPlanRanks:

@@ -11,16 +11,19 @@ from cascadecut import (
     EstimateReport,
     ExperimentConfig,
     InputError,
+    NON_TREE,
     STRATEGIES,
     VARIANTS,
+    build_batch,
     build_graph,
-    build_non_tree,
+    build_variant,
     plan_strategy,
     run_estimation,
     run_sweep,
     scatter_report,
     seed_analysis,
 )
+from cascadecut import experiment
 from cascadecut.estimator import CascadeResult
 from cascadecut.experiment import budget_for, write_gnuplot_script
 from conftest import random_instance, write_eight_node_dataset
@@ -90,6 +93,27 @@ class TestConfigValidation:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("n_cascades", [1, 12])
+    def test_builds_once_per_variant(self, tmp_path, monkeypatch, n_cascades):
+        calls = []
+
+        def counting(network, logs, variant):
+            calls.append((variant, len(logs)))
+            return build_batch(network, logs, variant)
+
+        monkeypatch.setattr(experiment, "build_batch", counting)
+        edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(193), n_cascades)
+        config = ExperimentConfig(
+            edges_path=edges_path,
+            cascades_path=cascades_path,
+            out_dir=tmp_path / "out",
+            min_cascade_size=0,
+            strategies=("random", "edge-degree"),
+            budget_fractions=(0.0, 0.5),
+        )
+        run_sweep(config)
+        assert calls == [(variant, n_cascades) for variant in VARIANTS]
+
     def test_zero_fraction_rows_are_identities(self, tmp_path):
         rng = random.Random(191)
         edges_path, cascades_path = write_random_dataset(tmp_path, rng)
@@ -264,7 +288,7 @@ class TestSeedAnalysis:
         for _ in range(10):
             network, log, _, _ = random_instance(rng)
             rows = seed_analysis(network, [log], max_size=10**9)
-            dg = build_non_tree(network, log)
+            dg = build_variant(network, log, NON_TREE)
             assert rows == [(log.cascade_id, len(dg.nodes), len(dg.seeds))]
 
 

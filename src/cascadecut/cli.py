@@ -338,10 +338,9 @@ def _cmd_export_dot(args, setting) -> int:
     if cascade_id in ("", ".", "..") or any(sep in cascade_id for sep in separators):
         raise InputError(f"cascade id {cascade_id!r} cannot be used as a file name")
     network, kept = load_dataset(_dataset(setting, out_dir=setting("out")))
-    by_id = {log.cascade_id: log for log in kept}
-    if cascade_id not in by_id:
+    if cascade_id not in kept.cascade_ids:
         raise InputError(f"cascade {cascade_id!r} not found after filtering")
-    dg = build_variant(network, by_id[cascade_id], args.variant)
+    dg = build_variant(network, kept[kept.cascade_ids.index(cascade_id)], args.variant)
     out = _out_dir(setting)
     path = out / f"{cascade_id}_{args.variant}.dot"
     path.write_text(to_dot(dg), encoding="utf-8")

@@ -214,7 +214,9 @@ def load_plan(path: str | Path) -> DeletionPlan:
 
 def _ranked_plan(network: DirectedGraph, strategy: str, k: int, scores: np.ndarray) -> DeletionPlan:
     src, dst = network.edge_src_indices, network.edge_dst_indices
-    order = np.lexsort((dst, src, -scores))
+    # Canonical edges are in (src, dst) order, so a stable sort breaks score
+    # ties by (src, dst).
+    order = np.argsort(-scores, kind="stable")
     top = order[: min(k, network.edge_count)]
     ids = network.external_ids
     ranked = tuple((ids[src[i]], ids[dst[i]]) for i in top.tolist())

@@ -24,15 +24,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError
 from .graph import DirectedGraph
-from .ingest import CascadeLog
+from .ingest import CascadeLog, CascadeTable
 
 logger = logging.getLogger(__name__)
 
@@ -95,38 +93,39 @@ class DiffusionGraph:
             arr.flags.writeable = False
 
 
-def build_batch(network: DirectedGraph, logs: Sequence[CascadeLog], variant: str) -> DiffusionBatch:
+def build_batch(
+    network: DirectedGraph, logs: CascadeTable | Sequence[CascadeLog], variant: str
+) -> DiffusionBatch:
     """Every cascade's diffusion graph for one variant, in one array pass.
 
-    Users absent from the network are kept as isolated seeds; their count is
-    logged as one warning.
+    ``logs`` is a :class:`CascadeTable`; a sequence of logs is converted with
+    :meth:`CascadeTable.from_logs`.  Users absent from the network are kept
+    as isolated seeds; their count is logged as one warning.
     """
     if variant not in VARIANTS:
         raise InputError(f"unknown diffusion variant {variant!r}; expected one of {VARIANTS}")
-    sizes = np.fromiter((log.size for log in logs), dtype=np.int64, count=len(logs))
-    events = list(chain.from_iterable(log.events for log in logs))
-    times = np.fromiter(map(itemgetter(1), events), dtype=np.int64, count=len(events))
-    node = network.indices_of(map(itemgetter(0), events), len(events))
-    del events
-    event_cascade = np.repeat(np.arange(len(logs), dtype=np.int64), sizes)
+    table = CascadeTable.from_logs(logs)
+    sizes = table.sizes
+    node = network.indices_of(table.users, len(table.users))[table.user]
     present = node >= 0
     if not present.all():
         logger.warning(
             "%d user(s) in %d of %d cascade(s) absent from the follow network; kept as isolated seeds",
             node.size - np.count_nonzero(present),
-            np.unique(event_cascade[~present]).size,
-            len(logs),
+            np.unique(table.cascade[~present]).size,
+            len(table),
         )
 
-    # Participants present in the network, sorted by the key cascade * n +
-    # dense id (unique: a log holds one event per user).  The followee end
-    # of each gathered follow edge is looked up by binary search on the key.
+    # Participants present in the network, keyed by cascade * n + dense id.
+    # Table events are sorted by (cascade, user) and users and dense ids both
+    # follow sorted external ids, so the keys come sorted and unique.  The
+    # followee end of each gathered follow edge is looked up by binary
+    # search on the key.
     n = np.int64(network.node_count)
-    key = event_cascade[present] * n
+    key = table.cascade[present] * n
     key += node[present]
-    order = np.argsort(key)
-    key, tau = key[order], times[present][order]
-    del node, times, event_cascade, present, order
+    tau = table.time[present]
+    del node, present
     owner, idx = np.divmod(key, n)
     # Gather the participants' follow edges a chunk at a time, so the
     # temporaries stay small however many cascades the batch holds.
@@ -145,10 +144,8 @@ def build_batch(network: DirectedGraph, logs: Sequence[CascadeLog], variant: str
 
     has_parent = np.zeros(key.size, dtype=bool)
     has_parent[slot] = True
-    seed_counts = sizes - np.bincount(owner[has_parent], minlength=len(logs))
-    return DiffusionBatch(
-        tuple(log.cascade_id for log in logs), sizes, seed_counts, owner[slot], parent, idx[slot], edge_pos
-    )
+    seed_counts = sizes - np.bincount(owner[has_parent], minlength=len(table))
+    return DiffusionBatch(table.cascade_ids, sizes, seed_counts, owner[slot], parent, idx[slot], edge_pos)
 
 
 def build_variant(network: DirectedGraph, log: CascadeLog, variant: str) -> DiffusionGraph:

@@ -26,6 +26,7 @@ from .deletion import DeletionPlan
 from .diffusion import DiffusionBatch, DiffusionGraph, build_batch
 from .errors import InputError, InvariantError, ParseError
 from .graph import DirectedGraph, build_graph, reachable_from
+from .ingest import CascadeLog, CascadeTable
 
 logger = logging.getLogger(__name__)
 
@@ -191,7 +192,7 @@ def estimate_budgets(
 
 def run_estimation(
     network: DirectedGraph,
-    logs: list,
+    logs: CascadeTable | Sequence[CascadeLog],
     plan: DeletionPlan,
     variant: str,
 ) -> EstimateReport:

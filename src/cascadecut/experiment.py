@@ -24,8 +24,9 @@ from .deletion import RANDOM, STRATEGIES, DeletionPlan, load_plan, plan_strategy
 from .diffusion import NON_TREE, VARIANTS, build_batch, build_variant  # noqa: F401
 from .errors import ConvergenceError, InputError
 from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_report_csv
-from .graph import DirectedGraph, build_graph
-from .ingest import CascadeLog, filter_cascades, iter_follow_edges, load_cascades
+# build_graph stays importable here because bench/tracer.py wraps experiment.build_graph.
+from .graph import DirectedGraph, build_graph  # noqa: F401
+from .ingest import CascadeLog, CascadeTable, filter_cascades, load_cascades, read_network
 
 logger = logging.getLogger(__name__)
 
@@ -117,15 +118,15 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
 
 
 def load_network(edges_path: Path, strict_parse: bool) -> DirectedGraph:
-    """Parse and index a follow-edge file in one streaming pass; no edge list is held."""
+    """Parse and index a follow-edge file; no list of edges is held."""
     try:
         with open(edges_path, "r", encoding="utf-8") as fh:
-            return build_graph(iter_follow_edges(fh, strict=strict_parse))
+            return read_network(fh, strict=strict_parse)
     except OSError as exc:
         raise InputError(f"ingest: cannot read edges file: {exc}") from exc
 
 
-def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, list[CascadeLog]]:
+def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, CascadeTable]:
     """Parse, filter, and index the configured dataset."""
     network = load_network(config.edges_path, config.strict_parse)
     try:
@@ -143,7 +144,7 @@ def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, list[CascadeL
 
 def seed_analysis(
     network: DirectedGraph,
-    logs: list[CascadeLog],
+    logs: CascadeTable | list[CascadeLog],
     max_size: int = DEFAULT_MAX_SEED_ANALYSIS_SIZE,
 ) -> list[tuple[str, int, int]]:
     """(cascade_id, original_size, seed_count) rows for cascades up to max_size.
@@ -151,7 +152,8 @@ def seed_analysis(
     Seed sets are identical across diffusion variants, so the rows are
     variant-independent.
     """
-    batch = build_batch(network, [log for log in logs if log.size <= max_size], NON_TREE)
+    table = CascadeTable.from_logs(logs)
+    batch = build_batch(network, table.select(table.sizes <= max_size), NON_TREE)
     return sorted(zip(batch.cascade_ids, batch.sizes.tolist(), batch.seed_counts.tolist()))
 
 

@@ -214,31 +214,51 @@ def build_graph(
     the same edge set always builds the same graph regardless of input
     ordering.
     """
-    # Intern ids in first-seen order while the pairs stream by, then sort the
-    # id table once and remap the codes to sorted order.
-    index = _Interner()
-    codes = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)), dtype=np.int64)
+    external_ids, codes = sorted_codes(chain.from_iterable(edges), nodes)
     if codes.size % 2:
         raise InputError("edges must be (src, dst) pairs")
-    for ext in nodes:
+    keys = edge_keys(codes, len(external_ids))
+    del codes  # free the per-edge array before the graph allocates its own
+    return graph_from_keys(external_ids, keys)
+
+
+def sorted_codes(tokens: Iterable[str], extra: Iterable[str] = ()) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct ids of ``tokens`` and ``extra`` in sorted order, and each token's index into them.
+
+    ``tokens`` is consumed once, as a stream.
+    """
+    # Intern ids in first-seen order while the tokens stream by, then sort the
+    # id table once and remap the codes to sorted order.
+    index = _Interner()
+    codes = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64)
+    for ext in extra:
         index.setdefault(ext, len(index))
     for ext in index:
         if not isinstance(ext, str):
             raise InputError(f"node ids must be strings, got {ext!r}")
-    external_ids = tuple(sorted(index))
-    n = len(external_ids)
+    ids = tuple(sorted(index))
+    n = len(ids)
     rank = np.empty(n, dtype=np.int64)
-    rank[np.fromiter(map(index.__getitem__, external_ids), dtype=np.int64, count=n)] = np.arange(n)
-    del index
-    codes = rank[codes]
+    rank[np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=n)] = np.arange(n)
+    return ids, rank[codes]
+
+
+def edge_keys(codes: np.ndarray, n: int) -> np.ndarray:
+    """Sorted distinct keys ``src * n + dst`` of flat (src, dst) codes, self-loops dropped.
+
+    One key per edge makes dedup plus the (src, dst) sort a single pass.
+    ``codes`` is overwritten: the keys are built in place in its src half.
+    """
     src, dst = codes[0::2], codes[1::2]
     keep = src != dst
-    # Encode pairs into one key so dedup + (src, dst) sort is a single pass.
-    key = src[keep] * np.int64(n)
-    key += dst[keep]
-    del codes, src, dst, keep  # free the per-edge arrays before the dedup allocates its own
-    src, dst = np.divmod(_sorted_unique(key), np.int64(n))
-    return DirectedGraph(external_ids, src, dst)
+    src *= n
+    src += dst
+    return _sorted_unique(src[keep])
+
+
+def graph_from_keys(external_ids: tuple[str, ...], keys: np.ndarray) -> DirectedGraph:
+    """Graph over sorted ``external_ids`` with the edges of :func:`edge_keys`."""
+    return DirectedGraph(external_ids, *np.divmod(keys, np.int64(len(external_ids))))
 
 
 class _Interner(dict):
@@ -438,12 +458,12 @@ def _power_phase(matvec, n, tolerance, budget, shift, stall_window):
         y = matvec(x)
         if shift:
             y = y + shift * x
-        norm_y = float(np.linalg.norm(y))
+        norm_y = _norm(y)
         if norm_y == 0.0:
             # x is an exact null vector: eigenvalue 0 with zero residual.
             return _PhaseResult(True, 0.0, x, step, 0.0, 0.0)
-        value = float(x @ y) - shift
-        residual = float(np.linalg.norm(y - (value + shift) * x))
+        value = float(np.add.reduce(x * y)) - shift
+        residual = _norm(y - (value + shift) * x)
         if residual <= tolerance:
             return _PhaseResult(True, value, x, step, residual, residual)
         if residual < best * (1.0 - 1e-3):
@@ -453,6 +473,12 @@ def _power_phase(matvec, n, tolerance, budget, shift, stall_window):
             return _PhaseResult(False, value, x, step, residual, best)
         x = y / norm_y
     return _PhaseResult(False, value, x, budget, math.inf, best)
+
+
+def _norm(v: np.ndarray) -> float:
+    # A plain reduction, not np.linalg.norm: BLAS splits a norm or dot of
+    # this length across threads, which stalls whenever the machine is busy.
+    return math.sqrt(np.add.reduce(v * v))
 
 
 def _indptr(endpoint_ids: np.ndarray, n: int) -> np.ndarray:

@@ -6,9 +6,10 @@ code with the package, so agreement is meaningful.  The exceptions are
 :func:`per_budget_sweep`, the sweep computed one budget point at a time
 through the package's direct single-budget path,
 :func:`reference_build_graph`, the earlier list-based graph build, which
-hands its arrays to the package's ``DirectedGraph``, and
-:func:`list_estimate_budgets`, the earlier bottleneck pass over a list of
-per-cascade graphs.
+hands its arrays to the package's ``DirectedGraph``,
+:func:`list_load_cascades`, the earlier list loader over the package's line
+scanner, and :func:`list_estimate_budgets`, the earlier bottleneck pass over
+a list of per-cascade graphs.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from cascadecut.estimator import (
 from cascadecut.errors import InputError
 from cascadecut.experiment import SUMMARY_HEADER, budget_for, load_dataset
 from cascadecut.graph import DirectedGraph
+from cascadecut.ingest import CascadeLog, _scan, _timestamp
 
 
 def adjacency(edges):
@@ -235,6 +237,15 @@ def reference_build_graph(edges, nodes=()):
         src = np.empty(0, dtype=np.int64)
         dst = np.empty(0, dtype=np.int64)
     return DirectedGraph(external_ids, src, dst)
+
+
+def list_load_cascades(stream, strict=False):
+    """The list loader that the cascade table replaced: one ``CascadeLog`` per
+    cascade id, in first-appearance order, read through the line scanner."""
+    grouped = {}
+    for lineno, (cascade_id, user, ts_text) in _scan(stream, 3, "event", strict):
+        grouped.setdefault(cascade_id, []).append((user, _timestamp(lineno, ts_text)))
+    return [CascadeLog.from_events(cid, events) for cid, events in grouped.items()]
 
 
 def list_estimate_budgets(graphs, ranks, budgets):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cascadecut import (
@@ -135,6 +136,26 @@ class TestPlanEdgeDegree:
             plan = plan_edge_degree(g, len(edges))
             for (src, dst), score in zip(plan.ranked_edges, plan.scores):
                 assert score == g.in_degree(src) * g.out_degree(dst)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ties_ranked_as_the_lexsort_ranks_them(self, seed):
+        # Sparse random graphs give edge-degree scores with many ties; the
+        # plan must order them as np.lexsort((dst, src, -scores)) does.
+        rng = random.Random(seed)
+        nodes, edges = random_digraph(rng, rng.randint(5, 60), rng.uniform(0.02, 0.3))
+        g = build_graph(edges, nodes=nodes)
+        if g.edge_count == 0:
+            return
+        plan = plan_edge_degree(g, g.edge_count)
+        by_edge = dict(zip(plan.ranked_edges, plan.scores))
+        scores = np.array([by_edge[edge] for edge in g.edges()])
+        assert len(set(scores.tolist())) < scores.size
+        src, dst = g.edge_src_indices, g.edge_dst_indices
+        ids = g.external_ids
+        want = tuple((ids[src[i]], ids[dst[i]]) for i in np.lexsort((dst, src, -scores)).tolist())
+        assert plan.ranked_edges == want
+        cut = rng.randint(0, g.edge_count)
+        assert plan_edge_degree(g, cut).ranked_edges == want[:cut]
 
 
 class TestPlanRandom:

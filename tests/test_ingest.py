@@ -6,12 +6,18 @@ import io
 import logging
 import random
 
+import numpy as np
 import pytest
 
 from cascadecut import (
+    NON_TREE,
+    TREE_LAST,
     CascadeLog,
+    CascadeTable,
+    ExperimentConfig,
     InputError,
     ParseError,
+    build_batch,
     build_graph,
     compute_stats,
     dump_cascades,
@@ -20,10 +26,12 @@ from cascadecut import (
     load_cascades,
     load_follow_edges,
     load_higgs_activity,
+    read_network,
 )
-from cascadecut.experiment import load_network
-from conftest import assert_same_graph
-from oracles import reference_build_graph
+from cascadecut import ingest
+from cascadecut.experiment import load_dataset, load_network
+from conftest import assert_same_graph, random_logs
+from oracles import list_load_cascades, reference_build_graph
 
 
 class TestLoadFollowEdges:
@@ -119,6 +127,276 @@ class TestStreamingLoadNetwork:
         assert str(streamed.value) == str(listed.value) == expected
 
 
+def logged(caplog, call):
+    """``call()``'s result with the (level, message) of each record it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="cascadecut"):
+        result = call()
+    return result, [(r.levelno, r.getMessage()) for r in caplog.records]
+
+
+def warnings_of(records):
+    return [message for level, message in records if level == logging.WARNING]
+
+
+# One irregularity per edge file, or none (None, weighted up).  Only None
+# keeps a file regular; CRLF ends are regular once a text-mode file read
+# has turned them into newlines.
+EDGE_QUIRKS = (
+    None, None, None, "leading zero", "19 digits", "20 digits", "letters",
+    "comment", "non-ascii", "malformed", "crlf", "form feed",
+)
+
+
+def numeric_edge_text(rng, quirk):
+    """An edge file of decimal ids with one ``quirk`` at a random line.
+
+    Ids mix digit lengths so that text order differs from numeric order
+    (``9`` against ``10``); lines mix tab, space and padded separators, with
+    blank lines, self-loops, duplicates and sometimes no final newline.
+    """
+    pool = ["0", "2", "9", "10", "20", "99", "100", "100000000000000000", "999999999999999999"]
+    for _ in range(8):
+        digits = rng.randint(1, 18)
+        pool.append(str(rng.randint(10 ** (digits - 1), 10**digits - 1)))
+    lines = []
+    for _ in range(rng.randint(1, 60)):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", " ", "\t", " \t "]))
+            continue
+        sep = rng.choice(["\t", " ", " \t ", "  "])
+        pad = rng.choice(["", "", " ", "\t"])
+        lines.append(f"{pad}{rng.choice(pool)}{sep}{rng.choice(pool)}{pad}")
+    odd = {
+        "leading zero": "007",
+        "19 digits": "1234567890123456789",
+        "20 digits": "98765432109876543210",
+        "letters": "u7",
+        "non-ascii": "ü1",
+    }.get(quirk)
+    if odd is not None:
+        line = f"{rng.choice(pool)}\t{odd}" if rng.random() < 0.5 else f"{odd} {rng.choice(pool)}"
+    elif quirk == "comment":
+        line = rng.choice(["# follower followee", "#1\t2", "  # 3 4"])
+    elif quirk == "malformed":
+        line = " ".join(rng.choice(pool) for _ in range(rng.choice([1, 3])))
+    elif quirk == "form feed":
+        line = f"{rng.choice(pool)}\f{rng.choice(pool)}"
+    else:
+        line = None
+    if line is not None:
+        lines.insert(rng.randrange(len(lines) + 1), line)
+    end = "\r\n" if quirk == "crlf" else "\n"
+    return end.join(lines) + (end if rng.random() < 0.7 else "")
+
+
+class TestBulkEdgeReader:
+    """Regular numeric edge files are read in bulk; the list-based build is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_matches_list_based_build(self, tmp_path, caplog, monkeypatch, seed):
+        rng = random.Random(seed)
+        monkeypatch.setattr(ingest, "_BLOCK", rng.choice([5, 16, 64, 1 << 17]))
+        quirk = EDGE_QUIRKS[seed % len(EDGE_QUIRKS)]
+        text = numeric_edge_text(rng, quirk)
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        for from_file in (True, False):
+            if from_file:
+                with open(path, encoding="utf-8") as fh:
+                    want, want_log = logged(caplog, lambda: reference_build_graph(load_follow_edges(fh)))
+                got, got_log = logged(caplog, lambda: load_network(path, strict_parse=False))
+            else:
+                want, want_log = logged(
+                    caplog, lambda: reference_build_graph(load_follow_edges(io.StringIO(text)))
+                )
+                got, got_log = logged(caplog, lambda: read_network(io.StringIO(text)))
+            assert_same_graph(got, want)
+            assert warnings_of(got_log) == warnings_of(want_log)
+            bulk = quirk is None or (quirk == "crlf" and from_file)
+            # The oracle's own INFO line counts the records it read.
+            (read_line,) = [m for level, m in want_log if level == logging.INFO]
+            reader = "bulk reader" if bulk else "line scanner"
+            assert (logging.INFO, read_line.replace("line scanner", reader)) in got_log
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_strict_matches_list_based_read(self, tmp_path, monkeypatch, seed):
+        rng = random.Random(seed)
+        monkeypatch.setattr(ingest, "_BLOCK", rng.choice([5, 16, 64, 1 << 17]))
+        text = numeric_edge_text(rng, EDGE_QUIRKS[seed % len(EDGE_QUIRKS)])
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            file_text = fh.read()
+        for stream_text, read in (
+            (text, lambda: read_network(io.StringIO(text), strict=True)),
+            (file_text, lambda: load_network(path, strict_parse=True)),
+        ):
+            try:
+                want = reference_build_graph(load_follow_edges(io.StringIO(stream_text), strict=True))
+            except ParseError as listed:
+                with pytest.raises(ParseError) as got:
+                    read()
+                assert str(got.value) == str(listed)
+            else:
+                assert_same_graph(read(), want)
+
+    def test_blank_and_empty_files(self):
+        for text in ("", "\n", " \t\n\n", "1 2"):
+            want = reference_build_graph(load_follow_edges(io.StringIO(text)))
+            assert_same_graph(read_network(io.StringIO(text)), want)
+
+    def test_lines_longer_than_a_block(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK", 4)
+        text = "123456789012 2\n3 4\n\n55555555 6\n7 8"
+        want = reference_build_graph(load_follow_edges(io.StringIO(text)))
+        assert_same_graph(read_network(io.StringIO(text)), want)
+        bad = text + "\n1 2 3\n"
+        with pytest.raises(ParseError, match="^line 6: "):
+            read_network(io.StringIO(bad), strict=True)
+
+
+CASCADE_QUIRKS = (
+    None, None, "odd timestamps", "comment", "malformed", "bad timestamp", "crlf", "non-ascii",
+)
+
+
+def cascade_text(rng, quirk):
+    """An event file with same-time events and repeated users, plus one ``quirk``."""
+    cascades = ["c1", "c10", "c2", "7", "x-1"]
+    users = ["1", "2", "9", "10", "100", "u3", "U3", "ab"]
+    lines = []
+    for _ in range(rng.randint(0, 80)):
+        if rng.random() < 0.08:
+            lines.append(rng.choice(["", " ", "\t"]))
+            continue
+        ts = str(rng.randint(0, 9))
+        if quirk == "odd timestamps" and rng.random() < 0.3:
+            ts = rng.choice(["007", "+5", "-3", "1_0", "12345678901234567"])
+        sep = rng.choice(["\t", " ", " \t "])
+        lines.append(f"{rng.choice(cascades)}{sep}{rng.choice(users)}{sep}{ts}")
+    line = {
+        "comment": rng.choice(["# cascade user time", "#c1\t1\t5"]),
+        "malformed": rng.choice(["c1 1", "c1 1 2 3"]),
+        "bad timestamp": f"c1\t1\t{rng.choice(['soon', '1.5', '1e3', '0x10'])}",
+        "non-ascii": rng.choice(["c1\tü\t3", "ç\t1\t3"]),
+    }.get(quirk)
+    if line is not None:
+        lines.insert(rng.randrange(len(lines) + 1), line)
+    end = "\r\n" if quirk == "crlf" else "\n"
+    return end.join(lines) + (end if rng.random() < 0.7 else "")
+
+
+class TestCascadeTableMatchesListLoader:
+    """``load_cascades`` against the list loader it replaced."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_same_logs_or_same_error(self, caplog, monkeypatch, seed, strict):
+        rng = random.Random(seed)
+        monkeypatch.setattr(ingest, "_BLOCK", rng.choice([5, 16, 64, 1 << 17]))
+        quirk = CASCADE_QUIRKS[seed % len(CASCADE_QUIRKS)]
+        text = cascade_text(rng, quirk)
+        try:
+            want, want_log = logged(caplog, lambda: list_load_cascades(io.StringIO(text), strict=strict))
+        except ParseError as listed:
+            with pytest.raises(ParseError) as got:
+                load_cascades(io.StringIO(text), strict=strict)
+            assert str(got.value) == str(listed)
+            return
+        table, got_log = logged(caplog, lambda: load_cascades(io.StringIO(text), strict=strict))
+        assert len(table) == len(want)
+        assert [table[i] for i in range(len(table))] == want
+        assert table.cascade_ids == tuple(log.cascade_id for log in want)
+        assert table.sizes.tolist() == [log.size for log in want]
+        assert warnings_of(got_log) == warnings_of(want_log)
+        bulk = quirk in (None, "odd timestamps")
+        assert any(("bulk reader" if bulk else "line scanner") in m for _, m in got_log)
+
+        # Users outside the network stay isolated seeds, as with the list.
+        network = build_graph([(a, b) for a in ("1", "2", "9", "u3") for b in ("10", "2", "ab") if a != b])
+        for variant in (NON_TREE, TREE_LAST):
+            got, expected = build_batch(network, table, variant), build_batch(network, want, variant)
+            assert got.cascade_ids == expected.cascade_ids
+            for name in ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos"):
+                assert getattr(got, name).tolist() == getattr(expected, name).tolist()
+
+    def test_list_of_lines_is_line_scanned(self):
+        lines = ["c1\tu\t5\n", "c1 v 6", "# comment\n", "c2\tu\t1\n"]
+        assert load_cascades(lines) == load_cascades(io.StringIO("\n".join(line.rstrip("\n") for line in lines)))
+        edges = ["1 2\n", "2\t10", "10 1\n"]
+        assert_same_graph(read_network(edges), read_network(io.StringIO("1 2\n2\t10\n10 1\n")))
+
+    def test_out_of_range_timestamp_is_parse_error(self):
+        with pytest.raises(ParseError, match=r"^line 2: timestamp out of range '99999999999999999999'$"):
+            load_cascades(io.StringIO("c\tu\t1\nc\tv\t99999999999999999999\n"))
+
+
+class TestCascadeTable:
+    def test_from_logs_round_trip(self, eight_node_network):
+        logs = random_logs(random.Random(3), eight_node_network, 30)
+        table = CascadeTable.from_logs(logs)
+        assert list(table) == logs
+        assert len(table) == 30 and table.sizes.tolist() == [log.size for log in logs]
+        assert table[-1] == logs[-1] and table[0] == logs[0]
+        with pytest.raises(IndexError):
+            table[30]
+        assert CascadeTable.from_logs(table) is table
+        assert list(reversed(table)) == logs[::-1]
+
+    def test_select_keeps_order(self, eight_node_network):
+        logs = random_logs(random.Random(4), eight_node_network, 25)
+        table = CascadeTable.from_logs(logs)
+        keep = np.array([log.size % 2 == 0 for log in logs])
+        assert list(table.select(keep)) == [log for log, k in zip(logs, keep) if k]
+        assert len(table.select(np.zeros(25, dtype=bool))) == 0
+
+    def test_logs_with_one_id_stay_separate_cascades(self):
+        log = CascadeLog.from_events("c", [("a", 1), ("b", 2)])
+        table = CascadeTable.from_logs([log, log])
+        assert table.cascade_ids == ("c", "c") and list(table) == [log, log]
+
+    def test_earliest_event_kept_per_cascade_and_user(self):
+        table = load_cascades(io.StringIO("a\tu\t5\nb\tu\t1\na\tu\t2\na\tv\t2\n"))
+        assert list(table) == [CascadeLog("a", (("u", 2), ("v", 2))), CascadeLog("b", (("u", 1),))]
+
+
+class TestReaderChoice:
+    """The bulk readers cannot silently fall away: count line-scanner calls."""
+
+    def _count_scans(self, monkeypatch):
+        calls = []
+        scan = ingest._scan
+
+        def counting(stream, width, kind, strict):
+            calls.append(kind)
+            return scan(stream, width, kind, strict)
+
+        monkeypatch.setattr(ingest, "_scan", counting)
+        return calls
+
+    def test_regular_numeric_dataset_is_never_line_scanned(self, tmp_path, monkeypatch):
+        rng = random.Random(8)
+        edges, cascades = tmp_path / "edges.tsv", tmp_path / "cascades.tsv"
+        ids = [str(rng.randint(1, 10**rng.randint(1, 12))) for _ in range(40)]
+        edge_lines = [f"{rng.choice(ids)}\t{rng.choice(ids)}\n" for _ in range(300)]
+        event_lines = [f"c{rng.randint(0, 9)}\t{rng.choice(ids)}\t{rng.randint(0, 50)}\n" for _ in range(200)]
+        edges.write_text("".join(edge_lines), encoding="utf-8")
+        cascades.write_text("".join(event_lines), encoding="utf-8")
+        config = ExperimentConfig(edges, cascades, tmp_path / "out", min_cascade_size=0)
+        calls = self._count_scans(monkeypatch)
+        network, kept = load_dataset(config)
+        assert calls == []
+
+        commented = edge_lines[:5] + ["# follower followee\n"] + edge_lines[5:]
+        edges.write_text("".join(commented), encoding="utf-8")
+        cascades.write_text("".join(["# cascade user time\n"] + event_lines), encoding="utf-8")
+        scanned_network, scanned_kept = load_dataset(config)
+        assert calls == ["edge", "event"]
+        assert_same_graph(scanned_network, network)
+        assert scanned_kept == kept
+
+
 class TestLoadCascades:
     def test_single_cascade(self):
         logs = load_cascades(io.StringIO("t1\tu1\t10\nt1\tu2\t20\n"))
@@ -199,7 +477,7 @@ class TestFilterCascades:
 
     def test_min_size_zero_is_identity(self):
         logs = self._logs([1, 5, 3])
-        assert filter_cascades(logs, 0) == logs
+        assert list(filter_cascades(logs, 0)) == logs
 
     def test_threshold(self):
         logs = self._logs([1, 5, 3, 7])
@@ -219,7 +497,7 @@ class TestFilterCascades:
     def test_matches_size_predicate(self):
         rng = random.Random(10)
         logs = self._logs([rng.randint(0, 9) for _ in range(30)])
-        assert filter_cascades(logs, 4) == [log for log in logs if log.size >= 4]
+        assert list(filter_cascades(logs, 4)) == [log for log in logs if log.size >= 4]
 
 
 class TestComputeStats:

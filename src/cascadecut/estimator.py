@@ -83,18 +83,15 @@ def apply_deletion(dg: DiffusionGraph, plan: DeletionPlan) -> DiffusionGraph:
     """Remove the plan's blocked diffusion edges; nodes and seeds unchanged.
 
     This is the direct set-based form of one budget point, kept as the
-    reference for :func:`estimate_budgets`.
+    reference for :func:`estimate_budgets`.  The plan must be over the
+    network ``dg`` was built from.
     """
-    blocked = {(dst, src) for src, dst in plan.ranked_edges}
+    keep = ~np.isin(dg.follow_edge_pos, plan.edge_pos)
     # The integer edge arrays run in (child, parent) order.
-    keep = np.fromiter(
-        ((p, c) not in blocked for c, p in sorted((c, p) for p, c in dg.edges)),
-        dtype=bool,
-        count=len(dg.edges),
-    )
+    by_child = sorted((c, p) for p, c in dg.edges)
     return replace(
         dg,
-        edges=frozenset(dg.edges - blocked),
+        edges=frozenset((p, c) for (c, p), kept in zip(by_child, keep.tolist()) if kept),
         parent_ids=dg.parent_ids[keep],
         child_ids=dg.child_ids[keep],
         follow_edge_pos=dg.follow_edge_pos[keep],
@@ -115,22 +112,22 @@ def plan_ranks(network: DirectedGraph, plan: DeletionPlan) -> np.ndarray:
     """Plan rank of every follow edge of ``network``, aligned with its edges.
 
     An edge's rank is the index of its first occurrence in
-    ``plan.ranked_edges``, or :data:`NEVER_DELETED` when the plan does not
-    name it, so a budget of k deletes exactly the edges ranked below k.
-    Plan edges that are not in the network delete nothing; their count is
-    logged as one warning.
+    ``plan.edge_pos``, or :data:`NEVER_DELETED` when the plan does not name
+    it, so a budget of k deletes exactly the edges ranked below k.  Plan
+    entries of -1 (edges not in the network) delete nothing but keep their
+    place in the ranking; their count is logged as one warning.
     """
-    pos = network.edge_positions(plan.ranked_edges)
-    known = pos >= 0
-    unknown = int(pos.size - known.sum())
+    pos = plan.edge_pos
+    known = np.flatnonzero(pos >= 0)
+    unknown = pos.size - known.size
     if unknown:
         logger.warning(
             "%s plan: %d of %d edge(s) not in the follow network; they delete nothing",
             plan.strategy, unknown, pos.size,
         )
     ranks = np.full(network.edge_count, NEVER_DELETED, dtype=np.int64)
-    edge, first = np.unique(pos[known], return_index=True)
-    ranks[edge] = np.flatnonzero(known)[first]
+    # A repeated edge keeps its first, smallest, rank.
+    np.minimum.at(ranks, pos[known], known)
     return ranks
 
 
@@ -203,7 +200,7 @@ def run_estimation(
     input order.
     """
     batch = build_batch(network, logs, variant)
-    (rows,) = estimate_budgets(batch, plan_ranks(network, plan), [len(plan.ranked_edges)])
+    (rows,) = estimate_budgets(batch, plan_ranks(network, plan), [plan.edge_pos.size])
     return EstimateReport.from_rows(plan.strategy, variant, plan.k, rows)
 
 

@@ -19,6 +19,8 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .deletion import RANDOM, STRATEGIES, DeletionPlan, load_plan, plan_strategy, save_plan
 # build_variant stays importable here because bench/tracer.py wraps experiment.build_variant.
 from .diffusion import NON_TREE, VARIANTS, build_batch, build_variant  # noqa: F401
@@ -200,16 +202,30 @@ def _materialise_plan(
     strategy: str,
     max_budget: int,
 ) -> tuple[DeletionPlan, Path]:
-    """Load a cached plan when it covers the budget, else compute and cache."""
+    """Load a cached plan when it covers the budget, else compute and cache.
+
+    A cached plan is reused only when its strategy (and seed, for random)
+    match and its first ``needed`` entries are distinct edges of
+    ``network``.  Plan files carry no fingerprint of their network, so a
+    plan from another edge file is reused when those edges all exist here.
+    """
     path = config.out_dir / f"plan_{strategy}.tsv"
     needed = min(max_budget, network.edge_count)
     if path.exists():
-        cached = load_plan(path)
-        seed_ok = strategy != RANDOM or cached.rng_seed == config.rng_seed
-        if cached.strategy == strategy and len(cached.ranked_edges) >= needed and seed_ok:
+        cached = load_plan(path, network)
+        head = cached.edge_pos[:needed]
+        if cached.strategy != strategy:
+            why = f"holds a {cached.strategy} plan"
+        elif strategy == RANDOM and cached.rng_seed != config.rng_seed:
+            why = f"was drawn with seed {cached.rng_seed}, not {config.rng_seed}"
+        elif head.size < needed:
+            why = f"ranks {head.size} of the {needed} edge(s) needed"
+        elif head.min(initial=0) < 0 or np.unique(head).size < needed:
+            why = f"does not name {needed} distinct edges of this network"
+        else:
             logger.info("reusing cached %s plan from %s", strategy, path)
             return cached, path
-        logger.info("cached plan at %s does not cover the request; recomputing", path)
+        logger.info("cached plan at %s %s; recomputing", path, why)
     try:
         plan = plan_strategy(network, strategy, max_budget, rng_seed=config.rng_seed)
     except ConvergenceError as exc:

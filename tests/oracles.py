@@ -8,8 +8,10 @@ through the package's direct single-budget path,
 :func:`reference_build_graph`, the earlier list-based graph build, which
 hands its arrays to the package's ``DirectedGraph``,
 :func:`list_load_cascades`, the earlier list loader over the package's line
-scanner, and :func:`list_estimate_budgets`, the earlier bottleneck pass over
-a list of per-cascade graphs.
+scanner, :func:`list_estimate_budgets`, the earlier bottleneck pass over
+a list of per-cascade graphs, and the earlier string-pair plans
+(:func:`string_plan`, :func:`string_plan_ranks`, :func:`string_save_plan`),
+which score with the package's eigensolver and betweenness.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import csv
 import random
 from collections import defaultdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from cascadecut.deletion import plan_strategy
+from cascadecut.deletion import RANDOM, plan_strategy
 from cascadecut.diffusion import build_variant
 from cascadecut.estimator import (
     NEVER_DELETED,
@@ -33,7 +36,7 @@ from cascadecut.estimator import (
 )
 from cascadecut.errors import InputError
 from cascadecut.experiment import SUMMARY_HEADER, budget_for, load_dataset
-from cascadecut.graph import DirectedGraph
+from cascadecut.graph import DirectedGraph, betweenness_scores, leading_eigenpair
 from cascadecut.ingest import CascadeLog, _scan, _timestamp
 
 
@@ -291,3 +294,72 @@ def list_estimate_budgets(graphs, ranks, budgets):
             for dg, size, cut in zip(graphs, sizes, lost)
         ])
     return out
+
+
+class StringPlan(NamedTuple):
+    """The earlier plan: ranked (src, dst) external-id pairs and their scores."""
+
+    strategy: str
+    k: int
+    ranked_edges: tuple[tuple[str, str], ...]
+    scores: tuple[float, ...]
+    rng_seed: int | None = None
+
+
+def string_plan(network, strategy, k, rng_seed=0):
+    """The earlier plan builders: one string pair and one float per ranked edge.
+
+    Ties are broken by ``np.lexsort((dst, src, -scores))``; the random plan
+    is the prefix of one ``random.Random(rng_seed)`` shuffle.
+    """
+    ids = network.external_ids
+    src, dst = network.edge_src_indices, network.edge_dst_indices
+    cut = min(k, network.edge_count)
+    if strategy == RANDOM:
+        order = list(range(network.edge_count))
+        random.Random(rng_seed).shuffle(order)
+        ranked = tuple((ids[src[i]], ids[dst[i]]) for i in order[:cut])
+        return StringPlan(strategy, k, ranked, (0.0,) * cut, rng_seed)
+    if cut == 0:
+        return StringPlan(strategy, k, (), ())
+    if strategy == "netmelt":
+        pair = leading_eigenpair(network)
+        scores = pair.left_vector[src] * pair.right_vector[dst]
+    elif strategy == "betweenness":
+        scores = betweenness_scores(network)
+    else:
+        scores = np.array([float(network.in_degree(a) * network.out_degree(b)) for a, b in network.edges()])
+    top = np.lexsort((dst, src, -scores))[:cut].tolist()
+    ranked = tuple((ids[src[i]], ids[dst[i]]) for i in top)
+    return StringPlan(strategy, k, ranked, tuple(float(scores[i]) for i in top))
+
+
+def string_plan_ranks(network, plan):
+    """(ranks, warning) the earlier way: a dict lookup per ranked string pair.
+
+    ``warning`` is the text of the one WARNING for unknown edges, or None.
+    """
+    position = {edge: i for i, edge in enumerate(network.edges())}
+    ranks = np.full(network.edge_count, NEVER_DELETED, dtype=np.int64)
+    unknown = 0
+    for rank, edge in enumerate(plan.ranked_edges):
+        if edge not in position:
+            unknown += 1
+        elif ranks[position[edge]] == NEVER_DELETED:
+            ranks[position[edge]] = rank
+    warning = None
+    if unknown:
+        warning = (
+            f"{plan.strategy} plan: {unknown} of {len(plan.ranked_edges)} edge(s) "
+            "not in the follow network; they delete nothing"
+        )
+    return ranks, warning
+
+
+def string_save_plan(plan, path):
+    """The earlier plan writer, from the string pairs."""
+    seed_text = "" if plan.rng_seed is None else str(plan.rng_seed)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{plan.strategy},{plan.k},{seed_text}\n")
+        for (src, dst), score in zip(plan.ranked_edges, plan.scores):
+            fh.write(f"{src}\t{dst}\t{score!r}\n")

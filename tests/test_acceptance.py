@@ -58,12 +58,13 @@ from conftest import (
 from oracles import dense_spectral_radius, path_count_betweenness, random_digraph
 
 
-def _manual_plan(follow_edges):
+def _manual_plan(network, follow_edges):
     return DeletionPlan(
         strategy="netmelt",
         k=len(follow_edges),
-        ranked_edges=tuple(follow_edges),
-        scores=tuple(0.0 for _ in follow_edges),
+        network=network,
+        edge_pos=network.edge_positions(list(follow_edges)),
+        scores=[0.0] * len(follow_edges),
     )
 
 
@@ -72,7 +73,7 @@ def test_a1_golden_eight_node_example(eight_node_network, eight_node_log):
     assert dg.edges == EIGHT_NODE_SPREAD_EDGES
     assert dg.seeds == EIGHT_NODE_SEEDS
 
-    plan = _manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES)
+    plan = _manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
     assert estimate_size(apply_deletion(dg, plan), dg.seeds) == 5
 
     def cut_and_count():
@@ -99,7 +100,7 @@ def _random_instances(count, seed, max_nodes=30):
 def test_a2_zero_deletion_identity():
     checked = 0
     for _, _, network, log, _ in _random_instances(220, seed=1003):
-        empty = _manual_plan([])
+        empty = _manual_plan(network, [])
         for variant in VARIANTS:
             report = run_estimation(network, [log], empty, variant)
             assert report.total_estimated == log.size

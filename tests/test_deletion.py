@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cascadecut import (
+    DeletionPlan,
     InputError,
     ParseError,
     STRATEGIES,
@@ -18,10 +19,18 @@ from cascadecut import (
     plan_edge_degree,
     plan_netmelt,
     plan_random,
+    plan_ranks,
     plan_strategy,
     save_plan,
 )
-from oracles import dense_spectral_radius, random_digraph
+from oracles import (
+    StringPlan,
+    dense_spectral_radius,
+    random_digraph,
+    string_plan,
+    string_plan_ranks,
+    string_save_plan,
+)
 
 
 class TestPlanNetmelt:
@@ -237,7 +246,7 @@ class TestPlanSerialization:
             plan = plan_strategy(g, strategy, 6, rng_seed=9)
             path = tmp_path / f"{strategy}.tsv"
             save_plan(plan, path)
-            assert load_plan(path) == plan
+            assert load_plan(path, g) == plan
 
     def test_file_format(self, tmp_path):
         g = build_graph([("a", "b"), ("b", "a")])
@@ -254,14 +263,138 @@ class TestPlanSerialization:
         path = tmp_path / "plan.tsv"
         save_plan(plan, path)
         assert path.read_text().splitlines()[0] == "edge-degree,1,"
-        assert load_plan(path).rng_seed is None
+        assert load_plan(path, g).rng_seed is None
 
     def test_bad_seed_in_header_is_parse_error(self, tmp_path):
         path = tmp_path / "plan_random.tsv"
         path.write_text("random,2,abc\na\tb\t0.0\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r"plan_random\.tsv.*bad seed 'abc'"):
-            load_plan(path)
+            load_plan(path, build_graph([("a", "b")]))
 
     def test_netmelt_method_recorded(self):
         g = build_graph([("a", "b"), ("b", "a")])
         assert plan_netmelt(g, 1).method == "one-shot-eigenscore"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("netmelt,-1,\n", r"line 1: bad budget '-1'"),
+            ("netmelt,1,\na\tb\t0.5\nb\ta\t0.25\n", r"line 3: more plan edges than the header's budget 1"),
+            ("netmelt,2,\na\tb\tnan\n", r"line 2: score is NaN"),
+            ("netmelt,2,\na\tb\t0.25\n\nb\ta\t0.5\n", r"line 4: score 0.5 rises above the previous 0.25"),
+        ],
+        ids=["negative-k", "more-lines-than-k", "nan-score", "rising-score"],
+    )
+    def test_bad_plan_file_is_parse_error_naming_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "plan_netmelt.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=r"plan_netmelt\.tsv: " + message):
+            load_plan(path, build_graph([("a", "b"), ("b", "a")]))
+
+    def test_loaded_edges_outside_the_network_are_minus_one(self, tmp_path):
+        g = build_graph([("a", "b"), ("b", "c")])
+        path = tmp_path / "plan.tsv"
+        path.write_text("edge-degree,3,\nb\tc\t2.0\nc\tb\t1.0\nz\ta\t1.0\n", encoding="utf-8")
+        plan = load_plan(path, g)
+        assert plan.edge_pos.tolist() == [1, -1, -1]
+        assert plan.ranked_edges == (("b", "c"), None, None)
+        with pytest.raises(InputError, match="not in its network"):
+            save_plan(plan, tmp_path / "again.tsv")
+
+
+class TestDeletionPlan:
+    def test_arrays_are_int64_and_float64_and_read_only(self):
+        g = build_graph([("a", "b"), ("b", "c")])
+        plan = DeletionPlan("netmelt", 2, g, [1, 0], [2, 1])
+        assert plan.edge_pos.dtype == np.int64 and plan.scores.dtype == np.float64
+        with pytest.raises(ValueError):
+            plan.edge_pos[0] = 0
+        assert plan.ranked_edges == (("b", "c"), ("a", "b"))
+
+    def test_nan_score_rejected(self):
+        g = build_graph([("a", "b"), ("b", "c")])
+        with pytest.raises(InputError, match="NaN"):
+            DeletionPlan("netmelt", 2, g, [1, 0], [1.0, float("nan")])
+
+    @pytest.mark.parametrize("pos, scores", [([0, 2], [1, 0]), ([-2], [0]), ([0, 1], [0]), ([0, 1], [0, 1])])
+    def test_bad_arrays_rejected(self, pos, scores):
+        g = build_graph([("a", "b"), ("b", "c")])
+        with pytest.raises(InputError):
+            DeletionPlan("random", 2, g, pos, scores)
+
+    def test_equality_over_strategy_k_seed_and_arrays(self):
+        g = build_graph([("a", "b"), ("b", "c")])
+        plan = DeletionPlan("random", 2, g, [1, 0], [0, 0], rng_seed=3)
+        other_network = build_graph([("x", "y"), ("y", "z")])
+        assert plan == DeletionPlan("random", 2, other_network, [1, 0], [0, 0], rng_seed=3)
+        assert plan != DeletionPlan("random", 2, g, [0, 1], [0, 0], rng_seed=3)
+        assert plan != DeletionPlan("random", 2, g, [1, 0], [0, 0], rng_seed=4)
+        assert plan != DeletionPlan("random", 3, g, [1, 0], [0, 0], rng_seed=3)
+        assert plan != DeletionPlan("random", 2, g, [1, 0], [1, 0], rng_seed=3)
+        assert plan != DeletionPlan("random", 2, g, [1], [0], rng_seed=3)
+
+    def test_prefix_slices_the_arrays(self):
+        g = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
+        plan = DeletionPlan("edge-degree", 5, g, [2, 0, 1], [3, 2, 1])
+        assert plan.prefix(2) == DeletionPlan("edge-degree", 2, g, [2, 0], [3, 2])
+        assert plan.prefix(9).edge_pos.tolist() == [2, 0, 1]
+        with pytest.raises(InputError):
+            plan.prefix(-1)
+
+
+def _oracle_graphs():
+    """Seeded random graphs, the sparse ones with many tied edge-degree scores."""
+    rng = random.Random(4111)
+    graphs = []
+    while len(graphs) < 14:
+        nodes, edges = random_digraph(rng, rng.randint(2, 36), rng.uniform(0.02, 0.35))
+        if edges:
+            graphs.append(build_graph(edges, nodes=nodes))
+    return graphs
+
+
+class TestMatchesStringOracle:
+    def test_graphs_have_many_tied_edge_degree_scores(self):
+        tied = 0
+        for g in _oracle_graphs():
+            scores = plan_edge_degree(g, g.edge_count).scores
+            tied += np.unique(scores).size <= scores.size // 2
+        assert tied >= 3
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_plans_ranks_and_files_match(self, tmp_path, strategy):
+        for index, g in enumerate(_oracle_graphs()):
+            e = g.edge_count
+            for k in sorted({0, 1, e // 2, e, e + 5}):
+                plan = plan_strategy(g, strategy, k, rng_seed=index)
+                want = string_plan(g, strategy, k, rng_seed=index)
+                assert plan.ranked_edges == want.ranked_edges
+                assert plan.scores.tobytes() == np.array(want.scores, dtype=np.float64).tobytes()
+                assert (plan.strategy, plan.k, plan.rng_seed) == (want.strategy, want.k, want.rng_seed)
+                assert np.array_equal(plan_ranks(g, plan), string_plan_ranks(g, want)[0])
+                got_path, want_path = tmp_path / "got.tsv", tmp_path / "want.tsv"
+                save_plan(plan, got_path)
+                string_save_plan(want, want_path)
+                assert got_path.read_bytes() == want_path.read_bytes()
+                assert load_plan(got_path, g) == plan
+
+    def test_loaded_unknown_and_duplicate_edges_rank_as_the_oracle(self, tmp_path, caplog):
+        rng = random.Random(4127)
+        for g in _oracle_graphs():
+            edges = list(g.edges())
+            ranked = rng.sample(edges, rng.randint(1, len(edges)))
+            ranked += rng.choices(ranked, k=rng.randint(1, 3))
+            ranked.insert(rng.randint(0, len(ranked)), ("zz-unknown", edges[0][1]))
+            ranked.insert(rng.randint(0, len(ranked)), (edges[0][1], edges[0][0]))
+            ranked.append(("zz-a", "zz-b"))
+            rng.shuffle(ranked)
+            scores = sorted((rng.choice([0.0, 0.5, 1.0, rng.random()]) for _ in ranked), reverse=True)
+            want = StringPlan("edge-degree", len(ranked) + rng.randint(0, 2), tuple(ranked), tuple(scores))
+            path = tmp_path / "plan.tsv"
+            string_save_plan(want, path)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="cascadecut.estimator"):
+                ranks = plan_ranks(g, load_plan(path, g))
+            want_ranks, warning = string_plan_ranks(g, want)
+            assert np.array_equal(ranks, want_ranks)
+            assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [warning]

@@ -39,20 +39,21 @@ from conftest import (
 from oracles import closure_from, list_estimate_budgets
 
 
-def manual_plan(follow_edges, strategy="netmelt", k=None):
+def manual_plan(network, follow_edges, strategy="netmelt", k=None):
     n = len(follow_edges)
     return DeletionPlan(
         strategy=strategy,
         k=n if k is None else k,
-        ranked_edges=tuple(follow_edges),
-        scores=tuple(0.0 for _ in follow_edges),
+        network=network,
+        edge_pos=network.edge_positions(list(follow_edges)),
+        scores=np.zeros(n),
     )
 
 
 class TestApplyDeletion:
     def test_eight_node_cut(self, eight_node_network, eight_node_log):
         dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
-        after = apply_deletion(dg, manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES))
+        after = apply_deletion(dg, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
         assert after.edges == {
             ("1", "2"), ("2", "3"), ("4", "5"), ("5", "3"), ("6", "7"), ("6", "8"),
         }
@@ -69,7 +70,7 @@ class TestApplyDeletion:
             for variant in VARIANTS:
                 dg = build_variant(network, log, variant)
                 chosen = rng.sample(edges, rng.randint(0, min(len(edges), 10))) if edges else []
-                after = apply_deletion(dg, manual_plan(chosen))
+                after = apply_deletion(dg, manual_plan(network, chosen))
                 pairs = list(zip(after.parent_ids.tolist(), after.child_ids.tolist()))
                 assert {(ids[p], ids[c]) for p, c in pairs} == after.edges
                 assert len(pairs) == len(after.edges)
@@ -79,7 +80,7 @@ class TestApplyDeletion:
 
     def test_empty_plan_is_identity(self, eight_node_network, eight_node_log):
         dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
-        assert apply_deletion(dg, manual_plan([])) == dg
+        assert apply_deletion(dg, manual_plan(eight_node_network, [])) == dg
 
     def test_matches_set_difference_oracle(self):
         rng = random.Random(139)
@@ -89,14 +90,14 @@ class TestApplyDeletion:
             if not edges:
                 continue
             chosen = rng.sample(edges, rng.randint(0, min(len(edges), 10)))
-            after = apply_deletion(dg, manual_plan(chosen))
+            after = apply_deletion(dg, manual_plan(network, chosen))
             assert after.edges == dg.edges - {(b, a) for a, b in chosen}
 
 
 class TestEstimateSize:
     def test_eight_node_post_deletion_size(self, eight_node_network, eight_node_log):
         dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
-        after = apply_deletion(dg, manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES))
+        after = apply_deletion(dg, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
         assert estimate_size(after, dg.seeds) == 5
 
     def test_no_deletion_reaches_everyone(self):
@@ -113,7 +114,7 @@ class TestEstimateSize:
             network, log, edges, _ = random_instance(rng)
             dg = build_variant(network, log, NON_TREE)
             chosen = rng.sample(edges, rng.randint(0, min(len(edges), 8))) if edges else []
-            after = apply_deletion(dg, manual_plan(chosen))
+            after = apply_deletion(dg, manual_plan(network, chosen))
             reached = closure_from(after.edges, dg.seeds)
             assert estimate_size(after, dg.seeds) == len(reached | dg.seeds)
 
@@ -140,7 +141,7 @@ class TestEstimateBudgets:
         for _ in range(25):
             network, log, edges, _ = random_instance(rng)
             shuffled = rng.sample(edges, len(edges))
-            plan = manual_plan(shuffled)
+            plan = manual_plan(network, shuffled)
             budgets = list(range(len(shuffled) + 3))  # k = 0 .. beyond the plan's end
             for variant in VARIANTS:
                 graphs = [build_variant(network, log, variant)]
@@ -160,7 +161,7 @@ class TestEstimateBudgets:
             ranked.insert(rng.randint(0, len(ranked)), ("zz-unknown", edges[0][1]))
             ranked.insert(rng.randint(0, len(ranked)), (edges[0][1], edges[0][0]))
             ranked.append(("zz-a", "zz-b"))
-            plan = manual_plan(ranked)
+            plan = manual_plan(network, ranked)
             budgets = list(range(len(ranked) + 2))
             for variant in VARIANTS:
                 graphs = [build_variant(network, log, variant)]
@@ -172,7 +173,7 @@ class TestEstimateBudgets:
         for _ in range(15):
             network, log, edges, _ = random_instance(rng, outside_user_chance=1.0)
             assert any(not network.has_node(u) for u in log.users())
-            plan = manual_plan(rng.sample(edges, len(edges)))
+            plan = manual_plan(network, rng.sample(edges, len(edges)))
             budgets = [0, len(edges) // 2, len(edges), len(edges) + 5]
             for variant in VARIANTS:
                 graphs = [build_variant(network, log, variant)]
@@ -189,7 +190,7 @@ class TestEstimateBudgets:
             if i % 3 == 0:
                 events.append((f"x{i}", rng.randint(0, 30)))  # absent from the network
             logs.append(CascadeLog.from_events(f"c{i}", events))
-        plan = manual_plan(rng.sample(edges, len(edges)))
+        plan = manual_plan(network, rng.sample(edges, len(edges)))
         budgets = list(range(0, len(edges) + 2, max(1, len(edges) // 7)))
         for variant in VARIANTS:
             graphs = [build_variant(network, log, variant) for log in logs]
@@ -207,7 +208,7 @@ class TestEstimateBudgets:
             network, _, edges, _ = random_instance(rng, max_nodes=20, outside_user_chance=0.0)
             logs = random_logs(rng, network, rng.randint(0, 10))
             ranked = rng.sample(edges, len(edges)) + [("zz-a", "zz-b")]
-            ranks = plan_ranks(network, manual_plan(ranked))
+            ranks = plan_ranks(network, manual_plan(network, ranked))
             budgets = list(range(len(ranked) + 3))  # k = 0 .. beyond the plan's end
             for variant in VARIANTS:
                 graphs = [build_variant(network, log, variant) for log in logs]
@@ -217,7 +218,7 @@ class TestEstimateBudgets:
     def test_eight_node_every_budget(self, eight_node_network, eight_node_log):
         # The cut edges first, so k = 2 is the hand-checked cut.
         rest = [e for e in EIGHT_NODE_FOLLOW_EDGES if e not in EIGHT_NODE_CUT_FOLLOW_EDGES]
-        plan = manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES + rest)
+        plan = manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES + rest)
         budgets = list(range(len(EIGHT_NODE_FOLLOW_EDGES) + 2))
         for variant in VARIANTS:
             graphs = [build_variant(eight_node_network, eight_node_log, variant)]
@@ -228,14 +229,14 @@ class TestEstimateBudgets:
             assert got[0] == [8] and got[-1] == [len(EIGHT_NODE_SEEDS)]
 
     def test_no_graphs(self, eight_node_network):
-        ranks = plan_ranks(eight_node_network, manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES))
+        ranks = plan_ranks(eight_node_network, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
         for variant in VARIANTS:
             assert estimate_budgets(build_batch(eight_node_network, [], variant), ranks, [0, 3]) == [[], []]
 
     def test_negative_budget_rejected(self, eight_node_network, eight_node_log):
         batch = build_batch(eight_node_network, [eight_node_log], NON_TREE)
         with pytest.raises(InputError):
-            estimate_budgets(batch, plan_ranks(eight_node_network, manual_plan([])), [-1])
+            estimate_budgets(batch, plan_ranks(eight_node_network, manual_plan(eight_node_network, [])), [-1])
 
     def test_cut_graph_rejected(self, eight_node_network, eight_node_log):
         # After the cut, node 6 has no parent yet is no seed: the pass only
@@ -251,12 +252,12 @@ class TestEstimateBudgets:
             follow_edge_pos=batch.follow_edge_pos[keep],
         )
         with pytest.raises(InputError):
-            estimate_budgets(after, plan_ranks(eight_node_network, manual_plan([])), [0])
+            estimate_budgets(after, plan_ranks(eight_node_network, manual_plan(eight_node_network, [])), [0])
 
 
 class TestPlanRanks:
     def test_first_occurrence_wins(self, eight_node_network):
-        plan = manual_plan([("5", "1"), ("6", "3"), ("5", "1")])
+        plan = manual_plan(eight_node_network, [("5", "1"), ("6", "3"), ("5", "1")])
         ranks = plan_ranks(eight_node_network, plan)
         edges = list(eight_node_network.edges())
         by_edge = dict(zip(edges, ranks.tolist()))
@@ -265,7 +266,7 @@ class TestPlanRanks:
         assert sum(r < 3 for r in ranks.tolist()) == 2
 
     def test_unknown_edges_warn_once_with_count(self, eight_node_network, caplog):
-        plan = manual_plan([("5", "1"), ("1", "5"), ("nobody", "1"), ("6", "3")])
+        plan = manual_plan(eight_node_network, [("5", "1"), ("1", "5"), ("nobody", "1"), ("6", "3")])
         with caplog.at_level("WARNING", logger="cascadecut.estimator"):
             ranks = plan_ranks(eight_node_network, plan)
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
@@ -277,20 +278,20 @@ class TestPlanRanks:
 
     def test_known_plan_is_silent(self, eight_node_network, caplog):
         with caplog.at_level("WARNING", logger="cascadecut.estimator"):
-            plan_ranks(eight_node_network, manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES))
+            plan_ranks(eight_node_network, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
         assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 class TestRunEstimation:
     def test_eight_node_totals(self, eight_node_network, eight_node_log):
-        plan = manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES)
+        plan = manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
         report = run_estimation(eight_node_network, [eight_node_log], plan, "non-tree")
         assert report.total_original == 8
         assert report.total_estimated == 5
         assert report.per_cascade == (CascadeResult("t", 8, 5, 2),)
 
     def test_zero_budget_identity(self, eight_node_network, eight_node_log):
-        report = run_estimation(eight_node_network, [eight_node_log], manual_plan([]), "non-tree")
+        report = run_estimation(eight_node_network, [eight_node_log], manual_plan(eight_node_network, []), "non-tree")
         assert report.total_estimated == report.total_original == 8
 
     def test_totals_equal_per_cascade_sums(self):
@@ -303,7 +304,7 @@ class TestRunEstimation:
             )
             for i in range(20)
         ]
-        plan = manual_plan(rng.sample(edges, min(len(edges), 6)))
+        plan = manual_plan(network, rng.sample(edges, min(len(edges), 6)))
         report = run_estimation(network, logs, plan, "non-tree")
         assert report.total_original == sum(r.original_size for r in report.per_cascade)
         assert report.total_estimated == sum(r.estimated_size for r in report.per_cascade)
@@ -327,7 +328,7 @@ class TestRunEstimation:
         rng = random.Random(167)
         for _ in range(20):
             network, log, edges, _ = random_instance(rng)
-            plan = manual_plan(rng.sample(edges, min(len(edges), 8)) if edges else [])
+            plan = manual_plan(network, rng.sample(edges, min(len(edges), 8)) if edges else [])
             by_variant = {
                 variant: run_estimation(network, [log], plan, variant).total_estimated
                 for variant in VARIANTS
@@ -339,7 +340,7 @@ class TestRunEstimation:
         rng = random.Random(173)
         for _ in range(20):
             network, log, edges, _ = random_instance(rng)
-            plan = manual_plan(edges)  # delete every follow edge
+            plan = manual_plan(network, edges)  # delete every follow edge
             for variant in VARIANTS:
                 report = run_estimation(network, [log], plan, variant)
                 for row in report.per_cascade:
@@ -356,7 +357,7 @@ class TestRunEstimation:
             )
             for i in range(8)
         ]
-        plan = manual_plan(rng.sample(edges, min(len(edges), 5)) if edges else [])
+        plan = manual_plan(network, rng.sample(edges, min(len(edges), 5)) if edges else [])
         combined = run_estimation(network, logs, plan, "tree-last")
         halves = (
             run_estimation(network, logs[:4], plan, "tree-last").per_cascade
@@ -383,7 +384,7 @@ class TestReportInvariants:
             )
 
     def test_csv_round_trip(self, tmp_path, eight_node_network, eight_node_log):
-        plan = manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES)
+        plan = manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
         report = run_estimation(eight_node_network, [eight_node_log], plan, "tree-last")
         path = tmp_path / "report.csv"
         write_report_csv(report, path)

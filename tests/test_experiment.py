@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from cascadecut import (
     CascadeLog,
+    DeletionPlan,
+    DirectedGraph,
     EstimateReport,
     ExperimentConfig,
     InputError,
@@ -151,6 +154,88 @@ class TestRunSweep:
         run_sweep(config)
         rows = read_summary(out)
         assert rows == [["netmelt", "non-tree", "2", "0.25", "5", "8"]]
+
+    def test_plan_cached_from_another_edge_file_is_recomputed(self, tmp_path, caplog):
+        other_edges, other_cascades = write_random_dataset(tmp_path, random.Random(211))
+        (tmp_path / "eight").mkdir()
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path / "eight")
+        outputs = {}
+        for name, edge_file, cascade_file in (
+            ("fresh", edges_path, cascades_path),
+            ("reused", other_edges, other_cascades),
+            ("reused", edges_path, cascades_path),
+        ):
+            config = ExperimentConfig(
+                edges_path=edge_file,
+                cascades_path=cascade_file,
+                out_dir=tmp_path / name,
+                min_cascade_size=0,
+                variants=("non-tree",),
+                budget_fractions=(0.25, 0.5),
+                rng_seed=5,
+            )
+            caplog.clear()
+            with caplog.at_level("INFO", logger="cascadecut.experiment"):
+                run_sweep(config)
+            outputs[name] = {p.name: p.read_bytes() for p in sorted(config.out_dir.iterdir())}
+        assert outputs["reused"] == outputs["fresh"]
+        recomputed = [r.getMessage() for r in caplog.records if "recomputing" in r.getMessage()]
+        assert len(recomputed) == len(STRATEGIES)
+        assert all("distinct edges of this network" in message for message in recomputed)
+
+    @pytest.mark.parametrize(
+        "body",
+        ["5\t1\t0.5\nzz\t3\t0.25\n", "5\t1\t0.5\n5\t1\t0.25\n6\t3\t0.0\n"],
+        ids=["unknown-edge", "duplicate-edge"],
+    )
+    def test_cached_plan_with_foreign_or_repeated_edges_is_recomputed(self, tmp_path, caplog, body):
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        outputs = []
+        for name in ("fresh", "cached"):
+            out = tmp_path / name
+            out.mkdir()
+            if name == "cached":
+                (out / "plan_netmelt.tsv").write_text(f"netmelt,3,\n{body}", encoding="utf-8")
+            config = ExperimentConfig(
+                edges_path=edges_path,
+                cascades_path=cascades_path,
+                out_dir=out,
+                min_cascade_size=0,
+                strategies=("netmelt",),
+                budget_fractions=(0.25,),
+            )
+            with caplog.at_level("INFO", logger="cascadecut.experiment"):
+                run_sweep(config)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert "does not name 2 distinct edges of this network; recomputing" in caplog.text
+
+    def test_sweep_resolves_plan_strings_only_when_loading_a_cached_plan(self, tmp_path, monkeypatch):
+        calls = Counter()
+        resolve, view = DirectedGraph.edge_positions, DeletionPlan.ranked_edges.fget
+
+        def counting_resolve(network, pairs):
+            calls["edge_positions"] += 1
+            return resolve(network, pairs)
+
+        def counting_view(plan):
+            calls["ranked_edges"] += 1
+            return view(plan)
+
+        monkeypatch.setattr(DirectedGraph, "edge_positions", counting_resolve)
+        monkeypatch.setattr(DeletionPlan, "ranked_edges", property(counting_view))
+        edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(223))
+        config = ExperimentConfig(
+            edges_path=edges_path,
+            cascades_path=cascades_path,
+            out_dir=tmp_path / "out",
+            min_cascade_size=0,
+            budget_fractions=(0.2, 0.6),
+        )
+        run_sweep(config)
+        assert calls == Counter()
+        run_sweep(config)
+        assert calls == Counter(edge_positions=len(STRATEGIES))
 
     def test_matches_hand_composition(self, tmp_path):
         rng = random.Random(193)
@@ -296,7 +381,7 @@ class TestScatter:
     def test_zero_budget_points_on_diagonal(self, eight_node_network, eight_node_log):
         from test_estimator import manual_plan
 
-        report = run_estimation(eight_node_network, [eight_node_log], manual_plan([]), "non-tree")
+        report = run_estimation(eight_node_network, [eight_node_log], manual_plan(eight_node_network, []), "non-tree")
         assert scatter_report(report) == [("t", 8, 8)]
 
     def test_eight_node_cut_row(self, eight_node_network, eight_node_log):
@@ -304,7 +389,7 @@ class TestScatter:
         from test_estimator import manual_plan
 
         report = run_estimation(
-            eight_node_network, [eight_node_log], manual_plan(EIGHT_NODE_CUT_FOLLOW_EDGES), "non-tree"
+            eight_node_network, [eight_node_log], manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES), "non-tree"
         )
         assert scatter_report(report) == [("t", 8, 5)]
 

@@ -258,6 +258,14 @@ def load_plan(path: str | Path, network: DirectedGraph) -> DeletionPlan:
 
 def _ranked_plan(network: DirectedGraph, strategy: str, k: int, scores: np.ndarray) -> DeletionPlan:
     # Canonical edges are in (src, dst) order, so a stable sort breaks score
-    # ties by (src, dst).
-    top = np.argsort(-scores, kind="stable")[:k]
+    # ties by (src, dst).  Below the full edge count only the edges scoring
+    # at least the kth best, ties included, are sorted.
+    neg = -scores
+    if k < neg.size:
+        kth = np.partition(neg, k - 1)[k - 1]
+        # NaN compares false, so a NaN kth keeps every edge.
+        candidates = np.flatnonzero(~(neg > kth))
+        top = candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+    else:
+        top = np.argsort(neg, kind="stable")
     return DeletionPlan(strategy, k, network, top, scores[top])

@@ -17,7 +17,9 @@ lexicographically smallest user id so rebuilds are deterministic.
 
 :func:`build_batch` builds one variant for many cascades at once, as flat
 integer arrays; :func:`build_variant` is the string-level view of one
-cascade, built through it.
+cascade, built through it.  The tree variants select from the non-tree
+edges, so :func:`gather_candidates` gathers the follow edges once and
+several variants are derived from its result.
 """
 
 from __future__ import annotations
@@ -93,20 +95,45 @@ class DiffusionGraph:
             arr.flags.writeable = False
 
 
-def build_batch(
-    network: DirectedGraph, logs: CascadeTable | Sequence[CascadeLog], variant: str
-) -> DiffusionBatch:
-    """Every cascade's diffusion graph for one variant, in one array pass.
+@dataclass(frozen=True, eq=False)
+class SpreadCandidates:
+    """Every qualifying spread edge of many cascades: the non-tree graphs
+    before a variant picks among them, from :func:`gather_candidates`.
+
+    Per participant present in the network, sorted by (cascade, dense id):
+    ``owner`` (cascade index), ``node`` (dense id) and ``tau`` (time).  Per
+    candidate edge, in (cascade, child, parent) order: ``slot`` and ``at``
+    (the child's and the parent's participant index), ``parent`` (dense id)
+    and ``edge_pos`` (follow-edge position).  ``len()`` is the cascade count.
+    """
+
+    network: DirectedGraph = field(repr=False)
+    table: CascadeTable = field(repr=False)
+    owner: np.ndarray = field(repr=False)
+    node: np.ndarray = field(repr=False)
+    tau: np.ndarray = field(repr=False)
+    slot: np.ndarray = field(repr=False)
+    at: np.ndarray = field(repr=False)
+    parent: np.ndarray = field(repr=False)
+    edge_pos: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for arr in (self.owner, self.node, self.tau, self.slot, self.at, self.parent, self.edge_pos):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+
+def gather_candidates(network: DirectedGraph, logs: CascadeTable | Sequence[CascadeLog]) -> SpreadCandidates:
+    """Gather the participants' follow edges once and keep those that qualify.
 
     ``logs`` is a :class:`CascadeTable`; a sequence of logs is converted with
     :meth:`CascadeTable.from_logs`.  Users absent from the network are kept
     as isolated seeds; their count is logged as one warning.
     """
-    if variant not in VARIANTS:
-        raise InputError(f"unknown diffusion variant {variant!r}; expected one of {VARIANTS}")
     table = CascadeTable.from_logs(logs)
-    sizes = table.sizes
-    node = network.indices_of(table.users, len(table.users))[table.user]
+    node = network.indices_of(table.users)[table.user]
     present = node >= 0
     if not present.all():
         logger.warning(
@@ -128,7 +155,7 @@ def build_batch(
     del node, present
     owner, idx = np.divmod(key, n)
     # Gather the participants' follow edges a chunk at a time, so the
-    # temporaries stay small however many cascades the batch holds.
+    # temporaries stay small however many cascades the table holds.
     ends = np.cumsum(network.out_degrees[idx])
     total = int(ends[-1]) if ends.size else 0
     cuts = np.searchsorted(ends, np.arange(_GATHER_CHUNK, total, _GATHER_CHUNK), side="right")
@@ -136,16 +163,34 @@ def build_batch(
     base = key - idx
     parts = [_candidates(network, key, base, tau, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     slot, at, parent, edge_pos = (np.concatenate(arrays) for arrays in zip(*parts))
-    del ends, cuts, base, parts
+    return SpreadCandidates(network, table, owner, idx, tau, slot, at, parent, edge_pos)
 
+
+def build_batch(
+    network: DirectedGraph, logs: CascadeTable | Sequence[CascadeLog] | SpreadCandidates, variant: str
+) -> DiffusionBatch:
+    """Every cascade's diffusion graph for one variant, in one array pass.
+
+    ``logs`` is a :class:`CascadeTable` or a sequence of logs, gathered
+    with :func:`gather_candidates`, or the :class:`SpreadCandidates` already
+    gathered over ``network``, which lets several variants share one gather.
+    """
+    if variant not in VARIANTS:
+        raise InputError(f"unknown diffusion variant {variant!r}; expected one of {VARIANTS}")
+    found = logs if isinstance(logs, SpreadCandidates) else gather_candidates(network, logs)
+    if found.network is not network:
+        raise InputError("the spread candidates were gathered over another network")
+    table, slot, parent, edge_pos = found.table, found.slot, found.parent, found.edge_pos
     if variant != NON_TREE and slot.size:
-        chosen = _single_parent(parent, slot, tau[at], keep_last=variant == TREE_LAST)
+        chosen = _single_parent(parent, slot, found.tau[found.at], keep_last=variant == TREE_LAST)
         slot, parent, edge_pos = slot[chosen], parent[chosen], edge_pos[chosen]
 
-    has_parent = np.zeros(key.size, dtype=bool)
+    has_parent = np.zeros(found.owner.size, dtype=bool)
     has_parent[slot] = True
-    seed_counts = sizes - np.bincount(owner[has_parent], minlength=len(table))
-    return DiffusionBatch(table.cascade_ids, sizes, seed_counts, owner[slot], parent, idx[slot], edge_pos)
+    seed_counts = table.sizes - np.bincount(found.owner[has_parent], minlength=len(table))
+    return DiffusionBatch(
+        table.cascade_ids, table.sizes, seed_counts, found.owner[slot], parent, found.node[slot], edge_pos
+    )
 
 
 def build_variant(network: DirectedGraph, log: CascadeLog, variant: str) -> DiffusionGraph:

@@ -1,7 +1,8 @@
 """Budget sweeps across deletion strategies and diffusion variants.
 
-A sweep loads one dataset, builds each variant's diffusion graphs once,
-and scores each requested strategy once at the largest budget.  For every
+A sweep loads one dataset, gathers its cascades' follow edges once,
+derives each variant's diffusion graphs from them, and scores each
+requested strategy once at the largest budget.  For every
 (strategy, variant) pair one bottleneck pass over the plan's edge ranks
 gives the sizes at all budget points; the sweep writes one per-cascade
 report CSV per (strategy, variant, fraction) plus a single summary CSV.
@@ -23,7 +24,7 @@ import numpy as np
 
 from .deletion import RANDOM, STRATEGIES, DeletionPlan, load_plan, plan_strategy, save_plan
 # build_variant stays importable here because bench/tracer.py wraps experiment.build_variant.
-from .diffusion import NON_TREE, VARIANTS, build_batch, build_variant  # noqa: F401
+from .diffusion import NON_TREE, VARIANTS, build_batch, build_variant, gather_candidates  # noqa: F401
 from .errors import ConvergenceError, InputError
 from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_report_csv
 # build_graph stays importable here because bench/tracer.py wraps experiment.build_graph.
@@ -92,7 +93,10 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
     network, logs = load_dataset(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
-    batches = {variant: build_batch(network, logs, variant) for variant in config.variants}
+    # The follow edges are gathered once; each variant is a selection from them.
+    candidates = gather_candidates(network, logs)
+    batches = {variant: build_batch(network, candidates, variant) for variant in config.variants}
+    del candidates
     edge_count = network.edge_count
     budgets = [budget_for(f, edge_count) for f in config.budget_fractions]
     max_budget = max(budgets)

@@ -2,7 +2,8 @@
 
 A :class:`DirectedGraph` maps opaque string node ids onto dense integers
 (sorted by external id, so builds are reproducible) and stores the edge set
-in compressed sparse form in both directions.  On top of it this module
+in compressed sparse form, forward on construction and reverse (with the id
+lookup tables) on first use.  On top of it this module
 provides BFS reachability, directed edge betweenness (Brandes-style
 accumulation), and the leading eigenpair of the adjacency matrix via power
 iteration.
@@ -28,6 +29,11 @@ logger = logging.getLogger(__name__)
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_ITERATIONS = 10_000
 
+# Ids of at most this many decimal digits are read as int64.
+MAX_DIGITS = 18
+# decimal_values checks and parses this many tokens at a time.
+_TOKEN_CHUNK = 1 << 16
+
 # Iterations without residual improvement before the undamped power phase is
 # declared stalled (periodic structure) and restarted with a diagonal shift.
 _STALL_WINDOW = 100
@@ -37,40 +43,55 @@ class DirectedGraph:
     """Directed graph over dense node ids 0..n-1 with an external-id table.
 
     Construct through :func:`build_graph`; the constructor assumes canonical
-    (deduplicated, self-loop-free, sorted) edge arrays.
+    (deduplicated, self-loop-free, sorted) edge arrays.  The reverse CSR and
+    the external-id lookup tables are built on first use, so a caller that
+    never reads in-edges or looks ids up pays for neither.
     """
 
-    __slots__ = (
-        "_ids",
-        "_index",
-        "_edge_src",
-        "_edge_dst",
-        "_fwd_indptr",
-        "_rev_indptr",
-        "_rev_sources",
-        "_rev_edge_pos",
-    )
+    __slots__ = ("_ids", "_edge_src", "_edge_dst", "_fwd_indptr", "_reverse", "_index", "_decimal")
 
     def __init__(self, external_ids: tuple[str, ...], edge_src: np.ndarray, edge_dst: np.ndarray):
-        n = len(external_ids)
         self._ids = external_ids
-        self._index = {ext: i for i, ext in enumerate(external_ids)}
         self._edge_src = edge_src
         self._edge_dst = edge_dst
-        self._fwd_indptr = _indptr(edge_src, n)
-        rev_perm = np.lexsort((edge_src, edge_dst))
-        self._rev_indptr = _indptr(edge_dst, n)
-        self._rev_sources = edge_src[rev_perm]
-        self._rev_edge_pos = rev_perm
-        for arr in (
-            self._edge_src,
-            self._edge_dst,
-            self._fwd_indptr,
-            self._rev_indptr,
-            self._rev_sources,
-            self._rev_edge_pos,
-        ):
+        self._fwd_indptr = _indptr(edge_src, len(external_ids))
+        self._reverse = None
+        self._index = None
+        self._decimal = None
+        for arr in (self._edge_src, self._edge_dst, self._fwd_indptr):
             arr.flags.writeable = False
+
+    def _reverse_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, sources, edge positions) of the in-edges, by (dst, src)."""
+        if self._reverse is None:
+            n = np.int64(len(self._ids))
+            key = self._edge_dst * n
+            key += self._edge_src
+            # Edges are distinct, so the keys are too and any sort is stable.
+            perm = np.argsort(key)
+            del key
+            self._reverse = (_indptr(self._edge_dst, n), self._edge_src[perm], perm)
+            for arr in self._reverse:
+                arr.flags.writeable = False
+        return self._reverse
+
+    def _id_index(self) -> dict[str, int]:
+        """External id -> dense id."""
+        if self._index is None:
+            self._index = {ext: i for i, ext in enumerate(self._ids)}
+        return self._index
+
+    def _decimal_index(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(int64 ids in numeric order, their dense ids) when every external
+        id is a plain decimal (see :func:`decimal_values`), else None."""
+        if self._decimal is None:
+            values = decimal_values(self._ids)
+            if values is None:
+                self._decimal = ()
+            else:
+                order = np.argsort(values)
+                self._decimal = (values[order], order)
+        return self._decimal or None
 
     # ---- identity -------------------------------------------------------
 
@@ -88,23 +109,36 @@ class DirectedGraph:
         return self._ids
 
     def has_node(self, external_id: str) -> bool:
-        return external_id in self._index
+        return external_id in self._id_index()
 
     def index_of(self, external_id: str) -> int:
         try:
-            return self._index[external_id]
+            return self._id_index()[external_id]
         except KeyError:
             raise InputError(f"unknown node id {external_id!r}") from None
 
     def id_of(self, index: int) -> str:
         return self._ids[index]
 
-    def indices_of(self, external_ids: Iterable[str], count: int = -1) -> np.ndarray:
+    def indices_of(self, external_ids: Iterable[str]) -> np.ndarray:
         """Dense id of each external id, -1 where it is not a node.
 
-        ``count``, when known, is the number of ids.
+        When the node ids and the queries are all plain decimals, the queries
+        are parsed as integers and found by binary search in the numerically
+        sorted ids; otherwise each one is looked up in a dict.
         """
-        return np.fromiter(map(self._index.get, external_ids, repeat(-1)), dtype=np.int64, count=count)
+        queries = external_ids if isinstance(external_ids, (list, tuple)) else list(external_ids)
+        decimal = self._decimal_index()
+        values = None if decimal is None else decimal_values(queries)
+        if values is None:
+            index = self._id_index()
+            return np.fromiter(map(index.get, queries, repeat(-1)), dtype=np.int64, count=len(queries))
+        if not self._ids:
+            return np.full(values.size, -1, dtype=np.int64)
+        numeric, dense = decimal
+        at = np.searchsorted(numeric, values)
+        np.minimum(at, numeric.size - 1, out=at)
+        return np.where(numeric[at] == values, dense[at], -1)
 
     # ---- edges and degrees ------------------------------------------------
 
@@ -128,7 +162,7 @@ class DirectedGraph:
 
     @property
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self._rev_indptr)
+        return np.bincount(self._edge_dst, minlength=len(self._ids))
 
     def out_degree(self, external_id: str) -> int:
         i = self.index_of(external_id)
@@ -136,7 +170,8 @@ class DirectedGraph:
 
     def in_degree(self, external_id: str) -> int:
         i = self.index_of(external_id)
-        return int(self._rev_indptr[i + 1] - self._rev_indptr[i])
+        indptr = self._reverse_index()[0]
+        return int(indptr[i + 1] - indptr[i])
 
     # ---- bulk adjacency access ---------------------------------------------
 
@@ -158,16 +193,17 @@ class DirectedGraph:
 
     def in_edges_bulk(self, node_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All in-edges of the given nodes: (targets, sources, edge positions)."""
-        rep, pos = _slice_gather(self._rev_indptr, node_indices)
-        return rep, self._rev_sources[pos], self._rev_edge_pos[pos]
+        indptr, sources, edge_pos = self._reverse_index()
+        rep, pos = _slice_gather(indptr, node_indices)
+        return rep, sources[pos], edge_pos[pos]
 
     def edge_positions(self, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
         """Canonical position of each (src, dst) external-id pair, -1 where absent."""
         if self.edge_count == 0:
             return np.full(len(pairs), -1, dtype=np.int64)
         n = len(self._ids)
-        wanted = self.indices_of(map(itemgetter(0), pairs), len(pairs))
-        dst = self.indices_of(map(itemgetter(1), pairs), len(pairs))
+        wanted = self.indices_of(list(map(itemgetter(0), pairs)))
+        dst = self.indices_of(list(map(itemgetter(1), pairs)))
         unknown = (wanted < 0) | (dst < 0)
         # Canonical edges are sorted by (src, dst), so their codes are sorted.
         # Codes are built in place: plans and networks can be large.
@@ -241,6 +277,45 @@ def sorted_codes(tokens: Iterable[str], extra: Iterable[str] = ()) -> tuple[tupl
     rank = np.empty(n, dtype=np.int64)
     rank[np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=n)] = np.arange(n)
     return ids, rank[codes]
+
+
+def decimal_values(tokens: Sequence[str]) -> np.ndarray | None:
+    """``tokens`` as int64 values when every one is a plain decimal, else None.
+
+    A plain decimal is 1 to ``MAX_DIGITS`` ASCII digits with no sign and no
+    leading zero, so its value prints back as its text and numeric order
+    decides text order within one digit count.  Tokens are checked and
+    parsed a chunk at a time, which keeps the temporaries small.
+    """
+    parts = [np.empty(0, dtype=np.int64)]
+    for start in range(0, len(tokens), _TOKEN_CHUNK):
+        part = _decimal_chunk(tokens[start : start + _TOKEN_CHUNK])
+        if part is None:
+            return None
+        parts.append(part)
+    return np.concatenate(parts)
+
+
+def _decimal_chunk(tokens: Sequence[str]) -> np.ndarray | None:
+    try:
+        text = " ".join(tokens)
+    except TypeError:
+        return None
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # Every token's length equals its digit count: the separators are the
+    # only non-digits.
+    cuts = np.flatnonzero((data < ord("0")) | (data > ord("9")))
+    if cuts.size != len(tokens) - 1:
+        return None
+    starts = np.r_[0, cuts + 1]
+    lengths = np.r_[cuts, data.size] - starts
+    if lengths.min() < 1 or lengths.max() > MAX_DIGITS:
+        return None
+    if ((data[starts] == ord("0")) & (lengths > 1)).any():
+        return None
+    return np.fromstring(text, dtype=np.int64, sep=" ")
 
 
 def edge_keys(codes: np.ndarray, n: int) -> np.ndarray:

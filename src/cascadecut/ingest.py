@@ -34,16 +34,27 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError, ParseError
-from .graph import DirectedGraph, build_graph, edge_keys, graph_from_keys, sorted_codes
+from .graph import (
+    MAX_DIGITS,
+    DirectedGraph,
+    _Interner,
+    build_graph,
+    decimal_values,
+    edge_keys,
+    graph_from_keys,
+    sorted_codes,
+)
 
 logger = logging.getLogger(__name__)
 
 # Characters per block of the bulk readers' regularity check, which keeps
 # its per-byte temporaries small.
 _BLOCK = 1 << 17
-# Edge ids the bulk reader parses as int64: at most 18 decimal digits.
-_MAX_DIGITS = 18
-_POWERS = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
+_POWERS = 10 ** np.arange(MAX_DIGITS + 1, dtype=np.int64)
+# Integer ids are ranked through a table indexed by value when their span is
+# at most this many times their count; the table then takes at most twice
+# the values' own memory.
+_SPAN_PER_VALUE = 2
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -111,7 +122,7 @@ class CascadeTable(Sequence):
         return _cascade_table(
             tuple(log.cascade_id for log in logs),
             np.repeat(np.arange(len(logs), dtype=np.int64), sizes),
-            map(itemgetter(0), events),
+            *_intern_ids(list(map(itemgetter(0), events))),
             np.fromiter(map(itemgetter(1), events), dtype=np.int64, count=len(events)),
         )
 
@@ -165,18 +176,105 @@ class DatasetStats:
 
 
 def _cascade_table(
-    cascade_ids: tuple[str, ...], cascade: np.ndarray, users: Iterable[str], time: np.ndarray
+    cascade_ids: tuple[str, ...], cascade: np.ndarray, users: tuple[str, ...], user: np.ndarray, time: np.ndarray
 ) -> CascadeTable:
-    """The table of events given as (cascade index, user id, time) columns.
+    """The table of events given as (cascade index, user index, time) columns.
 
+    ``users`` are the distinct user ids, sorted, and ``user`` indexes them.
     Of several events of one user in one cascade the earliest is kept.
     """
-    user_ids, user = sorted_codes(users)
-    order = np.lexsort((time, user, cascade))
-    cascade, user = cascade[order], user[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (cascade[1:] != cascade[:-1]) | (user[1:] != user[:-1])
-    return CascadeTable(cascade_ids, user_ids, cascade[first], user[first], time[order[first]])
+    if not time.size:
+        return CascadeTable(cascade_ids, users, cascade, user, time)
+    width = np.int64(len(users))
+    key = cascade * width
+    key += user
+    # One sort by (cascade, user); the order among one pair's events does
+    # not matter, since only their earliest time is kept.
+    order = np.argsort(key)
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    earliest = np.minimum.reduceat(time[order], np.flatnonzero(first))
+    return CascadeTable(cascade_ids, users, *np.divmod(key[first], width), earliest)
+
+
+def _intern_ids(tokens: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct ids of ``tokens`` in sorted order, and each token's index into them.
+
+    Plain decimal ids (see :func:`~cascadecut.graph.decimal_values`) are
+    ranked as integers; any other tokens are interned as strings.
+    """
+    values = decimal_values(tokens)
+    if values is None:
+        return sorted_codes(tokens)
+    ids, codes = _rank_ids(values)
+    return tuple(map(str, ids.tolist())), codes
+
+
+def _rank_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ids among ``values`` in text order, and each value's index into them.
+
+    ``values`` are plain decimal ids (non-negative, at most 18 digits) and
+    are overwritten with the indices, which are returned.  When the ids
+    span at most ``_SPAN_PER_VALUE`` times as many integers as there are
+    values, they are ranked through a table indexed by value; otherwise
+    through one sort.  Either way at most three value-sized arrays are
+    alive at a time.
+    """
+    if not values.size:
+        return values.copy(), values
+    lo = values.min()
+    span = int(values.max() - lo) + 1
+    if span <= _SPAN_PER_VALUE * values.size:
+        return _rank_by_table(values, lo, span)
+    return _rank_by_sort(values)
+
+
+def _rank_by_table(values: np.ndarray, lo: np.int64, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rank_ids` through tables indexed by ``value - lo``."""
+    values -= lo
+    present = np.zeros(span, dtype=bool)
+    present[values] = True
+    ids = np.flatnonzero(present)
+    del present
+    ids = ids[_text_order(ids + lo)]
+    table = np.empty(span, dtype=np.int64)
+    table[ids] = np.arange(ids.size)
+    for start in range(0, values.size, _BLOCK):
+        chunk = values[start : start + _BLOCK]
+        chunk[:] = table[chunk]
+    ids += lo
+    return ids, values
+
+
+def _rank_by_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rank_ids` through one sort of the values."""
+    # The sorted values give the distinct ids, and scattering each one's
+    # rank back through the sort order remaps every value.
+    order = np.argsort(values)
+    values.sort()
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    ids = values[new]
+    text_order = _text_order(ids)
+    rank = np.empty(ids.size, dtype=np.int64)
+    rank[text_order] = np.arange(ids.size)
+    np.cumsum(new, out=values)
+    values -= 1
+    del new
+    ranked = rank[values]
+    del rank
+    values[order] = ranked
+    return ids[text_order], values
+
+
+def _text_order(ids: np.ndarray) -> np.ndarray:
+    """The order that sorts plain decimal ``ids`` by their text: compare the
+    digits padded to full width, then the shorter id first."""
+    digits = np.searchsorted(_POWERS[1:], ids, side="right") + 1
+    return np.lexsort((digits, ids * _POWERS[MAX_DIGITS - digits]))
 
 
 def _regular_blocks(
@@ -267,7 +365,7 @@ def _is_regular_block(block: str, width: int, digits: bool) -> bool:
     if digits:
         first = marks[~is_end]
         lengths = np.flatnonzero(token[1:] < token[:-1]) + 1 - first
-        if lengths.max(initial=0) > _MAX_DIGITS or ((data[first] == ord("0")) & (lengths > 1)).any():
+        if lengths.max(initial=0) > MAX_DIGITS or ((data[first] == ord("0")) & (lengths > 1)).any():
             return False
     return True
 
@@ -332,32 +430,10 @@ def read_network(stream: Iterable[str], strict: bool = False) -> DirectedGraph:
     values = np.concatenate([np.empty(0, dtype=np.int64), *map(_ints, blocks)])
     del blocks
     logger.info("read %d edge record(s) with the bulk reader", values.size // 2)
-    # Sort once: the sorted values give the distinct ids, and scattering each
-    # one's rank back through the sort order remaps every value.  At most
-    # three value-sized arrays are alive at a time.
-    order = np.argsort(values)
-    values.sort()
-    new = np.empty(values.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    ids = values[new]
-    # Dense ids follow the ids' text order, as in build_graph: compare the
-    # digits padded to full width, then the shorter id first.
-    digits = np.searchsorted(_POWERS[1:], ids, side="right") + 1
-    text_order = np.lexsort((digits, ids * _POWERS[_MAX_DIGITS - digits]))
-    rank = np.empty(ids.size, dtype=np.int64)
-    rank[text_order] = np.arange(ids.size)
-    np.cumsum(new, out=values)
-    values -= 1
-    del new
-    ranked = rank[values]
-    del values, rank
-    codes = np.empty_like(ranked)
-    codes[order] = ranked
-    del order, ranked
+    ids, codes = _rank_ids(values)
     keys = edge_keys(codes, ids.size)
     del codes  # free the per-edge array before the graph allocates its own
-    return graph_from_keys(tuple(map(str, ids[text_order].tolist())), keys)
+    return graph_from_keys(tuple(map(str, ids.tolist())), keys)
 
 
 def _timestamp(lineno: int, text: str) -> int:
@@ -391,10 +467,10 @@ def load_cascades(stream: Iterable[str], strict: bool = False) -> CascadeTable:
         columns = cascade_names, users, np.array(times, dtype=np.int64)
     del blocks, lines
     cascade_names, users, times = columns
-    cascade_ids = tuple(dict.fromkeys(cascade_names))
-    index = {cascade_id: i for i, cascade_id in enumerate(cascade_ids)}
+    # Cascade ids get codes in first-appearance order as they go by.
+    index = _Interner()
     cascade = np.fromiter(map(index.__getitem__, cascade_names), dtype=np.int64, count=len(cascade_names))
-    return _cascade_table(cascade_ids, cascade, users, times)
+    return _cascade_table(tuple(index), cascade, *_intern_ids(users), times)
 
 
 def _ints(block: str) -> np.ndarray:
@@ -406,10 +482,13 @@ def _bulk_events(blocks: list[str]) -> tuple[list[str], list[str], np.ndarray] |
     """(cascade ids, users, timestamps) of a regular event file, or None when a
     timestamp is not an int64, for the line scanner to report."""
     tokens = list(chain.from_iterable(map(str.split, blocks)))
-    try:
-        times = np.array(tokens[2::3], dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
+    stamps = tokens[2::3]
+    times = decimal_values(stamps)
+    if times is None:  # signs, leading zeros or 19 digits: parse one by one
+        try:
+            times = np.array(stamps, dtype=np.int64)
+        except (ValueError, OverflowError):
+            return None
     logger.info("read %d event record(s) with the bulk reader", times.size)
     return tokens[0::3], tokens[1::3], times
 
@@ -436,7 +515,7 @@ def load_higgs_activity(
     return _cascade_table(
         (cascade_id,) if users else (),
         np.zeros(len(users), dtype=np.int64),
-        users,
+        *_intern_ids(users),
         np.array(times, dtype=np.int64),
     )
 
@@ -459,7 +538,7 @@ def compute_stats(network: DirectedGraph, logs: Iterable[CascadeLog]) -> Dataset
     table = CascadeTable.from_logs(logs)
     mentioned = np.zeros(len(table.users), dtype=bool)
     mentioned[table.user] = True
-    absent = mentioned & (network.indices_of(table.users, len(table.users)) < 0)
+    absent = mentioned & (network.indices_of(table.users) < 0)
     count = len(table)
     mean = int(table.sizes.sum()) / count if count else 0.0
     return DatasetStats(

@@ -9,9 +9,12 @@ through the package's direct single-budget path,
 hands its arrays to the package's ``DirectedGraph``,
 :func:`list_load_cascades`, the earlier list loader over the package's line
 scanner, :func:`list_estimate_budgets`, the earlier bottleneck pass over
-a list of per-cascade graphs, and the earlier string-pair plans
+a list of per-cascade graphs, the earlier string-pair plans
 (:func:`string_plan`, :func:`string_plan_ranks`, :func:`string_save_plan`),
-which score with the package's eigensolver and betweenness.
+which score with the package's eigensolver and betweenness, and the
+earlier ingest and index builds (:func:`lexsort_cascade_table` over the
+package's string interning, :func:`eager_reverse_index`,
+:func:`dict_edge_positions`).
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from cascadecut.estimator import (
 )
 from cascadecut.errors import InputError
 from cascadecut.experiment import SUMMARY_HEADER, budget_for, load_dataset
-from cascadecut.graph import DirectedGraph, betweenness_scores, leading_eigenpair
-from cascadecut.ingest import CascadeLog, _scan, _timestamp
+from cascadecut.graph import DirectedGraph, betweenness_scores, leading_eigenpair, sorted_codes
+from cascadecut.ingest import CascadeLog, CascadeTable, _scan, _timestamp
 
 
 def adjacency(edges):
@@ -240,6 +243,45 @@ def reference_build_graph(edges, nodes=()):
         src = np.empty(0, dtype=np.int64)
         dst = np.empty(0, dtype=np.int64)
     return DirectedGraph(external_ids, src, dst)
+
+
+def lexsort_cascade_table(cascade_ids, cascade, users, time):
+    """The cascade-table builder that the one-sort builder replaced.
+
+    Interns the user strings through ``sorted_codes``, orders the events
+    with a 3-key ``lexsort`` by (cascade, user, time) and keeps each
+    (cascade, user) pair's first event.
+    """
+    user_ids, user = sorted_codes(users)
+    order = np.lexsort((time, user, cascade))
+    cascade, user = cascade[order], user[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (cascade[1:] != cascade[:-1]) | (user[1:] != user[:-1])
+    return CascadeTable(cascade_ids, user_ids, cascade[first], user[first], time[order[first]])
+
+
+def text_rank(values):
+    """Distinct ids of integer ``values`` sorted by their text, and each value's index."""
+    ids = sorted(set(map(str, values)))
+    index = {ext: i for i, ext in enumerate(ids)}
+    return ids, [index[str(v)] for v in values]
+
+
+def eager_reverse_index(network):
+    """The reverse CSR that graphs built eagerly: (indptr, sources, edge positions) by (dst, src)."""
+    src, dst = network.edge_src_indices, network.edge_dst_indices
+    perm = np.lexsort((src, dst))
+    indptr = np.zeros(network.node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=network.node_count), out=indptr[1:])
+    return indptr, src[perm], perm
+
+
+def dict_edge_positions(network, pairs):
+    """Edge positions through the two dict passes that the vectorised lookup replaced."""
+    index = {ext: i for i, ext in enumerate(network.external_ids)}
+    position = {edge: pos for pos, edge in enumerate(zip(network.edge_src_indices.tolist(),
+                                                          network.edge_dst_indices.tolist()))}
+    return [position.get((index.get(src, -1), index.get(dst, -1)), -1) for src, dst in pairs]
 
 
 def list_load_cascades(stream, strict=False):

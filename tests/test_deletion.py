@@ -23,6 +23,7 @@ from cascadecut import (
     plan_strategy,
     save_plan,
 )
+from cascadecut.deletion import EDGE_DEGREE, _ranked_plan
 from oracles import (
     StringPlan,
     dense_spectral_radius,
@@ -398,3 +399,28 @@ class TestMatchesStringOracle:
             want_ranks, warning = string_plan_ranks(g, want)
             assert np.array_equal(ranks, want_ranks)
             assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [warning]
+
+
+class TestTopK:
+    """The partition-based top k against the stable full sort."""
+
+    def test_tie_heavy_edge_degree_scores(self):
+        for g in _oracle_graphs():
+            scores = (g.in_degrees[g.edge_src_indices] * g.out_degrees[g.edge_dst_indices]).astype(float)
+            e = g.edge_count
+            want = np.argsort(-scores, kind="stable")
+            for k in sorted({0, 1, e // 2, e - 1, e}):
+                plan = _ranked_plan(g, EDGE_DEGREE, k, scores)
+                assert plan.edge_pos.tolist() == want[:k].tolist()
+                assert plan.scores.tobytes() == scores[want[:k]].tobytes()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_few_distinct_scores_and_signed_zeros(self, seed):
+        rng = random.Random(seed)
+        nodes, edges = random_digraph(rng, 30, 0.3)
+        g = build_graph(edges, nodes=nodes)
+        e = g.edge_count
+        scores = np.array([rng.choice([0.0, -0.0, 1.0, 2.5, 2.5, 1e-300]) for _ in range(e)])
+        want = np.argsort(-scores, kind="stable")
+        for k in sorted({0, 1, e // 3, e // 2, e - 1, e}):
+            assert _ranked_plan(g, EDGE_DEGREE, k, scores).edge_pos.tolist() == want[:k].tolist()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -26,7 +27,7 @@ from cascadecut import (
     scatter_report,
     seed_analysis,
 )
-from cascadecut import experiment
+from cascadecut import diffusion, experiment
 from cascadecut.estimator import CascadeResult
 from cascadecut.experiment import budget_for, write_gnuplot_script
 from conftest import random_instance, write_eight_node_dataset
@@ -116,6 +117,78 @@ class TestRunSweep:
         )
         run_sweep(config)
         assert calls == [(variant, n_cascades) for variant in VARIANTS]
+
+    def test_gathers_once_for_all_variants(self, tmp_path, monkeypatch):
+        gathers, batches = [], {}
+        gather, build = diffusion.gather_candidates, experiment.build_batch
+
+        def counting_gather(network, logs):
+            gathers.append(len(logs))
+            return gather(network, logs)
+
+        def keeping_build(network, logs, variant):
+            batches[variant] = build(network, logs, variant)
+            return batches[variant]
+
+        monkeypatch.setattr(diffusion, "gather_candidates", counting_gather)
+        monkeypatch.setattr(experiment, "gather_candidates", counting_gather)
+        monkeypatch.setattr(experiment, "build_batch", keeping_build)
+        edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(197), 6)
+        config = ExperimentConfig(
+            edges_path=edges_path,
+            cascades_path=cascades_path,
+            out_dir=tmp_path / "out",
+            min_cascade_size=0,
+            strategies=("random",),
+            budget_fractions=(0.5,),
+        )
+        run_sweep(config)
+        assert gathers == [6]
+        network, logs = experiment.load_dataset(config)
+        assert sorted(batches) == sorted(VARIANTS)
+        for variant, got in batches.items():
+            want = build(network, logs, variant)
+            assert got.cascade_ids == want.cascade_ids
+            for name in ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos"):
+                assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
+    def test_candidates_of_another_network_are_rejected(self):
+        logs = [CascadeLog.from_events("c", [("a", 1), ("b", 2)])]
+        network = build_graph([("b", "a")])
+        candidates = diffusion.gather_candidates(network, logs)
+        with pytest.raises(InputError, match="another network"):
+            build_batch(build_graph([("b", "a")]), candidates, NON_TREE)
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_netmelt_and_random_sweep_never_build_the_reverse_index(self, tmp_path, monkeypatch, numeric):
+        calls = Counter()
+        reverse, index = DirectedGraph._reverse_index, DirectedGraph._id_index
+
+        def counting_reverse(network):
+            calls["reverse"] += 1
+            return reverse(network)
+
+        def counting_index(network):
+            calls["index"] += 1
+            return index(network)
+
+        monkeypatch.setattr(DirectedGraph, "_reverse_index", counting_reverse)
+        monkeypatch.setattr(DirectedGraph, "_id_index", counting_index)
+        edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(227), 5)
+        if numeric:  # the same dataset over decimal ids: no id dict either
+            for path in (edges_path, cascades_path):
+                path.write_text(re.sub(r"\bu(\d+)", lambda m: str(7 * int(m.group(1)) + 1), path.read_text()))
+        config = ExperimentConfig(
+            edges_path=edges_path,
+            cascades_path=cascades_path,
+            out_dir=tmp_path / "out",
+            min_cascade_size=0,
+            strategies=("netmelt", "random"),
+            budget_fractions=(0.1, 0.5),
+        )
+        run_sweep(config)
+        assert calls["reverse"] == 0
+        assert calls["index"] == (0 if numeric else 1)
 
     def test_zero_fraction_rows_are_identities(self, tmp_path):
         rng = random.Random(191)

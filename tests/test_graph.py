@@ -20,6 +20,8 @@ from oracles import (
     all_pairs_distance_sum,
     closure_from,
     dense_spectral_radius,
+    dict_edge_positions,
+    eager_reverse_index,
     path_count_betweenness,
     random_digraph,
     reference_build_graph,
@@ -90,6 +92,76 @@ class TestBuildGraph:
         assert g.edge_positions(queries).tolist() == expected
         assert build_graph([], nodes=["a"]).edge_positions([("a", "a")]).tolist() == [-1]
         assert g.edge_positions([]).tolist() == []
+
+
+def numeric_digraph(rng, n, p):
+    """A random digraph over decimal ids whose text order differs from numeric order."""
+    ids = sorted({str(rng.choice([rng.randint(0, 120), rng.randint(1, 10**18 - 1)])) for _ in range(n)})
+    return ids, [(a, b) for a in ids for b in ids if a != b and rng.random() < p]
+
+
+class TestLazyIndexes:
+    """The reverse CSR and id tables, built on first use, against eager builds."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reverse_index_equals_the_eager_build(self, seed):
+        rng = random.Random(seed)
+        nodes, edges = (numeric_digraph if seed % 2 else random_digraph)(rng, rng.randint(1, 25), 0.2)
+        g = build_graph(edges, nodes=nodes)
+        assert g._reverse is None and g._index is None and g._decimal is None
+        indptr, rev_sources, rev_pos = eager_reverse_index(g)
+        assert g.in_degrees.tolist() == np.diff(indptr).tolist()
+        assert g._reverse is None
+        targets, sources, pos = g.in_edges_bulk(np.arange(g.node_count))
+        built = g._reverse
+        for got, want in zip(built, (indptr, rev_sources, rev_pos)):
+            assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[:1] = 0
+        assert sources.tolist() == rev_sources.tolist() and pos.tolist() == rev_pos.tolist()
+        assert targets.tolist() == np.repeat(np.arange(g.node_count), np.diff(indptr)).tolist()
+        g.in_edges_bulk(np.arange(g.node_count))
+        assert g._reverse is built
+        assert all(g.in_degree(node) == int(indptr[i + 1] - indptr[i]) for i, node in enumerate(nodes))
+
+    def test_id_tables(self):
+        rng = random.Random(5)
+        ids, edges = numeric_digraph(rng, 20, 0.2)
+        g = build_graph(edges, nodes=ids)
+        want = [ids.index("9") if "9" in ids else -1, 3, -1, 0]
+        assert g.indices_of(iter(["9", ids[3], "404", ids[0]])).tolist() == want
+        assert g._index is None  # decimal queries never build the dict
+        assert g.indices_of(("9", ids[3], "nope", ids[0])).tolist() == want
+        assert g._index == {ext: i for i, ext in enumerate(ids)}
+        numeric, dense = g._decimal_index()
+        assert numeric.tolist() == sorted(map(int, ids))
+        assert [ids[i] for i in dense.tolist()] == [str(v) for v in numeric.tolist()]
+        assert build_graph([("u", "v")])._decimal_index() is None
+        empty = build_graph([])
+        assert empty.indices_of(["1", "2"]).tolist() == [-1, -1] and empty._index is None
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_edge_positions_match_the_dict_oracle(self, seed):
+        rng = random.Random(seed)
+        numeric = seed % 2 == 0
+        nodes, edges = (numeric_digraph if numeric else random_digraph)(rng, rng.randint(2, 25), 0.25)
+        if seed % 4 == 1:
+            nodes = nodes + ["n\0", "n"]  # NUL inside an id
+            edges = edges + [("n\0", nodes[0]), ("n", "n\0")]
+        g = build_graph(edges, nodes=nodes)
+        present = rng.sample(edges, len(edges)) if edges else []
+        absent = [(a, b) for a in nodes for b in nodes if (a, b) not in set(edges)]
+        queries = present + rng.sample(absent, min(len(absent), 10))
+        queries += [(b, a) for a, b in rng.sample(present, min(len(present), 5))]  # reversed
+        queries += rng.choices(present, k=3) if present else []  # repeated
+        queries += [(nodes[0], "404"), ("zz", nodes[-1])]
+        if numeric and seed % 4 == 2:
+            queries += [("007", nodes[0]), (nodes[0], "+5"), ("-3", "1_0")]  # not plain decimals
+        rng.shuffle(queries)
+        got = g.edge_positions(queries)
+        assert got.dtype == np.int64
+        assert got.tolist() == dict_edge_positions(g, queries)
 
 
 # Ids drawn from this pool collide often (duplicates, self-loops) and mix

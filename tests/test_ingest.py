@@ -31,7 +31,8 @@ from cascadecut import (
 from cascadecut import ingest
 from cascadecut.experiment import load_dataset, load_network
 from conftest import assert_same_graph, random_logs
-from oracles import list_load_cascades, reference_build_graph
+from cascadecut.graph import decimal_values
+from oracles import lexsort_cascade_table, list_load_cascades, reference_build_graph, text_rank
 
 
 class TestLoadFollowEdges:
@@ -395,6 +396,195 @@ class TestReaderChoice:
         assert calls == ["edge", "event"]
         assert_same_graph(scanned_network, network)
         assert scanned_kept == kept
+
+
+def spy(monkeypatch, module, name):
+    """Count the calls of ``module.name`` while passing them through."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def ranked(values):
+    ids, codes = ingest._rank_ids(np.array(values, dtype=np.int64))
+    return list(map(str, ids.tolist())), codes.tolist()
+
+
+class TestRankIds:
+    """Direct-address and sort ranking against a text-order oracle."""
+
+    CASES = {
+        "single id": [5],
+        "id 0": [0, 0, 0],
+        "zero and one": [1, 0, 1],
+        "18 digits": [10**18 - 1, 10**18 - 10, 10**18 - 5, 10**18 - 10],
+        "17 and 18 digits": [10**17 + 1, 10**17 - 1, 10**17, 10**17 - 2],
+        "mixed lengths": [9, 10, 99, 100, 1, 1000, 90, 9, 11, 2],
+        "18 digits, wide range": [10**17, 10**18 - 1, 10**17, 999999999999999998],
+        "wide range": [7, 123456789012345678, 42, 7],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_both_paths_match_the_oracle(self, case):
+        values = self.CASES[case]
+        want = text_rank(values)
+        arr = np.array(values, dtype=np.int64)
+        lo, span = arr.min(), int(arr.max() - arr.min()) + 1
+        paths = [ingest._rank_by_sort(arr.copy()), ingest._rank_ids(arr.copy())]
+        if span <= 10_000:  # the table holds one entry per integer in the span
+            paths.append(ingest._rank_by_table(arr.copy(), lo, span))
+        for got in paths:
+            ids, codes = got
+            assert ids.dtype == codes.dtype == np.int64
+            assert (list(map(str, ids.tolist())), codes.tolist()) == want
+
+    def test_empty(self):
+        assert ranked([]) == ([], [])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_values_around_the_span_bound(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        count = rng.randint(1, 200)
+        # Spans just inside and just outside the bound, and far outside it.
+        span = rng.choice([
+            ingest._SPAN_PER_VALUE * count,
+            ingest._SPAN_PER_VALUE * count + 1,
+            rng.randint(1, ingest._SPAN_PER_VALUE * count),
+            10 ** rng.randint(4, 18),
+        ])
+        lo = rng.choice([0, 1, 9, 10 ** rng.randint(1, 17), 10**18 - span])
+        hi = min(lo + span - 1, 10**18 - 1)
+        values = [lo] if count == 1 else [lo, hi] + [rng.randint(lo, hi) for _ in range(count - 2)]
+        rng.shuffle(values)
+        table = spy(monkeypatch, ingest, "_rank_by_table")
+        by_sort = spy(monkeypatch, ingest, "_rank_by_sort")
+        assert ranked(values) == text_rank(values)
+        in_bound = max(values) - min(values) + 1 <= ingest._SPAN_PER_VALUE * len(values)
+        assert (table, by_sort) == ((["_rank_by_table"], []) if in_bound else ([], ["_rank_by_sort"]))
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        table = spy(monkeypatch, ingest, "_rank_by_table")
+        by_sort = spy(monkeypatch, ingest, "_rank_by_sort")
+        inside = [100, 100 + 2 * ingest._SPAN_PER_VALUE - 1]
+        outside = [100, 100 + 2 * ingest._SPAN_PER_VALUE]
+        assert ranked(inside) == text_rank(inside)
+        assert (table, by_sort) == (["_rank_by_table"], [])
+        assert ranked(outside) == text_rank(outside)
+        assert (table, by_sort) == (["_rank_by_table"], ["_rank_by_sort"])
+
+
+class TestDecimalValues:
+    @pytest.mark.parametrize("tokens, want", [
+        ([], []),
+        (["0"], [0]),
+        (["7", "10", "9"], [7, 10, 9]),
+        (["123456789012345678"], [123456789012345678]),
+        (["1234567890123456789"], None),
+        (["007"], None),
+        (["00"], None),
+        (["+5"], None),
+        (["-3"], None),
+        (["1_0"], None),
+        (["1e3"], None),
+        (["u3"], None),
+        (["1 2"], None),
+        ([""], None),
+        (["1", ""], None),
+        (["\u0661"], None),
+        (["1", "2", "x"], None),
+        ([5], None),
+    ])
+    def test_plain_decimals_only(self, tokens, want):
+        got = decimal_values(tokens)
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == np.int64 and got.tolist() == want
+
+
+# User pools of an event file: all plain decimals, or with one kind of token
+# that the integer path must leave to string interning.
+PLAIN_USERS = ["1", "2", "9", "10", "99", "100", "0", "123456789012345678", "5000"]
+ODD_USERS = ["007", "+5", "-3", "1_0", "1234567890123456789", "u3"]
+
+
+class TestIntegerEventUsers:
+    """Decimal users are ranked as integers; the string loader is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_same_table_as_string_interning(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        odd = [] if seed % 3 == 0 else [rng.choice(ODD_USERS)]
+        pool = rng.sample(PLAIN_USERS, rng.randint(1, len(PLAIN_USERS))) + odd
+        lines = [
+            f"{rng.choice(['c1', 'c2', '7', 'x'])}\t{rng.choice(pool)}\t{rng.randint(0, 9)}"
+            for _ in range(rng.randint(1, 60))
+        ]
+        if odd and odd[0] not in {line.split("\t")[1] for line in lines}:
+            lines.append(f"c1\t{odd[0]}\t3")
+        text = "\n".join(lines) + "\n"
+        want = list_load_cascades(io.StringIO(text))
+        ranks = spy(monkeypatch, ingest, "_rank_ids")
+        table = load_cascades(io.StringIO(text))
+        assert list(table) == want
+        assert table.users == tuple(sorted({u for log in want for u in log.users()}))
+        assert ranks == ([] if odd else ["_rank_ids"])
+
+    def test_line_scanned_file_takes_the_integer_path_too(self, monkeypatch):
+        text = "# cascade user time\nc\t10\t1\nc\t9\t2\nd\t10\t0\n"
+        ranks = spy(monkeypatch, ingest, "_rank_ids")
+        table = load_cascades(io.StringIO(text))
+        assert ranks == ["_rank_ids"]
+        assert list(table) == list_load_cascades(io.StringIO(text))
+        assert table.users == ("10", "9")
+
+    def test_higgs_activity_with_integer_users(self, monkeypatch):
+        text = "20 1 5 RT\n3 1 4 RT\n20 3 2 RT\n7 1 1 MT\n"
+        ranks = spy(monkeypatch, ingest, "_rank_ids")
+        (log,) = load_higgs_activity(io.StringIO(text))
+        assert ranks == ["_rank_ids"]
+        assert log.events == (("20", 2), ("3", 4))
+
+
+class TestOneSortCascadeTable:
+    """The one-sort table builder against the lexsort builder it replaced."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_lexsort_table(self, seed):
+        rng = random.Random(seed)
+        cascade_count = rng.randint(1, 6)
+        users = [f"u{i}" for i in range(rng.randint(1, 8))]
+        if seed % 2:
+            users = [str(i * 7) for i in range(len(users))]
+        events = [
+            (rng.randrange(cascade_count), rng.choice(users), rng.randint(0, 5))
+            for _ in range(rng.randint(0, 40))
+        ]
+        # Repeat some events outright and some at other times.
+        events += [(c, u, t + rng.choice([0, 1, -1])) for c, u, t in rng.sample(events, len(events) // 3)]
+        rng.shuffle(events)
+        cascade_ids = tuple(f"c{i}" for i in range(cascade_count))
+        cascade = np.array([c for c, _, _ in events], dtype=np.int64)
+        time = np.array([t for _, _, t in events], dtype=np.int64)
+        names = [u for _, u, _ in events]
+        want = lexsort_cascade_table(cascade_ids, cascade, names, time)
+        got = ingest._cascade_table(cascade_ids, cascade, *ingest._intern_ids(names), time)
+        assert got.users == want.users
+        for name in ("cascade", "user", "time", "sizes"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist()
+        assert got == want
+
+    def test_no_events(self):
+        cascade, user, time = (np.empty(0, dtype=np.int64) for _ in range(3))
+        got = ingest._cascade_table(("a",), cascade, (), user, time)
+        assert got.sizes.tolist() == [0] and list(got) == [CascadeLog("a", ())]
 
 
 class TestLoadCascades:

@@ -20,7 +20,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .deletion import STRATEGIES, plan_strategy, save_plan
+from .deletion import STRATEGIES, plan_strategy, save_plan, save_plan_cache
 from .diffusion import NON_TREE, VARIANTS, build_variant, to_dot
 from .errors import ConvergenceError, InputError, InvariantError, ParseError
 from .estimator import read_report_csv
@@ -193,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dataset = ("edges", "cascades", "min_size", "strict_parse")
     command("stats", _cmd_stats, "print dataset statistics", *dataset)
 
-    p_plan = command("plan", _cmd_plan, "compute and save a deletion plan",
+    p_plan = command("plan", _cmd_plan, "compute a deletion plan; save it as text and as a sweep's plan cache",
                      "edges", "strict_parse", "seed", "threads", "out")
     p_plan.add_argument("--strategy", required=True, choices=STRATEGIES)
     group = p_plan.add_mutually_exclusive_group(required=True)
@@ -288,9 +288,12 @@ def _cmd_plan(args, setting) -> int:
         k = budget_for(args.fraction, network.edge_count)
     plan = plan_strategy(network, args.strategy, k, rng_seed=seed)
     out = _out_dir(setting)
-    path = out / f"plan_{args.strategy}.tsv"
-    save_plan(plan, path)
-    print(path)
+    # The text file is the export; a sweep into the same directory reuses the cache.
+    text, cache = out / f"plan_{args.strategy}.tsv", out / f"plan_{args.strategy}.npz"
+    save_plan(plan, text)
+    save_plan_cache(plan, cache)
+    print(text)
+    print(cache)
     return EXIT_OK
 
 

@@ -15,7 +15,10 @@ every smaller budget by taking prefixes:
 
 Score ties are broken by (src, dst) order so plans are reproducible.
 Plans hold the follow-edge positions of their network; external ids appear
-only in the plan files of :func:`save_plan` and :func:`load_plan`.
+only in the text plan files of :func:`save_plan` and :func:`load_plan`.
+:func:`save_plan_cache` and :func:`read_plan_cache` keep the arrays in a
+binary ``.npz`` file, with a header naming the network and the parameters
+the plan was computed with.
 """
 
 from __future__ import annotations
@@ -41,6 +44,15 @@ BETWEENNESS = "betweenness"
 EDGE_DEGREE = "edge-degree"
 RANDOM = "random"
 STRATEGIES = (NETMELT, BETWEENNESS, EDGE_DEGREE, RANDOM)
+
+# Layout version of the .npz plan cache; a cache of another version is recomputed.
+CACHE_FORMAT = 1
+
+# random.Random draws an index below 2**32 from one 32-bit word.
+MAX_RANDOM_EDGES = 2**32 - 1
+
+# Fewest shuffle steps per chunk of rejection draws; see _swap_slots.
+_MIN_CHUNK = 1024
 
 _METHODS = {
     NETMELT: "one-shot-eigenscore",
@@ -160,15 +172,18 @@ def plan_edge_degree(network: DirectedGraph, k: int) -> DeletionPlan:
 def plan_random(network: DirectedGraph, k: int, rng_seed: int) -> DeletionPlan:
     """Uniform sample of k edges without replacement, reproducible by seed.
 
-    The full edge list (canonical order) is shuffled once with
-    ``random.Random(rng_seed)``, so plans for different budgets under the
-    same seed are prefixes of one permutation.
+    The plan is the first k of ``list(range(E))`` shuffled by
+    ``random.Random(rng_seed).shuffle``, so plans for different budgets under
+    the same seed are prefixes of one permutation.  It is computed from the
+    same Mersenne Twister words without building the list; a network of more
+    than ``MAX_RANDOM_EDGES`` edges, where a draw would take two words, is an
+    :class:`InputError`.
     """
     if k < 0:
         raise InputError("deletion budget k must be >= 0")
-    order = list(range(network.edge_count))
-    random.Random(rng_seed).shuffle(order)
-    top = np.array(order[:k], dtype=np.int64)
+    if network.edge_count > MAX_RANDOM_EDGES:
+        raise InputError(f"random plans support at most {MAX_RANDOM_EDGES} edges, not {network.edge_count}")
+    top = _shuffled_prefix(network.edge_count, k, random.Random(rng_seed))
     return DeletionPlan(RANDOM, k, network, top, np.zeros(top.size), rng_seed=rng_seed)
 
 
@@ -256,6 +271,72 @@ def load_plan(path: str | Path, network: DirectedGraph) -> DeletionPlan:
     return DeletionPlan(strategy, k, network, pos, np.array(scores, dtype=np.float64), rng_seed=seed)
 
 
+def cache_header(strategy: str, k: int, rng_seed: int | None, network: DirectedGraph) -> dict:
+    """The header a plan cache of these parameters carries.
+
+    The seed is kept for the random strategy and the eigensolver settings
+    for netmelt; the other entries are None.
+    """
+    from . import __version__
+
+    netmelt = strategy == NETMELT
+    return {
+        "format": CACHE_FORMAT,
+        "strategy": strategy,
+        "k": k,
+        "rng_seed": rng_seed if strategy == RANDOM else None,
+        "tolerance": DEFAULT_TOLERANCE if netmelt else None,
+        "max_iterations": DEFAULT_MAX_ITERATIONS if netmelt else None,
+        "fingerprint": network.fingerprint,
+        "version": __version__,
+    }
+
+
+def save_plan_cache(plan: DeletionPlan, path: str | Path) -> None:
+    """Write the plan's arrays and :func:`cache_header` as an ``.npz`` file.
+
+    The bytes depend only on the plan and its network: the archive's entry
+    times are numpy's fixed ones and the header holds no time or path.
+    """
+    import json
+
+    header = json.dumps(cache_header(plan.strategy, plan.k, plan.rng_seed, plan.network), sort_keys=True)
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(header), edge_pos=plan.edge_pos, scores=plan.scores)
+
+
+def read_plan_cache(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray]:
+    """(header, edge_pos, scores) of a file written by :func:`save_plan_cache`.
+
+    A file that is not such a cache is a :class:`ParseError`.  Whether the
+    header matches a network and parameters is the caller's decision, and
+    the arrays become a plan only through :class:`DeletionPlan`.
+    """
+    import json
+    import zipfile
+
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with data:
+                text, edge_pos, scores = data["header"], data["edge_pos"], data["scores"]
+            if text.dtype.kind != "U" or text.ndim != 0:
+                raise ValueError("the header is not a string")
+            header = json.loads(text.item())
+            if not isinstance(header, dict):
+                raise ValueError("the header is not a JSON object")
+            k = header.get("k")
+            if type(k) is not int or k < 0:
+                raise ValueError(f"bad budget {k!r} in the header")
+            if edge_pos.dtype != np.int64 or scores.dtype != np.float64:
+                raise ValueError(f"arrays of types {edge_pos.dtype} and {scores.dtype}, not int64 and float64")
+        except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+            raise ParseError(f"{path}: not a plan cache: {exc}") from None
+    return header, edge_pos, scores
+
+
 def _ranked_plan(network: DirectedGraph, strategy: str, k: int, scores: np.ndarray) -> DeletionPlan:
     # Canonical edges are in (src, dst) order, so a stable sort breaks score
     # ties by (src, dst).  Below the full edge count only the edges scoring
@@ -269,3 +350,114 @@ def _ranked_plan(network: DirectedGraph, strategy: str, k: int, scores: np.ndarr
     else:
         top = np.argsort(neg, kind="stable")
     return DeletionPlan(strategy, k, network, top, scores[top])
+
+
+def _shuffled_prefix(size: int, k: int, rng: random.Random) -> np.ndarray:
+    """``x[:k]`` of ``x = list(range(size))`` after ``rng.shuffle(x)``.
+
+    Step i of the shuffle (i = size-1 down to 1) swaps slots i and j_i <= i,
+    and no later step touches slot i.  So slot p ends with the value slot
+    j_p held just before step p.  The steps before step p are those q > p.
+    If some of them swapped with slot j_p, the smallest such q left there
+    ``V(q)``, the value slot q held just before step q; else slot j_p still
+    holds j_p.  ``V(q)`` follows the same rule from the smallest step above
+    q that swapped with slot q, and is q if there is none.  A virtual step
+    0 with j_0 = 0 gives slot 0 the same rule.
+    """
+    k = min(k, size)
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    j = _swap_slots(size, rng)
+    head = j[:k].copy()
+    # Sorting (slot, step) keys groups the steps by the slot they swap with,
+    # each group in step order.
+    keys = j.astype(np.uint64)
+    del j
+    keys *= np.uint64(size)
+    keys += np.arange(size, dtype=np.uint64)
+    keys.sort()
+    step = (keys % np.uint64(size)).view(np.int64)
+    keys //= np.uint64(size)
+    slot = keys.view(np.int64)
+    del keys
+    same = slot[1:] == slot[:-1]
+    # after[p]: the smallest step above p that swaps with slot j_p.
+    after = np.full(size, -1, dtype=np.int64)
+    after[step[:-1]] = np.where(same, step[1:], -1)
+    # into[q]: the smallest step that swaps with slot q.  Every q followed
+    # below has j_q < q, so that step lies above q.
+    starts = np.flatnonzero(np.r_[True, ~same])
+    del same
+    group_slot, group_step = slot[starts], step[starts]
+    del slot, step, starts
+    into = np.full(size, -1, dtype=np.int64)
+    into[group_slot] = group_step
+    del group_slot, group_step
+    # Follow each chain from after[p] through ``into`` to a step q that no
+    # step above it swapped with; V(q) is then q.
+    active = np.flatnonzero(after[:k] >= 0)
+    q = after[active]
+    del after
+    while active.size:
+        nxt = into[q]
+        done = nxt < 0
+        head[active[done]] = q[done]
+        active, q = active[~done], nxt[~done]
+    return head
+
+
+def _swap_slots(size: int, rng: random.Random) -> np.ndarray:
+    """j_i of each shuffle step i = size-1 .. 1, in an int64 array with j_0 = 0.
+
+    Step i draws ``rng._randbelow(i + 1)``: 32-bit words, each giving the
+    candidate ``word >> (32 - b)`` for the bound's bit length b, until one
+    is below the bound.  The words are read in bulk through
+    ``getrandbits``, which takes them in stream order.  Within a chunk of
+    steps sharing b, word t belongs to the step that follows the words
+    accepted before it, so the acceptances solve ``accepted = r < bound -
+    (accepted before t)``; each pass of the fixed point settles at least
+    one more leading word.  Chunks of at most 2**b / 16 steps keep the
+    undecided band of candidates narrow, so few passes are needed; below
+    ``_MIN_CHUNK`` steps a chunk's passes cost less than the calls around
+    them, so small bounds are taken a whole bit length at a time.
+    """
+    j = np.zeros(size, dtype=np.int64)
+    words = np.empty(0, dtype=np.uint32)
+    bound = size  # bound of the next step, i + 1
+    while bound >= 2:
+        b = bound.bit_length()
+        steps = min(bound - (1 << (b - 1)) + 1, max(_MIN_CHUNK, (1 << b) >> 4))
+        lowest = bound - steps + 1
+        # Every candidate is accepted with probability >= lowest / 2**b.
+        want = steps * (1 << b) // lowest + steps // 64 + 64
+        while True:
+            if words.size < want:
+                more = want - words.size
+                fresh = np.frombuffer(rng.getrandbits(32 * more).to_bytes(4 * more, "little"), dtype="<u4")
+                words = np.concatenate((words, fresh))
+            r = (words >> np.uint32(32 - b)).astype(np.int64)
+            hits = np.flatnonzero(_accepted(r, bound, steps))
+            if hits.size >= steps:
+                break
+            want = 2 * words.size
+        hits = hits[:steps]
+        j[bound - 1 : lowest - 2 : -1] = r[hits]
+        words = words[hits[-1] + 1 :]
+        bound = lowest - 1
+    return j
+
+
+def _accepted(r: np.ndarray, bound: int, steps: int) -> np.ndarray:
+    """Which candidates ``r`` a rejection loop accepts when its bound starts
+    at ``bound`` and drops by one per accepted candidate, for ``steps``
+    acceptances; candidates after those meet the bound that follows."""
+    accepted = r < bound
+    while True:
+        taken = np.cumsum(accepted)
+        taken -= accepted
+        np.minimum(taken, steps, out=taken)
+        np.subtract(bound, taken, out=taken)
+        settled = r < taken
+        if np.array_equal(settled, accepted):
+            return accepted
+        accepted = settled

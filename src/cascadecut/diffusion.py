@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _sorted_unique
 from .ingest import CascadeLog, CascadeTable
 
 logger = logging.getLogger(__name__)
@@ -139,7 +139,7 @@ def gather_candidates(network: DirectedGraph, logs: CascadeTable | Sequence[Casc
         logger.warning(
             "%d user(s) in %d of %d cascade(s) absent from the follow network; kept as isolated seeds",
             node.size - np.count_nonzero(present),
-            np.unique(table.cascade[~present]).size,
+            _sorted_unique(table.cascade[~present]).size,
             len(table),
         )
 
@@ -159,7 +159,7 @@ def gather_candidates(network: DirectedGraph, logs: CascadeTable | Sequence[Casc
     ends = np.cumsum(network.out_degrees[idx])
     total = int(ends[-1]) if ends.size else 0
     cuts = np.searchsorted(ends, np.arange(_GATHER_CHUNK, total, _GATHER_CHUNK), side="right")
-    bounds = np.r_[0, np.unique(cuts), idx.size].tolist()
+    bounds = np.r_[0, _sorted_unique(cuts), idx.size].tolist()
     base = key - idx
     parts = [_candidates(network, key, base, tau, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     slot, at, parent, edge_pos = (np.concatenate(arrays) for arrays in zip(*parts))

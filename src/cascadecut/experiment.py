@@ -6,8 +6,8 @@ requested strategy once at the largest budget.  For every
 (strategy, variant) pair one bottleneck pass over the plan's edge ranks
 gives the sizes at all budget points; the sweep writes one per-cascade
 report CSV per (strategy, variant, fraction) plus a single summary CSV.
-Expensive plans are cached to disk in the plan file format and reused on
-re-runs against the same output directory.
+Plans are cached in the output directory as ``.npz`` files naming their
+network and parameters, and reused on re-runs that match them.
 
 All outputs are plain CSV figure data; re-running an identical
 configuration reproduces every file byte for byte.
@@ -20,15 +20,22 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .deletion import RANDOM, STRATEGIES, DeletionPlan, load_plan, plan_strategy, save_plan
+from .deletion import (
+    RANDOM,
+    STRATEGIES,
+    DeletionPlan,
+    cache_header,
+    load_plan,
+    plan_strategy,
+    read_plan_cache,
+    save_plan_cache,
+)
 # build_variant stays importable here because bench/tracer.py wraps experiment.build_variant.
 from .diffusion import NON_TREE, VARIANTS, build_batch, build_variant, gather_candidates  # noqa: F401
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, InputError, ParseError
 from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_report_csv
 # build_graph stays importable here because bench/tracer.py wraps experiment.build_graph.
-from .graph import DirectedGraph, build_graph  # noqa: F401
+from .graph import DirectedGraph, _sorted_unique, build_graph  # noqa: F401
 from .ingest import CascadeLog, CascadeTable, filter_cascades, load_cascades, read_network
 
 logger = logging.getLogger(__name__)
@@ -206,27 +213,24 @@ def _materialise_plan(
     strategy: str,
     max_budget: int,
 ) -> tuple[DeletionPlan, Path]:
-    """Load a cached plan when it covers the budget, else compute and cache.
+    """Reuse a cached plan when it fits, else compute one and cache it.
 
-    A cached plan is reused only when its strategy (and seed, for random)
-    match and its first ``needed`` entries are distinct edges of
-    ``network``.  Plan files carry no fingerprint of their network, so a
-    plan from another edge file is reused when those edges all exist here.
+    ``plan_<strategy>.npz`` is reused when its header names this network's
+    fingerprint, the strategy and its parameters.  Only when there is no
+    ``.npz`` is a text ``plan_<strategy>.tsv`` (a hand-written plan or a
+    ``plan`` export) read, and reused when its strategy and seed match; it
+    names no network, so only its edges can be checked.  A ``.tsv`` beside
+    a ``.npz`` that does not match is skipped: ``plan`` writes both, so it
+    is most likely as stale.  Either way the plan's first
+    min(max_budget, |E|) entries must be distinct edges of ``network``.  A
+    new plan is cached as ``.npz``; a ``.tsv`` is never written.
     """
-    path = config.out_dir / f"plan_{strategy}.tsv"
-    needed = min(max_budget, network.edge_count)
+    cache = config.out_dir / f"plan_{strategy}.npz"
+    path = cache if cache.exists() else cache.with_suffix(".tsv")
     if path.exists():
-        cached = load_plan(path, network)
-        head = cached.edge_pos[:needed]
-        if cached.strategy != strategy:
-            why = f"holds a {cached.strategy} plan"
-        elif strategy == RANDOM and cached.rng_seed != config.rng_seed:
-            why = f"was drawn with seed {cached.rng_seed}, not {config.rng_seed}"
-        elif head.size < needed:
-            why = f"ranks {head.size} of the {needed} edge(s) needed"
-        elif head.min(initial=0) < 0 or np.unique(head).size < needed:
-            why = f"does not name {needed} distinct edges of this network"
-        else:
+        cached, why = _read_cached(path, network, strategy, config.rng_seed)
+        why = why or _unusable(cached, min(max_budget, network.edge_count))
+        if why is None:
             logger.info("reusing cached %s plan from %s", strategy, path)
             return cached, path
         logger.info("cached plan at %s %s; recomputing", path, why)
@@ -236,5 +240,41 @@ def _materialise_plan(
         raise ConvergenceError(
             f"plan({strategy}): {exc}", exc.best_residual, exc.iterations
         ) from exc
-    save_plan(plan, path)
-    return plan, path
+    save_plan_cache(plan, cache)
+    return plan, cache
+
+
+def _read_cached(
+    path: Path, network: DirectedGraph, strategy: str, rng_seed: int
+) -> tuple[DeletionPlan | None, str | None]:
+    """A cached plan file's plan, and why it does not match the sweep (None if it does)."""
+    if path.suffix == ".tsv":
+        logger.info("%s carries no network fingerprint; only its edges can be checked", path)
+        plan = load_plan(path, network)
+        if plan.strategy != strategy:
+            return None, f"holds a {plan.strategy} plan"
+        if strategy == RANDOM and plan.rng_seed != rng_seed:
+            return None, f"was drawn with seed {plan.rng_seed}, not {rng_seed}"
+        return plan, None
+    try:
+        header, edge_pos, scores = read_plan_cache(path)
+    except (ParseError, OSError) as exc:
+        return None, f"cannot be read ({exc})"
+    expected = cache_header(strategy, header["k"], rng_seed, network)
+    for key in ("format", "fingerprint", "strategy", "rng_seed", "tolerance", "max_iterations"):
+        if header.get(key) != expected[key]:
+            return None, f"has {key} {header.get(key)!r}, not {expected[key]!r}"
+    try:
+        return DeletionPlan(strategy, header["k"], network, edge_pos, scores, rng_seed=expected["rng_seed"]), None
+    except InputError as exc:
+        return None, f"does not fit this network ({exc})"
+
+
+def _unusable(plan: DeletionPlan, needed: int) -> str | None:
+    """Why ``plan`` cannot serve a budget of ``needed`` edges, or None."""
+    head = plan.edge_pos[:needed]
+    if head.size < needed:
+        return f"ranks {head.size} of the {needed} edge(s) needed"
+    if head.min(initial=0) < 0 or _sorted_unique(head.copy()).size < needed:
+        return f"does not name {needed} distinct edges of this network"
+    return None

@@ -48,7 +48,7 @@ class DirectedGraph:
     never reads in-edges or looks ids up pays for neither.
     """
 
-    __slots__ = ("_ids", "_edge_src", "_edge_dst", "_fwd_indptr", "_reverse", "_index", "_decimal")
+    __slots__ = ("_ids", "_edge_src", "_edge_dst", "_fwd_indptr", "_reverse", "_index", "_decimal", "_fingerprint")
 
     def __init__(self, external_ids: tuple[str, ...], edge_src: np.ndarray, edge_dst: np.ndarray):
         self._ids = external_ids
@@ -58,6 +58,7 @@ class DirectedGraph:
         self._reverse = None
         self._index = None
         self._decimal = None
+        self._fingerprint = None
         for arr in (self._edge_src, self._edge_dst, self._fwd_indptr):
             arr.flags.writeable = False
 
@@ -107,6 +108,27 @@ class DirectedGraph:
     def external_ids(self) -> tuple[str, ...]:
         """External ids in dense-id order (sorted lexicographically)."""
         return self._ids
+
+    @property
+    def fingerprint(self) -> str:
+        """Hex ``blake2b`` digest of the node ids and both edge arrays, computed once.
+
+        Graphs with equal ids and edges have equal fingerprints; a changed,
+        added or removed id or edge changes it.
+        """
+        if self._fingerprint is None:
+            from hashlib import blake2b
+
+            # Lengths in characters split the joined ids unambiguously, and
+            # the leading counts fix where each part ends.
+            text = "".join(self._ids).encode("utf-8", "surrogatepass")
+            digest = blake2b(np.array([len(self._ids), len(text), self.edge_count], dtype=np.int64), digest_size=32)
+            digest.update(np.fromiter(map(len, self._ids), dtype=np.int64, count=len(self._ids)))
+            digest.update(text)
+            digest.update(self._edge_src)
+            digest.update(self._edge_dst)
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     def has_node(self, external_id: str) -> bool:
         return external_id in self._id_index()

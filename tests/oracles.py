@@ -9,7 +9,8 @@ through the package's direct single-budget path,
 hands its arrays to the package's ``DirectedGraph``,
 :func:`list_load_cascades`, the earlier list loader over the package's line
 scanner, :func:`list_estimate_budgets`, the earlier bottleneck pass over
-a list of per-cascade graphs, the earlier string-pair plans
+a list of per-cascade graphs, the earlier list shuffle of the random plan
+(:func:`shuffled_prefix`), the earlier string-pair plans
 (:func:`string_plan`, :func:`string_plan_ranks`, :func:`string_save_plan`),
 which score with the package's eigensolver and betweenness, and the
 earlier ingest and index builds (:func:`lexsort_cascade_table` over the
@@ -338,6 +339,13 @@ def list_estimate_budgets(graphs, ranks, budgets):
     return out
 
 
+def shuffled_prefix(size, k, rng_seed):
+    """The earlier random plan: the first k of a shuffled ``list(range(size))``."""
+    order = list(range(size))
+    random.Random(rng_seed).shuffle(order)
+    return order[:k]
+
+
 class StringPlan(NamedTuple):
     """The earlier plan: ranked (src, dst) external-id pairs and their scores."""
 
@@ -358,9 +366,7 @@ def string_plan(network, strategy, k, rng_seed=0):
     src, dst = network.edge_src_indices, network.edge_dst_indices
     cut = min(k, network.edge_count)
     if strategy == RANDOM:
-        order = list(range(network.edge_count))
-        random.Random(rng_seed).shuffle(order)
-        ranked = tuple((ids[src[i]], ids[dst[i]]) for i in order[:cut])
+        ranked = tuple((ids[src[i]], ids[dst[i]]) for i in shuffled_prefix(network.edge_count, cut, rng_seed))
         return StringPlan(strategy, k, ranked, (0.0,) * cut, rng_seed)
     if cut == 0:
         return StringPlan(strategy, k, (), ())

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cascadecut import InvariantError, ParseError
+from cascadecut import DirectedGraph, InvariantError, ParseError, read_plan_cache
 from cascadecut.cli import (
     EXIT_CONVERGENCE,
     EXIT_INPUT,
@@ -16,8 +16,9 @@ from cascadecut.cli import (
     main,
     read_config_file,
 )
+from cascadecut.experiment import load_network
 from conftest import write_eight_node_dataset
-from oracles import random_digraph
+from oracles import random_digraph, string_plan, string_save_plan
 
 
 @pytest.fixture
@@ -69,7 +70,7 @@ class TestSweep:
         )
         assert code == EXIT_OK
         assert (out / "summary.csv").exists()
-        assert (out / "plan_edge-degree.tsv").exists()
+        assert (out / "plan_edge-degree.npz").exists()
         assert (out / "report_random_tree-last_0.25.csv").exists()
         summary = (out / "summary.csv").read_text().splitlines()
         assert len(summary) == 1 + 2 * 2 * 3
@@ -203,6 +204,36 @@ class TestPlanCommand:
         lines = (out / "plan_betweenness.tsv").read_text().splitlines()
         assert lines[0] == "betweenness,4,"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("strategy", ["netmelt", "edge-degree", "random"])
+    def test_writes_the_text_export_and_the_sweep_cache(self, dataset, tmp_path, capsys, strategy):
+        edges_path, _ = dataset
+        out = tmp_path / "plans"
+        argv = ["plan", "--edges", str(edges_path), "--strategy", strategy, "--k", "5", "--seed", "3", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        text, cache = out / f"plan_{strategy}.tsv", out / f"plan_{strategy}.npz"
+        assert capsys.readouterr().out.splitlines() == [str(text), str(cache)]
+        network = load_network(edges_path, False)
+        string_save_plan(string_plan(network, strategy, 5, rng_seed=3), tmp_path / "want.tsv")
+        assert text.read_bytes() == (tmp_path / "want.tsv").read_bytes()
+        header, edge_pos, _ = read_plan_cache(cache)
+        assert (header["strategy"], header["k"], header["fingerprint"]) == (strategy, 5, network.fingerprint)
+        assert edge_pos.size == 5
+
+    def test_sweep_into_the_same_directory_reuses_the_cache(self, dataset, tmp_path, monkeypatch, caplog):
+        edges_path, cascades_path = dataset
+        out = tmp_path / "out"
+        for strategy in ("netmelt", "random"):
+            argv = ["plan", "--edges", str(edges_path), "--strategy", strategy, "--fraction", "1", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+        calls = []
+        resolve = DirectedGraph.edge_positions
+        monkeypatch.setattr(DirectedGraph, "edge_positions", lambda *a: calls.append(a) or resolve(*a))
+        with caplog.at_level("INFO", logger="cascadecut.experiment"):
+            assert main(_sweep_args(edges_path, cascades_path, out, "--strategies", "netmelt,random")) == EXIT_OK
+        assert calls == []
+        for strategy in ("netmelt", "random"):
+            assert f"reusing cached {strategy} plan from {out / f'plan_{strategy}.npz'}" in caplog.text
 
 
 class TestSeedsCommand:
@@ -553,7 +584,7 @@ class TestThreadsOption:
                                "--fractions", "0.1,0.5", *extra)
             assert main(argv) == EXIT_OK
             snapshots[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert "plan_betweenness.tsv" in snapshots["flag-1"]
+        assert "plan_betweenness.npz" in snapshots["flag-1"]
         assert snapshots["flag-3"] == snapshots["flag-1"]
         assert snapshots["config-2"] == snapshots["flag-1"]
 

@@ -21,13 +21,16 @@ from cascadecut import (
     plan_random,
     plan_ranks,
     plan_strategy,
+    read_plan_cache,
     save_plan,
+    save_plan_cache,
 )
-from cascadecut.deletion import EDGE_DEGREE, _ranked_plan
+from cascadecut.deletion import CACHE_FORMAT, EDGE_DEGREE, MAX_RANDOM_EDGES, _accepted, _ranked_plan, _shuffled_prefix
 from oracles import (
     StringPlan,
     dense_spectral_radius,
     random_digraph,
+    shuffled_prefix,
     string_plan,
     string_plan_ranks,
     string_save_plan,
@@ -186,6 +189,124 @@ class TestPlanRandom:
         counts = Counter(plan_random(g, 1, rng_seed=seed).ranked_edges[0] for seed in range(10_000))
         for edge in g.edges():
             assert abs(counts[edge] / 10_000 - 0.1) <= 0.01
+
+
+class TestShuffleOracle:
+    """The list-free shuffle against ``random.Random(seed).shuffle`` of a list."""
+
+    SEEDS = (0, 1, -3, 2**40 + 5)
+
+    @staticmethod
+    def _sizes():
+        rng = random.Random(8081)
+        small = [0, 1, 2, 3, 4, 5]
+        near_powers = [2**b + d for b in (2, 3, 4, 5, 7, 10, 12, 16) for d in (-1, 1)]
+        return small + near_powers + [rng.randint(6, 70_000) for _ in range(12)]
+
+    def test_matches_the_list_shuffle(self):
+        rng = random.Random(8087)
+        for size in self._sizes():
+            for seed in (*self.SEEDS, rng.randint(-(2**63), 2**63)):
+                want = shuffled_prefix(size, size, seed)
+                for k in sorted({0, 1, size // 2, size, size + 3}):
+                    got = _shuffled_prefix(size, k, random.Random(seed))
+                    assert got.dtype == np.int64
+                    assert got.tolist() == want[:k], (size, seed, k)
+
+    def test_plan_random_is_the_shuffled_prefix(self):
+        g = build_graph([(f"a{i}", f"b{i % 7}") for i in range(40)])
+        for seed in self.SEEDS:
+            plan = plan_random(g, 25, rng_seed=seed)
+            assert plan.edge_pos.tolist() == shuffled_prefix(g.edge_count, 25, seed)
+
+    def test_fixed_point_resolves_candidates_in_the_undecided_band(self):
+        # Bound 100 drops by one per acceptance.  Each pair of equal
+        # candidates sits just below the bound: the first is accepted and
+        # then lowers the bound onto the second, so every acceptance depends
+        # on all before it.
+        r = np.repeat(np.arange(99, 79, -1), 2)
+        want, bound = [], 100
+        for value in r.tolist():
+            want.append(value < bound)
+            bound -= value < bound
+        got = _accepted(r, 100, steps=len(r))
+        assert got.tolist() == want
+        # Neither one pass nor two give the answer, so several were needed.
+        one = r < 100
+        two = r < 100 - (np.cumsum(one) - one)
+        assert not np.array_equal(one, got) and not np.array_equal(two, got)
+
+    def test_acceptances_beyond_the_steps_meet_the_following_bound(self):
+        r = np.array([9, 9, 8, 7, 7, 3])
+        # Two steps at bounds 10 and 9; later candidates meet bound 8.
+        assert _accepted(r, 10, steps=2).tolist() == [True, False, True, True, True, True]
+
+    def test_more_edges_than_one_word_draws_are_rejected(self):
+        class Huge:
+            edge_count = MAX_RANDOM_EDGES + 1
+
+        with pytest.raises(InputError, match="at most 4294967295 edges"):
+            plan_random(Huge(), 1, rng_seed=0)
+
+
+class TestPlanCache:
+    def test_round_trip_with_header(self, tmp_path):
+        g = build_graph(random_digraph(random.Random(37), 12, 0.3)[1])
+        for strategy in STRATEGIES:
+            plan = plan_strategy(g, strategy, g.edge_count // 2, rng_seed=9)
+            path = tmp_path / f"{strategy}.npz"
+            save_plan_cache(plan, path)
+            header, edge_pos, scores = read_plan_cache(path)
+            assert np.array_equal(edge_pos, plan.edge_pos)
+            assert scores.tobytes() == plan.scores.tobytes()
+            assert header["format"] == CACHE_FORMAT
+            assert header["fingerprint"] == g.fingerprint
+            assert (header["strategy"], header["k"]) == (strategy, plan.k)
+            assert header["rng_seed"] == (9 if strategy == "random" else None)
+            assert (header["tolerance"] is None) == (strategy != "netmelt")
+            assert (header["max_iterations"] is None) == (strategy != "netmelt")
+            assert header["version"]
+
+    @pytest.mark.parametrize(
+        "content", [b"", b"not a zip archive\n", b"PK\x03\x04 truncated"], ids=["empty", "text", "zip-magic-only"]
+    )
+    def test_unreadable_file_is_parse_error(self, tmp_path, content):
+        path = tmp_path / "plan.npz"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="not a plan cache"):
+            read_plan_cache(path)
+
+    def test_archive_without_plan_entries_is_parse_error(self, tmp_path):
+        path = tmp_path / "plan.npz"
+        np.savez(path, edge_pos=np.arange(3))
+        with pytest.raises(ParseError, match="not a plan cache"):
+            read_plan_cache(path)
+        np.save(tmp_path / "plain.npy", np.arange(3))
+        with pytest.raises(ParseError, match="not an .npz archive"):
+            read_plan_cache(tmp_path / "plain.npy")
+
+    @pytest.mark.parametrize(
+        "header, edge_pos, message",
+        [
+            ('["a list"]', np.arange(2), "not a JSON object"),
+            ('{"k": -1}', np.arange(2), "bad budget -1"),
+            ('{"k": true}', np.arange(2), "bad budget True"),
+            ('{"k": 2}', np.arange(2, dtype=np.int32), "not int64 and float64"),
+        ],
+    )
+    def test_malformed_contents_are_parse_errors(self, tmp_path, header, edge_pos, message):
+        path = tmp_path / "plan.npz"
+        np.savez(path, header=np.array(header), edge_pos=edge_pos, scores=np.zeros(2))
+        with pytest.raises(ParseError, match=message):
+            read_plan_cache(path)
+
+    def test_bytes_depend_only_on_the_plan_and_network(self, tmp_path):
+        g = build_graph(random_digraph(random.Random(41), 10, 0.3)[1])
+        plan = plan_netmelt(g, 5)
+        save_plan_cache(plan, tmp_path / "a.npz")
+        (tmp_path / "elsewhere").mkdir()
+        save_plan_cache(plan_netmelt(build_graph(g.edges()), 5), tmp_path / "elsewhere" / "b.npz")
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "elsewhere" / "b.npz").read_bytes()
 
 
 class TestPlanContracts:

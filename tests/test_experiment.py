@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cascadecut import (
@@ -22,6 +28,7 @@ from cascadecut import (
     build_graph,
     build_variant,
     plan_strategy,
+    read_plan_cache,
     run_estimation,
     run_sweep,
     scatter_report,
@@ -29,7 +36,7 @@ from cascadecut import (
 )
 from cascadecut import diffusion, experiment
 from cascadecut.estimator import CascadeResult
-from cascadecut.experiment import budget_for, write_gnuplot_script
+from cascadecut.experiment import budget_for, load_network, write_gnuplot_script
 from conftest import random_instance, write_eight_node_dataset
 from oracles import per_budget_sweep
 
@@ -254,7 +261,7 @@ class TestRunSweep:
         assert outputs["reused"] == outputs["fresh"]
         recomputed = [r.getMessage() for r in caplog.records if "recomputing" in r.getMessage()]
         assert len(recomputed) == len(STRATEGIES)
-        assert all("distinct edges of this network" in message for message in recomputed)
+        assert all("has fingerprint" in message for message in recomputed)
 
     @pytest.mark.parametrize(
         "body",
@@ -263,12 +270,13 @@ class TestRunSweep:
     )
     def test_cached_plan_with_foreign_or_repeated_edges_is_recomputed(self, tmp_path, caplog, body):
         edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        planted = f"netmelt,3,\n{body}".encode()
         outputs = []
         for name in ("fresh", "cached"):
             out = tmp_path / name
             out.mkdir()
             if name == "cached":
-                (out / "plan_netmelt.tsv").write_text(f"netmelt,3,\n{body}", encoding="utf-8")
+                (out / "plan_netmelt.tsv").write_bytes(planted)
             config = ExperimentConfig(
                 edges_path=edges_path,
                 cascades_path=cascades_path,
@@ -280,6 +288,7 @@ class TestRunSweep:
             with caplog.at_level("INFO", logger="cascadecut.experiment"):
                 run_sweep(config)
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[1].pop("plan_netmelt.tsv") == planted
         assert outputs[0] == outputs[1]
         assert "does not name 2 distinct edges of this network; recomputing" in caplog.text
 
@@ -308,7 +317,7 @@ class TestRunSweep:
         run_sweep(config)
         assert calls == Counter()
         run_sweep(config)
-        assert calls == Counter(edge_positions=len(STRATEGIES))
+        assert calls == Counter()
 
     def test_matches_hand_composition(self, tmp_path):
         rng = random.Random(193)
@@ -426,6 +435,179 @@ class TestRunSweep:
         )
         with pytest.raises(InputError, match="ingest"):
             run_sweep(config)
+
+
+def sweep_files(edges_path, cascades_path, out, **options):
+    """Run a sweep into ``out``; every file there by name, with its bytes."""
+    options = {"min_cascade_size": 0, "budget_fractions": (0.25,), **options}
+    run_sweep(ExperimentConfig(edges_path=edges_path, cascades_path=cascades_path, out_dir=out, **options))
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def recomputing(caplog):
+    return [r.getMessage() for r in caplog.records if r.getMessage().endswith("; recomputing")]
+
+
+class TestPlanCache:
+    """The sweep's ``plan_<strategy>.npz`` cache: reused only on a full match."""
+
+    STRATEGIES = ("edge-degree", "netmelt", "random")
+
+    def test_edited_edge_file_over_the_same_ids_is_recomputed(self, tmp_path, caplog):
+        edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(307), max_nodes=14)
+        out = tmp_path / "out"
+        sweep_files(edges_path, cascades_path, out, strategies=self.STRATEGIES)
+        old = load_network(edges_path, False)
+        in_plans = {p for s in ("edge-degree", "netmelt") for p in read_plan_cache(out / f"plan_{s}.npz")[1].tolist()}
+        # Drop an edge no plan ranks whose ends keep other edges, and add one
+        # between existing ids, so the id table stays the same.
+        src, dst = old.edge_src_indices.tolist(), old.edge_dst_indices.tolist()
+        ends = Counter(src + dst)
+        drop = next(p for p in range(old.edge_count) if p not in in_plans and ends[src[p]] > 1 and ends[dst[p]] > 1)
+        edges = set(zip(src, dst))
+        add = next((a, b) for a in range(old.node_count) for b in range(old.node_count)
+                   if a != b and (a, b) not in edges and (a, b) != (src[drop], dst[drop]))
+        ids = old.external_ids
+        kept = [(ids[a], ids[b]) for p, (a, b) in enumerate(zip(src, dst)) if p != drop]
+        edges_path.write_text("".join(f"{a}\t{b}\n" for a, b in [*kept, (ids[add[0]], ids[add[1]])]))
+        new = load_network(edges_path, False)
+        assert new.external_ids == old.external_ids and new.edge_count == old.edge_count
+        # Every ranked edge of the old plans is an edge of the new network, so
+        # a check of the edges alone would reuse them.
+        for s in ("edge-degree", "netmelt"):
+            head = read_plan_cache(out / f"plan_{s}.npz")[1]
+            pairs = [(ids[src[p]], ids[dst[p]]) for p in head.tolist()]
+            assert (new.edge_positions(pairs) >= 0).all()
+
+        with caplog.at_level("INFO", logger="cascadecut.experiment"):
+            got = sweep_files(edges_path, cascades_path, out, strategies=self.STRATEGIES)
+        assert len(recomputing(caplog)) == len(self.STRATEGIES)
+        assert all("has fingerprint" in message for message in recomputing(caplog))
+        assert got == sweep_files(edges_path, cascades_path, tmp_path / "fresh", strategies=self.STRATEGIES)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda b: b[: len(b) // 2], lambda b: b"not a zip archive\n", lambda b: b""],
+        ids=["truncated", "not-zip", "empty"],
+    )
+    def test_unreadable_cache_is_recomputed(self, tmp_path, caplog, damage):
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        want = sweep_files(edges_path, cascades_path, tmp_path / "fresh", strategies=("netmelt",))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "plan_netmelt.npz").write_bytes(damage(want["plan_netmelt.npz"]))
+        with caplog.at_level("INFO", logger="cascadecut.experiment"):
+            assert sweep_files(edges_path, cascades_path, out, strategies=("netmelt",)) == want
+        [message] = recomputing(caplog)
+        assert "plan_netmelt.npz cannot be read" in message and "not a plan cache" in message
+
+    @pytest.mark.parametrize(
+        "first, second, reason",
+        [
+            ({"strategies": ("random",), "rng_seed": 1}, {"strategies": ("random",), "rng_seed": 2},
+             "has rng_seed 1, not 2"),
+            ({"strategies": ("netmelt",), "budget_fractions": (0.25,)},
+             {"strategies": ("netmelt",), "budget_fractions": (0.5,)},
+             "ranks 2 of the 4 edge(s) needed"),
+        ],
+        ids=["seed", "coverage"],
+    )
+    def test_cache_of_other_parameters_is_recomputed(self, tmp_path, caplog, first, second, reason):
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        out = tmp_path / "out"
+        sweep_files(edges_path, cascades_path, out, **first)
+        want = sweep_files(edges_path, cascades_path, tmp_path / "fresh", **second)
+        with caplog.at_level("INFO", logger="cascadecut.experiment"):
+            got = sweep_files(edges_path, cascades_path, out, **second)
+        assert recomputing(caplog) == [f"cached plan at {out / next(n for n in want if n.endswith('.npz'))} {reason}; recomputing"]
+        assert {name: got[name] for name in want} == want
+
+    def test_cache_of_another_strategy_is_recomputed(self, tmp_path, caplog):
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        want = sweep_files(edges_path, cascades_path, tmp_path / "fresh", strategies=("netmelt", "edge-degree"))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "plan_netmelt.npz").write_bytes(want["plan_edge-degree.npz"])
+        with caplog.at_level("INFO", logger="cascadecut.experiment"):
+            got = sweep_files(edges_path, cascades_path, out, strategies=("netmelt", "edge-degree"))
+        [message] = recomputing(caplog)
+        assert "has strategy 'edge-degree', not 'netmelt'" in message
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            ({"format": 99}, "has format 99, not 1"),
+            ({"tolerance": 1e-6}, "has tolerance 1e-06, not 1e-09"),
+            ({"max_iterations": 5}, "has max_iterations 5, not 10000"),
+        ],
+        ids=["format", "tolerance", "max-iterations"],
+    )
+    def test_cache_with_another_header_is_recomputed(self, tmp_path, caplog, edit, reason):
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        want = sweep_files(edges_path, cascades_path, tmp_path / "fresh", strategies=("netmelt",))
+        header, edge_pos, scores = read_plan_cache(tmp_path / "fresh" / "plan_netmelt.npz")
+        out = tmp_path / "out"
+        out.mkdir()
+        np.savez(out / "plan_netmelt.npz", header=np.array(json.dumps({**header, **edit})),
+                 edge_pos=edge_pos, scores=scores)
+        with caplog.at_level("INFO", logger="cascadecut.experiment"):
+            assert sweep_files(edges_path, cascades_path, out, strategies=("netmelt",)) == want
+        [message] = recomputing(caplog)
+        assert reason in message
+
+    def test_matching_cache_wins_over_a_text_plan(self, tmp_path, caplog):
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        out = tmp_path / "out"
+        want = sweep_files(edges_path, cascades_path, out, strategies=("netmelt",))
+        # A valid text plan that would give other totals.
+        planted = b"netmelt,2,\n5\t1\t0.5\n6\t3\t0.25\n"
+        (out / "plan_netmelt.tsv").write_bytes(planted)
+        with caplog.at_level("INFO", logger="cascadecut.experiment"):
+            got = sweep_files(edges_path, cascades_path, out, strategies=("netmelt",))
+        assert got.pop("plan_netmelt.tsv") == planted
+        assert got == want
+        assert f"reusing cached netmelt plan from {out / 'plan_netmelt.npz'}" in caplog.text
+        assert not recomputing(caplog)
+
+    def test_text_plan_without_a_cache_is_reused_and_left_alone(self, tmp_path, caplog):
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        planted = b"netmelt,2,\n5\t1\t0.5\n6\t3\t0.25\n"
+        (out / "plan_netmelt.tsv").write_bytes(planted)
+        with caplog.at_level("INFO", logger="cascadecut.experiment"):
+            got = sweep_files(edges_path, cascades_path, out, strategies=("netmelt",), variants=("non-tree",))
+        assert got["plan_netmelt.tsv"] == planted
+        assert "plan_netmelt.npz" not in got
+        assert f"{out / 'plan_netmelt.tsv'} carries no network fingerprint" in caplog.text
+        assert read_summary(out) == [["netmelt", "non-tree", "2", "0.25", "5", "8"]]
+
+    def test_cache_bytes_depend_on_neither_time_nor_directory(self, tmp_path, monkeypatch):
+        edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(311))
+        first = sweep_files(edges_path, cascades_path, tmp_path / "a", strategies=self.STRATEGIES)
+        clock = time.time()
+        monkeypatch.setattr(time, "time", lambda: clock + 86_400 * 400 + 3)
+        second = sweep_files(edges_path, cascades_path, tmp_path / "b" / "c", strategies=self.STRATEGIES)
+        assert [name for name in first if name.endswith(".npz")] == [f"plan_{s}.npz" for s in sorted(self.STRATEGIES)]
+        assert first == second
+
+    def test_sweep_leaves_numpy_ma_unimported(self, tmp_path):
+        edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(313))
+        with open(cascades_path, "a", encoding="utf-8") as fh:
+            fh.write("c0\tghost\t5\n")  # an absent user takes the warning's count path
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from cascadecut import ExperimentConfig, run_sweep\n"
+            f"run_sweep(ExperimentConfig({str(edges_path)!r}, {str(cascades_path)!r}, {str(tmp_path / 'out')!r},\n"
+            "    min_cascade_size=0, strategies=('netmelt', 'random')))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
 
 class TestSeedAnalysis:

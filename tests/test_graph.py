@@ -28,6 +28,33 @@ from oracles import (
 )
 
 
+class TestFingerprint:
+    def test_equal_graphs_have_equal_fingerprints(self):
+        edges = list(EIGHT_NODE_FOLLOW_EDGES)
+        shuffled = edges[::-1] + edges[:2]
+        assert build_graph(edges).fingerprint == build_graph(shuffled).fingerprint
+        assert len(build_graph(edges).fingerprint) == 64
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([("a", "bc")], [("ab", "c")]),  # same joined text, other ids
+            ([("a", "b")], [("a", "c")]),
+            ([("a", "b")], [("b", "a")]),
+            ([("a", "b"), ("b", "c")], [("a", "b"), ("a", "c")]),  # one edge moved, same ids
+            ([("a", "b")], [("a", "b"), ("b", "a")]),
+        ],
+    )
+    def test_other_ids_or_edges_change_it(self, a, b):
+        assert build_graph(a).fingerprint != build_graph(b).fingerprint
+
+    def test_isolated_nodes_change_it(self):
+        assert build_graph([("a", "b")]).fingerprint != build_graph([("a", "b")], nodes=["c"]).fingerprint
+
+    def test_non_ascii_and_surrogate_ids(self):
+        assert build_graph([("é", "\ud800")]).fingerprint != build_graph([("é", "\udc00")]).fingerprint
+
+
 class TestBuildGraph:
     def test_empty_input(self):
         g = build_graph([])

@@ -7,6 +7,32 @@ seeds still reach afterwards (:mod:`.estimator`).  :mod:`.experiment` and
 the ``cascadecut`` CLI orchestrate budget sweeps over all of it.
 """
 
+import os
+import sys
+
+# The variables through which numpy's OpenBLAS takes its thread count.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _import_numpy_single_threaded() -> None:
+    """Import numpy with one OpenBLAS thread, then restore ``os.environ``.
+
+    The package makes no BLAS call, yet OpenBLAS starts a worker thread per
+    CPU when it loads, which costs start-up time in every process.  A
+    caller who set a thread variable, or imported numpy first, keeps the
+    pool they chose.
+    """
+    if "numpy" in sys.modules or any(name in os.environ for name in _THREAD_VARIABLES):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_single_threaded()
+
 from .deletion import (
     BETWEENNESS,
     EDGE_DEGREE,

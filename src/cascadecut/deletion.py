@@ -219,11 +219,12 @@ def save_plan(plan: DeletionPlan, path: str | Path) -> None:
             fh.write(f"{ids[s]}\t{ids[d]}\t{score!r}\n")
 
 
-def load_plan(path: str | Path, network: DirectedGraph) -> DeletionPlan:
+def load_plan(path: str | Path, network: DirectedGraph, strict: bool = False) -> DeletionPlan:
     """Read a plan written by :func:`save_plan` against ``network``.
 
     Each line's (src, dst) ids are looked up once in the network; an edge
-    the network lacks gets position -1.
+    the network lacks gets position -1, or with ``strict`` is a
+    :class:`ParseError` naming the first such line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -245,6 +246,7 @@ def load_plan(path: str | Path, network: DirectedGraph) -> DeletionPlan:
             raise ParseError(f"{path}: line 1: bad seed {seed_text!r} in plan header") from None
         edges: list[tuple[str, str]] = []
         scores: list[float] = []
+        linenos: list[int] = []
         previous = math.inf
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
@@ -267,7 +269,12 @@ def load_plan(path: str | Path, network: DirectedGraph) -> DeletionPlan:
             previous = score
             scores.append(score)
             edges.append((fields[0], fields[1]))
+            linenos.append(lineno)
     pos = network.edge_positions(edges)
+    if strict and (pos < 0).any():
+        first = int(np.argmax(pos < 0))
+        src, dst = edges[first]
+        raise ParseError(f"{path}: line {linenos[first]}: plan edge {src!r} -> {dst!r} is not in the follow network")
     return DeletionPlan(strategy, k, network, pos, np.array(scores, dtype=np.float64), rng_seed=seed)
 
 

@@ -43,6 +43,12 @@ VARIANTS = (NON_TREE, TREE_FIRST, TREE_LAST)
 
 # Follow edges gathered per chunk of participants in a batch build.
 _GATHER_CHUNK = 1 << 16
+# The gather's participant filter: a bit table of the smallest power of two
+# that gives every participant at least this many bits (so 2 to 4 bytes per
+# participant, and at least one byte), indexed by a multiplicative hash
+# (2**64 over the golden ratio).
+_FILTER_BITS = 16
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +137,19 @@ def gather_candidates(network: DirectedGraph, logs: CascadeTable | Sequence[Casc
     ``logs`` is a :class:`CascadeTable`; a sequence of logs is converted with
     :meth:`CascadeTable.from_logs`.  Users absent from the network are kept
     as isolated seeds; their count is logged as one warning.
+
+    A gathered follow edge child -> parent qualifies when the parent is a
+    participant of the child's cascade that posted strictly earlier.  Most
+    gathered edges lead outside the cascade, so before any binary search the
+    parent's key ``cascade * n + parent`` is probed in a bit table with the
+    bit of every participant's key set, at a multiplicative hash of the key.
+    The table is the smallest power of two with :data:`_FILTER_BITS` bits
+    per participant, so about one in 16 or fewer of the edges that leave
+    the cascade hit a set bit.  An edge whose bit is clear cannot qualify;
+    only the edges that pass are looked up by ``np.searchsorted``, which
+    settles the hash collisions, so the result is exact.  One INFO line
+    gives the participants, the follow edges gathered, the probes that
+    passed the filter and the qualifying edges.
     """
     table = CascadeTable.from_logs(logs)
     node = network.indices_of(table.users)[table.user]
@@ -146,8 +165,8 @@ def gather_candidates(network: DirectedGraph, logs: CascadeTable | Sequence[Casc
     # Participants present in the network, keyed by cascade * n + dense id.
     # Table events are sorted by (cascade, user) and users and dense ids both
     # follow sorted external ids, so the keys come sorted and unique.  The
-    # followee end of each gathered follow edge is looked up by binary
-    # search on the key.
+    # followee end of each gathered follow edge that passes the filter is
+    # looked up by binary search on the key.
     n = np.int64(network.node_count)
     key = table.cascade[present] * n
     key += node[present]
@@ -161,8 +180,13 @@ def gather_candidates(network: DirectedGraph, logs: CascadeTable | Sequence[Casc
     cuts = np.searchsorted(ends, np.arange(_GATHER_CHUNK, total, _GATHER_CHUNK), side="right")
     bounds = np.r_[0, _sorted_unique(cuts), idx.size].tolist()
     base = key - idx
-    parts = [_candidates(network, key, base, tau, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    slot, at, parent, edge_pos = (np.concatenate(arrays) for arrays in zip(*parts))
+    bits, shift = _bit_table(key)
+    parts = [_candidates(network, key, base, tau, bits, shift, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    slot, at, parent, edge_pos, probes = (np.concatenate(arrays) for arrays in zip(*parts))
+    logger.info(
+        "gathered %d follow edge(s) of %d participant(s); %d passed the filter, %d qualify",
+        total, key.size, probes.sum(), slot.size,
+    )
     return SpreadCandidates(network, table, owner, idx, tau, slot, at, parent, edge_pos)
 
 
@@ -221,25 +245,62 @@ def to_dot(dg: DiffusionGraph) -> str:
 
 
 def _candidates(
-    network: DirectedGraph, key: np.ndarray, base: np.ndarray, tau: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    network: DirectedGraph,
+    key: np.ndarray,
+    base: np.ndarray,
+    tau: np.ndarray,
+    bits: np.ndarray,
+    shift: np.uint64,
+    lo: int,
+    hi: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Qualifying spread edges into participants ``lo:hi``.
 
     Participants are sorted by ``key`` = cascade * n + dense id, and ``base``
-    is each one's cascade * n.  A follow edge child -> parent qualifies when
-    the parent is a participant of the child's cascade that posted strictly
-    earlier.  Returns (child slot, parent slot, parent id, follow-edge
-    position) per qualifying edge, in (child, parent) order.
+    is each one's cascade * n; ``bits`` and ``shift`` are their
+    :func:`_bit_table`.  Returns (child slot, parent slot, parent id,
+    follow-edge position) per qualifying edge, in (child, parent) order, and
+    the number of probes that passed the filter as a one-element array.
     """
     slot, edge_pos = network.out_edge_slots(key[lo:hi] - base[lo:hi])
     slot += lo
-    parent = network.edge_dst_indices[edge_pos]
     parent_key = base[slot]
-    parent_key += parent
+    parent_key += network.edge_dst_indices[edge_pos]
+    probe = np.flatnonzero(_has_bit(bits, shift, parent_key))
+    slot, edge_pos, parent_key = slot[probe], edge_pos[probe], parent_key[probe]
     at = np.searchsorted(key, parent_key)
     qualifies = key.take(at, mode="clip") == parent_key
     qualifies &= tau.take(at, mode="clip") < tau[slot]
-    return slot[qualifies], at[qualifies], parent[qualifies], edge_pos[qualifies]
+    edge_pos = edge_pos[qualifies]
+    return slot[qualifies], at[qualifies], network.edge_dst_indices[edge_pos], edge_pos, np.array([probe.size])
+
+
+def _bit_of(key: np.ndarray, shift: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """Byte index and bit mask of each non-negative int64 key in a :func:`_bit_table`.
+
+    The bit is the top ``64 - shift`` bits of a multiplicative hash of the key.
+    """
+    h = key.view(np.uint64) * _HASH_MULTIPLIER
+    h >>= shift
+    mask = np.left_shift(np.uint8(1), (h & np.uint64(7)).astype(np.uint8))
+    h >>= np.uint64(3)
+    return h.view(np.int64), mask
+
+
+def _bit_table(key: np.ndarray) -> tuple[np.ndarray, np.uint64]:
+    """A table of bytes with the bit of every key set, and the hash shift that finds it."""
+    log2 = max(3, (key.size * _FILTER_BITS - 1).bit_length())
+    shift = np.uint64(64 - log2)
+    bits = np.zeros(1 << (log2 - 3), dtype=np.uint8)
+    np.bitwise_or.at(bits, *_bit_of(key, shift))
+    return bits, shift
+
+
+def _has_bit(bits: np.ndarray, shift: np.uint64, key: np.ndarray) -> np.ndarray:
+    """Whether each key's bit is set in ``bits``: false only for keys that were never set."""
+    at, mask = _bit_of(key, shift)
+    mask &= bits[at]
+    return mask.astype(bool)
 
 
 def _single_parent(

@@ -222,13 +222,15 @@ def _materialise_plan(
     names no network, so only its edges can be checked.  A ``.tsv`` beside
     a ``.npz`` that does not match is skipped: ``plan`` writes both, so it
     is most likely as stale.  Either way the plan's first
-    min(max_budget, |E|) entries must be distinct edges of ``network``.  A
-    new plan is cached as ``.npz``; a ``.tsv`` is never written.
+    min(max_budget, |E|) entries must be distinct edges of ``network``; with
+    ``strict_parse``, a ``.tsv`` naming any edge outside ``network`` is a
+    :class:`ParseError` instead.  A new plan is cached as ``.npz``; a
+    ``.tsv`` is never written.
     """
     cache = config.out_dir / f"plan_{strategy}.npz"
     path = cache if cache.exists() else cache.with_suffix(".tsv")
     if path.exists():
-        cached, why = _read_cached(path, network, strategy, config.rng_seed)
+        cached, why = _read_cached(path, network, strategy, config.rng_seed, config.strict_parse)
         why = why or _unusable(cached, min(max_budget, network.edge_count))
         if why is None:
             logger.info("reusing cached %s plan from %s", strategy, path)
@@ -245,12 +247,16 @@ def _materialise_plan(
 
 
 def _read_cached(
-    path: Path, network: DirectedGraph, strategy: str, rng_seed: int
+    path: Path, network: DirectedGraph, strategy: str, rng_seed: int, strict_parse: bool
 ) -> tuple[DeletionPlan | None, str | None]:
-    """A cached plan file's plan, and why it does not match the sweep (None if it does)."""
+    """A cached plan file's plan, and why it does not match the sweep (None if it does).
+
+    With ``strict_parse``, a text plan naming an edge outside ``network``
+    is a :class:`ParseError`.
+    """
     if path.suffix == ".tsv":
         logger.info("%s carries no network fingerprint; only its edges can be checked", path)
-        plan = load_plan(path, network)
+        plan = load_plan(path, network, strict=strict_parse)
         if plan.strategy != strategy:
             return None, f"holds a {plan.strategy} plan"
         if strategy == RANDOM and plan.rng_seed != rng_seed:

@@ -15,7 +15,9 @@ a list of per-cascade graphs, the earlier list shuffle of the random plan
 which score with the package's eigensolver and betweenness, and the
 earlier ingest and index builds (:func:`lexsort_cascade_table` over the
 package's string interning, :func:`eager_reverse_index`,
-:func:`dict_edge_positions`).
+:func:`dict_edge_positions`), and the earlier join of participants with
+their follow edges (:func:`unfiltered_candidates`) over the package's
+cascade table and edge gather.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cascadecut.deletion import RANDOM, plan_strategy
-from cascadecut.diffusion import build_variant
+from cascadecut.diffusion import SpreadCandidates, build_variant
 from cascadecut.estimator import (
     NEVER_DELETED,
     CascadeResult,
@@ -411,3 +413,29 @@ def string_save_plan(plan, path):
         fh.write(f"{plan.strategy},{plan.k},{seed_text}\n")
         for (src, dst), score in zip(plan.ranked_edges, plan.scores):
             fh.write(f"{src}\t{dst}\t{score!r}\n")
+
+
+def unfiltered_candidates(network, logs):
+    """The join that the participant filter replaced, and its gathered edge count.
+
+    Gathers every participant's follow edges in one pass and looks up each
+    edge's parent key ``cascade * n + parent`` by binary search among the
+    sorted participant keys, with no filter in front.
+    """
+    table = CascadeTable.from_logs(logs)
+    node = network.indices_of(table.users)[table.user]
+    present = node >= 0
+    n = np.int64(network.node_count)
+    key = table.cascade[present] * n + node[present]
+    tau = table.time[present]
+    owner, idx = np.divmod(key, n)
+    slot, edge_pos = network.out_edge_slots(idx)
+    parent = network.edge_dst_indices[edge_pos]
+    parent_key = owner[slot] * n + parent
+    at = np.searchsorted(key, parent_key)
+    qualifies = key.take(at, mode="clip") == parent_key
+    qualifies &= tau.take(at, mode="clip") < tau[slot]
+    found = SpreadCandidates(
+        network, table, owner, idx, tau, slot[qualifies], at[qualifies], parent[qualifies], edge_pos[qualifies]
+    )
+    return found, slot.size

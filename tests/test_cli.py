@@ -117,6 +117,17 @@ class TestSweep:
         )
         assert code == EXIT_INPUT
 
+    def test_strict_parse_plan_edge_outside_the_network_exits_1(self, tmp_path, capsys):
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        plan_path = out / "plan_netmelt.tsv"
+        plan_path.write_text("netmelt,2,\n5\t1\t0.5\n1\t8\t0.25\n", encoding="utf-8")
+        argv = _sweep_args(edges_path, cascades_path, out, "--strategies", "netmelt", "--fractions", "0.25")
+        assert main([*argv, "--strict-parse"]) == EXIT_INPUT
+        assert f"error [parse]: {plan_path}: line 3: plan edge '1' -> '8'" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK
+
     def test_netmelt_non_convergence_exits_2(self, tmp_path, capsys):
         edges_path = tmp_path / "edges.tsv"
         # Chained two-cycles: defective leading eigenvalue, no convergence.

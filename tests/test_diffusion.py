@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import random
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from conftest import (
     random_instance,
     random_logs,
 )
-from oracles import indegree_zero, single_parent_edges, spread_rule_edges
+from oracles import indegree_zero, single_parent_edges, spread_rule_edges, unfiltered_candidates
+
+GATHER_LOG = re.compile(
+    r"gathered (\d+) follow edge\(s\) of (\d+) participant\(s\); (\d+) passed the filter, (\d+) qualify"
+)
+CANDIDATE_ARRAYS = ("owner", "node", "tau", "slot", "at", "parent", "edge_pos")
+BATCH_ARRAYS = ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos")
 
 
 class TestEightNodeExample:
@@ -259,6 +266,93 @@ class TestBuildBatch:
     def test_unknown_variant_rejected(self, eight_node_network, eight_node_log):
         with pytest.raises(InputError):
             build_batch(eight_node_network, [eight_node_log], "bogus")
+
+
+class TestParticipantFilter:
+    """The filtered gather against the unfiltered join it replaced."""
+
+    @staticmethod
+    def check(network, logs, caplog):
+        """Assert the gather equals the oracle's; returns its (probes, gathered) counts."""
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="cascadecut.diffusion"):
+            found = diffusion.gather_candidates(network, logs)
+        [counts] = [m.groups() for r in caplog.records if (m := GATHER_LOG.fullmatch(r.getMessage()))]
+        gathered, participants, probes, qualify = map(int, counts)
+        want, want_gathered = unfiltered_candidates(network, logs)
+        for name in CANDIDATE_ARRAYS:
+            assert getattr(found, name).tolist() == getattr(want, name).tolist(), name
+        for variant in VARIANTS:
+            got, expected = build_batch(network, found, variant), build_batch(network, want, variant)
+            assert got.cascade_ids == expected.cascade_ids
+            for name in BATCH_ARRAYS:
+                assert getattr(got, name).tolist() == getattr(expected, name).tolist(), (variant, name)
+        assert (gathered, participants, qualify) == (want_gathered, want.owner.size, want.slot.size)
+        assert qualify <= probes <= gathered
+        return probes, gathered
+
+    def test_random_instances_match_the_unfiltered_join(self, caplog):
+        rng = random.Random(503)
+        for _ in range(30):
+            network, _, _, _ = random_instance(rng, max_nodes=30, outside_user_chance=0.0)
+            # Users absent from the network, one-user cascades and users
+            # shared across cascades, with colliding timestamps.
+            self.check(network, random_logs(rng, network, rng.randint(1, 14)), caplog)
+
+    def test_edge_cases(self, eight_node_network, eight_node_log, caplog):
+        assert self.check(eight_node_network, [], caplog) == (0, 0)
+        self.check(eight_node_network, [CascadeLog.from_events("one", [("3", 1)])], caplog)
+        self.check(eight_node_network, [CascadeLog.from_events("ghosts", [("x", 1), ("y", 0)])], caplog)
+        # The same users in three cascades, with the times reversed in one.
+        reversed_log = CascadeLog.from_events("r", [(u, 100 - t) for u, t in eight_node_log.events])
+        _, gathered = self.check(eight_node_network, [eight_node_log, reversed_log, eight_node_log], caplog)
+        assert gathered == 3 * eight_node_network.edge_count
+
+    def test_forced_collisions_leave_the_binary_search_to_decide(self, monkeypatch, caplog):
+        # With no bits per participant the table has its minimum size, one
+        # byte, so nearly every probe hits a set bit.
+        monkeypatch.setattr(diffusion, "_FILTER_BITS", 0)
+        rng = random.Random(509)
+        probes = gathered = 0
+        for _ in range(15):
+            network, _, _, _ = random_instance(rng, max_nodes=30, outside_user_chance=0.0)
+            p, g = self.check(network, random_logs(rng, network, rng.randint(6, 14)), caplog)
+            probes, gathered = probes + p, gathered + g
+        assert probes > 0.8 * gathered
+
+    def test_filter_skips_most_edges_that_leave_the_cascade(self, caplog):
+        rng = np.random.default_rng(521)
+        users = 3000
+        src, dst = rng.integers(0, users, size=(2, 40_000)).tolist()
+        network = build_graph((f"u{a}", f"u{b}") for a, b in zip(src, dst))
+        logs = [
+            CascadeLog.from_events(f"c{i}", [(f"u{u}", int(t)) for u, t in zip(rng.choice(users, 40, replace=False),
+                                                                           rng.integers(0, 50, size=40))])
+            for i in range(60)
+        ]
+        probes, gathered = self.check(network, logs, caplog)
+        assert probes < gathered / 8
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 100, 1000])
+    def test_bit_table_has_every_key_and_its_size(self, count):
+        rng = np.random.default_rng(count)
+        key = np.unique(rng.integers(0, 1 << 62, size=count))
+        bits, shift = diffusion._bit_table(key)
+        size = bits.size * 8
+        assert size & (size - 1) == 0
+        assert size == 8 or diffusion._FILTER_BITS * key.size <= size < 2 * diffusion._FILTER_BITS * key.size
+        assert diffusion._has_bit(bits, shift, key).all()
+
+    def test_bit_table_false_positive_rate(self):
+        # Participant-like keys cascade * n + node; a probe of a key outside
+        # them passes with the share of set bits, at most 1 / _FILTER_BITS.
+        rng = np.random.default_rng(523)
+        n = 50_000
+        keys = np.unique(rng.integers(0, 300, 3000) * n + rng.integers(0, n, 3000))
+        others = np.setdiff1d(rng.integers(0, 300, 200_000) * n + rng.integers(0, n, 200_000), keys)
+        bits, shift = diffusion._bit_table(keys)
+        assert np.unpackbits(bits).sum() > 0.9 * keys.size
+        assert diffusion._has_bit(bits, shift, others).mean() < 1.25 / diffusion._FILTER_BITS
 
 
 class TestDotExport:

@@ -22,6 +22,7 @@ from cascadecut import (
     ExperimentConfig,
     InputError,
     NON_TREE,
+    ParseError,
     STRATEGIES,
     VARIANTS,
     build_batch,
@@ -581,6 +582,52 @@ class TestPlanCache:
         assert got["plan_netmelt.tsv"] == planted
         assert "plan_netmelt.npz" not in got
         assert f"{out / 'plan_netmelt.tsv'} carries no network fingerprint" in caplog.text
+        assert read_summary(out) == [["netmelt", "non-tree", "2", "0.25", "5", "8"]]
+
+    def test_text_plan_edge_outside_the_network_is_recomputed(self, tmp_path, caplog):
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        want = sweep_files(edges_path, cascades_path, tmp_path / "fresh", strategies=("netmelt",))
+        out = tmp_path / "out"
+        out.mkdir()
+        # 1 -> 8 joins two users of the network, but no one follows that way.
+        planted = b"netmelt,2,\n5\t1\t0.5\n1\t8\t0.25\n"
+        (out / "plan_netmelt.tsv").write_bytes(planted)
+        with caplog.at_level("INFO", logger="cascadecut.experiment"):
+            got = sweep_files(edges_path, cascades_path, out, strategies=("netmelt",))
+        assert recomputing(caplog) == [
+            f"cached plan at {out / 'plan_netmelt.tsv'} does not name 2 distinct edges of this network; recomputing"
+        ]
+        assert got.pop("plan_netmelt.tsv") == planted
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "planted, line, edge",
+        [
+            ("netmelt,2,\n5\t1\t0.5\n1\t8\t0.25\n", 3, "'1' -> '8'"),
+            # Past the budget the sweep needs, after a blank line, and with an
+            # id the network lacks: every line is checked.
+            ("netmelt,4,\n5\t1\t0.5\n6\t3\t0.25\n\nghost\t1\t0.125\n", 5, "'ghost' -> '1'"),
+        ],
+        ids=["in-budget", "past-budget"],
+    )
+    def test_strict_parse_rejects_a_text_plan_edge_outside_the_network(self, tmp_path, planted, line, edge):
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "plan_netmelt.tsv").write_text(planted, encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
+            sweep_files(edges_path, cascades_path, out, strategies=("netmelt",), strict_parse=True)
+        assert str(caught.value) == (
+            f"{out / 'plan_netmelt.tsv'}: line {line}: plan edge {edge} is not in the follow network"
+        )
+        assert [p.name for p in out.iterdir()] == ["plan_netmelt.tsv"]
+
+    def test_strict_parse_reuses_a_text_plan_inside_the_network(self, tmp_path):
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "plan_netmelt.tsv").write_text("netmelt,2,\n5\t1\t0.5\n6\t3\t0.25\n", encoding="utf-8")
+        sweep_files(edges_path, cascades_path, out, strategies=("netmelt",), variants=("non-tree",), strict_parse=True)
         assert read_summary(out) == [["netmelt", "non-tree", "2", "0.25", "5", "8"]]
 
     def test_cache_bytes_depend_on_neither_time_nor_directory(self, tmp_path, monkeypatch):

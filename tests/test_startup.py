@@ -1,0 +1,108 @@
+"""Importing the package: one BLAS thread, an unchanged environment, no BLAS call.
+
+Each import test runs in a fresh interpreter whose environment holds none
+of the thread variables unless the test sets one.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cascadecut import _THREAD_VARIABLES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Records every write to os.environ from here on, so a test can show that
+# the import left the caller's environment alone.
+RECORD_WRITES = """\
+import os
+writes = []
+class Recording(type(os.environ)):
+    def __setitem__(self, key, value):
+        writes.append(key)
+        super().__setitem__(key, value)
+    def __delitem__(self, key):
+        writes.append(key)
+        super().__delitem__(key)
+os.environ.__class__ = Recording
+"""
+
+
+def run_fresh(code: str, **variables: str) -> dict:
+    """Run ``code`` in a fresh interpreter; it prints one JSON value, returned here."""
+    env = {name: value for name, value in os.environ.items() if name not in _THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(SRC)
+    env.update(variables)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_import_leaves_one_thread():
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count threads")
+    code = "import json, os, cascadecut; print(json.dumps(len(os.listdir('/proc/self/task'))))"
+    assert run_fresh(code) == 1
+
+
+def test_import_restores_the_environment():
+    code = "import json, os\nbefore = dict(os.environ)\nimport cascadecut\nprint(json.dumps([before, dict(os.environ)]))"
+    before, after = run_fresh(code)
+    assert before == after
+    assert not set(_THREAD_VARIABLES) & set(after)
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_callers_thread_variable_is_left_untouched(name):
+    code = RECORD_WRITES + (
+        "import json\nbefore = dict(os.environ)\nimport cascadecut\n"
+        "print(json.dumps([before == dict(os.environ), os.environ.get(%r), writes]))" % name
+    )
+    assert run_fresh(code, **{name: "2"}) == [True, "2", []]
+
+
+def test_numpy_imported_first_leaves_the_environment_untouched():
+    code = RECORD_WRITES + (
+        "import json, numpy\nbefore = dict(os.environ)\nimport cascadecut\n"
+        "print(json.dumps([before == dict(os.environ), writes]))"
+    )
+    assert run_fresh(code) == [True, []]
+
+
+BLAS_NAMES = {"dot", "matmul", "linalg", "inner", "vdot", "tensordot", "einsum"}
+
+
+def blas_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) of every ``@`` and every call or attribute with a BLAS name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in BLAS_NAMES:
+            found.append((node.lineno, node.func.id))
+    return found
+
+
+def test_the_package_makes_no_blas_call():
+    # numpy is loaded with one BLAS thread, so a BLAS call added here would
+    # quietly run single-threaded.
+    files = sorted((SRC / "cascadecut").glob("*.py"))
+    assert files
+    for path in files:
+        assert blas_uses(ast.parse(path.read_text(encoding="utf-8"))) == [], path
+
+
+def test_the_scan_sees_each_blas_form():
+    source = "a @ b\na @= b\nnp.dot(a, b)\nnp.linalg.norm(a)\neinsum('i,i', a, b)\nx.inner\n"
+    assert [what for _, what in sorted(blas_uses(ast.parse(source)))] == [
+        "@", "@", "dot", "linalg", "einsum", "inner"
+    ]

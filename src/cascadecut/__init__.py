@@ -71,9 +71,7 @@ from .errors import (
 from .estimator import (
     CascadeResult,
     EstimateReport,
-    apply_deletion,
     estimate_budgets,
-    estimate_size,
     plan_ranks,
     read_report_csv,
     run_estimation,
@@ -90,22 +88,17 @@ from .graph import (
     DirectedGraph,
     EigenPair,
     build_graph,
-    edge_betweenness,
     betweenness_scores,
     leading_eigenpair,
-    reachable_from,
 )
 from .ingest import (
     CascadeLog,
     CascadeTable,
     DatasetStats,
     compute_stats,
-    dump_cascades,
-    dump_follow_edges,
     filter_cascades,
     iter_follow_edges,
     load_cascades,
-    load_follow_edges,
     load_higgs_activity,
     read_network,
 )
@@ -139,22 +132,16 @@ __all__ = [
     "TREE_FIRST",
     "TREE_LAST",
     "VARIANTS",
-    "apply_deletion",
     "betweenness_scores",
     "build_batch",
     "build_graph",
     "build_variant",
     "compute_stats",
-    "dump_cascades",
-    "dump_follow_edges",
-    "edge_betweenness",
     "estimate_budgets",
-    "estimate_size",
     "filter_cascades",
     "iter_follow_edges",
     "leading_eigenpair",
     "load_cascades",
-    "load_follow_edges",
     "load_higgs_activity",
     "load_plan",
     "plan_betweenness",
@@ -165,7 +152,6 @@ __all__ = [
     "plan_strategy",
     "read_plan_cache",
     "read_report_csv",
-    "reachable_from",
     "read_network",
     "run_estimation",
     "run_sweep",

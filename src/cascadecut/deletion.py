@@ -8,7 +8,7 @@ every smaller budget by taking prefixes:
   the leading adjacency eigenpair, the first-order estimate of how much
   deleting the edge lowers the spectral radius.  One-shot scoring (no
   re-computation between deletions) keeps multi-million-edge budgets
-  tractable; the plan's ``method`` property names the choice.
+  tractable.
 * ``betweenness``: descending directed edge betweenness.
 * ``edge-degree``: score of (u, v) is in_degree(u) * out_degree(v).
 * ``random``: a seeded Fisher-Yates shuffle of all edges, prefix taken.
@@ -54,14 +54,6 @@ MAX_RANDOM_EDGES = 2**32 - 1
 # Fewest shuffle steps per chunk of rejection draws; see _swap_slots.
 _MIN_CHUNK = 1024
 
-_METHODS = {
-    NETMELT: "one-shot-eigenscore",
-    BETWEENNESS: "static-betweenness",
-    EDGE_DEGREE: "degree-product",
-    RANDOM: "seeded-shuffle",
-}
-
-
 @dataclass(frozen=True, eq=False)
 class DeletionPlan:
     """An ordered selection of follow edges of one network to delete.
@@ -105,11 +97,6 @@ class DeletionPlan:
             and np.array_equal(self.edge_pos, other.edge_pos)
             and np.array_equal(self.scores, other.scores)
         )
-
-    @property
-    def method(self) -> str:
-        """How the strategy scores edges; follows from ``strategy``."""
-        return _METHODS[self.strategy]
 
     @property
     def ranked_edges(self) -> tuple[tuple[str, str] | None, ...]:

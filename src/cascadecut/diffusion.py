@@ -17,9 +17,9 @@ lexicographically smallest user id so rebuilds are deterministic.
 
 :func:`build_batch` builds one variant for many cascades at once, as flat
 integer arrays; :func:`build_variant` is the string-level view of one
-cascade, built through it.  The tree variants select from the non-tree
-edges, so :func:`gather_candidates` gathers the follow edges once and
-several variants are derived from its result.
+cascade that ``export-dot`` renders, built through it.  The tree variants
+select from the non-tree edges, so :func:`gather_candidates` gathers the
+follow edges once and several variants are derived from its result.
 """
 
 from __future__ import annotations
@@ -78,13 +78,9 @@ class DiffusionBatch:
 
 @dataclass(frozen=True)
 class DiffusionGraph:
-    """One cascade's spread graph: edge (u, v) means it spread from u to v.
-
-    ``parent_ids``, ``child_ids`` and ``follow_edge_pos`` hold the same edges
-    in integer form, as in :class:`DiffusionBatch`.  They are ordered by
-    (child, parent), which is the order of ``sorted((c, p) for p, c in
-    edges)`` because dense ids follow sorted external ids.  They take no
-    part in ``==``.
+    """One cascade's spread graph in external ids: edge (u, v) means it
+    spread from u to v.  The view that ``export-dot`` renders; the sweep
+    reads :class:`DiffusionBatch` arrays instead.
     """
 
     cascade_id: str
@@ -92,13 +88,6 @@ class DiffusionGraph:
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
     seeds: frozenset[str]
-    parent_ids: np.ndarray = field(compare=False, repr=False)
-    child_ids: np.ndarray = field(compare=False, repr=False)
-    follow_edge_pos: np.ndarray = field(compare=False, repr=False)
-
-    def __post_init__(self):
-        for arr in (self.parent_ids, self.child_ids, self.follow_edge_pos):
-            arr.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,9 +214,7 @@ def build_variant(network: DirectedGraph, log: CascadeLog, variant: str) -> Diff
     nodes = frozenset(log.users())
     edges = frozenset((ids[p], ids[c]) for p, c in zip(batch.parent.tolist(), children))
     seeds = nodes - {ids[c] for c in children}
-    return DiffusionGraph(
-        log.cascade_id, variant, nodes, edges, seeds, batch.parent, batch.child, batch.follow_edge_pos
-    )
+    return DiffusionGraph(log.cascade_id, variant, nodes, edges, seeds)
 
 
 def to_dot(dg: DiffusionGraph) -> str:

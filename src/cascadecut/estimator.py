@@ -8,24 +8,24 @@ leaves other nodes with no incoming edge: such nodes are exactly the users
 the deletion cut off.
 
 Plan prefixes are nested, so :func:`estimate_budgets` gives the sizes at
-every budget in one pass over integer edge arrays.  :func:`apply_deletion`
-and :func:`estimate_size` are the direct form of a single budget point.
+every budget in one pass over integer edge arrays; :func:`run_estimation`
+is the single budget point of a whole plan.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .deletion import DeletionPlan
-from .diffusion import DiffusionBatch, DiffusionGraph, build_batch
+from .diffusion import DiffusionBatch, build_batch
 from .errors import InputError, InvariantError, ParseError
-from .graph import DirectedGraph, build_graph, reachable_from
+from .graph import DirectedGraph
 from .ingest import CascadeLog, CascadeTable
 
 logger = logging.getLogger(__name__)
@@ -77,35 +77,6 @@ class EstimateReport:
             total_original=sum(r.original_size for r in ordered),
             total_estimated=sum(r.estimated_size for r in ordered),
         )
-
-
-def apply_deletion(dg: DiffusionGraph, plan: DeletionPlan) -> DiffusionGraph:
-    """Remove the plan's blocked diffusion edges; nodes and seeds unchanged.
-
-    This is the direct set-based form of one budget point, kept as the
-    reference for :func:`estimate_budgets`.  The plan must be over the
-    network ``dg`` was built from.
-    """
-    keep = ~np.isin(dg.follow_edge_pos, plan.edge_pos)
-    # The integer edge arrays run in (child, parent) order.
-    by_child = sorted((c, p) for p, c in dg.edges)
-    return replace(
-        dg,
-        edges=frozenset((p, c) for (c, p), kept in zip(by_child, keep.tolist()) if kept),
-        parent_ids=dg.parent_ids[keep],
-        child_ids=dg.child_ids[keep],
-        follow_edge_pos=dg.follow_edge_pos[keep],
-    )
-
-
-def estimate_size(dg_after: DiffusionGraph, original_seeds: Iterable[str]) -> int:
-    """Number of nodes reachable from the original seeds after deletion."""
-    seeds = set(original_seeds)
-    unknown = seeds - dg_after.nodes
-    if unknown:
-        raise InputError(f"seed users not in the diffusion graph: {sorted(unknown)[:5]}")
-    graph = build_graph(dg_after.edges, nodes=dg_after.nodes)
-    return len(reachable_from(graph, seeds))
 
 
 def plan_ranks(network: DirectedGraph, plan: DeletionPlan) -> np.ndarray:

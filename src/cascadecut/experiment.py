@@ -30,12 +30,10 @@ from .deletion import (
     read_plan_cache,
     save_plan_cache,
 )
-# build_variant stays importable here because bench/tracer.py wraps experiment.build_variant.
-from .diffusion import NON_TREE, VARIANTS, build_batch, build_variant, gather_candidates  # noqa: F401
+from .diffusion import NON_TREE, VARIANTS, build_batch, gather_candidates
 from .errors import ConvergenceError, InputError, ParseError
 from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_report_csv
-# build_graph stays importable here because bench/tracer.py wraps experiment.build_graph.
-from .graph import DirectedGraph, _sorted_unique, build_graph  # noqa: F401
+from .graph import DirectedGraph, _sorted_unique
 from .ingest import CascadeLog, CascadeTable, filter_cascades, load_cascades, read_network
 
 logger = logging.getLogger(__name__)

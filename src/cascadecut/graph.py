@@ -3,9 +3,11 @@
 A :class:`DirectedGraph` maps opaque string node ids onto dense integers
 (sorted by external id, so builds are reproducible) and stores the edge set
 in compressed sparse form, forward on construction and reverse (with the id
-lookup tables) on first use.  On top of it this module
-provides BFS reachability, directed edge betweenness (Brandes-style
-accumulation), and the leading eigenpair of the adjacency matrix via power
+lookup tables) on first use.  Nodes and edges are addressed by dense id and
+canonical edge position; external ids are looked up in bulk only, through
+:meth:`DirectedGraph.indices_of` and :meth:`DirectedGraph.edge_positions`.
+On top of it this module provides directed edge betweenness (Brandes-style
+accumulation) and the leading eigenpair of the adjacency matrix via power
 iteration.
 
 Graphs are immutable after construction.
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -130,18 +132,6 @@ class DirectedGraph:
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
-    def has_node(self, external_id: str) -> bool:
-        return external_id in self._id_index()
-
-    def index_of(self, external_id: str) -> int:
-        try:
-            return self._id_index()[external_id]
-        except KeyError:
-            raise InputError(f"unknown node id {external_id!r}") from None
-
-    def id_of(self, index: int) -> str:
-        return self._ids[index]
-
     def indices_of(self, external_ids: Iterable[str]) -> np.ndarray:
         """Dense id of each external id, -1 where it is not a node.
 
@@ -164,12 +154,6 @@ class DirectedGraph:
 
     # ---- edges and degrees ------------------------------------------------
 
-    def edges(self) -> Iterator[tuple[str, str]]:
-        """All edges as external-id pairs, in canonical (src, dst) order."""
-        ids = self._ids
-        for s, d in zip(self._edge_src.tolist(), self._edge_dst.tolist()):
-            yield ids[s], ids[d]
-
     @property
     def edge_src_indices(self) -> np.ndarray:
         return self._edge_src
@@ -185,15 +169,6 @@ class DirectedGraph:
     @property
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self._edge_dst, minlength=len(self._ids))
-
-    def out_degree(self, external_id: str) -> int:
-        i = self.index_of(external_id)
-        return int(self._fwd_indptr[i + 1] - self._fwd_indptr[i])
-
-    def in_degree(self, external_id: str) -> int:
-        i = self.index_of(external_id)
-        indptr = self._reverse_index()[0]
-        return int(indptr[i + 1] - indptr[i])
 
     # ---- bulk adjacency access ---------------------------------------------
 
@@ -378,27 +353,6 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def reachable_from(graph: DirectedGraph, sources: Iterable[str]) -> set[str]:
-    """Sources plus every node reachable from them along directed edges."""
-    src_list = list(sources)
-    idx = np.fromiter((graph.index_of(s) for s in src_list), dtype=np.int64, count=len(src_list))
-    mask = _reachable_mask(graph, idx)
-    return {graph.id_of(i) for i in np.flatnonzero(mask).tolist()}
-
-
-def _reachable_mask(graph: DirectedGraph, source_indices: np.ndarray) -> np.ndarray:
-    visited = np.zeros(graph.node_count, dtype=bool)
-    frontier = _sorted_unique(np.array(source_indices, dtype=np.int64))
-    visited[frontier] = True
-    while frontier.size:
-        _, targets, _ = graph.out_edges_bulk(frontier)
-        if targets.size == 0:
-            break
-        frontier = _sorted_unique(targets[~visited[targets]])
-        visited[frontier] = True
-    return visited
-
-
 def betweenness_scores(graph: DirectedGraph) -> np.ndarray:
     """Edge betweenness aligned with the canonical edge order of ``graph``.
 
@@ -418,16 +372,6 @@ def betweenness_scores(graph: DirectedGraph) -> np.ndarray:
     for s in range(graph.node_count):
         _accumulate_source(graph, s, scores, depth, sigma, delta)
     return scores
-
-
-def edge_betweenness(graph: DirectedGraph) -> dict[tuple[str, str], float]:
-    """Edge betweenness keyed by external-id pair.
-
-    Convenience form of :func:`betweenness_scores`; prefer the array form
-    when ranking millions of edges.
-    """
-    scores = betweenness_scores(graph)
-    return {edge: float(score) for edge, score in zip(graph.edges(), scores.tolist())}
 
 
 def _accumulate_source(graph, source, scores, depth, sigma, delta) -> None:

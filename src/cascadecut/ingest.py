@@ -404,22 +404,14 @@ def iter_follow_edges(stream: Iterable[str], strict: bool = False) -> Iterator[l
 
     Consumes ``stream`` lazily, so a caller such as
     :func:`~cascadecut.graph.build_graph` never holds the whole edge list.
-    Malformed lines follow the rule of :func:`load_follow_edges`.
+    Lines with the wrong field count are skipped and counted; with
+    ``strict`` the first raises :class:`ParseError` (see :func:`_scan`).
     """
     return map(itemgetter(1), _scan(stream, 2, "edge", strict))
 
 
-def load_follow_edges(stream: Iterable[str], strict: bool = False) -> list[tuple[str, str]]:
-    """Read follower->followee pairs, in file order, duplicates preserved.
-
-    Malformed lines (wrong field count) are skipped and counted; with
-    ``strict`` they raise :class:`ParseError` naming the first offender.
-    """
-    return [(src, dst) for src, dst in iter_follow_edges(stream, strict)]
-
-
 def read_network(stream: Iterable[str], strict: bool = False) -> DirectedGraph:
-    """The follow network of an edge file: ``build_graph(load_follow_edges(stream, strict))``.
+    """The follow network of an edge file: ``build_graph(iter_follow_edges(stream, strict))``.
 
     A regular file of decimal ids is parsed in bulk into integer arrays;
     any other goes through the line scanner, with its warnings and errors.
@@ -452,7 +444,7 @@ def load_cascades(stream: Iterable[str], strict: bool = False) -> CascadeTable:
     Duplicate events for a user within a cascade keep the earliest
     timestamp.  A non-integer timestamp is always a :class:`ParseError`;
     lines with the wrong field count follow the strict/skip rule of
-    :func:`load_follow_edges`.
+    :func:`iter_follow_edges`.
     """
     blocks, lines = _regular_blocks(stream, 3, digits=False)
     columns = None if blocks is None else _bulk_events(blocks)
@@ -548,16 +540,3 @@ def compute_stats(network: DirectedGraph, logs: Iterable[CascadeLog]) -> Dataset
         mean_cascade_size=mean,
     )
 
-
-def dump_follow_edges(edges: list[tuple[str, str]]) -> str:
-    """Serialise edges back to the canonical tab-separated text."""
-    return "".join(f"{src}\t{dst}\n" for src, dst in edges)
-
-
-def dump_cascades(logs: Iterable[CascadeLog]) -> str:
-    """Serialise cascade logs back to the canonical tab-separated text."""
-    lines: list[str] = []
-    for log in logs:
-        for user, ts in log.events:
-            lines.append(f"{log.cascade_id}\t{user}\t{ts}\n")
-    return "".join(lines)

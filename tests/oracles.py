@@ -2,48 +2,56 @@
 
 Everything here is deliberately naive (dictionary DFS, per-pair path
 counting, dense eigensolvers, double loops over user pairs) and shares no
-code with the package, so agreement is meaningful.  The exceptions are
-:func:`per_budget_sweep`, the sweep computed one budget point at a time
-through the package's direct single-budget path,
-:func:`reference_build_graph`, the earlier list-based graph build, which
-hands its arrays to the package's ``DirectedGraph``,
+code with the package, so agreement is meaningful.  :func:`size_after`
+cuts a cascade's string edges by set difference and counts with
+:func:`closure_from`, and :func:`per_budget_sweep` computes a sweep one
+budget point at a time with it; both read their graphs and plans through
+the package's string views (``build_variant``, ``ranked_edges``).  The
+exceptions are :func:`reference_build_graph`, the earlier list-based graph
+build, which hands its arrays to the package's ``DirectedGraph``,
 :func:`list_load_cascades`, the earlier list loader over the package's line
 scanner, :func:`list_estimate_budgets`, the earlier bottleneck pass over
-a list of per-cascade graphs, the earlier list shuffle of the random plan
-(:func:`shuffled_prefix`), the earlier string-pair plans
-(:func:`string_plan`, :func:`string_plan_ranks`, :func:`string_save_plan`),
-which score with the package's eigensolver and betweenness, and the
-earlier ingest and index builds (:func:`lexsort_cascade_table` over the
-package's string interning, :func:`eager_reverse_index`,
-:func:`dict_edge_positions`), and the earlier join of participants with
-their follow edges (:func:`unfiltered_candidates`) over the package's
-cascade table and edge gather.
+per-cascade arrays, each from its own ``build_batch``, the earlier list
+shuffle of the random plan (:func:`shuffled_prefix`), the earlier
+string-pair plans (:func:`string_plan`, :func:`string_plan_ranks`,
+:func:`string_save_plan`), which score with the package's eigensolver and
+betweenness, and the earlier ingest and index builds
+(:func:`lexsort_cascade_table` over the package's string interning,
+:func:`eager_reverse_index`, :func:`dict_edge_positions`), and the earlier
+join of participants with their follow edges (:func:`unfiltered_candidates`)
+over the package's cascade table and edge gather.  :func:`graph_edges` and
+:func:`load_follow_edges` are the id-pair views of a network and of an edge
+file (over the package's ``iter_follow_edges``) that tests compare with.
 """
 
 from __future__ import annotations
 
 import csv
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from cascadecut.deletion import RANDOM, plan_strategy
-from cascadecut.diffusion import SpreadCandidates, build_variant
-from cascadecut.estimator import (
-    NEVER_DELETED,
-    CascadeResult,
-    EstimateReport,
-    apply_deletion,
-    estimate_size,
-    write_report_csv,
-)
+from cascadecut.diffusion import SpreadCandidates, build_batch, build_variant
+from cascadecut.estimator import NEVER_DELETED, CascadeResult, EstimateReport, write_report_csv
 from cascadecut.errors import InputError
 from cascadecut.experiment import SUMMARY_HEADER, budget_for, load_dataset
 from cascadecut.graph import DirectedGraph, betweenness_scores, leading_eigenpair, sorted_codes
-from cascadecut.ingest import CascadeLog, CascadeTable, _scan, _timestamp
+from cascadecut.ingest import CascadeLog, CascadeTable, _scan, _timestamp, iter_follow_edges
+
+
+def graph_edges(network):
+    """The network's edges as (src, dst) id pairs, in canonical order."""
+    ids = network.external_ids
+    return [(ids[s], ids[d]) for s, d in zip(network.edge_src_indices.tolist(), network.edge_dst_indices.tolist())]
+
+
+def load_follow_edges(stream, strict=False):
+    """Follower->followee pairs of an edge file, in file order, duplicates kept."""
+    return [(src, dst) for src, dst in iter_follow_edges(stream, strict)]
 
 
 def adjacency(edges):
@@ -182,12 +190,26 @@ def random_digraph(rng: random.Random, n, p, prefix="u"):
     return nodes, edges
 
 
+def cut_edges(dg, plan):
+    """The diffusion graph's edges left after the plan: follow edge (u, v) blocks (v, u)."""
+    return dg.edges - {(v, u) for u, v in filter(None, plan.ranked_edges)}
+
+
+def size_after(dg, plan, seeds=None):
+    """Users reachable from ``seeds`` (the graph's own by default) after the plan's cut."""
+    seeds = dg.seeds if seeds is None else set(seeds)
+    unknown = seeds - dg.nodes
+    if unknown:
+        raise InputError(f"seed users not in the diffusion graph: {sorted(unknown)[:5]}")
+    return len(closure_from(cut_edges(dg, plan), seeds))
+
+
 def per_budget_sweep(config, out_dir: Path) -> None:
     """Write a sweep's report and summary files one budget point at a time.
 
-    For every (strategy, variant, budget): take the plan prefix, cut each
-    cascade with ``apply_deletion`` and count with ``estimate_size``.  File
-    names and formats follow ``run_sweep``; plan files are not written.
+    For every (strategy, variant, budget): take the plan prefix and count
+    each cascade with :func:`size_after`.  File names and formats follow
+    ``run_sweep``; plan files are not written.
     """
     network, logs = load_dataset(config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -200,12 +222,7 @@ def per_budget_sweep(config, out_dir: Path) -> None:
             for fraction, k in zip(config.budget_fractions, budgets):
                 sub = plan.prefix(k)
                 rows = [
-                    CascadeResult(
-                        dg.cascade_id,
-                        len(dg.nodes),
-                        estimate_size(apply_deletion(dg, sub), dg.seeds),
-                        len(dg.seeds),
-                    )
+                    CascadeResult(dg.cascade_id, len(dg.nodes), size_after(dg, sub), len(dg.seeds))
                     for dg in graphs
                 ]
                 report = EstimateReport.from_rows(strategy, variant, k, rows)
@@ -296,22 +313,25 @@ def list_load_cascades(stream, strict=False):
     return [CascadeLog.from_events(cid, events) for cid, events in grouped.items()]
 
 
-def list_estimate_budgets(graphs, ranks, budgets):
-    """The bottleneck pass over a list of ``DiffusionGraph`` that the batch replaced.
+def list_estimate_budgets(network, logs, variant, ranks, budgets):
+    """The bottleneck pass over a list of per-cascade graphs that the batch replaced.
 
-    Concatenates the graphs' edge arrays, numbers the (cascade, child) slots
-    with ``np.unique`` and relaxes max-min offers to the fixed point.
+    Builds each log's arrays with its own ``build_batch``, concatenates
+    them, numbers the (cascade, child) slots with ``np.unique`` and relaxes
+    max-min offers to the fixed point.
     """
     if any(k < 0 for k in budgets):
         raise InputError("deletion budget k must be >= 0")
+    graphs = [build_variant(network, log, variant) for log in logs]
+    batches = [build_batch(network, [log], variant) for log in logs]
 
     def concat(arrays):
         return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
 
-    cascade = np.repeat(np.arange(len(graphs)), [dg.child_ids.size for dg in graphs])
-    parent = concat([dg.parent_ids for dg in graphs])
-    child = concat([dg.child_ids for dg in graphs])
-    rank = ranks[concat([dg.follow_edge_pos for dg in graphs])]
+    cascade = np.repeat(np.arange(len(graphs)), [b.child.size for b in batches])
+    parent = concat([b.parent for b in batches])
+    child = concat([b.child for b in batches])
+    rank = ranks[concat([b.follow_edge_pos for b in batches])]
 
     span = int(max(parent.max(initial=0), child.max(initial=0))) + 1
     non_seeds, child_slot = np.unique(cascade * span + child, return_inverse=True)
@@ -378,7 +398,9 @@ def string_plan(network, strategy, k, rng_seed=0):
     elif strategy == "betweenness":
         scores = betweenness_scores(network)
     else:
-        scores = np.array([float(network.in_degree(a) * network.out_degree(b)) for a, b in network.edges()])
+        edges = graph_edges(network)
+        in_degree, out_degree = Counter(b for _, b in edges), Counter(a for a, _ in edges)
+        scores = np.array([float(in_degree[a] * out_degree[b]) for a, b in edges])
     top = np.lexsort((dst, src, -scores))[:cut].tolist()
     ranked = tuple((ids[src[i]], ids[dst[i]]) for i in top)
     return StringPlan(strategy, k, ranked, tuple(float(scores[i]) for i in top))
@@ -389,7 +411,7 @@ def string_plan_ranks(network, plan):
 
     ``warning`` is the text of the one WARNING for unknown edges, or None.
     """
-    position = {edge: i for i, edge in enumerate(network.edges())}
+    position = {edge: i for i, edge in enumerate(graph_edges(network))}
     ranks = np.full(network.edge_count, NEVER_DELETED, dtype=np.int64)
     unknown = 0
     for rank, edge in enumerate(plan.ranked_edges):

@@ -30,20 +30,20 @@ from cascadecut import (
     NON_TREE,
     STRATEGIES,
     VARIANTS,
-    apply_deletion,
+    betweenness_scores,
     build_batch,
     build_graph,
     build_variant,
     compute_stats,
-    edge_betweenness,
-    estimate_size,
+    estimate_budgets,
     filter_cascades,
     leading_eigenpair,
-    load_follow_edges,
     load_higgs_activity,
     plan_netmelt,
     plan_random,
+    plan_ranks,
     plan_strategy,
+    read_network,
     run_estimation,
     run_sweep,
 )
@@ -55,7 +55,7 @@ from conftest import (
     random_instance,
     write_eight_node_dataset,
 )
-from oracles import dense_spectral_radius, path_count_betweenness, random_digraph
+from oracles import dense_spectral_radius, graph_edges, path_count_betweenness, random_digraph
 
 
 def _manual_plan(network, follow_edges):
@@ -74,10 +74,16 @@ def test_a1_golden_eight_node_example(eight_node_network, eight_node_log):
     assert dg.seeds == EIGHT_NODE_SEEDS
 
     plan = _manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
-    assert estimate_size(apply_deletion(dg, plan), dg.seeds) == 5
+    report = run_estimation(eight_node_network, [eight_node_log], plan, NON_TREE)
+    assert report.total_estimated == 5
+
+    batch = build_batch(eight_node_network, [eight_node_log], NON_TREE)
+    k = plan.edge_pos.size
 
     def cut_and_count():
-        return estimate_size(apply_deletion(dg, plan), dg.seeds)
+        return estimate_budgets(batch, plan_ranks(eight_node_network, plan), [k])
+
+    assert cut_and_count()[0][0].estimated_size == 5
 
     cut_and_count()  # warm-up
     timings = []
@@ -155,7 +161,8 @@ def test_a5_betweenness_matches_path_counting_oracle():
         nodes, edges = random_digraph(rng, n, rng.uniform(0.06, 0.25))
         if not edges:
             continue
-        actual = edge_betweenness(build_graph(edges, nodes=nodes))
+        g = build_graph(edges, nodes=nodes)
+        actual = dict(zip(graph_edges(g), betweenness_scores(g).tolist()))
         expected = path_count_betweenness(nodes, edges)
         assert actual.keys() == expected.keys()
         for edge, score in expected.items():
@@ -260,21 +267,20 @@ _higgs_activity = _find(HIGGS_DIR, _ACTIVITY_NAMES)
 )
 def test_a8_public_dataset_trends():
     with open(_higgs_edges, "r", encoding="utf-8") as fh:
-        edges = load_follow_edges(fh)
+        network = read_network(fh)
     with open(_higgs_activity, "r", encoding="utf-8") as fh:
         logs = load_higgs_activity(fh, interactions=frozenset())
     logs = filter_cascades(logs, 100)
 
-    stats = compute_stats(build_graph(edges), logs)
+    stats = compute_stats(network, logs)
     assert stats.link_count == 14_855_842
     assert stats.user_count == 456_626
 
-    network = build_graph(edges)
     fractions = tuple(round(0.05 * i, 2) for i in range(1, 11))
     budgets = [budget_for(f, network.edge_count) for f in fractions]
     batch = build_batch(network, logs, NON_TREE)
 
-    from cascadecut.estimator import EstimateReport, estimate_budgets, plan_ranks
+    from cascadecut.estimator import EstimateReport
 
     totals = {}
     for strategy in ("netmelt", "random"):

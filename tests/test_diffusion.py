@@ -19,7 +19,6 @@ from cascadecut import (
     build_batch,
     build_graph,
     build_variant,
-    reachable_from,
     to_dot,
 )
 from cascadecut import diffusion
@@ -31,13 +30,19 @@ from conftest import (
     random_instance,
     random_logs,
 )
-from oracles import indegree_zero, single_parent_edges, spread_rule_edges, unfiltered_candidates
+from oracles import closure_from, indegree_zero, single_parent_edges, spread_rule_edges, unfiltered_candidates
 
 GATHER_LOG = re.compile(
     r"gathered (\d+) follow edge\(s\) of (\d+) participant\(s\); (\d+) passed the filter, (\d+) qualify"
 )
 CANDIDATE_ARRAYS = ("owner", "node", "tau", "slot", "at", "parent", "edge_pos")
 BATCH_ARRAYS = ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos")
+
+
+def present_times(network, log):
+    """Event time of each of the log's users that the network holds."""
+    present = (network.indices_of(log.users()) >= 0).tolist()
+    return {u: t for (u, t), kept in zip(log.events, present) if kept}
 
 
 class TestEightNodeExample:
@@ -110,7 +115,7 @@ class TestRandomInstances:
         rng = random.Random(61)
         for _ in range(40):
             network, log, edges, _ = random_instance(rng)
-            tau = {u: t for u, t in log.events if network.has_node(u)}
+            tau = present_times(network, log)
             dg = build_variant(network, log, NON_TREE)
             assert dg.edges == spread_rule_edges(edges, tau)
 
@@ -118,7 +123,7 @@ class TestRandomInstances:
         rng = random.Random(67)
         for _ in range(40):
             network, log, edges, _ = random_instance(rng)
-            tau = {u: t for u, t in log.events if network.has_node(u)}
+            tau = present_times(network, log)
             first = build_variant(network, log, TREE_FIRST)
             last = build_variant(network, log, TREE_LAST)
             assert first.edges == single_parent_edges(edges, tau, latest=False)
@@ -167,8 +172,7 @@ class TestRandomInstances:
             network, log, _, _ = random_instance(rng)
             for variant in VARIANTS:
                 dg = build_variant(network, log, variant)
-                g = build_graph(dg.edges, nodes=dg.nodes)
-                assert len(reachable_from(g, dg.seeds)) == len(dg.nodes)
+                assert closure_from(dg.edges, dg.seeds) == dg.nodes
 
     def test_edge_arrays_describe_the_edges(self):
         rng = random.Random(101)
@@ -178,13 +182,14 @@ class TestRandomInstances:
             src, dst = network.edge_src_indices, network.edge_dst_indices
             for variant in VARIANTS:
                 dg = build_variant(network, log, variant)
-                pairs = list(zip(dg.child_ids.tolist(), dg.parent_ids.tolist()))
+                batch = build_batch(network, [log], variant)
+                pairs = list(zip(batch.child.tolist(), batch.parent.tolist()))
                 assert pairs == sorted(pairs)
                 assert {(ids[p], ids[c]) for c, p in pairs} == dg.edges
                 assert len(pairs) == len(dg.edges)
                 # the child follows the parent along the recorded follow edge
-                assert src[dg.follow_edge_pos].tolist() == dg.child_ids.tolist()
-                assert dst[dg.follow_edge_pos].tolist() == dg.parent_ids.tolist()
+                assert src[batch.follow_edge_pos].tolist() == batch.child.tolist()
+                assert dst[batch.follow_edge_pos].tolist() == batch.parent.tolist()
 
     def test_build_independent_of_event_order(self, eight_node_network):
         rng = random.Random(97)
@@ -212,15 +217,15 @@ class TestBuildBatch:
                 for i, log in enumerate(logs):
                     dg = build_variant(network, log, variant)
                     mine = batch.cascade == i
-                    for got, want in ((batch.parent, dg.parent_ids), (batch.child, dg.child_ids),
-                                      (batch.follow_edge_pos, dg.follow_edge_pos)):
-                        assert got[mine].tolist() == want.tolist()
+                    alone = build_batch(network, [log], variant)
+                    for name in ("parent", "child", "follow_edge_pos"):
+                        assert getattr(batch, name)[mine].tolist() == getattr(alone, name).tolist()
                     pairs = zip(batch.parent[mine].tolist(), batch.child[mine].tolist())
                     edges = {(ids[p], ids[c]) for p, c in pairs}
                     assert edges == dg.edges
                     assert batch.sizes[i] == len(dg.nodes) == log.size
                     assert batch.seed_counts[i] == len(dg.seeds)
-                    tau = {u: t for u, t in log.events if network.has_node(u)}
+                    tau = present_times(network, log)
                     if variant == NON_TREE:
                         assert edges == spread_rule_edges(follow_edges, tau)
                     else:

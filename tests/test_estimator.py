@@ -18,11 +18,9 @@ from cascadecut import (
     NON_TREE,
     ParseError,
     VARIANTS,
-    apply_deletion,
     build_batch,
     build_variant,
     estimate_budgets,
-    estimate_size,
     plan_random,
     plan_ranks,
     read_report_csv,
@@ -36,7 +34,7 @@ from conftest import (
     random_instance,
     random_logs,
 )
-from oracles import closure_from, list_estimate_budgets
+from oracles import closure_from, cut_edges, graph_edges, list_estimate_budgets, size_after
 
 
 def manual_plan(network, follow_edges, strategy="netmelt", k=None):
@@ -50,37 +48,43 @@ def manual_plan(network, follow_edges, strategy="netmelt", k=None):
     )
 
 
+def surviving_edges(network, log, variant, plan):
+    """The batch's spread edges whose follow edge the whole plan leaves, as id pairs."""
+    batch = build_batch(network, [log], variant)
+    keep = plan_ranks(network, plan)[batch.follow_edge_pos] >= plan.edge_pos.size
+    ids = network.external_ids
+    return {(ids[p], ids[c]) for p, c in zip(batch.parent[keep].tolist(), batch.child[keep].tolist())}
+
+
 class TestApplyDeletion:
+    """The cut the estimator applies: a plan's ranks over a batch's follow-edge positions."""
+
     def test_eight_node_cut(self, eight_node_network, eight_node_log):
-        dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
-        after = apply_deletion(dg, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
-        assert after.edges == {
+        plan = manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
+        after = surviving_edges(eight_node_network, eight_node_log, NON_TREE, plan)
+        assert after == {
             ("1", "2"), ("2", "3"), ("4", "5"), ("5", "3"), ("6", "7"), ("6", "8"),
         }
+        assert after == cut_edges(build_variant(eight_node_network, eight_node_log, NON_TREE), plan)
         # node 6 lost its only incoming edge but stays a non-seed node
-        assert not any(child == "6" for _, child in after.edges)
-        assert after.seeds == EIGHT_NODE_SEEDS
-        assert after.nodes == dg.nodes
+        assert not any(child == "6" for _, child in after)
+        (row,) = run_estimation(eight_node_network, [eight_node_log], plan, NON_TREE).per_cascade
+        assert (row.original_size, row.seed_count) == (8, len(EIGHT_NODE_SEEDS))
 
     def test_edge_arrays_follow_the_cut(self):
         rng = random.Random(239)
         for _ in range(20):
             network, log, edges, _ = random_instance(rng)
-            ids = network.external_ids
             for variant in VARIANTS:
                 dg = build_variant(network, log, variant)
                 chosen = rng.sample(edges, rng.randint(0, min(len(edges), 10))) if edges else []
-                after = apply_deletion(dg, manual_plan(network, chosen))
-                pairs = list(zip(after.parent_ids.tolist(), after.child_ids.tolist()))
-                assert {(ids[p], ids[c]) for p, c in pairs} == after.edges
-                assert len(pairs) == len(after.edges)
-                assert after.follow_edge_pos.tolist() == network.edge_positions(
-                    [(ids[c], ids[p]) for p, c in pairs]
-                ).tolist()
+                plan = manual_plan(network, chosen)
+                assert surviving_edges(network, log, variant, plan) == cut_edges(dg, plan)
 
     def test_empty_plan_is_identity(self, eight_node_network, eight_node_log):
         dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
-        assert apply_deletion(dg, manual_plan(eight_node_network, [])) == dg
+        empty = manual_plan(eight_node_network, [])
+        assert surviving_edges(eight_node_network, eight_node_log, NON_TREE, empty) == dg.edges
 
     def test_matches_set_difference_oracle(self):
         rng = random.Random(139)
@@ -90,23 +94,26 @@ class TestApplyDeletion:
             if not edges:
                 continue
             chosen = rng.sample(edges, rng.randint(0, min(len(edges), 10)))
-            after = apply_deletion(dg, manual_plan(network, chosen))
-            assert after.edges == dg.edges - {(b, a) for a, b in chosen}
+            after = surviving_edges(network, log, NON_TREE, manual_plan(network, chosen))
+            assert after == dg.edges - {(b, a) for a, b in chosen}
+
+
+def all_budget_sizes(network, logs, variant, plan, budgets):
+    per_budget = estimate_budgets(build_batch(network, logs, variant), plan_ranks(network, plan), budgets)
+    return [[row.estimated_size for row in rows] for rows in per_budget]
 
 
 class TestEstimateSize:
     def test_eight_node_post_deletion_size(self, eight_node_network, eight_node_log):
-        dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
-        after = apply_deletion(dg, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
-        assert estimate_size(after, dg.seeds) == 5
+        plan = manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
+        assert all_budget_sizes(eight_node_network, [eight_node_log], NON_TREE, plan, [2]) == [[5]]
 
     def test_no_deletion_reaches_everyone(self):
         rng = random.Random(149)
         for _ in range(20):
             network, log, _, _ = random_instance(rng)
             for variant in VARIANTS:
-                dg = build_variant(network, log, variant)
-                assert estimate_size(dg, dg.seeds) == len(dg.nodes)
+                assert all_budget_sizes(network, [log], variant, manual_plan(network, []), [0]) == [[log.size]]
 
     def test_matches_transitive_closure_count(self):
         rng = random.Random(151)
@@ -114,25 +121,21 @@ class TestEstimateSize:
             network, log, edges, _ = random_instance(rng)
             dg = build_variant(network, log, NON_TREE)
             chosen = rng.sample(edges, rng.randint(0, min(len(edges), 8))) if edges else []
-            after = apply_deletion(dg, manual_plan(network, chosen))
-            reached = closure_from(after.edges, dg.seeds)
-            assert estimate_size(after, dg.seeds) == len(reached | dg.seeds)
+            reached = closure_from(dg.edges - {(b, a) for a, b in chosen}, dg.seeds)
+            plan = manual_plan(network, chosen)
+            assert all_budget_sizes(network, [log], NON_TREE, plan, [len(chosen)]) == [[len(reached | dg.seeds)]]
 
     def test_unknown_seed_rejected(self, eight_node_network, eight_node_log):
+        # The per-budget oracle refuses seeds outside the graph.
         dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
         with pytest.raises(InputError):
-            estimate_size(dg, {"nope"})
+            size_after(dg, manual_plan(eight_node_network, []), {"nope"})
 
 
 def prefix_oracle(graphs, plan, k):
     """Sizes at budget k the direct way: cut the plan prefix, then search."""
     sub = plan.prefix(k)
-    return [estimate_size(apply_deletion(dg, sub), dg.seeds) for dg in graphs]
-
-
-def all_budget_sizes(network, logs, variant, plan, budgets):
-    per_budget = estimate_budgets(build_batch(network, logs, variant), plan_ranks(network, plan), budgets)
-    return [[row.estimated_size for row in rows] for rows in per_budget]
+    return [size_after(dg, sub) for dg in graphs]
 
 
 class TestEstimateBudgets:
@@ -172,7 +175,7 @@ class TestEstimateBudgets:
         rng = random.Random(229)
         for _ in range(15):
             network, log, edges, _ = random_instance(rng, outside_user_chance=1.0)
-            assert any(not network.has_node(u) for u in log.users())
+            assert (network.indices_of(log.users()) < 0).any()
             plan = manual_plan(network, rng.sample(edges, len(edges)))
             budgets = [0, len(edges) // 2, len(edges), len(edges) + 5]
             for variant in VARIANTS:
@@ -211,9 +214,8 @@ class TestEstimateBudgets:
             ranks = plan_ranks(network, manual_plan(network, ranked))
             budgets = list(range(len(ranked) + 3))  # k = 0 .. beyond the plan's end
             for variant in VARIANTS:
-                graphs = [build_variant(network, log, variant) for log in logs]
                 got = estimate_budgets(build_batch(network, logs, variant), ranks, budgets)
-                assert got == list_estimate_budgets(graphs, ranks, budgets)
+                assert got == list_estimate_budgets(network, logs, variant, ranks, budgets)
 
     def test_eight_node_every_budget(self, eight_node_network, eight_node_log):
         # The cut edges first, so k = 2 is the hand-checked cut.
@@ -259,8 +261,7 @@ class TestPlanRanks:
     def test_first_occurrence_wins(self, eight_node_network):
         plan = manual_plan(eight_node_network, [("5", "1"), ("6", "3"), ("5", "1")])
         ranks = plan_ranks(eight_node_network, plan)
-        edges = list(eight_node_network.edges())
-        by_edge = dict(zip(edges, ranks.tolist()))
+        by_edge = dict(zip(graph_edges(eight_node_network), ranks.tolist()))
         assert by_edge[("5", "1")] == 0
         assert by_edge[("6", "3")] == 1
         assert sum(r < 3 for r in ranks.tolist()) == 2
@@ -273,7 +274,7 @@ class TestPlanRanks:
         assert len(warnings) == 1
         assert "2 of 4 edge(s) not in the follow network" in warnings[0].getMessage()
         # unknown entries still take their place in the ranking
-        by_edge = dict(zip(eight_node_network.edges(), ranks.tolist()))
+        by_edge = dict(zip(graph_edges(eight_node_network), ranks.tolist()))
         assert by_edge[("6", "3")] == 3
 
     def test_known_plan_is_silent(self, eight_node_network, caplog):

@@ -338,10 +338,10 @@ class TestRunSweep:
             (row[0], row[1], row[3]): (int(row[4]), int(row[5]))
             for row in read_summary(config.out_dir)
         }
-        from cascadecut import filter_cascades, load_cascades, load_follow_edges
+        from cascadecut import filter_cascades, iter_follow_edges, load_cascades
 
         with open(edges_path) as fh:
-            network = build_graph(load_follow_edges(fh))
+            network = build_graph(iter_follow_edges(fh))
         with open(cascades_path) as fh:
             logs = filter_cascades(load_cascades(fh), 0)
         for strategy in STRATEGIES:

@@ -1,4 +1,4 @@
-"""Graph construction, reachability, betweenness, and eigenpair tests."""
+"""Graph construction, betweenness, and eigenpair tests."""
 
 from __future__ import annotations
 
@@ -10,18 +10,17 @@ import pytest
 from cascadecut import (
     ConvergenceError,
     InputError,
+    betweenness_scores,
     build_graph,
-    edge_betweenness,
     leading_eigenpair,
-    reachable_from,
 )
 from conftest import EIGHT_NODE_FOLLOW_EDGES, assert_same_graph
 from oracles import (
     all_pairs_distance_sum,
-    closure_from,
     dense_spectral_radius,
     dict_edge_positions,
     eager_reverse_index,
+    graph_edges,
     path_count_betweenness,
     random_digraph,
     reference_build_graph,
@@ -64,12 +63,12 @@ class TestBuildGraph:
     def test_duplicates_and_self_loops_dropped(self):
         g = build_graph([("a", "b"), ("a", "b"), ("b", "b")])
         assert g.node_count == 2
-        assert list(g.edges()) == [("a", "b")]
+        assert graph_edges(g) == [("a", "b")]
 
     def test_eight_node_example(self, eight_node_network):
         assert eight_node_network.node_count == 8
         assert eight_node_network.edge_count == 8
-        assert set(eight_node_network.edges()) == set(EIGHT_NODE_FOLLOW_EDGES)
+        assert set(graph_edges(eight_node_network)) == set(EIGHT_NODE_FOLLOW_EDGES)
 
     def test_ids_sorted_by_external_id(self):
         g = build_graph([("z", "a"), ("m", "z")])
@@ -82,7 +81,7 @@ class TestBuildGraph:
         rng.shuffle(shuffled)
         g1, g2 = build_graph(edges), build_graph(shuffled + edges[:3])
         assert g1.external_ids == g2.external_ids
-        assert list(g1.edges()) == list(g2.edges())
+        assert graph_edges(g1) == graph_edges(g2)
 
     def test_degree_sums_match_edge_count(self):
         rng = random.Random(11)
@@ -96,13 +95,15 @@ class TestBuildGraph:
         _, edges = random_digraph(rng, 15, 0.25)
         g = build_graph(edges)
         targets, sources, _ = g.in_edges_bulk(np.arange(g.node_count))
-        via_reverse = {(g.id_of(s), g.id_of(t)) for s, t in zip(sources, targets)}
-        assert via_reverse == set(g.edges())
+        ids = g.external_ids
+        via_reverse = {(ids[s], ids[t]) for s, t in zip(sources.tolist(), targets.tolist())}
+        assert via_reverse == set(graph_edges(g))
 
     def test_isolated_nodes_via_nodes_argument(self):
         g = build_graph([("a", "b")], nodes=["c", "a"])
         assert g.external_ids == ("a", "b", "c")
-        assert g.out_degree("c") == 0
+        assert g.out_degrees.tolist() == [1, 0, 0]
+        assert g.in_degrees.tolist() == [0, 1, 0]
 
     def test_non_string_ids_rejected(self):
         with pytest.raises(InputError):
@@ -112,7 +113,7 @@ class TestBuildGraph:
         rng = random.Random(17)
         nodes, edges = random_digraph(rng, 15, 0.25)
         g = build_graph(edges)
-        canonical = list(g.edges())
+        canonical = graph_edges(g)
         absent = [(a, b) for a in nodes for b in nodes if (a, b) not in set(edges)][:20]
         queries = rng.sample(edges, len(edges)) + absent + [("zz", nodes[0]), (nodes[0], "zz")]
         expected = [canonical.index(q) if q in canonical else -1 for q in queries]
@@ -150,7 +151,7 @@ class TestLazyIndexes:
         assert targets.tolist() == np.repeat(np.arange(g.node_count), np.diff(indptr)).tolist()
         g.in_edges_bulk(np.arange(g.node_count))
         assert g._reverse is built
-        assert all(g.in_degree(node) == int(indptr[i + 1] - indptr[i]) for i, node in enumerate(nodes))
+        assert g.in_degrees.tolist() == np.diff(built[0]).tolist()
 
     def test_id_tables(self):
         rng = random.Random(5)
@@ -218,59 +219,9 @@ class TestStreamingBuildMatchesReference:
             build_graph([("a", "b"), ("c",)])
 
 
-class TestReachability:
-    def test_eight_node_after_cut(self):
-        remaining = [("1", "2"), ("2", "3"), ("4", "5"), ("5", "3"), ("6", "7"), ("6", "8")]
-        g = build_graph(remaining, nodes=[str(i) for i in range(1, 9)])
-        assert reachable_from(g, {"1", "4"}) == {"1", "2", "3", "4", "5"}
-
-    def test_all_nodes_as_sources(self):
-        rng = random.Random(3)
-        _, edges = random_digraph(rng, 10, 0.2)
-        g = build_graph(edges)
-        assert reachable_from(g, set(g.external_ids)) == set(g.external_ids)
-
-    def test_unknown_source_rejected(self):
-        g = build_graph([("a", "b")])
-        with pytest.raises(InputError):
-            reachable_from(g, {"zzz"})
-
-    def test_random_dags_match_closure_oracle(self):
-        rng = random.Random(17)
-        for _ in range(25):
-            n = rng.randint(2, 30)
-            names = [f"n{i:02d}" for i in range(n)]
-            rng.shuffle(names)
-            edges = [
-                (names[i], names[j])
-                for i in range(n)
-                for j in range(i + 1, n)
-                if rng.random() < 0.15
-            ]
-            g = build_graph(edges, nodes=names)
-            sources = set(rng.sample(names, rng.randint(1, n)))
-            assert reachable_from(g, sources) == closure_from(edges, sources)
-
-    def test_monotone_in_sources_and_edges(self):
-        rng = random.Random(19)
-        for _ in range(10):
-            _, edges = random_digraph(rng, 15, 0.2)
-            if not edges:
-                continue
-            g = build_graph(edges)
-            nodes = list(g.external_ids)
-            small = set(rng.sample(nodes, max(1, len(nodes) // 3)))
-            large = small | set(rng.sample(nodes, max(1, len(nodes) // 3)))
-            assert reachable_from(g, small) <= reachable_from(g, large)
-            fewer = build_graph(edges[: len(edges) // 2], nodes=nodes)
-            assert reachable_from(fewer, small) <= reachable_from(g, small)
-
-    def test_reach_is_a_fixed_point(self):
-        rng = random.Random(23)
-        _, edges = random_digraph(rng, 12, 0.25)
-        g = build_graph(edges)
-        first = reachable_from(g, {g.external_ids[0]})
-        assert reachable_from(g, first) == first
+def edge_betweenness(g):
+    """Betweenness keyed by (src, dst) id pair."""
+    return dict(zip(graph_edges(g), betweenness_scores(g).tolist()))
 
 
 class TestEdgeBetweenness:
@@ -285,7 +236,7 @@ class TestEdgeBetweenness:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InputError):
-            edge_betweenness(build_graph([]))
+            betweenness_scores(build_graph([]))
 
     def test_random_digraphs_match_path_counting_oracle(self):
         rng = random.Random(29)

@@ -106,3 +106,38 @@ def test_the_scan_sees_each_blas_form():
     assert [what for _, what in sorted(blas_uses(ast.parse(source)))] == [
         "@", "@", "dot", "linalg", "einsum", "inner"
     ]
+
+
+def unused_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of every name an import binds that the module never references.
+
+    Names in string annotations count as references.
+    """
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for node in annotations:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_the_package_imports_no_unused_name():
+    # __init__ imports to re-export; every other module imports only what it uses.
+    files = sorted(path for path in (SRC / "cascadecut").glob("*.py") if path.name != "__init__.py")
+    assert files
+    for path in files:
+        assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == [], path
+
+
+def test_the_unused_import_scan_sees_each_form():
+    source = (
+        "from __future__ import annotations\nimport os\nimport os.path\nimport numpy as np\n"
+        "from .graph import a, b as c, d, e\ndef f(x: 'd') -> None:\n    return a, 'e'\n"
+    )
+    assert unused_imports(ast.parse(source)) == [(2, "os"), (4, "np"), (5, "c"), (5, "e")]

@@ -35,6 +35,7 @@ from .graph import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     DirectedGraph,
+    _decimals,
     betweenness_scores,
     leading_eigenpair,
 )
@@ -50,6 +51,9 @@ CACHE_FORMAT = 1
 
 # random.Random draws an index below 2**32 from one 32-bit word.
 MAX_RANDOM_EDGES = 2**32 - 1
+
+# The separators of one plan line: two tabs and a line end.
+_PLAN_SEPARATORS = np.array([ord("\t"), ord("\t"), ord("\n")], dtype=np.uint8)
 
 # Fewest shuffle steps per chunk of rejection draws; see _swap_slots.
 _MIN_CHUNK = 1024
@@ -211,7 +215,9 @@ def load_plan(path: str | Path, network: DirectedGraph, strict: bool = False) ->
 
     Each line's (src, dst) ids are looked up once in the network; an edge
     the network lacks gets position -1, or with ``strict`` is a
-    :class:`ParseError` naming the first such line.
+    :class:`ParseError` naming the first such line.  A body of ``k`` or
+    fewer 3-field lines with falling scores is read in bulk; any other is
+    read line by line, which alone reports what is wrong with it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -231,38 +237,86 @@ def load_plan(path: str | Path, network: DirectedGraph, strict: bool = False) ->
             seed = int(seed_text) if seed_text else None
         except ValueError:
             raise ParseError(f"{path}: line 1: bad seed {seed_text!r} in plan header") from None
-        edges: list[tuple[str, str]] = []
-        scores: list[float] = []
-        linenos: list[int] = []
-        previous = math.inf
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"{path}: line {lineno}: expected 3 fields, got {len(fields)}")
-            if len(edges) == k:
-                raise ParseError(f"{path}: line {lineno}: more plan edges than the header's budget {k}")
-            try:
-                score = float(fields[2])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: bad score {fields[2]!r}") from None
-            # One comparison per line; it is false for NaN as well.
-            if not score <= previous:
-                if math.isnan(score):
-                    raise ParseError(f"{path}: line {lineno}: score is NaN")
-                raise ParseError(f"{path}: line {lineno}: score {score!r} rises above the previous {previous!r}")
-            previous = score
-            scores.append(score)
-            edges.append((fields[0], fields[1]))
-            linenos.append(lineno)
-    pos = network.edge_positions(edges)
+        body = fh.read()
+    rows = _plan_rows(body, k)
+    if rows is None:
+        rows = _plan_lines(path, body, k)
+    src, dst, scores, linenos = rows
+    pos = network.positions_of(network.indices_of(src), network.indices_of(dst))
     if strict and (pos < 0).any():
         first = int(np.argmax(pos < 0))
-        src, dst = edges[first]
-        raise ParseError(f"{path}: line {linenos[first]}: plan edge {src!r} -> {dst!r} is not in the follow network")
-    return DeletionPlan(strategy, k, network, pos, np.array(scores, dtype=np.float64), rng_seed=seed)
+        lineno = first + 2 if linenos is None else linenos[first]
+        src, dst = str(src[first]), str(dst[first])
+        raise ParseError(f"{path}: line {lineno}: plan edge {src!r} -> {dst!r} is not in the follow network")
+    return DeletionPlan(strategy, k, network, pos, scores, rng_seed=seed)
+
+
+def _plan_rows(body: str, k: int) -> tuple | None:
+    """(src ids, dst ids, scores, None) of a plan body of at most ``k`` lines
+    of three tab-separated fields, read in bulk, or None for any other body.
+
+    The ids are int64 values when they are all plain decimals (see
+    :func:`~cascadecut.graph.decimal_values`), else strings; each line's
+    score is parsed by ``float``.  A score that is NaN or rises also gives
+    None, as does a blank line.
+    """
+    data = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    # Tab, tab, line end on every line; the last line may end with the body.
+    cuts = np.flatnonzero((data == ord("\t")) | (data == ord("\n")))
+    kinds = data[cuts]
+    if kinds.size % 3 == 2:
+        cuts = np.append(cuts, data.size)
+        kinds = np.append(kinds, np.uint8(ord("\n")))
+    lines = kinds.size // 3
+    if kinds.size % 3 or lines > k or (kinds.reshape(lines, 3) != _PLAN_SEPARATORS).any():
+        return None
+    cuts = cuts.reshape(lines, 3)
+    fields = body.replace("\n", "\t").split("\t")
+    try:
+        scores = np.fromiter(map(float, fields[2 : 3 * lines : 3]), dtype=np.float64, count=lines)
+    except ValueError:
+        return None
+    if np.isnan(scores).any() or (scores[1:] > scores[:-1]).any():
+        return None
+    starts = np.r_[0, cuts[:, 2] + 1][:-1]
+    src = _decimals(data, starts, cuts[:, 0] - starts, leading_zeros=False)
+    dst = _decimals(data, cuts[:, 0] + 1, cuts[:, 1] - cuts[:, 0] - 1, leading_zeros=False)
+    if src is None or dst is None:
+        src, dst = fields[0 : 3 * lines : 3], fields[1 : 3 * lines : 3]
+    return src, dst, scores, None
+
+
+def _plan_lines(path: str | Path, body: str, k: int) -> tuple[list[str], list[str], np.ndarray, list[int]]:
+    """(src ids, dst ids, scores, line numbers) of a plan body, read line by
+    line; the first line that is not a plan edge is a :class:`ParseError`."""
+    src: list[str] = []
+    dst: list[str] = []
+    scores: list[float] = []
+    linenos: list[int] = []
+    previous = math.inf
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"{path}: line {lineno}: expected 3 fields, got {len(fields)}")
+        if len(scores) == k:
+            raise ParseError(f"{path}: line {lineno}: more plan edges than the header's budget {k}")
+        try:
+            score = float(fields[2])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: bad score {fields[2]!r}") from None
+        # One comparison per line; it is false for NaN as well.
+        if not score <= previous:
+            if math.isnan(score):
+                raise ParseError(f"{path}: line {lineno}: score is NaN")
+            raise ParseError(f"{path}: line {lineno}: score {score!r} rises above the previous {previous!r}")
+        previous = score
+        scores.append(score)
+        src.append(fields[0])
+        dst.append(fields[1])
+        linenos.append(lineno)
+    return src, dst, np.array(scores, dtype=np.float64), linenos
 
 
 def cache_header(strategy: str, k: int, rng_seed: int | None, network: DirectedGraph) -> dict:

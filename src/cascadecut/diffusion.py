@@ -141,7 +141,7 @@ def gather_candidates(network: DirectedGraph, logs: CascadeTable | Sequence[Casc
     passed the filter and the qualifying edges.
     """
     table = CascadeTable.from_logs(logs)
-    node = network.indices_of(table.users)[table.user]
+    node = network.indices_of(table.user_ids)[table.user]
     present = node >= 0
     if not present.all():
         logger.warning(

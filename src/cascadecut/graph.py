@@ -3,9 +3,11 @@
 A :class:`DirectedGraph` maps opaque string node ids onto dense integers
 (sorted by external id, so builds are reproducible) and stores the edge set
 in compressed sparse form, forward on construction and reverse (with the id
-lookup tables) on first use.  Nodes and edges are addressed by dense id and
-canonical edge position; external ids are looked up in bulk only, through
-:meth:`DirectedGraph.indices_of` and :meth:`DirectedGraph.edge_positions`.
+lookup tables) on first use.  Plain decimal ids may be held as int64
+values, whose strings are built only when asked for.  Nodes and edges are
+addressed by dense id and canonical edge position; external ids are looked
+up in bulk only, through :meth:`DirectedGraph.indices_of` and
+:meth:`DirectedGraph.edge_positions`.
 On top of it this module provides directed edge betweenness (Brandes-style
 accumulation) and the leading eigenpair of the adjacency matrix via power
 iteration.
@@ -19,7 +21,6 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ DEFAULT_MAX_ITERATIONS = 10_000
 
 # Ids of at most this many decimal digits are read as int64.
 MAX_DIGITS = 18
+_POWERS = 10 ** np.arange(MAX_DIGITS + 1, dtype=np.int64)
 # decimal_values checks and parses this many tokens at a time.
 _TOKEN_CHUNK = 1 << 16
 
@@ -45,15 +47,24 @@ class DirectedGraph:
     """Directed graph over dense node ids 0..n-1 with an external-id table.
 
     Construct through :func:`build_graph`; the constructor assumes canonical
-    (deduplicated, self-loop-free, sorted) edge arrays.  The reverse CSR and
-    the external-id lookup tables are built on first use, so a caller that
-    never reads in-edges or looks ids up pays for neither.
+    (deduplicated, self-loop-free, sorted) edge arrays.  The external ids
+    are a tuple of strings, or an int64 array of plain decimal ids (see
+    :func:`decimal_values`) in the same text order, whose strings are built
+    on first use.  The reverse CSR and the id lookup tables are built on
+    first use too, so a caller that never reads in-edges or looks ids up
+    pays for neither.
     """
 
-    __slots__ = ("_ids", "_edge_src", "_edge_dst", "_fwd_indptr", "_reverse", "_index", "_decimal", "_fingerprint")
+    __slots__ = (
+        "_ids", "_values", "_edge_src", "_edge_dst", "_fwd_indptr", "_reverse", "_index", "_decimal", "_fingerprint"
+    )
 
-    def __init__(self, external_ids: tuple[str, ...], edge_src: np.ndarray, edge_dst: np.ndarray):
-        self._ids = external_ids
+    def __init__(self, external_ids: tuple[str, ...] | np.ndarray, edge_src: np.ndarray, edge_dst: np.ndarray):
+        if isinstance(external_ids, np.ndarray):
+            self._ids, self._values = None, external_ids
+            self._values.flags.writeable = False
+        else:
+            self._ids, self._values = external_ids, None
         self._edge_src = edge_src
         self._edge_dst = edge_dst
         self._fwd_indptr = _indptr(edge_src, len(external_ids))
@@ -67,7 +78,7 @@ class DirectedGraph:
     def _reverse_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, sources, edge positions) of the in-edges, by (dst, src)."""
         if self._reverse is None:
-            n = np.int64(len(self._ids))
+            n = np.int64(self.node_count)
             key = self._edge_dst * n
             key += self._edge_src
             # Edges are distinct, so the keys are too and any sort is stable.
@@ -81,14 +92,14 @@ class DirectedGraph:
     def _id_index(self) -> dict[str, int]:
         """External id -> dense id."""
         if self._index is None:
-            self._index = {ext: i for i, ext in enumerate(self._ids)}
+            self._index = {ext: i for i, ext in enumerate(self.external_ids)}
         return self._index
 
     def _decimal_index(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(int64 ids in numeric order, their dense ids) when every external
         id is a plain decimal (see :func:`decimal_values`), else None."""
         if self._decimal is None:
-            values = decimal_values(self._ids)
+            values = self._values if self._values is not None else decimal_values(self._ids)
             if values is None:
                 self._decimal = ()
             else:
@@ -100,7 +111,7 @@ class DirectedGraph:
 
     @property
     def node_count(self) -> int:
-        return len(self._ids)
+        return len(self._ids if self._values is None else self._values)
 
     @property
     def edge_count(self) -> int:
@@ -109,6 +120,8 @@ class DirectedGraph:
     @property
     def external_ids(self) -> tuple[str, ...]:
         """External ids in dense-id order (sorted lexicographically)."""
+        if self._ids is None:
+            self._ids = id_strings(self._values)
         return self._ids
 
     @property
@@ -116,41 +129,71 @@ class DirectedGraph:
         """Hex ``blake2b`` digest of the node ids and both edge arrays, computed once.
 
         Graphs with equal ids and edges have equal fingerprints; a changed,
-        added or removed id or edge changes it.
+        added or removed id or edge changes it.  Ids held as integers are
+        hashed from their digits, with the same digest as their strings.
         """
         if self._fingerprint is None:
             from hashlib import blake2b
 
             # Lengths in characters split the joined ids unambiguously, and
             # the leading counts fix where each part ends.
-            text = "".join(self._ids).encode("utf-8", "surrogatepass")
-            digest = blake2b(np.array([len(self._ids), len(text), self.edge_count], dtype=np.int64), digest_size=32)
-            digest.update(np.fromiter(map(len, self._ids), dtype=np.int64, count=len(self._ids)))
+            if self._values is None:
+                text = "".join(self._ids).encode("utf-8", "surrogatepass")
+                lengths = np.fromiter(map(len, self._ids), dtype=np.int64, count=len(self._ids))
+            else:
+                lengths = digit_counts(self._values)
+                text = _digit_text(self._values, lengths)
+            digest = blake2b(np.array([lengths.size, len(text), self.edge_count], dtype=np.int64), digest_size=32)
+            digest.update(lengths)
             digest.update(text)
             digest.update(self._edge_src)
             digest.update(self._edge_dst)
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
-    def indices_of(self, external_ids: Iterable[str]) -> np.ndarray:
+    def indices_of(self, external_ids: Iterable[str] | np.ndarray) -> np.ndarray:
         """Dense id of each external id, -1 where it is not a node.
 
-        When the node ids and the queries are all plain decimals, the queries
-        are parsed as integers and found by binary search in the numerically
-        sorted ids; otherwise each one is looked up in a dict.
+        ``external_ids`` are strings, or an int64 array of plain decimal ids
+        (see :func:`decimal_values`).  When the node ids and the queries are
+        all plain decimals, the queries are found as integers (see
+        :meth:`_find`); otherwise each one is looked up in a dict.
         """
-        queries = external_ids if isinstance(external_ids, (list, tuple)) else list(external_ids)
         decimal = self._decimal_index()
-        values = None if decimal is None else decimal_values(queries)
-        if values is None:
-            index = self._id_index()
-            return np.fromiter(map(index.get, queries, repeat(-1)), dtype=np.int64, count=len(queries))
-        if not self._ids:
-            return np.full(values.size, -1, dtype=np.int64)
-        numeric, dense = decimal
-        at = np.searchsorted(numeric, values)
+        if isinstance(external_ids, np.ndarray):
+            if decimal is not None:
+                return self._find(external_ids)
+            queries = id_strings(external_ids)
+        else:
+            queries = external_ids if isinstance(external_ids, (list, tuple)) else list(external_ids)
+            values = None if decimal is None else decimal_values(queries)
+            if values is not None:
+                return self._find(values)
+        index = self._id_index()
+        return np.fromiter(map(index.get, queries, repeat(-1)), dtype=np.int64, count=len(queries))
+
+    def _find(self, values: np.ndarray) -> np.ndarray:
+        """Dense id of each int64 id in ``values``, -1 where it is not a node.
+
+        The values are sorted and each distinct one is found by binary
+        search in the numerically sorted ids; in random order the search
+        would cost a mispredicted branch per step.
+        """
+        numeric, dense = self._decimal_index()
+        found = np.full(values.size, -1, dtype=np.int64)
+        if not numeric.size or not values.size:
+            return found
+        order = np.argsort(values)
+        wanted = values[order]
+        new = np.empty(wanted.size, dtype=bool)
+        new[0] = True
+        np.not_equal(wanted[1:], wanted[:-1], out=new[1:])
+        wanted = wanted[new]
+        at = np.searchsorted(numeric, wanted)
         np.minimum(at, numeric.size - 1, out=at)
-        return np.where(numeric[at] == values, dense[at], -1)
+        distinct = np.where(numeric[at] == wanted, dense[at], -1)
+        found[order] = distinct[np.cumsum(new) - 1]
+        return found
 
     # ---- edges and degrees ------------------------------------------------
 
@@ -168,7 +211,7 @@ class DirectedGraph:
 
     @property
     def in_degrees(self) -> np.ndarray:
-        return np.bincount(self._edge_dst, minlength=len(self._ids))
+        return np.bincount(self._edge_dst, minlength=self.node_count)
 
     # ---- bulk adjacency access ---------------------------------------------
 
@@ -196,23 +239,33 @@ class DirectedGraph:
 
     def edge_positions(self, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
         """Canonical position of each (src, dst) external-id pair, -1 where absent."""
-        if self.edge_count == 0:
-            return np.full(len(pairs), -1, dtype=np.int64)
-        n = len(self._ids)
-        wanted = self.indices_of(list(map(itemgetter(0), pairs)))
-        dst = self.indices_of(list(map(itemgetter(1), pairs)))
-        unknown = (wanted < 0) | (dst < 0)
-        # Canonical edges are sorted by (src, dst), so their codes are sorted.
+        ends = self.indices_of(list(chain.from_iterable(pairs)))
+        return self.positions_of(ends[0::2], ends[1::2])
+
+    def positions_of(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Canonical position of each dense-id edge ``src[i] -> dst[i]``, -1
+        where it is not an edge or either end is -1.
+
+        Canonical edges are sorted by (src, dst), so their codes ``src * n +
+        dst`` are sorted, and the wanted codes are searched in sorted order.
+        """
+        pos = np.full(src.size, -1, dtype=np.int64)
+        known = np.flatnonzero((src >= 0) & (dst >= 0))
+        if not self.edge_count or not known.size:
+            return pos
+        n = np.int64(self.node_count)
         # Codes are built in place: plans and networks can be large.
-        wanted *= n
-        wanted += dst
-        del dst
+        wanted = src[known] * n
+        wanted += dst[known]
+        order = np.argsort(wanted)
+        wanted = wanted[order]
         codes = self._edge_src * n
         codes += self._edge_dst
-        pos = np.searchsorted(codes, wanted)
-        np.minimum(pos, codes.size - 1, out=pos)
-        unknown |= codes[pos] != wanted
-        pos[unknown] = -1
+        at = np.searchsorted(codes, wanted)
+        np.minimum(at, codes.size - 1, out=at)
+        hit = codes[at] == wanted
+        del codes
+        pos[known[order[hit]]] = at[hit]
         return pos
 
     def __repr__(self) -> str:
@@ -301,18 +354,81 @@ def _decimal_chunk(tokens: Sequence[str]) -> np.ndarray | None:
     if not text.isascii():
         return None
     data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    # Every token's length equals its digit count: the separators are the
-    # only non-digits.
-    cuts = np.flatnonzero((data < ord("0")) | (data > ord("9")))
+    # The separators are the only spaces, so they bound the tokens.
+    cuts = np.flatnonzero(data == ord(" "))
     if cuts.size != len(tokens) - 1:
         return None
     starts = np.r_[0, cuts + 1]
-    lengths = np.r_[cuts, data.size] - starts
-    if lengths.min() < 1 or lengths.max() > MAX_DIGITS:
+    return _decimals(data, starts, np.r_[cuts, data.size] - starts, leading_zeros=False)
+
+
+def _fold(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, base: int, zero: int) -> tuple[np.ndarray, int]:
+    """Each token's bytes less ``zero`` read as the digits of one number in
+    ``base``, most significant first, and the largest digit met.
+
+    Horner's rule runs over the tokens of one length at a time, a digit
+    column at a time; it is exact while ``base ** length`` stays below
+    2 ** 63.  A byte below ``zero`` wraps around to a digit above 200.
+    """
+    values = np.empty(starts.size, dtype=np.int64)
+    top = 0
+    counts = np.bincount(lengths)
+    for length in np.flatnonzero(counts).tolist():
+        group = None if counts[length] == starts.size else np.flatnonzero(lengths == length)
+        at = starts.copy() if group is None else starts[group]
+        value = np.zeros(at.size, dtype=np.int64)
+        for _ in range(length):
+            digit = data[at]
+            digit -= zero
+            top = max(top, int(digit.max()))
+            value *= base
+            value += digit
+            at += 1
+        if group is None:
+            values = value
+        else:
+            values[group] = value
+    return values, top
+
+
+def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, leading_zeros: bool) -> np.ndarray | None:
+    """The tokens' int64 values when each is 1 to ``MAX_DIGITS`` digits, with
+    no leading zero unless ``leading_zeros``, else None."""
+    if lengths.min(initial=1) < 1 or lengths.max(initial=0) > MAX_DIGITS:
         return None
-    if ((data[starts] == ord("0")) & (lengths > 1)).any():
+    if not leading_zeros and ((data[starts] == ord("0")) & (lengths > 1)).any():
         return None
-    return np.fromstring(text, dtype=np.int64, sep=" ")
+    values, top = _fold(data, starts, lengths, 10, ord("0"))
+    return values if top <= 9 else None
+
+
+def id_strings(ids: np.ndarray) -> tuple[str, ...]:
+    """Plain decimal int64 ``ids`` as their strings."""
+    return tuple(map(str, ids.tolist()))
+
+
+def digit_counts(values: np.ndarray) -> np.ndarray:
+    """The digit count of each plain decimal int64 value."""
+    return np.searchsorted(_POWERS[1:], values, side="right") + 1
+
+
+def _digit_text(values: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The ASCII text of plain decimal ``values`` joined, as uint8, given
+    their ``digits``: each group of one digit count is written a digit
+    column at a time, last digit first."""
+    ends = np.cumsum(digits)
+    text = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    counts = np.bincount(digits)
+    for length in np.flatnonzero(counts).tolist():
+        group = None if counts[length] == values.size else np.flatnonzero(digits == length)
+        rest = values if group is None else values[group]
+        at = (ends if group is None else ends[group]) - 1
+        for _ in range(length):
+            rest, digit = np.divmod(rest, 10)
+            digit += ord("0")
+            text[at] = digit
+            at -= 1
+    return text
 
 
 def edge_keys(codes: np.ndarray, n: int) -> np.ndarray:

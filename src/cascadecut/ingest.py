@@ -15,7 +15,11 @@ field count on every non-blank line (for edges, also decimal ids of at most
 18 digits without a leading zero).  Any other file, and any iterable of
 lines that is not a file, goes through the line scanner, which alone skips
 and reports comments and malformed lines; both readers give the same result
-on a regular file.
+on a regular file.  The bulk readers take one pass over each block's ASCII
+bytes (see :func:`_token_bounds`) that checks the block and finds its
+token bounds, and parse the decimal fields from those bounds.  Decimal ids
+stay int64: the graph and the cascade table keep them as integer id
+tables and build their strings only on first use.
 
 Heterogeneous upstream dumps are normalised to these two formats at the
 boundary; :func:`load_higgs_activity` is the adapter for the one public
@@ -25,6 +29,7 @@ activity log that ships in a four-column layout.
 from __future__ import annotations
 
 import logging
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress
@@ -35,26 +40,32 @@ import numpy as np
 
 from .errors import InputError, ParseError
 from .graph import (
+    _POWERS,
     MAX_DIGITS,
     DirectedGraph,
+    _decimals,
+    _fold,
     _Interner,
     build_graph,
     decimal_values,
+    digit_counts,
     edge_keys,
     graph_from_keys,
+    id_strings,
     sorted_codes,
 )
 
 logger = logging.getLogger(__name__)
 
-# Characters per block of the bulk readers' regularity check, which keeps
-# its per-byte temporaries small.
+# Characters per block of the bulk readers' pass, which keeps its per-byte
+# temporaries small.
 _BLOCK = 1 << 17
-_POWERS = 10 ** np.arange(MAX_DIGITS + 1, dtype=np.int64)
 # Integer ids are ranked through a table indexed by value when their span is
 # at most this many times their count; the table then takes at most twice
 # the values' own memory.
 _SPAN_PER_VALUE = 2
+# Cascade ids of at most this many bytes are packed into one int64 key.
+_KEY_BYTES = 8
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -91,25 +102,40 @@ class CascadeLog:
 class CascadeTable(Sequence):
     """Many cascades' events as flat integer arrays; a read-only sequence of :class:`CascadeLog`.
 
-    ``cascade_ids`` lists the cascades in order and ``users`` the distinct
-    user ids, sorted.  Per event, sorted by (cascade, user): ``cascade`` (an
-    index into ``cascade_ids``), ``user`` (an index into ``users``) and
-    ``time``, with one event per (cascade, user), the earliest.  ``sizes``
-    is each cascade's event count.  Build tables with :func:`load_cascades`
-    or :meth:`from_logs`; the constructor assumes canonical arrays.
+    ``cascade_ids`` lists the cascades in order and ``user_ids`` the
+    distinct user ids, sorted: a tuple of strings, or an int64 array of
+    plain decimal ids (see :func:`~cascadecut.graph.decimal_values`) in the
+    same text order, whose strings :attr:`users` builds on first use.  Per
+    event, sorted by (cascade, user): ``cascade`` (an index into
+    ``cascade_ids``), ``user`` (an index into ``user_ids``) and ``time``,
+    with one event per (cascade, user), the earliest.  ``sizes`` is each
+    cascade's event count.  Build tables with :func:`load_cascades` or
+    :meth:`from_logs`; the constructor assumes canonical arrays.
     """
 
     cascade_ids: tuple[str, ...]
-    users: tuple[str, ...]
+    user_ids: tuple[str, ...] | np.ndarray = field(repr=False)
     cascade: np.ndarray = field(repr=False)
     user: np.ndarray = field(repr=False)
     time: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(init=False, repr=False)
+    _users: tuple[str, ...] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", np.bincount(self.cascade, minlength=len(self.cascade_ids)))
-        for arr in (self.cascade, self.user, self.time, self.sizes):
+        arrays = [self.cascade, self.user, self.time, self.sizes]
+        if isinstance(self.user_ids, np.ndarray):
+            arrays.append(self.user_ids)
+        for arr in arrays:
             arr.flags.writeable = False
+
+    @property
+    def users(self) -> tuple[str, ...]:
+        """The distinct user ids as strings, sorted."""
+        if self._users is None:
+            ids = self.user_ids
+            object.__setattr__(self, "_users", id_strings(ids) if isinstance(ids, np.ndarray) else ids)
+        return self._users
 
     @classmethod
     def from_logs(cls, logs: Iterable[CascadeLog]) -> "CascadeTable":
@@ -158,7 +184,7 @@ class CascadeTable(Sequence):
         kept = keep[self.cascade]
         return CascadeTable(
             tuple(compress(self.cascade_ids, keep.tolist())),
-            self.users,
+            self.user_ids,
             code[self.cascade[kept]],
             self.user[kept],
             self.time[kept],
@@ -176,11 +202,16 @@ class DatasetStats:
 
 
 def _cascade_table(
-    cascade_ids: tuple[str, ...], cascade: np.ndarray, users: tuple[str, ...], user: np.ndarray, time: np.ndarray
+    cascade_ids: tuple[str, ...],
+    cascade: np.ndarray,
+    users: tuple[str, ...] | np.ndarray,
+    user: np.ndarray,
+    time: np.ndarray,
 ) -> CascadeTable:
     """The table of events given as (cascade index, user index, time) columns.
 
-    ``users`` are the distinct user ids, sorted, and ``user`` indexes them.
+    ``users`` are the distinct user ids, sorted (see
+    :attr:`CascadeTable.user_ids`), and ``user`` indexes them.
     Of several events of one user in one cascade the earliest is kept.
     """
     if not time.size:
@@ -199,17 +230,17 @@ def _cascade_table(
     return CascadeTable(cascade_ids, users, *np.divmod(key[first], width), earliest)
 
 
-def _intern_ids(tokens: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+def _intern_ids(tokens: list[str]) -> tuple[tuple[str, ...] | np.ndarray, np.ndarray]:
     """Distinct ids of ``tokens`` in sorted order, and each token's index into them.
 
     Plain decimal ids (see :func:`~cascadecut.graph.decimal_values`) are
-    ranked as integers; any other tokens are interned as strings.
+    ranked as integers and returned as an int64 array; any other tokens are
+    interned as strings.
     """
     values = decimal_values(tokens)
     if values is None:
         return sorted_codes(tokens)
-    ids, codes = _rank_ids(values)
-    return tuple(map(str, ids.tolist())), codes
+    return _rank_ids(values)
 
 
 def _rank_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,30 +304,81 @@ def _rank_by_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _text_order(ids: np.ndarray) -> np.ndarray:
     """The order that sorts plain decimal ``ids`` by their text: compare the
     digits padded to full width, then the shorter id first."""
-    digits = np.searchsorted(_POWERS[1:], ids, side="right") + 1
+    digits = digit_counts(ids)
     return np.lexsort((digits, ids * _POWERS[MAX_DIGITS - digits]))
 
 
-def _regular_blocks(
-    stream: Iterable[str], width: int, digits: bool
-) -> tuple[list[str] | None, Iterator[str] | None]:
-    """Read ``stream`` in blocks cut at line ends, checking each one.
+def _parse_blocks(stream: Iterable[str], parse, parses):
+    """Append ``parse`` of each block of ``stream`` (see :func:`_blocks`) to ``parses``.
 
-    Returns (blocks, None) when every block is regular (see
-    :func:`_is_regular_block`), else (None, lines) where ``lines`` replays
-    the stream's lines from its start for the line scanner.  Only file-like
-    streams are read in blocks; any other iterable of lines is returned as
-    the lines.
+    Returns (``parses``, None) when ``parse`` accepts every block, else
+    (None, lines) where ``lines`` replays the stream's lines from its start
+    for the line scanner; ``parse`` returns None for a block it does not
+    accept.  A seekable stream is read again from its start for the
+    replay; of any other the blocks read are kept.  Only file-like streams
+    are read in blocks; any other iterable of lines is returned as the
+    lines.
     """
     if not hasattr(stream, "read"):
         return None, iter(stream)
+    start = _position(stream)
     blocks: list[str] = []
     rest = _blocks(stream)
     for block in rest:
-        blocks.append(block)
-        if not _is_regular_block(block, width, digits):
+        if start is None:
+            blocks.append(block)
+        parsed = parse(block)
+        if parsed is None:
+            if start is not None:
+                stream.seek(start)
+                rest = _blocks(stream)
             return None, _lines(blocks, rest)
-    return blocks, None
+        parses.append(parsed)
+    return parses, None
+
+
+def _position(stream) -> int | None:
+    """Where ``stream`` stands, or None when it cannot seek back there (a
+    text file read by ``next`` cannot tell its position)."""
+    try:
+        return stream.tell() if stream.seekable() else None
+    except (AttributeError, OSError):
+        return None
+
+
+class _Values:
+    """A growing int64 array, appended to a block's values at a time.
+
+    Its storage is reserved at ``capacity`` and doubled when full; the
+    operating system maps a page only once it is written, so the unused
+    tail costs no memory, and no second copy is made at the end.
+    """
+
+    def __init__(self, capacity: int):
+        self._data = np.empty(max(capacity, 1), dtype=np.int64)
+        self._size = 0
+
+    def append(self, values: np.ndarray) -> None:
+        end = self._size + values.size
+        if end > self._data.size:
+            grown = np.empty(max(end, 2 * self._data.size), dtype=np.int64)
+            grown[: self._size] = self._data[: self._size]
+            self._data = grown
+        self._data[self._size : end] = values
+        self._size = end
+
+    def array(self) -> np.ndarray:
+        return self._data[: self._size]
+
+
+def _value_bound(stream) -> int:
+    """At most how many values a stream of decimal tokens holds: a value and
+    its separator take two bytes, so half the file's size; without a file
+    size, a block's worth."""
+    try:
+        return os.fstat(stream.fileno()).st_size // 2 + 1
+    except (AttributeError, OSError, ValueError):
+        return _BLOCK // 2
 
 
 def _blocks(stream) -> Iterator[str]:
@@ -335,39 +417,93 @@ def _split_lines(block: str) -> list[str]:
     return lines
 
 
-def _is_regular_block(block: str, width: int, digits: bool) -> bool:
-    """Whether ``block`` is printable ASCII, tab and newline without ``#``,
-    with ``width`` fields on every non-blank line.
+def _token_bounds(block: str, width: int, digits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The bytes of a regular ``block`` and the start and end offsets of its
+    tokens into them, or None when the block is not regular.
 
-    With ``digits``, every field must also be a decimal of at most 18 digits
-    without a leading zero.
+    A block is regular when it is ASCII, every byte is a token byte, space,
+    tab or newline, and every non-blank line holds ``width`` tokens.  A
+    token byte is a digit with ``digits``, else printable ASCII but ``#``.
+    The bytes are the block's between two added line ends, so every token
+    starts and ends inside them.
     """
     if not block.isascii():
-        return False
-    # Line ends around the block put every token's start and end inside it.
+        return None
     data = np.frombuffer(f"\n{block}\n".encode("ascii"), dtype=np.uint8)
     if digits:
-        token = (data >= ord("0")) & (data <= ord("9"))
+        token = data >= ord("0")
+        token &= data <= ord("9")
     else:
-        token = (data > ord(" ")) & (data < 0x7F) & (data != ord("#"))
-    line_end = data == ord("\n")
-    if not (token | line_end | (data == ord(" ")) | (data == ord("\t"))).all():
-        return False
-    starts = np.zeros_like(token)
-    np.greater(token[1:], token[:-1], out=starts[1:])
-    # Token starts and line ends in text order: 0 or ``width`` starts
-    # between consecutive line ends.
-    marks = np.flatnonzero(starts | line_end)
-    is_end = line_end[marks]
-    fields = np.diff(np.flatnonzero(is_end)) - 1
-    if not ((fields == 0) | (fields == width)).all():
-        return False
-    if digits:
-        first = marks[~is_end]
-        lengths = np.flatnonzero(token[1:] < token[:-1]) + 1 - first
-        if lengths.max(initial=0) > MAX_DIGITS or ((data[first] == ord("0")) & (lengths > 1)).any():
-            return False
-    return True
+        token = data > ord(" ")
+        token &= data < 0x7F
+        token &= data != ord("#")
+    newline = data == ord("\n")
+    token_bytes = np.count_nonzero(token)
+    blanks = np.count_nonzero(data == ord(" ")) + np.count_nonzero(data == ord("\t"))
+    if token_bytes + blanks + np.count_nonzero(newline) != data.size:
+        return None
+    # The mask changes at every token's start and end, in turn.
+    bounds = np.flatnonzero(token[1:] != token[:-1])
+    bounds += 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    tokens = starts.size
+    if tokens:
+        # breaks[i]: whether a line end lies between tokens i and i + 1.
+        if ends[-1] - starts[0] - token_bytes == tokens - 1:  # every gap is one byte
+            breaks = data[ends[:-1]] == ord("\n")
+        else:
+            breaks = np.logical_or.reduceat(newline[: ends[-1]], ends[:-1])
+        # A break after every width-th token and nowhere else; with a last
+        # line of fewer tokens there would be one break too many.
+        if np.count_nonzero(breaks) != tokens // width - 1 or not breaks[width - 1 :: width].all():
+            return None
+    return data, starts, ends
+
+
+def _edge_ids(block: str) -> np.ndarray | None:
+    """The ids of a regular edge block of plain decimals, in file order, or None."""
+    bounds = _token_bounds(block, 2, digits=True)
+    if bounds is None:
+        return None
+    data, starts, ends = bounds
+    return _decimals(data, starts, ends - starts, leading_zeros=False)
+
+
+def _event_columns(block: str) -> tuple[np.ndarray | list[str], np.ndarray | list[str], np.ndarray] | None:
+    """(cascade ids, users, timestamps) of a regular event block, or None when
+    the block is not regular or a timestamp is not an int64.
+
+    Cascade ids of at most ``_KEY_BYTES`` bytes come as int64 keys (their
+    bytes in base 256), others as strings; plain decimal users come as
+    int64 values, others as strings.
+    """
+    bounds = _token_bounds(block, 3, digits=False)
+    if bounds is None:
+        return None
+    data, starts, ends = bounds
+    lengths = ends - starts
+    tokens = None
+
+    def strings(column: int) -> list[str]:
+        nonlocal tokens
+        if tokens is None:
+            tokens = block.split()
+        return tokens[column::3]
+
+    if lengths[0::3].max(initial=0) <= _KEY_BYTES:
+        cascades = _fold(data, starts[0::3], lengths[0::3], 256, 0)[0]
+    else:
+        cascades = strings(0)
+    users = _decimals(data, starts[1::3], lengths[1::3], leading_zeros=False)
+    if users is None:
+        users = strings(1)
+    times = _decimals(data, starts[2::3], lengths[2::3], leading_zeros=True)
+    if times is None:  # signs or 19 digits: parse one by one
+        try:
+            times = np.array(strings(2), dtype=np.int64)
+        except (ValueError, OverflowError):
+            return None
+    return cascades, users, times
 
 
 def _scan(stream: Iterable[str], width: int, kind: str, strict: bool) -> Iterator[tuple[int, list[str]]]:
@@ -413,19 +549,24 @@ def iter_follow_edges(stream: Iterable[str], strict: bool = False) -> Iterator[l
 def read_network(stream: Iterable[str], strict: bool = False) -> DirectedGraph:
     """The follow network of an edge file: ``build_graph(iter_follow_edges(stream, strict))``.
 
-    A regular file of decimal ids is parsed in bulk into integer arrays;
-    any other goes through the line scanner, with its warnings and errors.
+    A regular file of decimal ids is parsed in bulk into integer arrays, and
+    the graph keeps its ids as integers; any other goes through the line
+    scanner, with its warnings and errors.
     """
-    blocks, lines = _regular_blocks(stream, 2, digits=True)
-    if blocks is None:
+    parses, lines = _parse_blocks(stream, _edge_ids, _Values(_value_bound(stream)))
+    if parses is None:
         return build_graph(iter_follow_edges(lines, strict))
-    values = np.concatenate([np.empty(0, dtype=np.int64), *map(_ints, blocks)])
-    del blocks
+    values = parses.array()
+    del parses
     logger.info("read %d edge record(s) with the bulk reader", values.size // 2)
     ids, codes = _rank_ids(values)
     keys = edge_keys(codes, ids.size)
     del codes  # free the per-edge array before the graph allocates its own
-    return graph_from_keys(tuple(map(str, ids.tolist())), keys)
+    return graph_from_keys(ids, keys)
+
+
+def _concat(parts: Iterable[np.ndarray]) -> np.ndarray:
+    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
 
 
 def _timestamp(lineno: int, text: str) -> int:
@@ -446,43 +587,65 @@ def load_cascades(stream: Iterable[str], strict: bool = False) -> CascadeTable:
     lines with the wrong field count follow the strict/skip rule of
     :func:`iter_follow_edges`.
     """
-    blocks, lines = _regular_blocks(stream, 3, digits=False)
-    columns = None if blocks is None else _bulk_events(blocks)
-    if columns is None:
-        if lines is None:  # regular, but a timestamp is not an int64
-            lines = _lines(blocks)
+    parses, lines = _parse_blocks(stream, _event_columns, [])
+    if parses is None:
         cascade_names, users, times = [], [], []
         for lineno, (cascade_id, user, ts_text) in _scan(lines, 3, "event", strict):
             cascade_names.append(cascade_id)
             users.append(user)
             times.append(_timestamp(lineno, ts_text))
-        columns = cascade_names, users, np.array(times, dtype=np.int64)
-    del blocks, lines
-    cascade_names, users, times = columns
-    # Cascade ids get codes in first-appearance order as they go by.
-    index = _Interner()
-    cascade = np.fromiter(map(index.__getitem__, cascade_names), dtype=np.int64, count=len(cascade_names))
-    return _cascade_table(tuple(index), cascade, *_intern_ids(users), times)
-
-
-def _ints(block: str) -> np.ndarray:
-    # fromstring reads a text of blanks alone as one 0.
-    return np.fromstring("" if block.isspace() else block, dtype=np.int64, sep=" ")
-
-
-def _bulk_events(blocks: list[str]) -> tuple[list[str], list[str], np.ndarray] | None:
-    """(cascade ids, users, timestamps) of a regular event file, or None when a
-    timestamp is not an int64, for the line scanner to report."""
-    tokens = list(chain.from_iterable(map(str.split, blocks)))
-    stamps = tokens[2::3]
-    times = decimal_values(stamps)
-    if times is None:  # signs, leading zeros or 19 digits: parse one by one
-        try:
-            times = np.array(stamps, dtype=np.int64)
-        except (ValueError, OverflowError):
-            return None
+        # Cascade ids get codes in first-appearance order as they go by.
+        index = _Interner()
+        cascade = np.fromiter(map(index.__getitem__, cascade_names), dtype=np.int64, count=len(cascade_names))
+        return _cascade_table(tuple(index), cascade, *_intern_ids(users), np.array(times, dtype=np.int64))
+    cascades, users, times = zip(*parses) if parses else ((), (), ())
+    times = _concat(times)
     logger.info("read %d event record(s) with the bulk reader", times.size)
-    return tokens[0::3], tokens[1::3], times
+    return _cascade_table(*_cascade_codes(cascades), *_user_codes(users), times)
+
+
+def _cascade_codes(parts: Sequence[np.ndarray | list[str]]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct cascade ids in first-appearance order, and each event's index
+    into them, from the blocks' cascade columns (see :func:`_event_columns`).
+
+    When every block has keys, one stable sort of the keys groups each id's
+    events with its first one in front.
+    """
+    if not all(isinstance(part, np.ndarray) for part in parts):
+        index = _Interner()
+        names = chain.from_iterable(
+            map(_unpack, part.tolist()) if isinstance(part, np.ndarray) else part for part in parts
+        )
+        codes = np.fromiter(map(index.__getitem__, names), dtype=np.int64)
+        return tuple(index), codes
+    keys = _concat(parts)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = order[new]  # each id's first event, ids in key order
+    appearance = np.argsort(first)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[appearance] = np.arange(first.size)
+    codes = np.empty(keys.size, dtype=np.int64)
+    codes[order] = rank[np.cumsum(new) - 1]
+    return tuple(map(_unpack, keys[new][appearance].tolist())), codes
+
+
+def _unpack(key: int) -> str:
+    """The cascade id packed in ``key``; ids hold no NUL byte."""
+    return key.to_bytes(_KEY_BYTES, "big").lstrip(b"\0").decode("ascii")
+
+
+def _user_codes(parts: Sequence[np.ndarray | list[str]]) -> tuple[tuple[str, ...] | np.ndarray, np.ndarray]:
+    """Distinct users in sorted order, and each event's index into them, from
+    the blocks' user columns (see :func:`_event_columns`)."""
+    if all(isinstance(part, np.ndarray) for part in parts):
+        return _rank_ids(_concat(parts))
+    return sorted_codes(
+        chain.from_iterable(id_strings(part) if isinstance(part, np.ndarray) else part for part in parts)
+    )
 
 
 def load_higgs_activity(
@@ -528,9 +691,9 @@ def compute_stats(network: DirectedGraph, logs: Iterable[CascadeLog]) -> Dataset
     network's edge count, i.e. distinct non-self-loop follow edges.
     """
     table = CascadeTable.from_logs(logs)
-    mentioned = np.zeros(len(table.users), dtype=bool)
+    mentioned = np.zeros(len(table.user_ids), dtype=bool)
     mentioned[table.user] = True
-    absent = mentioned & (network.indices_of(table.users) < 0)
+    absent = mentioned & (network.indices_of(table.user_ids) < 0)
     count = len(table)
     mean = int(table.sizes.sum()) / count if count else 0.0
     return DatasetStats(

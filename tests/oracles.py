@@ -19,28 +19,48 @@ betweenness, and the earlier ingest and index builds
 (:func:`lexsort_cascade_table` over the package's string interning,
 :func:`eager_reverse_index`, :func:`dict_edge_positions`), and the earlier
 join of participants with their follow edges (:func:`unfiltered_candidates`)
-over the package's cascade table and edge gather.  :func:`graph_edges` and
-:func:`load_follow_edges` are the id-pair views of a network and of an edge
-file (over the package's ``iter_follow_edges``) that tests compare with.
+over the package's cascade table and edge gather.  The earlier bulk
+readers' two passes per block live on as :func:`regular_block` (the
+regularity check), :func:`block_ints` (the ``np.fromstring`` parse) and
+:func:`split_events` (the ``str.split`` of an event block); with them,
+:func:`two_pass_read_network` is the earlier bulk edge reader, over the
+package's block cutter and id ranking.  :func:`string_fingerprint` is the
+network digest computed from the id strings, and :func:`line_load_plan` the
+earlier per-line plan reader over the package's id lookup.
+:func:`graph_edges` and :func:`load_follow_edges` are the id-pair views of
+a network and of an edge file (over the package's ``iter_follow_edges``)
+that tests compare with.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import random
+from hashlib import blake2b
+from itertools import chain
 from collections import Counter, defaultdict
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from cascadecut.deletion import RANDOM, plan_strategy
+from cascadecut.deletion import RANDOM, STRATEGIES, DeletionPlan, plan_strategy
 from cascadecut.diffusion import SpreadCandidates, build_batch, build_variant
 from cascadecut.estimator import NEVER_DELETED, CascadeResult, EstimateReport, write_report_csv
-from cascadecut.errors import InputError
+from cascadecut.errors import InputError, ParseError
 from cascadecut.experiment import SUMMARY_HEADER, budget_for, load_dataset
-from cascadecut.graph import DirectedGraph, betweenness_scores, leading_eigenpair, sorted_codes
-from cascadecut.ingest import CascadeLog, CascadeTable, _scan, _timestamp, iter_follow_edges
+from cascadecut.graph import (
+    MAX_DIGITS,
+    DirectedGraph,
+    betweenness_scores,
+    decimal_values,
+    edge_keys,
+    graph_from_keys,
+    leading_eigenpair,
+    sorted_codes,
+)
+from cascadecut.ingest import CascadeLog, CascadeTable, _blocks, _rank_ids, _scan, _timestamp, iter_follow_edges
 
 
 def graph_edges(network):
@@ -461,3 +481,129 @@ def unfiltered_candidates(network, logs):
         network, table, owner, idx, tau, slot[qualifies], at[qualifies], parent[qualifies], edge_pos[qualifies]
     )
     return found, slot.size
+
+
+def regular_block(block, width, digits):
+    """The earlier regularity check: whether ``block`` is printable ASCII, tab
+    and newline without ``#``, with ``width`` fields on every non-blank line,
+    and with ``digits`` every field a decimal of at most 18 digits without a
+    leading zero."""
+    if not block.isascii():
+        return False
+    data = np.frombuffer(f"\n{block}\n".encode("ascii"), dtype=np.uint8)
+    if digits:
+        token = (data >= ord("0")) & (data <= ord("9"))
+    else:
+        token = (data > ord(" ")) & (data < 0x7F) & (data != ord("#"))
+    line_end = data == ord("\n")
+    if not (token | line_end | (data == ord(" ")) | (data == ord("\t"))).all():
+        return False
+    starts = np.zeros_like(token)
+    np.greater(token[1:], token[:-1], out=starts[1:])
+    marks = np.flatnonzero(starts | line_end)
+    is_end = line_end[marks]
+    fields = np.diff(np.flatnonzero(is_end)) - 1
+    if not ((fields == 0) | (fields == width)).all():
+        return False
+    if digits:
+        first = marks[~is_end]
+        lengths = np.flatnonzero(token[1:] < token[:-1]) + 1 - first
+        if lengths.max(initial=0) > MAX_DIGITS or ((data[first] == ord("0")) & (lengths > 1)).any():
+            return False
+    return True
+
+
+def block_ints(block):
+    """The earlier parse of a regular edge block: ``np.fromstring``."""
+    # fromstring reads a text of blanks alone as one 0.
+    return np.fromstring("" if block.isspace() else block, dtype=np.int64, sep=" ")
+
+
+def split_events(blocks):
+    """The earlier parse of regular event blocks: (cascade ids, users,
+    timestamps) by ``str.split``, or None when a timestamp is not an int64."""
+    tokens = list(chain.from_iterable(map(str.split, blocks)))
+    stamps = tokens[2::3]
+    times = decimal_values(stamps)
+    if times is None:
+        try:
+            times = np.array(stamps, dtype=np.int64)
+        except (ValueError, OverflowError):
+            return None
+    return tokens[0::3], tokens[1::3], times
+
+
+def two_pass_read_network(stream):
+    """The earlier bulk edge reader: check every block, then parse each with
+    ``np.fromstring``; None when a block is not regular."""
+    blocks = list(_blocks(stream))
+    if not all(regular_block(block, 2, digits=True) for block in blocks):
+        return None
+    values = np.concatenate([np.empty(0, dtype=np.int64), *map(block_ints, blocks)])
+    ids, codes = _rank_ids(values)
+    return graph_from_keys(tuple(map(str, ids.tolist())), edge_keys(codes, ids.size))
+
+
+def string_fingerprint(network):
+    """The network digest from its id strings: counts, lengths, the UTF-8 text
+    of the joined ids and both edge arrays."""
+    ids = network.external_ids
+    text = "".join(ids).encode("utf-8", "surrogatepass")
+    digest = blake2b(np.array([len(ids), len(text), network.edge_count], dtype=np.int64), digest_size=32)
+    digest.update(np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)))
+    digest.update(text)
+    digest.update(network.edge_src_indices)
+    digest.update(network.edge_dst_indices)
+    return digest.hexdigest()
+
+
+def line_load_plan(path, network, strict=False):
+    """The earlier plan reader: one split, float and score check per line,
+    edges resolved through ``edge_positions``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        parts = header.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"{path}: line 1: bad plan header {header!r}")
+        strategy, k_text, seed_text = parts
+        if strategy not in STRATEGIES:
+            raise ParseError(f"{path}: line 1: unknown strategy {strategy!r} in plan header")
+        try:
+            k = int(k_text)
+            if k < 0:
+                raise ValueError
+        except ValueError:
+            raise ParseError(f"{path}: line 1: bad budget {k_text!r} in plan header") from None
+        try:
+            seed = int(seed_text) if seed_text else None
+        except ValueError:
+            raise ParseError(f"{path}: line 1: bad seed {seed_text!r} in plan header") from None
+        edges, scores, linenos = [], [], []
+        previous = math.inf
+        for lineno, raw in enumerate(fh, start=2):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ParseError(f"{path}: line {lineno}: expected 3 fields, got {len(fields)}")
+            if len(edges) == k:
+                raise ParseError(f"{path}: line {lineno}: more plan edges than the header's budget {k}")
+            try:
+                score = float(fields[2])
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: bad score {fields[2]!r}") from None
+            if not score <= previous:
+                if math.isnan(score):
+                    raise ParseError(f"{path}: line {lineno}: score is NaN")
+                raise ParseError(f"{path}: line {lineno}: score {score!r} rises above the previous {previous!r}")
+            previous = score
+            scores.append(score)
+            edges.append((fields[0], fields[1]))
+            linenos.append(lineno)
+    pos = network.edge_positions(edges)
+    if strict and (pos < 0).any():
+        first = int(np.argmax(pos < 0))
+        src, dst = edges[first]
+        raise ParseError(f"{path}: line {linenos[first]}: plan edge {src!r} -> {dst!r} is not in the follow network")
+    return DeletionPlan(strategy, k, network, pos, np.array(scores, dtype=np.float64), rng_seed=seed)

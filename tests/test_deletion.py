@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 from collections import Counter
 
@@ -21,15 +22,18 @@ from cascadecut import (
     plan_random,
     plan_ranks,
     plan_strategy,
+    read_network,
     read_plan_cache,
     save_plan,
     save_plan_cache,
 )
+from cascadecut import deletion
 from cascadecut.deletion import CACHE_FORMAT, EDGE_DEGREE, MAX_RANDOM_EDGES, _accepted, _ranked_plan, _shuffled_prefix
 from oracles import (
     StringPlan,
     dense_spectral_radius,
     graph_edges,
+    line_load_plan,
     random_digraph,
     shuffled_prefix,
     string_plan,
@@ -428,6 +432,86 @@ class TestPlanSerialization:
         assert plan.ranked_edges == (("b", "c"), None, None)
         with pytest.raises(InputError, match="not in its network"):
             save_plan(plan, tmp_path / "again.tsv")
+
+
+# One change per plan file, or none (None, weighted up).
+PLAN_QUIRKS = (
+    None, None, None, "no final newline", "blank line", "two fields", "four fields", "extra line",
+    "bad score", "empty score", "nan score", "rising score", "unknown edge", "empty id", "leading zero",
+    "non-ascii id", "trailing tab", "crlf",
+)
+
+
+def quirky_plan(rng, lines, quirk):
+    """Plan body ``lines`` (without line ends) with one ``quirk`` at a random line."""
+    lines = list(lines)
+    at = rng.randrange(len(lines)) if lines else 0
+    row = lines[at].split("\t") if lines else ["1", "2", "0.5"]
+    if quirk == "blank line":
+        lines.insert(at, "")
+    elif quirk == "two fields":
+        lines.insert(at, "\t".join(row[:2]))
+    elif quirk == "four fields":
+        lines.insert(at, "\t".join(row + ["x"]))
+    elif quirk == "extra line":
+        lines.append(f"{row[0]}\t{row[1]}\t-1.0")
+    elif quirk in ("bad score", "empty score", "nan score", "rising score"):
+        score = {"bad score": "high", "empty score": "", "nan score": "nan", "rising score": "1e300"}[quirk]
+        lines.insert(at, f"{row[0]}\t{row[1]}\t{score}")
+    elif quirk in ("unknown edge", "empty id", "leading zero", "non-ascii id"):
+        src = {"unknown edge": "424242", "empty id": "", "leading zero": "0" + row[0], "non-ascii id": "ü"}[quirk]
+        lines[at:at + 1] = [f"{src}\t{row[1]}\t{row[2]}"]
+    elif quirk == "trailing tab":
+        lines[at:at + 1] = [lines[at] + "\t"] if lines else ["1\t2\t0\t"]
+    end = "\r\n" if quirk == "crlf" else "\n"
+    return end.join(lines) + ("" if quirk == "no final newline" else end)
+
+
+class TestBulkPlanReader:
+    """``load_plan`` reads a plain body in bulk; the per-line reader is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(72))
+    def test_same_plan_or_same_error(self, tmp_path, monkeypatch, seed):
+        rng = random.Random(seed)
+        quirk = PLAN_QUIRKS[seed % len(PLAN_QUIRKS)]
+        if seed % 2:
+            nodes, edges = random_digraph(rng, rng.randint(2, 12), 0.3)
+            g = build_graph(edges or [(nodes[0], nodes[1])], nodes=nodes)
+        else:
+            ids = [str(rng.choice([rng.randint(0, 50), rng.randint(1, 10**18 - 1)])) for _ in range(12)]
+            text = "".join(f"{rng.choice(ids)}\t{rng.choice(ids)}\n" for _ in range(30))
+            g = read_network(io.StringIO(text))
+        strategy = rng.choice(["edge-degree", "random", "netmelt"])
+        plan = plan_strategy(g, strategy, rng.randint(0, g.edge_count + 2), rng_seed=seed)
+        path = tmp_path / "plan.tsv"
+        save_plan(plan, path)
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_bytes((header + "\n" + quirky_plan(rng, lines, quirk)).encode("utf-8"))
+        scanned = []
+        scan = deletion._plan_lines
+        monkeypatch.setattr(deletion, "_plan_lines", lambda *a: scanned.append(1) or scan(*a))
+        for strict in (False, True):
+            try:
+                want = line_load_plan(path, g, strict)
+            except ParseError as listed:
+                with pytest.raises(ParseError) as got:
+                    load_plan(path, g, strict)
+                assert str(got.value) == str(listed)
+                continue
+            got = load_plan(path, g, strict)
+            assert got == want
+            assert got.edge_pos.tolist() == want.edge_pos.tolist()
+        if lines and quirk in (None, "no final newline", "crlf", "unknown edge", "leading zero", "non-ascii id"):
+            assert scanned == []
+
+    def test_ids_as_integers_or_strings(self, tmp_path):
+        g = read_network(io.StringIO("1\t2\n2\t10\n10\t1\n"))
+        path = tmp_path / "plan.tsv"
+        path.write_text("edge-degree,3,\n10\t1\t2.0\n2\t10\t1.0\n1\t2\t1.0", encoding="utf-8")
+        assert load_plan(path, g).edge_pos.tolist() == [1, 2, 0]
+        assert deletion._plan_rows("1\t2\t1.0\n", 1)[0].tolist() == [1]
+        assert deletion._plan_rows("u\t2\t1.0\n", 1)[0] == ["u"]
+        assert deletion._plan_rows("", 0)[2].tolist() == []
 
 
 class TestDeletionPlan:

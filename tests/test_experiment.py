@@ -32,10 +32,11 @@ from cascadecut import (
     read_plan_cache,
     run_estimation,
     run_sweep,
+    save_plan_cache,
     scatter_report,
     seed_analysis,
 )
-from cascadecut import diffusion, experiment
+from cascadecut import diffusion, experiment, graph, ingest
 from cascadecut.estimator import CascadeResult
 from cascadecut.experiment import budget_for, load_network, write_gnuplot_script
 from conftest import random_instance, write_eight_node_dataset
@@ -655,6 +656,30 @@ class TestPlanCache:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False"]
+
+
+def test_decimal_ids_stay_integers_from_ingest_to_the_plan_cache(tmp_path, monkeypatch):
+    # A sweep's set-up over decimal ids renders no id as a string: the graph
+    # and the cascade table keep int64 id tables, and the fingerprint is
+    # hashed from their digits.
+    rng = random.Random(17)
+    ids = [str(rng.randint(1, 10 ** rng.randint(1, 12))) for _ in range(40)]
+    edges_path, cascades_path = tmp_path / "edges.tsv", tmp_path / "cascades.tsv"
+    edges_path.write_text("".join(f"{rng.choice(ids)}\t{rng.choice(ids)}\n" for _ in range(300)), encoding="utf-8")
+    rows = [f"c{rng.randint(0, 9)}\t{rng.choice(ids + ['999'])}\t{rng.randint(0, 50)}\n" for _ in range(200)]
+    cascades_path.write_text("".join(rows), encoding="utf-8")
+    calls = []
+    render = graph.id_strings
+    for module in (graph, ingest):
+        monkeypatch.setattr(module, "id_strings", lambda values: calls.append(values.size) or render(values))
+    config = ExperimentConfig(edges_path, cascades_path, tmp_path / "out", min_cascade_size=0)
+    network, table = experiment.load_dataset(config)
+    diffusion.gather_candidates(network, table)
+    for strategy in ("netmelt", "random"):
+        save_plan_cache(plan_strategy(network, strategy, 50), tmp_path / f"plan_{strategy}.npz")
+    assert calls == []
+    assert len(network.external_ids) == network.node_count and len(table.users) > 0
+    assert calls == [network.node_count, len(table.users)]
 
 
 class TestSeedAnalysis:

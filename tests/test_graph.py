@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 
 import numpy as np
@@ -13,7 +14,9 @@ from cascadecut import (
     betweenness_scores,
     build_graph,
     leading_eigenpair,
+    read_network,
 )
+from cascadecut import graph
 from conftest import EIGHT_NODE_FOLLOW_EDGES, assert_same_graph
 from oracles import (
     all_pairs_distance_sum,
@@ -24,6 +27,7 @@ from oracles import (
     path_count_betweenness,
     random_digraph,
     reference_build_graph,
+    string_fingerprint,
 )
 
 
@@ -52,6 +56,38 @@ class TestFingerprint:
 
     def test_non_ascii_and_surrogate_ids(self):
         assert build_graph([("é", "\ud800")]).fingerprint != build_graph([("é", "\udc00")]).fingerprint
+
+
+def integer_graph(pairs):
+    """The graph of decimal id pairs read in bulk, which keeps its ids as integers."""
+    g = read_network(io.StringIO("".join(f"{a}\t{b}\n" for a, b in pairs)))
+    assert g._values is not None and g._ids is None
+    return g
+
+
+class TestFingerprintFromIntegers:
+    """The digest of ids held as integers against the string formula."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_string_formula(self, seed):
+        rng = random.Random(seed)
+        ids, edges = numeric_digraph(rng, rng.randint(1, 30), 0.2)
+        edges = edges or [(ids[0], ids[0])]  # a self-loop alone leaves no edge
+        g = integer_graph(edges)
+        digest = g.fingerprint
+        assert g._ids is None  # hashed from the digits
+        assert digest == string_fingerprint(g) == build_graph(edges).fingerprint
+
+    def test_non_decimal_and_empty_graphs(self):
+        for g in (build_graph([("a", "b"), ("é", "7")]), build_graph([]), read_network(io.StringIO(""))):
+            assert g.fingerprint == string_fingerprint(g)
+        assert read_network(io.StringIO("")).fingerprint == build_graph([]).fingerprint
+
+    def test_digit_text(self):
+        values = np.array([0, 7, 10, 999999999999999999, 123456789012345678, 5], dtype=np.int64)
+        digits = graph.digit_counts(values)
+        assert digits.tolist() == [1, 1, 2, 18, 18, 1]
+        assert graph._digit_text(values, digits).tobytes() == "".join(map(str, values.tolist())).encode()
 
 
 class TestBuildGraph:
@@ -190,6 +226,46 @@ class TestLazyIndexes:
         got = g.edge_positions(queries)
         assert got.dtype == np.int64
         assert got.tolist() == dict_edge_positions(g, queries)
+
+
+class TestIntegerIdLookup:
+    """Lookups in graphs that hold their ids as integers, against the dict oracle."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_edge_positions_and_indices(self, seed):
+        rng = random.Random(seed)
+        lo, step = rng.choice([0, 1, 9, 10 ** rng.randint(1, 15)]), rng.choice([1, 2, 1000])
+        if seed % 4 == 3:
+            values = rng.sample(range(10**17, 10**18), 12)
+        else:
+            values = [lo + step * i for i in rng.sample(range(40), rng.randint(2, 30))]
+        ids = list(map(str, values))
+        edges = [(a, b) for a in ids for b in ids if a != b and rng.random() < 0.3] or [(ids[0], ids[1])]
+        g = integer_graph(edges)
+        present = rng.sample(edges, len(edges))
+        unknown = [str(max(values) + 1), str(min(values) + 1), "x", "007", "-1", "1234567890123456789"]
+        absent = [(rng.choice(ids + unknown), rng.choice(ids + unknown)) for _ in range(20)]
+        queries = present + absent + [(b, a) for a, b in present[:5]]
+        rng.shuffle(queries)
+        got = g.edge_positions(queries)
+        assert got.dtype == np.int64
+        assert got.tolist() == dict_edge_positions(g, queries)
+        index = {ext: i for i, ext in enumerate(g.external_ids)}
+        lookups = ids + unknown[:2]
+        want = [index.get(ext, -1) for ext in lookups]
+        assert g.indices_of(np.array(list(map(int, lookups)), dtype=np.int64)).tolist() == want
+        assert g.indices_of(lookups).tolist() == want
+        assert g.indices_of(np.empty(0, dtype=np.int64)).tolist() == []
+
+    def test_integer_queries_of_a_string_graph(self):
+        g = build_graph([("7", "x"), ("10", "7")])
+        assert g.indices_of(np.array([10, 7, 8], dtype=np.int64)).tolist() == [0, 1, -1]
+
+    def test_positions_of_dense_ids(self):
+        g = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
+        src, dst = np.array([2, 0, -1, 1, 0]), np.array([0, 1, 0, -1, 2])
+        assert g.positions_of(src, dst).tolist() == [2, 0, -1, -1, -1]
+        assert build_graph([], nodes=["a"]).positions_of(np.array([0]), np.array([0])).tolist() == [-1]
 
 
 # Ids drawn from this pool collide often (duplicates, self-loops) and mix

@@ -29,7 +29,17 @@ from cascadecut import ingest
 from cascadecut.experiment import load_dataset, load_network
 from conftest import assert_same_graph, random_logs
 from cascadecut.graph import decimal_values
-from oracles import lexsort_cascade_table, list_load_cascades, load_follow_edges, reference_build_graph, text_rank
+from oracles import (
+    block_ints,
+    lexsort_cascade_table,
+    list_load_cascades,
+    load_follow_edges,
+    reference_build_graph,
+    regular_block,
+    split_events,
+    text_rank,
+    two_pass_read_network,
+)
 
 
 class TestLoadFollowEdges:
@@ -330,6 +340,136 @@ class TestCascadeTableMatchesListLoader:
     def test_out_of_range_timestamp_is_parse_error(self):
         with pytest.raises(ParseError, match=r"^line 2: timestamp out of range '99999999999999999999'$"):
             load_cascades(io.StringIO("c\tu\t1\nc\tv\t99999999999999999999\n"))
+
+
+# Block sizes of the one-pass tests: lines longer than a block, a few lines
+# per block, and the default.
+PASS_BLOCKS = (4, 5, 16, 64, 1 << 17)
+
+# Edge texts beside numeric_edge_text's: digit-count limits, zeros, blank
+# runs and lines, and files without a final newline.
+EDGE_EXTRAS = (
+    "1 2\n", "9\t0\n", "0 0\n", "0\t10\n", "123456789012345678\t1\n", "1234567890123456789 1\n",
+    "00 1\n", "01\t2\n", "1 007\n", "1  \t 2\n3\t\t4\n", "\n\n1 2\n\n\n3 4\n\n", "1 2\n3 4", " 1 2 \n",
+    "1 2 3\n", "1\n2\n", "", "\n", "  \n\t\n", "1 2\n3", "12 34\n56 78\n", "1 2\n\f\n",
+    "1\n2 3 4\n", "1 2 3\n4\n", "1 2 3",
+)
+
+# Event texts beside cascade_text's: 8- and 9-byte cascade ids, plain and
+# other users, and timestamps of 18 and 19 digits or with a sign.
+EVENT_EXTRAS = (
+    "abcdefgh\t1\t5\n", "abcdefghi\t1\t5\nc\t2\t6\n", "c\t0\t0\nc\t007\t1\n",
+    "c\t123456789012345678\t999999999999999999\n", "c\t1234567890123456789\t1\n",
+    "c\t1\t1234567890123456789\n", "c\t1\t99999999999999999999\n", "c\t1\t-3\nc 2 +5\n",
+    "c  \t 1\t 2 \n\n\nd\t2\t3", "c\t1\n", "c\t1\t2\t3\n", "", " \n", "~!\t$%\t7\n",
+    "c 1\nc 2 3 4\n", "c 1 2 3\nc 4\n", "c 1 2 3 4",
+)
+
+
+def edge_oracle(block):
+    return block_ints(block) if regular_block(block, 2, digits=True) else None
+
+
+def event_oracle(block):
+    return split_events([block]) if regular_block(block, 3, digits=False) else None
+
+
+def column_strings(column, unpack=str):
+    return list(map(unpack, column.tolist())) if isinstance(column, np.ndarray) else column
+
+
+class TestOnePass:
+    """The one classify-and-tokenize pass per block against the two passes it replaced."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_edge_blocks_and_files(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        monkeypatch.setattr(ingest, "_BLOCK", PASS_BLOCKS[seed % len(PASS_BLOCKS)])
+        quirk = EDGE_QUIRKS[seed % len(EDGE_QUIRKS)]
+        extras = "".join(rng.choice(EDGE_EXTRAS) for _ in range(rng.randint(0, 3)))
+        for text in (numeric_edge_text(rng, quirk), extras, rng.choice(EDGE_EXTRAS)):
+            for block in ingest._blocks(io.StringIO(text)):
+                got, want = ingest._edge_ids(block), edge_oracle(block)
+                assert (got is None) == (want is None), block
+                if want is not None:
+                    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            want = two_pass_read_network(io.StringIO(text))
+            got = ingest.read_network(io.StringIO(text))
+            assert_same_graph(got, reference_build_graph(load_follow_edges(io.StringIO(text))))
+            if want is not None:
+                assert_same_graph(got, want)
+            # Ids read in bulk are kept as integers.
+            assert (got._values is not None) == (want is not None)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_event_blocks_and_files(self, caplog, monkeypatch, seed):
+        rng = random.Random(seed)
+        monkeypatch.setattr(ingest, "_BLOCK", PASS_BLOCKS[seed % len(PASS_BLOCKS)])
+        quirk = CASCADE_QUIRKS[seed % len(CASCADE_QUIRKS)]
+        extras = "".join(rng.choice(EVENT_EXTRAS) for _ in range(rng.randint(0, 3)))
+        for text in (cascade_text(rng, quirk), extras, rng.choice(EVENT_EXTRAS)):
+            blocks = list(ingest._blocks(io.StringIO(text)))
+            for block in blocks:
+                got, want = ingest._event_columns(block), event_oracle(block)
+                assert (got is None) == (want is None), block
+                if want is not None:
+                    cascades, users, times = got
+                    assert column_strings(cascades, ingest._unpack) == want[0]
+                    assert column_strings(users) == want[1]
+                    assert times.dtype == np.int64 and times.tolist() == want[2].tolist()
+            bulk = all(regular_block(block, 3, digits=False) for block in blocks) and split_events(blocks) is not None
+            try:
+                want = list_load_cascades(io.StringIO(text))
+            except ParseError as listed:
+                with pytest.raises(ParseError) as got:
+                    load_cascades(io.StringIO(text))
+                assert str(got.value) == str(listed)
+                continue
+            table, records = logged(caplog, lambda: load_cascades(io.StringIO(text)))
+            assert list(table) == want
+            assert any(("bulk reader" if bulk else "line scanner") in m for _, m in records)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_unseekable_streams_replay_the_blocks_they_kept(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        monkeypatch.setattr(ingest, "_BLOCK", PASS_BLOCKS[seed % len(PASS_BLOCKS)])
+
+        class ReadOnly:
+            def __init__(self, text):
+                self.read = io.StringIO(text).read
+
+        edges = numeric_edge_text(rng, EDGE_QUIRKS[seed % len(EDGE_QUIRKS)])
+        assert_same_graph(read_network(ReadOnly(edges)), read_network(io.StringIO(edges)))
+        events = cascade_text(rng, CASCADE_QUIRKS[seed % len(CASCADE_QUIRKS)])
+        try:
+            want = load_cascades(io.StringIO(events))
+        except ParseError as seekable:
+            with pytest.raises(ParseError) as unseekable:
+                load_cascades(ReadOnly(events))
+            assert str(unseekable.value) == str(seekable)
+        else:
+            assert load_cascades(ReadOnly(events)) == want
+
+    def test_a_file_read_by_next_is_replayed_from_its_blocks(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("1 2\n3 4\n5 x\n", encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            next(fh)  # the file can no longer tell its position
+            assert_same_graph(read_network(fh), build_graph([("3", "4"), ("5", "x")]))
+
+    def test_cascade_ids_in_first_appearance_order(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK", 16)
+        text = "b\t1\t1\na\t1\t1\nlong-cascade-id\t2\t1\nb\t2\t0\n~\t3\t3\na\t3\t2\n"
+        for body in (text, text.replace("long-cascade-id", "short")):
+            table = load_cascades(io.StringIO(body))
+            assert table.cascade_ids == tuple(log.cascade_id for log in list_load_cascades(io.StringIO(body)))
+            assert list(table) == list_load_cascades(io.StringIO(body))
+
+    def test_integer_tables_build_their_strings_once(self):
+        table = load_cascades(io.StringIO("c\t10\t1\nc\t9\t2\n"))
+        assert table.user_ids.tolist() == [10, 9] and table._users is None
+        assert table.users == ("10", "9") and table.users is table.users
+        assert table.select(np.array([True])).user_ids is table.user_ids
 
 
 class TestCascadeTable:

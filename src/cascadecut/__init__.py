@@ -5,10 +5,15 @@ reconstruct per-cascade diffusion graphs (:mod:`.diffusion`), pick follow
 edges to delete (:mod:`.deletion`), and count how many users the original
 seeds still reach afterwards (:mod:`.estimator`).  :mod:`.experiment` and
 the ``cascadecut`` CLI orchestrate budget sweeps over all of it.
+
+The public names are listed once, under the module that defines them, and
+each one (a submodule too) is imported on first use, so ``import
+cascadecut`` loads numpy alone.
 """
 
 import os
 import sys
+from importlib import import_module
 
 # The variables through which numpy's OpenBLAS takes its thread count.
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -33,132 +38,45 @@ def _import_numpy_single_threaded() -> None:
 
 _import_numpy_single_threaded()
 
-from .deletion import (
-    BETWEENNESS,
-    EDGE_DEGREE,
-    NETMELT,
-    RANDOM,
-    STRATEGIES,
-    DeletionPlan,
-    load_plan,
-    plan_betweenness,
-    plan_edge_degree,
-    plan_netmelt,
-    plan_random,
-    plan_strategy,
-    read_plan_cache,
-    save_plan,
-    save_plan_cache,
-)
-from .diffusion import (
-    NON_TREE,
-    TREE_FIRST,
-    TREE_LAST,
-    VARIANTS,
-    DiffusionBatch,
-    DiffusionGraph,
-    build_batch,
-    build_variant,
-    to_dot,
-)
-from .errors import (
-    CascadecutError,
-    ConvergenceError,
-    InputError,
-    InvariantError,
-    ParseError,
-)
-from .estimator import (
-    CascadeResult,
-    EstimateReport,
-    estimate_budgets,
-    plan_ranks,
-    read_report_csv,
-    run_estimation,
-    write_report_csv,
-)
-from .experiment import (
-    DEFAULT_FRACTIONS,
-    ExperimentConfig,
-    run_sweep,
-    scatter_report,
-    seed_analysis,
-)
-from .graph import (
-    DirectedGraph,
-    EigenPair,
-    build_graph,
-    betweenness_scores,
-    leading_eigenpair,
-)
-from .ingest import (
-    CascadeLog,
-    CascadeTable,
-    DatasetStats,
-    compute_stats,
-    filter_cascades,
-    iter_follow_edges,
-    load_cascades,
-    load_higgs_activity,
-    read_network,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "BETWEENNESS",
-    "CascadeLog",
-    "CascadeTable",
-    "CascadeResult",
-    "CascadecutError",
-    "ConvergenceError",
-    "DatasetStats",
-    "DEFAULT_FRACTIONS",
-    "DeletionPlan",
-    "DiffusionBatch",
-    "DiffusionGraph",
-    "DirectedGraph",
-    "EDGE_DEGREE",
-    "EigenPair",
-    "EstimateReport",
-    "ExperimentConfig",
-    "InputError",
-    "InvariantError",
-    "NETMELT",
-    "NON_TREE",
-    "ParseError",
-    "RANDOM",
-    "STRATEGIES",
-    "TREE_FIRST",
-    "TREE_LAST",
-    "VARIANTS",
-    "betweenness_scores",
-    "build_batch",
-    "build_graph",
-    "build_variant",
-    "compute_stats",
-    "estimate_budgets",
-    "filter_cascades",
-    "iter_follow_edges",
-    "leading_eigenpair",
-    "load_cascades",
-    "load_higgs_activity",
-    "load_plan",
-    "plan_betweenness",
-    "plan_edge_degree",
-    "plan_netmelt",
-    "plan_random",
-    "plan_ranks",
-    "plan_strategy",
-    "read_plan_cache",
-    "read_report_csv",
-    "read_network",
-    "run_estimation",
-    "run_sweep",
-    "save_plan",
-    "save_plan_cache",
-    "scatter_report",
-    "seed_analysis",
-    "to_dot",
-    "write_report_csv",
-]
+# Each public name, under the module that defines it.
+_EXPORTS = {
+    "deletion": (
+        "BETWEENNESS", "EDGE_DEGREE", "NETMELT", "RANDOM", "STRATEGIES", "DeletionPlan", "load_plan",
+        "plan_betweenness", "plan_edge_degree", "plan_netmelt", "plan_random", "plan_strategy",
+        "read_plan_cache", "save_plan", "save_plan_cache",
+    ),
+    "diffusion": (
+        "NON_TREE", "TREE_FIRST", "TREE_LAST", "VARIANTS", "DiffusionBatch", "DiffusionGraph", "build_batch",
+        "build_variant", "to_dot",
+    ),
+    "errors": ("CascadecutError", "ConvergenceError", "InputError", "InvariantError", "ParseError"),
+    "estimator": (
+        "CascadeResult", "EstimateReport", "estimate_budgets", "plan_ranks", "read_report_csv",
+        "run_estimation", "write_report_csv",
+    ),
+    "experiment": ("DEFAULT_FRACTIONS", "ExperimentConfig", "run_sweep", "scatter_report", "seed_analysis"),
+    "graph": ("DirectedGraph", "EigenPair", "betweenness_scores", "build_graph", "leading_eigenpair"),
+    "ingest": (
+        "CascadeLog", "CascadeTable", "DatasetStats", "compute_stats", "filter_cascades", "iter_follow_edges",
+        "load_cascades", "load_higgs_activity", "read_network",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name: str):
+    """A submodule or public name, imported on first use and kept from then on."""
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

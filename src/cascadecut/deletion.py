@@ -36,9 +36,12 @@ from .graph import (
     DEFAULT_TOLERANCE,
     DirectedGraph,
     _decimals,
+    _token_bounds,
+    _token_strings,
     betweenness_scores,
     leading_eigenpair,
 )
+from .ingest import _BLOCK, _joined_ids
 
 NETMELT = "netmelt"
 BETWEENNESS = "betweenness"
@@ -51,9 +54,6 @@ CACHE_FORMAT = 1
 
 # random.Random draws an index below 2**32 from one 32-bit word.
 MAX_RANDOM_EDGES = 2**32 - 1
-
-# The separators of one plan line: two tabs and a line end.
-_PLAN_SEPARATORS = np.array([ord("\t"), ord("\t"), ord("\n")], dtype=np.uint8)
 
 # Fewest shuffle steps per chunk of rejection draws; see _swap_slots.
 _MIN_CHUNK = 1024
@@ -216,8 +216,9 @@ def load_plan(path: str | Path, network: DirectedGraph, strict: bool = False) ->
     Each line's (src, dst) ids are looked up once in the network; an edge
     the network lacks gets position -1, or with ``strict`` is a
     :class:`ParseError` naming the first such line.  A body of ``k`` or
-    fewer 3-field lines with falling scores is read in bulk; any other is
-    read line by line, which alone reports what is wrong with it.
+    fewer lines, each exactly ``src<TAB>dst<TAB>score``, with falling
+    scores is read in bulk; any other is read line by line, which alone
+    reports what is wrong with it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -252,38 +253,61 @@ def load_plan(path: str | Path, network: DirectedGraph, strict: bool = False) ->
 
 
 def _plan_rows(body: str, k: int) -> tuple | None:
-    """(src ids, dst ids, scores, None) of a plan body of at most ``k`` lines
-    of three tab-separated fields, read in bulk, or None for any other body.
+    """(src ids, dst ids, scores, None) of a plan body of at most ``k`` lines,
+    each exactly ``src<TAB>dst<TAB>score``, with falling scores, read in
+    bulk, or None for any other body.
 
-    The ids are int64 values when they are all plain decimals (see
-    :func:`~cascadecut.graph.decimal_values`), else strings; each line's
-    score is parsed by ``float``.  A score that is NaN or rises also gives
-    None, as does a blank line.
+    The body is read in blocks of about ``_BLOCK`` characters that end at a
+    line end, which keeps the temporaries small (see :func:`_plan_block`).
+    A column's ids are int64 values when they are all plain decimals (see
+    :func:`~cascadecut.graph.decimal_values`), else strings.
     """
-    data = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
-    # Tab, tab, line end on every line; the last line may end with the body.
-    cuts = np.flatnonzero((data == ord("\t")) | (data == ord("\n")))
-    kinds = data[cuts]
-    if kinds.size % 3 == 2:
-        cuts = np.append(cuts, data.size)
-        kinds = np.append(kinds, np.uint8(ord("\n")))
-    lines = kinds.size // 3
-    if kinds.size % 3 or lines > k or (kinds.reshape(lines, 3) != _PLAN_SEPARATORS).any():
-        return None
-    cuts = cuts.reshape(lines, 3)
-    fields = body.replace("\n", "\t").split("\t")
-    try:
-        scores = np.fromiter(map(float, fields[2 : 3 * lines : 3]), dtype=np.float64, count=lines)
-    except ValueError:
-        return None
+    parts = []
+    lines = 0
+    start = 0
+    while start < len(body):
+        end = body.find("\n", min(start + _BLOCK, len(body)) - 1) + 1 or len(body)
+        part = _plan_block(body[start:end])
+        if part is None:
+            return None
+        lines += part[2].size
+        if lines > k:
+            return None
+        parts.append(part)
+        start = end
+    src, dst, scores = zip(*parts) if parts else ((), (), ())
+    scores = np.concatenate([np.empty(0), *scores])
     if np.isnan(scores).any() or (scores[1:] > scores[:-1]).any():
         return None
-    starts = np.r_[0, cuts[:, 2] + 1][:-1]
-    src = _decimals(data, starts, cuts[:, 0] - starts, leading_zeros=False)
-    dst = _decimals(data, cuts[:, 0] + 1, cuts[:, 1] - cuts[:, 0] - 1, leading_zeros=False)
-    if src is None or dst is None:
-        src, dst = fields[0 : 3 * lines : 3], fields[1 : 3 * lines : 3]
-    return src, dst, scores, None
+    return _joined_ids(src), _joined_ids(dst), scores, None
+
+
+def _plan_block(block: str) -> tuple | None:
+    """(src ids, dst ids, scores) of a block of exact plan lines, tokenized by
+    :func:`~cascadecut.graph._token_bounds`, or None for any other block or
+    a score ``float`` cannot read.  Only the scores, and ids that are not
+    plain decimals, become strings."""
+    bounds = _token_bounds(block, 3, digits=False)
+    if bounds is None:
+        return None
+    data, starts, ends = bounds
+    lengths = ends - starts
+    # In exact lines one blank byte follows each token, a tab within a
+    # line, and one precedes the first token (the added line end); the only
+    # other blank may be a line end that closes the block.
+    blanks = data.size - int(lengths.sum())
+    if blanks != starts.size + 1 + (data[-2] == ord("\n")) or (data[ends.reshape(-1, 3)[:, :2]] != ord("\t")).any():
+        return None
+    scores = _token_strings(data, starts[2::3], ends[2::3])
+    try:
+        scores = np.fromiter(map(float, scores), dtype=np.float64, count=len(scores))
+    except ValueError:
+        return None
+    columns = []
+    for column in (0, 1):
+        ids = _decimals(data, starts[column::3], lengths[column::3], leading_zeros=False)
+        columns.append(_token_strings(data, starts[column::3], ends[column::3]) if ids is None else ids)
+    return (*columns, scores)
 
 
 def _plan_lines(path: str | Path, body: str, k: int) -> tuple[list[str], list[str], np.ndarray, list[int]]:

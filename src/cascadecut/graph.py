@@ -10,7 +10,8 @@ up in bulk only, through :meth:`DirectedGraph.indices_of` and
 :meth:`DirectedGraph.edge_positions`.
 On top of it this module provides directed edge betweenness (Brandes-style
 accumulation) and the leading eigenpair of the adjacency matrix via power
-iteration.
+iteration.  It also holds the one scanner of id text (:func:`_token_bounds`),
+which the file readers and :func:`decimal_values` share.
 
 Graphs are immutable after construction.
 """
@@ -334,32 +335,89 @@ def decimal_values(tokens: Sequence[str]) -> np.ndarray | None:
 
     A plain decimal is 1 to ``MAX_DIGITS`` ASCII digits with no sign and no
     leading zero, so its value prints back as its text and numeric order
-    decides text order within one digit count.  Tokens are checked and
-    parsed a chunk at a time, which keeps the temporaries small.
+    decides text order within one digit count.  Tokens are joined one per
+    line, a chunk at a time, which keeps the temporaries small, and read by
+    :func:`_token_bounds`.
     """
     parts = [np.empty(0, dtype=np.int64)]
     for start in range(0, len(tokens), _TOKEN_CHUNK):
-        part = _decimal_chunk(tokens[start : start + _TOKEN_CHUNK])
+        chunk = tokens[start : start + _TOKEN_CHUNK]
+        try:
+            text = "\n".join(chunk)
+        except TypeError:
+            return None
+        bounds = _token_bounds(text, 1, digits=True)
+        if bounds is None:
+            return None
+        data, starts, ends = bounds
+        lengths = ends - starts
+        # All but the line ends are digits, and no line is empty.
+        if starts.size != len(chunk) or int(lengths.sum()) != len(text) - len(chunk) + 1:
+            return None
+        part = _decimals(data, starts, lengths, leading_zeros=False)
         if part is None:
             return None
         parts.append(part)
     return np.concatenate(parts)
 
 
-def _decimal_chunk(tokens: Sequence[str]) -> np.ndarray | None:
-    try:
-        text = " ".join(tokens)
-    except TypeError:
+def _token_bounds(block: str, width: int, digits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The UTF-8 bytes of a regular ``block`` and the start and end offsets
+    of its tokens into them, or None when the block is not regular.
+
+    A block is regular when every byte is a token byte, space, tab or
+    newline, and every non-blank line holds ``width`` tokens.  A token byte
+    is a digit with ``digits``, else any byte above space but ``#`` and
+    DEL, so non-ASCII text is token bytes.  The bytes are the block's
+    between two added line ends, so every token starts and ends inside
+    them.  This is the one scanner of id text: the bulk readers,
+    :func:`decimal_values` and the plan reader use it.
+    """
+    data = np.frombuffer(f"\n{block}\n".encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    if digits:
+        token = data >= ord("0")
+        token &= data <= ord("9")
+    else:
+        token = data > ord(" ")
+        token &= data != 0x7F
+        token &= data != ord("#")
+    newline = data == ord("\n")
+    token_bytes = np.count_nonzero(token)
+    blanks = np.count_nonzero(data == ord(" ")) + np.count_nonzero(data == ord("\t"))
+    if token_bytes + blanks + np.count_nonzero(newline) != data.size:
         return None
-    if not text.isascii():
-        return None
-    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    # The separators are the only spaces, so they bound the tokens.
-    cuts = np.flatnonzero(data == ord(" "))
-    if cuts.size != len(tokens) - 1:
-        return None
-    starts = np.r_[0, cuts + 1]
-    return _decimals(data, starts, np.r_[cuts, data.size] - starts, leading_zeros=False)
+    # The mask changes at every token's start and end, in turn.
+    bounds = np.flatnonzero(token[1:] != token[:-1])
+    bounds += 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    tokens = starts.size
+    if tokens:
+        # breaks[i]: whether a line end lies between tokens i and i + 1.
+        if ends[-1] - starts[0] - token_bytes == tokens - 1:  # every gap is one byte
+            breaks = data[ends[:-1]] == ord("\n")
+        else:
+            breaks = np.logical_or.reduceat(newline[: ends[-1]], ends[:-1])
+        # A break after every width-th token and nowhere else; with a last
+        # line of fewer tokens there would be one break too many.
+        if np.count_nonzero(breaks) != tokens // width - 1 or not breaks[width - 1 :: width].all():
+            return None
+    return data, starts, ends
+
+
+def _token_strings(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The tokens of ``data`` (see :func:`_token_bounds`) from ``starts`` to
+    ``ends``, as strings; no other token becomes a string."""
+    # Each token's bytes and the blank after it are taken, and the blanks
+    # become the line ends that split the text.
+    cuts = np.empty(2 * starts.size + 2, dtype=np.int64)
+    cuts[0], cuts[-1] = 0, data.size
+    cuts[1:-1:2] = starts
+    cuts[2:-1:2] = ends + 1
+    taken = np.zeros(cuts.size - 1, dtype=bool)
+    taken[1::2] = True
+    text = data[np.repeat(taken, np.diff(cuts))]
+    text[np.cumsum(ends - starts + 1) - 1] = ord("\n")
+    return text.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
 
 
 def _fold(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, base: int, zero: int) -> tuple[np.ndarray, int]:
@@ -445,8 +503,15 @@ def edge_keys(codes: np.ndarray, n: int) -> np.ndarray:
 
 
 def graph_from_keys(external_ids: tuple[str, ...], keys: np.ndarray) -> DirectedGraph:
-    """Graph over sorted ``external_ids`` with the edges of :func:`edge_keys`."""
-    return DirectedGraph(external_ids, *np.divmod(keys, np.int64(len(external_ids))))
+    """Graph over sorted ``external_ids`` with the edges of :func:`edge_keys`.
+
+    ``keys`` is overwritten with the sources, so no more than two
+    edge-sized arrays are alive at a time.
+    """
+    n = np.int64(len(external_ids))
+    dst = keys % n
+    keys //= n
+    return DirectedGraph(external_ids, keys, dst)
 
 
 class _Interner(dict):

@@ -16,10 +16,10 @@ field count on every non-blank line (for edges, also decimal ids of at most
 lines that is not a file, goes through the line scanner, which alone skips
 and reports comments and malformed lines; both readers give the same result
 on a regular file.  The bulk readers take one pass over each block's ASCII
-bytes (see :func:`_token_bounds`) that checks the block and finds its
-token bounds, and parse the decimal fields from those bounds.  Decimal ids
-stay int64: the graph and the cascade table keep them as integer id
-tables and build their strings only on first use.
+bytes (see :func:`~cascadecut.graph._token_bounds`) that checks the block
+and finds its token bounds, and parse the decimal fields from those bounds.
+Decimal ids stay int64: the graph and the cascade table keep them as
+integer id tables and build their strings only on first use.
 
 Heterogeneous upstream dumps are normalised to these two formats at the
 boundary; :func:`load_higgs_activity` is the adapter for the one public
@@ -46,6 +46,8 @@ from .graph import (
     _decimals,
     _fold,
     _Interner,
+    _token_bounds,
+    _token_strings,
     build_graph,
     decimal_values,
     digit_counts,
@@ -417,49 +419,6 @@ def _split_lines(block: str) -> list[str]:
     return lines
 
 
-def _token_bounds(block: str, width: int, digits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The bytes of a regular ``block`` and the start and end offsets of its
-    tokens into them, or None when the block is not regular.
-
-    A block is regular when it is ASCII, every byte is a token byte, space,
-    tab or newline, and every non-blank line holds ``width`` tokens.  A
-    token byte is a digit with ``digits``, else printable ASCII but ``#``.
-    The bytes are the block's between two added line ends, so every token
-    starts and ends inside them.
-    """
-    if not block.isascii():
-        return None
-    data = np.frombuffer(f"\n{block}\n".encode("ascii"), dtype=np.uint8)
-    if digits:
-        token = data >= ord("0")
-        token &= data <= ord("9")
-    else:
-        token = data > ord(" ")
-        token &= data < 0x7F
-        token &= data != ord("#")
-    newline = data == ord("\n")
-    token_bytes = np.count_nonzero(token)
-    blanks = np.count_nonzero(data == ord(" ")) + np.count_nonzero(data == ord("\t"))
-    if token_bytes + blanks + np.count_nonzero(newline) != data.size:
-        return None
-    # The mask changes at every token's start and end, in turn.
-    bounds = np.flatnonzero(token[1:] != token[:-1])
-    bounds += 1
-    starts, ends = bounds[0::2], bounds[1::2]
-    tokens = starts.size
-    if tokens:
-        # breaks[i]: whether a line end lies between tokens i and i + 1.
-        if ends[-1] - starts[0] - token_bytes == tokens - 1:  # every gap is one byte
-            breaks = data[ends[:-1]] == ord("\n")
-        else:
-            breaks = np.logical_or.reduceat(newline[: ends[-1]], ends[:-1])
-        # A break after every width-th token and nowhere else; with a last
-        # line of fewer tokens there would be one break too many.
-        if np.count_nonzero(breaks) != tokens // width - 1 or not breaks[width - 1 :: width].all():
-            return None
-    return data, starts, ends
-
-
 def _edge_ids(block: str) -> np.ndarray | None:
     """The ids of a regular edge block of plain decimals, in file order, or None."""
     bounds = _token_bounds(block, 2, digits=True)
@@ -477,18 +436,15 @@ def _event_columns(block: str) -> tuple[np.ndarray | list[str], np.ndarray | lis
     bytes in base 256), others as strings; plain decimal users come as
     int64 values, others as strings.
     """
-    bounds = _token_bounds(block, 3, digits=False)
+    # The line scanner splits at Unicode blanks too, so other text is left to it.
+    bounds = _token_bounds(block, 3, digits=False) if block.isascii() else None
     if bounds is None:
         return None
     data, starts, ends = bounds
     lengths = ends - starts
-    tokens = None
 
     def strings(column: int) -> list[str]:
-        nonlocal tokens
-        if tokens is None:
-            tokens = block.split()
-        return tokens[column::3]
+        return _token_strings(data, starts[column::3], ends[column::3])
 
     if lengths[0::3].max(initial=0) <= _KEY_BYTES:
         cascades = _fold(data, starts[0::3], lengths[0::3], 256, 0)[0]
@@ -641,11 +597,16 @@ def _unpack(key: int) -> str:
 def _user_codes(parts: Sequence[np.ndarray | list[str]]) -> tuple[tuple[str, ...] | np.ndarray, np.ndarray]:
     """Distinct users in sorted order, and each event's index into them, from
     the blocks' user columns (see :func:`_event_columns`)."""
+    users = _joined_ids(parts)
+    return _rank_ids(users) if isinstance(users, np.ndarray) else sorted_codes(users)
+
+
+def _joined_ids(parts: Sequence[np.ndarray | list[str]]) -> np.ndarray | list[str]:
+    """One id column from its blocks' parts: int64 values when every part is
+    plain decimals, else strings."""
     if all(isinstance(part, np.ndarray) for part in parts):
-        return _rank_ids(_concat(parts))
-    return sorted_codes(
-        chain.from_iterable(id_strings(part) if isinstance(part, np.ndarray) else part for part in parts)
-    )
+        return _concat(parts)
+    return list(chain.from_iterable(id_strings(part) if isinstance(part, np.ndarray) else part for part in parts))
 
 
 def load_higgs_activity(

@@ -27,6 +27,8 @@ regularity check), :func:`block_ints` (the ``np.fromstring`` parse) and
 package's block cutter and id ranking.  :func:`string_fingerprint` is the
 network digest computed from the id strings, and :func:`line_load_plan` the
 earlier per-line plan reader over the package's id lookup.
+:func:`space_cut_decimals` is the earlier tokenizer of ``decimal_values``:
+tokens joined by spaces and cut at them, over the package's digit parser.
 :func:`graph_edges` and :func:`load_follow_edges` are the id-pair views of
 a network and of an edge file (over the package's ``iter_follow_edges``)
 that tests compare with.
@@ -53,6 +55,7 @@ from cascadecut.experiment import SUMMARY_HEADER, budget_for, load_dataset
 from cascadecut.graph import (
     MAX_DIGITS,
     DirectedGraph,
+    _decimals,
     betweenness_scores,
     decimal_values,
     edge_keys,
@@ -607,3 +610,23 @@ def line_load_plan(path, network, strict=False):
         src, dst = edges[first]
         raise ParseError(f"{path}: line {linenos[first]}: plan edge {src!r} -> {dst!r} is not in the follow network")
     return DeletionPlan(strategy, k, network, pos, np.array(scores, dtype=np.float64), rng_seed=seed)
+
+
+def space_cut_decimals(tokens):
+    """The earlier ``decimal_values``: the tokens joined by spaces and cut at
+    them, their values when every one is a plain decimal, else None."""
+    if not tokens:
+        return np.empty(0, dtype=np.int64)
+    try:
+        text = " ".join(tokens)
+    except TypeError:
+        return None
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # The separators are the only spaces, so they bound the tokens.
+    cuts = np.flatnonzero(data == ord(" "))
+    if cuts.size != len(tokens) - 1:
+        return None
+    starts = np.r_[0, cuts + 1]
+    return _decimals(data, starts, np.r_[cuts, data.size] - starts, leading_zeros=False)

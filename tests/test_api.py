@@ -1,11 +1,16 @@
-"""The package's public names, and the string-level API that left it."""
+"""The package's public names, where each is defined, and the string-level API that left it."""
 
 from __future__ import annotations
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
 
 import pytest
 
 import cascadecut
-from cascadecut import deletion, diffusion, estimator, experiment, graph, ingest
+from cascadecut import deletion, diffusion, errors, estimator, experiment, graph, ingest
 
 PUBLIC = {
     "BETWEENNESS", "CascadeLog", "CascadeResult", "CascadeTable", "CascadecutError", "ConvergenceError",
@@ -57,6 +62,37 @@ def test_removed_names_stay_gone(owner, name):
     assert not hasattr(owner, name)
     # experiment's two re-exports stay public where they are defined.
     assert name in PUBLIC or not hasattr(cascadecut, name)
+
+
+def top_level_definitions(module) -> set[str]:
+    """Names a module's own source binds at top level: defs, classes and assignments."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(cascadecut._EXPORTS))
+def test_each_table_entry_names_the_defining_module(module):
+    # One declaration per name, and none pointing at a re-export.
+    home = importlib.import_module(f"cascadecut.{module}")
+    defined = top_level_definitions(home)
+    for name in cascadecut._EXPORTS[module]:
+        obj = getattr(cascadecut, name)
+        assert obj is getattr(home, name) and name in defined, name
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            assert obj.__module__ == home.__name__, name
+
+
+def test_the_definition_scan_skips_imports():
+    assert {"CascadecutError", "InputError"} <= top_level_definitions(errors)
+    assert "DirectedGraph" not in top_level_definitions(deletion)
+    assert "DirectedGraph" in top_level_definitions(graph)
 
 
 def test_diffusion_graph_holds_strings_only():

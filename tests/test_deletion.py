@@ -438,7 +438,8 @@ class TestPlanSerialization:
 PLAN_QUIRKS = (
     None, None, None, "no final newline", "blank line", "two fields", "four fields", "extra line",
     "bad score", "empty score", "nan score", "rising score", "unknown edge", "empty id", "leading zero",
-    "non-ascii id", "trailing tab", "crlf",
+    "non-ascii id", "trailing tab", "crlf", "space by tab", "spaces for tabs", "blank ends", "extra lines",
+    "blank before unknown",
 )
 
 
@@ -456,13 +457,29 @@ def quirky_plan(rng, lines, quirk):
     elif quirk == "extra line":
         lines.append(f"{row[0]}\t{row[1]}\t-1.0")
     elif quirk in ("bad score", "empty score", "nan score", "rising score"):
+        # In place of a line, so the body keeps within the budget; a rise
+        # needs a line before it.
+        if quirk == "rising score" and len(lines) > 1:
+            at = max(at, 1)
         score = {"bad score": "high", "empty score": "", "nan score": "nan", "rising score": "1e300"}[quirk]
-        lines.insert(at, f"{row[0]}\t{row[1]}\t{score}")
+        lines[at:at + 1] = [f"{row[0]}\t{row[1]}\t{score}"]
     elif quirk in ("unknown edge", "empty id", "leading zero", "non-ascii id"):
         src = {"unknown edge": "424242", "empty id": "", "leading zero": "0" + row[0], "non-ascii id": "ü"}[quirk]
         lines[at:at + 1] = [f"{src}\t{row[1]}\t{row[2]}"]
     elif quirk == "trailing tab":
         lines[at:at + 1] = [lines[at] + "\t"] if lines else ["1\t2\t0\t"]
+    elif quirk == "space by tab":
+        line = "\t".join(row)
+        cut = line.index("\t") + rng.choice([0, 1])
+        lines[at:at + 1] = [line[:cut] + " " + line[cut:]]
+    elif quirk == "spaces for tabs":
+        lines[at:at + 1] = [" ".join(row)]
+    elif quirk == "blank ends":
+        lines = ["", *lines, ""]
+    elif quirk == "extra lines":
+        lines += [f"{row[0]}\t{row[1]}\t-1.0"] * rng.randint(2, 40)
+    elif quirk == "blank before unknown":
+        lines[at:at + 1] = ["", f"424242\t{row[1]}\t{row[2]}"]
     end = "\r\n" if quirk == "crlf" else "\n"
     return end.join(lines) + ("" if quirk == "no final newline" else end)
 
@@ -470,7 +487,7 @@ def quirky_plan(rng, lines, quirk):
 class TestBulkPlanReader:
     """``load_plan`` reads a plain body in bulk; the per-line reader is the oracle."""
 
-    @pytest.mark.parametrize("seed", range(72))
+    @pytest.mark.parametrize("seed", range(92))
     def test_same_plan_or_same_error(self, tmp_path, monkeypatch, seed):
         rng = random.Random(seed)
         quirk = PLAN_QUIRKS[seed % len(PLAN_QUIRKS)]
@@ -487,6 +504,8 @@ class TestBulkPlanReader:
         save_plan(plan, path)
         header, *lines = path.read_text(encoding="utf-8").splitlines()
         path.write_bytes((header + "\n" + quirky_plan(rng, lines, quirk)).encode("utf-8"))
+        # Small blocks put block ends inside the body.
+        monkeypatch.setattr(deletion, "_BLOCK", rng.choice([1, 4, 16, 64, 1 << 17]))
         scanned = []
         scan = deletion._plan_lines
         monkeypatch.setattr(deletion, "_plan_lines", lambda *a: scanned.append(1) or scan(*a))
@@ -512,6 +531,15 @@ class TestBulkPlanReader:
         assert deletion._plan_rows("1\t2\t1.0\n", 1)[0].tolist() == [1]
         assert deletion._plan_rows("u\t2\t1.0\n", 1)[0] == ["u"]
         assert deletion._plan_rows("", 0)[2].tolist() == []
+
+    @pytest.mark.parametrize("body", ["foo", "   ", "\t", "1 2 0.5"])
+    def test_a_line_without_two_tabs_is_a_parse_error(self, tmp_path, body):
+        path = tmp_path / "plan.tsv"
+        path.write_text("netmelt,2,\n" + body, encoding="utf-8")
+        assert deletion._plan_rows(body, 2) is None
+        fields = len(body.split("\t"))
+        with pytest.raises(ParseError, match=f"plan.tsv: line 2: expected 3 fields, got {fields}"):
+            load_plan(path, build_graph([("a", "b")]))
 
 
 class TestDeletionPlan:

@@ -300,6 +300,43 @@ def edge_betweenness(g):
     return dict(zip(graph_edges(g), betweenness_scores(g).tolist()))
 
 
+class TestTokenizer:
+    """``_token_bounds`` and ``_token_strings`` against ``str.split``."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_columns_are_the_split_fields(self, seed):
+        rng = random.Random(seed)
+        width = rng.randint(1, 4)
+        pool = ["1", "22", "007", "u3", "\u00fcber", "x" * 20, "9" * 19]
+        lines = []
+        for _ in range(rng.randint(0, 30)):
+            fields = [rng.choice(pool) for _ in range(width)]
+            lines.append(rng.choice(["", " "]) + "".join(f + rng.choice([" ", "\t", " \t", "  "]) for f in fields))
+            if rng.random() < 0.2:
+                lines.append(rng.choice(["", " ", "\t "]))
+        if seed % 5 == 0:  # a comment mark, or a line one field too long
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["#c " * width, "1 " * (width + 1)]))
+        block = "\n".join(lines) + rng.choice(["", "\n"])
+        bounds = graph._token_bounds(block, width, digits=False)
+        fields = block.split()
+        if seed % 5 == 0:
+            assert bounds is None
+            return
+        data, starts, ends = bounds
+        assert graph._token_strings(data, starts, ends) == fields
+        for column in range(width):
+            assert graph._token_strings(data, starts[column::width], ends[column::width]) == fields[column::width]
+
+    @pytest.mark.parametrize("block", ["1 2\n3", "1\n2 3\n", "1 2 3\n4\n", "1\x0b2\n", "1\r2\n"])
+    def test_irregular_blocks_are_refused(self, block):
+        assert graph._token_bounds(block, 2, digits=True) is None
+
+    def test_digits_take_plain_digits_only(self):
+        assert graph._token_bounds("1 2\n", 2, digits=True) is not None
+        assert graph._token_bounds("1 u\n", 2, digits=True) is None
+        assert graph._token_bounds("1 \u0661\n", 2, digits=True) is None
+
+
 class TestEdgeBetweenness:
     def test_directed_path(self):
         g = build_graph([("a", "b"), ("b", "c")])

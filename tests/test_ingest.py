@@ -25,7 +25,7 @@ from cascadecut import (
     load_higgs_activity,
     read_network,
 )
-from cascadecut import ingest
+from cascadecut import graph, ingest
 from cascadecut.experiment import load_dataset, load_network
 from conftest import assert_same_graph, random_logs
 from cascadecut.graph import decimal_values
@@ -36,6 +36,7 @@ from oracles import (
     load_follow_edges,
     reference_build_graph,
     regular_block,
+    space_cut_decimals,
     split_events,
     text_rank,
     two_pass_read_network,
@@ -645,6 +646,35 @@ class TestDecimalValues:
             assert got is None
         else:
             assert got.dtype == np.int64 and got.tolist() == want
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_matches_the_space_cut_tokenizer(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        chunk = rng.choice([1, 2, 5, graph._TOKEN_CHUNK])
+        monkeypatch.setattr(graph, "_TOKEN_CHUNK", chunk)
+        count = rng.choice([0, 1, 4, chunk - 1, chunk, chunk + 1, 2 * chunk + 1])
+        tokens = [
+            str(rng.choice([0, rng.randint(1, 9), rng.randint(10, 10**6), rng.randint(10**17, 10**18 - 1)]))
+            for _ in range(count)
+        ]
+        if seed % 4 and count:
+            # One odd token, most often on either side of a chunk boundary.
+            at = rng.choice([i for i in (chunk - 1, chunk, chunk, rng.randrange(count)) if 0 <= i < count])
+            tokens[at] = rng.choice(ODD_TOKENS)
+        want = space_cut_decimals(tokens)
+        got = decimal_values(tokens)
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+# Tokens that are not plain decimals: blanks inside or around digits, empty,
+# leading zeros, 19 or 20 digits, non-ASCII digits and blanks, and signs.
+ODD_TOKENS = [
+    "", " ", "1 2", " 1", "1 ", "1\t2", "1\n2", "\n", "007", "00", "1234567890123456789",
+    "12345678901234567890", "\u0661", "1\u00a0", "\u00fc", "\ud800", "#1", "+1", "-1", "1\r",
+]
 
 
 # User pools of an event file: all plain decimals, or with one kind of token

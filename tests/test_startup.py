@@ -1,4 +1,5 @@
-"""Importing the package: one BLAS thread, an unchanged environment, no BLAS call.
+"""Importing the package: one BLAS thread, an unchanged environment, no BLAS
+call, and public names imported only on first use.
 
 Each import test runs in a fresh interpreter whose environment holds none
 of the thread variables unless the test sets one.
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from cascadecut import _THREAD_VARIABLES
+from test_api import PUBLIC, REMOVED
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -50,6 +52,39 @@ def test_import_leaves_one_thread():
         pytest.skip("no /proc/self/task to count threads")
     code = "import json, os, cascadecut; print(json.dumps(len(os.listdir('/proc/self/task'))))"
     assert run_fresh(code) == 1
+
+
+def test_import_loads_no_submodule_until_a_name_is_used():
+    code = (
+        "import json, sys, cascadecut\n"
+        "before = sorted(m for m in sys.modules if m.startswith('cascadecut.'))\n"
+        "cascadecut.load_plan\n"
+        "print(json.dumps([before, 'cascadecut.deletion' in sys.modules]))"
+    )
+    assert run_fresh(code) == [[], True]
+
+
+def test_star_import_binds_exactly_all_and_dir_lists_it():
+    code = (
+        "import json\nnames = set(dir())\nfrom cascadecut import *\nimport cascadecut\n"
+        "bound = sorted(set(dir()) - names - {'names', 'cascadecut'})\n"
+        "print(json.dumps([bound, sorted(cascadecut.__all__), sorted(set(PUBLIC) - set(dir(cascadecut)))]))"
+    )
+    bound, public, undir = run_fresh(f"PUBLIC = {sorted(PUBLIC)!r}\n" + code)
+    assert bound == public == sorted(PUBLIC)
+    assert undir == []
+
+
+def test_removed_names_are_attribute_errors():
+    gone = sorted({name for _, name in REMOVED} - PUBLIC)
+    code = (
+        "import json, cascadecut\nout = []\n"
+        f"for name in {gone!r}:\n"
+        "    try:\n        getattr(cascadecut, name)\n        out.append(name)\n"
+        "    except AttributeError as exc:\n        out.append(str(exc))\n"
+        "print(json.dumps(out))"
+    )
+    assert gone and run_fresh(code) == [f"module 'cascadecut' has no attribute {name!r}" for name in gone]
 
 
 def test_import_restores_the_environment():

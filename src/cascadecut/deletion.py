@@ -215,10 +215,11 @@ def load_plan(path: str | Path, network: DirectedGraph, strict: bool = False) ->
 
     Each line's (src, dst) ids are looked up once in the network; an edge
     the network lacks gets position -1, or with ``strict`` is a
-    :class:`ParseError` naming the first such line.  A body of ``k`` or
-    fewer lines, each exactly ``src<TAB>dst<TAB>score``, with falling
-    scores is read in bulk; any other is read line by line, which alone
-    reports what is wrong with it.
+    :class:`ParseError` naming the first such line.  The body is read in
+    blocks (see :func:`_plan_rows`): a block of exact
+    ``src<TAB>dst<TAB>score`` lines whose scores keep falling and stay
+    within ``k`` rows is read in bulk, any other block line by line, which
+    alone reports what is wrong with it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -239,47 +240,46 @@ def load_plan(path: str | Path, network: DirectedGraph, strict: bool = False) ->
         except ValueError:
             raise ParseError(f"{path}: line 1: bad seed {seed_text!r} in plan header") from None
         body = fh.read()
-    rows = _plan_rows(body, k)
-    if rows is None:
-        rows = _plan_lines(path, body, k)
-    src, dst, scores, linenos = rows
+    src, dst, scores = _plan_rows(path, body, k)
     pos = network.positions_of(network.indices_of(src), network.indices_of(dst))
     if strict and (pos < 0).any():
         first = int(np.argmax(pos < 0))
-        lineno = first + 2 if linenos is None else linenos[first]
+        # Every non-empty line of a body that reads is one row.
+        lineno = [i for i, line in enumerate(body.split("\n"), start=2) if line][first]
         src, dst = str(src[first]), str(dst[first])
         raise ParseError(f"{path}: line {lineno}: plan edge {src!r} -> {dst!r} is not in the follow network")
     return DeletionPlan(strategy, k, network, pos, scores, rng_seed=seed)
 
 
-def _plan_rows(body: str, k: int) -> tuple | None:
-    """(src ids, dst ids, scores, None) of a plan body of at most ``k`` lines,
-    each exactly ``src<TAB>dst<TAB>score``, with falling scores, read in
-    bulk, or None for any other body.
+def _plan_rows(path: str | Path, body: str, k: int) -> tuple:
+    """(src ids, dst ids, scores) of a plan body of at most ``k`` rows.
 
     The body is read in blocks of about ``_BLOCK`` characters that end at a
-    line end, which keeps the temporaries small (see :func:`_plan_block`).
-    A column's ids are int64 values when they are all plain decimals (see
-    :func:`~cascadecut.graph.decimal_values`), else strings.
+    line end, which keeps the temporaries small.  A block whose scores fall
+    on from the previous block's and whose rows keep the body within ``k``
+    is read in bulk (see :func:`_plan_block`), any other by
+    :func:`_plan_lines`.  Columns are joined by :func:`~cascadecut.ingest._joined_ids`.
     """
     parts = []
-    lines = 0
+    line, rows, previous = 1, 0, math.inf  # the last line read, the rows so far and the last score
     start = 0
     while start < len(body):
         end = body.find("\n", min(start + _BLOCK, len(body)) - 1) + 1 or len(body)
-        part = _plan_block(body[start:end])
-        if part is None:
-            return None
-        lines += part[2].size
-        if lines > k:
-            return None
+        block = body[start:end]
+        part = _plan_block(block)
+        scores = None if part is None else np.concatenate([[previous], part[2]])
+        if part is None or rows + part[2].size > k or np.isnan(scores).any() or (scores[1:] > scores[:-1]).any():
+            part = _plan_lines(path, block, k, line, rows, previous)
+            line += block.count("\n")
+        else:
+            line += part[2].size  # exact lines: one row per line
+        if part[2].size:
+            rows += part[2].size
+            previous = float(part[2][-1])
         parts.append(part)
         start = end
     src, dst, scores = zip(*parts) if parts else ((), (), ())
-    scores = np.concatenate([np.empty(0), *scores])
-    if np.isnan(scores).any() or (scores[1:] > scores[:-1]).any():
-        return None
-    return _joined_ids(src), _joined_ids(dst), scores, None
+    return _joined_ids(src), _joined_ids(dst), np.concatenate([np.empty(0), *scores])
 
 
 def _plan_block(block: str) -> tuple | None:
@@ -290,7 +290,7 @@ def _plan_block(block: str) -> tuple | None:
     bounds = _token_bounds(block, 3, digits=False)
     if bounds is None:
         return None
-    data, starts, ends = bounds
+    data, starts, ends, _ = bounds
     lengths = ends - starts
     # In exact lines one blank byte follows each token, a tab within a
     # line, and one precedes the first token (the added line end); the only
@@ -310,21 +310,20 @@ def _plan_block(block: str) -> tuple | None:
     return (*columns, scores)
 
 
-def _plan_lines(path: str | Path, body: str, k: int) -> tuple[list[str], list[str], np.ndarray, list[int]]:
-    """(src ids, dst ids, scores, line numbers) of a plan body, read line by
-    line; the first line that is not a plan edge is a :class:`ParseError`."""
+def _plan_lines(path: str | Path, block: str, k: int, line: int, rows: int, previous: float) -> tuple:
+    """(src ids, dst ids, scores) of a block of a plan body read line by
+    line, after ``line`` lines, ``rows`` rows and the score ``previous``;
+    the first line that is not a plan edge is a :class:`ParseError`."""
     src: list[str] = []
     dst: list[str] = []
     scores: list[float] = []
-    linenos: list[int] = []
-    previous = math.inf
-    for lineno, line in enumerate(body.split("\n"), start=2):
-        if not line:
+    for lineno, text in enumerate(block.split("\n"), start=line + 1):
+        if not text:
             continue
-        fields = line.split("\t")
+        fields = text.split("\t")
         if len(fields) != 3:
             raise ParseError(f"{path}: line {lineno}: expected 3 fields, got {len(fields)}")
-        if len(scores) == k:
+        if rows + len(scores) == k:
             raise ParseError(f"{path}: line {lineno}: more plan edges than the header's budget {k}")
         try:
             score = float(fields[2])
@@ -339,8 +338,7 @@ def _plan_lines(path: str | Path, body: str, k: int) -> tuple[list[str], list[st
         scores.append(score)
         src.append(fields[0])
         dst.append(fields[1])
-        linenos.append(lineno)
-    return src, dst, np.array(scores, dtype=np.float64), linenos
+    return src, dst, np.array(scores, dtype=np.float64)
 
 
 def cache_header(strategy: str, k: int, rng_seed: int | None, network: DirectedGraph) -> dict:

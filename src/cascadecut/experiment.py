@@ -122,6 +122,7 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
                 summary_rows.append(
                     (strategy, variant, k, f"{fraction:g}", report.total_estimated, report.total_original)
                 )
+        del plan, ranks  # free this strategy's plan before the next one is computed
     summary_path = config.out_dir / "summary.csv"
     _write_csv(summary_path, SUMMARY_HEADER, summary_rows)
     written.append(summary_path)

@@ -349,7 +349,7 @@ def decimal_values(tokens: Sequence[str]) -> np.ndarray | None:
         bounds = _token_bounds(text, 1, digits=True)
         if bounds is None:
             return None
-        data, starts, ends = bounds
+        data, starts, ends, _ = bounds
         lengths = ends - starts
         # All but the line ends are digits, and no line is empty.
         if starts.size != len(chunk) or int(lengths.sum()) != len(text) - len(chunk) + 1:
@@ -361,9 +361,10 @@ def decimal_values(tokens: Sequence[str]) -> np.ndarray | None:
     return np.concatenate(parts)
 
 
-def _token_bounds(block: str, width: int, digits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The UTF-8 bytes of a regular ``block`` and the start and end offsets
-    of its tokens into them, or None when the block is not regular.
+def _token_bounds(block: str, width: int, digits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
+    """The UTF-8 bytes of a regular ``block``, the start and end offsets of
+    its tokens into them and the count of its line ends, or None when the
+    block is not regular.
 
     A block is regular when every byte is a token byte, space, tab or
     newline, and every non-blank line holds ``width`` tokens.  A token byte
@@ -384,7 +385,8 @@ def _token_bounds(block: str, width: int, digits: bool) -> tuple[np.ndarray, np.
     newline = data == ord("\n")
     token_bytes = np.count_nonzero(token)
     blanks = np.count_nonzero(data == ord(" ")) + np.count_nonzero(data == ord("\t"))
-    if token_bytes + blanks + np.count_nonzero(newline) != data.size:
+    line_ends = int(np.count_nonzero(newline))
+    if token_bytes + blanks + line_ends != data.size:
         return None
     # The mask changes at every token's start and end, in turn.
     bounds = np.flatnonzero(token[1:] != token[:-1])
@@ -401,7 +403,7 @@ def _token_bounds(block: str, width: int, digits: bool) -> tuple[np.ndarray, np.
         # line of fewer tokens there would be one break too many.
         if np.count_nonzero(breaks) != tokens // width - 1 or not breaks[width - 1 :: width].all():
             return None
-    return data, starts, ends
+    return data, starts, ends, line_ends - 2
 
 
 def _token_strings(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:

@@ -9,16 +9,17 @@ Timestamps are integer time units (epoch seconds for the bundled adapters).
 Fields may in practice be separated by any whitespace run, which lets the
 publicly distributed follower edge lists (space-separated) load unchanged.
 
-:func:`read_network` and :func:`load_cascades` read a *regular* file in
-bulk: printable ASCII plus tab and newline only, no ``#``, and the same
-field count on every non-blank line (for edges, also decimal ids of at most
-18 digits without a leading zero).  Any other file, and any iterable of
-lines that is not a file, goes through the line scanner, which alone skips
-and reports comments and malformed lines; both readers give the same result
-on a regular file.  The bulk readers take one pass over each block's ASCII
-bytes (see :func:`~cascadecut.graph._token_bounds`) that checks the block
-and finds its token bounds, and parse the decimal fields from those bounds.
-Decimal ids stay int64: the graph and the cascade table keep them as
+:func:`read_network` and :func:`load_cascades` read a file in blocks that
+end at a line end, and a *regular* block in bulk: printable ASCII plus tab
+and newline only, no ``#``, and the same field count on every non-blank
+line (for edges, also decimal ids of at most 18 digits without a leading
+zero).  Any other block, and an iterable of lines that is not a file, goes
+through the line scanner, which alone skips and reports comments and
+malformed lines; both readers give the same result on a regular block.
+The bulk readers take one pass over each block's ASCII bytes (see
+:func:`~cascadecut.graph._token_bounds`) that checks the block and finds
+its token bounds, and parse the decimal fields from those bounds.  Plain
+decimal ids stay int64: the graph and the cascade table keep them as
 integer id tables and build their strings only on first use.
 
 Heterogeneous upstream dumps are normalised to these two formats at the
@@ -48,7 +49,6 @@ from .graph import (
     _Interner,
     _token_bounds,
     _token_strings,
-    build_graph,
     decimal_values,
     digit_counts,
     edge_keys,
@@ -150,7 +150,7 @@ class CascadeTable(Sequence):
         return _cascade_table(
             tuple(log.cascade_id for log in logs),
             np.repeat(np.arange(len(logs), dtype=np.int64), sizes),
-            *_intern_ids(list(map(itemgetter(0), events))),
+            *_id_codes([list(map(itemgetter(0), events))], len(events)),
             np.fromiter(map(itemgetter(1), events), dtype=np.int64, count=len(events)),
         )
 
@@ -232,17 +232,36 @@ def _cascade_table(
     return CascadeTable(cascade_ids, users, *np.divmod(key[first], width), earliest)
 
 
-def _intern_ids(tokens: list[str]) -> tuple[tuple[str, ...] | np.ndarray, np.ndarray]:
-    """Distinct ids of ``tokens`` in sorted order, and each token's index into them.
+def _id_codes(parts: Iterable, capacity: int) -> tuple[tuple[str, ...] | np.ndarray, np.ndarray]:
+    """Distinct ids of an id column given in parts, in sorted order, and each id's index into them.
 
-    Plain decimal ids (see :func:`~cascadecut.graph.decimal_values`) are
-    ranked as integers and returned as an int64 array; any other tokens are
-    interned as strings.
+    A part is int64 plain decimal values (see
+    :func:`~cascadecut.graph.decimal_values`) or a list of id strings.
+    While every id is a plain decimal the values are ranked as integers (see
+    :func:`_rank_ids`); from the first part that is not, every id is
+    interned as a string.  The values are kept in one array reserved at
+    ``capacity`` and doubled when full; the operating system maps a page
+    only once it is written, so no second copy is made at the end.
     """
-    values = decimal_values(tokens)
-    if values is None:
-        return sorted_codes(tokens)
-    return _rank_ids(values)
+    data = np.empty(max(capacity, 1), dtype=np.int64)
+    size = 0
+    parts = iter(parts)
+    for part in parts:
+        if isinstance(part, list):
+            values = decimal_values(part)
+            if values is None:
+                done = (id_strings(data[start : min(start + _BLOCK, size)]) for start in range(0, size, _BLOCK))
+                rest = (p if isinstance(p, list) else id_strings(p) for p in parts)
+                return sorted_codes(chain.from_iterable(chain(done, [part], rest)))
+            part = values
+        end = size + part.size
+        if end > data.size:
+            grown = np.empty(max(end, 2 * data.size), dtype=np.int64)
+            grown[:size] = data[:size]
+            data = grown
+        data[size:end] = part
+        size = end
+    return _rank_ids(data[:size])
 
 
 def _rank_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,69 +329,6 @@ def _text_order(ids: np.ndarray) -> np.ndarray:
     return np.lexsort((digits, ids * _POWERS[MAX_DIGITS - digits]))
 
 
-def _parse_blocks(stream: Iterable[str], parse, parses):
-    """Append ``parse`` of each block of ``stream`` (see :func:`_blocks`) to ``parses``.
-
-    Returns (``parses``, None) when ``parse`` accepts every block, else
-    (None, lines) where ``lines`` replays the stream's lines from its start
-    for the line scanner; ``parse`` returns None for a block it does not
-    accept.  A seekable stream is read again from its start for the
-    replay; of any other the blocks read are kept.  Only file-like streams
-    are read in blocks; any other iterable of lines is returned as the
-    lines.
-    """
-    if not hasattr(stream, "read"):
-        return None, iter(stream)
-    start = _position(stream)
-    blocks: list[str] = []
-    rest = _blocks(stream)
-    for block in rest:
-        if start is None:
-            blocks.append(block)
-        parsed = parse(block)
-        if parsed is None:
-            if start is not None:
-                stream.seek(start)
-                rest = _blocks(stream)
-            return None, _lines(blocks, rest)
-        parses.append(parsed)
-    return parses, None
-
-
-def _position(stream) -> int | None:
-    """Where ``stream`` stands, or None when it cannot seek back there (a
-    text file read by ``next`` cannot tell its position)."""
-    try:
-        return stream.tell() if stream.seekable() else None
-    except (AttributeError, OSError):
-        return None
-
-
-class _Values:
-    """A growing int64 array, appended to a block's values at a time.
-
-    Its storage is reserved at ``capacity`` and doubled when full; the
-    operating system maps a page only once it is written, so the unused
-    tail costs no memory, and no second copy is made at the end.
-    """
-
-    def __init__(self, capacity: int):
-        self._data = np.empty(max(capacity, 1), dtype=np.int64)
-        self._size = 0
-
-    def append(self, values: np.ndarray) -> None:
-        end = self._size + values.size
-        if end > self._data.size:
-            grown = np.empty(max(end, 2 * self._data.size), dtype=np.int64)
-            grown[: self._size] = self._data[: self._size]
-            self._data = grown
-        self._data[self._size : end] = values
-        self._size = end
-
-    def array(self) -> np.ndarray:
-        return self._data[: self._size]
-
-
 def _value_bound(stream) -> int:
     """At most how many values a stream of decimal tokens holds: a value and
     its separator take two bytes, so half the file's size; without a file
@@ -400,37 +356,21 @@ def _blocks(stream) -> Iterator[str]:
         yield tail
 
 
-def _lines(blocks: list[str], rest: Iterable[str] = ()) -> Iterator[str]:
-    """The lines, without line ends, of ``blocks`` and then of ``rest``.
-
-    Each block of ``blocks`` is released once its lines are out.
-    """
-    blocks.reverse()
-    while blocks:
-        yield from _split_lines(blocks.pop())
-    for block in rest:
-        yield from _split_lines(block)
-
-
-def _split_lines(block: str) -> list[str]:
-    lines = block.split("\n")
-    if not lines[-1]:  # the block ends at a line end
-        lines.pop()
-    return lines
-
-
-def _edge_ids(block: str) -> np.ndarray | None:
-    """The ids of a regular edge block of plain decimals, in file order, or None."""
+def _edge_ids(block: str) -> tuple[np.ndarray, int] | None:
+    """The ids of a regular edge block of plain decimals, in file order, and
+    the block's line end count, or None."""
     bounds = _token_bounds(block, 2, digits=True)
     if bounds is None:
         return None
-    data, starts, ends = bounds
-    return _decimals(data, starts, ends - starts, leading_zeros=False)
+    data, starts, ends, line_ends = bounds
+    ids = _decimals(data, starts, ends - starts, leading_zeros=False)
+    return None if ids is None else (ids, line_ends)
 
 
-def _event_columns(block: str) -> tuple[np.ndarray | list[str], np.ndarray | list[str], np.ndarray] | None:
-    """(cascade ids, users, timestamps) of a regular event block, or None when
-    the block is not regular or a timestamp is not an int64.
+def _event_columns(block: str) -> tuple[tuple[np.ndarray | list[str], np.ndarray | list[str], np.ndarray], int] | None:
+    """(cascade ids, users, timestamps) of a regular event block and the
+    block's line end count, or None when the block is not regular or a
+    timestamp is not an int64.
 
     Cascade ids of at most ``_KEY_BYTES`` bytes come as int64 keys (their
     bytes in base 256), others as strings; plain decimal users come as
@@ -440,7 +380,7 @@ def _event_columns(block: str) -> tuple[np.ndarray | list[str], np.ndarray | lis
     bounds = _token_bounds(block, 3, digits=False) if block.isascii() else None
     if bounds is None:
         return None
-    data, starts, ends = bounds
+    data, starts, ends, line_ends = bounds
     lengths = ends - starts
 
     def strings(column: int) -> list[str]:
@@ -459,36 +399,78 @@ def _event_columns(block: str) -> tuple[np.ndarray | list[str], np.ndarray | lis
             times = np.array(strings(2), dtype=np.int64)
         except (ValueError, OverflowError):
             return None
-    return cascades, users, times
+    return (cascades, users, times), line_ends
 
 
-def _scan(stream: Iterable[str], width: int, kind: str, strict: bool) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each record line with ``width`` fields.
+@dataclass
+class _Tally:
+    """One file's blocks, those the line scanner read (see :func:`_scan`),
+    and the malformed lines it skipped, or with ``strict`` raised at."""
+
+    kind: str
+    strict: bool
+    blocks: int = 0
+    scanned: int = 0
+    malformed: int = 0
+    first_bad: str = ""
+
+    def report(self, records: int) -> None:
+        """Log one WARNING naming the first malformed line, if any, and one
+        INFO line on the ``records`` read and the reader that read them."""
+        if self.malformed:
+            logger.warning("skipped %d malformed %s line(s); first: %s", self.malformed, self.kind, self.first_bad)
+        scanner = f"; {self.scanned} of {self.blocks} block(s) by the line scanner"
+        logger.info("read %d %s record(s)%s", records, self.kind, scanner if self.scanned else " with the bulk reader")
+
+
+def _scan(lines: Iterable[str], width: int, tally: _Tally, offset: int = 0) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each record line of ``lines`` with
+    ``width`` fields; the first line is number ``offset + 1``.
 
     Blank lines and ``#`` comments are skipped.  Lines with another field
-    count are skipped and counted, with one WARNING naming the first once the
-    stream is exhausted; with ``strict`` the first raises :class:`ParseError`.
+    count are skipped and counted in ``tally``; with ``tally.strict`` the
+    first raises :class:`ParseError`.
     """
-    records = 0
-    malformed = 0
-    first_bad = ""
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != width:
-            if strict:
+    tally.scanned += 1
+    # split() drops the blanks that strip() drops, so a comment is a line
+    # whose first field starts with #.
+    for lineno, raw in enumerate(lines, start=offset + 1):
+        fields = raw.split()
+        if len(fields) == width and fields[0][0] != "#":
+            yield lineno, fields
+        elif fields and fields[0][0] != "#":
+            line = raw.strip()
+            if tally.strict:
                 raise ParseError(f"line {lineno}: expected {width} fields, got {len(fields)}: {line!r}")
-            malformed += 1
-            if not first_bad:
-                first_bad = f"line {lineno}: {line!r}"
-            continue
-        records += 1
-        yield lineno, fields
-    if malformed:
-        logger.warning("skipped %d malformed %s line(s); first: %s", malformed, kind, first_bad)
-    logger.info("read %d %s record(s) with the line scanner", records, kind)
+            tally.malformed += 1
+            if not tally.first_bad:
+                tally.first_bad = f"line {lineno}: {line!r}"
+
+
+def _parts(stream: Iterable[str], width: int, tally: _Tally, parse, scanned) -> Iterator:
+    """One part per block of ``stream`` (see :func:`_blocks`): ``parse`` of
+    the block, or where ``parse`` rejects it (returns None), ``scanned`` of
+    the line scanner's records of that block's lines alone.  ``parse``
+    returns the part with the block's line end count, which numbers the
+    lines of the blocks after it.
+
+    Only file-like streams are read in blocks, and no block is kept; a plain
+    iterable of lines is scanned as one part.
+    """
+    if not hasattr(stream, "read"):
+        tally.blocks = 1
+        yield scanned(_scan(stream, width, tally))
+        return
+    offset = 0
+    for block in _blocks(stream):
+        tally.blocks += 1
+        parsed = parse(block)
+        if parsed is None:
+            # A block ending at a line end splits into one more, empty, line.
+            parsed = scanned(_scan(block.split("\n"), width, tally, offset)), block.count("\n")
+        part, line_ends = parsed
+        yield part
+        offset += line_ends
 
 
 def iter_follow_edges(stream: Iterable[str], strict: bool = False) -> Iterator[list[str]]:
@@ -499,24 +481,29 @@ def iter_follow_edges(stream: Iterable[str], strict: bool = False) -> Iterator[l
     Lines with the wrong field count are skipped and counted; with
     ``strict`` the first raises :class:`ParseError` (see :func:`_scan`).
     """
-    return map(itemgetter(1), _scan(stream, 2, "edge", strict))
+    tally = _Tally("edge", strict, blocks=1)
+    records = 0
+    for records, (_, fields) in enumerate(_scan(stream, 2, tally), start=1):
+        yield fields
+    tally.report(records)
+
+
+def _edge_tokens(records: Iterable[tuple[int, list[str]]]) -> list[str]:
+    return list(chain.from_iterable(map(itemgetter(1), records)))
 
 
 def read_network(stream: Iterable[str], strict: bool = False) -> DirectedGraph:
     """The follow network of an edge file: ``build_graph(iter_follow_edges(stream, strict))``.
 
-    A regular file of decimal ids is parsed in bulk into integer arrays, and
-    the graph keeps its ids as integers; any other goes through the line
-    scanner, with its warnings and errors.
+    Each block of a regular file of decimal ids is parsed in bulk into
+    integer arrays; any other block goes through the line scanner, with its
+    warnings and errors.  When every id is a plain decimal, the graph keeps
+    its ids as integers.
     """
-    parses, lines = _parse_blocks(stream, _edge_ids, _Values(_value_bound(stream)))
-    if parses is None:
-        return build_graph(iter_follow_edges(lines, strict))
-    values = parses.array()
-    del parses
-    logger.info("read %d edge record(s) with the bulk reader", values.size // 2)
-    ids, codes = _rank_ids(values)
-    keys = edge_keys(codes, ids.size)
+    tally = _Tally("edge", strict)
+    ids, codes = _id_codes(_parts(stream, 2, tally, _edge_ids, _edge_tokens), _value_bound(stream))
+    tally.report(codes.size // 2)
+    keys = edge_keys(codes, len(ids))
     del codes  # free the per-edge array before the graph allocates its own
     return graph_from_keys(ids, keys)
 
@@ -541,23 +528,32 @@ def load_cascades(stream: Iterable[str], strict: bool = False) -> CascadeTable:
     Duplicate events for a user within a cascade keep the earliest
     timestamp.  A non-integer timestamp is always a :class:`ParseError`;
     lines with the wrong field count follow the strict/skip rule of
-    :func:`iter_follow_edges`.
+    :func:`iter_follow_edges`.  Each block of a regular file is read in
+    bulk, any other block by the line scanner (see :func:`read_network`).
     """
-    parses, lines = _parse_blocks(stream, _event_columns, [])
-    if parses is None:
-        cascade_names, users, times = [], [], []
-        for lineno, (cascade_id, user, ts_text) in _scan(lines, 3, "event", strict):
-            cascade_names.append(cascade_id)
-            users.append(user)
-            times.append(_timestamp(lineno, ts_text))
-        # Cascade ids get codes in first-appearance order as they go by.
-        index = _Interner()
-        cascade = np.fromiter(map(index.__getitem__, cascade_names), dtype=np.int64, count=len(cascade_names))
-        return _cascade_table(tuple(index), cascade, *_intern_ids(users), np.array(times, dtype=np.int64))
-    cascades, users, times = zip(*parses) if parses else ((), (), ())
+    tally = _Tally("event", strict)
+    parts = list(_parts(stream, 3, tally, _event_columns, _event_records))
+    cascades, users, times = zip(*parts) if parts else ((), (), ())
     times = _concat(times)
-    logger.info("read %d event record(s) with the bulk reader", times.size)
-    return _cascade_table(*_cascade_codes(cascades), *_user_codes(users), times)
+    tally.report(times.size)
+    return _cascade_table(*_cascade_codes(cascades), *_id_codes(users, times.size), times)
+
+
+def _event_records(records: Iterable[tuple[int, list[str]]]) -> tuple[np.ndarray | list[str], list[str], np.ndarray]:
+    """(cascade ids, users, timestamps) of the line scanner's event records,
+    as :func:`_event_columns` gives them: cascade ids of at most
+    ``_KEY_BYTES`` ASCII bytes as int64 keys, others as strings."""
+    cascades, users, times = [], [], []
+    for lineno, (cascade_id, user, ts_text) in records:
+        cascades.append(cascade_id)
+        users.append(user)
+        times.append(_timestamp(lineno, ts_text))
+    text = "".join(cascades)
+    lengths = np.fromiter(map(len, cascades), dtype=np.int64, count=len(cascades))
+    if text.isascii() and "\0" not in text and lengths.max(initial=0) <= _KEY_BYTES:
+        data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        cascades = _fold(data, np.cumsum(lengths) - lengths, lengths, 256, 0)[0]
+    return cascades, users, np.array(times, dtype=np.int64)
 
 
 def _cascade_codes(parts: Sequence[np.ndarray | list[str]]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -594,18 +590,13 @@ def _unpack(key: int) -> str:
     return key.to_bytes(_KEY_BYTES, "big").lstrip(b"\0").decode("ascii")
 
 
-def _user_codes(parts: Sequence[np.ndarray | list[str]]) -> tuple[tuple[str, ...] | np.ndarray, np.ndarray]:
-    """Distinct users in sorted order, and each event's index into them, from
-    the blocks' user columns (see :func:`_event_columns`)."""
-    users = _joined_ids(parts)
-    return _rank_ids(users) if isinstance(users, np.ndarray) else sorted_codes(users)
-
-
 def _joined_ids(parts: Sequence[np.ndarray | list[str]]) -> np.ndarray | list[str]:
     """One id column from its blocks' parts: int64 values when every part is
-    plain decimals, else strings."""
-    if all(isinstance(part, np.ndarray) for part in parts):
-        return _concat(parts)
+    plain decimals (a list of strings is read by
+    :func:`~cascadecut.graph.decimal_values`), else strings."""
+    values = [part if isinstance(part, np.ndarray) else decimal_values(part) for part in parts]
+    if all(part is not None for part in values):
+        return _concat(values)
     return list(chain.from_iterable(id_strings(part) if isinstance(part, np.ndarray) else part for part in parts))
 
 
@@ -623,15 +614,18 @@ def load_higgs_activity(
     kinds to keep (retweets by default); pass ``frozenset()`` to keep
     everything.
     """
+    tally = _Tally("activity", strict, blocks=1)
     users, times = [], []
-    for lineno, (user, _, ts_text, kind) in _scan(stream, 4, "activity", strict):
+    records = 0
+    for records, (lineno, (user, _, ts_text, kind)) in enumerate(_scan(stream, 4, tally), start=1):
         if not interactions or kind in interactions:
             users.append(user)
             times.append(_timestamp(lineno, ts_text))
+    tally.report(records)
     return _cascade_table(
         (cascade_id,) if users else (),
         np.zeros(len(users), dtype=np.int64),
-        *_intern_ids(users),
+        *_id_codes([users], len(users)),
         np.array(times, dtype=np.int64),
     )
 

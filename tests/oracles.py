@@ -9,8 +9,8 @@ budget point at a time with it; both read their graphs and plans through
 the package's string views (``build_variant``, ``ranked_edges``).  The
 exceptions are :func:`reference_build_graph`, the earlier list-based graph
 build, which hands its arrays to the package's ``DirectedGraph``,
-:func:`list_load_cascades`, the earlier list loader over the package's line
-scanner, :func:`list_estimate_budgets`, the earlier bottleneck pass over
+:func:`list_load_cascades`, the earlier list loader over
+:func:`whole_file_scan`, :func:`list_estimate_budgets`, the earlier bottleneck pass over
 per-cascade arrays, each from its own ``build_batch``, the earlier list
 shuffle of the random plan (:func:`shuffled_prefix`), the earlier
 string-pair plans (:func:`string_plan`, :func:`string_plan_ranks`,
@@ -30,13 +30,16 @@ earlier per-line plan reader over the package's id lookup.
 :func:`space_cut_decimals` is the earlier tokenizer of ``decimal_values``:
 tokens joined by spaces and cut at them, over the package's digit parser.
 :func:`graph_edges` and :func:`load_follow_edges` are the id-pair views of
-a network and of an edge file (over the package's ``iter_follow_edges``)
-that tests compare with.
+a network and of an edge file that tests compare with.
+:func:`whole_file_scan` is the earlier line scanner, which read every file
+with one irregular block from its first line; with ``reference_build_graph``
+and :func:`list_load_cascades` it is the oracle of the per-block readers.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import math
 import random
 from hashlib import blake2b
@@ -63,7 +66,10 @@ from cascadecut.graph import (
     leading_eigenpair,
     sorted_codes,
 )
-from cascadecut.ingest import CascadeLog, CascadeTable, _blocks, _rank_ids, _scan, _timestamp, iter_follow_edges
+from cascadecut.ingest import CascadeLog, CascadeTable, _blocks, _rank_ids, _timestamp
+
+# The package's logger, so that the frozen scanner's records read like the package's.
+ingest_logger = logging.getLogger("cascadecut.ingest")
 
 
 def graph_edges(network):
@@ -72,9 +78,41 @@ def graph_edges(network):
     return [(ids[s], ids[d]) for s, d in zip(network.edge_src_indices.tolist(), network.edge_dst_indices.tolist())]
 
 
+def whole_file_scan(stream, width, kind, strict):
+    """The earlier line scanner, which read every file that had one
+    irregular block from its first line: yield (line number, fields) for
+    each record line with ``width`` fields.
+
+    Blank lines and ``#`` comments are skipped.  Lines with another field
+    count are skipped and counted, with one WARNING naming the first once the
+    stream is exhausted; with ``strict`` the first raises ``ParseError``.
+    """
+    records = 0
+    malformed = 0
+    first_bad = ""
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != width:
+            if strict:
+                raise ParseError(f"line {lineno}: expected {width} fields, got {len(fields)}: {line!r}")
+            malformed += 1
+            if not first_bad:
+                first_bad = f"line {lineno}: {line!r}"
+            continue
+        records += 1
+        yield lineno, fields
+    if malformed:
+        ingest_logger.warning("skipped %d malformed %s line(s); first: %s", malformed, kind, first_bad)
+    ingest_logger.info("read %d %s record(s) with the line scanner", records, kind)
+
+
 def load_follow_edges(stream, strict=False):
-    """Follower->followee pairs of an edge file, in file order, duplicates kept."""
-    return [(src, dst) for src, dst in iter_follow_edges(stream, strict)]
+    """Follower->followee pairs of an edge file, in file order, duplicates
+    kept, read by the whole-file scanner."""
+    return [(src, dst) for _, (src, dst) in whole_file_scan(stream, 2, "edge", strict)]
 
 
 def adjacency(edges):
@@ -329,9 +367,9 @@ def dict_edge_positions(network, pairs):
 
 def list_load_cascades(stream, strict=False):
     """The list loader that the cascade table replaced: one ``CascadeLog`` per
-    cascade id, in first-appearance order, read through the line scanner."""
+    cascade id, in first-appearance order, read by the whole-file scanner."""
     grouped = {}
-    for lineno, (cascade_id, user, ts_text) in _scan(stream, 3, "event", strict):
+    for lineno, (cascade_id, user, ts_text) in whole_file_scan(stream, 3, "event", strict):
         grouped.setdefault(cascade_id, []).append((user, _timestamp(lineno, ts_text)))
     return [CascadeLog.from_events(cid, events) for cid, events in grouped.items()]
 

@@ -528,15 +528,60 @@ class TestBulkPlanReader:
         path = tmp_path / "plan.tsv"
         path.write_text("edge-degree,3,\n10\t1\t2.0\n2\t10\t1.0\n1\t2\t1.0", encoding="utf-8")
         assert load_plan(path, g).edge_pos.tolist() == [1, 2, 0]
-        assert deletion._plan_rows("1\t2\t1.0\n", 1)[0].tolist() == [1]
-        assert deletion._plan_rows("u\t2\t1.0\n", 1)[0] == ["u"]
-        assert deletion._plan_rows("", 0)[2].tolist() == []
+        assert deletion._plan_rows(path, "1\t2\t1.0\n", 1)[0].tolist() == [1]
+        assert deletion._plan_rows(path, "u\t2\t1.0\n", 1)[0] == ["u"]
+        assert deletion._plan_rows(path, "", 0)[2].tolist() == []
+        # A block the line reader reads keeps plain decimal ids as integers.
+        assert deletion._plan_rows(path, "1\t2\t1.0\n\n", 1)[0].tolist() == [1]
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_quirks_in_random_blocks(self, tmp_path, monkeypatch, seed):
+        # Quirks the line reader takes, in several blocks, then any quirk.
+        rng = random.Random(seed)
+        ids = [str(rng.choice([rng.randint(0, 50), rng.randint(1, 10**18 - 1)])) for _ in range(12)]
+        text = "".join(f"{rng.choice(ids)}\t{rng.choice(ids)}\n" for _ in range(60))
+        g = read_network(io.StringIO(text + "u\tv\n" if seed % 2 else text))
+        plan = plan_strategy(g, rng.choice(["edge-degree", "random", "netmelt"]), g.edge_count + 2, rng_seed=seed)
+        path = tmp_path / "plan.tsv"
+        save_plan(plan, path)
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        for quirk in rng.choices(["blank line", "unknown edge", "non-ascii id", "leading zero"], k=rng.randint(1, 4)):
+            lines = quirky_plan(rng, lines, quirk).split("\n")[:-1]
+        body = quirky_plan(rng, lines, rng.choice(PLAN_QUIRKS))
+        path.write_bytes((header + "\n" + body).encode("utf-8"))
+        monkeypatch.setattr(deletion, "_BLOCK", rng.choice([5, 16, 64, 1 << 17]))
+        for strict in (False, True):
+            try:
+                want = line_load_plan(path, g, strict)
+            except ParseError as listed:
+                with pytest.raises(ParseError) as got:
+                    load_plan(path, g, strict)
+                assert str(got.value) == str(listed)
+                continue
+            got = load_plan(path, g, strict)
+            assert got == want
+            assert got.edge_pos.tolist() == want.edge_pos.tolist()
+
+    def test_the_line_reader_reads_only_the_irregular_blocks(self, tmp_path, monkeypatch):
+        # A blank line in the first block and a padded score in a later one.
+        g = read_network(io.StringIO("".join(f"{i}\t{i + 1}\n" for i in range(40))))
+        lines = [f"{i}\t{i + 1}\t{40 - i}.0" for i in range(40)]
+        lines[0], lines[25] = "", "25\t26\t 15.0"
+        path = tmp_path / "plan.tsv"
+        path.write_text("edge-degree,40,\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setattr(deletion, "_BLOCK", 16)
+        blocks, scanned = [], []
+        block, scan = deletion._plan_block, deletion._plan_lines
+        monkeypatch.setattr(deletion, "_plan_block", lambda text: blocks.append(text) or block(text))
+        monkeypatch.setattr(deletion, "_plan_lines", lambda path, text, *a: scanned.append(text) or scan(path, text, *a))
+        assert load_plan(path, g) == line_load_plan(path, g)
+        assert len(blocks) > 10 and scanned == [blocks[0], next(b for b in blocks if " 15.0" in b)]
 
     @pytest.mark.parametrize("body", ["foo", "   ", "\t", "1 2 0.5"])
     def test_a_line_without_two_tabs_is_a_parse_error(self, tmp_path, body):
         path = tmp_path / "plan.tsv"
         path.write_text("netmelt,2,\n" + body, encoding="utf-8")
-        assert deletion._plan_rows(body, 2) is None
+        assert deletion._plan_block(body) is None
         fields = len(body.split("\t"))
         with pytest.raises(ParseError, match=f"plan.tsv: line 2: expected 3 fields, got {fields}"):
             load_plan(path, build_graph([("a", "b")]))

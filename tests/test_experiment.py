@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -428,6 +429,29 @@ class TestRunSweep:
                 }
             )
         assert outputs[0] == outputs[1]
+
+    def test_each_plan_is_freed_before_the_next_is_computed(self, tmp_path, monkeypatch):
+        # Weak references see whether the sweep still holds the previous
+        # strategy's plan and ranks when the next plan starts.
+        plans, ranks, alive = [], [], []
+        materialise, rank = experiment._materialise_plan, experiment.plan_ranks
+
+        def watched_materialise(*args):
+            alive.append([ref() is not None for ref in plans + ranks])
+            plan, path = materialise(*args)
+            plans.append(weakref.ref(plan))
+            return plan, path
+
+        def watched_ranks(network, plan):
+            result = rank(network, plan)
+            ranks.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(experiment, "_materialise_plan", watched_materialise)
+        monkeypatch.setattr(experiment, "plan_ranks", watched_ranks)
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        sweep_files(edges_path, cascades_path, tmp_path / "out", strategies=("edge-degree", "random", "netmelt"))
+        assert alive == [[], [False, False], [False, False, False, False]]
 
     def test_missing_edges_file_raises_input_error(self, tmp_path):
         config = ExperimentConfig(

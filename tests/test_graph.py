@@ -322,7 +322,8 @@ class TestTokenizer:
         if seed % 5 == 0:
             assert bounds is None
             return
-        data, starts, ends = bounds
+        data, starts, ends, line_ends = bounds
+        assert line_ends == block.count("\n")
         assert graph._token_strings(data, starts, ends) == fields
         for column in range(width):
             assert graph._token_strings(data, starts[column::width], ends[column::width]) == fields[column::width]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import logging
 import random
@@ -21,6 +22,7 @@ from cascadecut import (
     build_graph,
     compute_stats,
     filter_cascades,
+    iter_follow_edges,
     load_cascades,
     load_higgs_activity,
     read_network,
@@ -43,34 +45,38 @@ from oracles import (
 )
 
 
+def follow_edges(stream, strict=False):
+    return [tuple(pair) for pair in iter_follow_edges(stream, strict)]
+
+
 class TestLoadFollowEdges:
     """``iter_follow_edges``, the line scanner's edge stream, read into a list."""
 
     def test_single_line(self):
-        assert load_follow_edges(io.StringIO("a\tb\n")) == [("a", "b")]
+        assert follow_edges(io.StringIO("a\tb\n")) == [("a", "b")]
 
     def test_comments_skipped(self):
         text = "# header\na\tb\nb\tc\n"
-        assert load_follow_edges(io.StringIO(text)) == [("a", "b"), ("b", "c")]
+        assert follow_edges(io.StringIO(text)) == [("a", "b"), ("b", "c")]
 
     def test_file_order_and_duplicates_preserved(self):
         text = "a\tb\nb\tc\na\tb\n"
-        assert load_follow_edges(io.StringIO(text)) == [("a", "b"), ("b", "c"), ("a", "b")]
+        assert follow_edges(io.StringIO(text)) == [("a", "b"), ("b", "c"), ("a", "b")]
 
     def test_space_separated_accepted(self):
-        assert load_follow_edges(io.StringIO("a b\n")) == [("a", "b")]
+        assert follow_edges(io.StringIO("a b\n")) == [("a", "b")]
 
     def test_malformed_counted_and_logged(self, caplog):
         text = "a\tb\nbroken\nb\tc\n"
         with caplog.at_level(logging.WARNING):
-            edges = load_follow_edges(io.StringIO(text))
+            edges = follow_edges(io.StringIO(text))
         assert edges == [("a", "b"), ("b", "c")]
         assert "1 malformed" in caplog.text
         assert "line 2" in caplog.text
 
     def test_strict_mode_names_first_offender(self):
         with pytest.raises(ParseError, match="line 2"):
-            load_follow_edges(io.StringIO("a\tb\nbroken\n"), strict=True)
+            follow_edges(io.StringIO("a\tb\nbroken\n"), strict=True)
 
 
 def write_random_edge_file(rng, path):
@@ -150,6 +156,16 @@ def warnings_of(records):
     return [message for level, message in records if level == logging.WARNING]
 
 
+def reader_line(kind, records, text, parse):
+    """The INFO line of a block reader that read ``records`` records of
+    ``text``, as it reaches the reader, where ``parse`` is its bulk parse."""
+    blocks = list(ingest._blocks(io.StringIO(text)))
+    scanned = sum(parse(block) is None for block in blocks)
+    if not scanned:
+        return f"read {records} {kind} record(s) with the bulk reader"
+    return f"read {records} {kind} record(s); {scanned} of {len(blocks)} block(s) by the line scanner"
+
+
 # One irregularity per edge file, or none (None, weighted up).  Only None
 # keeps a file regular; CRLF ends are regular once a text-mode file read
 # has turned them into newlines.
@@ -227,8 +243,10 @@ class TestBulkEdgeReader:
             bulk = quirk is None or (quirk == "crlf" and from_file)
             # The oracle's own INFO line counts the records it read.
             (read_line,) = [m for level, m in want_log if level == logging.INFO]
-            reader = "bulk reader" if bulk else "line scanner"
-            assert (logging.INFO, read_line.replace("line scanner", reader)) in got_log
+            seen = path.read_text(encoding="utf-8") if from_file else text
+            info = reader_line("edge", int(read_line.split()[1]), seen, ingest._edge_ids)
+            assert ("bulk reader" in info) == bulk
+            assert (logging.INFO, info) in got_log
 
     @pytest.mark.parametrize("seed", range(48))
     def test_strict_matches_list_based_read(self, tmp_path, monkeypatch, seed):
@@ -367,6 +385,13 @@ EVENT_EXTRAS = (
 )
 
 
+class ReadOnly:
+    """A stream that can only be read, not told or sought."""
+
+    def __init__(self, text):
+        self.read = io.StringIO(text).read
+
+
 def edge_oracle(block):
     return block_ints(block) if regular_block(block, 2, digits=True) else None
 
@@ -393,14 +418,19 @@ class TestOnePass:
                 got, want = ingest._edge_ids(block), edge_oracle(block)
                 assert (got is None) == (want is None), block
                 if want is not None:
+                    got, line_ends = got
+                    assert line_ends == block.count("\n")
                     assert got.dtype == np.int64 and got.tolist() == want.tolist()
             want = two_pass_read_network(io.StringIO(text))
             got = ingest.read_network(io.StringIO(text))
             assert_same_graph(got, reference_build_graph(load_follow_edges(io.StringIO(text))))
             if want is not None:
                 assert_same_graph(got, want)
-            # Ids read in bulk are kept as integers.
-            assert (got._values is not None) == (want is not None)
+            # Ids read in bulk are kept as integers, as are plain decimal ids
+            # the line scanner read.
+            tokens = [token for pair in load_follow_edges(io.StringIO(text)) for token in pair]
+            assert (got._values is not None) == (decimal_values(tokens) is not None)
+            assert want is None or got._values is not None
 
     @pytest.mark.parametrize("seed", range(60))
     def test_event_blocks_and_files(self, caplog, monkeypatch, seed):
@@ -414,7 +444,8 @@ class TestOnePass:
                 got, want = ingest._event_columns(block), event_oracle(block)
                 assert (got is None) == (want is None), block
                 if want is not None:
-                    cascades, users, times = got
+                    (cascades, users, times), line_ends = got
+                    assert line_ends == block.count("\n")
                     assert column_strings(cascades, ingest._unpack) == want[0]
                     assert column_strings(users) == want[1]
                     assert times.dtype == np.int64 and times.tolist() == want[2].tolist()
@@ -434,11 +465,6 @@ class TestOnePass:
     def test_unseekable_streams_replay_the_blocks_they_kept(self, monkeypatch, seed):
         rng = random.Random(seed)
         monkeypatch.setattr(ingest, "_BLOCK", PASS_BLOCKS[seed % len(PASS_BLOCKS)])
-
-        class ReadOnly:
-            def __init__(self, text):
-                self.read = io.StringIO(text).read
-
         edges = numeric_edge_text(rng, EDGE_QUIRKS[seed % len(EDGE_QUIRKS)])
         assert_same_graph(read_network(ReadOnly(edges)), read_network(io.StringIO(edges)))
         events = cascade_text(rng, CASCADE_QUIRKS[seed % len(CASCADE_QUIRKS)])
@@ -501,6 +527,130 @@ class TestCascadeTable:
         table = load_cascades(io.StringIO("a\tu\t5\nb\tu\t1\na\tu\t2\na\tv\t2\n"))
         assert list(table) == [CascadeLog("a", (("u", 2), ("v", 2))), CascadeLog("b", (("u", 1),))]
 
+# Lines that make a block irregular: comments, blank lines, malformed lines,
+# non-ASCII text, ids that are not plain decimals, a form feed, and for
+# events timestamps that are odd or not int64.
+ODD_EDGE_LINES = (
+    "# follower followee", "  # 3 4", "", " \t", "1 2 3", "7", "u7 10", "007\t2", "\u00fc1 5",
+    "1234567890123456789 3", "5\f6",
+)
+ODD_EVENT_LINES = (
+    "# cascade user time", "", "\t", "c1 1", "c1 1 2 3", "c1\t\u00fc\t3", "\u00e7\t1\t3", "c1\tu3\t4",
+    "c1\t007\t+5", "long-cascade-id\t9\t1", "c1\t1\tsoon", "c1\t1\t99999999999999999999",
+)
+BLOCK_SIZES = (5, 16, 64, 1 << 17)
+SOURCES = ("file", "stringio", "unseekable", "lines")
+
+
+def odd_text(rng, regular, odd_lines):
+    """``regular`` lines with one to four ``odd_lines`` put in at random
+    places, some lines ending in CRLF, sometimes without a final newline."""
+    lines = list(regular)
+    for _ in range(rng.randint(1, 4)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(odd_lines))
+    text = "".join(line + rng.choice(["\n", "\n", "\r\n"]) for line in lines)
+    return text if rng.random() < 0.7 else text.rstrip("\r\n")
+
+
+def sources(kind, text, path):
+    """(oracle stream, reader input) over the same lines of ``text``, which
+    ``path`` holds, read as ``kind``."""
+    if kind == "file":
+        return open(path, encoding="utf-8"), open(path, encoding="utf-8")
+    reader = {
+        "stringio": io.StringIO(text), "unseekable": ReadOnly(text), "lines": io.StringIO(text).readlines(),
+    }[kind]
+    return io.StringIO(text), reader
+
+
+class TestPerBlockScan:
+    """Blocks the bulk readers reject go to the line scanner one by one; the
+    whole-file scanner they replaced is the oracle."""
+
+    def same(self, caplog, tmp_path, text, kind, oracle, read, compare):
+        """The same result, warnings and strict error from ``read`` as from
+        ``oracle``, with ``text`` read as ``kind``."""
+        path = tmp_path / "input.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        for strict in (False, True):
+            want_stream, stream = sources(kind, text, path)
+            with want_stream, stream if kind == "file" else contextlib.nullcontext():
+                try:
+                    want, want_log = logged(caplog, lambda: oracle(want_stream, strict))
+                except ParseError as listed:
+                    with pytest.raises(ParseError) as got:
+                        read(stream, strict)
+                    assert str(got.value) == str(listed)
+                    continue
+                got, got_log = logged(caplog, lambda: read(stream, strict))
+            compare(got, want)
+            assert warnings_of(got_log) == warnings_of(want_log)
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_edges(self, caplog, tmp_path, monkeypatch, seed):
+        rng = random.Random(seed)
+        monkeypatch.setattr(ingest, "_BLOCK", BLOCK_SIZES[seed % len(BLOCK_SIZES)])
+        ids = [str(rng.randint(0, 10 ** rng.randint(1, 18))) for _ in range(12)]
+        regular = [rng.choice(["\t", " ", " \t "]).join(rng.sample(ids, 2)) for _ in range(rng.randint(0, 80))]
+        text = odd_text(rng, regular, ODD_EDGE_LINES)
+        self.same(
+            caplog, tmp_path, text, SOURCES[seed // len(BLOCK_SIZES) % len(SOURCES)],
+            lambda stream, strict: reference_build_graph(load_follow_edges(stream, strict)),
+            lambda stream, strict: read_network(stream, strict),
+            assert_same_graph,
+        )
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_events(self, caplog, tmp_path, monkeypatch, seed):
+        rng = random.Random(seed)
+        monkeypatch.setattr(ingest, "_BLOCK", BLOCK_SIZES[seed % len(BLOCK_SIZES)])
+        users = ["1", "2", "9", "10", "100", "123456789012345678"] + (["u3", "ab"] if seed % 3 else [])
+        regular = [
+            f"{rng.choice(['c1', 'c10', '7', 'x-1'])}\t{rng.choice(users)}\t{rng.randint(0, 9)}"
+            for _ in range(rng.randint(0, 80))
+        ]
+        text = odd_text(rng, regular, ODD_EVENT_LINES)
+
+        def compare(table, want):
+            assert list(table) == want
+            assert table.cascade_ids == tuple(log.cascade_id for log in want)
+
+        self.same(
+            caplog, tmp_path, text, SOURCES[seed // len(BLOCK_SIZES) % len(SOURCES)],
+            list_load_cascades, lambda stream, strict: load_cascades(stream, strict), compare,
+        )
+
+    def scanned_lines(self, monkeypatch):
+        """The lines of each call of the line scanner."""
+        calls = []
+        scan = ingest._scan
+
+        def recording(lines, width, tally, offset=0):
+            calls.append(list(lines))
+            return scan(calls[-1], width, tally, offset)
+
+        monkeypatch.setattr(ingest, "_scan", recording)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["edge", "event"])
+    def test_the_scanner_reads_only_the_irregular_blocks(self, caplog, monkeypatch, kind):
+        monkeypatch.setattr(ingest, "_BLOCK", 16)
+        if kind == "edge":
+            lines, parse, read = [f"{i} {i + 1}" for i in range(40)], ingest._edge_ids, read_network
+            lines[0], lines[25] = "# follower followee", "1 2 3"
+        else:
+            lines, parse, read = [f"c{i % 3}\t{i}\t{i}" for i in range(40)], ingest._event_columns, load_cascades
+            lines[0], lines[25] = "# cascade user time", "c1 1"
+        text = "\n".join(lines) + "\n"
+        blocks = list(ingest._blocks(io.StringIO(text)))
+        irregular = [block for block in blocks if parse(block) is None]
+        assert len(irregular) == 2 and len(blocks) > 10 and irregular[0] == blocks[0]
+        calls = self.scanned_lines(monkeypatch)
+        _, records = logged(caplog, lambda: read(io.StringIO(text)))
+        assert calls == [block.split("\n") for block in irregular]
+        assert (logging.INFO, f"read 38 {kind} record(s); 2 of {len(blocks)} block(s) by the line scanner") in records
+        assert warnings_of(records) == [f"skipped 1 malformed {kind} line(s); first: line 26: {lines[25]!r}"]
+
 
 class TestReaderChoice:
     """The bulk readers cannot silently fall away: count line-scanner calls."""
@@ -509,9 +659,9 @@ class TestReaderChoice:
         calls = []
         scan = ingest._scan
 
-        def counting(stream, width, kind, strict):
-            calls.append(kind)
-            return scan(stream, width, kind, strict)
+        def counting(lines, width, tally, offset=0):
+            calls.append(tally.kind)
+            return scan(lines, width, tally, offset)
 
         monkeypatch.setattr(ingest, "_scan", counting)
         return calls
@@ -743,7 +893,7 @@ class TestOneSortCascadeTable:
         time = np.array([t for _, _, t in events], dtype=np.int64)
         names = [u for _, u, _ in events]
         want = lexsort_cascade_table(cascade_ids, cascade, names, time)
-        got = ingest._cascade_table(cascade_ids, cascade, *ingest._intern_ids(names), time)
+        got = ingest._cascade_table(cascade_ids, cascade, *ingest._id_codes([names], len(names)), time)
         assert got.users == want.users
         for name in ("cascade", "user", "time", "sizes"):
             a, b = getattr(got, name), getattr(want, name)
@@ -798,7 +948,7 @@ class TestLoadCascades:
 
     def test_edge_round_trip(self):
         edges = [("a", "b"), ("b", "c"), ("a", "b")]
-        assert load_follow_edges(io.StringIO("".join(f"{src}\t{dst}\n" for src, dst in edges))) == edges
+        assert follow_edges(io.StringIO("".join(f"{src}\t{dst}\n" for src, dst in edges))) == edges
 
 
 class TestHiggsAdapter:

@@ -176,3 +176,48 @@ def test_the_unused_import_scan_sees_each_form():
         "from .graph import a, b as c, d, e\ndef f(x: 'd') -> None:\n    return a, 'e'\n"
     )
     assert unused_imports(ast.parse(source)) == [(2, "os"), (4, "np"), (5, "c"), (5, "e")]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of every private module-level function, class or
+    constant of ``sources`` (module name -> source) that no module references.
+
+    A reference is a name or an attribute read anywhere in any module, so a
+    name imported by another module counts once that module uses it.
+    """
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names if name[:1] == "_" and name[:2] != "__"]
+        used.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return sorted(entry for entry in defined if entry[2] not in used)
+
+
+def test_the_package_defines_no_unreferenced_private_name():
+    # A private helper that a change replaced is deleted with it.
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in (SRC / "cascadecut").glob("*.py")}
+    assert sources
+    assert unreferenced_private_names(sources) == []
+
+
+def test_the_private_name_scan_sees_each_form():
+    sources = {
+        "a": (
+            "_USED, _LEFT = 1, 2\n_ALONE = 3\n_TYPED: int = 4\n__dunder__ = 5\npublic = 6\n"
+            "def _helper():\n    return _USED\nclass _Kept:\n    pass\nclass _Dropped:\n    _inner = 7\n"
+            "def _elsewhere():\n    pass\n"
+        ),
+        "b": "from .a import _Kept, _elsewhere\nx = _Kept()\nimport a\na._helper()\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a", 1, "_LEFT"), ("a", 2, "_ALONE"), ("a", 3, "_TYPED"), ("a", 10, "_Dropped"), ("a", 12, "_elsewhere"),
+    ]

@@ -8,12 +8,14 @@ every smaller budget by taking prefixes:
   the leading adjacency eigenpair, the first-order estimate of how much
   deleting the edge lowers the spectral radius.  One-shot scoring (no
   re-computation between deletions) keeps multi-million-edge budgets
-  tractable.
+  tractable.  The eigensolver runs with its default settings, which the
+  plan cache records.
 * ``betweenness``: descending directed edge betweenness.
 * ``edge-degree``: score of (u, v) is in_degree(u) * out_degree(v).
 * ``random``: a seeded Fisher-Yates shuffle of all edges, prefix taken.
 
-Score ties are broken by (src, dst) order so plans are reproducible.
+The scored strategies share one ranking (:func:`_ranked_plan`), which
+breaks score ties by (src, dst) order so plans are reproducible.
 Plans hold the follow-edge positions of their network; external ids appear
 only in the text plan files of :func:`save_plan` and :func:`load_plan`.
 :func:`save_plan_cache` and :func:`read_plan_cache` keep the arrays in a
@@ -41,7 +43,7 @@ from .graph import (
     betweenness_scores,
     leading_eigenpair,
 )
-from .ingest import _BLOCK, _joined_ids
+from .ingest import _BLOCK, _id_codes
 
 NETMELT = "netmelt"
 BETWEENNESS = "betweenness"
@@ -114,50 +116,35 @@ class DeletionPlan:
 
     def prefix(self, k: int) -> "DeletionPlan":
         """The same ranking truncated to budget ``k``."""
-        if k < 0:
-            raise InputError("deletion budget k must be >= 0")
         return replace(self, k=k, edge_pos=self.edge_pos[:k], scores=self.scores[:k])
 
 
-def plan_netmelt(
-    network: DirectedGraph,
-    k: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> DeletionPlan:
-    """Top-k edges by the product of leading left/right eigenvector entries."""
-    if k < 0:
-        raise InputError("deletion budget k must be >= 0")
-    if network.edge_count == 0:
+def plan_netmelt(network: DirectedGraph, k: int) -> DeletionPlan:
+    """Top-k edges by the product of leading left/right eigenvector entries,
+    from :func:`~cascadecut.graph.leading_eigenpair` at the settings that
+    :func:`cache_header` records."""
+    if k >= 0 and network.edge_count == 0:  # a negative budget is the error _ranked_plan raises
         raise InputError("netmelt requires a network with at least one edge")
-    if k == 0:
-        return DeletionPlan(NETMELT, 0, network, [], [])
-    pair = leading_eigenpair(network, tolerance=tolerance, max_iterations=max_iterations)
-    scores = pair.left_vector[network.edge_src_indices] * pair.right_vector[network.edge_dst_indices]
-    return _ranked_plan(network, NETMELT, k, scores)
+    return _ranked_plan(network, NETMELT, k, _eigen_scores)
+
+
+def _eigen_scores(network: DirectedGraph) -> np.ndarray:
+    pair = leading_eigenpair(network)
+    return pair.left_vector[network.edge_src_indices] * pair.right_vector[network.edge_dst_indices]
 
 
 def plan_betweenness(network: DirectedGraph, k: int) -> DeletionPlan:
     """Top-k edges by descending edge betweenness."""
-    if k < 0:
-        raise InputError("deletion budget k must be >= 0")
-    if k == 0 or network.edge_count == 0:
-        return DeletionPlan(BETWEENNESS, k, network, [], [])
-    scores = betweenness_scores(network)
-    return _ranked_plan(network, BETWEENNESS, k, scores)
+    return _ranked_plan(network, BETWEENNESS, k, betweenness_scores)
 
 
 def plan_edge_degree(network: DirectedGraph, k: int) -> DeletionPlan:
     """Top-k edges by in_degree(src) * out_degree(dst)."""
-    if k < 0:
-        raise InputError("deletion budget k must be >= 0")
-    if k == 0 or network.edge_count == 0:
-        return DeletionPlan(EDGE_DEGREE, k, network, [], [])
-    scores = (
-        network.in_degrees[network.edge_src_indices]
-        * network.out_degrees[network.edge_dst_indices]
-    ).astype(float)
-    return _ranked_plan(network, EDGE_DEGREE, k, scores)
+    return _ranked_plan(network, EDGE_DEGREE, k, _degree_scores)
+
+
+def _degree_scores(network: DirectedGraph) -> np.ndarray:
+    return (network.in_degrees[network.edge_src_indices] * network.out_degrees[network.edge_dst_indices]).astype(float)
 
 
 def plan_random(network: DirectedGraph, k: int, rng_seed: int) -> DeletionPlan:
@@ -213,10 +200,10 @@ def save_plan(plan: DeletionPlan, path: str | Path) -> None:
 def load_plan(path: str | Path, network: DirectedGraph, strict: bool = False) -> DeletionPlan:
     """Read a plan written by :func:`save_plan` against ``network``.
 
-    Each line's (src, dst) ids are looked up once in the network; an edge
-    the network lacks gets position -1, or with ``strict`` is a
-    :class:`ParseError` naming the first such line.  The body is read in
-    blocks (see :func:`_plan_rows`): a block of exact
+    Both id columns are ranked together and each distinct id is looked up
+    once in the network; an edge the network lacks gets position -1, or
+    with ``strict`` is a :class:`ParseError` naming the first such line.
+    The body is read in blocks (see :func:`_plan_rows`): a block of exact
     ``src<TAB>dst<TAB>score`` lines whose scores keep falling and stay
     within ``k`` rows is read in bulk, any other block line by line, which
     alone reports what is wrong with it.
@@ -241,24 +228,28 @@ def load_plan(path: str | Path, network: DirectedGraph, strict: bool = False) ->
             raise ParseError(f"{path}: line 1: bad seed {seed_text!r} in plan header") from None
         body = fh.read()
     src, dst, scores = _plan_rows(path, body, k)
-    pos = network.positions_of(network.indices_of(src), network.indices_of(dst))
+    ids, codes = _id_codes([*src, *dst], 2 * scores.size)
+    ends = network.indices_of(ids)[codes]
+    pos = network.positions_of(ends[: scores.size], ends[scores.size :])
     if strict and (pos < 0).any():
         first = int(np.argmax(pos < 0))
         # Every non-empty line of a body that reads is one row.
         lineno = [i for i, line in enumerate(body.split("\n"), start=2) if line][first]
-        src, dst = str(src[first]), str(dst[first])
+        src, dst = str(ids[codes[first]]), str(ids[codes[scores.size + first]])
         raise ParseError(f"{path}: line {lineno}: plan edge {src!r} -> {dst!r} is not in the follow network")
     return DeletionPlan(strategy, k, network, pos, scores, rng_seed=seed)
 
 
 def _plan_rows(path: str | Path, body: str, k: int) -> tuple:
-    """(src ids, dst ids, scores) of a plan body of at most ``k`` rows.
+    """(src parts, dst parts, scores) of a plan body of at most ``k`` rows.
 
     The body is read in blocks of about ``_BLOCK`` characters that end at a
     line end, which keeps the temporaries small.  A block whose scores fall
     on from the previous block's and whose rows keep the body within ``k``
     is read in bulk (see :func:`_plan_block`), any other by
-    :func:`_plan_lines`.  Columns are joined by :func:`~cascadecut.ingest._joined_ids`.
+    :func:`_plan_lines`.  Each block gives one part of each id column: int64
+    plain decimal values or a list of id strings, as
+    :func:`~cascadecut.ingest._id_codes` takes them.
     """
     parts = []
     line, rows, previous = 1, 0, math.inf  # the last line read, the rows so far and the last score
@@ -279,7 +270,7 @@ def _plan_rows(path: str | Path, body: str, k: int) -> tuple:
         parts.append(part)
         start = end
     src, dst, scores = zip(*parts) if parts else ((), (), ())
-    return _joined_ids(src), _joined_ids(dst), np.concatenate([np.empty(0), *scores])
+    return src, dst, np.concatenate([np.empty(0), *scores])
 
 
 def _plan_block(block: str) -> tuple | None:
@@ -407,7 +398,13 @@ def read_plan_cache(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray]:
     return header, edge_pos, scores
 
 
-def _ranked_plan(network: DirectedGraph, strategy: str, k: int, scores: np.ndarray) -> DeletionPlan:
+def _ranked_plan(network: DirectedGraph, strategy: str, k: int, score) -> DeletionPlan:
+    """The ``k`` best edges of ``network`` by ``score(network)``, which is
+    called only when the plan is not empty."""
+    if k <= 0 or network.edge_count == 0:
+        # The plan rejects a budget below 0.
+        return DeletionPlan(strategy, k, network, [], [])
+    scores = score(network)
     # Canonical edges are in (src, dst) order, so a stable sort breaks score
     # ties by (src, dst).  Below the full edge count only the edges scoring
     # at least the kth best, ties included, are sorted.

@@ -218,17 +218,22 @@ def build_variant(network: DirectedGraph, log: CascadeLog, variant: str) -> Diff
 
 
 def to_dot(dg: DiffusionGraph) -> str:
-    """Render as deterministic DOT text, seed nodes filled light green."""
-    lines = [f'digraph "{dg.cascade_id}" {{']
+    """Render as deterministic DOT text, seed nodes filled light green; ids
+    are DOT quoted strings, with ``\\`` and ``"`` escaped by a backslash."""
+    lines = [f"digraph {_dot_id(dg.cascade_id)} {{"]
     for node in sorted(dg.nodes):
         if node in dg.seeds:
-            lines.append(f'  "{node}" [style=filled, fillcolor=lightgreen];')
+            lines.append(f"  {_dot_id(node)} [style=filled, fillcolor=lightgreen];")
         else:
-            lines.append(f'  "{node}";')
+            lines.append(f"  {_dot_id(node)};")
     for src, dst in sorted(dg.edges):
-        lines.append(f'  "{src}" -> "{dst}";')
+        lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_id(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _candidates(

@@ -187,13 +187,18 @@ def write_report_csv(report: EstimateReport, path: str | Path) -> None:
 
 
 def read_report_csv(path: str | Path) -> EstimateReport:
+    """Read a file written by :func:`write_report_csv`.
+
+    Every row must name the first row's strategy, variant and k, and each
+    cascade once; any other row is a :class:`ParseError` naming its line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(REPORT_HEADER):
             raise InputError(f"{path}: unexpected report header {header!r}")
-        strategy, variant, k = "", "", 0
-        rows: list[CascadeResult] = []
+        first = None
+        rows: dict[str, CascadeResult] = {}
         for fields in reader:
             if not fields:
                 continue
@@ -201,8 +206,14 @@ def read_report_csv(path: str | Path) -> EstimateReport:
             if len(fields) != len(REPORT_HEADER):
                 raise ParseError(f"{where}: expected {len(REPORT_HEADER)} fields, got {len(fields)}")
             try:
-                strategy, variant, k = fields[0], fields[1], int(fields[2])
-                rows.append(CascadeResult(fields[3], int(fields[4]), int(fields[5]), int(fields[6])))
+                key = (fields[0], fields[1], int(fields[2]))
+                row = CascadeResult(fields[3], int(fields[4]), int(fields[5]), int(fields[6]))
             except ValueError:
                 raise ParseError(f"{where}: expected integer k and sizes, got {fields!r}") from None
-    return EstimateReport.from_rows(strategy, variant, k, rows)
+            first = first or key
+            if key != first:
+                raise ParseError(f"{where}: strategy, variant and k {key!r} differ from the first row's {first!r}")
+            if row.cascade_id in rows:
+                raise ParseError(f"{where}: cascade {row.cascade_id!r} repeated")
+            rows[row.cascade_id] = row
+    return EstimateReport.from_rows(*(first or ("", "", 0)), rows.values())

@@ -6,8 +6,8 @@ in compressed sparse form, forward on construction and reverse (with the id
 lookup tables) on first use.  Plain decimal ids may be held as int64
 values, whose strings are built only when asked for.  Nodes and edges are
 addressed by dense id and canonical edge position; external ids are looked
-up in bulk only, through :meth:`DirectedGraph.indices_of` and
-:meth:`DirectedGraph.edge_positions`.
+up in bulk only, through :meth:`DirectedGraph.indices_of`; the canonical
+positions of dense-id edges come from :meth:`DirectedGraph.positions_of`.
 On top of it this module provides directed edge betweenness (Brandes-style
 accumulation) and the leading eigenpair of the adjacency matrix via power
 iteration.  It also holds the one scanner of id text (:func:`_token_bounds`),
@@ -237,11 +237,6 @@ class DirectedGraph:
         indptr, sources, edge_pos = self._reverse_index()
         rep, pos = _slice_gather(indptr, node_indices)
         return rep, sources[pos], edge_pos[pos]
-
-    def edge_positions(self, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-        """Canonical position of each (src, dst) external-id pair, -1 where absent."""
-        ends = self.indices_of(list(chain.from_iterable(pairs)))
-        return self.positions_of(ends[0::2], ends[1::2])
 
     def positions_of(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Canonical position of each dense-id edge ``src[i] -> dst[i]``, -1

@@ -590,16 +590,6 @@ def _unpack(key: int) -> str:
     return key.to_bytes(_KEY_BYTES, "big").lstrip(b"\0").decode("ascii")
 
 
-def _joined_ids(parts: Sequence[np.ndarray | list[str]]) -> np.ndarray | list[str]:
-    """One id column from its blocks' parts: int64 values when every part is
-    plain decimals (a list of strings is read by
-    :func:`~cascadecut.graph.decimal_values`), else strings."""
-    values = [part if isinstance(part, np.ndarray) else decimal_values(part) for part in parts]
-    if all(part is not None for part in values):
-        return _concat(values)
-    return list(chain.from_iterable(id_strings(part) if isinstance(part, np.ndarray) else part for part in parts))
-
-
 def load_higgs_activity(
     stream: Iterable[str],
     cascade_id: str = "higgs",

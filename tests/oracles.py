@@ -600,7 +600,7 @@ def string_fingerprint(network):
 
 def line_load_plan(path, network, strict=False):
     """The earlier plan reader: one split, float and score check per line,
-    edges resolved through ``edge_positions``."""
+    edges resolved through :func:`dict_edge_positions`."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         parts = header.split(",")
@@ -642,7 +642,7 @@ def line_load_plan(path, network, strict=False):
             scores.append(score)
             edges.append((fields[0], fields[1]))
             linenos.append(lineno)
-    pos = network.edge_positions(edges)
+    pos = np.array(dict_edge_positions(network, edges), dtype=np.int64)
     if strict and (pos < 0).any():
         first = int(np.argmax(pos < 0))
         src, dst = edges[first]

@@ -55,7 +55,7 @@ from conftest import (
     random_instance,
     write_eight_node_dataset,
 )
-from oracles import dense_spectral_radius, graph_edges, path_count_betweenness, random_digraph
+from oracles import dense_spectral_radius, dict_edge_positions, graph_edges, path_count_betweenness, random_digraph
 
 
 def _manual_plan(network, follow_edges):
@@ -63,7 +63,7 @@ def _manual_plan(network, follow_edges):
         strategy="netmelt",
         k=len(follow_edges),
         network=network,
-        edge_pos=network.edge_positions(list(follow_edges)),
+        edge_pos=dict_edge_positions(network, follow_edges),
         scores=[0.0] * len(follow_edges),
     )
 

@@ -37,6 +37,7 @@ REMOVED = [
     (graph.DirectedGraph, "edges"),
     (graph.DirectedGraph, "out_degree"),
     (graph.DirectedGraph, "in_degree"),
+    (graph.DirectedGraph, "edge_positions"),
     (ingest, "load_follow_edges"),
     (ingest, "dump_follow_edges"),
     (ingest, "dump_cascades"),

@@ -238,8 +238,8 @@ class TestPlanCommand:
             argv = ["plan", "--edges", str(edges_path), "--strategy", strategy, "--fraction", "1", "--out", str(out)]
             assert main(argv) == EXIT_OK
         calls = []
-        resolve = DirectedGraph.edge_positions
-        monkeypatch.setattr(DirectedGraph, "edge_positions", lambda *a: calls.append(a) or resolve(*a))
+        resolve = DirectedGraph.positions_of
+        monkeypatch.setattr(DirectedGraph, "positions_of", lambda *a: calls.append(a) or resolve(*a))
         with caplog.at_level("INFO", logger="cascadecut.experiment"):
             assert main(_sweep_args(edges_path, cascades_path, out, "--strategies", "netmelt,random")) == EXIT_OK
         assert calls == []
@@ -303,6 +303,21 @@ class TestScatterCommand:
         err = capsys.readouterr().err
         assert "error [parse]" in err
         assert "report.csv: line 2" in err
+
+    def test_two_joined_reports_exit_1(self, dataset, tmp_path, capsys):
+        edges_path, cascades_path = dataset
+        out = tmp_path / "out"
+        argv = _sweep_args(edges_path, cascades_path, out, "--strategies", "netmelt,random", "--fractions", "0.5")
+        assert main(argv) == EXIT_OK
+        first, second = (out / f"report_{s}_non-tree_0.5.csv" for s in ("netmelt", "random"))
+        joined = tmp_path / "joined.csv"
+        joined.write_text(first.read_text() + "".join(second.read_text().splitlines(True)[1:]))
+        capsys.readouterr()
+        code = main(["scatter", "--report", str(joined), "--out", str(tmp_path / "scatter")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error [parse]" in err and "joined.csv: line 3: " in err
+        assert not (tmp_path / "scatter").exists()
 
 
 class TestExportDot:

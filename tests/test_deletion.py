@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import io
 import random
 from collections import Counter
@@ -29,6 +30,7 @@ from cascadecut import (
 )
 from cascadecut import deletion
 from cascadecut.deletion import CACHE_FORMAT, EDGE_DEGREE, MAX_RANDOM_EDGES, _accepted, _ranked_plan, _shuffled_prefix
+from cascadecut.ingest import _id_codes
 from oracles import (
     StringPlan,
     dense_spectral_radius,
@@ -59,6 +61,29 @@ class TestPlanNetmelt:
     def test_edgeless_network_rejected(self):
         with pytest.raises(InputError):
             plan_netmelt(build_graph([], nodes=["a"]), 1)
+
+    def test_the_solver_runs_with_the_settings_the_cache_records(self, monkeypatch):
+        g = build_graph([("a", "b"), ("b", "a"), ("b", "c")])
+        with pytest.raises(TypeError):
+            plan_netmelt(g, 1, tolerance=1e-3)
+        solve, runs = deletion.leading_eigenpair, []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(solve).bind(*args, **kwargs)
+            bound.apply_defaults()
+            runs.append((bound.arguments["tolerance"], bound.arguments["max_iterations"]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(deletion, "leading_eigenpair", spy)
+        plan = plan_netmelt(g, 2)
+        header = deletion.cache_header(plan.strategy, plan.k, None, g)
+        assert runs == [(header["tolerance"], header["max_iterations"])]
+        assert header["tolerance"] is not None and header["max_iterations"] is not None
+
+    @pytest.mark.parametrize("k, error", [(-1, "budget k must be >= 0"), (0, "at least one edge")])
+    def test_budget_is_checked_before_the_edgeless_network(self, k, error):
+        with pytest.raises(InputError, match=error):
+            plan_netmelt(build_graph([], nodes=["a"]), k)
 
     def test_single_deletion_close_to_exhaustive_optimum(self):
         rng = random.Random(101)
@@ -528,11 +553,16 @@ class TestBulkPlanReader:
         path = tmp_path / "plan.tsv"
         path.write_text("edge-degree,3,\n10\t1\t2.0\n2\t10\t1.0\n1\t2\t1.0", encoding="utf-8")
         assert load_plan(path, g).edge_pos.tolist() == [1, 2, 0]
-        assert deletion._plan_rows(path, "1\t2\t1.0\n", 1)[0].tolist() == [1]
-        assert deletion._plan_rows(path, "u\t2\t1.0\n", 1)[0] == ["u"]
-        assert deletion._plan_rows(path, "", 0)[2].tolist() == []
-        # A block the line reader reads keeps plain decimal ids as integers.
-        assert deletion._plan_rows(path, "1\t2\t1.0\n\n", 1)[0].tolist() == [1]
+        src, dst, _ = deletion._plan_rows(path, "1\t2\t1.0\n", 1)
+        assert [part.tolist() for part in (*src, *dst)] == [[1], [2]]
+        assert deletion._plan_rows(path, "u\t2\t1.0\n", 1)[0] == (["u"],)
+        src, dst, scores = deletion._plan_rows(path, "", 0)
+        assert (src, dst, scores.tolist()) == ((), (), [])
+        # A block the line reader reads gives strings, which still rank as integers.
+        src, dst, _ = deletion._plan_rows(path, "1\t2\t1.0\n\n", 1)
+        assert (src, dst) == ((["1"],), (["2"],))
+        ids, codes = _id_codes([*src, *dst], 2)
+        assert ids.dtype == np.int64 and ids.tolist() == [1, 2] and codes.tolist() == [0, 1]
 
     @pytest.mark.parametrize("seed", range(48))
     def test_quirks_in_random_blocks(self, tmp_path, monkeypatch, seed):
@@ -694,7 +724,7 @@ class TestTopK:
             e = g.edge_count
             want = np.argsort(-scores, kind="stable")
             for k in sorted({0, 1, e // 2, e - 1, e}):
-                plan = _ranked_plan(g, EDGE_DEGREE, k, scores)
+                plan = _ranked_plan(g, EDGE_DEGREE, k, lambda _: scores)
                 assert plan.edge_pos.tolist() == want[:k].tolist()
                 assert plan.scores.tobytes() == scores[want[:k]].tobytes()
 
@@ -707,4 +737,4 @@ class TestTopK:
         scores = np.array([rng.choice([0.0, -0.0, 1.0, 2.5, 2.5, 1e-300]) for _ in range(e)])
         want = np.argsort(-scores, kind="stable")
         for k in sorted({0, 1, e // 3, e // 2, e - 1, e}):
-            assert _ranked_plan(g, EDGE_DEGREE, k, scores).edge_pos.tolist() == want[:k].tolist()
+            assert _ranked_plan(g, EDGE_DEGREE, k, lambda _: scores).edge_pos.tolist() == want[:k].tolist()

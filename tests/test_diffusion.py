@@ -370,3 +370,24 @@ class TestDotExport:
         assert '"3" -> "6";' in text
         assert text.startswith('digraph "t" {')
         assert text.rstrip().endswith("}")
+
+    def test_quotes_and_backslashes_in_ids_are_escaped(self):
+        dg = diffusion.DiffusionGraph(
+            cascade_id='t"1', variant=NON_TREE, nodes=frozenset({'a"b', "c\\"}),
+            edges=frozenset({('a"b', "c\\")}), seeds=frozenset({'a"b'}),
+        )
+        text = to_dot(dg)
+        assert text == (
+            'digraph "t\\"1" {\n'
+            '  "a\\"b" [style=filled, fillcolor=lightgreen];\n'
+            '  "c\\\\";\n'
+            '  "a\\"b" -> "c\\\\";\n'
+            "}\n"
+        )
+        # In DOT a quoted string ends at the first quote no backslash escapes.
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        names = set()
+        for line in text.splitlines():
+            assert re.fullmatch(r'(?:[^"\\]|"(?:[^"\\]|\\.)*")*', line), line
+            names.update(re.sub(r"\\(.)", r"\1", name) for name in quoted.findall(line))
+        assert names == {'t"1', 'a"b', "c\\"}

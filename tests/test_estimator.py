@@ -34,7 +34,7 @@ from conftest import (
     random_instance,
     random_logs,
 )
-from oracles import closure_from, cut_edges, graph_edges, list_estimate_budgets, size_after
+from oracles import closure_from, cut_edges, dict_edge_positions, graph_edges, list_estimate_budgets, size_after
 
 
 def manual_plan(network, follow_edges, strategy="netmelt", k=None):
@@ -43,7 +43,7 @@ def manual_plan(network, follow_edges, strategy="netmelt", k=None):
         strategy=strategy,
         k=n if k is None else k,
         network=network,
-        edge_pos=network.edge_positions(list(follow_edges)),
+        edge_pos=dict_edge_positions(network, follow_edges),
         scores=np.zeros(n),
     )
 
@@ -244,7 +244,7 @@ class TestEstimateBudgets:
         # After the cut, node 6 has no parent yet is no seed: the pass only
         # takes batches as built.
         batch = build_batch(eight_node_network, [eight_node_log], NON_TREE)
-        cut = eight_node_network.edge_positions(EIGHT_NODE_CUT_FOLLOW_EDGES)
+        cut = dict_edge_positions(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
         keep = ~np.isin(batch.follow_edge_pos, cut)
         after = replace(
             batch,
@@ -405,4 +405,23 @@ class TestReportInvariants:
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match=r"report\.csv: line 3"):
+            read_report_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("edge-degree,non-tree,1,c,3,3,1", r"\('edge-degree', 'non-tree', 1\) differ"),
+            ("random,tree-last,1,c,3,3,1", r"\('random', 'tree-last', 1\) differ"),
+            ("random,non-tree,2,c,3,3,1", r"\('random', 'non-tree', 2\) differ"),
+            ("random,non-tree,1,a,2,2,1", "cascade 'a' repeated"),
+        ],
+    )
+    def test_rows_of_another_report_are_parse_errors_naming_the_line(self, tmp_path, row, message):
+        path = tmp_path / "report.csv"
+        path.write_text(
+            "strategy,variant,k,cascade_id,original_size,estimated_size,seed_count\n"
+            f"random,non-tree,1,a,2,2,1\n{row}\nrandom,non-tree,1,d,2,2,1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=r"report\.csv: line 3: .*" + message):
             read_report_csv(path)

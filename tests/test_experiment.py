@@ -10,6 +10,7 @@ import sys
 import time
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from cascadecut import diffusion, experiment, graph, ingest
 from cascadecut.estimator import CascadeResult
 from cascadecut.experiment import budget_for, load_network, write_gnuplot_script
 from conftest import random_instance, write_eight_node_dataset
-from oracles import per_budget_sweep
+from oracles import dict_edge_positions, per_budget_sweep
 
 
 def read_summary(out_dir):
@@ -297,17 +298,17 @@ class TestRunSweep:
 
     def test_sweep_resolves_plan_strings_only_when_loading_a_cached_plan(self, tmp_path, monkeypatch):
         calls = Counter()
-        resolve, view = DirectedGraph.edge_positions, DeletionPlan.ranked_edges.fget
+        resolve, view = DirectedGraph.positions_of, DeletionPlan.ranked_edges.fget
 
-        def counting_resolve(network, pairs):
-            calls["edge_positions"] += 1
-            return resolve(network, pairs)
+        def counting_resolve(network, src, dst):
+            calls["positions_of"] += 1
+            return resolve(network, src, dst)
 
         def counting_view(plan):
             calls["ranked_edges"] += 1
             return view(plan)
 
-        monkeypatch.setattr(DirectedGraph, "edge_positions", counting_resolve)
+        monkeypatch.setattr(DirectedGraph, "positions_of", counting_resolve)
         monkeypatch.setattr(DeletionPlan, "ranked_edges", property(counting_view))
         edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(223))
         config = ExperimentConfig(
@@ -321,6 +322,15 @@ class TestRunSweep:
         assert calls == Counter()
         run_sweep(config)
         assert calls == Counter()
+        # A text plan is the one cache whose ids are resolved: once, by load_plan.
+        network = load_network(edges_path, False)
+        ids, src, dst = network.external_ids, network.edge_src_indices, network.edge_dst_indices
+        text = "".join(f"{ids[src[p]]}\t{ids[dst[p]]}\t{1.0 - p / 4}\n" for p in range(2))
+        only_text = tmp_path / "text"
+        only_text.mkdir()
+        (only_text / "plan_netmelt.tsv").write_text(f"netmelt,2,\n{text}", encoding="utf-8")
+        run_sweep(replace(config, out_dir=only_text, strategies=("netmelt",)))
+        assert calls == Counter(positions_of=1)
 
     def test_matches_hand_composition(self, tmp_path):
         rng = random.Random(193)
@@ -503,7 +513,7 @@ class TestPlanCache:
         for s in ("edge-degree", "netmelt"):
             head = read_plan_cache(out / f"plan_{s}.npz")[1]
             pairs = [(ids[src[p]], ids[dst[p]]) for p in head.tolist()]
-            assert (new.edge_positions(pairs) >= 0).all()
+            assert -1 not in dict_edge_positions(new, pairs)
 
         with caplog.at_level("INFO", logger="cascadecut.experiment"):
             got = sweep_files(edges_path, cascades_path, out, strategies=self.STRATEGIES)

@@ -477,7 +477,7 @@ class TestOnePass:
         else:
             assert load_cascades(ReadOnly(events)) == want
 
-    def test_a_file_read_by_next_is_replayed_from_its_blocks(self, tmp_path):
+    def test_a_file_read_by_next_is_read_from_its_next_line(self, tmp_path):
         path = tmp_path / "edges.tsv"
         path.write_text("1 2\n3 4\n5 x\n", encoding="utf-8")
         with open(path, encoding="utf-8") as fh:

@@ -59,7 +59,7 @@ _EXPORTS = {
     "experiment": ("DEFAULT_FRACTIONS", "ExperimentConfig", "run_sweep", "scatter_report", "seed_analysis"),
     "graph": ("DirectedGraph", "EigenPair", "betweenness_scores", "build_graph", "leading_eigenpair"),
     "ingest": (
-        "CascadeLog", "CascadeTable", "DatasetStats", "compute_stats", "filter_cascades", "iter_follow_edges",
+        "CascadeTable", "DatasetStats", "compute_stats", "filter_cascades", "iter_follow_edges",
         "load_cascades", "load_higgs_activity", "read_network",
     ),
 }

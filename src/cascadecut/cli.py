@@ -314,8 +314,8 @@ def _cmd_sweep(args, setting) -> int:
 
 
 def _cmd_seeds(args, setting) -> int:
-    network, logs = load_dataset(_dataset(setting, out_dir=setting("out")))
-    rows = seed_analysis(network, logs, max_size=args.max_size)
+    network, kept = load_dataset(_dataset(setting, out_dir=setting("out")))
+    rows = seed_analysis(network, kept, max_size=args.max_size)
     out = _out_dir(setting)
     path = out / "seeds.csv"
     _write_csv(path, SEEDS_HEADER, rows)
@@ -341,9 +341,10 @@ def _cmd_export_dot(args, setting) -> int:
     if cascade_id in ("", ".", "..") or any(sep in cascade_id for sep in separators):
         raise InputError(f"cascade id {cascade_id!r} cannot be used as a file name")
     network, kept = load_dataset(_dataset(setting, out_dir=setting("out")))
-    if cascade_id not in kept.cascade_ids:
+    chosen = [cid == cascade_id for cid in kept.cascade_ids]
+    if not any(chosen):
         raise InputError(f"cascade {cascade_id!r} not found after filtering")
-    dg = build_variant(network, kept[kept.cascade_ids.index(cascade_id)], args.variant)
+    (dg,) = build_variant(network, kept.select(chosen), args.variant)
     out = _out_dir(setting)
     path = out / f"{cascade_id}_{args.variant}.dot"
     path.write_text(to_dot(dg), encoding="utf-8")

@@ -15,24 +15,24 @@ events never produce an edge (the rule is strictly "earlier"), and equal
 candidate-parent timestamps in the tree variants are broken by the
 lexicographically smallest user id so rebuilds are deterministic.
 
-:func:`build_batch` builds one variant for many cascades at once, as flat
-integer arrays; :func:`build_variant` is the string-level view of one
-cascade that ``export-dot`` renders, built through it.  The tree variants
-select from the non-tree edges, so :func:`gather_candidates` gathers the
-follow edges once and several variants are derived from its result.
+:func:`build_batch` builds one variant for every cascade of a
+:class:`~cascadecut.ingest.CascadeTable` at once, as flat integer arrays;
+:func:`build_variant` is the string-level view of each cascade that
+``export-dot`` renders, read off the batch.  The tree variants select from
+the non-tree edges, so :func:`gather_candidates` gathers the follow edges
+once and several variants are derived from its result.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError
 from .graph import DirectedGraph, _sorted_unique
-from .ingest import CascadeLog, CascadeTable
+from .ingest import CascadeTable
 
 logger = logging.getLogger(__name__)
 
@@ -55,8 +55,8 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 class DiffusionBatch:
     """One variant's spread graphs for many cascades, as flat integer arrays.
 
-    Per cascade, in input order: ``cascade_ids``, ``sizes`` (users in the
-    log, those absent from the network included) and ``seed_counts``.  Per
+    Per cascade, in table order: ``cascade_ids``, ``sizes`` (users in the
+    cascade, those absent from the network included) and ``seed_counts``.  Per
     spread edge, sorted by (cascade, child, parent): ``cascade`` (an index
     into ``cascade_ids``), ``parent`` and ``child`` (dense network ids) and
     ``follow_edge_pos`` (the position of the follow edge child -> parent in
@@ -120,12 +120,11 @@ class SpreadCandidates:
         return len(self.table)
 
 
-def gather_candidates(network: DirectedGraph, logs: CascadeTable | Sequence[CascadeLog]) -> SpreadCandidates:
+def gather_candidates(network: DirectedGraph, table: CascadeTable) -> SpreadCandidates:
     """Gather the participants' follow edges once and keep those that qualify.
 
-    ``logs`` is a :class:`CascadeTable`; a sequence of logs is converted with
-    :meth:`CascadeTable.from_logs`.  Users absent from the network are kept
-    as isolated seeds; their count is logged as one warning.
+    Users of ``table`` absent from the network are kept as isolated seeds;
+    their count is logged as one warning.
 
     A gathered follow edge child -> parent qualifies when the parent is a
     participant of the child's cascade that posted strictly earlier.  Most
@@ -140,7 +139,6 @@ def gather_candidates(network: DirectedGraph, logs: CascadeTable | Sequence[Casc
     gives the participants, the follow edges gathered, the probes that
     passed the filter and the qualifying edges.
     """
-    table = CascadeTable.from_logs(logs)
     node = network.indices_of(table.user_ids)[table.user]
     present = node >= 0
     if not present.all():
@@ -179,18 +177,16 @@ def gather_candidates(network: DirectedGraph, logs: CascadeTable | Sequence[Casc
     return SpreadCandidates(network, table, owner, idx, tau, slot, at, parent, edge_pos)
 
 
-def build_batch(
-    network: DirectedGraph, logs: CascadeTable | Sequence[CascadeLog] | SpreadCandidates, variant: str
-) -> DiffusionBatch:
+def build_batch(network: DirectedGraph, table: CascadeTable | SpreadCandidates, variant: str) -> DiffusionBatch:
     """Every cascade's diffusion graph for one variant, in one array pass.
 
-    ``logs`` is a :class:`CascadeTable` or a sequence of logs, gathered
-    with :func:`gather_candidates`, or the :class:`SpreadCandidates` already
-    gathered over ``network``, which lets several variants share one gather.
+    ``table`` is gathered with :func:`gather_candidates`, unless it is the
+    :class:`SpreadCandidates` already gathered over ``network``, which lets
+    several variants share one gather.
     """
     if variant not in VARIANTS:
         raise InputError(f"unknown diffusion variant {variant!r}; expected one of {VARIANTS}")
-    found = logs if isinstance(logs, SpreadCandidates) else gather_candidates(network, logs)
+    found = table if isinstance(table, SpreadCandidates) else gather_candidates(network, table)
     if found.network is not network:
         raise InputError("the spread candidates were gathered over another network")
     table, slot, parent, edge_pos = found.table, found.slot, found.parent, found.edge_pos
@@ -206,15 +202,26 @@ def build_batch(
     )
 
 
-def build_variant(network: DirectedGraph, log: CascadeLog, variant: str) -> DiffusionGraph:
-    """One cascade's diffusion graph with string nodes, edges and seeds."""
-    batch = build_batch(network, [log], variant)
-    ids = network.external_ids
-    children = batch.child.tolist()
-    nodes = frozenset(log.users())
-    edges = frozenset((ids[p], ids[c]) for p, c in zip(batch.parent.tolist(), children))
-    seeds = nodes - {ids[c] for c in children}
-    return DiffusionGraph(log.cascade_id, variant, nodes, edges, seeds)
+def build_variant(network: DirectedGraph, table: CascadeTable, variant: str) -> list[DiffusionGraph]:
+    """Each cascade's diffusion graph with string nodes, edges and seeds, in table order.
+
+    Nodes are the cascade's users from the table's id table, edges its
+    batch edges in the network's ids, and seeds the nodes no edge reaches.
+    """
+    batch = build_batch(network, table, variant)
+    ids, users = network.external_ids, table.users
+    bounds = np.arange(len(table) + 1)
+    events = np.searchsorted(table.cascade, bounds).tolist()
+    spread = np.searchsorted(batch.cascade, bounds).tolist()
+    user, parent, child = table.user.tolist(), batch.parent.tolist(), batch.child.tolist()
+    graphs = []
+    for i, cascade_id in enumerate(table.cascade_ids):
+        lo, hi = spread[i], spread[i + 1]
+        nodes = frozenset(users[u] for u in user[events[i] : events[i + 1]])
+        edges = frozenset((ids[p], ids[c]) for p, c in zip(parent[lo:hi], child[lo:hi]))
+        seeds = nodes - {ids[c] for c in child[lo:hi]}
+        graphs.append(DiffusionGraph(cascade_id, variant, nodes, edges, seeds))
+    return graphs
 
 
 def to_dot(dg: DiffusionGraph) -> str:

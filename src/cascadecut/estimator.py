@@ -26,7 +26,7 @@ from .deletion import DeletionPlan
 from .diffusion import DiffusionBatch, build_batch
 from .errors import InputError, InvariantError, ParseError
 from .graph import DirectedGraph
-from .ingest import CascadeLog, CascadeTable
+from .ingest import CascadeTable
 
 logger = logging.getLogger(__name__)
 
@@ -86,8 +86,13 @@ def plan_ranks(network: DirectedGraph, plan: DeletionPlan) -> np.ndarray:
     ``plan.edge_pos``, or :data:`NEVER_DELETED` when the plan does not name
     it, so a budget of k deletes exactly the edges ranked below k.  Plan
     entries of -1 (edges not in the network) delete nothing but keep their
-    place in the ranking; their count is logged as one warning.
+    place in the ranking; their count is logged as one warning.  A plan
+    made for another network (not ``network`` and of another
+    :attr:`~cascadecut.graph.DirectedGraph.fingerprint`) is an
+    :class:`InputError`, since its positions name other edges.
     """
+    if plan.network is not network and plan.network.fingerprint != network.fingerprint:
+        raise InputError(f"the {plan.strategy} plan was made for another follow network")
     pos = plan.edge_pos
     known = np.flatnonzero(pos >= 0)
     unknown = pos.size - known.size
@@ -160,17 +165,17 @@ def estimate_budgets(
 
 def run_estimation(
     network: DirectedGraph,
-    logs: CascadeTable | Sequence[CascadeLog],
+    table: CascadeTable,
     plan: DeletionPlan,
     variant: str,
 ) -> EstimateReport:
-    """Build, cut, and measure every cascade; totals are order-independent.
+    """Build, cut, and measure every cascade of ``table``; totals are order-independent.
 
     Every edge the plan lists is deleted, in one vectorised pass over all
     cascades.  The report is merged by cascade id and does not depend on
-    input order.
+    the table's cascade order.
     """
-    batch = build_batch(network, logs, variant)
+    batch = build_batch(network, table, variant)
     (rows,) = estimate_budgets(batch, plan_ranks(network, plan), [plan.edge_pos.size])
     return EstimateReport.from_rows(plan.strategy, variant, plan.k, rows)
 

@@ -34,7 +34,7 @@ from .diffusion import NON_TREE, VARIANTS, build_batch, gather_candidates
 from .errors import ConvergenceError, InputError, ParseError
 from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_report_csv
 from .graph import DirectedGraph, _sorted_unique
-from .ingest import CascadeLog, CascadeTable, filter_cascades, load_cascades, read_network
+from .ingest import CascadeTable, filter_cascades, load_cascades, read_network
 
 logger = logging.getLogger(__name__)
 
@@ -95,11 +95,11 @@ def budget_for(fraction: float, edge_count: int) -> int:
 
 def run_sweep(config: ExperimentConfig) -> list[Path]:
     """Run the full sweep; returns the paths of every file written."""
-    network, logs = load_dataset(config)
+    network, table = load_dataset(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     # The follow edges are gathered once; each variant is a selection from them.
-    candidates = gather_candidates(network, logs)
+    candidates = gather_candidates(network, table)
     batches = {variant: build_batch(network, candidates, variant) for variant in config.variants}
     del candidates
     edge_count = network.edge_count
@@ -143,28 +143,27 @@ def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, CascadeTable]
     network = load_network(config.edges_path, config.strict_parse)
     try:
         with open(config.cascades_path, "r", encoding="utf-8") as fh:
-            logs = load_cascades(fh, strict=config.strict_parse)
+            table = load_cascades(fh, strict=config.strict_parse)
     except OSError as exc:
         raise InputError(f"ingest: cannot read cascades file: {exc}") from exc
-    kept = filter_cascades(logs, config.min_cascade_size)
+    kept = filter_cascades(table, config.min_cascade_size)
     logger.info(
         "loaded %d nodes, %d edges, %d/%d cascades at min size %d",
-        network.node_count, network.edge_count, len(kept), len(logs), config.min_cascade_size,
+        network.node_count, network.edge_count, len(kept), len(table), config.min_cascade_size,
     )
     return network, kept
 
 
 def seed_analysis(
     network: DirectedGraph,
-    logs: CascadeTable | list[CascadeLog],
+    table: CascadeTable,
     max_size: int = DEFAULT_MAX_SEED_ANALYSIS_SIZE,
 ) -> list[tuple[str, int, int]]:
-    """(cascade_id, original_size, seed_count) rows for cascades up to max_size.
+    """(cascade_id, original_size, seed_count) rows for the cascades of ``table`` up to max_size.
 
     Seed sets are identical across diffusion variants, so the rows are
     variant-independent.
     """
-    table = CascadeTable.from_logs(logs)
     batch = build_batch(network, table.select(table.sizes <= max_size), NON_TREE)
     return sorted(zip(batch.cascade_ids, batch.sizes.tolist(), batch.seed_counts.tolist()))
 

@@ -22,6 +22,11 @@ its token bounds, and parse the decimal fields from those bounds.  Plain
 decimal ids stay int64: the graph and the cascade table keep them as
 integer id tables and build their strings only on first use.
 
+:func:`load_cascades` and :func:`load_higgs_activity` return a
+:class:`CascadeTable`, the one cascade type the rest of the package takes;
+to build one from Python data, pass :func:`load_cascades` a list of event
+lines.
+
 Heterogeneous upstream dumps are normalised to these two formats at the
 boundary; :func:`load_higgs_activity` is the adapter for the one public
 activity log that ships in a four-column layout.
@@ -71,38 +76,9 @@ _KEY_BYTES = 8
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
-class CascadeLog:
-    """Events of one cascade: who participated and when.
-
-    Holds at most one event per user (earliest timestamp wins) and keeps
-    events sorted by (timestamp, user id).
-    """
-
-    cascade_id: str
-    events: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def from_events(cls, cascade_id: str, events: Iterable[tuple[str, int]]) -> "CascadeLog":
-        """Canonicalise raw (user, timestamp) pairs into a CascadeLog."""
-        earliest: dict[str, int] = {}
-        for user, ts in events:
-            if user not in earliest or ts < earliest[user]:
-                earliest[user] = ts
-        ordered = tuple(sorted(earliest.items(), key=lambda item: (item[1], item[0])))
-        return cls(cascade_id, tuple((u, t) for u, t in ordered))
-
-    @property
-    def size(self) -> int:
-        return len(self.events)
-
-    def users(self) -> list[str]:
-        return [user for user, _ in self.events]
-
-
 @dataclass(frozen=True, eq=False)
-class CascadeTable(Sequence):
-    """Many cascades' events as flat integer arrays; a read-only sequence of :class:`CascadeLog`.
+class CascadeTable:
+    """Many cascades' events as flat integer arrays.
 
     ``cascade_ids`` lists the cascades in order and ``user_ids`` the
     distinct user ids, sorted: a tuple of strings, or an int64 array of
@@ -111,8 +87,9 @@ class CascadeTable(Sequence):
     event, sorted by (cascade, user): ``cascade`` (an index into
     ``cascade_ids``), ``user`` (an index into ``user_ids``) and ``time``,
     with one event per (cascade, user), the earliest.  ``sizes`` is each
-    cascade's event count.  Build tables with :func:`load_cascades` or
-    :meth:`from_logs`; the constructor assumes canonical arrays.
+    cascade's event count.  Build tables with :func:`load_cascades`, which
+    also reads a list of event lines; the constructor assumes canonical
+    arrays.
     """
 
     cascade_ids: tuple[str, ...]
@@ -139,45 +116,8 @@ class CascadeTable(Sequence):
             object.__setattr__(self, "_users", id_strings(ids) if isinstance(ids, np.ndarray) else ids)
         return self._users
 
-    @classmethod
-    def from_logs(cls, logs: Iterable[CascadeLog]) -> "CascadeTable":
-        """A table holding ``logs`` in order; a table is returned as it is."""
-        if isinstance(logs, CascadeTable):
-            return logs
-        logs = list(logs)
-        sizes = np.fromiter((log.size for log in logs), dtype=np.int64, count=len(logs))
-        events = list(chain.from_iterable(log.events for log in logs))
-        return _cascade_table(
-            tuple(log.cascade_id for log in logs),
-            np.repeat(np.arange(len(logs), dtype=np.int64), sizes),
-            *_id_codes([list(map(itemgetter(0), events))], len(events)),
-            np.fromiter(map(itemgetter(1), events), dtype=np.int64, count=len(events)),
-        )
-
     def __len__(self) -> int:
         return len(self.cascade_ids)
-
-    def __getitem__(self, i: int) -> CascadeLog:
-        """Cascade ``i`` as a :class:`CascadeLog`, events in (timestamp, user) order."""
-        count = len(self.cascade_ids)
-        if not -count <= i < count:
-            raise IndexError(f"cascade index {i} out of range for {count} cascade(s)")
-        i %= count
-        lo, hi = np.searchsorted(self.cascade, [i, i + 1]).tolist()
-        user, time = self.user[lo:hi], self.time[lo:hi]
-        order = np.lexsort((user, time))
-        users = map(self.users.__getitem__, user[order].tolist())
-        return CascadeLog(self.cascade_ids[i], tuple(zip(users, time[order].tolist())))
-
-    def __iter__(self) -> Iterator[CascadeLog]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CascadeTable):
-            return NotImplemented
-        return self.cascade_ids == other.cascade_ids and list(self) == list(other)
-
-    __hash__ = None
 
     def select(self, keep: np.ndarray) -> "CascadeTable":
         """The cascades where the per-cascade bool array ``keep`` holds, order kept."""
@@ -620,22 +560,20 @@ def load_higgs_activity(
     )
 
 
-def filter_cascades(logs: Iterable[CascadeLog], min_size: int) -> CascadeTable:
+def filter_cascades(table: CascadeTable, min_size: int) -> CascadeTable:
     """Keep cascades with at least ``min_size`` participants, order preserved."""
     if min_size < 0:
         raise InputError("min_size must be >= 0")
-    table = CascadeTable.from_logs(logs)
     return table.select(table.sizes >= min_size)
 
 
-def compute_stats(network: DirectedGraph, logs: Iterable[CascadeLog]) -> DatasetStats:
-    """Dataset-level counts over a built follow network and cascade logs.
+def compute_stats(network: DirectedGraph, table: CascadeTable) -> DatasetStats:
+    """Dataset-level counts over a built follow network and a cascade table.
 
     ``user_count`` covers every user mentioned in either input (the
     network's nodes plus event users absent from it); ``link_count`` is the
     network's edge count, i.e. distinct non-self-loop follow edges.
     """
-    table = CascadeTable.from_logs(logs)
     mentioned = np.zeros(len(table.user_ids), dtype=bool)
     mentioned[table.user] = True
     absent = mentioned & (network.indices_of(table.user_ids) < 0)

@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from cascadecut import CascadeLog, build_graph
+from cascadecut import build_graph, build_variant
+from oracles import CascadeLog, logs_of, table_of
 
 # follower -> followee
 EIGHT_NODE_FOLLOW_EDGES = [
@@ -82,6 +83,17 @@ def eight_node_log():
     return CascadeLog.from_events("t", EIGHT_NODE_EVENTS)
 
 
+@pytest.fixture
+def eight_node_table(eight_node_log):
+    return table_of([eight_node_log])
+
+
+def one_variant(network, log, variant):
+    """The diffusion graph of one string-level cascade, built from its table."""
+    (dg,) = build_variant(network, table_of([log]), variant)
+    return dg
+
+
 def write_eight_node_dataset(tmp_path):
     """Write the fixture as canonical edge/cascade files; returns their paths."""
     edges_path = tmp_path / "edges.tsv"
@@ -103,6 +115,12 @@ def assert_same_graph(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def assert_same_table(got, want):
+    """Same cascades in the same order, each with the same events."""
+    assert got.cascade_ids == want.cascade_ids
+    assert logs_of(got) == logs_of(want)
+
+
 def random_instance(rng: random.Random, max_nodes=30, outside_user_chance=0.3):
     """A random follow network plus one random cascade over (most of) it.
 
@@ -120,6 +138,15 @@ def random_instance(rng: random.Random, max_nodes=30, outside_user_chance=0.3):
     network = build_graph(edges)
     log = CascadeLog.from_events("c0", events)
     return network, log, edges, events
+
+
+def decimal_instance(rng: random.Random, edges, logs):
+    """The same follow edges and cascades with every user id, absent ones
+    too, replaced by a distinct plain decimal of 1 to 6 digits."""
+    names = sorted({u for edge in edges for u in edge} | {u for log in logs for u, _ in log.events})
+    new = dict(zip(names, map(str, rng.sample(range(1, 10**6), len(names)))))
+    logs = [CascadeLog.from_events(log.cascade_id, [(new[u], t) for u, t in log.events]) for log in logs]
+    return [(new[a], new[b]) for a, b in edges], logs
 
 
 def random_logs(rng: random.Random, network, count):

@@ -26,7 +26,7 @@ regularity check), :func:`block_ints` (the ``np.fromstring`` parse) and
 :func:`two_pass_read_network` is the earlier bulk edge reader, over the
 package's block cutter and id ranking.  :func:`string_fingerprint` is the
 network digest computed from the id strings, and :func:`line_load_plan` the
-earlier per-line plan reader over the package's id lookup.
+earlier per-line plan reader, its edges resolved by :func:`dict_edge_positions`.
 :func:`space_cut_decimals` is the earlier tokenizer of ``decimal_values``:
 tokens joined by spaces and cut at them, over the package's digit parser.
 :func:`graph_edges` and :func:`load_follow_edges` are the id-pair views of
@@ -34,6 +34,11 @@ a network and of an edge file that tests compare with.
 :func:`whole_file_scan` is the earlier line scanner, which read every file
 with one irregular block from its first line; with ``reference_build_graph``
 and :func:`list_load_cascades` it is the oracle of the per-block readers.
+:class:`CascadeLog` is the string-level cascade record (earliest event per
+user, in (time, user) order) that cascade tables are checked against:
+:func:`table_of` builds a table from logs without the package's ingest,
+:func:`logs_of` reads a table back, and :func:`string_variant` builds one
+cascade's diffusion graph from its string events by the pairwise rule.
 """
 
 from __future__ import annotations
@@ -45,13 +50,14 @@ import random
 from hashlib import blake2b
 from itertools import chain
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from cascadecut.deletion import RANDOM, STRATEGIES, DeletionPlan, plan_strategy
-from cascadecut.diffusion import SpreadCandidates, build_batch, build_variant
+from cascadecut.diffusion import NON_TREE, TREE_LAST, DiffusionGraph, SpreadCandidates, build_batch, build_variant
 from cascadecut.estimator import NEVER_DELETED, CascadeResult, EstimateReport, write_report_csv
 from cascadecut.errors import InputError, ParseError
 from cascadecut.experiment import SUMMARY_HEADER, budget_for, load_dataset
@@ -66,10 +72,68 @@ from cascadecut.graph import (
     leading_eigenpair,
     sorted_codes,
 )
-from cascadecut.ingest import CascadeLog, CascadeTable, _blocks, _rank_ids, _timestamp
+from cascadecut.ingest import CascadeTable, _blocks, _rank_ids, _timestamp
 
 # The package's logger, so that the frozen scanner's records read like the package's.
 ingest_logger = logging.getLogger("cascadecut.ingest")
+
+
+@dataclass(frozen=True)
+class CascadeLog:
+    """Events of one cascade as strings: the string-level record that cascade
+    tables are checked against.
+
+    Holds at most one event per user (earliest timestamp wins) and keeps
+    events sorted by (timestamp, user id).
+    """
+
+    cascade_id: str
+    events: tuple[tuple[str, int], ...]
+
+    @classmethod
+    def from_events(cls, cascade_id, events):
+        """Canonicalise raw (user, timestamp) pairs into a CascadeLog."""
+        earliest = {}
+        for user, ts in events:
+            if user not in earliest or ts < earliest[user]:
+                earliest[user] = ts
+        return cls(cascade_id, tuple(sorted(earliest.items(), key=lambda item: (item[1], item[0]))))
+
+    @property
+    def size(self):
+        return len(self.events)
+
+    def users(self):
+        return [user for user, _ in self.events]
+
+
+def table_of(logs):
+    """The cascade table of ``logs``, in order, built from their strings
+    through the ``CascadeTable`` constructor: the user ids sorted, held as
+    int64 values when every one is a plain decimal (1 to 18 ASCII digits,
+    no leading zero) as ``load_cascades`` holds them, and the events in
+    (cascade, user) order.  Empty logs and repeated cascade ids are kept."""
+    logs = list(logs)
+    users = sorted({user for log in logs for user, _ in log.events})
+    index = {user: i for i, user in enumerate(users)}
+    rows = sorted((c, index[user], ts) for c, log in enumerate(logs) for user, ts in log.events)
+    cascade, user, time = (np.array([row[i] for row in rows], dtype=np.int64) for i in range(3))
+    plain = all(u.isascii() and u.isdigit() and len(u) <= MAX_DIGITS and str(int(u)) == u for u in users)
+    user_ids = np.array([int(u) for u in users], dtype=np.int64) if users and plain else tuple(users)
+    return CascadeTable(tuple(log.cascade_id for log in logs), user_ids, cascade, user, time)
+
+
+def logs_of(table):
+    """Each cascade of ``table`` as a CascadeLog, its events as the table holds
+    them (one per user is not enforced) in (timestamp, user id) order."""
+    users = table.users
+    events = [[] for _ in table.cascade_ids]
+    for cascade, user, ts in zip(table.cascade.tolist(), table.user.tolist(), table.time.tolist()):
+        events[cascade].append((users[user], ts))
+    return [
+        CascadeLog(cascade_id, tuple(sorted(mine, key=lambda event: (event[1], event[0]))))
+        for cascade_id, mine in zip(table.cascade_ids, events)
+    ]
 
 
 def graph_edges(network):
@@ -244,6 +308,20 @@ def indegree_zero(nodes, edges):
     return set(nodes) - with_incoming
 
 
+def string_variant(follow_edges, log, variant):
+    """One cascade's diffusion graph from its string events: every user a
+    node, the edges of :func:`spread_rule_edges` (or of
+    :func:`single_parent_edges` for a tree variant), and as seeds the users
+    no edge reaches."""
+    tau = dict(log.events)
+    if variant == NON_TREE:
+        edges = spread_rule_edges(follow_edges, tau)
+    else:
+        edges = single_parent_edges(follow_edges, tau, latest=variant == TREE_LAST)
+    nodes = frozenset(tau)
+    return DiffusionGraph(log.cascade_id, variant, nodes, frozenset(edges), frozenset(indegree_zero(nodes, edges)))
+
+
 def random_digraph(rng: random.Random, n, p, prefix="u"):
     """(node ids, edge list) of a G(n, p) digraph without self-loops."""
     nodes = [f"{prefix}{i:03d}" for i in range(n)]
@@ -272,14 +350,14 @@ def per_budget_sweep(config, out_dir: Path) -> None:
     each cascade with :func:`size_after`.  File names and formats follow
     ``run_sweep``; plan files are not written.
     """
-    network, logs = load_dataset(config)
+    network, table = load_dataset(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     budgets = [budget_for(f, network.edge_count) for f in config.budget_fractions]
     summary = []
     for strategy in config.strategies:
         plan = plan_strategy(network, strategy, max(budgets), rng_seed=config.rng_seed)
         for variant in config.variants:
-            graphs = [build_variant(network, log, variant) for log in logs]
+            graphs = build_variant(network, table, variant)
             for fraction, k in zip(config.budget_fractions, budgets):
                 sub = plan.prefix(k)
                 rows = [
@@ -377,14 +455,15 @@ def list_load_cascades(stream, strict=False):
 def list_estimate_budgets(network, logs, variant, ranks, budgets):
     """The bottleneck pass over a list of per-cascade graphs that the batch replaced.
 
-    Builds each log's arrays with its own ``build_batch``, concatenates
+    Builds each log's arrays with its own ``build_batch`` over a one-cascade
+    table (see :func:`table_of`), concatenates
     them, numbers the (cascade, child) slots with ``np.unique`` and relaxes
     max-min offers to the fixed point.
     """
     if any(k < 0 for k in budgets):
         raise InputError("deletion budget k must be >= 0")
-    graphs = [build_variant(network, log, variant) for log in logs]
-    batches = [build_batch(network, [log], variant) for log in logs]
+    graphs = build_variant(network, table_of(logs), variant)
+    batches = [build_batch(network, table_of([log]), variant) for log in logs]
 
     def concat(arrays):
         return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
@@ -498,14 +577,13 @@ def string_save_plan(plan, path):
             fh.write(f"{src}\t{dst}\t{score!r}\n")
 
 
-def unfiltered_candidates(network, logs):
+def unfiltered_candidates(network, table):
     """The join that the participant filter replaced, and its gathered edge count.
 
     Gathers every participant's follow edges in one pass and looks up each
     edge's parent key ``cascade * n + parent`` by binary search among the
-    sorted participant keys, with no filter in front.
+    sorted participant keys of ``table``, with no filter in front.
     """
-    table = CascadeTable.from_logs(logs)
     node = network.indices_of(table.users)[table.user]
     present = node >= 0
     n = np.int64(network.node_count)

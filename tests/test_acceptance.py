@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from cascadecut import (
-    CascadeLog,
     DeletionPlan,
     ExperimentConfig,
     NON_TREE,
@@ -55,7 +54,15 @@ from conftest import (
     random_instance,
     write_eight_node_dataset,
 )
-from oracles import dense_spectral_radius, dict_edge_positions, graph_edges, path_count_betweenness, random_digraph
+from oracles import (
+    CascadeLog,
+    dense_spectral_radius,
+    dict_edge_positions,
+    graph_edges,
+    path_count_betweenness,
+    random_digraph,
+    table_of,
+)
 
 
 def _manual_plan(network, follow_edges):
@@ -68,16 +75,16 @@ def _manual_plan(network, follow_edges):
     )
 
 
-def test_a1_golden_eight_node_example(eight_node_network, eight_node_log):
-    dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
+def test_a1_golden_eight_node_example(eight_node_network, eight_node_table):
+    (dg,) = build_variant(eight_node_network, eight_node_table, NON_TREE)
     assert dg.edges == EIGHT_NODE_SPREAD_EDGES
     assert dg.seeds == EIGHT_NODE_SEEDS
 
     plan = _manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
-    report = run_estimation(eight_node_network, [eight_node_log], plan, NON_TREE)
+    report = run_estimation(eight_node_network, eight_node_table, plan, NON_TREE)
     assert report.total_estimated == 5
 
-    batch = build_batch(eight_node_network, [eight_node_log], NON_TREE)
+    batch = build_batch(eight_node_network, eight_node_table, NON_TREE)
     k = plan.edge_pos.size
 
     def cut_and_count():
@@ -108,7 +115,7 @@ def test_a2_zero_deletion_identity():
     for _, _, network, log, _ in _random_instances(220, seed=1003):
         empty = _manual_plan(network, [])
         for variant in VARIANTS:
-            report = run_estimation(network, [log], empty, variant)
+            report = run_estimation(network, table_of([log]), empty, variant)
             assert report.total_estimated == log.size
             checked += 1
     assert checked >= 200 * len(VARIANTS)
@@ -120,9 +127,10 @@ def test_a3_tree_variants_never_beat_non_tree():
     for _, rng, network, log, edges in _random_instances(220, seed=1009):
         k = rng.randint(0, max(0, len(edges)))
         plan = plan_random(network, k, rng_seed=rng.randint(0, 10**6))
-        non_tree = run_estimation(network, [log], plan, "non-tree").total_estimated
+        table = table_of([log])
+        non_tree = run_estimation(network, table, plan, "non-tree").total_estimated
         for variant in ("tree-first", "tree-last"):
-            assert run_estimation(network, [log], plan, variant).total_estimated <= non_tree
+            assert run_estimation(network, table, plan, variant).total_estimated <= non_tree
         instances += 1
     assert instances >= 200
     print(f"PASS A3: tree-variant estimates bounded by non-tree on {instances} instances")
@@ -139,13 +147,14 @@ def test_a4_totals_non_increasing_in_budget():
         for i in range(3):
             users = rng.sample(nodes, rng.randint(2, n))
             logs.append(CascadeLog.from_events(f"c{i}", [(u, rng.randint(0, 25)) for u in users]))
+        table = table_of(logs)
         grid = sorted({budget_for(f, len(edges)) for f in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)})
         for strategy in STRATEGIES:
             plan = plan_strategy(network, strategy, len(edges), rng_seed=17)
             for variant in VARIANTS:
                 previous = None
                 for k in grid:
-                    total = run_estimation(network, logs, plan.prefix(k), variant).total_estimated
+                    total = run_estimation(network, table, plan.prefix(k), variant).total_estimated
                     if previous is not None:
                         assert total <= previous, (strategy, variant, k)
                     previous = total
@@ -205,7 +214,7 @@ def test_a7_estimates_never_below_seed_count():
         for k in (0, len(edges) // 2, len(edges)):
             plan = plan_random(network, k, rng_seed=rng.randint(0, 10**6))
             for variant in VARIANTS:
-                report = run_estimation(network, [log], plan, variant)
+                report = run_estimation(network, table_of([log]), plan, variant)
                 for row in report.per_cascade:
                     assert row.estimated_size >= row.seed_count
                     rows_checked += 1
@@ -269,16 +278,15 @@ def test_a8_public_dataset_trends():
     with open(_higgs_edges, "r", encoding="utf-8") as fh:
         network = read_network(fh)
     with open(_higgs_activity, "r", encoding="utf-8") as fh:
-        logs = load_higgs_activity(fh, interactions=frozenset())
-    logs = filter_cascades(logs, 100)
+        table = filter_cascades(load_higgs_activity(fh, interactions=frozenset()), 100)
 
-    stats = compute_stats(network, logs)
+    stats = compute_stats(network, table)
     assert stats.link_count == 14_855_842
     assert stats.user_count == 456_626
 
     fractions = tuple(round(0.05 * i, 2) for i in range(1, 11))
     budgets = [budget_for(f, network.edge_count) for f in fractions]
-    batch = build_batch(network, logs, NON_TREE)
+    batch = build_batch(network, table, NON_TREE)
 
     from cascadecut.estimator import EstimateReport
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from cascadecut import (
-    CascadeLog,
     InputError,
     NON_TREE,
     TREE_FIRST,
@@ -27,10 +26,21 @@ from conftest import (
     EIGHT_NODE_SPREAD_EDGES,
     EIGHT_NODE_TREE_FIRST_EDGES,
     EIGHT_NODE_TREE_LAST_EDGES,
+    decimal_instance,
+    one_variant,
     random_instance,
     random_logs,
 )
-from oracles import closure_from, indegree_zero, single_parent_edges, spread_rule_edges, unfiltered_candidates
+from oracles import (
+    CascadeLog,
+    closure_from,
+    indegree_zero,
+    single_parent_edges,
+    spread_rule_edges,
+    string_variant,
+    table_of,
+    unfiltered_candidates,
+)
 
 GATHER_LOG = re.compile(
     r"gathered (\d+) follow edge\(s\) of (\d+) participant\(s\); (\d+) passed the filter, (\d+) qualify"
@@ -47,26 +57,26 @@ def present_times(network, log):
 
 class TestEightNodeExample:
     def test_non_tree_edges_and_seeds(self, eight_node_network, eight_node_log):
-        dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
+        dg = one_variant(eight_node_network, eight_node_log, NON_TREE)
         assert dg.edges == EIGHT_NODE_SPREAD_EDGES
         assert dg.seeds == EIGHT_NODE_SEEDS
         assert dg.nodes == {str(i) for i in range(1, 9)}
 
     def test_tree_first_parent_of_node_5(self, eight_node_network, eight_node_log):
-        dg = build_variant(eight_node_network, eight_node_log, TREE_FIRST)
+        dg = one_variant(eight_node_network, eight_node_log, TREE_FIRST)
         assert ("1", "5") in dg.edges
         assert ("4", "5") not in dg.edges
         assert dg.edges == EIGHT_NODE_TREE_FIRST_EDGES
 
     def test_tree_last_parent_of_node_5(self, eight_node_network, eight_node_log):
-        dg = build_variant(eight_node_network, eight_node_log, TREE_LAST)
+        dg = one_variant(eight_node_network, eight_node_log, TREE_LAST)
         assert ("4", "5") in dg.edges
         assert ("1", "5") not in dg.edges
         assert dg.edges == EIGHT_NODE_TREE_LAST_EDGES
 
     def test_seed_sets_agree_across_variants(self, eight_node_network, eight_node_log):
         for variant in VARIANTS:
-            dg = build_variant(eight_node_network, eight_node_log, variant)
+            dg = one_variant(eight_node_network, eight_node_log, variant)
             assert dg.seeds == EIGHT_NODE_SEEDS
             assert dg.nodes == {str(i) for i in range(1, 9)}
 
@@ -74,7 +84,7 @@ class TestEightNodeExample:
 class TestConstructionRules:
     def test_single_event_cascade(self, eight_node_network):
         log = CascadeLog.from_events("solo", [("3", 10)])
-        dg = build_variant(eight_node_network, log, NON_TREE)
+        dg = one_variant(eight_node_network, log, NON_TREE)
         assert dg.edges == frozenset()
         assert dg.seeds == {"3"}
 
@@ -82,32 +92,32 @@ class TestConstructionRules:
         network = build_graph([("b", "a")])
         log = CascadeLog.from_events("t", [("a", 1), ("b", 2)])
         for variant in (TREE_FIRST, TREE_LAST):
-            assert build_variant(network, log, variant).edges == {("a", "b")}
+            assert one_variant(network, log, variant).edges == {("a", "b")}
 
     def test_equal_timestamps_produce_no_edge(self):
         network = build_graph([("b", "a"), ("a", "b")])
         log = CascadeLog.from_events("t", [("a", 5), ("b", 5)])
-        dg = build_variant(network, log, NON_TREE)
+        dg = one_variant(network, log, NON_TREE)
         assert dg.edges == frozenset()
         assert dg.seeds == {"a", "b"}
 
     def test_equal_parent_timestamps_break_by_user_id(self):
         network = build_graph([("v", "p2"), ("v", "p1")])
         log = CascadeLog.from_events("t", [("p1", 3), ("p2", 3), ("v", 9)])
-        assert build_variant(network, log, TREE_FIRST).edges == {("p1", "v")}
-        assert build_variant(network, log, TREE_LAST).edges == {("p1", "v")}
+        assert one_variant(network, log, TREE_FIRST).edges == {("p1", "v")}
+        assert one_variant(network, log, TREE_LAST).edges == {("p1", "v")}
 
     def test_missing_users_become_isolated_seeds(self, eight_node_network, caplog):
         log = CascadeLog.from_events("t", [("1", 1), ("2", 2), ("ghost", 0)])
         with caplog.at_level(logging.WARNING):
-            dg = build_variant(eight_node_network, log, NON_TREE)
+            dg = one_variant(eight_node_network, log, NON_TREE)
         assert "ghost" not in {u for edge in dg.edges for u in edge}
         assert "ghost" in dg.seeds
         assert "absent from the follow network" in caplog.text
 
-    def test_unknown_variant_rejected(self, eight_node_network, eight_node_log):
+    def test_unknown_variant_rejected(self, eight_node_network, eight_node_table):
         with pytest.raises(InputError):
-            build_variant(eight_node_network, eight_node_log, "bogus")
+            build_variant(eight_node_network, eight_node_table, "bogus")
 
 
 class TestRandomInstances:
@@ -116,7 +126,7 @@ class TestRandomInstances:
         for _ in range(40):
             network, log, edges, _ = random_instance(rng)
             tau = present_times(network, log)
-            dg = build_variant(network, log, NON_TREE)
+            dg = one_variant(network, log, NON_TREE)
             assert dg.edges == spread_rule_edges(edges, tau)
 
     def test_tree_variants_match_argmin_argmax_oracles(self):
@@ -124,8 +134,8 @@ class TestRandomInstances:
         for _ in range(40):
             network, log, edges, _ = random_instance(rng)
             tau = present_times(network, log)
-            first = build_variant(network, log, TREE_FIRST)
-            last = build_variant(network, log, TREE_LAST)
+            first = one_variant(network, log, TREE_FIRST)
+            last = one_variant(network, log, TREE_LAST)
             assert first.edges == single_parent_edges(edges, tau, latest=False)
             assert last.edges == single_parent_edges(edges, tau, latest=True)
 
@@ -133,9 +143,9 @@ class TestRandomInstances:
         rng = random.Random(71)
         for _ in range(25):
             network, log, _, _ = random_instance(rng)
-            non_tree = build_variant(network, log, NON_TREE)
+            non_tree = one_variant(network, log, NON_TREE)
             for variant in (TREE_FIRST, TREE_LAST):
-                dg = build_variant(network, log, variant)
+                dg = one_variant(network, log, variant)
                 assert dg.edges <= non_tree.edges
                 assert dg.nodes == non_tree.nodes
                 assert dg.seeds == non_tree.seeds
@@ -145,7 +155,7 @@ class TestRandomInstances:
         for _ in range(25):
             network, log, _, _ = random_instance(rng)
             for variant in (TREE_FIRST, TREE_LAST):
-                dg = build_variant(network, log, variant)
+                dg = one_variant(network, log, variant)
                 children = [child for _, child in dg.edges]
                 assert len(children) == len(set(children))
 
@@ -155,7 +165,7 @@ class TestRandomInstances:
             network, log, _, _ = random_instance(rng)
             tau = dict(log.events)
             for variant in VARIANTS:
-                for parent, child in build_variant(network, log, variant).edges:
+                for parent, child in one_variant(network, log, variant).edges:
                     assert tau[parent] < tau[child]
 
     def test_seeds_match_indegree_scan(self):
@@ -163,7 +173,7 @@ class TestRandomInstances:
         for _ in range(25):
             network, log, _, _ = random_instance(rng)
             for variant in VARIANTS:
-                dg = build_variant(network, log, variant)
+                dg = one_variant(network, log, variant)
                 assert dg.seeds == indegree_zero(dg.nodes, dg.edges)
 
     def test_everyone_reachable_from_seeds_without_deletion(self):
@@ -171,7 +181,7 @@ class TestRandomInstances:
         for _ in range(30):
             network, log, _, _ = random_instance(rng)
             for variant in VARIANTS:
-                dg = build_variant(network, log, variant)
+                dg = one_variant(network, log, variant)
                 assert closure_from(dg.edges, dg.seeds) == dg.nodes
 
     def test_edge_arrays_describe_the_edges(self):
@@ -181,8 +191,8 @@ class TestRandomInstances:
             ids = network.external_ids
             src, dst = network.edge_src_indices, network.edge_dst_indices
             for variant in VARIANTS:
-                dg = build_variant(network, log, variant)
-                batch = build_batch(network, [log], variant)
+                dg = one_variant(network, log, variant)
+                batch = build_batch(network, table_of([log]), variant)
                 pairs = list(zip(batch.child.tolist(), batch.parent.tolist()))
                 assert pairs == sorted(pairs)
                 assert {(ids[p], ids[c]) for c, p in pairs} == dg.edges
@@ -197,8 +207,8 @@ class TestRandomInstances:
         shuffled = events[:]
         rng.shuffle(shuffled)
         for variant in VARIANTS:
-            a = build_variant(eight_node_network, CascadeLog.from_events("t", events), variant)
-            b = build_variant(eight_node_network, CascadeLog.from_events("t", shuffled), variant)
+            a = one_variant(eight_node_network, CascadeLog.from_events("t", events), variant)
+            b = one_variant(eight_node_network, CascadeLog.from_events("t", shuffled), variant)
             assert a == b
 
 
@@ -210,14 +220,14 @@ class TestBuildBatch:
             logs = random_logs(rng, network, rng.randint(1, 12))
             ids = network.external_ids
             for variant in VARIANTS:
-                batch = build_batch(network, logs, variant)
+                batch = build_batch(network, table_of(logs), variant)
                 assert batch.cascade_ids == tuple(log.cascade_id for log in logs)
                 keys = list(zip(batch.cascade.tolist(), batch.child.tolist(), batch.parent.tolist()))
                 assert keys == sorted(keys)
                 for i, log in enumerate(logs):
-                    dg = build_variant(network, log, variant)
+                    dg = one_variant(network, log, variant)
                     mine = batch.cascade == i
-                    alone = build_batch(network, [log], variant)
+                    alone = build_batch(network, table_of([log]), variant)
                     for name in ("parent", "child", "follow_edge_pos"):
                         assert getattr(batch, name)[mine].tolist() == getattr(alone, name).tolist()
                     pairs = zip(batch.parent[mine].tolist(), batch.child[mine].tolist())
@@ -236,18 +246,18 @@ class TestBuildBatch:
         rng = random.Random(chunk)
         for _ in range(10):
             network, _, _, _ = random_instance(rng, max_nodes=20, outside_user_chance=0.0)
-            logs = random_logs(rng, network, rng.randint(1, 12))
-            whole = {variant: build_batch(network, logs, variant) for variant in VARIANTS}
+            table = table_of(random_logs(rng, network, rng.randint(1, 12)))
+            whole = {variant: build_batch(network, table, variant) for variant in VARIANTS}
             with monkeypatch.context() as patch:
                 patch.setattr(diffusion, "_GATHER_CHUNK", chunk)
                 for variant in VARIANTS:
-                    got, want = build_batch(network, logs, variant), whole[variant]
+                    got, want = build_batch(network, table, variant), whole[variant]
                     for name in ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos"):
                         assert getattr(got, name).tolist() == getattr(want, name).tolist()
 
     def test_empty_logs_give_an_empty_batch(self, eight_node_network):
         for variant in VARIANTS:
-            batch = build_batch(eight_node_network, [], variant)
+            batch = build_batch(eight_node_network, table_of([]), variant)
             assert batch.cascade_ids == ()
             for arr in (batch.sizes, batch.seed_counts, batch.cascade, batch.parent, batch.child,
                         batch.follow_edge_pos):
@@ -260,7 +270,7 @@ class TestBuildBatch:
             CascadeLog.from_events("c", [("ghost", 5)]),
         ]
         with caplog.at_level(logging.WARNING, logger="cascadecut.diffusion"):
-            batch = build_batch(eight_node_network, logs, NON_TREE)
+            batch = build_batch(eight_node_network, table_of(logs), NON_TREE)
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == [
             "3 user(s) in 2 of 3 cascade(s) absent from the follow network; kept as isolated seeds"
@@ -268,9 +278,38 @@ class TestBuildBatch:
         assert batch.sizes.tolist() == [3, 1, 1]
         assert batch.seed_counts.tolist() == [3, 1, 1]
 
-    def test_unknown_variant_rejected(self, eight_node_network, eight_node_log):
+    def test_unknown_variant_rejected(self, eight_node_network, eight_node_table):
         with pytest.raises(InputError):
-            build_batch(eight_node_network, [eight_node_log], "bogus")
+            build_batch(eight_node_network, eight_node_table, "bogus")
+
+
+class TestBuildVariantAgainstStrings:
+    """The table-based view of each cascade against the string-level oracle."""
+
+    @pytest.mark.parametrize("decimal", [False, True])
+    def test_every_cascade_matches_string_variant(self, decimal):
+        # random_logs mixes in absent users, repeated events, equal
+        # timestamps and cascades with no user in the network.
+        rng = random.Random(607 + decimal)
+        for _ in range(30):
+            network, _, edges, _ = random_instance(rng, max_nodes=20, outside_user_chance=0.0)
+            logs = random_logs(rng, network, rng.randint(1, 12))
+            if decimal:
+                edges, logs = decimal_instance(rng, edges, logs)
+                network = build_graph(edges)
+            table = table_of(logs)
+            assert isinstance(table.user_ids, np.ndarray) == decimal
+            for variant in VARIANTS:
+                got = build_variant(network, table, variant)
+                assert [dg.cascade_id for dg in got] == [log.cascade_id for log in logs]
+                for dg, log in zip(got, logs):
+                    want = string_variant(edges, log, variant)
+                    assert (dg.nodes, dg.edges, dg.seeds) == (want.nodes, want.edges, want.seeds)
+                    assert to_dot(dg).encode() == to_dot(want).encode()
+
+    def test_empty_table_has_no_graphs(self, eight_node_network):
+        for variant in VARIANTS:
+            assert build_variant(eight_node_network, table_of([]), variant) == []
 
 
 class TestParticipantFilter:
@@ -279,12 +318,13 @@ class TestParticipantFilter:
     @staticmethod
     def check(network, logs, caplog):
         """Assert the gather equals the oracle's; returns its (probes, gathered) counts."""
+        table = table_of(logs)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="cascadecut.diffusion"):
-            found = diffusion.gather_candidates(network, logs)
+            found = diffusion.gather_candidates(network, table)
         [counts] = [m.groups() for r in caplog.records if (m := GATHER_LOG.fullmatch(r.getMessage()))]
         gathered, participants, probes, qualify = map(int, counts)
-        want, want_gathered = unfiltered_candidates(network, logs)
+        want, want_gathered = unfiltered_candidates(network, table)
         for name in CANDIDATE_ARRAYS:
             assert getattr(found, name).tolist() == getattr(want, name).tolist(), name
         for variant in VARIANTS:
@@ -310,7 +350,8 @@ class TestParticipantFilter:
         self.check(eight_node_network, [CascadeLog.from_events("ghosts", [("x", 1), ("y", 0)])], caplog)
         # The same users in three cascades, with the times reversed in one.
         reversed_log = CascadeLog.from_events("r", [(u, 100 - t) for u, t in eight_node_log.events])
-        _, gathered = self.check(eight_node_network, [eight_node_log, reversed_log, eight_node_log], caplog)
+        again = CascadeLog("t2", eight_node_log.events)
+        _, gathered = self.check(eight_node_network, [eight_node_log, reversed_log, again], caplog)
         assert gathered == 3 * eight_node_network.edge_count
 
     def test_forced_collisions_leave_the_binary_search_to_decide(self, monkeypatch, caplog):
@@ -362,7 +403,7 @@ class TestParticipantFilter:
 
 class TestDotExport:
     def test_seeds_annotated_and_output_stable(self, eight_node_network, eight_node_log):
-        dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
+        dg = one_variant(eight_node_network, eight_node_log, NON_TREE)
         text = to_dot(dg)
         assert text == to_dot(dg)
         assert '"1" [style=filled, fillcolor=lightgreen];' in text

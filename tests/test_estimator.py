@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from cascadecut import (
-    CascadeLog,
     CascadeResult,
     DeletionPlan,
     EstimateReport,
@@ -19,8 +18,10 @@ from cascadecut import (
     ParseError,
     VARIANTS,
     build_batch,
+    build_graph,
     build_variant,
     estimate_budgets,
+    plan_edge_degree,
     plan_random,
     plan_ranks,
     read_report_csv,
@@ -31,10 +32,20 @@ from conftest import (
     EIGHT_NODE_CUT_FOLLOW_EDGES,
     EIGHT_NODE_FOLLOW_EDGES,
     EIGHT_NODE_SEEDS,
+    one_variant,
     random_instance,
     random_logs,
 )
-from oracles import closure_from, cut_edges, dict_edge_positions, graph_edges, list_estimate_budgets, size_after
+from oracles import (
+    CascadeLog,
+    closure_from,
+    cut_edges,
+    dict_edge_positions,
+    graph_edges,
+    list_estimate_budgets,
+    size_after,
+    table_of,
+)
 
 
 def manual_plan(network, follow_edges, strategy="netmelt", k=None):
@@ -50,7 +61,7 @@ def manual_plan(network, follow_edges, strategy="netmelt", k=None):
 
 def surviving_edges(network, log, variant, plan):
     """The batch's spread edges whose follow edge the whole plan leaves, as id pairs."""
-    batch = build_batch(network, [log], variant)
+    batch = build_batch(network, table_of([log]), variant)
     keep = plan_ranks(network, plan)[batch.follow_edge_pos] >= plan.edge_pos.size
     ids = network.external_ids
     return {(ids[p], ids[c]) for p, c in zip(batch.parent[keep].tolist(), batch.child[keep].tolist())}
@@ -59,16 +70,16 @@ def surviving_edges(network, log, variant, plan):
 class TestApplyDeletion:
     """The cut the estimator applies: a plan's ranks over a batch's follow-edge positions."""
 
-    def test_eight_node_cut(self, eight_node_network, eight_node_log):
+    def test_eight_node_cut(self, eight_node_network, eight_node_log, eight_node_table):
         plan = manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
         after = surviving_edges(eight_node_network, eight_node_log, NON_TREE, plan)
         assert after == {
             ("1", "2"), ("2", "3"), ("4", "5"), ("5", "3"), ("6", "7"), ("6", "8"),
         }
-        assert after == cut_edges(build_variant(eight_node_network, eight_node_log, NON_TREE), plan)
+        assert after == cut_edges(one_variant(eight_node_network, eight_node_log, NON_TREE), plan)
         # node 6 lost its only incoming edge but stays a non-seed node
         assert not any(child == "6" for _, child in after)
-        (row,) = run_estimation(eight_node_network, [eight_node_log], plan, NON_TREE).per_cascade
+        (row,) = run_estimation(eight_node_network, eight_node_table, plan, NON_TREE).per_cascade
         assert (row.original_size, row.seed_count) == (8, len(EIGHT_NODE_SEEDS))
 
     def test_edge_arrays_follow_the_cut(self):
@@ -76,13 +87,13 @@ class TestApplyDeletion:
         for _ in range(20):
             network, log, edges, _ = random_instance(rng)
             for variant in VARIANTS:
-                dg = build_variant(network, log, variant)
+                dg = one_variant(network, log, variant)
                 chosen = rng.sample(edges, rng.randint(0, min(len(edges), 10))) if edges else []
                 plan = manual_plan(network, chosen)
                 assert surviving_edges(network, log, variant, plan) == cut_edges(dg, plan)
 
     def test_empty_plan_is_identity(self, eight_node_network, eight_node_log):
-        dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
+        dg = one_variant(eight_node_network, eight_node_log, NON_TREE)
         empty = manual_plan(eight_node_network, [])
         assert surviving_edges(eight_node_network, eight_node_log, NON_TREE, empty) == dg.edges
 
@@ -90,7 +101,7 @@ class TestApplyDeletion:
         rng = random.Random(139)
         for _ in range(25):
             network, log, edges, _ = random_instance(rng)
-            dg = build_variant(network, log, NON_TREE)
+            dg = one_variant(network, log, NON_TREE)
             if not edges:
                 continue
             chosen = rng.sample(edges, rng.randint(0, min(len(edges), 10)))
@@ -99,7 +110,7 @@ class TestApplyDeletion:
 
 
 def all_budget_sizes(network, logs, variant, plan, budgets):
-    per_budget = estimate_budgets(build_batch(network, logs, variant), plan_ranks(network, plan), budgets)
+    per_budget = estimate_budgets(build_batch(network, table_of(logs), variant), plan_ranks(network, plan), budgets)
     return [[row.estimated_size for row in rows] for rows in per_budget]
 
 
@@ -119,7 +130,7 @@ class TestEstimateSize:
         rng = random.Random(151)
         for _ in range(25):
             network, log, edges, _ = random_instance(rng)
-            dg = build_variant(network, log, NON_TREE)
+            dg = one_variant(network, log, NON_TREE)
             chosen = rng.sample(edges, rng.randint(0, min(len(edges), 8))) if edges else []
             reached = closure_from(dg.edges - {(b, a) for a, b in chosen}, dg.seeds)
             plan = manual_plan(network, chosen)
@@ -127,7 +138,7 @@ class TestEstimateSize:
 
     def test_unknown_seed_rejected(self, eight_node_network, eight_node_log):
         # The per-budget oracle refuses seeds outside the graph.
-        dg = build_variant(eight_node_network, eight_node_log, NON_TREE)
+        dg = one_variant(eight_node_network, eight_node_log, NON_TREE)
         with pytest.raises(InputError):
             size_after(dg, manual_plan(eight_node_network, []), {"nope"})
 
@@ -147,7 +158,7 @@ class TestEstimateBudgets:
             plan = manual_plan(network, shuffled)
             budgets = list(range(len(shuffled) + 3))  # k = 0 .. beyond the plan's end
             for variant in VARIANTS:
-                graphs = [build_variant(network, log, variant)]
+                graphs = [one_variant(network, log, variant)]
                 got = all_budget_sizes(network, [log], variant, plan, budgets)
                 assert got == [prefix_oracle(graphs, plan, k) for k in budgets]
 
@@ -167,7 +178,7 @@ class TestEstimateBudgets:
             plan = manual_plan(network, ranked)
             budgets = list(range(len(ranked) + 2))
             for variant in VARIANTS:
-                graphs = [build_variant(network, log, variant)]
+                graphs = [one_variant(network, log, variant)]
                 got = all_budget_sizes(network, [log], variant, plan, budgets)
                 assert got == [prefix_oracle(graphs, plan, k) for k in budgets]
 
@@ -179,7 +190,7 @@ class TestEstimateBudgets:
             plan = manual_plan(network, rng.sample(edges, len(edges)))
             budgets = [0, len(edges) // 2, len(edges), len(edges) + 5]
             for variant in VARIANTS:
-                graphs = [build_variant(network, log, variant)]
+                graphs = [one_variant(network, log, variant)]
                 got = all_budget_sizes(network, [log], variant, plan, budgets)
                 assert got == [prefix_oracle(graphs, plan, k) for k in budgets]
 
@@ -196,8 +207,9 @@ class TestEstimateBudgets:
         plan = manual_plan(network, rng.sample(edges, len(edges)))
         budgets = list(range(0, len(edges) + 2, max(1, len(edges) // 7)))
         for variant in VARIANTS:
-            graphs = [build_variant(network, log, variant) for log in logs]
-            batch = build_batch(network, logs, variant)
+            table = table_of(logs)
+            graphs = build_variant(network, table, variant)
+            batch = build_batch(network, table, variant)
             per_budget = estimate_budgets(batch, plan_ranks(network, plan), budgets)
             for k, rows in zip(budgets, per_budget):
                 assert [r.estimated_size for r in rows] == prefix_oracle(graphs, plan, k)
@@ -214,7 +226,7 @@ class TestEstimateBudgets:
             ranks = plan_ranks(network, manual_plan(network, ranked))
             budgets = list(range(len(ranked) + 3))  # k = 0 .. beyond the plan's end
             for variant in VARIANTS:
-                got = estimate_budgets(build_batch(network, logs, variant), ranks, budgets)
+                got = estimate_budgets(build_batch(network, table_of(logs), variant), ranks, budgets)
                 assert got == list_estimate_budgets(network, logs, variant, ranks, budgets)
 
     def test_eight_node_every_budget(self, eight_node_network, eight_node_log):
@@ -223,7 +235,7 @@ class TestEstimateBudgets:
         plan = manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES + rest)
         budgets = list(range(len(EIGHT_NODE_FOLLOW_EDGES) + 2))
         for variant in VARIANTS:
-            graphs = [build_variant(eight_node_network, eight_node_log, variant)]
+            graphs = [one_variant(eight_node_network, eight_node_log, variant)]
             got = all_budget_sizes(eight_node_network, [eight_node_log], variant, plan, budgets)
             assert got == [prefix_oracle(graphs, plan, k) for k in budgets]
             if variant == "non-tree":
@@ -233,17 +245,17 @@ class TestEstimateBudgets:
     def test_no_graphs(self, eight_node_network):
         ranks = plan_ranks(eight_node_network, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
         for variant in VARIANTS:
-            assert estimate_budgets(build_batch(eight_node_network, [], variant), ranks, [0, 3]) == [[], []]
+            assert estimate_budgets(build_batch(eight_node_network, table_of([]), variant), ranks, [0, 3]) == [[], []]
 
-    def test_negative_budget_rejected(self, eight_node_network, eight_node_log):
-        batch = build_batch(eight_node_network, [eight_node_log], NON_TREE)
+    def test_negative_budget_rejected(self, eight_node_network, eight_node_table):
+        batch = build_batch(eight_node_network, eight_node_table, NON_TREE)
         with pytest.raises(InputError):
             estimate_budgets(batch, plan_ranks(eight_node_network, manual_plan(eight_node_network, [])), [-1])
 
-    def test_cut_graph_rejected(self, eight_node_network, eight_node_log):
+    def test_cut_graph_rejected(self, eight_node_network, eight_node_table):
         # After the cut, node 6 has no parent yet is no seed: the pass only
         # takes batches as built.
-        batch = build_batch(eight_node_network, [eight_node_log], NON_TREE)
+        batch = build_batch(eight_node_network, eight_node_table, NON_TREE)
         cut = dict_edge_positions(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
         keep = ~np.isin(batch.follow_edge_pos, cut)
         after = replace(
@@ -277,6 +289,23 @@ class TestPlanRanks:
         by_edge = dict(zip(graph_edges(eight_node_network), ranks.tolist()))
         assert by_edge[("6", "3")] == 3
 
+    def test_plan_for_another_network_is_rejected(self):
+        # Both networks have two edges, so the plan's positions fit either.
+        plan = plan_edge_degree(build_graph([("x", "y"), ("y", "z")]), 2)
+        other = build_graph([("1", "2"), ("2", "3")])
+        table = table_of([CascadeLog.from_events("c", [("3", 1), ("2", 2), ("1", 3)])])
+        with pytest.raises(InputError, match="another follow network"):
+            plan_ranks(other, plan)
+        with pytest.raises(InputError, match="another follow network"):
+            run_estimation(other, table, plan, NON_TREE)
+
+    def test_plan_for_an_equal_network_is_accepted(self):
+        edges = [("x", "y"), ("y", "z")]
+        plan = plan_edge_degree(build_graph(edges), 2)
+        equal = build_graph(edges[::-1])
+        assert equal is not plan.network
+        assert plan_ranks(equal, plan).tolist() == plan_ranks(plan.network, plan).tolist()
+
     def test_known_plan_is_silent(self, eight_node_network, caplog):
         with caplog.at_level("WARNING", logger="cascadecut.estimator"):
             plan_ranks(eight_node_network, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
@@ -284,15 +313,15 @@ class TestPlanRanks:
 
 
 class TestRunEstimation:
-    def test_eight_node_totals(self, eight_node_network, eight_node_log):
+    def test_eight_node_totals(self, eight_node_network, eight_node_table):
         plan = manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
-        report = run_estimation(eight_node_network, [eight_node_log], plan, "non-tree")
+        report = run_estimation(eight_node_network, eight_node_table, plan, "non-tree")
         assert report.total_original == 8
         assert report.total_estimated == 5
         assert report.per_cascade == (CascadeResult("t", 8, 5, 2),)
 
-    def test_zero_budget_identity(self, eight_node_network, eight_node_log):
-        report = run_estimation(eight_node_network, [eight_node_log], manual_plan(eight_node_network, []), "non-tree")
+    def test_zero_budget_identity(self, eight_node_network, eight_node_table):
+        report = run_estimation(eight_node_network, eight_node_table, manual_plan(eight_node_network, []), "non-tree")
         assert report.total_estimated == report.total_original == 8
 
     def test_totals_equal_per_cascade_sums(self):
@@ -306,7 +335,7 @@ class TestRunEstimation:
             for i in range(20)
         ]
         plan = manual_plan(network, rng.sample(edges, min(len(edges), 6)))
-        report = run_estimation(network, logs, plan, "non-tree")
+        report = run_estimation(network, table_of(logs), plan, "non-tree")
         assert report.total_original == sum(r.original_size for r in report.per_cascade)
         assert report.total_estimated == sum(r.estimated_size for r in report.per_cascade)
         assert [r.cascade_id for r in report.per_cascade] == sorted(r.cascade_id for r in report.per_cascade)
@@ -320,7 +349,7 @@ class TestRunEstimation:
             full = plan_random(network, len(edges), rng_seed=7)
             last_total = None
             for k in range(0, len(edges) + 1, max(1, len(edges) // 5)):
-                report = run_estimation(network, [log], full.prefix(k), "non-tree")
+                report = run_estimation(network, table_of([log]), full.prefix(k), "non-tree")
                 if last_total is not None:
                     assert report.total_estimated <= last_total
                 last_total = report.total_estimated
@@ -331,7 +360,7 @@ class TestRunEstimation:
             network, log, edges, _ = random_instance(rng)
             plan = manual_plan(network, rng.sample(edges, min(len(edges), 8)) if edges else [])
             by_variant = {
-                variant: run_estimation(network, [log], plan, variant).total_estimated
+                variant: run_estimation(network, table_of([log]), plan, variant).total_estimated
                 for variant in VARIANTS
             }
             assert by_variant["tree-first"] <= by_variant["non-tree"]
@@ -343,7 +372,7 @@ class TestRunEstimation:
             network, log, edges, _ = random_instance(rng)
             plan = manual_plan(network, edges)  # delete every follow edge
             for variant in VARIANTS:
-                report = run_estimation(network, [log], plan, variant)
+                report = run_estimation(network, table_of([log]), plan, variant)
                 for row in report.per_cascade:
                     assert row.estimated_size >= row.seed_count
                     # with every edge gone, only the seeds remain reachable
@@ -359,10 +388,10 @@ class TestRunEstimation:
             for i in range(8)
         ]
         plan = manual_plan(network, rng.sample(edges, min(len(edges), 5)) if edges else [])
-        combined = run_estimation(network, logs, plan, "tree-last")
+        combined = run_estimation(network, table_of(logs), plan, "tree-last")
         halves = (
-            run_estimation(network, logs[:4], plan, "tree-last").per_cascade
-            + run_estimation(network, logs[4:], plan, "tree-last").per_cascade
+            run_estimation(network, table_of(logs[:4]), plan, "tree-last").per_cascade
+            + run_estimation(network, table_of(logs[4:]), plan, "tree-last").per_cascade
         )
         assert set(halves) == set(combined.per_cascade)
 
@@ -384,9 +413,9 @@ class TestReportInvariants:
                 total_original=3, total_estimated=99,
             )
 
-    def test_csv_round_trip(self, tmp_path, eight_node_network, eight_node_log):
+    def test_csv_round_trip(self, tmp_path, eight_node_network, eight_node_table):
         plan = manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
-        report = run_estimation(eight_node_network, [eight_node_log], plan, "tree-last")
+        report = run_estimation(eight_node_network, eight_node_table, plan, "tree-last")
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         assert read_report_csv(path) == report

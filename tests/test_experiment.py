@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from cascadecut import (
-    CascadeLog,
     DeletionPlan,
     DirectedGraph,
     EstimateReport,
@@ -29,7 +28,6 @@ from cascadecut import (
     VARIANTS,
     build_batch,
     build_graph,
-    build_variant,
     plan_strategy,
     read_plan_cache,
     run_estimation,
@@ -41,8 +39,8 @@ from cascadecut import (
 from cascadecut import diffusion, experiment, graph, ingest
 from cascadecut.estimator import CascadeResult
 from cascadecut.experiment import budget_for, load_network, write_gnuplot_script
-from conftest import random_instance, write_eight_node_dataset
-from oracles import dict_edge_positions, per_budget_sweep
+from conftest import one_variant, random_instance, write_eight_node_dataset
+from oracles import CascadeLog, dict_edge_positions, per_budget_sweep, table_of
 
 
 def read_summary(out_dir):
@@ -112,9 +110,9 @@ class TestRunSweep:
     def test_builds_once_per_variant(self, tmp_path, monkeypatch, n_cascades):
         calls = []
 
-        def counting(network, logs, variant):
-            calls.append((variant, len(logs)))
-            return build_batch(network, logs, variant)
+        def counting(network, table, variant):
+            calls.append((variant, len(table)))
+            return build_batch(network, table, variant)
 
         monkeypatch.setattr(experiment, "build_batch", counting)
         edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(193), n_cascades)
@@ -133,12 +131,12 @@ class TestRunSweep:
         gathers, batches = [], {}
         gather, build = diffusion.gather_candidates, experiment.build_batch
 
-        def counting_gather(network, logs):
-            gathers.append(len(logs))
-            return gather(network, logs)
+        def counting_gather(network, table):
+            gathers.append(len(table))
+            return gather(network, table)
 
-        def keeping_build(network, logs, variant):
-            batches[variant] = build(network, logs, variant)
+        def keeping_build(network, table, variant):
+            batches[variant] = build(network, table, variant)
             return batches[variant]
 
         monkeypatch.setattr(diffusion, "gather_candidates", counting_gather)
@@ -155,18 +153,18 @@ class TestRunSweep:
         )
         run_sweep(config)
         assert gathers == [6]
-        network, logs = experiment.load_dataset(config)
+        network, table = experiment.load_dataset(config)
         assert sorted(batches) == sorted(VARIANTS)
         for variant, got in batches.items():
-            want = build(network, logs, variant)
+            want = build(network, table, variant)
             assert got.cascade_ids == want.cascade_ids
             for name in ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos"):
                 assert getattr(got, name).tolist() == getattr(want, name).tolist()
 
     def test_candidates_of_another_network_are_rejected(self):
-        logs = [CascadeLog.from_events("c", [("a", 1), ("b", 2)])]
+        table = table_of([CascadeLog.from_events("c", [("a", 1), ("b", 2)])])
         network = build_graph([("b", "a")])
-        candidates = diffusion.gather_candidates(network, logs)
+        candidates = diffusion.gather_candidates(network, table)
         with pytest.raises(InputError, match="another network"):
             build_batch(build_graph([("b", "a")]), candidates, NON_TREE)
 
@@ -355,13 +353,13 @@ class TestRunSweep:
         with open(edges_path) as fh:
             network = build_graph(iter_follow_edges(fh))
         with open(cascades_path) as fh:
-            logs = filter_cascades(load_cascades(fh), 0)
+            table = filter_cascades(load_cascades(fh), 0)
         for strategy in STRATEGIES:
             plan = plan_strategy(network, strategy, network.edge_count, rng_seed=11)
             for variant in VARIANTS:
                 for fraction in (0.0, 0.5, 1.0):
                     k = budget_for(fraction, network.edge_count)
-                    report = run_estimation(network, logs, plan.prefix(k), variant)
+                    report = run_estimation(network, table, plan.prefix(k), variant)
                     assert summary[(strategy, variant, f"{fraction:g}")] == (
                         report.total_estimated,
                         report.total_original,
@@ -719,38 +717,38 @@ def test_decimal_ids_stay_integers_from_ingest_to_the_plan_cache(tmp_path, monke
 class TestSeedAnalysis:
     def test_single_user_cascades(self):
         network = build_graph([("a", "b")])
-        logs = [CascadeLog.from_events(f"c{i}", [(u, 1)]) for i, u in enumerate("ab")]
-        assert seed_analysis(network, logs) == [("c0", 1, 1), ("c1", 1, 1)]
+        table = table_of([CascadeLog.from_events(f"c{i}", [(u, 1)]) for i, u in enumerate("ab")])
+        assert seed_analysis(network, table) == [("c0", 1, 1), ("c1", 1, 1)]
 
-    def test_eight_node_row(self, eight_node_network, eight_node_log):
-        assert seed_analysis(eight_node_network, [eight_node_log]) == [("t", 8, 2)]
+    def test_eight_node_row(self, eight_node_network, eight_node_table):
+        assert seed_analysis(eight_node_network, eight_node_table) == [("t", 8, 2)]
 
-    def test_max_size_filter(self, eight_node_network, eight_node_log):
-        assert seed_analysis(eight_node_network, [eight_node_log], max_size=7) == []
-        assert seed_analysis(eight_node_network, [eight_node_log], max_size=8) == [("t", 8, 2)]
+    def test_max_size_filter(self, eight_node_network, eight_node_table):
+        assert seed_analysis(eight_node_network, eight_node_table, max_size=7) == []
+        assert seed_analysis(eight_node_network, eight_node_table, max_size=8) == [("t", 8, 2)]
 
     def test_matches_seed_oracle(self):
         rng = random.Random(211)
         for _ in range(10):
             network, log, _, _ = random_instance(rng)
-            rows = seed_analysis(network, [log], max_size=10**9)
-            dg = build_variant(network, log, NON_TREE)
+            rows = seed_analysis(network, table_of([log]), max_size=10**9)
+            dg = one_variant(network, log, NON_TREE)
             assert rows == [(log.cascade_id, len(dg.nodes), len(dg.seeds))]
 
 
 class TestScatter:
-    def test_zero_budget_points_on_diagonal(self, eight_node_network, eight_node_log):
+    def test_zero_budget_points_on_diagonal(self, eight_node_network, eight_node_table):
         from test_estimator import manual_plan
 
-        report = run_estimation(eight_node_network, [eight_node_log], manual_plan(eight_node_network, []), "non-tree")
+        report = run_estimation(eight_node_network, eight_node_table, manual_plan(eight_node_network, []), "non-tree")
         assert scatter_report(report) == [("t", 8, 8)]
 
-    def test_eight_node_cut_row(self, eight_node_network, eight_node_log):
+    def test_eight_node_cut_row(self, eight_node_network, eight_node_table):
         from conftest import EIGHT_NODE_CUT_FOLLOW_EDGES
         from test_estimator import manual_plan
 
         report = run_estimation(
-            eight_node_network, [eight_node_log], manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES), "non-tree"
+            eight_node_network, eight_node_table, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES), "non-tree"
         )
         assert scatter_report(report) == [("t", 8, 5)]
 

@@ -13,8 +13,6 @@ import pytest
 from cascadecut import (
     NON_TREE,
     TREE_LAST,
-    CascadeLog,
-    CascadeTable,
     ExperimentConfig,
     InputError,
     ParseError,
@@ -29,17 +27,20 @@ from cascadecut import (
 )
 from cascadecut import graph, ingest
 from cascadecut.experiment import load_dataset, load_network
-from conftest import assert_same_graph, random_logs
+from conftest import assert_same_graph, assert_same_table, decimal_instance, random_logs
 from cascadecut.graph import decimal_values
 from oracles import (
+    CascadeLog,
     block_ints,
     lexsort_cascade_table,
     list_load_cascades,
     load_follow_edges,
+    logs_of,
     reference_build_graph,
     regular_block,
     space_cut_decimals,
     split_events,
+    table_of,
     text_rank,
     two_pass_read_network,
 )
@@ -335,7 +336,7 @@ class TestCascadeTableMatchesListLoader:
             return
         table, got_log = logged(caplog, lambda: load_cascades(io.StringIO(text), strict=strict))
         assert len(table) == len(want)
-        assert [table[i] for i in range(len(table))] == want
+        assert logs_of(table) == want
         assert table.cascade_ids == tuple(log.cascade_id for log in want)
         assert table.sizes.tolist() == [log.size for log in want]
         assert warnings_of(got_log) == warnings_of(want_log)
@@ -345,14 +346,15 @@ class TestCascadeTableMatchesListLoader:
         # Users outside the network stay isolated seeds, as with the list.
         network = build_graph([(a, b) for a in ("1", "2", "9", "u3") for b in ("10", "2", "ab") if a != b])
         for variant in (NON_TREE, TREE_LAST):
-            got, expected = build_batch(network, table, variant), build_batch(network, want, variant)
+            got, expected = build_batch(network, table, variant), build_batch(network, table_of(want), variant)
             assert got.cascade_ids == expected.cascade_ids
             for name in ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos"):
                 assert getattr(got, name).tolist() == getattr(expected, name).tolist()
 
     def test_list_of_lines_is_line_scanned(self):
         lines = ["c1\tu\t5\n", "c1 v 6", "# comment\n", "c2\tu\t1\n"]
-        assert load_cascades(lines) == load_cascades(io.StringIO("\n".join(line.rstrip("\n") for line in lines)))
+        text = "\n".join(line.rstrip("\n") for line in lines)
+        assert_same_table(load_cascades(lines), load_cascades(io.StringIO(text)))
         edges = ["1 2\n", "2\t10", "10 1\n"]
         assert_same_graph(read_network(edges), read_network(io.StringIO("1 2\n2\t10\n10 1\n")))
 
@@ -458,11 +460,11 @@ class TestOnePass:
                 assert str(got.value) == str(listed)
                 continue
             table, records = logged(caplog, lambda: load_cascades(io.StringIO(text)))
-            assert list(table) == want
+            assert logs_of(table) == want
             assert any(("bulk reader" if bulk else "line scanner") in m for _, m in records)
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_unseekable_streams_replay_the_blocks_they_kept(self, monkeypatch, seed):
+    def test_unseekable_streams_read_as_the_file_does(self, monkeypatch, seed):
         rng = random.Random(seed)
         monkeypatch.setattr(ingest, "_BLOCK", PASS_BLOCKS[seed % len(PASS_BLOCKS)])
         edges = numeric_edge_text(rng, EDGE_QUIRKS[seed % len(EDGE_QUIRKS)])
@@ -475,7 +477,7 @@ class TestOnePass:
                 load_cascades(ReadOnly(events))
             assert str(unseekable.value) == str(seekable)
         else:
-            assert load_cascades(ReadOnly(events)) == want
+            assert_same_table(load_cascades(ReadOnly(events)), want)
 
     def test_a_file_read_by_next_is_read_from_its_next_line(self, tmp_path):
         path = tmp_path / "edges.tsv"
@@ -490,7 +492,7 @@ class TestOnePass:
         for body in (text, text.replace("long-cascade-id", "short")):
             table = load_cascades(io.StringIO(body))
             assert table.cascade_ids == tuple(log.cascade_id for log in list_load_cascades(io.StringIO(body)))
-            assert list(table) == list_load_cascades(io.StringIO(body))
+            assert logs_of(table) == list_load_cascades(io.StringIO(body))
 
     def test_integer_tables_build_their_strings_once(self):
         table = load_cascades(io.StringIO("c\t10\t1\nc\t9\t2\n"))
@@ -500,32 +502,39 @@ class TestOnePass:
 
 
 class TestCascadeTable:
-    def test_from_logs_round_trip(self, eight_node_network):
-        logs = random_logs(random.Random(3), eight_node_network, 30)
-        table = CascadeTable.from_logs(logs)
-        assert list(table) == logs
+    @pytest.mark.parametrize("decimal", [False, True])
+    def test_event_lines_read_as_the_string_table(self, eight_node_network, decimal):
+        rng = random.Random(3)
+        logs = random_logs(rng, eight_node_network, 30)
+        if decimal:
+            _, logs = decimal_instance(rng, [], logs)
+        want = table_of(logs)
+        table = load_cascades([f"{log.cascade_id}\t{user}\t{ts}" for log in logs for user, ts in log.events])
+        assert logs_of(table) == logs
         assert len(table) == 30 and table.sizes.tolist() == [log.size for log in logs]
-        assert table[-1] == logs[-1] and table[0] == logs[0]
-        with pytest.raises(IndexError):
-            table[30]
-        assert CascadeTable.from_logs(table) is table
-        assert list(reversed(table)) == logs[::-1]
+        assert table.cascade_ids == want.cascade_ids and table.users == want.users
+        assert isinstance(table.user_ids, np.ndarray) == isinstance(want.user_ids, np.ndarray) == decimal
+        for name in ("user_ids", "cascade", "user", "time", "sizes"):
+            assert np.array_equal(getattr(table, name), getattr(want, name)), name
 
     def test_select_keeps_order(self, eight_node_network):
         logs = random_logs(random.Random(4), eight_node_network, 25)
-        table = CascadeTable.from_logs(logs)
+        table = table_of(logs)
         keep = np.array([log.size % 2 == 0 for log in logs])
-        assert list(table.select(keep)) == [log for log, k in zip(logs, keep) if k]
+        assert logs_of(table.select(keep)) == [log for log, k in zip(logs, keep) if k]
         assert len(table.select(np.zeros(25, dtype=bool))) == 0
 
-    def test_logs_with_one_id_stay_separate_cascades(self):
-        log = CascadeLog.from_events("c", [("a", 1), ("b", 2)])
-        table = CascadeTable.from_logs([log, log])
-        assert table.cascade_ids == ("c", "c") and list(table) == [log, log]
+    def test_logs_with_one_id_stay_separate_cascades(self, eight_node_network):
+        # A table indexes its cascades by position, so a repeated id is no merge.
+        log = CascadeLog.from_events("c", [("1", 1), ("2", 2)])
+        table = table_of([log, log])
+        assert table.cascade_ids == ("c", "c") and logs_of(table) == [log, log]
+        batch = build_batch(eight_node_network, table, NON_TREE)
+        assert batch.cascade.tolist() == [0, 1] and batch.seed_counts.tolist() == [1, 1]
 
     def test_earliest_event_kept_per_cascade_and_user(self):
         table = load_cascades(io.StringIO("a\tu\t5\nb\tu\t1\na\tu\t2\na\tv\t2\n"))
-        assert list(table) == [CascadeLog("a", (("u", 2), ("v", 2))), CascadeLog("b", (("u", 1),))]
+        assert logs_of(table) == [CascadeLog("a", (("u", 2), ("v", 2))), CascadeLog("b", (("u", 1),))]
 
 # Lines that make a block irregular: comments, blank lines, malformed lines,
 # non-ASCII text, ids that are not plain decimals, a form feed, and for
@@ -612,7 +621,7 @@ class TestPerBlockScan:
         text = odd_text(rng, regular, ODD_EVENT_LINES)
 
         def compare(table, want):
-            assert list(table) == want
+            assert logs_of(table) == want
             assert table.cascade_ids == tuple(log.cascade_id for log in want)
 
         self.same(
@@ -685,7 +694,7 @@ class TestReaderChoice:
         scanned_network, scanned_kept = load_dataset(config)
         assert calls == ["edge", "event"]
         assert_same_graph(scanned_network, network)
-        assert scanned_kept == kept
+        assert_same_table(scanned_kept, kept)
 
 
 def spy(monkeypatch, module, name):
@@ -851,7 +860,7 @@ class TestIntegerEventUsers:
         want = list_load_cascades(io.StringIO(text))
         ranks = spy(monkeypatch, ingest, "_rank_ids")
         table = load_cascades(io.StringIO(text))
-        assert list(table) == want
+        assert logs_of(table) == want
         assert table.users == tuple(sorted({u for log in want for u in log.users()}))
         assert ranks == ([] if odd else ["_rank_ids"])
 
@@ -860,13 +869,13 @@ class TestIntegerEventUsers:
         ranks = spy(monkeypatch, ingest, "_rank_ids")
         table = load_cascades(io.StringIO(text))
         assert ranks == ["_rank_ids"]
-        assert list(table) == list_load_cascades(io.StringIO(text))
+        assert logs_of(table) == list_load_cascades(io.StringIO(text))
         assert table.users == ("10", "9")
 
     def test_higgs_activity_with_integer_users(self, monkeypatch):
         text = "20 1 5 RT\n3 1 4 RT\n20 3 2 RT\n7 1 1 MT\n"
         ranks = spy(monkeypatch, ingest, "_rank_ids")
-        (log,) = load_higgs_activity(io.StringIO(text))
+        (log,) = logs_of(load_higgs_activity(io.StringIO(text)))
         assert ranks == ["_rank_ids"]
         assert log.events == (("20", 2), ("3", 4))
 
@@ -898,27 +907,27 @@ class TestOneSortCascadeTable:
         for name in ("cascade", "user", "time", "sizes"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist()
-        assert got == want
+        assert_same_table(got, want)
 
     def test_no_events(self):
         cascade, user, time = (np.empty(0, dtype=np.int64) for _ in range(3))
         got = ingest._cascade_table(("a",), cascade, (), user, time)
-        assert got.sizes.tolist() == [0] and list(got) == [CascadeLog("a", ())]
+        assert got.sizes.tolist() == [0] and logs_of(got) == [CascadeLog("a", ())]
 
 
 class TestLoadCascades:
     def test_single_cascade(self):
-        logs = load_cascades(io.StringIO("t1\tu1\t10\nt1\tu2\t20\n"))
+        logs = logs_of(load_cascades(io.StringIO("t1\tu1\t10\nt1\tu2\t20\n")))
         assert len(logs) == 1
         assert logs[0].cascade_id == "t1"
         assert set(logs[0].users()) == {"u1", "u2"}
 
     def test_duplicate_user_keeps_earliest(self):
-        logs = load_cascades(io.StringIO("t\tu\t10\nt\tu\t5\n"))
+        logs = logs_of(load_cascades(io.StringIO("t\tu\t10\nt\tu\t5\n")))
         assert logs[0].events == (("u", 5),)
 
     def test_events_sorted_by_time_then_user(self):
-        logs = load_cascades(io.StringIO("t\tb\t7\nt\ta\t7\nt\tc\t3\n"))
+        logs = logs_of(load_cascades(io.StringIO("t\tb\t7\nt\ta\t7\nt\tc\t3\n")))
         assert logs[0].events == (("c", 3), ("a", 7), ("b", 7))
 
     def test_bad_timestamp_always_raises(self):
@@ -937,14 +946,14 @@ class TestLoadCascades:
             per = expected.setdefault(cid, {})
             if user not in per or ts < per[user]:
                 per[user] = ts
-        logs = load_cascades(io.StringIO("".join(rows)))
+        logs = logs_of(load_cascades(io.StringIO("".join(rows))))
         assert {log.cascade_id: dict(log.events) for log in logs} == expected
 
     def test_round_trip(self):
         text = "t1\tu1\t10\nt1\tu2\t20\nt2\tu9\t1\n"
-        logs = load_cascades(io.StringIO(text))
+        logs = logs_of(load_cascades(io.StringIO(text)))
         canonical = "".join(f"{log.cascade_id}\t{user}\t{ts}\n" for log in logs for user, ts in log.events)
-        assert load_cascades(io.StringIO(canonical)) == logs
+        assert logs_of(load_cascades(io.StringIO(canonical))) == logs
 
     def test_edge_round_trip(self):
         edges = [("a", "b"), ("b", "c"), ("a", "b")]
@@ -954,21 +963,21 @@ class TestLoadCascades:
 class TestHiggsAdapter:
     def test_retweets_become_one_cascade(self):
         text = "u1 u2 100 RT\nu3 u2 90 RT\nu4 u1 120 MT\n"
-        logs = load_higgs_activity(io.StringIO(text))
+        logs = logs_of(load_higgs_activity(io.StringIO(text)))
         assert len(logs) == 1
         assert logs[0].cascade_id == "higgs"
         assert logs[0].events == (("u3", 90), ("u1", 100))
 
     def test_all_interactions_when_unfiltered(self):
         text = "u1 u2 100 RT\nu4 u1 120 MT\n"
-        logs = load_higgs_activity(io.StringIO(text), interactions=frozenset())
+        logs = logs_of(load_higgs_activity(io.StringIO(text), interactions=frozenset()))
         assert logs[0].size == 2
 
     def test_malformed_lines_and_timestamps(self, caplog):
         # A row of an unselected kind is dropped before its timestamp is read.
         text = "# log\nu1 u2 100 RT\nu5 u2 soon MT\nbroken row\n\nu3 u2 90\r\n"
         with caplog.at_level(logging.WARNING):
-            logs = load_higgs_activity(io.StringIO(text))
+            logs = logs_of(load_higgs_activity(io.StringIO(text)))
         assert logs[0].events == (("u1", 100),)
         assert "skipped 2 malformed activity line(s); first: line 4: 'broken row'" in caplog.text
         with pytest.raises(ParseError, match=r"^line 4: expected 4 fields, got 2: 'broken row'$"):
@@ -986,32 +995,32 @@ class TestFilterCascades:
 
     def test_min_size_zero_is_identity(self):
         logs = self._logs([1, 5, 3])
-        assert list(filter_cascades(logs, 0)) == logs
+        assert logs_of(filter_cascades(table_of(logs), 0)) == logs
 
     def test_threshold(self):
         logs = self._logs([1, 5, 3, 7])
-        assert [log.size for log in filter_cascades(logs, 4)] == [5, 7]
+        assert [log.size for log in logs_of(filter_cascades(table_of(logs), 4))] == [5, 7]
 
     def test_composition_law(self):
         rng = random.Random(9)
-        logs = self._logs([rng.randint(0, 12) for _ in range(40)])
+        table = table_of(self._logs([rng.randint(0, 12) for _ in range(40)]))
         for a, b in [(2, 7), (7, 2), (4, 4)]:
-            composed = filter_cascades(filter_cascades(logs, b), a)
-            assert composed == filter_cascades(logs, max(a, b))
+            composed = filter_cascades(filter_cascades(table, b), a)
+            assert_same_table(composed, filter_cascades(table, max(a, b)))
 
     def test_negative_min_size_rejected(self):
         with pytest.raises(InputError):
-            filter_cascades([], -1)
+            filter_cascades(table_of([]), -1)
 
     def test_matches_size_predicate(self):
         rng = random.Random(10)
         logs = self._logs([rng.randint(0, 9) for _ in range(30)])
-        assert list(filter_cascades(logs, 4)) == [log for log in logs if log.size >= 4]
+        assert logs_of(filter_cascades(table_of(logs), 4)) == [log for log in logs if log.size >= 4]
 
 
 class TestComputeStats:
     def test_empty_inputs(self):
-        stats = compute_stats(build_graph([]), [])
+        stats = compute_stats(build_graph([]), table_of([]))
         assert (stats.user_count, stats.link_count, stats.cascade_count) == (0, 0, 0)
         assert stats.mean_cascade_size == 0.0
 
@@ -1021,7 +1030,7 @@ class TestComputeStats:
             CascadeLog.from_events("t1", [("a", 1), ("b", 2), ("e", 3)]),
             CascadeLog.from_events("t2", [("c", 1)]),
         ]
-        stats = compute_stats(build_graph(edges), logs)
+        stats = compute_stats(build_graph(edges), table_of(logs))
         assert stats.user_count == 5  # a b c d from edges, e from events
         assert stats.link_count == 3  # dedup + self-loop dropped
         assert stats.cascade_count == 2
@@ -1030,9 +1039,10 @@ class TestComputeStats:
     def test_permutation_invariance(self):
         rng = random.Random(12)
         edges = [(f"u{rng.randint(0, 9)}", f"u{rng.randint(0, 9)}") for _ in range(40)]
-        logs = load_cascades(
+        table = load_cascades(
             io.StringIO("".join(f"c{i % 3}\tu{rng.randint(0, 9)}\t{i}\n" for i in range(30)))
         )
         shuffled_edges = edges[:]
         rng.shuffle(shuffled_edges)
-        assert compute_stats(build_graph(edges), logs) == compute_stats(build_graph(shuffled_edges), list(reversed(logs)))
+        reversed_table = table_of(reversed(logs_of(table)))
+        assert compute_stats(build_graph(edges), table) == compute_stats(build_graph(shuffled_edges), reversed_table)

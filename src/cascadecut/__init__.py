@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 # Each public name, under the module that defines it.
 _EXPORTS = {
     "deletion": (
-        "BETWEENNESS", "EDGE_DEGREE", "NETMELT", "RANDOM", "STRATEGIES", "DeletionPlan", "load_plan",
+        "BETWEENNESS", "EDGE_DEGREE", "NETMELT", "RANDOM", "STRATEGIES", "DeletionPlan",
         "plan_betweenness", "plan_edge_degree", "plan_netmelt", "plan_random", "plan_strategy",
         "read_plan_cache", "save_plan", "save_plan_cache",
     ),

@@ -230,6 +230,8 @@ def read_config_file(path: Path) -> dict[str, str]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"config: cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path}: not UTF-8 text ({exc.reason})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -17,15 +17,14 @@ every smaller budget by taking prefixes:
 The scored strategies share one ranking (:func:`_ranked_plan`), which
 breaks score ties by (src, dst) order so plans are reproducible.
 Plans hold the follow-edge positions of their network; external ids appear
-only in the text plan files of :func:`save_plan` and :func:`load_plan`.
+only in the text export of :func:`save_plan`, which nothing reads back.
 :func:`save_plan_cache` and :func:`read_plan_cache` keep the arrays in a
 binary ``.npz`` file, with a header naming the network and the parameters
-the plan was computed with.
+the plan was computed with; that file is the one plan input.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -37,13 +36,9 @@ from .graph import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     DirectedGraph,
-    _decimals,
-    _token_bounds,
-    _token_strings,
     betweenness_scores,
     leading_eigenpair,
 )
-from .ingest import _BLOCK, _id_codes
 
 NETMELT = "netmelt"
 BETWEENNESS = "betweenness"
@@ -65,10 +60,10 @@ class DeletionPlan:
     """An ordered selection of follow edges of one network to delete.
 
     ``edge_pos`` (int64) holds at most min(k, |E|) canonical edge positions
-    of ``network``, in non-increasing ``scores`` (float64) order; -1 marks a
-    loaded edge that is not in the network.  ``rng_seed`` is set only for the
-    random strategy.  Plans are equal when strategy, k, seed and both arrays
-    are; the network takes no part.
+    of ``network``, each in 0..|E|-1, in non-increasing ``scores`` (float64)
+    order.  ``rng_seed`` is set only for the random strategy.  Plans are
+    equal when strategy, k, seed and both arrays are; the network takes no
+    part.
     """
 
     strategy: str
@@ -85,8 +80,8 @@ class DeletionPlan:
         scores = np.asarray(self.scores, dtype=np.float64)
         if pos.ndim != 1 or pos.shape != scores.shape:
             raise InputError("edge_pos and scores must be 1-d and of equal length")
-        if pos.size and (pos.min() < -1 or pos.max() >= self.network.edge_count):
-            raise InputError("edge_pos must hold edge positions of the network, or -1")
+        if pos.size and (pos.min() < 0 or pos.max() >= self.network.edge_count):
+            raise InputError("edge_pos must hold edge positions of the network")
         if np.isnan(scores).any():
             raise InputError("scores must not be NaN")
         if (scores[1:] > scores[:-1]).any():
@@ -105,14 +100,14 @@ class DeletionPlan:
         )
 
     @property
-    def ranked_edges(self) -> tuple[tuple[str, str] | None, ...]:
-        """The plan's edges as (src, dst) external ids, None where -1.
+    def ranked_edges(self) -> tuple[tuple[str, str], ...]:
+        """The plan's edges as (src, dst) external ids.
 
         A read-only view built on each access; the sweep reads ``edge_pos``.
         """
         ids = self.network.external_ids
         src, dst = self.network.edge_src_indices, self.network.edge_dst_indices
-        return tuple((ids[src[p]], ids[dst[p]]) if p >= 0 else None for p in self.edge_pos.tolist())
+        return tuple((ids[src[p]], ids[dst[p]]) for p in self.edge_pos.tolist())
 
     def prefix(self, k: int) -> "DeletionPlan":
         """The same ranking truncated to budget ``k``."""
@@ -181,11 +176,9 @@ def plan_strategy(network: DirectedGraph, strategy: str, k: int, rng_seed: int =
 def save_plan(plan: DeletionPlan, path: str | Path) -> None:
     """Write ``strategy,k,seed`` header plus ``src<TAB>dst<TAB>score`` lines.
 
-    Ids come from the plan's network; a plan naming an edge outside it
-    (edge position -1) cannot be written.
+    Ids come from the plan's network.  The file is an export for people and
+    other tools; the sweep reads only the cache of :func:`save_plan_cache`.
     """
-    if (plan.edge_pos < 0).any():
-        raise InputError(f"{path}: the plan names edges that are not in its network")
     network = plan.network
     ids = network.external_ids
     src = network.edge_src_indices[plan.edge_pos].tolist()
@@ -195,141 +188,6 @@ def save_plan(plan: DeletionPlan, path: str | Path) -> None:
         fh.write(f"{plan.strategy},{plan.k},{seed_text}\n")
         for s, d, score in zip(src, dst, plan.scores.tolist()):
             fh.write(f"{ids[s]}\t{ids[d]}\t{score!r}\n")
-
-
-def load_plan(path: str | Path, network: DirectedGraph, strict: bool = False) -> DeletionPlan:
-    """Read a plan written by :func:`save_plan` against ``network``.
-
-    Both id columns are ranked together and each distinct id is looked up
-    once in the network; an edge the network lacks gets position -1, or
-    with ``strict`` is a :class:`ParseError` naming the first such line.
-    The body is read in blocks (see :func:`_plan_rows`): a block of exact
-    ``src<TAB>dst<TAB>score`` lines whose scores keep falling and stay
-    within ``k`` rows is read in bulk, any other block line by line, which
-    alone reports what is wrong with it.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        parts = header.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}: line 1: bad plan header {header!r}")
-        strategy, k_text, seed_text = parts
-        if strategy not in STRATEGIES:
-            raise ParseError(f"{path}: line 1: unknown strategy {strategy!r} in plan header")
-        try:
-            k = int(k_text)
-            if k < 0:
-                raise ValueError
-        except ValueError:
-            raise ParseError(f"{path}: line 1: bad budget {k_text!r} in plan header") from None
-        try:
-            seed = int(seed_text) if seed_text else None
-        except ValueError:
-            raise ParseError(f"{path}: line 1: bad seed {seed_text!r} in plan header") from None
-        body = fh.read()
-    src, dst, scores = _plan_rows(path, body, k)
-    ids, codes = _id_codes([*src, *dst], 2 * scores.size)
-    ends = network.indices_of(ids)[codes]
-    pos = network.positions_of(ends[: scores.size], ends[scores.size :])
-    if strict and (pos < 0).any():
-        first = int(np.argmax(pos < 0))
-        # Every non-empty line of a body that reads is one row.
-        lineno = [i for i, line in enumerate(body.split("\n"), start=2) if line][first]
-        src, dst = str(ids[codes[first]]), str(ids[codes[scores.size + first]])
-        raise ParseError(f"{path}: line {lineno}: plan edge {src!r} -> {dst!r} is not in the follow network")
-    return DeletionPlan(strategy, k, network, pos, scores, rng_seed=seed)
-
-
-def _plan_rows(path: str | Path, body: str, k: int) -> tuple:
-    """(src parts, dst parts, scores) of a plan body of at most ``k`` rows.
-
-    The body is read in blocks of about ``_BLOCK`` characters that end at a
-    line end, which keeps the temporaries small.  A block whose scores fall
-    on from the previous block's and whose rows keep the body within ``k``
-    is read in bulk (see :func:`_plan_block`), any other by
-    :func:`_plan_lines`.  Each block gives one part of each id column: int64
-    plain decimal values or a list of id strings, as
-    :func:`~cascadecut.ingest._id_codes` takes them.
-    """
-    parts = []
-    line, rows, previous = 1, 0, math.inf  # the last line read, the rows so far and the last score
-    start = 0
-    while start < len(body):
-        end = body.find("\n", min(start + _BLOCK, len(body)) - 1) + 1 or len(body)
-        block = body[start:end]
-        part = _plan_block(block)
-        scores = None if part is None else np.concatenate([[previous], part[2]])
-        if part is None or rows + part[2].size > k or np.isnan(scores).any() or (scores[1:] > scores[:-1]).any():
-            part = _plan_lines(path, block, k, line, rows, previous)
-            line += block.count("\n")
-        else:
-            line += part[2].size  # exact lines: one row per line
-        if part[2].size:
-            rows += part[2].size
-            previous = float(part[2][-1])
-        parts.append(part)
-        start = end
-    src, dst, scores = zip(*parts) if parts else ((), (), ())
-    return src, dst, np.concatenate([np.empty(0), *scores])
-
-
-def _plan_block(block: str) -> tuple | None:
-    """(src ids, dst ids, scores) of a block of exact plan lines, tokenized by
-    :func:`~cascadecut.graph._token_bounds`, or None for any other block or
-    a score ``float`` cannot read.  Only the scores, and ids that are not
-    plain decimals, become strings."""
-    bounds = _token_bounds(block, 3, digits=False)
-    if bounds is None:
-        return None
-    data, starts, ends, _ = bounds
-    lengths = ends - starts
-    # In exact lines one blank byte follows each token, a tab within a
-    # line, and one precedes the first token (the added line end); the only
-    # other blank may be a line end that closes the block.
-    blanks = data.size - int(lengths.sum())
-    if blanks != starts.size + 1 + (data[-2] == ord("\n")) or (data[ends.reshape(-1, 3)[:, :2]] != ord("\t")).any():
-        return None
-    scores = _token_strings(data, starts[2::3], ends[2::3])
-    try:
-        scores = np.fromiter(map(float, scores), dtype=np.float64, count=len(scores))
-    except ValueError:
-        return None
-    columns = []
-    for column in (0, 1):
-        ids = _decimals(data, starts[column::3], lengths[column::3], leading_zeros=False)
-        columns.append(_token_strings(data, starts[column::3], ends[column::3]) if ids is None else ids)
-    return (*columns, scores)
-
-
-def _plan_lines(path: str | Path, block: str, k: int, line: int, rows: int, previous: float) -> tuple:
-    """(src ids, dst ids, scores) of a block of a plan body read line by
-    line, after ``line`` lines, ``rows`` rows and the score ``previous``;
-    the first line that is not a plan edge is a :class:`ParseError`."""
-    src: list[str] = []
-    dst: list[str] = []
-    scores: list[float] = []
-    for lineno, text in enumerate(block.split("\n"), start=line + 1):
-        if not text:
-            continue
-        fields = text.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"{path}: line {lineno}: expected 3 fields, got {len(fields)}")
-        if rows + len(scores) == k:
-            raise ParseError(f"{path}: line {lineno}: more plan edges than the header's budget {k}")
-        try:
-            score = float(fields[2])
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: bad score {fields[2]!r}") from None
-        # One comparison per line; it is false for NaN as well.
-        if not score <= previous:
-            if math.isnan(score):
-                raise ParseError(f"{path}: line {lineno}: score is NaN")
-            raise ParseError(f"{path}: line {lineno}: score {score!r} rises above the previous {previous!r}")
-        previous = score
-        scores.append(score)
-        src.append(fields[0])
-        dst.append(fields[1])
-    return src, dst, np.array(scores, dtype=np.float64)
 
 
 def cache_header(strategy: str, k: int, rng_seed: int | None, network: DirectedGraph) -> dict:

@@ -15,7 +15,7 @@ is the single budget point of a whole plan.
 from __future__ import annotations
 
 import csv
-import logging
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -27,8 +27,6 @@ from .diffusion import DiffusionBatch, build_batch
 from .errors import InputError, InvariantError, ParseError
 from .graph import DirectedGraph
 from .ingest import CascadeTable
-
-logger = logging.getLogger(__name__)
 
 # Rank of a follow edge that no budget deletes.
 NEVER_DELETED = np.iinfo(np.int64).max
@@ -84,26 +82,16 @@ def plan_ranks(network: DirectedGraph, plan: DeletionPlan) -> np.ndarray:
 
     An edge's rank is the index of its first occurrence in
     ``plan.edge_pos``, or :data:`NEVER_DELETED` when the plan does not name
-    it, so a budget of k deletes exactly the edges ranked below k.  Plan
-    entries of -1 (edges not in the network) delete nothing but keep their
-    place in the ranking; their count is logged as one warning.  A plan
+    it, so a budget of k deletes exactly the edges ranked below k.  A plan
     made for another network (not ``network`` and of another
     :attr:`~cascadecut.graph.DirectedGraph.fingerprint`) is an
     :class:`InputError`, since its positions name other edges.
     """
     if plan.network is not network and plan.network.fingerprint != network.fingerprint:
         raise InputError(f"the {plan.strategy} plan was made for another follow network")
-    pos = plan.edge_pos
-    known = np.flatnonzero(pos >= 0)
-    unknown = pos.size - known.size
-    if unknown:
-        logger.warning(
-            "%s plan: %d of %d edge(s) not in the follow network; they delete nothing",
-            plan.strategy, unknown, pos.size,
-        )
     ranks = np.full(network.edge_count, NEVER_DELETED, dtype=np.int64)
     # A repeated edge keeps its first, smallest, rank.
-    np.minimum.at(ranks, pos[known], known)
+    np.minimum.at(ranks, plan.edge_pos, np.arange(plan.edge_pos.size))
     return ranks
 
 
@@ -195,30 +183,35 @@ def read_report_csv(path: str | Path) -> EstimateReport:
     """Read a file written by :func:`write_report_csv`.
 
     Every row must name the first row's strategy, variant and k, and each
-    cascade once; any other row is a :class:`ParseError` naming its line.
+    cascade once; any other row is a :class:`ParseError` naming its line,
+    and text that is not UTF-8 one naming the file.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(REPORT_HEADER):
-            raise InputError(f"{path}: unexpected report header {header!r}")
-        first = None
-        rows: dict[str, CascadeResult] = {}
-        for fields in reader:
-            if not fields:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(fields) != len(REPORT_HEADER):
-                raise ParseError(f"{where}: expected {len(REPORT_HEADER)} fields, got {len(fields)}")
-            try:
-                key = (fields[0], fields[1], int(fields[2]))
-                row = CascadeResult(fields[3], int(fields[4]), int(fields[5]), int(fields[6]))
-            except ValueError:
-                raise ParseError(f"{where}: expected integer k and sizes, got {fields!r}") from None
-            first = first or key
-            if key != first:
-                raise ParseError(f"{where}: strategy, variant and k {key!r} differ from the first row's {first!r}")
-            if row.cascade_id in rows:
-                raise ParseError(f"{where}: cascade {row.cascade_id!r} repeated")
-            rows[row.cascade_id] = row
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != list(REPORT_HEADER):
+        raise InputError(f"{path}: unexpected report header {header!r}")
+    first = None
+    rows: dict[str, CascadeResult] = {}
+    for fields in reader:
+        if not fields:
+            continue
+        where = f"{path}: line {reader.line_num}"
+        if len(fields) != len(REPORT_HEADER):
+            raise ParseError(f"{where}: expected {len(REPORT_HEADER)} fields, got {len(fields)}")
+        try:
+            key = (fields[0], fields[1], int(fields[2]))
+            row = CascadeResult(fields[3], int(fields[4]), int(fields[5]), int(fields[6]))
+        except ValueError:
+            raise ParseError(f"{where}: expected integer k and sizes, got {fields!r}") from None
+        first = first or key
+        if key != first:
+            raise ParseError(f"{where}: strategy, variant and k {key!r} differ from the first row's {first!r}")
+        if row.cascade_id in rows:
+            raise ParseError(f"{where}: cascade {row.cascade_id!r} repeated")
+        rows[row.cascade_id] = row
     return EstimateReport.from_rows(*(first or ("", "", 0)), rows.values())

@@ -20,16 +20,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .deletion import (
-    RANDOM,
-    STRATEGIES,
-    DeletionPlan,
-    cache_header,
-    load_plan,
-    plan_strategy,
-    read_plan_cache,
-    save_plan_cache,
-)
+from .deletion import STRATEGIES, DeletionPlan, cache_header, plan_strategy, read_plan_cache, save_plan_cache
 from .diffusion import NON_TREE, VARIANTS, build_batch, gather_candidates
 from .errors import ConvergenceError, InputError, ParseError
 from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_report_csv
@@ -85,6 +76,10 @@ class ExperimentConfig:
         for f in fractions:
             if not 0.0 <= f <= 1.0:
                 raise InputError(f"budget fraction {f} outside [0, 1]")
+        # Report file names and summary rows carry the fraction as printed.
+        for f, g in zip(fractions, fractions[1:]):
+            if f"{f:g}" == f"{g:g}":
+                raise InputError(f"budget fractions {f!r} and {g!r} both print as {f:g}")
         self.budget_fractions = tuple(fractions)
 
 
@@ -136,6 +131,8 @@ def load_network(edges_path: Path, strict_parse: bool) -> DirectedGraph:
             return read_network(fh, strict=strict_parse)
     except OSError as exc:
         raise InputError(f"ingest: cannot read edges file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{edges_path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, CascadeTable]:
@@ -146,6 +143,8 @@ def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, CascadeTable]
             table = load_cascades(fh, strict=config.strict_parse)
     except OSError as exc:
         raise InputError(f"ingest: cannot read cascades file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{config.cascades_path}: not UTF-8 text ({exc.reason})") from None
     kept = filter_cascades(table, config.min_cascade_size)
     logger.info(
         "loaded %d nodes, %d edges, %d/%d cascades at min size %d",
@@ -211,29 +210,22 @@ def _materialise_plan(
     strategy: str,
     max_budget: int,
 ) -> tuple[DeletionPlan, Path]:
-    """Reuse a cached plan when it fits, else compute one and cache it.
+    """Reuse the cached plan when it fits, else compute one and cache it.
 
-    ``plan_<strategy>.npz`` is reused when its header names this network's
-    fingerprint, the strategy and its parameters.  Only when there is no
-    ``.npz`` is a text ``plan_<strategy>.tsv`` (a hand-written plan or a
-    ``plan`` export) read, and reused when its strategy and seed match; it
-    names no network, so only its edges can be checked.  A ``.tsv`` beside
-    a ``.npz`` that does not match is skipped: ``plan`` writes both, so it
-    is most likely as stale.  Either way the plan's first
-    min(max_budget, |E|) entries must be distinct edges of ``network``; with
-    ``strict_parse``, a ``.tsv`` naming any edge outside ``network`` is a
-    :class:`ParseError` instead.  A new plan is cached as ``.npz``; a
-    ``.tsv`` is never written.
+    ``plan_<strategy>.npz`` is the one plan input: it is reused when its
+    header names this network's fingerprint, the strategy and its
+    parameters, and its first min(max_budget, |E|) entries are distinct
+    edges of ``network``.  A text ``plan_<strategy>.tsv`` (the export of
+    ``plan``) names no network and is never read.
     """
     cache = config.out_dir / f"plan_{strategy}.npz"
-    path = cache if cache.exists() else cache.with_suffix(".tsv")
-    if path.exists():
-        cached, why = _read_cached(path, network, strategy, config.rng_seed, config.strict_parse)
+    if cache.exists():
+        cached, why = _read_cached(cache, network, strategy, config.rng_seed)
         why = why or _unusable(cached, min(max_budget, network.edge_count))
         if why is None:
-            logger.info("reusing cached %s plan from %s", strategy, path)
-            return cached, path
-        logger.info("cached plan at %s %s; recomputing", path, why)
+            logger.info("reusing cached %s plan from %s", strategy, cache)
+            return cached, cache
+        logger.info("cached plan at %s %s; recomputing", cache, why)
     try:
         plan = plan_strategy(network, strategy, max_budget, rng_seed=config.rng_seed)
     except ConvergenceError as exc:
@@ -245,21 +237,9 @@ def _materialise_plan(
 
 
 def _read_cached(
-    path: Path, network: DirectedGraph, strategy: str, rng_seed: int, strict_parse: bool
+    path: Path, network: DirectedGraph, strategy: str, rng_seed: int
 ) -> tuple[DeletionPlan | None, str | None]:
-    """A cached plan file's plan, and why it does not match the sweep (None if it does).
-
-    With ``strict_parse``, a text plan naming an edge outside ``network``
-    is a :class:`ParseError`.
-    """
-    if path.suffix == ".tsv":
-        logger.info("%s carries no network fingerprint; only its edges can be checked", path)
-        plan = load_plan(path, network, strict=strict_parse)
-        if plan.strategy != strategy:
-            return None, f"holds a {plan.strategy} plan"
-        if strategy == RANDOM and plan.rng_seed != rng_seed:
-            return None, f"was drawn with seed {plan.rng_seed}, not {rng_seed}"
-        return plan, None
+    """A plan cache's plan, and why it does not match the sweep (None if it does)."""
     try:
         header, edge_pos, scores = read_plan_cache(path)
     except (ParseError, OSError) as exc:
@@ -279,6 +259,6 @@ def _unusable(plan: DeletionPlan, needed: int) -> str | None:
     head = plan.edge_pos[:needed]
     if head.size < needed:
         return f"ranks {head.size} of the {needed} edge(s) needed"
-    if head.min(initial=0) < 0 or _sorted_unique(head.copy()).size < needed:
+    if _sorted_unique(head.copy()).size < needed:
         return f"does not name {needed} distinct edges of this network"
     return None

@@ -6,9 +6,8 @@ in compressed sparse form, forward on construction and reverse (with the id
 lookup tables) on first use.  Plain decimal ids may be held as int64
 values, whose strings are built only when asked for.  Nodes and edges are
 addressed by dense id and canonical edge position; external ids are looked
-up in bulk only, through :meth:`DirectedGraph.indices_of`; the canonical
-positions of dense-id edges come from :meth:`DirectedGraph.positions_of`.
-On top of it this module provides directed edge betweenness (Brandes-style
+up in bulk only, through :meth:`DirectedGraph.indices_of`.  On top of it
+this module provides directed edge betweenness (Brandes-style
 accumulation) and the leading eigenpair of the adjacency matrix via power
 iteration.  It also holds the one scanner of id text (:func:`_token_bounds`),
 which the file readers and :func:`decimal_values` share.
@@ -238,32 +237,6 @@ class DirectedGraph:
         rep, pos = _slice_gather(indptr, node_indices)
         return rep, sources[pos], edge_pos[pos]
 
-    def positions_of(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Canonical position of each dense-id edge ``src[i] -> dst[i]``, -1
-        where it is not an edge or either end is -1.
-
-        Canonical edges are sorted by (src, dst), so their codes ``src * n +
-        dst`` are sorted, and the wanted codes are searched in sorted order.
-        """
-        pos = np.full(src.size, -1, dtype=np.int64)
-        known = np.flatnonzero((src >= 0) & (dst >= 0))
-        if not self.edge_count or not known.size:
-            return pos
-        n = np.int64(self.node_count)
-        # Codes are built in place: plans and networks can be large.
-        wanted = src[known] * n
-        wanted += dst[known]
-        order = np.argsort(wanted)
-        wanted = wanted[order]
-        codes = self._edge_src * n
-        codes += self._edge_dst
-        at = np.searchsorted(codes, wanted)
-        np.minimum(at, codes.size - 1, out=at)
-        hit = codes[at] == wanted
-        del codes
-        pos[known[order[hit]]] = at[hit]
-        return pos
-
     def __repr__(self) -> str:
         return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
 
@@ -366,8 +339,8 @@ def _token_bounds(block: str, width: int, digits: bool) -> tuple[np.ndarray, np.
     is a digit with ``digits``, else any byte above space but ``#`` and
     DEL, so non-ASCII text is token bytes.  The bytes are the block's
     between two added line ends, so every token starts and ends inside
-    them.  This is the one scanner of id text: the bulk readers,
-    :func:`decimal_values` and the plan reader use it.
+    them.  This is the one scanner of id text: the bulk edge and event
+    readers and :func:`decimal_values` use it.
     """
     data = np.frombuffer(f"\n{block}\n".encode("utf-8", "surrogatepass"), dtype=np.uint8)
     if digits:

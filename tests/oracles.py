@@ -676,9 +676,10 @@ def string_fingerprint(network):
     return digest.hexdigest()
 
 
-def line_load_plan(path, network, strict=False):
+def line_load_plan(path, network):
     """The earlier plan reader: one split, float and score check per line,
-    edges resolved through :func:`dict_edge_positions`."""
+    edges resolved through :func:`dict_edge_positions`.  The package no
+    longer reads plan text; tests read ``save_plan``'s files back with it."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         parts = header.split(",")
@@ -697,7 +698,7 @@ def line_load_plan(path, network, strict=False):
             seed = int(seed_text) if seed_text else None
         except ValueError:
             raise ParseError(f"{path}: line 1: bad seed {seed_text!r} in plan header") from None
-        edges, scores, linenos = [], [], []
+        edges, scores = [], []
         previous = math.inf
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
@@ -719,12 +720,7 @@ def line_load_plan(path, network, strict=False):
             previous = score
             scores.append(score)
             edges.append((fields[0], fields[1]))
-            linenos.append(lineno)
     pos = np.array(dict_edge_positions(network, edges), dtype=np.int64)
-    if strict and (pos < 0).any():
-        first = int(np.argmax(pos < 0))
-        src, dst = edges[first]
-        raise ParseError(f"{path}: line {linenos[first]}: plan edge {src!r} -> {dst!r} is not in the follow network")
     return DeletionPlan(strategy, k, network, pos, np.array(scores, dtype=np.float64), rng_seed=seed)
 
 

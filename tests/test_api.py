@@ -20,12 +20,13 @@ PUBLIC = {
     "NETMELT", "NON_TREE", "ParseError", "RANDOM", "STRATEGIES", "TREE_FIRST", "TREE_LAST", "VARIANTS",
     "betweenness_scores", "build_batch", "build_graph", "build_variant", "compute_stats", "estimate_budgets",
     "filter_cascades", "iter_follow_edges", "leading_eigenpair", "load_cascades", "load_higgs_activity",
-    "load_plan", "plan_betweenness", "plan_edge_degree", "plan_netmelt", "plan_random", "plan_ranks",
+    "plan_betweenness", "plan_edge_degree", "plan_netmelt", "plan_random", "plan_ranks",
     "plan_strategy", "read_network", "read_plan_cache", "read_report_csv", "run_estimation", "run_sweep",
     "save_plan", "save_plan_cache", "scatter_report", "seed_analysis", "to_dot", "write_report_csv",
 }
 
-# Each removed name with where it lived; the sweep's integer path replaced them.
+# Each removed name with where it lived; the sweep's integer path and its
+# one plan input, the .npz cache, replaced them.
 REMOVED = [
     (estimator, "apply_deletion"),
     (estimator, "estimate_size"),
@@ -46,6 +47,11 @@ REMOVED = [
     (ingest.CascadeTable, "from_logs"),
     (ingest.CascadeTable, "__getitem__"),
     (ingest.CascadeTable, "__iter__"),
+    (deletion, "load_plan"),
+    (deletion, "_plan_rows"),
+    (deletion, "_plan_block"),
+    (deletion, "_plan_lines"),
+    (graph.DirectedGraph, "positions_of"),
     (deletion, "_METHODS"),
     (deletion.DeletionPlan, "method"),
     (experiment, "build_variant"),
@@ -54,7 +60,7 @@ REMOVED = [
 
 
 def test_all_names_the_public_surface():
-    assert len(cascadecut.__all__) == len(set(cascadecut.__all__)) == 54
+    assert len(cascadecut.__all__) == len(set(cascadecut.__all__)) == 53
     assert set(cascadecut.__all__) == PUBLIC
 
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cascadecut import DirectedGraph, InvariantError, ParseError, read_plan_cache
+from cascadecut import DeletionPlan, InvariantError, ParseError, read_plan_cache
 from cascadecut.cli import (
     EXIT_CONVERGENCE,
     EXIT_INPUT,
@@ -117,16 +121,13 @@ class TestSweep:
         )
         assert code == EXIT_INPUT
 
-    def test_strict_parse_plan_edge_outside_the_network_exits_1(self, tmp_path, capsys):
-        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+    def test_fractions_that_print_alike_exit_1(self, dataset, tmp_path, capsys):
+        # Both would write report_<s>_<v>_0.1.csv and a summary row "0.1".
+        edges_path, cascades_path = dataset
         out = tmp_path / "out"
-        out.mkdir()
-        plan_path = out / "plan_netmelt.tsv"
-        plan_path.write_text("netmelt,2,\n5\t1\t0.5\n1\t8\t0.25\n", encoding="utf-8")
-        argv = _sweep_args(edges_path, cascades_path, out, "--strategies", "netmelt", "--fractions", "0.25")
-        assert main([*argv, "--strict-parse"]) == EXIT_INPUT
-        assert f"error [parse]: {plan_path}: line 3: plan edge '1' -> '8'" in capsys.readouterr().err
-        assert main(argv) == EXIT_OK
+        assert main(_sweep_args(edges_path, cascades_path, out, "--fractions", "0.1,0.1000001")) == EXIT_INPUT
+        assert "error [input]: budget fractions 0.1 and 0.1000001 both print as 0.1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_netmelt_non_convergence_exits_2(self, tmp_path, capsys):
         edges_path = tmp_path / "edges.tsv"
@@ -165,27 +166,6 @@ class TestSweep:
             ]
         )
         assert code == EXIT_INVARIANT
-
-    def test_cached_plan_with_bad_seed_exits_1(self, dataset, tmp_path, capsys):
-        edges_path, cascades_path = dataset
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "plan_random.tsv").write_text("random,2,abc\n1\t2\t0.0\n", encoding="utf-8")
-        code = main(
-            [
-                "sweep",
-                "--edges", str(edges_path),
-                "--cascades", str(cascades_path),
-                "--min-size", "0",
-                "--strategies", "random",
-                "--out", str(out),
-            ]
-        )
-        assert code == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert "error [parse]" in err
-        assert "plan_random.tsv" in err
-
 
     def test_repeated_names_give_one_summary_row_each(self, dataset, tmp_path, capsys):
         edges_path, cascades_path = dataset
@@ -238,8 +218,8 @@ class TestPlanCommand:
             argv = ["plan", "--edges", str(edges_path), "--strategy", strategy, "--fraction", "1", "--out", str(out)]
             assert main(argv) == EXIT_OK
         calls = []
-        resolve = DirectedGraph.positions_of
-        monkeypatch.setattr(DirectedGraph, "positions_of", lambda *a: calls.append(a) or resolve(*a))
+        view = DeletionPlan.ranked_edges.fget
+        monkeypatch.setattr(DeletionPlan, "ranked_edges", property(lambda plan: calls.append(plan) or view(plan)))
         with caplog.at_level("INFO", logger="cascadecut.experiment"):
             assert main(_sweep_args(edges_path, cascades_path, out, "--strategies", "netmelt,random")) == EXIT_OK
         assert calls == []
@@ -680,3 +660,33 @@ class TestUsageErrors:
         argv = [command, "--edges", str(tmp_path / "nope.tsv"), *extra]
         assert main(argv) == EXIT_INPUT
         assert "error [input]: ingest: cannot read edges file" in capsys.readouterr().err
+
+
+class TestTextThatIsNotUtf8:
+    """A file of any kind that is not UTF-8 is a parse error naming it, not a traceback."""
+
+    @pytest.mark.parametrize("kind", ["edges", "cascades", "config", "report"])
+    def test_exits_1_naming_the_file(self, dataset, tmp_path, kind):
+        edges_path, cascades_path = dataset
+        bad = tmp_path / f"bad-{kind}"
+        bad.write_bytes({
+            "edges": b"a\tb\n\xff\tc\n",
+            "cascades": b"t\ta\t1\nt\t\xff\t2\n",
+            "config": b"min_size=0\n# \xff\n",
+            "report": b"strategy,variant,k,cascade_id,original_size,estimated_size,seed_count\n\xff\n",
+        }[kind])
+        out = tmp_path / "out"
+        argv = {
+            "edges": ["stats", "--edges", str(bad), "--cascades", str(cascades_path)],
+            "cascades": ["stats", "--edges", str(edges_path), "--cascades", str(bad)],
+            "config": ["stats", "--config", str(bad), "--edges", str(edges_path), "--cascades", str(cascades_path)],
+            "report": ["scatter", "--report", str(bad), "--out", str(out)],
+        }[kind]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-m", "cascadecut.cli", *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == EXIT_INPUT
+        [error] = [line for line in done.stderr.splitlines() if line.startswith("error")]
+        assert error.startswith("error [parse]: ") and error.endswith(f"{bad}: not UTF-8 text (invalid start byte)")
+        assert "Traceback" not in done.stderr
+        assert not out.exists()

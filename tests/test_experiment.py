@@ -23,7 +23,6 @@ from cascadecut import (
     ExperimentConfig,
     InputError,
     NON_TREE,
-    ParseError,
     STRATEGIES,
     VARIANTS,
     build_batch,
@@ -32,15 +31,17 @@ from cascadecut import (
     read_plan_cache,
     run_estimation,
     run_sweep,
+    save_plan,
     save_plan_cache,
     scatter_report,
     seed_analysis,
 )
 from cascadecut import diffusion, experiment, graph, ingest
+from cascadecut.deletion import cache_header
 from cascadecut.estimator import CascadeResult
 from cascadecut.experiment import budget_for, load_network, write_gnuplot_script
 from conftest import one_variant, random_instance, write_eight_node_dataset
-from oracles import CascadeLog, dict_edge_positions, per_budget_sweep, table_of
+from oracles import CascadeLog, dict_edge_positions, graph_edges, per_budget_sweep, table_of
 
 
 def read_summary(out_dir):
@@ -85,6 +86,11 @@ class TestConfigValidation:
         )
         assert config.strategies == ("random", "netmelt")
         assert config.variants == ("tree-last", "non-tree")
+
+    def test_fractions_that_print_alike_rejected(self, tmp_path):
+        with pytest.raises(InputError, match=r"budget fractions 0\.30000000000000004 and 0\.3000001 both print as 0\.3"):
+            self._config(tmp_path, budget_fractions=(0.1, 0.3000001, 0.1 + 0.2))
+        assert self._config(tmp_path, budget_fractions=(0.3, 0.300001)).budget_fractions == (0.3, 0.300001)
 
     def test_fraction_out_of_range_rejected(self, tmp_path):
         with pytest.raises(InputError):
@@ -219,11 +225,11 @@ class TestRunSweep:
         edges_path, cascades_path = write_eight_node_dataset(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
-        # A hand-written plan cached under the netmelt strategy name: the
-        # sweep must reuse it instead of recomputing scores.
-        (out / "plan_netmelt.tsv").write_text(
-            "netmelt,2,\n5\t1\t0.5\n6\t3\t0.25\n", encoding="utf-8"
-        )
+        # A hand-made plan cached under the netmelt strategy name: the sweep
+        # must reuse it instead of recomputing scores.
+        network = load_network(edges_path, False)
+        pos = dict_edge_positions(network, [("5", "1"), ("6", "3")])
+        save_plan_cache(DeletionPlan("netmelt", 2, network, pos, [0.5, 0.25]), out / "plan_netmelt.npz")
         config = ExperimentConfig(
             edges_path=edges_path,
             cascades_path=cascades_path,
@@ -266,19 +272,24 @@ class TestRunSweep:
         assert all("has fingerprint" in message for message in recomputed)
 
     @pytest.mark.parametrize(
-        "body",
-        ["5\t1\t0.5\nzz\t3\t0.25\n", "5\t1\t0.5\n5\t1\t0.25\n6\t3\t0.0\n"],
+        "edges, reason",
+        [
+            ([("5", "1"), None], "does not fit this network (edge_pos must hold edge positions of the network)"),
+            ([("5", "1"), ("5", "1"), ("6", "3")], "does not name 2 distinct edges of this network"),
+        ],
         ids=["unknown-edge", "duplicate-edge"],
     )
-    def test_cached_plan_with_foreign_or_repeated_edges_is_recomputed(self, tmp_path, caplog, body):
+    def test_cached_plan_with_foreign_or_repeated_edges_is_recomputed(self, tmp_path, caplog, edges, reason):
+        # None stands for -1, the position of an edge the network lacks.
         edges_path, cascades_path = write_eight_node_dataset(tmp_path)
-        planted = f"netmelt,3,\n{body}".encode()
+        network = load_network(edges_path, False)
+        pos = [-1 if edge is None else dict_edge_positions(network, [edge])[0] for edge in edges]
         outputs = []
         for name in ("fresh", "cached"):
             out = tmp_path / name
             out.mkdir()
             if name == "cached":
-                (out / "plan_netmelt.tsv").write_bytes(planted)
+                plant_cache(out / "plan_netmelt.npz", network, "netmelt", pos, [0.5, 0.25, 0.0][: len(pos)])
             config = ExperimentConfig(
                 edges_path=edges_path,
                 cascades_path=cascades_path,
@@ -290,23 +301,17 @@ class TestRunSweep:
             with caplog.at_level("INFO", logger="cascadecut.experiment"):
                 run_sweep(config)
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert outputs[1].pop("plan_netmelt.tsv") == planted
         assert outputs[0] == outputs[1]
-        assert "does not name 2 distinct edges of this network; recomputing" in caplog.text
+        assert f"cached plan at {tmp_path / 'cached' / 'plan_netmelt.npz'} {reason}; recomputing" in caplog.text
 
     def test_sweep_resolves_plan_strings_only_when_loading_a_cached_plan(self, tmp_path, monkeypatch):
         calls = Counter()
-        resolve, view = DirectedGraph.positions_of, DeletionPlan.ranked_edges.fget
-
-        def counting_resolve(network, src, dst):
-            calls["positions_of"] += 1
-            return resolve(network, src, dst)
+        view = DeletionPlan.ranked_edges.fget
 
         def counting_view(plan):
             calls["ranked_edges"] += 1
             return view(plan)
 
-        monkeypatch.setattr(DirectedGraph, "positions_of", counting_resolve)
         monkeypatch.setattr(DeletionPlan, "ranked_edges", property(counting_view))
         edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(223))
         config = ExperimentConfig(
@@ -320,7 +325,7 @@ class TestRunSweep:
         assert calls == Counter()
         run_sweep(config)
         assert calls == Counter()
-        # A text plan is the one cache whose ids are resolved: once, by load_plan.
+        # A text plan beside no cache is not read, so no id is resolved either.
         network = load_network(edges_path, False)
         ids, src, dst = network.external_ids, network.edge_src_indices, network.edge_dst_indices
         text = "".join(f"{ids[src[p]]}\t{ids[dst[p]]}\t{1.0 - p / 4}\n" for p in range(2))
@@ -328,7 +333,7 @@ class TestRunSweep:
         only_text.mkdir()
         (only_text / "plan_netmelt.tsv").write_text(f"netmelt,2,\n{text}", encoding="utf-8")
         run_sweep(replace(config, out_dir=only_text, strategies=("netmelt",)))
-        assert calls == Counter(positions_of=1)
+        assert calls == Counter()
 
     def test_matches_hand_composition(self, tmp_path):
         rng = random.Random(193)
@@ -478,6 +483,14 @@ def sweep_files(edges_path, cascades_path, out, **options):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
+def plant_cache(path, network, strategy, edge_pos, scores):
+    """Write a plan cache whose header matches ``network`` and ``strategy``
+    around arrays that need not make a plan."""
+    header = json.dumps(cache_header(strategy, len(edge_pos), None, network), sort_keys=True)
+    np.savez(path, header=np.array(header), edge_pos=np.array(edge_pos, dtype=np.int64),
+             scores=np.array(scores, dtype=np.float64))
+
+
 def recomputing(caplog):
     return [r.getMessage() for r in caplog.records if r.getMessage().endswith("; recomputing")]
 
@@ -604,64 +617,35 @@ class TestPlanCache:
         assert f"reusing cached netmelt plan from {out / 'plan_netmelt.npz'}" in caplog.text
         assert not recomputing(caplog)
 
-    def test_text_plan_without_a_cache_is_reused_and_left_alone(self, tmp_path, caplog):
-        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+    @pytest.mark.parametrize("planted", ["stale-export", "malformed", "not-utf8"])
+    def test_a_text_plan_is_never_read(self, tmp_path, caplog, planted):
+        # The sweep's edge file is another one's with edges added over the
+        # same ids, so every edge of the other file's export is in this
+        # network, yet its ranking is not this network's.  Strict parsing
+        # concerns the edge and cascade files only.
+        rng = random.Random(331)
+        older, cascades_path = write_random_dataset(tmp_path, rng, n_cascades=6, max_nodes=16)
+        old = load_network(older, False)
+        ids, edges = old.external_ids, set(graph_edges(old))
+        extra = [(a, b) for a in ids for b in ids if a != b and (a, b) not in edges]
+        edges_path = tmp_path / "edges-2.tsv"
+        added = rng.sample(extra, old.edge_count // 5)
+        edges_path.write_text(older.read_text() + "".join(f"{a}\t{b}\n" for a, b in added), encoding="utf-8")
         out = tmp_path / "out"
         out.mkdir()
-        planted = b"netmelt,2,\n5\t1\t0.5\n6\t3\t0.25\n"
-        (out / "plan_netmelt.tsv").write_bytes(planted)
+        text = out / "plan_edge-degree.tsv"
+        if planted == "stale-export":
+            save_plan(plan_strategy(old, "edge-degree", old.edge_count), text)
+        else:
+            text.write_bytes(b"edge-degree,x,\n" if planted == "malformed" else b"edge-degree,1,\n\xff\tu\t1.0\n")
+        before = text.read_bytes()
+        options = {"strategies": ("edge-degree",), "budget_fractions": (0.1, 0.3, 0.5), "strict_parse": True}
+        want = sweep_files(edges_path, cascades_path, tmp_path / "fresh", **options)
         with caplog.at_level("INFO", logger="cascadecut.experiment"):
-            got = sweep_files(edges_path, cascades_path, out, strategies=("netmelt",), variants=("non-tree",))
-        assert got["plan_netmelt.tsv"] == planted
-        assert "plan_netmelt.npz" not in got
-        assert f"{out / 'plan_netmelt.tsv'} carries no network fingerprint" in caplog.text
-        assert read_summary(out) == [["netmelt", "non-tree", "2", "0.25", "5", "8"]]
-
-    def test_text_plan_edge_outside_the_network_is_recomputed(self, tmp_path, caplog):
-        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
-        want = sweep_files(edges_path, cascades_path, tmp_path / "fresh", strategies=("netmelt",))
-        out = tmp_path / "out"
-        out.mkdir()
-        # 1 -> 8 joins two users of the network, but no one follows that way.
-        planted = b"netmelt,2,\n5\t1\t0.5\n1\t8\t0.25\n"
-        (out / "plan_netmelt.tsv").write_bytes(planted)
-        with caplog.at_level("INFO", logger="cascadecut.experiment"):
-            got = sweep_files(edges_path, cascades_path, out, strategies=("netmelt",))
-        assert recomputing(caplog) == [
-            f"cached plan at {out / 'plan_netmelt.tsv'} does not name 2 distinct edges of this network; recomputing"
-        ]
-        assert got.pop("plan_netmelt.tsv") == planted
-        assert got == want
-
-    @pytest.mark.parametrize(
-        "planted, line, edge",
-        [
-            ("netmelt,2,\n5\t1\t0.5\n1\t8\t0.25\n", 3, "'1' -> '8'"),
-            # Past the budget the sweep needs, after a blank line, and with an
-            # id the network lacks: every line is checked.
-            ("netmelt,4,\n5\t1\t0.5\n6\t3\t0.25\n\nghost\t1\t0.125\n", 5, "'ghost' -> '1'"),
-        ],
-        ids=["in-budget", "past-budget"],
-    )
-    def test_strict_parse_rejects_a_text_plan_edge_outside_the_network(self, tmp_path, planted, line, edge):
-        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "plan_netmelt.tsv").write_text(planted, encoding="utf-8")
-        with pytest.raises(ParseError) as caught:
-            sweep_files(edges_path, cascades_path, out, strategies=("netmelt",), strict_parse=True)
-        assert str(caught.value) == (
-            f"{out / 'plan_netmelt.tsv'}: line {line}: plan edge {edge} is not in the follow network"
-        )
-        assert [p.name for p in out.iterdir()] == ["plan_netmelt.tsv"]
-
-    def test_strict_parse_reuses_a_text_plan_inside_the_network(self, tmp_path):
-        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "plan_netmelt.tsv").write_text("netmelt,2,\n5\t1\t0.5\n6\t3\t0.25\n", encoding="utf-8")
-        sweep_files(edges_path, cascades_path, out, strategies=("netmelt",), variants=("non-tree",), strict_parse=True)
-        assert read_summary(out) == [["netmelt", "non-tree", "2", "0.25", "5", "8"]]
+            got = sweep_files(edges_path, cascades_path, out, **options)
+        assert got.pop(text.name) == before
+        assert "plan_edge-degree.npz" in got and got == want
+        assert str(text) not in caplog.text
 
     def test_cache_bytes_depend_on_neither_time_nor_directory(self, tmp_path, monkeypatch):
         edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(311))

@@ -159,8 +159,17 @@ class TestBuildGraph:
 
 
 def edge_positions(g, pairs):
-    """Canonical position of each (src, dst) id pair through the bulk lookups."""
-    return g.positions_of(g.indices_of([src for src, _ in pairs]), g.indices_of([dst for _, dst in pairs]))
+    """Canonical position of each (src, dst) id pair, -1 where there is none:
+    the ends through the bulk id lookup, then a binary search of the edge
+    codes ``src * n + dst``, which canonical (src, dst) order keeps sorted."""
+    src = g.indices_of([src for src, _ in pairs])
+    dst = g.indices_of([dst for _, dst in pairs])
+    codes = g.edge_src_indices * g.node_count + g.edge_dst_indices
+    if not codes.size:
+        return np.full(len(pairs), -1, dtype=np.int64)
+    wanted = src * g.node_count + dst
+    at = np.minimum(np.searchsorted(codes, wanted), codes.size - 1)
+    return np.where((src >= 0) & (dst >= 0) & (codes[at] == wanted), at, -1)
 
 
 def numeric_digraph(rng, n, p):
@@ -265,12 +274,6 @@ class TestIntegerIdLookup:
     def test_integer_queries_of_a_string_graph(self):
         g = build_graph([("7", "x"), ("10", "7")])
         assert g.indices_of(np.array([10, 7, 8], dtype=np.int64)).tolist() == [0, 1, -1]
-
-    def test_positions_of_dense_ids(self):
-        g = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
-        src, dst = np.array([2, 0, -1, 1, 0]), np.array([0, 1, 0, -1, 2])
-        assert g.positions_of(src, dst).tolist() == [2, 0, -1, -1, -1]
-        assert build_graph([], nodes=["a"]).positions_of(np.array([0]), np.array([0])).tolist() == [-1]
 
 
 # Ids drawn from this pool collide often (duplicates, self-loops) and mix

@@ -58,7 +58,7 @@ def test_import_loads_no_submodule_until_a_name_is_used():
     code = (
         "import json, sys, cascadecut\n"
         "before = sorted(m for m in sys.modules if m.startswith('cascadecut.'))\n"
-        "cascadecut.load_plan\n"
+        "cascadecut.save_plan\n"
         "print(json.dumps([before, 'cascadecut.deletion' in sys.modules]))"
     )
     assert run_fresh(code) == [[], True]

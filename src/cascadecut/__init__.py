@@ -53,8 +53,7 @@ _EXPORTS = {
     ),
     "errors": ("CascadecutError", "ConvergenceError", "InputError", "InvariantError", "ParseError"),
     "estimator": (
-        "CascadeResult", "EstimateReport", "estimate_budgets", "plan_ranks", "read_report_csv",
-        "run_estimation", "write_report_csv",
+        "EstimateReport", "estimate_budgets", "plan_ranks", "read_report_csv", "run_estimation", "write_report_csv",
     ),
     "experiment": ("DEFAULT_FRACTIONS", "ExperimentConfig", "run_sweep", "scatter_report", "seed_analysis"),
     "graph": ("DirectedGraph", "EigenPair", "betweenness_scores", "build_graph", "leading_eigenpair"),

@@ -23,7 +23,7 @@ from pathlib import Path
 from .deletion import STRATEGIES, plan_strategy, save_plan, save_plan_cache
 from .diffusion import NON_TREE, VARIANTS, build_variant, to_dot
 from .errors import ConvergenceError, InputError, InvariantError, ParseError
-from .estimator import read_report_csv
+from .estimator import read_report_csv, write_csv
 from .experiment import (
     DEFAULT_FRACTIONS,
     DEFAULT_MAX_SEED_ANALYSIS_SIZE,
@@ -31,7 +31,6 @@ from .experiment import (
     SCATTER_HEADER,
     SEEDS_HEADER,
     ExperimentConfig,
-    _write_csv,
     budget_for,
     load_dataset,
     load_network,
@@ -318,19 +317,16 @@ def _cmd_sweep(args, setting) -> int:
 def _cmd_seeds(args, setting) -> int:
     network, kept = load_dataset(_dataset(setting, out_dir=setting("out")))
     rows = seed_analysis(network, kept, max_size=args.max_size)
-    out = _out_dir(setting)
-    path = out / "seeds.csv"
-    _write_csv(path, SEEDS_HEADER, rows)
+    path = _out_dir(setting) / "seeds.csv"
+    write_csv(path, SEEDS_HEADER, rows)
     print(path)
     return EXIT_OK
 
 
 def _cmd_scatter(args, setting) -> int:
-    report = read_report_csv(args.report)
-    rows = scatter_report(report)
-    out = _out_dir(setting)
-    path = out / f"scatter_{Path(args.report).stem}.csv"
-    _write_csv(path, SCATTER_HEADER, rows)
+    rows = scatter_report(read_report_csv(args.report))
+    path = _out_dir(setting) / f"scatter_{Path(args.report).stem}.csv"
+    write_csv(path, SCATTER_HEADER, rows)
     print(path)
     return EXIT_OK
 

@@ -9,16 +9,18 @@ the deletion cut off.
 
 Plan prefixes are nested, so :func:`estimate_budgets` gives the sizes at
 every budget in one pass over integer edge arrays; :func:`run_estimation`
-is the single budget point of a whole plan.
+is the single budget point of a whole plan.  An :class:`EstimateReport`
+holds one budget point as int64 columns, and :func:`write_csv` writes it
+and every other figure-data file.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,47 +36,50 @@ NEVER_DELETED = np.iinfo(np.int64).max
 REPORT_HEADER = ("strategy", "variant", "k", "cascade_id", "original_size", "estimated_size", "seed_count")
 
 
-class CascadeResult(NamedTuple):
-    cascade_id: str
-    original_size: int
-    estimated_size: int
-    seed_count: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateReport:
-    """Per-cascade and total post-deletion sizes for one (strategy, variant, k)."""
+    """Per-cascade post-deletion sizes for one (strategy, variant, k).
+
+    Given in any one order, the columns are kept as read-only int64 arrays
+    in cascade-id order (Python ``str`` order), where every cascade has
+    seed_count <= estimated <= original.  Reports compare by identity.
+    """
 
     strategy: str
     variant: str
     k: int
-    per_cascade: tuple[CascadeResult, ...]
-    total_original: int
-    total_estimated: int
+    cascade_ids: tuple[str, ...]
+    original_sizes: np.ndarray = field(repr=False)
+    estimated_sizes: np.ndarray = field(repr=False)
+    seed_counts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for row in self.per_cascade:
-            if not (row.seed_count <= row.estimated_size <= row.original_size):
-                raise InvariantError(
-                    f"cascade {row.cascade_id}: expected seed_count <= estimated <= original, "
-                    f"got {row.seed_count}/{row.estimated_size}/{row.original_size}"
-                )
-        if self.total_original != sum(r.original_size for r in self.per_cascade):
-            raise InvariantError("total_original does not match per-cascade sum")
-        if self.total_estimated != sum(r.estimated_size for r in self.per_cascade):
-            raise InvariantError("total_estimated does not match per-cascade sum")
+        ids = self.cascade_ids
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        columns = np.array([self.original_sizes, self.estimated_sizes, self.seed_counts], dtype=np.int64)
+        if columns.shape != (3, len(ids)):
+            raise InvariantError(f"expected 3 columns of {len(ids)} sizes, got shape {columns.shape}")
+        columns = columns[:, order]  # a copy: the caller's arrays stay writeable
+        columns.flags.writeable = False
+        original, estimated, seeds = columns
+        bad = np.flatnonzero((seeds > estimated) | (estimated > original))
+        ids = tuple(ids[i] for i in order)
+        if bad.size:
+            i = int(bad[0])
+            raise InvariantError(
+                f"cascade {ids[i]}: expected seed_count <= estimated <= original, "
+                f"got {seeds[i]}/{estimated[i]}/{original[i]}"
+            )
+        for name, value in zip(("cascade_ids", "original_sizes", "estimated_sizes", "seed_counts"), (ids, *columns)):
+            object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_rows(cls, strategy: str, variant: str, k: int, rows: Iterable[CascadeResult]) -> "EstimateReport":
-        ordered = tuple(sorted(rows, key=lambda r: r.cascade_id))
-        return cls(
-            strategy=strategy,
-            variant=variant,
-            k=k,
-            per_cascade=ordered,
-            total_original=sum(r.original_size for r in ordered),
-            total_estimated=sum(r.estimated_size for r in ordered),
-        )
+    @property
+    def total_original(self) -> int:
+        return int(self.original_sizes.sum())
+
+    @property
+    def total_estimated(self) -> int:
+        return int(self.estimated_sizes.sum())
 
 
 def plan_ranks(network: DirectedGraph, plan: DeletionPlan) -> np.ndarray:
@@ -99,8 +104,10 @@ def estimate_budgets(
     batch: DiffusionBatch,
     ranks: np.ndarray,
     budgets: Sequence[int],
-) -> list[list[CascadeResult]]:
-    """Per-cascade sizes after deleting the top-k ranked edges, for every k.
+) -> np.ndarray:
+    """Per-cascade sizes after deleting the top-k ranked edges, for every k:
+    a read-only int64 array, one row per budget and one column per cascade
+    in the batch's order.
 
     Diffusion edge p -> v survives budget k when its follow edge's rank is
     at least k.  So v is still reached at budget k exactly when its
@@ -140,14 +147,10 @@ def estimate_budgets(
     count = len(batch.cascade_ids)
     if not np.array_equal(np.bincount(owner, minlength=count), batch.sizes - batch.seed_counts):
         raise InputError("every non-seed user must have a parent, as in batches from build_batch")
-    sizes, seed_counts = batch.sizes.tolist(), batch.seed_counts.tolist()
-    out = []
-    for k in budgets:
-        lost = np.bincount(owner[best < k], minlength=count).tolist()
-        out.append([
-            CascadeResult(cascade_id, size, size - cut, seeds)
-            for cascade_id, size, cut, seeds in zip(batch.cascade_ids, sizes, lost, seed_counts)
-        ])
+    out = np.empty((len(budgets), count), dtype=np.int64)
+    for k, row in zip(budgets, out):
+        np.subtract(batch.sizes, np.bincount(owner[best < k], minlength=count), out=row)
+    out.flags.writeable = False
     return out
 
 
@@ -160,23 +163,26 @@ def run_estimation(
     """Build, cut, and measure every cascade of ``table``; totals are order-independent.
 
     Every edge the plan lists is deleted, in one vectorised pass over all
-    cascades.  The report is merged by cascade id and does not depend on
-    the table's cascade order.
+    cascades.  The report is in cascade-id order whatever the table's
+    cascade order.
     """
     batch = build_batch(network, table, variant)
-    (rows,) = estimate_budgets(batch, plan_ranks(network, plan), [plan.edge_pos.size])
-    return EstimateReport.from_rows(plan.strategy, variant, plan.k, rows)
+    (estimated,) = estimate_budgets(batch, plan_ranks(network, plan), [plan.edge_pos.size])
+    return EstimateReport(plan.strategy, variant, plan.k, batch.cascade_ids, batch.sizes, estimated, batch.seed_counts)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write rows under a header: every report, summary, seeds and scatter file."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_report_csv(report: EstimateReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        for row in report.per_cascade:
-            writer.writerow(
-                (report.strategy, report.variant, report.k, row.cascade_id,
-                 row.original_size, row.estimated_size, row.seed_count)
-            )
+    head = (report.strategy, report.variant, report.k)
+    columns = (report.original_sizes.tolist(), report.estimated_sizes.tolist(), report.seed_counts.tolist())
+    write_csv(path, REPORT_HEADER, (head + row for row in zip(report.cascade_ids, *columns)))
 
 
 def read_report_csv(path: str | Path) -> EstimateReport:
@@ -196,7 +202,7 @@ def read_report_csv(path: str | Path) -> EstimateReport:
     if header != list(REPORT_HEADER):
         raise InputError(f"{path}: unexpected report header {header!r}")
     first = None
-    rows: dict[str, CascadeResult] = {}
+    rows: dict[str, tuple[int, int, int]] = {}
     for fields in reader:
         if not fields:
             continue
@@ -205,13 +211,17 @@ def read_report_csv(path: str | Path) -> EstimateReport:
             raise ParseError(f"{where}: expected {len(REPORT_HEADER)} fields, got {len(fields)}")
         try:
             key = (fields[0], fields[1], int(fields[2]))
-            row = CascadeResult(fields[3], int(fields[4]), int(fields[5]), int(fields[6]))
+            sizes = (int(fields[4]), int(fields[5]), int(fields[6]))
         except ValueError:
             raise ParseError(f"{where}: expected integer k and sizes, got {fields!r}") from None
         first = first or key
         if key != first:
             raise ParseError(f"{where}: strategy, variant and k {key!r} differ from the first row's {first!r}")
-        if row.cascade_id in rows:
-            raise ParseError(f"{where}: cascade {row.cascade_id!r} repeated")
-        rows[row.cascade_id] = row
-    return EstimateReport.from_rows(*(first or ("", "", 0)), rows.values())
+        if fields[3] in rows:
+            raise ParseError(f"{where}: cascade {fields[3]!r} repeated")
+        rows[fields[3]] = sizes
+    try:
+        columns = np.array(list(rows.values()), dtype=np.int64).reshape(-1, 3).T
+    except OverflowError:
+        raise ParseError(f"{path}: a size does not fit in int64") from None
+    return EstimateReport(*(first or ("", "", 0)), tuple(rows), *columns)

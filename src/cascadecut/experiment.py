@@ -15,7 +15,6 @@ configuration reproduces every file byte for byte.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 from .deletion import STRATEGIES, DeletionPlan, cache_header, plan_strategy, read_plan_cache, save_plan_cache
 from .diffusion import NON_TREE, VARIANTS, build_batch, gather_candidates
 from .errors import ConvergenceError, InputError, ParseError
-from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_report_csv
+from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_csv, write_report_csv
 from .graph import DirectedGraph, _sorted_unique
 from .ingest import CascadeTable, filter_cascades, load_cascades, read_network
 
@@ -107,10 +106,10 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
         plan, plan_path = _materialise_plan(config, network, strategy, max_budget)
         written.append(plan_path)
         ranks = plan_ranks(network, plan)
-        for variant in config.variants:
-            per_budget = estimate_budgets(batches[variant], ranks, budgets)
-            for fraction, k, rows in zip(config.budget_fractions, budgets, per_budget):
-                report = EstimateReport.from_rows(strategy, variant, k, rows)
+        for variant, batch in batches.items():
+            estimated = estimate_budgets(batch, ranks, budgets)
+            for fraction, k, sizes in zip(config.budget_fractions, budgets, estimated):
+                report = EstimateReport(strategy, variant, k, batch.cascade_ids, batch.sizes, sizes, batch.seed_counts)
                 path = config.out_dir / f"report_{strategy}_{variant}_{fraction:g}.csv"
                 write_report_csv(report, path)
                 written.append(path)
@@ -119,7 +118,7 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
                 )
         del plan, ranks  # free this strategy's plan before the next one is computed
     summary_path = config.out_dir / "summary.csv"
-    _write_csv(summary_path, SUMMARY_HEADER, summary_rows)
+    write_csv(summary_path, SUMMARY_HEADER, summary_rows)
     written.append(summary_path)
     return written
 
@@ -169,7 +168,7 @@ def seed_analysis(
 
 def scatter_report(report: EstimateReport) -> list[tuple[str, int, int]]:
     """(cascade_id, original_size, estimated_size) projection, sorted by id."""
-    return sorted((r.cascade_id, r.original_size, r.estimated_size) for r in report.per_cascade)
+    return list(zip(report.cascade_ids, report.original_sizes.tolist(), report.estimated_sizes.tolist()))
 
 
 def write_gnuplot_script(out_dir: Path, strategies: tuple[str, ...], variants: tuple[str, ...]) -> Path:
@@ -196,14 +195,6 @@ def write_gnuplot_script(out_dir: Path, strategies: tuple[str, ...], variants: t
     return path
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    """Write figure-data rows under a header; the summary, seeds and scatter files."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _materialise_plan(
     config: ExperimentConfig,
     network: DirectedGraph,
@@ -216,7 +207,8 @@ def _materialise_plan(
     header names this network's fingerprint, the strategy and its
     parameters, and its first min(max_budget, |E|) entries are distinct
     edges of ``network``.  A text ``plan_<strategy>.tsv`` (the export of
-    ``plan``) names no network and is never read.
+    ``plan``) names no network and is never read; when the plan is
+    computed, a warning names it, since it shows another ranking.
     """
     cache = config.out_dir / f"plan_{strategy}.npz"
     if cache.exists():
@@ -226,6 +218,8 @@ def _materialise_plan(
             logger.info("reusing cached %s plan from %s", strategy, cache)
             return cached, cache
         logger.info("cached plan at %s %s; recomputing", cache, why)
+    if (text := cache.with_suffix(".tsv")).exists():
+        logger.warning("%s is not this sweep's %s plan; it was left untouched", text, strategy)
     try:
         plan = plan_strategy(network, strategy, max_budget, rng_seed=config.rng_seed)
     except ConvergenceError as exc:

@@ -5,8 +5,9 @@ counting, dense eigensolvers, double loops over user pairs) and shares no
 code with the package, so agreement is meaningful.  :func:`size_after`
 cuts a cascade's string edges by set difference and counts with
 :func:`closure_from`, and :func:`per_budget_sweep` computes a sweep one
-budget point at a time with it; both read their graphs and plans through
-the package's string views (``build_variant``, ``ranked_edges``).  The
+budget point at a time with it and writes its files with its own
+``csv.writer``; both read their graphs and plans through the package's
+string views (``build_variant``, ``ranked_edges``).  The
 exceptions are :func:`reference_build_graph`, the earlier list-based graph
 build, which hands its arrays to the package's ``DirectedGraph``,
 :func:`list_load_cascades`, the earlier list loader over
@@ -58,9 +59,9 @@ import numpy as np
 
 from cascadecut.deletion import RANDOM, STRATEGIES, DeletionPlan, plan_strategy
 from cascadecut.diffusion import NON_TREE, TREE_LAST, DiffusionGraph, SpreadCandidates, build_batch, build_variant
-from cascadecut.estimator import NEVER_DELETED, CascadeResult, EstimateReport, write_report_csv
+from cascadecut.estimator import NEVER_DELETED
 from cascadecut.errors import InputError, ParseError
-from cascadecut.experiment import SUMMARY_HEADER, budget_for, load_dataset
+from cascadecut.experiment import budget_for, load_dataset
 from cascadecut.graph import (
     MAX_DIGITS,
     DirectedGraph,
@@ -348,7 +349,8 @@ def per_budget_sweep(config, out_dir: Path) -> None:
 
     For every (strategy, variant, budget): take the plan prefix and count
     each cascade with :func:`size_after`.  File names and formats follow
-    ``run_sweep``; plan files are not written.
+    ``run_sweep``: report rows in cascade-id order (Python ``str`` order),
+    quoted as ``csv.writer`` quotes; plan files are not written.
     """
     network, table = load_dataset(config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -357,22 +359,33 @@ def per_budget_sweep(config, out_dir: Path) -> None:
     for strategy in config.strategies:
         plan = plan_strategy(network, strategy, max(budgets), rng_seed=config.rng_seed)
         for variant in config.variants:
-            graphs = build_variant(network, table, variant)
+            graphs = sorted(build_variant(network, table, variant), key=lambda dg: dg.cascade_id)
             for fraction, k in zip(config.budget_fractions, budgets):
                 sub = plan.prefix(k)
                 rows = [
-                    CascadeResult(dg.cascade_id, len(dg.nodes), size_after(dg, sub), len(dg.seeds))
+                    (strategy, variant, k, dg.cascade_id, len(dg.nodes), size_after(dg, sub), len(dg.seeds))
                     for dg in graphs
                 ]
-                report = EstimateReport.from_rows(strategy, variant, k, rows)
-                write_report_csv(report, out_dir / f"report_{strategy}_{variant}_{fraction:g}.csv")
-                summary.append(
-                    (strategy, variant, k, f"{fraction:g}", report.total_estimated, report.total_original)
+                _write_rows(
+                    out_dir / f"report_{strategy}_{variant}_{fraction:g}.csv",
+                    ("strategy", "variant", "k", "cascade_id", "original_size", "estimated_size", "seed_count"),
+                    rows,
                 )
-    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
+                summary.append(
+                    (strategy, variant, k, f"{fraction:g}", sum(r[5] for r in rows), sum(r[4] for r in rows))
+                )
+    _write_rows(
+        out_dir / "summary.csv",
+        ("strategy", "variant", "k", "fraction", "total_estimated", "total_original"),
+        summary,
+    )
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        writer.writerows(summary)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def reference_build_graph(edges, nodes=()):
@@ -458,7 +471,8 @@ def list_estimate_budgets(network, logs, variant, ranks, budgets):
     Builds each log's arrays with its own ``build_batch`` over a one-cascade
     table (see :func:`table_of`), concatenates
     them, numbers the (cascade, child) slots with ``np.unique`` and relaxes
-    max-min offers to the fixed point.
+    max-min offers to the fixed point.  Returns the estimated sizes as an
+    int64 array, one row per budget and one column per log.
     """
     if any(k < 0 for k in budgets):
         raise InputError("deletion budget k must be >= 0")
@@ -494,11 +508,8 @@ def list_estimate_budgets(network, logs, variant, ranks, budgets):
     out = []
     for k in budgets:
         lost = np.bincount(owner[best < k], minlength=len(graphs)).tolist()
-        out.append([
-            CascadeResult(dg.cascade_id, size, size - cut, len(dg.seeds))
-            for dg, size, cut in zip(graphs, sizes, lost)
-        ])
-    return out
+        out.append([size - cut for size, cut in zip(sizes, lost)])
+    return np.array(out, dtype=np.int64).reshape(len(budgets), len(graphs))
 
 
 def shuffled_prefix(size, k, rng_seed):

@@ -579,7 +579,7 @@ class TestBulkPlanReader:
     def test_quirks_in_random_blocks(self, tmp_path, caplog, seed):
         # Quirks at random lines of a text plan, several that a line reader
         # takes and then any one, beside a matching cache or none: the sweep
-        # reads neither the text nor its name.
+        # never reads the text, and names it only when it computes the plan.
         rng = random.Random(seed)
         ids = [str(rng.choice([rng.randint(0, 50), rng.randint(1, 10**18 - 1)])) for _ in range(12)]
         text = "".join(f"{rng.choice(ids)}\t{rng.choice(ids)}\n" for _ in range(60))
@@ -603,7 +603,10 @@ class TestBulkPlanReader:
         assert got == plan
         assert got.edge_pos.tolist() == plan.edge_pos.tolist()
         assert path.read_bytes() == before
-        assert messages == ([f"reusing cached {strategy} plan from {cache}"] if cached else [])
+        assert messages == [
+            f"reusing cached {strategy} plan from {cache}" if cached
+            else f"{path} is not this sweep's {strategy} plan; it was left untouched"
+        ]
         save_plan_cache(plan, tmp_path / "fresh.npz")
         assert cache.read_bytes() == (tmp_path / "fresh.npz").read_bytes()
 

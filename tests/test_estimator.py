@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from cascadecut import (
-    CascadeResult,
     DeletionPlan,
     EstimateReport,
     InputError,
@@ -67,6 +66,12 @@ def surviving_edges(network, log, variant, plan):
     return {(ids[p], ids[c]) for p, c in zip(batch.parent[keep].tolist(), batch.child[keep].tolist())}
 
 
+def rows_of(report):
+    """A report's (cascade_id, original, estimated, seeds) rows, in its order."""
+    columns = (report.original_sizes.tolist(), report.estimated_sizes.tolist(), report.seed_counts.tolist())
+    return list(zip(report.cascade_ids, *columns))
+
+
 class TestApplyDeletion:
     """The cut the estimator applies: a plan's ranks over a batch's follow-edge positions."""
 
@@ -79,8 +84,8 @@ class TestApplyDeletion:
         assert after == cut_edges(one_variant(eight_node_network, eight_node_log, NON_TREE), plan)
         # node 6 lost its only incoming edge but stays a non-seed node
         assert not any(child == "6" for _, child in after)
-        (row,) = run_estimation(eight_node_network, eight_node_table, plan, NON_TREE).per_cascade
-        assert (row.original_size, row.seed_count) == (8, len(EIGHT_NODE_SEEDS))
+        report = run_estimation(eight_node_network, eight_node_table, plan, NON_TREE)
+        assert (report.original_sizes.tolist(), report.seed_counts.tolist()) == ([8], [len(EIGHT_NODE_SEEDS)])
 
     def test_edge_arrays_follow_the_cut(self):
         rng = random.Random(239)
@@ -110,8 +115,7 @@ class TestApplyDeletion:
 
 
 def all_budget_sizes(network, logs, variant, plan, budgets):
-    per_budget = estimate_budgets(build_batch(network, table_of(logs), variant), plan_ranks(network, plan), budgets)
-    return [[row.estimated_size for row in rows] for rows in per_budget]
+    return estimate_budgets(build_batch(network, table_of(logs), variant), plan_ranks(network, plan), budgets).tolist()
 
 
 class TestEstimateSize:
@@ -209,11 +213,11 @@ class TestEstimateBudgets:
             graphs = build_variant(network, table, variant)
             batch = build_batch(network, table, variant)
             per_budget = estimate_budgets(batch, plan_ranks(network, plan), budgets)
-            for k, rows in zip(budgets, per_budget):
-                assert [r.estimated_size for r in rows] == prefix_oracle(graphs, plan, k)
-                assert [(r.cascade_id, r.original_size, r.seed_count) for r in rows] == [
-                    (dg.cascade_id, len(dg.nodes), len(dg.seeds)) for dg in graphs
-                ]
+            for k, sizes in zip(budgets, per_budget):
+                assert sizes.tolist() == prefix_oracle(graphs, plan, k)
+            assert list(zip(batch.cascade_ids, batch.sizes.tolist(), batch.seed_counts.tolist())) == [
+                (dg.cascade_id, len(dg.nodes), len(dg.seeds)) for dg in graphs
+            ]
 
     def test_matches_list_oracle_on_random_batches(self):
         rng = random.Random(409)
@@ -224,8 +228,21 @@ class TestEstimateBudgets:
             ranks = plan_ranks(network, manual_plan(network, ranked))
             budgets = list(range(len(ranked) + 3))  # k = 0 .. beyond the plan's end
             for variant in VARIANTS:
-                got = estimate_budgets(build_batch(network, table_of(logs), variant), ranks, budgets)
-                assert got == list_estimate_budgets(network, logs, variant, ranks, budgets)
+                batch = build_batch(network, table_of(logs), variant)
+                got = estimate_budgets(batch, ranks, budgets)
+                want = list_estimate_budgets(network, logs, variant, ranks, budgets)
+                assert got.dtype == want.dtype == np.int64 and got.shape == want.shape == (len(budgets), len(logs))
+                assert got.tolist() == want.tolist()
+                graphs = build_variant(network, table_of(logs), variant)
+                assert batch.sizes.tolist() == [len(dg.nodes) for dg in graphs]
+                assert batch.seed_counts.tolist() == [len(dg.seeds) for dg in graphs]
+
+    def test_one_read_only_int64_row_per_budget(self, eight_node_network, eight_node_table):
+        batch = build_batch(eight_node_network, eight_node_table, NON_TREE)
+        ranks = plan_ranks(eight_node_network, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
+        got = estimate_budgets(batch, ranks, [2, 0, 2])
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == [[5], [8], [5]]
 
     def test_eight_node_every_budget(self, eight_node_network, eight_node_log):
         # The cut edges first, so k = 2 is the hand-checked cut.
@@ -243,7 +260,8 @@ class TestEstimateBudgets:
     def test_no_graphs(self, eight_node_network):
         ranks = plan_ranks(eight_node_network, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
         for variant in VARIANTS:
-            assert estimate_budgets(build_batch(eight_node_network, table_of([]), variant), ranks, [0, 3]) == [[], []]
+            got = estimate_budgets(build_batch(eight_node_network, table_of([]), variant), ranks, [0, 3])
+            assert got.shape == (2, 0) and got.tolist() == [[], []]
 
     def test_negative_budget_rejected(self, eight_node_network, eight_node_table):
         batch = build_batch(eight_node_network, eight_node_table, NON_TREE)
@@ -293,11 +311,6 @@ class TestPlanRanks:
         assert equal is not plan.network
         assert plan_ranks(equal, plan).tolist() == plan_ranks(plan.network, plan).tolist()
 
-    def test_known_plan_is_silent(self, eight_node_network, caplog):
-        with caplog.at_level("WARNING", logger="cascadecut.estimator"):
-            plan_ranks(eight_node_network, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
-        assert not [r for r in caplog.records if r.levelname == "WARNING"]
-
 
 class TestRunEstimation:
     def test_eight_node_totals(self, eight_node_network, eight_node_table):
@@ -305,7 +318,7 @@ class TestRunEstimation:
         report = run_estimation(eight_node_network, eight_node_table, plan, "non-tree")
         assert report.total_original == 8
         assert report.total_estimated == 5
-        assert report.per_cascade == (CascadeResult("t", 8, 5, 2),)
+        assert rows_of(report) == [("t", 8, 5, 2)]
 
     def test_zero_budget_identity(self, eight_node_network, eight_node_table):
         report = run_estimation(eight_node_network, eight_node_table, manual_plan(eight_node_network, []), "non-tree")
@@ -323,9 +336,9 @@ class TestRunEstimation:
         ]
         plan = manual_plan(network, rng.sample(edges, min(len(edges), 6)))
         report = run_estimation(network, table_of(logs), plan, "non-tree")
-        assert report.total_original == sum(r.original_size for r in report.per_cascade)
-        assert report.total_estimated == sum(r.estimated_size for r in report.per_cascade)
-        assert [r.cascade_id for r in report.per_cascade] == sorted(r.cascade_id for r in report.per_cascade)
+        assert report.total_original == sum(report.original_sizes.tolist())
+        assert report.total_estimated == sum(report.estimated_sizes.tolist())
+        assert list(report.cascade_ids) == sorted(report.cascade_ids)
 
     def test_monotone_in_budget(self):
         rng = random.Random(163)
@@ -360,10 +373,10 @@ class TestRunEstimation:
             plan = manual_plan(network, edges)  # delete every follow edge
             for variant in VARIANTS:
                 report = run_estimation(network, table_of([log]), plan, variant)
-                for row in report.per_cascade:
-                    assert row.estimated_size >= row.seed_count
+                for _, _, estimated, seeds in rows_of(report):
+                    assert estimated >= seeds
                     # with every edge gone, only the seeds remain reachable
-                    assert row.estimated_size == row.seed_count
+                    assert estimated == seeds
 
     def test_partitioning_cascades_changes_nothing(self):
         rng = random.Random(179)
@@ -377,35 +390,49 @@ class TestRunEstimation:
         plan = manual_plan(network, rng.sample(edges, min(len(edges), 5)) if edges else [])
         combined = run_estimation(network, table_of(logs), plan, "tree-last")
         halves = (
-            run_estimation(network, table_of(logs[:4]), plan, "tree-last").per_cascade
-            + run_estimation(network, table_of(logs[4:]), plan, "tree-last").per_cascade
+            rows_of(run_estimation(network, table_of(logs[:4]), plan, "tree-last"))
+            + rows_of(run_estimation(network, table_of(logs[4:]), plan, "tree-last"))
         )
-        assert set(halves) == set(combined.per_cascade)
+        assert sorted(halves) == rows_of(combined)
 
 
 class TestReportInvariants:
     def test_bad_row_rejected(self):
         with pytest.raises(InvariantError):
-            EstimateReport(
-                strategy="random", variant="non-tree", k=1,
-                per_cascade=(CascadeResult("c", 3, 5, 1),),
-                total_original=3, total_estimated=5,
-            )
+            EstimateReport("random", "non-tree", 1, ("c",), [3], [5], [1])
 
-    def test_bad_totals_rejected(self):
-        with pytest.raises(InvariantError):
-            EstimateReport(
-                strategy="random", variant="non-tree", k=1,
-                per_cascade=(CascadeResult("c", 3, 2, 1),),
-                total_original=3, total_estimated=99,
-            )
+    def test_first_bad_cascade_in_id_order_is_named(self):
+        # b's estimate is below its seed count and c's above its size; b comes first.
+        with pytest.raises(InvariantError, match="cascade b: expected seed_count <= estimated <= original, got 2/1/3$"):
+            EstimateReport("random", "non-tree", 1, ("c", "a", "b"), [3, 2, 3], [4, 2, 1], [1, 1, 2])
+
+    def test_columns_of_another_length_rejected(self):
+        with pytest.raises(InvariantError, match=r"expected 3 columns of 2 sizes, got shape \(3, 3\)"):
+            EstimateReport("random", "non-tree", 1, ("a", "b"), [3, 2, 3], [2, 2, 1], [1, 1, 1])
+
+    def test_columns_are_read_only_copies_in_id_order(self):
+        # Python str order: "a" < "a\0" < "b", which a numpy string sort would not keep apart.
+        original = np.array([4, 2, 3])
+        report = EstimateReport("random", "non-tree", 1, ("b", "a", "a\0"), original, [3, 2, 3], [1, 2, 1])
+        assert rows_of(report) == [("a", 2, 2, 2), ("a\0", 3, 3, 1), ("b", 4, 3, 1)]
+        assert (report.total_original, report.total_estimated) == (9, 8)
+        for column in (report.original_sizes, report.estimated_sizes, report.seed_counts):
+            assert column.dtype == np.int64 and not column.flags.writeable
+        assert original.flags.writeable and original.tolist() == [4, 2, 3]
+
+    def test_reports_compare_by_identity(self):
+        report = EstimateReport("random", "non-tree", 1, ("a",), [2], [2], [1])
+        assert report == report
+        assert report != EstimateReport("random", "non-tree", 1, ("a",), [2], [2], [1])
 
     def test_csv_round_trip(self, tmp_path, eight_node_network, eight_node_table):
         plan = manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
         report = run_estimation(eight_node_network, eight_node_table, plan, "tree-last")
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
-        assert read_report_csv(path) == report
+        back = read_report_csv(path)
+        assert (back.strategy, back.variant, back.k) == (report.strategy, report.variant, report.k)
+        assert rows_of(back) == rows_of(report)
         header = path.read_text().splitlines()[0]
         assert header == "strategy,variant,k,cascade_id,original_size,estimated_size,seed_count"
 
@@ -421,6 +448,16 @@ class TestReportInvariants:
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match=r"report\.csv: line 3"):
+            read_report_csv(path)
+
+    def test_size_beyond_int64_is_parse_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text(
+            "strategy,variant,k,cascade_id,original_size,estimated_size,seed_count\n"
+            f"random,non-tree,1,a,{2**63},2,1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=r"report\.csv: a size does not fit in int64"):
             read_report_csv(path)
 
     @pytest.mark.parametrize(

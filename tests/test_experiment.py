@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import random
 import re
@@ -29,6 +30,7 @@ from cascadecut import (
     build_graph,
     plan_strategy,
     read_plan_cache,
+    read_report_csv,
     run_estimation,
     run_sweep,
     save_plan,
@@ -36,9 +38,8 @@ from cascadecut import (
     scatter_report,
     seed_analysis,
 )
-from cascadecut import diffusion, experiment, graph, ingest
+from cascadecut import cli, diffusion, experiment, graph, ingest
 from cascadecut.deletion import cache_header
-from cascadecut.estimator import CascadeResult
 from cascadecut.experiment import budget_for, load_network, write_gnuplot_script
 from conftest import one_variant, random_instance, write_eight_node_dataset
 from oracles import CascadeLog, dict_edge_positions, graph_edges, per_budget_sweep, table_of
@@ -397,6 +398,37 @@ class TestRunSweep:
             assert len(expected) == len(STRATEGIES) * len(VARIANTS) * 7 + 1
             assert got == expected
 
+    def test_cascade_ids_with_commas_and_quotes_are_csv_quoted(self, tmp_path):
+        edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(251), n_cascades=3)
+        events = re.sub("^c0\t", "a,b\t", cascades_path.read_text(encoding="utf-8"), flags=re.M)
+        cascades_path.write_text(re.sub("^c1\t", 'q"x\t', events, flags=re.M), encoding="utf-8")
+        config = ExperimentConfig(
+            edges_path=edges_path,
+            cascades_path=cascades_path,
+            out_dir=tmp_path / "out",
+            min_cascade_size=0,
+            strategies=("edge-degree",),
+            variants=(NON_TREE,),
+            budget_fractions=(0.0, 0.5),
+        )
+        run_sweep(config)
+        per_budget_sweep(config, tmp_path / "oracle")
+        expected = {p.name: p.read_bytes() for p in (tmp_path / "oracle").iterdir()}
+        assert {name: (config.out_dir / name).read_bytes() for name in expected} == expected
+
+        path = config.out_dir / "report_edge-degree_non-tree_0.5.csv"
+        text = path.read_text(encoding="utf-8")
+        assert ',"a,b",' in text and ',"q""x",' in text
+        _, *rows = csv.reader(text.splitlines())
+        assert [row[3] for row in rows] == ["a,b", "c2", 'q"x']
+        report = read_report_csv(path)
+        assert scatter_report(report) == [(cid, int(orig), int(est)) for _, _, _, cid, orig, est, _ in rows]
+        assert report.seed_counts.tolist() == [int(row[6]) for row in rows]
+        assert cli.main(["scatter", "--report", str(path), "--out", str(tmp_path / "scatter")]) == 0
+        scatter = (tmp_path / "scatter" / f"scatter_{path.stem}.csv").read_text(encoding="utf-8")
+        assert '\n"a,b",' in scatter and '\n"q""x",' in scatter
+        assert list(csv.reader(scatter.splitlines()))[1:] == [[cid, orig, est] for _, _, _, cid, orig, est, _ in rows]
+
     def test_totals_non_increasing_and_trees_bounded(self, tmp_path):
         rng = random.Random(197)
         edges_path, cascades_path = write_random_dataset(tmp_path, rng, n_cascades=3)
@@ -616,6 +648,7 @@ class TestPlanCache:
         assert got == want
         assert f"reusing cached netmelt plan from {out / 'plan_netmelt.npz'}" in caplog.text
         assert not recomputing(caplog)
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
     @pytest.mark.parametrize("planted", ["stale-export", "malformed", "not-utf8"])
     def test_a_text_plan_is_never_read(self, tmp_path, caplog, planted):
@@ -645,7 +678,25 @@ class TestPlanCache:
             got = sweep_files(edges_path, cascades_path, out, **options)
         assert got.pop(text.name) == before
         assert "plan_edge-degree.npz" in got and got == want
-        assert str(text) not in caplog.text
+        [warning] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warning == f"{text} is not this sweep's edge-degree plan; it was left untouched"
+
+    def test_a_text_plan_beside_a_recomputed_cache_is_named(self, tmp_path, caplog):
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        out = tmp_path / "out"
+        sweep_files(edges_path, cascades_path, out, strategies=("random",), rng_seed=1)
+        text = out / "plan_random.tsv"
+        network = load_network(edges_path, False)
+        save_plan(plan_strategy(network, "random", network.edge_count, rng_seed=1), text)  # the seed-1 export
+        before = text.read_bytes()
+        with caplog.at_level("INFO", logger="cascadecut.experiment"):
+            got = sweep_files(edges_path, cascades_path, out, strategies=("random",), rng_seed=2)
+        assert got.pop(text.name) == before
+        assert got == sweep_files(edges_path, cascades_path, tmp_path / "fresh", strategies=("random",), rng_seed=2)
+        [message] = recomputing(caplog)
+        assert "has rng_seed 1, not 2" in message
+        [warning] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warning == f"{text} is not this sweep's random plan; it was left untouched"
 
     def test_cache_bytes_depend_on_neither_time_nor_directory(self, tmp_path, monkeypatch):
         edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(311))
@@ -737,10 +788,7 @@ class TestScatter:
         assert scatter_report(report) == [("t", 8, 5)]
 
     def test_projection_of_arbitrary_report(self):
-        report = EstimateReport.from_rows(
-            "random", "non-tree", 2,
-            [CascadeResult("b", 4, 3, 1), CascadeResult("a", 2, 2, 2)],
-        )
+        report = EstimateReport("random", "non-tree", 2, ("b", "a"), [4, 2], [3, 2], [1, 2])
         assert scatter_report(report) == [("a", 2, 2), ("b", 4, 3)]
 
 

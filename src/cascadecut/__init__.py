@@ -56,10 +56,10 @@ _EXPORTS = {
         "EstimateReport", "estimate_budgets", "plan_ranks", "read_report_csv", "run_estimation", "write_report_csv",
     ),
     "experiment": ("DEFAULT_FRACTIONS", "ExperimentConfig", "run_sweep", "scatter_report", "seed_analysis"),
-    "graph": ("DirectedGraph", "EigenPair", "betweenness_scores", "build_graph", "leading_eigenpair"),
+    "graph": ("DirectedGraph", "EigenPair", "betweenness_scores", "leading_eigenpair"),
     "ingest": (
-        "CascadeTable", "DatasetStats", "compute_stats", "filter_cascades", "iter_follow_edges",
-        "load_cascades", "load_higgs_activity", "read_network",
+        "CascadeTable", "DatasetStats", "compute_stats", "filter_cascades", "load_cascades",
+        "load_higgs_activity", "read_network",
     ),
 }
 

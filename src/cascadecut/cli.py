@@ -116,7 +116,7 @@ SETTINGS = {
     "strategies": (_names(STRATEGIES), STRATEGIES, "comma-separated strategy list"),
     "variants": (_names(VARIANTS), VARIANTS, "comma-separated variant list"),
     "fractions": (_floats, DEFAULT_FRACTIONS, "comma-separated budget fractions in [0,1]"),
-    "seed": (_int, 0, "rng seed for the random strategy"),
+    "seed": (_int, 0, "rng seed for the random strategy (an integer >= 0)"),
     "strict_parse": (_bool, False, "fail on malformed input lines instead of skipping them"),
     # Accepted and validated only so that existing scripts and config files
     # keep working; no result depends on it.
@@ -226,7 +226,7 @@ def read_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"config: cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

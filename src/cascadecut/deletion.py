@@ -150,10 +150,13 @@ def plan_random(network: DirectedGraph, k: int, rng_seed: int) -> DeletionPlan:
     the same seed are prefixes of one permutation.  It is computed from the
     same Mersenne Twister words without building the list; a network of more
     than ``MAX_RANDOM_EDGES`` edges, where a draw would take two words, is an
-    :class:`InputError`.
+    :class:`InputError`, as is a negative seed, which ``random.Random``
+    would take as its absolute value.
     """
     if k < 0:
         raise InputError("deletion budget k must be >= 0")
+    if rng_seed < 0:
+        raise InputError(f"rng seed must be >= 0, not {rng_seed}")
     if network.edge_count > MAX_RANDOM_EDGES:
         raise InputError(f"random plans support at most {MAX_RANDOM_EDGES} edges, not {network.edge_count}")
     top = _shuffled_prefix(network.edge_count, k, random.Random(rng_seed))

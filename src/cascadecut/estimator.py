@@ -193,7 +193,7 @@ def read_report_csv(path: str | Path) -> EstimateReport:
     and text that is not UTF-8 one naming the file.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

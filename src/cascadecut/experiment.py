@@ -57,6 +57,10 @@ class ExperimentConfig:
         self.out_dir = Path(self.out_dir)
         if self.min_cascade_size < 0:
             raise InputError("min_cascade_size must be >= 0")
+        # Checked here as well as in plan_random: a matching plan cache
+        # would be reused without calling it.
+        if self.rng_seed < 0:
+            raise InputError(f"rng seed must be >= 0, not {self.rng_seed}")
         self.strategies = tuple(dict.fromkeys(self.strategies))
         self.variants = tuple(dict.fromkeys(self.variants))
         for s in self.strategies:
@@ -124,9 +128,12 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
 
 
 def load_network(edges_path: Path, strict_parse: bool) -> DirectedGraph:
-    """Parse and index a follow-edge file; no list of edges is held."""
+    """Parse and index a follow-edge file; no list of edges is held.
+
+    The file is read as UTF-8, and a leading byte-order mark is dropped.
+    """
     try:
-        with open(edges_path, "r", encoding="utf-8") as fh:
+        with open(edges_path, "r", encoding="utf-8-sig") as fh:
             return read_network(fh, strict=strict_parse)
     except OSError as exc:
         raise InputError(f"ingest: cannot read edges file: {exc}") from exc
@@ -138,7 +145,7 @@ def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, CascadeTable]
     """Parse, filter, and index the configured dataset."""
     network = load_network(config.edges_path, config.strict_parse)
     try:
-        with open(config.cascades_path, "r", encoding="utf-8") as fh:
+        with open(config.cascades_path, "r", encoding="utf-8-sig") as fh:
             table = load_cascades(fh, strict=config.strict_parse)
     except OSError as exc:
         raise InputError(f"ingest: cannot read cascades file: {exc}") from exc

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,8 +46,9 @@ _STALL_WINDOW = 100
 class DirectedGraph:
     """Directed graph over dense node ids 0..n-1 with an external-id table.
 
-    Construct through :func:`build_graph`; the constructor assumes canonical
-    (deduplicated, self-loop-free, sorted) edge arrays.  The external ids
+    Build one with :func:`~cascadecut.ingest.read_network`, which also reads
+    a list of edge lines; the constructor assumes canonical (deduplicated,
+    self-loop-free, sorted) edge arrays.  The external ids
     are a tuple of strings, or an int64 array of plain decimal ids (see
     :func:`decimal_values`) in the same text order, whose strings are built
     on first use.  The reverse CSR and the id lookup tables are built on
@@ -256,29 +257,8 @@ class EigenPair:
     residual: float
 
 
-def build_graph(
-    edges: Iterable[Sequence[str]],
-    nodes: Iterable[str] = (),
-) -> DirectedGraph:
-    """Build a graph from raw (src, dst) external-id pairs.
-
-    ``edges`` may be any iterable of pairs, a one-shot stream included: it
-    is consumed once and never held as a list.  Duplicate edges and
-    self-loops are dropped.  ``nodes`` may list extra ids to include as
-    isolated nodes.  Dense ids are assigned in sorted external-id order, so
-    the same edge set always builds the same graph regardless of input
-    ordering.
-    """
-    external_ids, codes = sorted_codes(chain.from_iterable(edges), nodes)
-    if codes.size % 2:
-        raise InputError("edges must be (src, dst) pairs")
-    keys = edge_keys(codes, len(external_ids))
-    del codes  # free the per-edge array before the graph allocates its own
-    return graph_from_keys(external_ids, keys)
-
-
-def sorted_codes(tokens: Iterable[str], extra: Iterable[str] = ()) -> tuple[tuple[str, ...], np.ndarray]:
-    """Distinct ids of ``tokens`` and ``extra`` in sorted order, and each token's index into them.
+def sorted_codes(tokens: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct ids of ``tokens`` in sorted order, and each token's index into them.
 
     ``tokens`` is consumed once, as a stream.
     """
@@ -286,11 +266,6 @@ def sorted_codes(tokens: Iterable[str], extra: Iterable[str] = ()) -> tuple[tupl
     # id table once and remap the codes to sorted order.
     index = _Interner()
     codes = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64)
-    for ext in extra:
-        index.setdefault(ext, len(index))
-    for ext in index:
-        if not isinstance(ext, str):
-            raise InputError(f"node ids must be strings, got {ext!r}")
     ids = tuple(sorted(index))
     n = len(ids)
     rank = np.empty(n, dtype=np.int64)

@@ -22,10 +22,12 @@ its token bounds, and parse the decimal fields from those bounds.  Plain
 decimal ids stay int64: the graph and the cascade table keep them as
 integer id tables and build their strings only on first use.
 
-:func:`load_cascades` and :func:`load_higgs_activity` return a
-:class:`CascadeTable`, the one cascade type the rest of the package takes;
-to build one from Python data, pass :func:`load_cascades` a list of event
-lines.
+:func:`read_network` returns the follow network as a
+:class:`~cascadecut.graph.DirectedGraph`.  :func:`load_cascades` and
+:func:`load_higgs_activity` return a :class:`CascadeTable`, the one cascade
+type the rest of the package takes.  To build either from Python data,
+pass :func:`read_network` a list of edge lines or :func:`load_cascades` a
+list of event lines.
 
 Heterogeneous upstream dumps are normalised to these two formats at the
 boundary; :func:`load_higgs_activity` is the adapter for the one public
@@ -413,32 +415,20 @@ def _parts(stream: Iterable[str], width: int, tally: _Tally, parse, scanned) -> 
         offset += line_ends
 
 
-def iter_follow_edges(stream: Iterable[str], strict: bool = False) -> Iterator[list[str]]:
-    """Stream follower->followee pairs (two-item lists) in file order.
-
-    Consumes ``stream`` lazily, so a caller such as
-    :func:`~cascadecut.graph.build_graph` never holds the whole edge list.
-    Lines with the wrong field count are skipped and counted; with
-    ``strict`` the first raises :class:`ParseError` (see :func:`_scan`).
-    """
-    tally = _Tally("edge", strict, blocks=1)
-    records = 0
-    for records, (_, fields) in enumerate(_scan(stream, 2, tally), start=1):
-        yield fields
-    tally.report(records)
-
-
 def _edge_tokens(records: Iterable[tuple[int, list[str]]]) -> list[str]:
     return list(chain.from_iterable(map(itemgetter(1), records)))
 
 
 def read_network(stream: Iterable[str], strict: bool = False) -> DirectedGraph:
-    """The follow network of an edge file: ``build_graph(iter_follow_edges(stream, strict))``.
+    """The follow network of an edge file, or of a list of edge lines.
 
     Each block of a regular file of decimal ids is parsed in bulk into
-    integer arrays; any other block goes through the line scanner, with its
-    warnings and errors.  When every id is a plain decimal, the graph keeps
-    its ids as integers.
+    integer arrays; any other block goes through the line scanner (see
+    :func:`_scan`), with its warnings and errors.  Duplicate edges and
+    self-loops are dropped, and nodes are numbered in sorted id order, so
+    the same edge set always gives the same graph.  When every id is a
+    plain decimal, the graph keeps its ids as integers.  To build a network
+    from Python data, pass a list of ``src<TAB>dst`` lines.
     """
     tally = _Tally("edge", strict)
     ids, codes = _id_codes(_parts(stream, 2, tally, _edge_ids, _edge_tokens), _value_bound(stream))
@@ -468,7 +458,7 @@ def load_cascades(stream: Iterable[str], strict: bool = False) -> CascadeTable:
     Duplicate events for a user within a cascade keep the earliest
     timestamp.  A non-integer timestamp is always a :class:`ParseError`;
     lines with the wrong field count follow the strict/skip rule of
-    :func:`iter_follow_edges`.  Each block of a regular file is read in
+    :func:`_scan`.  Each block of a regular file is read in
     bulk, any other block by the line scanner (see :func:`read_network`).
     """
     tally = _Tally("event", strict)
@@ -542,21 +532,28 @@ def load_higgs_activity(
     row becomes an event for the acting user, and the whole file is one
     cascade (none when no row is selected).  ``interactions`` picks the row
     kinds to keep (retweets by default); pass ``frozenset()`` to keep
-    everything.
+    everything.  The log is read in blocks like the other files (see
+    :func:`_parts`), each through the line scanner.
     """
-    tally = _Tally("activity", strict, blocks=1)
-    users, times = [], []
-    records = 0
-    for records, (lineno, (user, _, ts_text, kind)) in enumerate(_scan(stream, 4, tally), start=1):
-        if not interactions or kind in interactions:
-            users.append(user)
-            times.append(_timestamp(lineno, ts_text))
-    tally.report(records)
+    tally = _Tally("activity", strict)
+
+    def selected(records: Iterable[tuple[int, list[str]]]) -> tuple[list[str], np.ndarray, int]:
+        users, times, rows = [], [], 0
+        for rows, (lineno, (user, _, ts_text, kind)) in enumerate(records, start=1):
+            if not interactions or kind in interactions:
+                users.append(user)
+                times.append(_timestamp(lineno, ts_text))
+        return users, np.array(times, dtype=np.int64), rows
+
+    parts = list(_parts(stream, 4, tally, lambda block: None, selected))
+    users, times, rows = zip(*parts) if parts else ((), (), ())
+    times = _concat(times)
+    tally.report(sum(rows))
     return _cascade_table(
-        (cascade_id,) if users else (),
-        np.zeros(len(users), dtype=np.int64),
-        *_id_codes([users], len(users)),
-        np.array(times, dtype=np.int64),
+        (cascade_id,) if times.size else (),
+        np.zeros(times.size, dtype=np.int64),
+        *_id_codes(users, times.size),
+        times,
     )
 
 

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from cascadecut import build_graph, build_variant
+from cascadecut import build_variant, read_network
 from oracles import CascadeLog, logs_of, table_of
 
 # follower -> followee
@@ -73,9 +73,14 @@ EIGHT_NODE_SEEDS = {"1", "4"}
 EIGHT_NODE_CUT_FOLLOW_EDGES = [("5", "1"), ("6", "3")]
 
 
+def network_of(pairs):
+    """The network of (follower, followee) id pairs, read as edge lines."""
+    return read_network([f"{src}\t{dst}" for src, dst in pairs])
+
+
 @pytest.fixture
 def eight_node_network():
-    return build_graph(EIGHT_NODE_FOLLOW_EDGES)
+    return network_of(EIGHT_NODE_FOLLOW_EDGES)
 
 
 @pytest.fixture
@@ -135,7 +140,7 @@ def random_instance(rng: random.Random, max_nodes=30, outside_user_chance=0.3):
     if rng.random() < outside_user_chance:
         participants.append(f"x{rng.randint(0, 99):02d}")
     events = [(u, rng.randint(0, 40)) for u in participants]
-    network = build_graph(edges)
+    network = network_of(edges)
     log = CascadeLog.from_events("c0", events)
     return network, log, edges, events
 

@@ -389,10 +389,11 @@ def _write_rows(path, header, rows):
 
 
 def reference_build_graph(edges, nodes=()):
-    """The list-based graph build that streaming ``build_graph`` replaced.
+    """The list-based graph build that the package's network readers replaced.
 
-    Materialises the edges, collects the id set, indexes each endpoint
-    through a dict and deduplicates with ``np.unique``.
+    Materialises the edges, collects the id set (with ``nodes``, the only
+    way the tests build isolated nodes), indexes each endpoint through a
+    dict and deduplicates with ``np.unique``.
     """
     edge_list = list(edges)
     id_set = set(nodes)

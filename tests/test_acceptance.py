@@ -31,7 +31,6 @@ from cascadecut import (
     VARIANTS,
     betweenness_scores,
     build_batch,
-    build_graph,
     build_variant,
     compute_stats,
     estimate_budgets,
@@ -61,6 +60,7 @@ from oracles import (
     graph_edges,
     path_count_betweenness,
     random_digraph,
+    reference_build_graph,
     table_of,
 )
 
@@ -142,7 +142,7 @@ def test_a4_totals_non_increasing_in_budget():
     for _ in range(12):
         n = rng.randint(8, 18)
         nodes, edges = random_digraph(rng, n, rng.uniform(0.25, 0.4))
-        network = build_graph(edges, nodes=nodes)
+        network = reference_build_graph(edges, nodes=nodes)
         logs = []
         for i in range(3):
             users = rng.sample(nodes, rng.randint(2, n))
@@ -170,7 +170,7 @@ def test_a5_betweenness_matches_path_counting_oracle():
         nodes, edges = random_digraph(rng, n, rng.uniform(0.06, 0.25))
         if not edges:
             continue
-        g = build_graph(edges, nodes=nodes)
+        g = reference_build_graph(edges, nodes=nodes)
         actual = dict(zip(graph_edges(g), betweenness_scores(g).tolist()))
         expected = path_count_betweenness(nodes, edges)
         assert actual.keys() == expected.keys()
@@ -189,7 +189,7 @@ def test_a6_eigenpair_oracle_and_single_deletion_quality():
         nodes, edges = random_digraph(rng, n, rng.uniform(0.25, 0.4))
         if len(edges) < 2:
             continue
-        network = build_graph(edges, nodes=nodes)
+        network = reference_build_graph(edges, nodes=nodes)
         pair = leading_eigenpair(network)
         assert abs(pair.eigenvalue - dense_spectral_radius(nodes, edges)) <= 1e-6
 

@@ -18,15 +18,16 @@ PUBLIC = {
     "DEFAULT_FRACTIONS", "DatasetStats", "DeletionPlan", "DiffusionBatch", "DiffusionGraph", "DirectedGraph",
     "EDGE_DEGREE", "EigenPair", "EstimateReport", "ExperimentConfig", "InputError", "InvariantError",
     "NETMELT", "NON_TREE", "ParseError", "RANDOM", "STRATEGIES", "TREE_FIRST", "TREE_LAST", "VARIANTS",
-    "betweenness_scores", "build_batch", "build_graph", "build_variant", "compute_stats", "estimate_budgets",
-    "filter_cascades", "iter_follow_edges", "leading_eigenpair", "load_cascades", "load_higgs_activity",
+    "betweenness_scores", "build_batch", "build_variant", "compute_stats", "estimate_budgets",
+    "filter_cascades", "leading_eigenpair", "load_cascades", "load_higgs_activity",
     "plan_betweenness", "plan_edge_degree", "plan_netmelt", "plan_random", "plan_ranks",
     "plan_strategy", "read_network", "read_plan_cache", "read_report_csv", "run_estimation", "run_sweep",
     "save_plan", "save_plan_cache", "scatter_report", "seed_analysis", "to_dot", "write_report_csv",
 }
 
-# Each removed name with where it lived; the sweep's integer path and its
-# one plan input, the .npz cache, replaced them.
+# Each removed name with where it lived; the sweep's integer path, its one
+# plan input, the .npz cache, and its one network constructor,
+# read_network, replaced them.
 REMOVED = [
     (estimator, "apply_deletion"),
     (estimator, "estimate_size"),
@@ -58,11 +59,13 @@ REMOVED = [
     (experiment, "build_graph"),
     (estimator, "CascadeResult"),
     (estimator.EstimateReport, "from_rows"),
+    (graph, "build_graph"),
+    (ingest, "iter_follow_edges"),
 ]
 
 
 def test_all_names_the_public_surface():
-    assert len(cascadecut.__all__) == len(set(cascadecut.__all__)) == 52
+    assert len(cascadecut.__all__) == len(set(cascadecut.__all__)) == 50
     assert set(cascadecut.__all__) == PUBLIC
 
 
@@ -74,7 +77,7 @@ def test_each_public_name_resolves(name):
 @pytest.mark.parametrize("owner, name", REMOVED, ids=[f"{o.__name__}.{n}" for o, n in REMOVED])
 def test_removed_names_stay_gone(owner, name):
     assert not hasattr(owner, name)
-    # experiment's two re-exports stay public where they are defined.
+    # experiment's re-export of build_variant stays public where it is defined.
     assert name in PUBLIC or not hasattr(cascadecut, name)
 
 

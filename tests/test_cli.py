@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cascadecut import DeletionPlan, InvariantError, ParseError, read_plan_cache
+from cascadecut import DeletionPlan, ExperimentConfig, InvariantError, ParseError, read_plan_cache, read_report_csv
 from cascadecut.cli import (
     EXIT_CONVERGENCE,
     EXIT_INPUT,
@@ -20,8 +21,8 @@ from cascadecut.cli import (
     main,
     read_config_file,
 )
-from cascadecut.experiment import load_network
-from conftest import write_eight_node_dataset
+from cascadecut.experiment import load_dataset, load_network
+from conftest import assert_same_graph, assert_same_table, write_eight_node_dataset
 from oracles import random_digraph, string_plan, string_save_plan
 
 
@@ -519,6 +520,16 @@ class TestNumericSettings:
         assert "error [input]" in capsys.readouterr().err
         assert not (tmp_path / "plans").exists()
 
+    def test_negative_seed_exits_1(self, dataset, tmp_path, capsys):
+        # random.Random(-1) seeds from abs(-1): seed 1's plan, recorded as seed -1.
+        edges_path, cascades_path = dataset
+        out = tmp_path / "out"
+        argv = _sweep_args(edges_path, cascades_path, out, "--strategies", "random", "--seed", "-1")
+        assert main(argv) == EXIT_INPUT
+        assert "error [input]: rng seed must be >= 0, not -1" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+        assert ">= 0" in SETTINGS["seed"][2]
+
 
     @pytest.mark.parametrize(
         "source, key, value",
@@ -660,6 +671,55 @@ class TestUsageErrors:
         argv = [command, "--edges", str(tmp_path / "nope.tsv"), *extra]
         assert main(argv) == EXIT_INPUT
         assert "error [input]: ingest: cannot read edges file" in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is dropped, not read into the first id or key."""
+
+    def with_bom(self, path):
+        copy = path.with_name(f"bom-{path.name}")
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    def test_dataset_files(self, dataset, tmp_path, capsys, caplog):
+        edges_path, cascades_path = dataset
+        bom_edges, bom_cascades = self.with_bom(edges_path), self.with_bom(cascades_path)
+        outputs = []
+        for edges, cascades in ((edges_path, cascades_path), (bom_edges, bom_cascades)):
+            assert main(["stats", "--edges", str(edges), "--cascades", str(cascades), "--min-size", "0"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "user_count=8" in outputs[1] and "cascade_count=1" in outputs[1]
+
+        plain = load_dataset(ExperimentConfig(edges_path, cascades_path, tmp_path / "out", min_cascade_size=0))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="cascadecut.ingest"):
+            network, table = load_dataset(ExperimentConfig(bom_edges, bom_cascades, tmp_path / "out",
+                                                           min_cascade_size=0))
+        assert_same_graph(network, plain[0])
+        assert network.fingerprint == plain[0].fingerprint
+        assert_same_table(table, plain[1])
+        # The first block, which holds the mark, is still read in bulk.
+        assert [r.getMessage() for r in caplog.records] == [
+            "read 8 edge record(s) with the bulk reader",
+            "read 8 event record(s) with the bulk reader",
+        ]
+
+    def test_config_and_report_files(self, dataset, tmp_path):
+        edges_path, cascades_path = dataset
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min_size=0\nseed=3\n", encoding="utf-8")
+        assert read_config_file(self.with_bom(cfg)) == read_config_file(cfg) == {"min_size": "0", "seed": "3"}
+        out = tmp_path / "out"
+        argv = _sweep_args(edges_path, cascades_path, out, "--strategies", "edge-degree", "--variants", "non-tree",
+                           "--fractions", "0.25")
+        assert main(argv) == EXIT_OK
+        report = out / "report_edge-degree_non-tree_0.25.csv"
+        want, got = read_report_csv(report), read_report_csv(self.with_bom(report))
+        assert (got.strategy, got.variant, got.k, got.cascade_ids) == (want.strategy, want.variant, want.k,
+                                                                         want.cascade_ids)
+        for name in ("original_sizes", "estimated_sizes", "seed_counts"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
 
 
 class TestTextThatIsNotUtf8:

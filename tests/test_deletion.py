@@ -16,7 +16,6 @@ from cascadecut import (
     InputError,
     ParseError,
     STRATEGIES,
-    build_graph,
     plan_betweenness,
     plan_edge_degree,
     plan_netmelt,
@@ -31,12 +30,14 @@ from cascadecut import (
 from cascadecut import deletion
 from cascadecut.deletion import CACHE_FORMAT, EDGE_DEGREE, MAX_RANDOM_EDGES, _accepted, _ranked_plan, _shuffled_prefix
 from cascadecut.experiment import ExperimentConfig, _materialise_plan
+from conftest import network_of
 from oracles import (
     StringPlan,
     dense_spectral_radius,
     graph_edges,
     line_load_plan,
     random_digraph,
+    reference_build_graph,
     shuffled_prefix,
     string_plan,
     string_plan_ranks,
@@ -46,24 +47,24 @@ from oracles import (
 
 class TestPlanNetmelt:
     def test_pendant_edge_scores_zero(self):
-        g = build_graph([("a", "b"), ("b", "a"), ("b", "c")])
+        g = network_of([("a", "b"), ("b", "a"), ("b", "c")])
         plan = plan_netmelt(g, 3)
         scores = dict(zip(plan.ranked_edges, plan.scores))
         assert scores[("b", "c")] == pytest.approx(0.0, abs=1e-9)
         assert plan.ranked_edges[0] in {("a", "b"), ("b", "a")}
 
     def test_zero_budget(self):
-        g = build_graph([("a", "b"), ("b", "a")])
+        g = network_of([("a", "b"), ("b", "a")])
         plan = plan_netmelt(g, 0)
         assert plan.ranked_edges == ()
         assert plan.k == 0
 
     def test_edgeless_network_rejected(self):
         with pytest.raises(InputError):
-            plan_netmelt(build_graph([], nodes=["a"]), 1)
+            plan_netmelt(reference_build_graph([], nodes=["a"]), 1)
 
     def test_the_solver_runs_with_the_settings_the_cache_records(self, monkeypatch):
-        g = build_graph([("a", "b"), ("b", "a"), ("b", "c")])
+        g = network_of([("a", "b"), ("b", "a"), ("b", "c")])
         with pytest.raises(TypeError):
             plan_netmelt(g, 1, tolerance=1e-3)
         solve, runs = deletion.leading_eigenpair, []
@@ -83,7 +84,7 @@ class TestPlanNetmelt:
     @pytest.mark.parametrize("k, error", [(-1, "budget k must be >= 0"), (0, "at least one edge")])
     def test_budget_is_checked_before_the_edgeless_network(self, k, error):
         with pytest.raises(InputError, match=error):
-            plan_netmelt(build_graph([], nodes=["a"]), k)
+            plan_netmelt(reference_build_graph([], nodes=["a"]), k)
 
     def test_single_deletion_close_to_exhaustive_optimum(self):
         rng = random.Random(101)
@@ -91,7 +92,7 @@ class TestPlanNetmelt:
         trials = 12
         for _ in range(trials):
             nodes, edges = random_digraph(rng, rng.randint(8, 16), rng.uniform(0.25, 0.4))
-            g = build_graph(edges, nodes=nodes)
+            g = reference_build_graph(edges, nodes=nodes)
             plan = plan_netmelt(g, 1)
             chosen = plan.ranked_edges[0]
             after = {
@@ -109,9 +110,9 @@ class TestPlanNetmelt:
         fresh = [f"w{i:02d}" for i in range(len(nodes))]
         rng.shuffle(fresh)
         rename = dict(zip(nodes, fresh))
-        original = plan_netmelt(build_graph(edges, nodes=nodes), len(edges))
+        original = plan_netmelt(reference_build_graph(edges, nodes=nodes), len(edges))
         relabeled = plan_netmelt(
-            build_graph([(rename[a], rename[b]) for a, b in edges], nodes=fresh), len(edges)
+            reference_build_graph([(rename[a], rename[b]) for a, b in edges], nodes=fresh), len(edges)
         )
         mapped = {
             (rename[a], rename[b]): s for (a, b), s in zip(original.ranked_edges, original.scores)
@@ -122,13 +123,13 @@ class TestPlanNetmelt:
 
 class TestPlanBetweenness:
     def test_path_middle_edge_first(self):
-        g = build_graph([("a", "b"), ("b", "c"), ("c", "d")])
+        g = network_of([("a", "b"), ("b", "c"), ("c", "d")])
         plan = plan_betweenness(g, 1)
         assert plan.ranked_edges == (("b", "c"),)
         assert plan.scores == (pytest.approx(4.0),)
 
     def test_budget_beyond_edge_count_ranks_everything(self):
-        g = build_graph([("a", "b"), ("b", "c"), ("c", "d")])
+        g = network_of([("a", "b"), ("b", "c"), ("c", "d")])
         plan = plan_betweenness(g, 99)
         assert len(plan.ranked_edges) == 3
         assert plan.k == 99
@@ -142,7 +143,7 @@ class TestPlanBetweenness:
             nodes, edges = random_digraph(rng, rng.randint(5, 20), 0.2)
             if not edges:
                 continue
-            g = build_graph(edges, nodes=nodes)
+            g = reference_build_graph(edges, nodes=nodes)
             plan = plan_betweenness(g, len(edges))
             expected = path_count_betweenness(nodes, edges)
             for edge, score in zip(plan.ranked_edges, plan.scores):
@@ -160,12 +161,12 @@ def degree_product(g):
 class TestPlanEdgeDegree:
     def test_star_scores_all_zero(self):
         leaves = [f"l{i}" for i in range(5)]
-        g = build_graph([(leaf, "c") for leaf in leaves])
+        g = network_of([(leaf, "c") for leaf in leaves])
         plan = plan_edge_degree(g, 99)
         assert set(plan.scores) == {0.0}
 
     def test_hand_counted_triangle(self):
-        g = build_graph([("a", "b"), ("b", "c"), ("c", "b")])
+        g = network_of([("a", "b"), ("b", "c"), ("c", "b")])
         plan = plan_edge_degree(g, 1)
         assert plan.ranked_edges == (("b", "c"),)
         assert plan.scores == (pytest.approx(2.0),)
@@ -183,7 +184,7 @@ class TestPlanEdgeDegree:
             nodes, edges = random_digraph(rng, rng.randint(4, 20), 0.25)
             if not edges:
                 continue
-            g = build_graph(edges, nodes=nodes)
+            g = reference_build_graph(edges, nodes=nodes)
             plan = plan_edge_degree(g, len(edges))
             product = degree_product(g)
             for edge, score in zip(plan.ranked_edges, plan.scores):
@@ -195,7 +196,7 @@ class TestPlanEdgeDegree:
         # plan must order them as np.lexsort((dst, src, -scores)) does.
         rng = random.Random(seed)
         nodes, edges = random_digraph(rng, rng.randint(5, 60), rng.uniform(0.02, 0.3))
-        g = build_graph(edges, nodes=nodes)
+        g = reference_build_graph(edges, nodes=nodes)
         if g.edge_count == 0:
             return
         plan = plan_edge_degree(g, g.edge_count)
@@ -212,7 +213,7 @@ class TestPlanEdgeDegree:
 
 class TestPlanRandom:
     def _ten_edge_graph(self):
-        return build_graph([(f"a{i}", f"b{i}") for i in range(10)])
+        return network_of([(f"a{i}", f"b{i}") for i in range(10)])
 
     def test_full_budget_is_a_permutation(self):
         g = self._ten_edge_graph()
@@ -253,10 +254,24 @@ class TestShuffleOracle:
                     assert got.tolist() == want[:k], (size, seed, k)
 
     def test_plan_random_is_the_shuffled_prefix(self):
-        g = build_graph([(f"a{i}", f"b{i % 7}") for i in range(40)])
+        g = network_of([(f"a{i}", f"b{i % 7}") for i in range(40)])
         for seed in self.SEEDS:
+            if seed < 0:  # see test_negative_seed_is_rejected
+                continue
             plan = plan_random(g, 25, rng_seed=seed)
             assert plan.edge_pos.tolist() == shuffled_prefix(g.edge_count, 25, seed)
+
+    def test_negative_seed_is_rejected(self):
+        # random.Random(-5) seeds from abs(-5), so -5 would give seed 5's
+        # plan while the plan and its cache header record another seed.
+        g = network_of([(f"a{i}", f"b{i % 7}") for i in range(50)])
+        assert shuffled_prefix(g.edge_count, 10, -5) == shuffled_prefix(g.edge_count, 10, 5)
+        for seed in (-5, -1):
+            with pytest.raises(InputError, match=f"rng seed must be >= 0, not {seed}"):
+                plan_random(g, 10, rng_seed=seed)
+            with pytest.raises(InputError, match="rng seed"):
+                plan_strategy(g, "random", 10, rng_seed=seed)
+        assert plan_random(g, 10, rng_seed=0).rng_seed == 0
 
     def test_fixed_point_resolves_candidates_in_the_undecided_band(self):
         # Bound 100 drops by one per acceptance.  Each pair of equal
@@ -290,7 +305,7 @@ class TestShuffleOracle:
 
 class TestPlanCache:
     def test_round_trip_with_header(self, tmp_path):
-        g = build_graph(random_digraph(random.Random(37), 12, 0.3)[1])
+        g = network_of(random_digraph(random.Random(37), 12, 0.3)[1])
         for strategy in STRATEGIES:
             plan = plan_strategy(g, strategy, g.edge_count // 2, rng_seed=9)
             path = tmp_path / f"{strategy}.npz"
@@ -340,11 +355,11 @@ class TestPlanCache:
             read_plan_cache(path)
 
     def test_bytes_depend_only_on_the_plan_and_network(self, tmp_path):
-        g = build_graph(random_digraph(random.Random(41), 10, 0.3)[1])
+        g = network_of(random_digraph(random.Random(41), 10, 0.3)[1])
         plan = plan_netmelt(g, 5)
         save_plan_cache(plan, tmp_path / "a.npz")
         (tmp_path / "elsewhere").mkdir()
-        save_plan_cache(plan_netmelt(build_graph(graph_edges(g)), 5), tmp_path / "elsewhere" / "b.npz")
+        save_plan_cache(plan_netmelt(network_of(graph_edges(g)), 5), tmp_path / "elsewhere" / "b.npz")
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "elsewhere" / "b.npz").read_bytes()
 
 
@@ -360,7 +375,7 @@ class TestPlanContracts:
     def test_prefix_consistency(self):
         rng = random.Random(113)
         nodes, edges = random_digraph(rng, 12, 0.3)
-        g = build_graph(edges, nodes=nodes)
+        g = reference_build_graph(edges, nodes=nodes)
         for small, large in zip(self._plans(g, 4), self._plans(g, 11)):
             assert large.ranked_edges[:4] == small.ranked_edges
             assert large.prefix(4).ranked_edges == small.ranked_edges
@@ -368,7 +383,7 @@ class TestPlanContracts:
     def test_only_existing_edges_no_duplicates(self):
         rng = random.Random(127)
         nodes, edges = random_digraph(rng, 14, 0.3)
-        g = build_graph(edges, nodes=nodes)
+        g = reference_build_graph(edges, nodes=nodes)
         edge_set = set(graph_edges(g))
         for plan in self._plans(g, g.edge_count):
             assert len(plan.ranked_edges) == len(set(plan.ranked_edges)) == g.edge_count
@@ -377,23 +392,23 @@ class TestPlanContracts:
     def test_scores_non_increasing(self):
         rng = random.Random(131)
         nodes, edges = random_digraph(rng, 14, 0.3)
-        g = build_graph(edges, nodes=nodes)
+        g = reference_build_graph(edges, nodes=nodes)
         for plan in self._plans(g, g.edge_count):
             assert list(plan.scores) == sorted(plan.scores, reverse=True)
 
     def test_budget_never_exceeds_edge_count(self):
-        g = build_graph([("a", "b"), ("b", "a")])
+        g = network_of([("a", "b"), ("b", "a")])
         for plan in self._plans(g, 50):
             assert len(plan.ranked_edges) == 2
             assert plan.k == 50
 
     def test_negative_budget_rejected(self):
-        g = build_graph([("a", "b")])
+        g = network_of([("a", "b")])
         with pytest.raises(InputError):
             plan_edge_degree(g, -1)
 
     def test_unknown_strategy_rejected(self):
-        g = build_graph([("a", "b")])
+        g = network_of([("a", "b")])
         with pytest.raises(InputError):
             plan_strategy(g, "bogus", 1)
 
@@ -402,7 +417,7 @@ class TestPlanSerialization:
     def test_round_trip_exact(self, tmp_path):
         rng = random.Random(137)
         nodes, edges = random_digraph(rng, 10, 0.3)
-        g = build_graph(edges, nodes=nodes)
+        g = reference_build_graph(edges, nodes=nodes)
         for strategy in STRATEGIES:
             plan = plan_strategy(g, strategy, 6, rng_seed=9)
             path = tmp_path / f"{strategy}.tsv"
@@ -410,7 +425,7 @@ class TestPlanSerialization:
             assert line_load_plan(path, g) == plan
 
     def test_file_format(self, tmp_path):
-        g = build_graph([("a", "b"), ("b", "a")])
+        g = network_of([("a", "b"), ("b", "a")])
         plan = plan_random(g, 2, rng_seed=3)
         path = tmp_path / "plan.tsv"
         save_plan(plan, path)
@@ -419,7 +434,7 @@ class TestPlanSerialization:
         assert all(len(line.split("\t")) == 3 for line in lines[1:])
 
     def test_header_without_seed(self, tmp_path):
-        g = build_graph([("a", "b"), ("b", "c")])
+        g = network_of([("a", "b"), ("b", "c")])
         plan = plan_edge_degree(g, 1)
         path = tmp_path / "plan.tsv"
         save_plan(plan, path)
@@ -547,11 +562,11 @@ class TestBulkPlanReader:
         # way the sweep's plan is the one the export holds.
         rng = random.Random(seed)
         quirk = CACHE_QUIRKS[seed % len(CACHE_QUIRKS)]
-        g = build_graph([])
+        g = network_of([])
         while g.edge_count < 2:
             if seed % 2:
                 nodes, edges = random_digraph(rng, rng.randint(2, 12), 0.3)
-                g = build_graph(edges, nodes=nodes)
+                g = reference_build_graph(edges, nodes=nodes)
             else:
                 ids = [str(rng.choice([rng.randint(0, 50), rng.randint(1, 10**18 - 1)])) for _ in range(12)]
                 g = read_network(io.StringIO("".join(f"{rng.choice(ids)}\t{rng.choice(ids)}\n" for _ in range(30))))
@@ -613,7 +628,7 @@ class TestBulkPlanReader:
 
 class TestDeletionPlan:
     def test_arrays_are_int64_and_float64_and_read_only(self):
-        g = build_graph([("a", "b"), ("b", "c")])
+        g = network_of([("a", "b"), ("b", "c")])
         plan = DeletionPlan("netmelt", 2, g, [1, 0], [2, 1])
         assert plan.edge_pos.dtype == np.int64 and plan.scores.dtype == np.float64
         with pytest.raises(ValueError):
@@ -621,20 +636,20 @@ class TestDeletionPlan:
         assert plan.ranked_edges == (("b", "c"), ("a", "b"))
 
     def test_nan_score_rejected(self):
-        g = build_graph([("a", "b"), ("b", "c")])
+        g = network_of([("a", "b"), ("b", "c")])
         with pytest.raises(InputError, match="NaN"):
             DeletionPlan("netmelt", 2, g, [1, 0], [1.0, float("nan")])
 
     @pytest.mark.parametrize("pos, scores", [([0, 2], [1, 0]), ([-2], [0]), ([0, 1], [0]), ([0, 1], [0, 1]), ([0, -1], [1, 0])])
     def test_bad_arrays_rejected(self, pos, scores):
-        g = build_graph([("a", "b"), ("b", "c")])
+        g = network_of([("a", "b"), ("b", "c")])
         with pytest.raises(InputError):
             DeletionPlan("random", 2, g, pos, scores)
 
     def test_equality_over_strategy_k_seed_and_arrays(self):
-        g = build_graph([("a", "b"), ("b", "c")])
+        g = network_of([("a", "b"), ("b", "c")])
         plan = DeletionPlan("random", 2, g, [1, 0], [0, 0], rng_seed=3)
-        other_network = build_graph([("x", "y"), ("y", "z")])
+        other_network = network_of([("x", "y"), ("y", "z")])
         assert plan == DeletionPlan("random", 2, other_network, [1, 0], [0, 0], rng_seed=3)
         assert plan != DeletionPlan("random", 2, g, [0, 1], [0, 0], rng_seed=3)
         assert plan != DeletionPlan("random", 2, g, [1, 0], [0, 0], rng_seed=4)
@@ -643,7 +658,7 @@ class TestDeletionPlan:
         assert plan != DeletionPlan("random", 2, g, [1], [0], rng_seed=3)
 
     def test_prefix_slices_the_arrays(self):
-        g = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
+        g = network_of([("a", "b"), ("b", "c"), ("c", "a")])
         plan = DeletionPlan("edge-degree", 5, g, [2, 0, 1], [3, 2, 1])
         assert plan.prefix(2) == DeletionPlan("edge-degree", 2, g, [2, 0], [3, 2])
         assert plan.prefix(9).edge_pos.tolist() == [2, 0, 1]
@@ -658,7 +673,7 @@ def _oracle_graphs():
     while len(graphs) < 14:
         nodes, edges = random_digraph(rng, rng.randint(2, 36), rng.uniform(0.02, 0.35))
         if edges:
-            graphs.append(build_graph(edges, nodes=nodes))
+            graphs.append(reference_build_graph(edges, nodes=nodes))
     return graphs
 
 
@@ -718,7 +733,7 @@ class TestTopK:
     def test_few_distinct_scores_and_signed_zeros(self, seed):
         rng = random.Random(seed)
         nodes, edges = random_digraph(rng, 30, 0.3)
-        g = build_graph(edges, nodes=nodes)
+        g = reference_build_graph(edges, nodes=nodes)
         e = g.edge_count
         scores = np.array([rng.choice([0.0, -0.0, 1.0, 2.5, 2.5, 1e-300]) for _ in range(e)])
         want = np.argsort(-scores, kind="stable")

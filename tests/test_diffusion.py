@@ -16,7 +16,6 @@ from cascadecut import (
     TREE_LAST,
     VARIANTS,
     build_batch,
-    build_graph,
     build_variant,
     to_dot,
 )
@@ -27,6 +26,7 @@ from conftest import (
     EIGHT_NODE_TREE_FIRST_EDGES,
     EIGHT_NODE_TREE_LAST_EDGES,
     decimal_instance,
+    network_of,
     one_variant,
     random_instance,
     random_logs,
@@ -89,20 +89,20 @@ class TestConstructionRules:
         assert dg.seeds == {"3"}
 
     def test_single_earlier_followee_is_forced_parent(self):
-        network = build_graph([("b", "a")])
+        network = network_of([("b", "a")])
         log = CascadeLog.from_events("t", [("a", 1), ("b", 2)])
         for variant in (TREE_FIRST, TREE_LAST):
             assert one_variant(network, log, variant).edges == {("a", "b")}
 
     def test_equal_timestamps_produce_no_edge(self):
-        network = build_graph([("b", "a"), ("a", "b")])
+        network = network_of([("b", "a"), ("a", "b")])
         log = CascadeLog.from_events("t", [("a", 5), ("b", 5)])
         dg = one_variant(network, log, NON_TREE)
         assert dg.edges == frozenset()
         assert dg.seeds == {"a", "b"}
 
     def test_equal_parent_timestamps_break_by_user_id(self):
-        network = build_graph([("v", "p2"), ("v", "p1")])
+        network = network_of([("v", "p2"), ("v", "p1")])
         log = CascadeLog.from_events("t", [("p1", 3), ("p2", 3), ("v", 9)])
         assert one_variant(network, log, TREE_FIRST).edges == {("p1", "v")}
         assert one_variant(network, log, TREE_LAST).edges == {("p1", "v")}
@@ -296,7 +296,7 @@ class TestBuildVariantAgainstStrings:
             logs = random_logs(rng, network, rng.randint(1, 12))
             if decimal:
                 edges, logs = decimal_instance(rng, edges, logs)
-                network = build_graph(edges)
+                network = network_of(edges)
             table = table_of(logs)
             assert isinstance(table.user_ids, np.ndarray) == decimal
             for variant in VARIANTS:
@@ -370,7 +370,7 @@ class TestParticipantFilter:
         rng = np.random.default_rng(521)
         users = 3000
         src, dst = rng.integers(0, users, size=(2, 40_000)).tolist()
-        network = build_graph((f"u{a}", f"u{b}") for a, b in zip(src, dst))
+        network = network_of((f"u{a}", f"u{b}") for a, b in zip(src, dst))
         logs = [
             CascadeLog.from_events(f"c{i}", [(f"u{u}", int(t)) for u, t in zip(rng.choice(users, 40, replace=False),
                                                                            rng.integers(0, 50, size=40))])

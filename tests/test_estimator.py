@@ -17,7 +17,6 @@ from cascadecut import (
     ParseError,
     VARIANTS,
     build_batch,
-    build_graph,
     build_variant,
     estimate_budgets,
     plan_edge_degree,
@@ -31,6 +30,7 @@ from conftest import (
     EIGHT_NODE_CUT_FOLLOW_EDGES,
     EIGHT_NODE_FOLLOW_EDGES,
     EIGHT_NODE_SEEDS,
+    network_of,
     one_variant,
     random_instance,
     random_logs,
@@ -296,8 +296,8 @@ class TestPlanRanks:
 
     def test_plan_for_another_network_is_rejected(self):
         # Both networks have two edges, so the plan's positions fit either.
-        plan = plan_edge_degree(build_graph([("x", "y"), ("y", "z")]), 2)
-        other = build_graph([("1", "2"), ("2", "3")])
+        plan = plan_edge_degree(network_of([("x", "y"), ("y", "z")]), 2)
+        other = network_of([("1", "2"), ("2", "3")])
         table = table_of([CascadeLog.from_events("c", [("3", 1), ("2", 2), ("1", 3)])])
         with pytest.raises(InputError, match="another follow network"):
             plan_ranks(other, plan)
@@ -306,8 +306,8 @@ class TestPlanRanks:
 
     def test_plan_for_an_equal_network_is_accepted(self):
         edges = [("x", "y"), ("y", "z")]
-        plan = plan_edge_degree(build_graph(edges), 2)
-        equal = build_graph(edges[::-1])
+        plan = plan_edge_degree(network_of(edges), 2)
+        equal = network_of(edges[::-1])
         assert equal is not plan.network
         assert plan_ranks(equal, plan).tolist() == plan_ranks(plan.network, plan).tolist()
 

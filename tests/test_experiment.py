@@ -27,7 +27,6 @@ from cascadecut import (
     STRATEGIES,
     VARIANTS,
     build_batch,
-    build_graph,
     plan_strategy,
     read_plan_cache,
     read_report_csv,
@@ -41,7 +40,7 @@ from cascadecut import (
 from cascadecut import cli, diffusion, experiment, graph, ingest
 from cascadecut.deletion import cache_header
 from cascadecut.experiment import budget_for, load_network, write_gnuplot_script
-from conftest import one_variant, random_instance, write_eight_node_dataset
+from conftest import network_of, one_variant, random_instance, write_eight_node_dataset
 from oracles import CascadeLog, dict_edge_positions, graph_edges, per_budget_sweep, table_of
 
 
@@ -104,6 +103,13 @@ class TestConfigValidation:
     def test_unknown_variant_rejected(self, tmp_path):
         with pytest.raises(InputError):
             self._config(tmp_path, variants=("bogus",))
+
+    def test_negative_seed_rejected(self, tmp_path):
+        # Before any plan: a cache written under seed -1 by an earlier
+        # version would be reused without calling plan_random.
+        for strategies in (("random",), ("netmelt",)):
+            with pytest.raises(InputError, match="rng seed must be >= 0, not -1"):
+                self._config(tmp_path, strategies=strategies, rng_seed=-1)
 
     def test_budget_for(self):
         assert budget_for(0.0, 100) == 0
@@ -170,10 +176,10 @@ class TestRunSweep:
 
     def test_candidates_of_another_network_are_rejected(self):
         table = table_of([CascadeLog.from_events("c", [("a", 1), ("b", 2)])])
-        network = build_graph([("b", "a")])
+        network = network_of([("b", "a")])
         candidates = diffusion.gather_candidates(network, table)
         with pytest.raises(InputError, match="another network"):
-            build_batch(build_graph([("b", "a")]), candidates, NON_TREE)
+            build_batch(network_of([("b", "a")]), candidates, NON_TREE)
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_netmelt_and_random_sweep_never_build_the_reverse_index(self, tmp_path, monkeypatch, numeric):
@@ -354,10 +360,10 @@ class TestRunSweep:
             (row[0], row[1], row[3]): (int(row[4]), int(row[5]))
             for row in read_summary(config.out_dir)
         }
-        from cascadecut import filter_cascades, iter_follow_edges, load_cascades
+        from cascadecut import filter_cascades, load_cascades, read_network
 
         with open(edges_path) as fh:
-            network = build_graph(iter_follow_edges(fh))
+            network = read_network(fh)
         with open(cascades_path) as fh:
             table = filter_cascades(load_cascades(fh), 0)
         for strategy in STRATEGIES:
@@ -751,7 +757,7 @@ def test_decimal_ids_stay_integers_from_ingest_to_the_plan_cache(tmp_path, monke
 
 class TestSeedAnalysis:
     def test_single_user_cascades(self):
-        network = build_graph([("a", "b")])
+        network = network_of([("a", "b")])
         table = table_of([CascadeLog.from_events(f"c{i}", [(u, 1)]) for i, u in enumerate("ab")])
         assert seed_analysis(network, table) == [("c0", 1, 1), ("c1", 1, 1)]
 

@@ -11,13 +11,13 @@ import pytest
 from cascadecut import (
     ConvergenceError,
     InputError,
+    ParseError,
     betweenness_scores,
-    build_graph,
     leading_eigenpair,
     read_network,
 )
 from cascadecut import graph
-from conftest import EIGHT_NODE_FOLLOW_EDGES, assert_same_graph
+from conftest import EIGHT_NODE_FOLLOW_EDGES, assert_same_graph, network_of
 from oracles import (
     all_pairs_distance_sum,
     dense_spectral_radius,
@@ -35,8 +35,8 @@ class TestFingerprint:
     def test_equal_graphs_have_equal_fingerprints(self):
         edges = list(EIGHT_NODE_FOLLOW_EDGES)
         shuffled = edges[::-1] + edges[:2]
-        assert build_graph(edges).fingerprint == build_graph(shuffled).fingerprint
-        assert len(build_graph(edges).fingerprint) == 64
+        assert network_of(edges).fingerprint == network_of(shuffled).fingerprint
+        assert len(network_of(edges).fingerprint) == 64
 
     @pytest.mark.parametrize(
         "a, b",
@@ -49,13 +49,13 @@ class TestFingerprint:
         ],
     )
     def test_other_ids_or_edges_change_it(self, a, b):
-        assert build_graph(a).fingerprint != build_graph(b).fingerprint
+        assert network_of(a).fingerprint != network_of(b).fingerprint
 
     def test_isolated_nodes_change_it(self):
-        assert build_graph([("a", "b")]).fingerprint != build_graph([("a", "b")], nodes=["c"]).fingerprint
+        assert network_of([("a", "b")]).fingerprint != reference_build_graph([("a", "b")], nodes=["c"]).fingerprint
 
     def test_non_ascii_and_surrogate_ids(self):
-        assert build_graph([("é", "\ud800")]).fingerprint != build_graph([("é", "\udc00")]).fingerprint
+        assert network_of([("é", "\ud800")]).fingerprint != network_of([("é", "\udc00")]).fingerprint
 
 
 def integer_graph(pairs):
@@ -76,12 +76,12 @@ class TestFingerprintFromIntegers:
         g = integer_graph(edges)
         digest = g.fingerprint
         assert g._ids is None  # hashed from the digits
-        assert digest == string_fingerprint(g) == build_graph(edges).fingerprint
+        assert digest == string_fingerprint(g) == network_of(edges).fingerprint
 
     def test_non_decimal_and_empty_graphs(self):
-        for g in (build_graph([("a", "b"), ("é", "7")]), build_graph([]), read_network(io.StringIO(""))):
+        for g in (network_of([("a", "b"), ("é", "7")]), network_of([]), read_network(io.StringIO(""))):
             assert g.fingerprint == string_fingerprint(g)
-        assert read_network(io.StringIO("")).fingerprint == build_graph([]).fingerprint
+        assert read_network(io.StringIO("")).fingerprint == network_of([]).fingerprint
 
     def test_digit_text(self):
         values = np.array([0, 7, 10, 999999999999999999, 123456789012345678, 5], dtype=np.int64)
@@ -92,12 +92,12 @@ class TestFingerprintFromIntegers:
 
 class TestBuildGraph:
     def test_empty_input(self):
-        g = build_graph([])
+        g = network_of([])
         assert g.node_count == 0
         assert g.edge_count == 0
 
     def test_duplicates_and_self_loops_dropped(self):
-        g = build_graph([("a", "b"), ("a", "b"), ("b", "b")])
+        g = network_of([("a", "b"), ("a", "b"), ("b", "b")])
         assert g.node_count == 2
         assert graph_edges(g) == [("a", "b")]
 
@@ -107,7 +107,7 @@ class TestBuildGraph:
         assert set(graph_edges(eight_node_network)) == set(EIGHT_NODE_FOLLOW_EDGES)
 
     def test_ids_sorted_by_external_id(self):
-        g = build_graph([("z", "a"), ("m", "z")])
+        g = network_of([("z", "a"), ("m", "z")])
         assert g.external_ids == ("a", "m", "z")
 
     def test_build_is_input_order_independent(self):
@@ -115,46 +115,42 @@ class TestBuildGraph:
         _, edges = random_digraph(rng, 12, 0.3)
         shuffled = edges[:]
         rng.shuffle(shuffled)
-        g1, g2 = build_graph(edges), build_graph(shuffled + edges[:3])
+        g1, g2 = network_of(edges), network_of(shuffled + edges[:3])
         assert g1.external_ids == g2.external_ids
         assert graph_edges(g1) == graph_edges(g2)
 
     def test_degree_sums_match_edge_count(self):
         rng = random.Random(11)
         _, edges = random_digraph(rng, 20, 0.2)
-        g = build_graph(edges)
+        g = network_of(edges)
         assert int(g.out_degrees.sum()) == g.edge_count
         assert int(g.in_degrees.sum()) == g.edge_count
 
     def test_forward_and_reverse_describe_same_edges(self):
         rng = random.Random(13)
         _, edges = random_digraph(rng, 15, 0.25)
-        g = build_graph(edges)
+        g = network_of(edges)
         targets, sources, _ = g.in_edges_bulk(np.arange(g.node_count))
         ids = g.external_ids
         via_reverse = {(ids[s], ids[t]) for s, t in zip(sources.tolist(), targets.tolist())}
         assert via_reverse == set(graph_edges(g))
 
     def test_isolated_nodes_via_nodes_argument(self):
-        g = build_graph([("a", "b")], nodes=["c", "a"])
+        g = reference_build_graph([("a", "b")], nodes=["c", "a"])
         assert g.external_ids == ("a", "b", "c")
         assert g.out_degrees.tolist() == [1, 0, 0]
         assert g.in_degrees.tolist() == [0, 1, 0]
 
-    def test_non_string_ids_rejected(self):
-        with pytest.raises(InputError):
-            build_graph([(1, 2)])
-
     def test_edge_positions(self):
         rng = random.Random(17)
         nodes, edges = random_digraph(rng, 15, 0.25)
-        g = build_graph(edges)
+        g = network_of(edges)
         canonical = graph_edges(g)
         absent = [(a, b) for a in nodes for b in nodes if (a, b) not in set(edges)][:20]
         queries = rng.sample(edges, len(edges)) + absent + [("zz", nodes[0]), (nodes[0], "zz")]
         expected = [canonical.index(q) if q in canonical else -1 for q in queries]
         assert edge_positions(g, queries).tolist() == expected
-        assert edge_positions(build_graph([], nodes=["a"]), [("a", "a")]).tolist() == [-1]
+        assert edge_positions(reference_build_graph([], nodes=["a"]), [("a", "a")]).tolist() == [-1]
         assert edge_positions(g, []).tolist() == []
 
 
@@ -185,7 +181,7 @@ class TestLazyIndexes:
     def test_reverse_index_equals_the_eager_build(self, seed):
         rng = random.Random(seed)
         nodes, edges = (numeric_digraph if seed % 2 else random_digraph)(rng, rng.randint(1, 25), 0.2)
-        g = build_graph(edges, nodes=nodes)
+        g = reference_build_graph(edges, nodes=nodes)
         assert g._reverse is None and g._index is None and g._decimal is None
         indptr, rev_sources, rev_pos = eager_reverse_index(g)
         assert g.in_degrees.tolist() == np.diff(indptr).tolist()
@@ -206,7 +202,7 @@ class TestLazyIndexes:
     def test_id_tables(self):
         rng = random.Random(5)
         ids, edges = numeric_digraph(rng, 20, 0.2)
-        g = build_graph(edges, nodes=ids)
+        g = reference_build_graph(edges, nodes=ids)
         want = [ids.index("9") if "9" in ids else -1, 3, -1, 0]
         assert g.indices_of(iter(["9", ids[3], "404", ids[0]])).tolist() == want
         assert g._index is None  # decimal queries never build the dict
@@ -215,8 +211,8 @@ class TestLazyIndexes:
         numeric, dense = g._decimal_index()
         assert numeric.tolist() == sorted(map(int, ids))
         assert [ids[i] for i in dense.tolist()] == [str(v) for v in numeric.tolist()]
-        assert build_graph([("u", "v")])._decimal_index() is None
-        empty = build_graph([])
+        assert network_of([("u", "v")])._decimal_index() is None
+        empty = network_of([])
         assert empty.indices_of(["1", "2"]).tolist() == [-1, -1] and empty._index is None
 
     @pytest.mark.parametrize("seed", range(16))
@@ -227,7 +223,7 @@ class TestLazyIndexes:
         if seed % 4 == 1:
             nodes = nodes + ["n\0", "n"]  # NUL inside an id
             edges = edges + [("n\0", nodes[0]), ("n", "n\0")]
-        g = build_graph(edges, nodes=nodes)
+        g = reference_build_graph(edges, nodes=nodes)
         present = rng.sample(edges, len(edges)) if edges else []
         absent = [(a, b) for a in nodes for b in nodes if (a, b) not in set(edges)]
         queries = present + rng.sample(absent, min(len(absent), 10))
@@ -272,7 +268,7 @@ class TestIntegerIdLookup:
         assert g.indices_of(np.empty(0, dtype=np.int64)).tolist() == []
 
     def test_integer_queries_of_a_string_graph(self):
-        g = build_graph([("7", "x"), ("10", "7")])
+        g = network_of([("7", "x"), ("10", "7")])
         assert g.indices_of(np.array([10, 7, 8], dtype=np.int64)).tolist() == [0, 1, -1]
 
 
@@ -282,25 +278,40 @@ ID_POOL = [f"u{i}" for i in range(12)] + ["ü", "é1", "用户", "z", "Z", "u1\u
 
 
 class TestStreamingBuildMatchesReference:
+    """``read_network`` of edge lines against the list-based build."""
+
     @pytest.mark.parametrize("seed", range(25))
     def test_random_pair_lists(self, seed):
         rng = random.Random(seed)
         pool = rng.sample(ID_POOL, rng.randint(1, len(ID_POOL)))
         edges = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 60))]
         edges += rng.sample(edges, min(len(edges), 5))  # explicit repeats
-        nodes = rng.sample(ID_POOL, rng.randint(0, 4)) + ["isolated-only"]
-        want = reference_build_graph(edges, nodes=nodes)
-        assert_same_graph(build_graph(edges, nodes=nodes), want)
-        # A one-shot generator is consumed once and gives the same graph.
-        assert_same_graph(build_graph((pair for pair in edges), nodes=iter(nodes)), want)
+        want = reference_build_graph(edges)
+        got = network_of(edges)
+        assert_same_graph(got, want)
+        assert got.fingerprint == want.fingerprint
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_decimal_ids_of_mixed_length(self, seed):
+        rng = random.Random(seed)
+        pool = [str(rng.randint(0, 10 ** rng.randint(1, 18) - 1)) for _ in range(rng.randint(1, 30))]
+        if seed % 3 == 0:
+            pool += rng.sample(ID_POOL, 3) + ["007", "-5", "1234567890123456789"]  # not plain decimals
+        edges = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 80))]
+        want = reference_build_graph(edges)
+        lines = "".join(f"{a}\t{b}\n" for a, b in edges)
+        # Edge lines go through the line scanner, a file through the bulk reader.
+        for got in (network_of(edges), read_network(io.StringIO(lines))):
+            assert_same_graph(got, want)
+            assert got.fingerprint == want.fingerprint
 
     def test_self_loops_only(self):
         edges = [("a", "a"), ("b", "b"), ("a", "a")]
-        assert_same_graph(build_graph(edges), reference_build_graph(edges))
+        assert_same_graph(network_of(edges), reference_build_graph(edges))
 
     def test_odd_field_count_rejected(self):
-        with pytest.raises(InputError, match="pairs"):
-            build_graph([("a", "b"), ("c",)])
+        with pytest.raises(ParseError, match="expected 2 fields, got 1"):
+            read_network(["a\tb", "c"], strict=True)
 
 
 def edge_betweenness(g):
@@ -348,17 +359,17 @@ class TestTokenizer:
 
 class TestEdgeBetweenness:
     def test_directed_path(self):
-        g = build_graph([("a", "b"), ("b", "c")])
+        g = network_of([("a", "b"), ("b", "c")])
         assert edge_betweenness(g) == {("a", "b"): 2.0, ("b", "c"): 2.0}
 
     def test_directed_cycle_symmetry(self):
-        g = build_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+        g = network_of([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
         scores = set(edge_betweenness(g).values())
         assert scores == {6.0}
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InputError):
-            betweenness_scores(build_graph([]))
+            betweenness_scores(network_of([]))
 
     def test_random_digraphs_match_path_counting_oracle(self):
         rng = random.Random(29)
@@ -366,7 +377,7 @@ class TestEdgeBetweenness:
             nodes, edges = random_digraph(rng, rng.randint(4, 24), rng.uniform(0.08, 0.3))
             if not edges:
                 continue
-            g = build_graph(edges, nodes=nodes)
+            g = reference_build_graph(edges, nodes=nodes)
             expected = path_count_betweenness(nodes, edges)
             actual = edge_betweenness(g)
             assert actual.keys() == expected.keys()
@@ -379,14 +390,14 @@ class TestEdgeBetweenness:
             nodes, edges = random_digraph(rng, rng.randint(4, 20), 0.2)
             if not edges:
                 continue
-            g = build_graph(edges, nodes=nodes)
+            g = reference_build_graph(edges, nodes=nodes)
             total = sum(edge_betweenness(g).values())
             assert total == pytest.approx(all_pairs_distance_sum(nodes, edges), abs=1e-6)
 
 
 class TestLeadingEigenpair:
     def test_two_cycle(self):
-        g = build_graph([("a", "b"), ("b", "a")])
+        g = network_of([("a", "b"), ("b", "a")])
         pair = leading_eigenpair(g)
         assert pair.eigenvalue == pytest.approx(1.0, abs=1e-9)
         assert pair.residual <= 1e-9
@@ -394,12 +405,12 @@ class TestLeadingEigenpair:
     def test_complete_graphs(self):
         for n in (3, 4, 6):
             names = [f"n{i}" for i in range(n)]
-            g = build_graph([(a, b) for a in names for b in names if a != b])
+            g = network_of([(a, b) for a in names for b in names if a != b])
             pair = leading_eigenpair(g)
             assert pair.eigenvalue == pytest.approx(n - 1, abs=1e-8)
 
     def test_acyclic_graph_has_zero_eigenvalue(self):
-        g = build_graph([("a", "b"), ("a", "c"), ("b", "c")])
+        g = network_of([("a", "b"), ("a", "c"), ("b", "c")])
         pair = leading_eigenpair(g)
         assert pair.eigenvalue == 0.0
         assert pair.residual == 0.0
@@ -407,21 +418,21 @@ class TestLeadingEigenpair:
     def test_vectors_have_unit_norm(self):
         rng = random.Random(41)
         _, edges = random_digraph(rng, 15, 0.3)
-        pair = leading_eigenpair(build_graph(edges))
+        pair = leading_eigenpair(network_of(edges))
         assert np.linalg.norm(pair.right_vector) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(pair.left_vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_periodic_core_with_pendant_converges(self):
         # The undamped iteration oscillates here; the damped restart must
         # still deliver the exact spectral radius of the 2-cycle.
-        g = build_graph([("a", "b"), ("b", "a"), ("b", "c")])
+        g = network_of([("a", "b"), ("b", "a"), ("b", "c")])
         pair = leading_eigenpair(g)
         assert pair.eigenvalue == pytest.approx(1.0, abs=1e-8)
         assert pair.residual <= 1e-9
 
     def test_defective_spectrum_reports_non_convergence(self):
         edges = [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "c")]
-        g = build_graph(edges)
+        g = network_of(edges)
         with pytest.raises(ConvergenceError) as err:
             leading_eigenpair(g, max_iterations=2000)
         assert err.value.best_residual > 0
@@ -430,7 +441,7 @@ class TestLeadingEigenpair:
         rng = random.Random(43)
         for _ in range(10):
             nodes, edges = random_digraph(rng, rng.randint(8, 40), rng.uniform(0.15, 0.35))
-            g = build_graph(edges, nodes=nodes)
+            g = reference_build_graph(edges, nodes=nodes)
             pair = leading_eigenpair(g)
             assert pair.eigenvalue == pytest.approx(dense_spectral_radius(nodes, edges), abs=1e-6)
 
@@ -440,26 +451,26 @@ class TestLeadingEigenpair:
         fresh = [f"w{i:02d}" for i in range(len(nodes))]
         rng.shuffle(fresh)
         rename = dict(zip(nodes, fresh))
-        original = leading_eigenpair(build_graph(edges, nodes=nodes))
+        original = leading_eigenpair(reference_build_graph(edges, nodes=nodes))
         relabeled = leading_eigenpair(
-            build_graph([(rename[a], rename[b]) for a, b in edges], nodes=fresh)
+            reference_build_graph([(rename[a], rename[b]) for a, b in edges], nodes=fresh)
         )
         assert relabeled.eigenvalue == pytest.approx(original.eigenvalue, abs=1e-8)
 
     def test_edge_deletion_never_raises_eigenvalue(self):
         rng = random.Random(53)
         nodes, edges = random_digraph(rng, 12, 0.35)
-        g = build_graph(edges, nodes=nodes)
+        g = reference_build_graph(edges, nodes=nodes)
         base = leading_eigenpair(g).eigenvalue
         for dropped in range(min(len(edges), 15)):
             remaining = edges[:dropped] + edges[dropped + 1 :]
-            smaller = leading_eigenpair(build_graph(remaining, nodes=nodes))
+            smaller = leading_eigenpair(reference_build_graph(remaining, nodes=nodes))
             assert smaller.eigenvalue <= base + 1e-9
 
     def test_input_validation(self):
         with pytest.raises(InputError):
-            leading_eigenpair(build_graph([]))
-        g = build_graph([("a", "b"), ("b", "a")])
+            leading_eigenpair(network_of([]))
+        g = network_of([("a", "b"), ("b", "a")])
         with pytest.raises(InputError):
             leading_eigenpair(g, tolerance=0.0)
         with pytest.raises(InputError):

@@ -17,17 +17,15 @@ from cascadecut import (
     InputError,
     ParseError,
     build_batch,
-    build_graph,
     compute_stats,
     filter_cascades,
-    iter_follow_edges,
     load_cascades,
     load_higgs_activity,
     read_network,
 )
 from cascadecut import graph, ingest
 from cascadecut.experiment import load_dataset, load_network
-from conftest import assert_same_graph, assert_same_table, decimal_instance, random_logs
+from conftest import assert_same_graph, assert_same_table, decimal_instance, network_of, random_logs
 from cascadecut.graph import decimal_values
 from oracles import (
     CascadeLog,
@@ -47,11 +45,16 @@ from oracles import (
 
 
 def follow_edges(stream, strict=False):
-    return [tuple(pair) for pair in iter_follow_edges(stream, strict)]
+    """The line scanner's (src, dst) records of an edge stream, in file order,
+    with the warning and INFO lines that a loader logs for them."""
+    tally = ingest._Tally("edge", strict, blocks=1)
+    pairs = [tuple(fields) for _, fields in ingest._scan(stream, 2, tally)]
+    tally.report(len(pairs))
+    return pairs
 
 
 class TestLoadFollowEdges:
-    """``iter_follow_edges``, the line scanner's edge stream, read into a list."""
+    """``_scan``, the line scanner that every loader reads through, on edge lines."""
 
     def test_single_line(self):
         assert follow_edges(io.StringIO("a\tb\n")) == [("a", "b")]
@@ -110,7 +113,7 @@ def write_random_edge_file(rng, path):
 
 
 class TestStreamingLoadNetwork:
-    """``load_network`` streams the file into ``build_graph``; the list-based path is the oracle."""
+    """``load_network`` streams the file through ``read_network``; the list-based path is the oracle."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_list_based_build(self, tmp_path, caplog, seed):
@@ -344,7 +347,7 @@ class TestCascadeTableMatchesListLoader:
         assert any(("bulk reader" if bulk else "line scanner") in m for _, m in got_log)
 
         # Users outside the network stay isolated seeds, as with the list.
-        network = build_graph([(a, b) for a in ("1", "2", "9", "u3") for b in ("10", "2", "ab") if a != b])
+        network = network_of([(a, b) for a in ("1", "2", "9", "u3") for b in ("10", "2", "ab") if a != b])
         for variant in (NON_TREE, TREE_LAST):
             got, expected = build_batch(network, table, variant), build_batch(network, table_of(want), variant)
             assert got.cascade_ids == expected.cascade_ids
@@ -484,7 +487,7 @@ class TestOnePass:
         path.write_text("1 2\n3 4\n5 x\n", encoding="utf-8")
         with open(path, encoding="utf-8") as fh:
             next(fh)  # the file can no longer tell its position
-            assert_same_graph(read_network(fh), build_graph([("3", "4"), ("5", "x")]))
+            assert_same_graph(read_network(fh), network_of([("3", "4"), ("5", "x")]))
 
     def test_cascade_ids_in_first_appearance_order(self, monkeypatch):
         monkeypatch.setattr(ingest, "_BLOCK", 16)
@@ -985,6 +988,27 @@ class TestHiggsAdapter:
         with pytest.raises(ParseError, match=r"^line 2: invalid timestamp 'soon'$"):
             load_higgs_activity(io.StringIO("u1 u2 100 RT\nu5 u2 soon RT\n"))
 
+    @pytest.mark.parametrize("block", PASS_BLOCKS)
+    def test_blocks_read_as_the_whole_log(self, monkeypatch, caplog, block):
+        # A file is read in blocks, a list of lines as one part: the same
+        # table, warning and line numbers either way.
+        monkeypatch.setattr(ingest, "_BLOCK", block)
+        lines = ["# log", "7 2 100 RT", "u5 u2 50 MT", "broken row", "", "3 9 90 RT", "007 1 95 RT", "7 2 80 RT"]
+        text = "\n".join(lines) + "\n"
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="cascadecut.ingest"):
+            got = load_higgs_activity(io.StringIO(text))
+        want = load_higgs_activity(lines)
+        assert_same_table(got, want)
+        assert logs_of(got)[0].events == (("7", 80), ("3", 90), ("007", 95))
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[0] == "skipped 1 malformed activity line(s); first: line 4: 'broken row'"
+        blocks = len(list(ingest._blocks(io.StringIO(text))))
+        assert messages[1] == f"read 5 activity record(s); {blocks} of {blocks} block(s) by the line scanner"
+        for stream in (io.StringIO(text), lines):
+            with pytest.raises(ParseError, match=r"^line 4: expected 4 fields, got 2: 'broken row'$"):
+                load_higgs_activity(stream, strict=True)
+
 
 class TestFilterCascades:
     def _logs(self, sizes):
@@ -1020,7 +1044,7 @@ class TestFilterCascades:
 
 class TestComputeStats:
     def test_empty_inputs(self):
-        stats = compute_stats(build_graph([]), table_of([]))
+        stats = compute_stats(network_of([]), table_of([]))
         assert (stats.user_count, stats.link_count, stats.cascade_count) == (0, 0, 0)
         assert stats.mean_cascade_size == 0.0
 
@@ -1030,7 +1054,7 @@ class TestComputeStats:
             CascadeLog.from_events("t1", [("a", 1), ("b", 2), ("e", 3)]),
             CascadeLog.from_events("t2", [("c", 1)]),
         ]
-        stats = compute_stats(build_graph(edges), table_of(logs))
+        stats = compute_stats(network_of(edges), table_of(logs))
         assert stats.user_count == 5  # a b c d from edges, e from events
         assert stats.link_count == 3  # dedup + self-loop dropped
         assert stats.cascade_count == 2
@@ -1045,4 +1069,4 @@ class TestComputeStats:
         shuffled_edges = edges[:]
         rng.shuffle(shuffled_edges)
         reversed_table = table_of(reversed(logs_of(table)))
-        assert compute_stats(build_graph(edges), table) == compute_stats(build_graph(shuffled_edges), reversed_table)
+        assert compute_stats(network_of(edges), table) == compute_stats(network_of(shuffled_edges), reversed_table)

@@ -48,8 +48,7 @@ _EXPORTS = {
         "read_plan_cache", "save_plan", "save_plan_cache",
     ),
     "diffusion": (
-        "NON_TREE", "TREE_FIRST", "TREE_LAST", "VARIANTS", "DiffusionBatch", "DiffusionGraph", "build_batch",
-        "build_variant", "to_dot",
+        "NON_TREE", "TREE_FIRST", "TREE_LAST", "VARIANTS", "DiffusionBatch", "build_batches", "to_dot",
     ),
     "errors": ("CascadecutError", "ConvergenceError", "InputError", "InvariantError", "ParseError"),
     "estimator": (

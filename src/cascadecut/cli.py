@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 
 from .deletion import STRATEGIES, plan_strategy, save_plan, save_plan_cache
-from .diffusion import NON_TREE, VARIANTS, build_variant, to_dot
+from .diffusion import NON_TREE, VARIANTS, to_dot
 from .errors import ConvergenceError, InputError, InvariantError, ParseError
 from .estimator import read_report_csv, write_csv
 from .experiment import (
@@ -342,10 +342,9 @@ def _cmd_export_dot(args, setting) -> int:
     chosen = [cid == cascade_id for cid in kept.cascade_ids]
     if not any(chosen):
         raise InputError(f"cascade {cascade_id!r} not found after filtering")
-    (dg,) = build_variant(network, kept.select(chosen), args.variant)
-    out = _out_dir(setting)
-    path = out / f"{cascade_id}_{args.variant}.dot"
-    path.write_text(to_dot(dg), encoding="utf-8")
+    text = to_dot(network, kept.select(chosen), args.variant)
+    path = _out_dir(setting) / f"{cascade_id}_{args.variant}.dot"
+    path.write_text(text, encoding="utf-8")
     print(path)
     return EXIT_OK
 

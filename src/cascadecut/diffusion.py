@@ -15,18 +15,20 @@ events never produce an edge (the rule is strictly "earlier"), and equal
 candidate-parent timestamps in the tree variants are broken by the
 lexicographically smallest user id so rebuilds are deterministic.
 
-:func:`build_batch` builds one variant for every cascade of a
-:class:`~cascadecut.ingest.CascadeTable` at once, as flat integer arrays;
-:func:`build_variant` is the string-level view of each cascade that
-``export-dot`` renders, read off the batch.  The tree variants select from
-the non-tree edges, so :func:`gather_candidates` gathers the follow edges
-once and several variants are derived from its result.
+:func:`build_batches` builds any set of variants for every cascade of a
+:class:`~cascadecut.ingest.CascadeTable` at once, one
+:class:`DiffusionBatch` of flat integer arrays per variant.  The tree
+variants select from the non-tree edges, so the follow edges are gathered
+once for all of them.  :func:`to_dot` renders each cascade of a variant as
+the DOT text that ``export-dot`` writes, read off its batch and the two id
+tables.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -76,55 +78,78 @@ class DiffusionBatch:
             arr.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class DiffusionGraph:
-    """One cascade's spread graph in external ids: edge (u, v) means it
-    spread from u to v.  The view that ``export-dot`` renders; the sweep
-    reads :class:`DiffusionBatch` arrays instead.
+def build_batches(network: DirectedGraph, table: CascadeTable, variants: Iterable[str]) -> dict[str, DiffusionBatch]:
+    """Every cascade's diffusion graphs under each variant, from one gather.
+
+    Returns one :class:`DiffusionBatch` per distinct variant, keyed in the
+    order first given.  The names are checked before the follow edges are
+    gathered (:func:`_gather`); the gather keeps the non-tree edges, and
+    each tree variant selects one parent per child among them, so every
+    variant has the same seeds.
     """
+    variants = tuple(dict.fromkeys(variants))
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise InputError(f"unknown diffusion variant {variant!r}; expected one of {VARIANTS}")
+    owner, node, tau, slot, at, parent, edge_pos = _gather(network, table)
+    has_parent = np.zeros(owner.size, dtype=bool)
+    has_parent[slot] = True
+    seed_counts = table.sizes - np.bincount(owner[has_parent], minlength=len(table))
+    batches = {}
+    for variant in variants:
+        chosen = slice(None)
+        if variant != NON_TREE and slot.size:
+            chosen = _single_parent(parent, slot, tau[at], keep_last=variant == TREE_LAST)
+        child = slot[chosen]
+        batches[variant] = DiffusionBatch(
+            table.cascade_ids, table.sizes, seed_counts, owner[child], parent[chosen], node[child], edge_pos[chosen]
+        )
+    return batches
 
-    cascade_id: str
-    variant: str
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-    seeds: frozenset[str]
 
+def to_dot(network: DirectedGraph, table: CascadeTable, variant: str) -> str:
+    """One ``digraph`` per cascade of ``table``, in table order, as deterministic DOT text.
 
-@dataclass(frozen=True, eq=False)
-class SpreadCandidates:
-    """Every qualifying spread edge of many cascades: the non-tree graphs
-    before a variant picks among them, from :func:`gather_candidates`.
-
-    Per participant present in the network, sorted by (cascade, dense id):
-    ``owner`` (cascade index), ``node`` (dense id) and ``tau`` (time).  Per
-    candidate edge, in (cascade, child, parent) order: ``slot`` and ``at``
-    (the child's and the parent's participant index), ``parent`` (dense id)
-    and ``edge_pos`` (follow-edge position).  ``len()`` is the cascade count.
+    Nodes are the cascade's users from the table's id table, sorted, with
+    the seeds (the nodes no edge reaches) filled light green; edges are the
+    variant's spread edges in the network's ids, sorted.  Ids are DOT
+    quoted strings, with ``\\`` and ``"`` escaped by a backslash.
     """
+    (batch,) = build_batches(network, table, [variant]).values()
+    ids, users = network.external_ids, table.users
+    bounds = np.arange(len(table) + 1)
+    events = np.searchsorted(table.cascade, bounds).tolist()
+    spread = np.searchsorted(batch.cascade, bounds).tolist()
+    user, parent, child = table.user.tolist(), batch.parent.tolist(), batch.child.tolist()
+    lines = []
+    for i, cascade_id in enumerate(table.cascade_ids):
+        lo, hi = spread[i], spread[i + 1]
+        reached = {ids[c] for c in child[lo:hi]}
+        lines.append(f"digraph {_dot_id(cascade_id)} {{")
+        for node in sorted(users[u] for u in user[events[i] : events[i + 1]]):
+            seed = "" if node in reached else " [style=filled, fillcolor=lightgreen]"
+            lines.append(f"  {_dot_id(node)}{seed};")
+        for src, dst in sorted((ids[p], ids[c]) for p, c in zip(parent[lo:hi], child[lo:hi])):
+            lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)};")
+        lines.append("}")
+    return "".join(line + "\n" for line in lines)
 
-    network: DirectedGraph = field(repr=False)
-    table: CascadeTable = field(repr=False)
-    owner: np.ndarray = field(repr=False)
-    node: np.ndarray = field(repr=False)
-    tau: np.ndarray = field(repr=False)
-    slot: np.ndarray = field(repr=False)
-    at: np.ndarray = field(repr=False)
-    parent: np.ndarray = field(repr=False)
-    edge_pos: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        for arr in (self.owner, self.node, self.tau, self.slot, self.at, self.parent, self.edge_pos):
-            arr.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.table)
+def _dot_id(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def gather_candidates(network: DirectedGraph, table: CascadeTable) -> SpreadCandidates:
-    """Gather the participants' follow edges once and keep those that qualify.
+def _gather(network: DirectedGraph, table: CascadeTable) -> tuple[np.ndarray, ...]:
+    """The participants' follow edges, gathered once, with those that qualify.
 
     Users of ``table`` absent from the network are kept as isolated seeds;
     their count is logged as one warning.
+
+    Returns, per participant present in the network and sorted by
+    (cascade, dense id), ``owner`` (cascade index), ``node`` (dense id) and
+    ``tau`` (time); then, per qualifying edge in (cascade, child, parent)
+    order, ``slot`` and ``at`` (the child's and the parent's participant
+    index), ``parent`` (dense id) and ``edge_pos`` (follow-edge position).
 
     A gathered follow edge child -> parent qualifies when the parent is a
     participant of the child's cascade that posted strictly earlier.  Most
@@ -174,73 +199,7 @@ def gather_candidates(network: DirectedGraph, table: CascadeTable) -> SpreadCand
         "gathered %d follow edge(s) of %d participant(s); %d passed the filter, %d qualify",
         total, key.size, probes.sum(), slot.size,
     )
-    return SpreadCandidates(network, table, owner, idx, tau, slot, at, parent, edge_pos)
-
-
-def build_batch(network: DirectedGraph, table: CascadeTable | SpreadCandidates, variant: str) -> DiffusionBatch:
-    """Every cascade's diffusion graph for one variant, in one array pass.
-
-    ``table`` is gathered with :func:`gather_candidates`, unless it is the
-    :class:`SpreadCandidates` already gathered over ``network``, which lets
-    several variants share one gather.
-    """
-    if variant not in VARIANTS:
-        raise InputError(f"unknown diffusion variant {variant!r}; expected one of {VARIANTS}")
-    found = table if isinstance(table, SpreadCandidates) else gather_candidates(network, table)
-    if found.network is not network:
-        raise InputError("the spread candidates were gathered over another network")
-    table, slot, parent, edge_pos = found.table, found.slot, found.parent, found.edge_pos
-    if variant != NON_TREE and slot.size:
-        chosen = _single_parent(parent, slot, found.tau[found.at], keep_last=variant == TREE_LAST)
-        slot, parent, edge_pos = slot[chosen], parent[chosen], edge_pos[chosen]
-
-    has_parent = np.zeros(found.owner.size, dtype=bool)
-    has_parent[slot] = True
-    seed_counts = table.sizes - np.bincount(found.owner[has_parent], minlength=len(table))
-    return DiffusionBatch(
-        table.cascade_ids, table.sizes, seed_counts, found.owner[slot], parent, found.node[slot], edge_pos
-    )
-
-
-def build_variant(network: DirectedGraph, table: CascadeTable, variant: str) -> list[DiffusionGraph]:
-    """Each cascade's diffusion graph with string nodes, edges and seeds, in table order.
-
-    Nodes are the cascade's users from the table's id table, edges its
-    batch edges in the network's ids, and seeds the nodes no edge reaches.
-    """
-    batch = build_batch(network, table, variant)
-    ids, users = network.external_ids, table.users
-    bounds = np.arange(len(table) + 1)
-    events = np.searchsorted(table.cascade, bounds).tolist()
-    spread = np.searchsorted(batch.cascade, bounds).tolist()
-    user, parent, child = table.user.tolist(), batch.parent.tolist(), batch.child.tolist()
-    graphs = []
-    for i, cascade_id in enumerate(table.cascade_ids):
-        lo, hi = spread[i], spread[i + 1]
-        nodes = frozenset(users[u] for u in user[events[i] : events[i + 1]])
-        edges = frozenset((ids[p], ids[c]) for p, c in zip(parent[lo:hi], child[lo:hi]))
-        seeds = nodes - {ids[c] for c in child[lo:hi]}
-        graphs.append(DiffusionGraph(cascade_id, variant, nodes, edges, seeds))
-    return graphs
-
-
-def to_dot(dg: DiffusionGraph) -> str:
-    """Render as deterministic DOT text, seed nodes filled light green; ids
-    are DOT quoted strings, with ``\\`` and ``"`` escaped by a backslash."""
-    lines = [f"digraph {_dot_id(dg.cascade_id)} {{"]
-    for node in sorted(dg.nodes):
-        if node in dg.seeds:
-            lines.append(f"  {_dot_id(node)} [style=filled, fillcolor=lightgreen];")
-        else:
-            lines.append(f"  {_dot_id(node)};")
-    for src, dst in sorted(dg.edges):
-        lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_id(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return owner, idx, tau, slot, at, parent, edge_pos
 
 
 def _candidates(

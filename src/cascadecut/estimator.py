@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .deletion import DeletionPlan
-from .diffusion import DiffusionBatch, build_batch
+from .diffusion import DiffusionBatch, build_batches
 from .errors import InputError, InvariantError, ParseError
 from .graph import DirectedGraph
 from .ingest import CascadeTable
@@ -146,7 +146,7 @@ def estimate_budgets(
     owner, best = cascade[starts], best[:-1]
     count = len(batch.cascade_ids)
     if not np.array_equal(np.bincount(owner, minlength=count), batch.sizes - batch.seed_counts):
-        raise InputError("every non-seed user must have a parent, as in batches from build_batch")
+        raise InputError("every non-seed user must have a parent, as in batches from build_batches")
     out = np.empty((len(budgets), count), dtype=np.int64)
     for k, row in zip(budgets, out):
         np.subtract(batch.sizes, np.bincount(owner[best < k], minlength=count), out=row)
@@ -166,7 +166,7 @@ def run_estimation(
     cascades.  The report is in cascade-id order whatever the table's
     cascade order.
     """
-    batch = build_batch(network, table, variant)
+    (batch,) = build_batches(network, table, [variant]).values()
     (estimated,) = estimate_budgets(batch, plan_ranks(network, plan), [plan.edge_pos.size])
     return EstimateReport(plan.strategy, variant, plan.k, batch.cascade_ids, batch.sizes, estimated, batch.seed_counts)
 

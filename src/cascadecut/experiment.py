@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .deletion import STRATEGIES, DeletionPlan, cache_header, plan_strategy, read_plan_cache, save_plan_cache
-from .diffusion import NON_TREE, VARIANTS, build_batch, gather_candidates
+from .diffusion import NON_TREE, VARIANTS, build_batches
 from .errors import ConvergenceError, InputError, ParseError
 from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_csv, write_report_csv
 from .graph import DirectedGraph, _sorted_unique
@@ -96,10 +96,7 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
     network, table = load_dataset(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
-    # The follow edges are gathered once; each variant is a selection from them.
-    candidates = gather_candidates(network, table)
-    batches = {variant: build_batch(network, candidates, variant) for variant in config.variants}
-    del candidates
+    batches = build_batches(network, table, config.variants)
     edge_count = network.edge_count
     budgets = [budget_for(f, edge_count) for f in config.budget_fractions]
     max_budget = max(budgets)
@@ -132,31 +129,32 @@ def load_network(edges_path: Path, strict_parse: bool) -> DirectedGraph:
 
     The file is read as UTF-8, and a leading byte-order mark is dropped.
     """
-    try:
-        with open(edges_path, "r", encoding="utf-8-sig") as fh:
-            return read_network(fh, strict=strict_parse)
-    except OSError as exc:
-        raise InputError(f"ingest: cannot read edges file: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{edges_path}: not UTF-8 text ({exc.reason})") from None
+    return _read_input(edges_path, "edges", read_network, strict_parse)
 
 
 def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, CascadeTable]:
     """Parse, filter, and index the configured dataset."""
     network = load_network(config.edges_path, config.strict_parse)
-    try:
-        with open(config.cascades_path, "r", encoding="utf-8-sig") as fh:
-            table = load_cascades(fh, strict=config.strict_parse)
-    except OSError as exc:
-        raise InputError(f"ingest: cannot read cascades file: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{config.cascades_path}: not UTF-8 text ({exc.reason})") from None
+    table = _read_input(config.cascades_path, "cascades", load_cascades, config.strict_parse)
     kept = filter_cascades(table, config.min_cascade_size)
     logger.info(
         "loaded %d nodes, %d edges, %d/%d cascades at min size %d",
         network.node_count, network.edge_count, len(kept), len(table), config.min_cascade_size,
     )
     return network, kept
+
+
+def _read_input(path: Path, kind: str, read, strict_parse: bool):
+    """``read(stream, strict=strict_parse)`` of a UTF-8 input file, a leading
+    byte-order mark dropped; an unreadable file is an :class:`InputError`
+    and text that is not UTF-8 a :class:`ParseError` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return read(fh, strict=strict_parse)
+    except OSError as exc:
+        raise InputError(f"ingest: cannot read {kind} file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def seed_analysis(
@@ -167,9 +165,11 @@ def seed_analysis(
     """(cascade_id, original_size, seed_count) rows for the cascades of ``table`` up to max_size.
 
     Seed sets are identical across diffusion variants, so the rows are
-    variant-independent.
+    variant-independent.  A negative ``max_size`` is an :class:`InputError`.
     """
-    batch = build_batch(network, table.select(table.sizes <= max_size), NON_TREE)
+    if max_size < 0:
+        raise InputError(f"max_size must be >= 0, not {max_size}")
+    (batch,) = build_batches(network, table.select(table.sizes <= max_size), [NON_TREE]).values()
     return sorted(zip(batch.cascade_ids, batch.sizes.tolist(), batch.seed_counts.tolist()))
 
 

@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from cascadecut import build_variant, read_network
-from oracles import CascadeLog, logs_of, table_of
+from cascadecut import read_network
+from oracles import CascadeLog, build_variant, logs_of, table_of
 
 # follower -> followee
 EIGHT_NODE_FOLLOW_EDGES = [

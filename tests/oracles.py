@@ -6,13 +6,17 @@ code with the package, so agreement is meaningful.  :func:`size_after`
 cuts a cascade's string edges by set difference and counts with
 :func:`closure_from`, and :func:`per_budget_sweep` computes a sweep one
 budget point at a time with it and writes its files with its own
-``csv.writer``; both read their graphs and plans through the package's
-string views (``build_variant``, ``ranked_edges``).  The
+``csv.writer``; both read their graphs through :func:`build_variant` and
+their plans through the package's ``ranked_edges``.  :func:`build_variant`
+is the tests' string view of a batch (one :class:`DiffusionGraph` per
+cascade, read off :func:`batch_of`, the package's ``build_batches`` for
+one variant), and :func:`graph_dot` the earlier DOT renderer of one such
+graph.  The other
 exceptions are :func:`reference_build_graph`, the earlier list-based graph
 build, which hands its arrays to the package's ``DirectedGraph``,
 :func:`list_load_cascades`, the earlier list loader over
 :func:`whole_file_scan`, :func:`list_estimate_budgets`, the earlier bottleneck pass over
-per-cascade arrays, each from its own ``build_batch``, the earlier list
+per-cascade arrays, each from its own :func:`batch_of`, the earlier list
 shuffle of the random plan (:func:`shuffled_prefix`), the earlier
 string-pair plans (:func:`string_plan`, :func:`string_plan_ranks`,
 :func:`string_save_plan`), which score with the package's eigensolver and
@@ -58,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cascadecut.deletion import RANDOM, STRATEGIES, DeletionPlan, plan_strategy
-from cascadecut.diffusion import NON_TREE, TREE_LAST, DiffusionGraph, SpreadCandidates, build_batch, build_variant
+from cascadecut.diffusion import NON_TREE, TREE_LAST, build_batches
 from cascadecut.estimator import NEVER_DELETED
 from cascadecut.errors import InputError, ParseError
 from cascadecut.experiment import budget_for, load_dataset
@@ -135,6 +139,66 @@ def logs_of(table):
         CascadeLog(cascade_id, tuple(sorted(mine, key=lambda event: (event[1], event[0]))))
         for cascade_id, mine in zip(table.cascade_ids, events)
     ]
+
+
+def batch_of(network, table, variant):
+    """One variant's ``DiffusionBatch``: the package's ``build_batches`` for it alone."""
+    return build_batches(network, table, [variant])[variant]
+
+
+@dataclass(frozen=True)
+class DiffusionGraph:
+    """One cascade's spread graph in external ids: edge (u, v) means it
+    spread from u to v.  The string view that tests compare with; the
+    package reads its ``DiffusionBatch`` arrays instead.
+    """
+
+    cascade_id: str
+    variant: str
+    nodes: frozenset[str]
+    edges: frozenset[tuple[str, str]]
+    seeds: frozenset[str]
+
+
+def build_variant(network, table, variant):
+    """Each cascade's diffusion graph with string nodes, edges and seeds, in table order.
+
+    Nodes are the cascade's users from the table's id table, edges its
+    batch edges in the network's ids, and seeds the nodes no edge reaches.
+    """
+    batch = batch_of(network, table, variant)
+    ids, users = network.external_ids, table.users
+    bounds = np.arange(len(table) + 1)
+    events = np.searchsorted(table.cascade, bounds).tolist()
+    spread = np.searchsorted(batch.cascade, bounds).tolist()
+    user, parent, child = table.user.tolist(), batch.parent.tolist(), batch.child.tolist()
+    graphs = []
+    for i, cascade_id in enumerate(table.cascade_ids):
+        lo, hi = spread[i], spread[i + 1]
+        nodes = frozenset(users[u] for u in user[events[i] : events[i + 1]])
+        edges = frozenset((ids[p], ids[c]) for p, c in zip(parent[lo:hi], child[lo:hi]))
+        seeds = nodes - {ids[c] for c in child[lo:hi]}
+        graphs.append(DiffusionGraph(cascade_id, variant, nodes, edges, seeds))
+    return graphs
+
+
+def graph_dot(dg):
+    """The earlier DOT renderer of one string view: seed nodes filled light
+    green, ids as DOT quoted strings with ``\\`` and ``"`` escaped."""
+    lines = [f"digraph {_dot_id(dg.cascade_id)} {{"]
+    for node in sorted(dg.nodes):
+        if node in dg.seeds:
+            lines.append(f"  {_dot_id(node)} [style=filled, fillcolor=lightgreen];")
+        else:
+            lines.append(f"  {_dot_id(node)};")
+    for src, dst in sorted(dg.edges):
+        lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _dot_id(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def graph_edges(network):
@@ -469,7 +533,7 @@ def list_load_cascades(stream, strict=False):
 def list_estimate_budgets(network, logs, variant, ranks, budgets):
     """The bottleneck pass over a list of per-cascade graphs that the batch replaced.
 
-    Builds each log's arrays with its own ``build_batch`` over a one-cascade
+    Builds each log's arrays with its own :func:`batch_of` over a one-cascade
     table (see :func:`table_of`), concatenates
     them, numbers the (cascade, child) slots with ``np.unique`` and relaxes
     max-min offers to the fixed point.  Returns the estimated sizes as an
@@ -478,7 +542,7 @@ def list_estimate_budgets(network, logs, variant, ranks, budgets):
     if any(k < 0 for k in budgets):
         raise InputError("deletion budget k must be >= 0")
     graphs = build_variant(network, table_of(logs), variant)
-    batches = [build_batch(network, table_of([log]), variant) for log in logs]
+    batches = [batch_of(network, table_of([log]), variant) for log in logs]
 
     def concat(arrays):
         return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
@@ -608,9 +672,7 @@ def unfiltered_candidates(network, table):
     at = np.searchsorted(key, parent_key)
     qualifies = key.take(at, mode="clip") == parent_key
     qualifies &= tau.take(at, mode="clip") < tau[slot]
-    found = SpreadCandidates(
-        network, table, owner, idx, tau, slot[qualifies], at[qualifies], parent[qualifies], edge_pos[qualifies]
-    )
+    found = (owner, idx, tau, slot[qualifies], at[qualifies], parent[qualifies], edge_pos[qualifies])
     return found, slot.size
 
 

@@ -30,8 +30,6 @@ from cascadecut import (
     STRATEGIES,
     VARIANTS,
     betweenness_scores,
-    build_batch,
-    build_variant,
     compute_stats,
     estimate_budgets,
     filter_cascades,
@@ -55,6 +53,8 @@ from conftest import (
 )
 from oracles import (
     CascadeLog,
+    batch_of,
+    build_variant,
     dense_spectral_radius,
     dict_edge_positions,
     graph_edges,
@@ -84,7 +84,7 @@ def test_a1_golden_eight_node_example(eight_node_network, eight_node_table):
     report = run_estimation(eight_node_network, eight_node_table, plan, NON_TREE)
     assert report.total_estimated == 5
 
-    batch = build_batch(eight_node_network, eight_node_table, NON_TREE)
+    batch = batch_of(eight_node_network, eight_node_table, NON_TREE)
     k = plan.edge_pos.size
 
     def cut_and_count():
@@ -286,7 +286,7 @@ def test_a8_public_dataset_trends():
 
     fractions = tuple(round(0.05 * i, 2) for i in range(1, 11))
     budgets = [budget_for(f, network.edge_count) for f in fractions]
-    batch = build_batch(network, table, NON_TREE)
+    batch = batch_of(network, table, NON_TREE)
 
     from cascadecut.estimator import EstimateReport
 

@@ -15,10 +15,10 @@ from cascadecut import deletion, diffusion, errors, estimator, experiment, graph
 
 PUBLIC = {
     "BETWEENNESS", "CascadeTable", "CascadecutError", "ConvergenceError",
-    "DEFAULT_FRACTIONS", "DatasetStats", "DeletionPlan", "DiffusionBatch", "DiffusionGraph", "DirectedGraph",
+    "DEFAULT_FRACTIONS", "DatasetStats", "DeletionPlan", "DiffusionBatch", "DirectedGraph",
     "EDGE_DEGREE", "EigenPair", "EstimateReport", "ExperimentConfig", "InputError", "InvariantError",
     "NETMELT", "NON_TREE", "ParseError", "RANDOM", "STRATEGIES", "TREE_FIRST", "TREE_LAST", "VARIANTS",
-    "betweenness_scores", "build_batch", "build_variant", "compute_stats", "estimate_budgets",
+    "betweenness_scores", "build_batches", "compute_stats", "estimate_budgets",
     "filter_cascades", "leading_eigenpair", "load_cascades", "load_higgs_activity",
     "plan_betweenness", "plan_edge_degree", "plan_netmelt", "plan_random", "plan_ranks",
     "plan_strategy", "read_network", "read_plan_cache", "read_report_csv", "run_estimation", "run_sweep",
@@ -26,8 +26,8 @@ PUBLIC = {
 }
 
 # Each removed name with where it lived; the sweep's integer path, its one
-# plan input, the .npz cache, and its one network constructor,
-# read_network, replaced them.
+# plan input, the .npz cache, its one network constructor, read_network,
+# and its one diffusion builder, build_batches, replaced them.
 REMOVED = [
     (estimator, "apply_deletion"),
     (estimator, "estimate_size"),
@@ -61,11 +61,16 @@ REMOVED = [
     (estimator.EstimateReport, "from_rows"),
     (graph, "build_graph"),
     (ingest, "iter_follow_edges"),
+    (diffusion, "gather_candidates"),
+    (diffusion, "SpreadCandidates"),
+    (diffusion, "build_batch"),
+    (diffusion, "build_variant"),
+    (diffusion, "DiffusionGraph"),
 ]
 
 
 def test_all_names_the_public_surface():
-    assert len(cascadecut.__all__) == len(set(cascadecut.__all__)) == 50
+    assert len(cascadecut.__all__) == len(set(cascadecut.__all__)) == 48
     assert set(cascadecut.__all__) == PUBLIC
 
 
@@ -77,8 +82,7 @@ def test_each_public_name_resolves(name):
 @pytest.mark.parametrize("owner, name", REMOVED, ids=[f"{o.__name__}.{n}" for o, n in REMOVED])
 def test_removed_names_stay_gone(owner, name):
     assert not hasattr(owner, name)
-    # experiment's re-export of build_variant stays public where it is defined.
-    assert name in PUBLIC or not hasattr(cascadecut, name)
+    assert not hasattr(cascadecut, name)
 
 
 def test_cascade_table_is_no_sequence_of_logs():
@@ -117,8 +121,3 @@ def test_the_definition_scan_skips_imports():
     assert {"CascadecutError", "InputError"} <= top_level_definitions(errors)
     assert "DirectedGraph" not in top_level_definitions(deletion)
     assert "DirectedGraph" in top_level_definitions(graph)
-
-
-def test_diffusion_graph_holds_strings_only():
-    fields = diffusion.DiffusionGraph.__dataclass_fields__
-    assert list(fields) == ["cascade_id", "variant", "nodes", "edges", "seeds"]

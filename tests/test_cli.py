@@ -247,6 +247,23 @@ class TestSeedsCommand:
             "t,8,2",
         ]
 
+    def test_negative_max_size_exits_1_and_writes_nothing(self, dataset, tmp_path, capsys):
+        edges_path, cascades_path = dataset
+        out = tmp_path / "seeds-out"
+        code = main(
+            [
+                "seeds",
+                "--edges", str(edges_path),
+                "--cascades", str(cascades_path),
+                "--min-size", "0",
+                "--max-size", "-1",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "error [input]: max_size must be >= 0, not -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScatterCommand:
     def test_projects_report(self, dataset, tmp_path):

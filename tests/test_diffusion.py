@@ -15,8 +15,7 @@ from cascadecut import (
     TREE_FIRST,
     TREE_LAST,
     VARIANTS,
-    build_batch,
-    build_variant,
+    build_batches,
     to_dot,
 )
 from cascadecut import diffusion
@@ -33,7 +32,10 @@ from conftest import (
 )
 from oracles import (
     CascadeLog,
+    batch_of,
+    build_variant,
     closure_from,
+    graph_dot,
     indegree_zero,
     single_parent_edges,
     spread_rule_edges,
@@ -45,8 +47,16 @@ from oracles import (
 GATHER_LOG = re.compile(
     r"gathered (\d+) follow edge\(s\) of (\d+) participant\(s\); (\d+) passed the filter, (\d+) qualify"
 )
-CANDIDATE_ARRAYS = ("owner", "node", "tau", "slot", "at", "parent", "edge_pos")
+# The arrays of diffusion._gather, in order.
+GATHER_ARRAYS = ("owner", "node", "tau", "slot", "at", "parent", "edge_pos")
 BATCH_ARRAYS = ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos")
+
+
+def assert_same_batch(got, want):
+    assert got.cascade_ids == want.cascade_ids
+    for name in BATCH_ARRAYS:
+        array = getattr(got, name)
+        assert array.dtype == np.int64 and array.tolist() == getattr(want, name).tolist(), name
 
 
 def present_times(network, log):
@@ -117,7 +127,7 @@ class TestConstructionRules:
 
     def test_unknown_variant_rejected(self, eight_node_network, eight_node_table):
         with pytest.raises(InputError):
-            build_variant(eight_node_network, eight_node_table, "bogus")
+            to_dot(eight_node_network, eight_node_table, "bogus")
 
 
 class TestRandomInstances:
@@ -192,7 +202,7 @@ class TestRandomInstances:
             src, dst = network.edge_src_indices, network.edge_dst_indices
             for variant in VARIANTS:
                 dg = one_variant(network, log, variant)
-                batch = build_batch(network, table_of([log]), variant)
+                batch = batch_of(network, table_of([log]), variant)
                 pairs = list(zip(batch.child.tolist(), batch.parent.tolist()))
                 assert pairs == sorted(pairs)
                 assert {(ids[p], ids[c]) for c, p in pairs} == dg.edges
@@ -220,14 +230,14 @@ class TestBuildBatch:
             logs = random_logs(rng, network, rng.randint(1, 12))
             ids = network.external_ids
             for variant in VARIANTS:
-                batch = build_batch(network, table_of(logs), variant)
+                batch = batch_of(network, table_of(logs), variant)
                 assert batch.cascade_ids == tuple(log.cascade_id for log in logs)
                 keys = list(zip(batch.cascade.tolist(), batch.child.tolist(), batch.parent.tolist()))
                 assert keys == sorted(keys)
                 for i, log in enumerate(logs):
                     dg = one_variant(network, log, variant)
                     mine = batch.cascade == i
-                    alone = build_batch(network, table_of([log]), variant)
+                    alone = batch_of(network, table_of([log]), variant)
                     for name in ("parent", "child", "follow_edge_pos"):
                         assert getattr(batch, name)[mine].tolist() == getattr(alone, name).tolist()
                     pairs = zip(batch.parent[mine].tolist(), batch.child[mine].tolist())
@@ -247,17 +257,17 @@ class TestBuildBatch:
         for _ in range(10):
             network, _, _, _ = random_instance(rng, max_nodes=20, outside_user_chance=0.0)
             table = table_of(random_logs(rng, network, rng.randint(1, 12)))
-            whole = {variant: build_batch(network, table, variant) for variant in VARIANTS}
+            whole = build_batches(network, table, VARIANTS)
             with monkeypatch.context() as patch:
                 patch.setattr(diffusion, "_GATHER_CHUNK", chunk)
-                for variant in VARIANTS:
-                    got, want = build_batch(network, table, variant), whole[variant]
-                    for name in ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos"):
-                        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+                chunked = build_batches(network, table, VARIANTS)
+            for variant in VARIANTS:
+                assert_same_batch(chunked[variant], whole[variant])
 
     def test_empty_logs_give_an_empty_batch(self, eight_node_network):
-        for variant in VARIANTS:
-            batch = build_batch(eight_node_network, table_of([]), variant)
+        batches = build_batches(eight_node_network, table_of([]), VARIANTS)
+        assert list(batches) == list(VARIANTS)
+        for batch in batches.values():
             assert batch.cascade_ids == ()
             for arr in (batch.sizes, batch.seed_counts, batch.cascade, batch.parent, batch.child,
                         batch.follow_edge_pos):
@@ -270,7 +280,7 @@ class TestBuildBatch:
             CascadeLog.from_events("c", [("ghost", 5)]),
         ]
         with caplog.at_level(logging.WARNING, logger="cascadecut.diffusion"):
-            batch = build_batch(eight_node_network, table_of(logs), NON_TREE)
+            batch = batch_of(eight_node_network, table_of(logs), NON_TREE)
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == [
             "3 user(s) in 2 of 3 cascade(s) absent from the follow network; kept as isolated seeds"
@@ -278,9 +288,32 @@ class TestBuildBatch:
         assert batch.sizes.tolist() == [3, 1, 1]
         assert batch.seed_counts.tolist() == [3, 1, 1]
 
-    def test_unknown_variant_rejected(self, eight_node_network, eight_node_table):
-        with pytest.raises(InputError):
-            build_batch(eight_node_network, eight_node_table, "bogus")
+    def test_unknown_variant_rejected(self, monkeypatch, eight_node_network, eight_node_table):
+        # Every name is checked before the follow edges are gathered.
+        gathers = []
+        monkeypatch.setattr(diffusion, "_gather", lambda *args: gathers.append(args))
+        for variants in (["bogus"], [NON_TREE, "bogus"], [TREE_LAST, TREE_FIRST, "Non-Tree"]):
+            with pytest.raises(InputError, match="unknown diffusion variant"):
+                build_batches(eight_node_network, eight_node_table, variants)
+        assert gathers == []
+
+    def test_any_order_or_repeats_equal_one_call_per_variant(self):
+        rng = random.Random(409)
+        for _ in range(15):
+            network, _, _, _ = random_instance(rng, max_nodes=20, outside_user_chance=0.0)
+            table = table_of(random_logs(rng, network, rng.randint(1, 10)))
+            alone = {variant: batch_of(network, table, variant) for variant in VARIANTS}
+            for variants in ([TREE_LAST, NON_TREE], [TREE_FIRST, TREE_FIRST, TREE_LAST, TREE_FIRST], [],
+                             rng.choices(VARIANTS, k=5), list(reversed(VARIANTS))):
+                batches = build_batches(network, table, variants)
+                assert list(batches) == list(dict.fromkeys(variants))
+                for variant, batch in batches.items():
+                    assert_same_batch(batch, alone[variant])
+
+    def test_batches_are_read_only(self, eight_node_network, eight_node_table):
+        for batch in build_batches(eight_node_network, eight_node_table, VARIANTS).values():
+            for name in BATCH_ARRAYS:
+                assert not getattr(batch, name).flags.writeable, name
 
 
 class TestBuildVariantAgainstStrings:
@@ -305,11 +338,13 @@ class TestBuildVariantAgainstStrings:
                 for dg, log in zip(got, logs):
                     want = string_variant(edges, log, variant)
                     assert (dg.nodes, dg.edges, dg.seeds) == (want.nodes, want.edges, want.seeds)
-                    assert to_dot(dg).encode() == to_dot(want).encode()
+                    assert graph_dot(dg) == graph_dot(want)
+                assert to_dot(network, table, variant) == "".join(map(graph_dot, got))
 
     def test_empty_table_has_no_graphs(self, eight_node_network):
         for variant in VARIANTS:
             assert build_variant(eight_node_network, table_of([]), variant) == []
+            assert to_dot(eight_node_network, table_of([]), variant) == ""
 
 
 class TestParticipantFilter:
@@ -317,22 +352,25 @@ class TestParticipantFilter:
 
     @staticmethod
     def check(network, logs, caplog):
-        """Assert the gather equals the oracle's; returns its (probes, gathered) counts."""
+        """Assert the gather, and the batches built from it, equal the
+        oracle's; returns its (probes, gathered) counts."""
         table = table_of(logs)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="cascadecut.diffusion"):
-            found = diffusion.gather_candidates(network, table)
+            found = diffusion._gather(network, table)
         [counts] = [m.groups() for r in caplog.records if (m := GATHER_LOG.fullmatch(r.getMessage()))]
         gathered, participants, probes, qualify = map(int, counts)
         want, want_gathered = unfiltered_candidates(network, table)
-        for name in CANDIDATE_ARRAYS:
-            assert getattr(found, name).tolist() == getattr(want, name).tolist(), name
-        for variant in VARIANTS:
-            got, expected = build_batch(network, found, variant), build_batch(network, want, variant)
-            assert got.cascade_ids == expected.cascade_ids
-            for name in BATCH_ARRAYS:
-                assert getattr(got, name).tolist() == getattr(expected, name).tolist(), (variant, name)
-        assert (gathered, participants, qualify) == (want_gathered, want.owner.size, want.slot.size)
+        assert len(found) == len(want) == len(GATHER_ARRAYS)
+        for name, got, expected in zip(GATHER_ARRAYS, found, want):
+            assert got.tolist() == expected.tolist(), name
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diffusion, "_gather", lambda *args: want)
+            expected = build_batches(network, table, VARIANTS)
+        for variant, batch in build_batches(network, table, VARIANTS).items():
+            assert_same_batch(batch, expected[variant])
+        owner, slot = want[0], want[3]
+        assert (gathered, participants, qualify) == (want_gathered, owner.size, slot.size)
         assert qualify <= probes <= gathered
         return probes, gathered
 
@@ -402,10 +440,9 @@ class TestParticipantFilter:
 
 
 class TestDotExport:
-    def test_seeds_annotated_and_output_stable(self, eight_node_network, eight_node_log):
-        dg = one_variant(eight_node_network, eight_node_log, NON_TREE)
-        text = to_dot(dg)
-        assert text == to_dot(dg)
+    def test_seeds_annotated_and_output_stable(self, eight_node_network, eight_node_table):
+        text = to_dot(eight_node_network, eight_node_table, NON_TREE)
+        assert text == to_dot(eight_node_network, eight_node_table, NON_TREE)
         assert '"1" [style=filled, fillcolor=lightgreen];' in text
         assert '"4" [style=filled, fillcolor=lightgreen];' in text
         assert '"3" -> "6";' in text
@@ -413,11 +450,9 @@ class TestDotExport:
         assert text.rstrip().endswith("}")
 
     def test_quotes_and_backslashes_in_ids_are_escaped(self):
-        dg = diffusion.DiffusionGraph(
-            cascade_id='t"1', variant=NON_TREE, nodes=frozenset({'a"b', "c\\"}),
-            edges=frozenset({('a"b', "c\\")}), seeds=frozenset({'a"b'}),
-        )
-        text = to_dot(dg)
+        network = network_of([("c\\", 'a"b')])
+        table = table_of([CascadeLog.from_events('t"1', [('a"b', 1), ("c\\", 2)])])
+        text = to_dot(network, table, NON_TREE)
         assert text == (
             'digraph "t\\"1" {\n'
             '  "a\\"b" [style=filled, fillcolor=lightgreen];\n'
@@ -432,3 +467,26 @@ class TestDotExport:
             assert re.fullmatch(r'(?:[^"\\]|"(?:[^"\\]|\\.)*")*', line), line
             names.update(re.sub(r"\\(.)", r"\1", name) for name in quoted.findall(line))
         assert names == {'t"1', 'a"b', "c\\"}
+
+    @pytest.mark.parametrize("ids", ["plain", "decimal", "escaped"])
+    def test_random_instances_match_the_string_views(self, ids):
+        # Decimal ids of mixed length sort as strings, not as numbers, and
+        # escaped ids put '"' and '\\' in every user and cascade id.
+        rng = random.Random(613 + len(ids))
+        for _ in range(25):
+            network, _, edges, _ = random_instance(rng, max_nodes=20, outside_user_chance=0.0)
+            logs = random_logs(rng, network, rng.randint(1, 8))
+            if ids == "decimal":
+                edges, logs = decimal_instance(rng, edges, logs)
+            elif ids == "escaped":
+                names = {u for edge in edges for u in edge} | {u for log in logs for u, _ in log.events}
+                names |= {log.cascade_id for log in logs}
+                new = {name: name[0] + rng.choice('"\\') + name[1:] for name in sorted(names)}
+                edges = [(new[a], new[b]) for a, b in edges]
+                logs = [CascadeLog.from_events(new[log.cascade_id], [(new[u], t) for u, t in log.events])
+                        for log in logs]
+            network, table = network_of(edges), table_of(logs)
+            for variant in VARIANTS:
+                text = to_dot(network, table, variant)
+                assert text == "".join(graph_dot(dg) for dg in build_variant(network, table, variant))
+                assert text == "".join(graph_dot(string_variant(edges, log, variant)) for log in logs)

@@ -16,8 +16,6 @@ from cascadecut import (
     NON_TREE,
     ParseError,
     VARIANTS,
-    build_batch,
-    build_variant,
     estimate_budgets,
     plan_edge_degree,
     plan_random,
@@ -37,6 +35,8 @@ from conftest import (
 )
 from oracles import (
     CascadeLog,
+    batch_of,
+    build_variant,
     closure_from,
     cut_edges,
     dict_edge_positions,
@@ -60,7 +60,7 @@ def manual_plan(network, follow_edges, strategy="netmelt", k=None):
 
 def surviving_edges(network, log, variant, plan):
     """The batch's spread edges whose follow edge the whole plan leaves, as id pairs."""
-    batch = build_batch(network, table_of([log]), variant)
+    batch = batch_of(network, table_of([log]), variant)
     keep = plan_ranks(network, plan)[batch.follow_edge_pos] >= plan.edge_pos.size
     ids = network.external_ids
     return {(ids[p], ids[c]) for p, c in zip(batch.parent[keep].tolist(), batch.child[keep].tolist())}
@@ -115,7 +115,7 @@ class TestApplyDeletion:
 
 
 def all_budget_sizes(network, logs, variant, plan, budgets):
-    return estimate_budgets(build_batch(network, table_of(logs), variant), plan_ranks(network, plan), budgets).tolist()
+    return estimate_budgets(batch_of(network, table_of(logs), variant), plan_ranks(network, plan), budgets).tolist()
 
 
 class TestEstimateSize:
@@ -211,7 +211,7 @@ class TestEstimateBudgets:
         for variant in VARIANTS:
             table = table_of(logs)
             graphs = build_variant(network, table, variant)
-            batch = build_batch(network, table, variant)
+            batch = batch_of(network, table, variant)
             per_budget = estimate_budgets(batch, plan_ranks(network, plan), budgets)
             for k, sizes in zip(budgets, per_budget):
                 assert sizes.tolist() == prefix_oracle(graphs, plan, k)
@@ -228,7 +228,7 @@ class TestEstimateBudgets:
             ranks = plan_ranks(network, manual_plan(network, ranked))
             budgets = list(range(len(ranked) + 3))  # k = 0 .. beyond the plan's end
             for variant in VARIANTS:
-                batch = build_batch(network, table_of(logs), variant)
+                batch = batch_of(network, table_of(logs), variant)
                 got = estimate_budgets(batch, ranks, budgets)
                 want = list_estimate_budgets(network, logs, variant, ranks, budgets)
                 assert got.dtype == want.dtype == np.int64 and got.shape == want.shape == (len(budgets), len(logs))
@@ -238,7 +238,7 @@ class TestEstimateBudgets:
                 assert batch.seed_counts.tolist() == [len(dg.seeds) for dg in graphs]
 
     def test_one_read_only_int64_row_per_budget(self, eight_node_network, eight_node_table):
-        batch = build_batch(eight_node_network, eight_node_table, NON_TREE)
+        batch = batch_of(eight_node_network, eight_node_table, NON_TREE)
         ranks = plan_ranks(eight_node_network, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
         got = estimate_budgets(batch, ranks, [2, 0, 2])
         assert got.dtype == np.int64 and not got.flags.writeable
@@ -260,18 +260,18 @@ class TestEstimateBudgets:
     def test_no_graphs(self, eight_node_network):
         ranks = plan_ranks(eight_node_network, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
         for variant in VARIANTS:
-            got = estimate_budgets(build_batch(eight_node_network, table_of([]), variant), ranks, [0, 3])
+            got = estimate_budgets(batch_of(eight_node_network, table_of([]), variant), ranks, [0, 3])
             assert got.shape == (2, 0) and got.tolist() == [[], []]
 
     def test_negative_budget_rejected(self, eight_node_network, eight_node_table):
-        batch = build_batch(eight_node_network, eight_node_table, NON_TREE)
+        batch = batch_of(eight_node_network, eight_node_table, NON_TREE)
         with pytest.raises(InputError):
             estimate_budgets(batch, plan_ranks(eight_node_network, manual_plan(eight_node_network, [])), [-1])
 
     def test_cut_graph_rejected(self, eight_node_network, eight_node_table):
         # After the cut, node 6 has no parent yet is no seed: the pass only
         # takes batches as built.
-        batch = build_batch(eight_node_network, eight_node_table, NON_TREE)
+        batch = batch_of(eight_node_network, eight_node_table, NON_TREE)
         cut = dict_edge_positions(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES)
         keep = ~np.isin(batch.follow_edge_pos, cut)
         after = replace(

@@ -26,7 +26,6 @@ from cascadecut import (
     NON_TREE,
     STRATEGIES,
     VARIANTS,
-    build_batch,
     plan_strategy,
     read_plan_cache,
     read_report_csv,
@@ -41,7 +40,7 @@ from cascadecut import cli, diffusion, experiment, graph, ingest
 from cascadecut.deletion import cache_header
 from cascadecut.experiment import budget_for, load_network, write_gnuplot_script
 from conftest import network_of, one_variant, random_instance, write_eight_node_dataset
-from oracles import CascadeLog, dict_edge_positions, graph_edges, per_budget_sweep, table_of
+from oracles import CascadeLog, batch_of, dict_edge_positions, graph_edges, per_budget_sweep, table_of
 
 
 def read_summary(out_dir):
@@ -122,12 +121,13 @@ class TestRunSweep:
     @pytest.mark.parametrize("n_cascades", [1, 12])
     def test_builds_once_per_variant(self, tmp_path, monkeypatch, n_cascades):
         calls = []
+        build = experiment.build_batches
 
-        def counting(network, table, variant):
-            calls.append((variant, len(table)))
-            return build_batch(network, table, variant)
+        def counting(network, table, variants):
+            calls.append((tuple(variants), len(table)))
+            return build(network, table, variants)
 
-        monkeypatch.setattr(experiment, "build_batch", counting)
+        monkeypatch.setattr(experiment, "build_batches", counting)
         edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(193), n_cascades)
         config = ExperimentConfig(
             edges_path=edges_path,
@@ -138,23 +138,22 @@ class TestRunSweep:
             budget_fractions=(0.0, 0.5),
         )
         run_sweep(config)
-        assert calls == [(variant, n_cascades) for variant in VARIANTS]
+        assert calls == [(VARIANTS, n_cascades)]
 
     def test_gathers_once_for_all_variants(self, tmp_path, monkeypatch):
         gathers, batches = [], {}
-        gather, build = diffusion.gather_candidates, experiment.build_batch
+        gather, build = diffusion._gather, experiment.build_batches
 
         def counting_gather(network, table):
             gathers.append(len(table))
             return gather(network, table)
 
-        def keeping_build(network, table, variant):
-            batches[variant] = build(network, table, variant)
-            return batches[variant]
+        def keeping_build(network, table, variants):
+            batches.update(build(network, table, variants))
+            return batches
 
-        monkeypatch.setattr(diffusion, "gather_candidates", counting_gather)
-        monkeypatch.setattr(experiment, "gather_candidates", counting_gather)
-        monkeypatch.setattr(experiment, "build_batch", keeping_build)
+        monkeypatch.setattr(diffusion, "_gather", counting_gather)
+        monkeypatch.setattr(experiment, "build_batches", keeping_build)
         edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(197), 6)
         config = ExperimentConfig(
             edges_path=edges_path,
@@ -169,17 +168,10 @@ class TestRunSweep:
         network, table = experiment.load_dataset(config)
         assert sorted(batches) == sorted(VARIANTS)
         for variant, got in batches.items():
-            want = build(network, table, variant)
+            want = batch_of(network, table, variant)
             assert got.cascade_ids == want.cascade_ids
             for name in ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos"):
                 assert getattr(got, name).tolist() == getattr(want, name).tolist()
-
-    def test_candidates_of_another_network_are_rejected(self):
-        table = table_of([CascadeLog.from_events("c", [("a", 1), ("b", 2)])])
-        network = network_of([("b", "a")])
-        candidates = diffusion.gather_candidates(network, table)
-        with pytest.raises(InputError, match="another network"):
-            build_batch(network_of([("b", "a")]), candidates, NON_TREE)
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_netmelt_and_random_sweep_never_build_the_reverse_index(self, tmp_path, monkeypatch, numeric):
@@ -747,7 +739,7 @@ def test_decimal_ids_stay_integers_from_ingest_to_the_plan_cache(tmp_path, monke
         monkeypatch.setattr(module, "id_strings", lambda values: calls.append(values.size) or render(values))
     config = ExperimentConfig(edges_path, cascades_path, tmp_path / "out", min_cascade_size=0)
     network, table = experiment.load_dataset(config)
-    diffusion.gather_candidates(network, table)
+    diffusion.build_batches(network, table, VARIANTS)
     for strategy in ("netmelt", "random"):
         save_plan_cache(plan_strategy(network, strategy, 50), tmp_path / f"plan_{strategy}.npz")
     assert calls == []
@@ -767,6 +759,11 @@ class TestSeedAnalysis:
     def test_max_size_filter(self, eight_node_network, eight_node_table):
         assert seed_analysis(eight_node_network, eight_node_table, max_size=7) == []
         assert seed_analysis(eight_node_network, eight_node_table, max_size=8) == [("t", 8, 2)]
+        assert seed_analysis(eight_node_network, eight_node_table, max_size=0) == []
+
+    def test_negative_max_size_rejected(self, eight_node_network, eight_node_table):
+        with pytest.raises(InputError, match="max_size must be >= 0, not -1"):
+            seed_analysis(eight_node_network, eight_node_table, max_size=-1)
 
     def test_matches_seed_oracle(self):
         rng = random.Random(211)

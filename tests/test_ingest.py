@@ -16,7 +16,6 @@ from cascadecut import (
     ExperimentConfig,
     InputError,
     ParseError,
-    build_batch,
     compute_stats,
     filter_cascades,
     load_cascades,
@@ -29,6 +28,7 @@ from conftest import assert_same_graph, assert_same_table, decimal_instance, net
 from cascadecut.graph import decimal_values
 from oracles import (
     CascadeLog,
+    batch_of,
     block_ints,
     lexsort_cascade_table,
     list_load_cascades,
@@ -349,7 +349,7 @@ class TestCascadeTableMatchesListLoader:
         # Users outside the network stay isolated seeds, as with the list.
         network = network_of([(a, b) for a in ("1", "2", "9", "u3") for b in ("10", "2", "ab") if a != b])
         for variant in (NON_TREE, TREE_LAST):
-            got, expected = build_batch(network, table, variant), build_batch(network, table_of(want), variant)
+            got, expected = batch_of(network, table, variant), batch_of(network, table_of(want), variant)
             assert got.cascade_ids == expected.cascade_ids
             for name in ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos"):
                 assert getattr(got, name).tolist() == getattr(expected, name).tolist()
@@ -532,7 +532,7 @@ class TestCascadeTable:
         log = CascadeLog.from_events("c", [("1", 1), ("2", 2)])
         table = table_of([log, log])
         assert table.cascade_ids == ("c", "c") and logs_of(table) == [log, log]
-        batch = build_batch(eight_node_network, table, NON_TREE)
+        batch = batch_of(eight_node_network, table, NON_TREE)
         assert batch.cascade.tolist() == [0, 1] and batch.seed_counts.tolist() == [1, 1]
 
     def test_earliest_event_kept_per_cascade_and_user(self):

@@ -280,13 +280,13 @@ def _cmd_stats(args, setting) -> int:
 def _cmd_plan(args, setting) -> int:
     setting("threads")  # validated only
     seed = setting("seed")
+    # The budget is checked before the edge file is read.
+    if args.k is not None and args.k < 0:
+        raise InputError("deletion budget k must be >= 0")
+    if args.k is None and not 0.0 <= args.fraction <= 1.0:
+        raise InputError("--fraction must lie in [0, 1]")
     network = load_network(setting("edges"), setting("strict_parse"))
-    if args.k is not None:
-        k = args.k
-    else:
-        if not 0.0 <= args.fraction <= 1.0:
-            raise InputError("--fraction must lie in [0, 1]")
-        k = budget_for(args.fraction, network.edge_count)
+    k = args.k if args.k is not None else budget_for(args.fraction, network.edge_count)
     plan = plan_strategy(network, args.strategy, k, rng_seed=seed)
     out = _out_dir(setting)
     # The text file is the export; a sweep into the same directory reuses the cache.
@@ -315,7 +315,10 @@ def _cmd_sweep(args, setting) -> int:
 
 
 def _cmd_seeds(args, setting) -> int:
-    network, kept = load_dataset(_dataset(setting, out_dir=setting("out")))
+    config = _dataset(setting, out_dir=setting("out"))
+    if args.max_size < 0:  # checked before any input is read
+        raise InputError(f"max_size must be >= 0, not {args.max_size}")
+    network, kept = load_dataset(config)
     rows = seed_analysis(network, kept, max_size=args.max_size)
     path = _out_dir(setting) / "seeds.csv"
     write_csv(path, SEEDS_HEADER, rows)

@@ -2,15 +2,15 @@
 
 A :class:`DirectedGraph` maps opaque string node ids onto dense integers
 (sorted by external id, so builds are reproducible) and stores the edge set
-in compressed sparse form, forward on construction and reverse (with the id
-lookup tables) on first use.  Plain decimal ids may be held as int64
-values, whose strings are built only when asked for.  Nodes and edges are
-addressed by dense id and canonical edge position; external ids are looked
-up in bulk only, through :meth:`DirectedGraph.indices_of`.  On top of it
-this module provides directed edge betweenness (Brandes-style
-accumulation) and the leading eigenpair of the adjacency matrix via power
-iteration.  It also holds the one scanner of id text (:func:`_token_bounds`),
-which the file readers and :func:`decimal_values` share.
+in one compressed sparse index by source; the id lookup tables are built on
+first use.  Plain decimal ids may be held as int64 values, whose strings
+are built only when asked for.  Nodes and edges are addressed by dense id
+and canonical edge position; external ids are looked up in bulk only,
+through :meth:`DirectedGraph.indices_of`, and out-edges gathered in bulk
+only, through :meth:`DirectedGraph.out_edge_slots`.  On top of it this
+module provides directed edge betweenness (Brandes-style accumulation) and
+the leading eigenpair of the adjacency matrix via power iteration.  Id text
+is parsed only in :mod:`~cascadecut.ingest`.
 
 Graphs are immutable after construction.
 """
@@ -21,7 +21,7 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,8 +35,6 @@ DEFAULT_MAX_ITERATIONS = 10_000
 # Ids of at most this many decimal digits are read as int64.
 MAX_DIGITS = 18
 _POWERS = 10 ** np.arange(MAX_DIGITS + 1, dtype=np.int64)
-# decimal_values checks and parses this many tokens at a time.
-_TOKEN_CHUNK = 1 << 16
 
 # Iterations without residual improvement before the undamped power phase is
 # declared stalled (periodic structure) and restarted with a diagonal shift.
@@ -50,15 +48,12 @@ class DirectedGraph:
     a list of edge lines; the constructor assumes canonical (deduplicated,
     self-loop-free, sorted) edge arrays.  The external ids
     are a tuple of strings, or an int64 array of plain decimal ids (see
-    :func:`decimal_values`) in the same text order, whose strings are built
-    on first use.  The reverse CSR and the id lookup tables are built on
-    first use too, so a caller that never reads in-edges or looks ids up
-    pays for neither.
+    :func:`~cascadecut.ingest.decimal_values`) in the same text order, whose
+    strings are built on first use.  The id lookup tables are built on
+    first use too, so a caller that never looks ids up pays for neither.
     """
 
-    __slots__ = (
-        "_ids", "_values", "_edge_src", "_edge_dst", "_fwd_indptr", "_reverse", "_index", "_decimal", "_fingerprint"
-    )
+    __slots__ = ("_ids", "_values", "_edge_src", "_edge_dst", "_fwd_indptr", "_index", "_decimal", "_fingerprint")
 
     def __init__(self, external_ids: tuple[str, ...] | np.ndarray, edge_src: np.ndarray, edge_dst: np.ndarray):
         if isinstance(external_ids, np.ndarray):
@@ -69,26 +64,11 @@ class DirectedGraph:
         self._edge_src = edge_src
         self._edge_dst = edge_dst
         self._fwd_indptr = _indptr(edge_src, len(external_ids))
-        self._reverse = None
         self._index = None
         self._decimal = None
         self._fingerprint = None
         for arr in (self._edge_src, self._edge_dst, self._fwd_indptr):
             arr.flags.writeable = False
-
-    def _reverse_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, sources, edge positions) of the in-edges, by (dst, src)."""
-        if self._reverse is None:
-            n = np.int64(self.node_count)
-            key = self._edge_dst * n
-            key += self._edge_src
-            # Edges are distinct, so the keys are too and any sort is stable.
-            perm = np.argsort(key)
-            del key
-            self._reverse = (_indptr(self._edge_dst, n), self._edge_src[perm], perm)
-            for arr in self._reverse:
-                arr.flags.writeable = False
-        return self._reverse
 
     def _id_index(self) -> dict[str, int]:
         """External id -> dense id."""
@@ -96,17 +76,12 @@ class DirectedGraph:
             self._index = {ext: i for i, ext in enumerate(self.external_ids)}
         return self._index
 
-    def _decimal_index(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(int64 ids in numeric order, their dense ids) when every external
-        id is a plain decimal (see :func:`decimal_values`), else None."""
+    def _decimal_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The int64 ids in numeric order and their dense ids; only for ids held as integers."""
         if self._decimal is None:
-            values = self._values if self._values is not None else decimal_values(self._ids)
-            if values is None:
-                self._decimal = ()
-            else:
-                order = np.argsort(values)
-                self._decimal = (values[order], order)
-        return self._decimal or None
+            order = np.argsort(self._values)
+            self._decimal = (self._values[order], order)
+        return self._decimal
 
     # ---- identity -------------------------------------------------------
 
@@ -156,20 +131,17 @@ class DirectedGraph:
         """Dense id of each external id, -1 where it is not a node.
 
         ``external_ids`` are strings, or an int64 array of plain decimal ids
-        (see :func:`decimal_values`).  When the node ids and the queries are
-        all plain decimals, the queries are found as integers (see
-        :meth:`_find`); otherwise each one is looked up in a dict.
+        (see :func:`~cascadecut.ingest.decimal_values`).  When the node ids
+        and the queries are both held as integers, the queries are found as
+        integers (see :meth:`_find`); otherwise each one is looked up in a
+        dict.
         """
-        decimal = self._decimal_index()
         if isinstance(external_ids, np.ndarray):
-            if decimal is not None:
+            if self._values is not None:
                 return self._find(external_ids)
             queries = id_strings(external_ids)
         else:
             queries = external_ids if isinstance(external_ids, (list, tuple)) else list(external_ids)
-            values = None if decimal is None else decimal_values(queries)
-            if values is not None:
-                return self._find(values)
         index = self._id_index()
         return np.fromiter(map(index.get, queries, repeat(-1)), dtype=np.int64, count=len(queries))
 
@@ -216,27 +188,14 @@ class DirectedGraph:
 
     # ---- bulk adjacency access ---------------------------------------------
 
-    def out_edges_bulk(self, node_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All out-edges of the given nodes: (sources, targets, edge positions).
-
-        Edge positions index into the canonical edge arrays.
-        """
-        rep, pos = _slice_gather(self._fwd_indptr, node_indices)
-        return rep, self._edge_dst[pos], pos
-
     def out_edge_slots(self, node_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All out-edges of the given nodes: (slot, edge positions).
 
         ``slot`` is the index into ``node_indices`` of each edge's source, so
-        repeated nodes get their edges once per occurrence.
+        repeated nodes get their edges once per occurrence.  Edge positions
+        index into the canonical edge arrays, ascending per source.
         """
-        return _slice_gather(self._fwd_indptr, node_indices, labels=np.arange(len(node_indices)))
-
-    def in_edges_bulk(self, node_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All in-edges of the given nodes: (targets, sources, edge positions)."""
-        indptr, sources, edge_pos = self._reverse_index()
-        rep, pos = _slice_gather(indptr, node_indices)
-        return rep, sources[pos], edge_pos[pos]
+        return _slice_gather(self._fwd_indptr, node_indices)
 
     def __repr__(self) -> str:
         return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
@@ -255,154 +214,6 @@ class EigenPair:
     right_vector: np.ndarray
     iterations: int
     residual: float
-
-
-def sorted_codes(tokens: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Distinct ids of ``tokens`` in sorted order, and each token's index into them.
-
-    ``tokens`` is consumed once, as a stream.
-    """
-    # Intern ids in first-seen order while the tokens stream by, then sort the
-    # id table once and remap the codes to sorted order.
-    index = _Interner()
-    codes = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64)
-    ids = tuple(sorted(index))
-    n = len(ids)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=n)] = np.arange(n)
-    return ids, rank[codes]
-
-
-def decimal_values(tokens: Sequence[str]) -> np.ndarray | None:
-    """``tokens`` as int64 values when every one is a plain decimal, else None.
-
-    A plain decimal is 1 to ``MAX_DIGITS`` ASCII digits with no sign and no
-    leading zero, so its value prints back as its text and numeric order
-    decides text order within one digit count.  Tokens are joined one per
-    line, a chunk at a time, which keeps the temporaries small, and read by
-    :func:`_token_bounds`.
-    """
-    parts = [np.empty(0, dtype=np.int64)]
-    for start in range(0, len(tokens), _TOKEN_CHUNK):
-        chunk = tokens[start : start + _TOKEN_CHUNK]
-        try:
-            text = "\n".join(chunk)
-        except TypeError:
-            return None
-        bounds = _token_bounds(text, 1, digits=True)
-        if bounds is None:
-            return None
-        data, starts, ends, _ = bounds
-        lengths = ends - starts
-        # All but the line ends are digits, and no line is empty.
-        if starts.size != len(chunk) or int(lengths.sum()) != len(text) - len(chunk) + 1:
-            return None
-        part = _decimals(data, starts, lengths, leading_zeros=False)
-        if part is None:
-            return None
-        parts.append(part)
-    return np.concatenate(parts)
-
-
-def _token_bounds(block: str, width: int, digits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
-    """The UTF-8 bytes of a regular ``block``, the start and end offsets of
-    its tokens into them and the count of its line ends, or None when the
-    block is not regular.
-
-    A block is regular when every byte is a token byte, space, tab or
-    newline, and every non-blank line holds ``width`` tokens.  A token byte
-    is a digit with ``digits``, else any byte above space but ``#`` and
-    DEL, so non-ASCII text is token bytes.  The bytes are the block's
-    between two added line ends, so every token starts and ends inside
-    them.  This is the one scanner of id text: the bulk edge and event
-    readers and :func:`decimal_values` use it.
-    """
-    data = np.frombuffer(f"\n{block}\n".encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    if digits:
-        token = data >= ord("0")
-        token &= data <= ord("9")
-    else:
-        token = data > ord(" ")
-        token &= data != 0x7F
-        token &= data != ord("#")
-    newline = data == ord("\n")
-    token_bytes = np.count_nonzero(token)
-    blanks = np.count_nonzero(data == ord(" ")) + np.count_nonzero(data == ord("\t"))
-    line_ends = int(np.count_nonzero(newline))
-    if token_bytes + blanks + line_ends != data.size:
-        return None
-    # The mask changes at every token's start and end, in turn.
-    bounds = np.flatnonzero(token[1:] != token[:-1])
-    bounds += 1
-    starts, ends = bounds[0::2], bounds[1::2]
-    tokens = starts.size
-    if tokens:
-        # breaks[i]: whether a line end lies between tokens i and i + 1.
-        if ends[-1] - starts[0] - token_bytes == tokens - 1:  # every gap is one byte
-            breaks = data[ends[:-1]] == ord("\n")
-        else:
-            breaks = np.logical_or.reduceat(newline[: ends[-1]], ends[:-1])
-        # A break after every width-th token and nowhere else; with a last
-        # line of fewer tokens there would be one break too many.
-        if np.count_nonzero(breaks) != tokens // width - 1 or not breaks[width - 1 :: width].all():
-            return None
-    return data, starts, ends, line_ends - 2
-
-
-def _token_strings(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-    """The tokens of ``data`` (see :func:`_token_bounds`) from ``starts`` to
-    ``ends``, as strings; no other token becomes a string."""
-    # Each token's bytes and the blank after it are taken, and the blanks
-    # become the line ends that split the text.
-    cuts = np.empty(2 * starts.size + 2, dtype=np.int64)
-    cuts[0], cuts[-1] = 0, data.size
-    cuts[1:-1:2] = starts
-    cuts[2:-1:2] = ends + 1
-    taken = np.zeros(cuts.size - 1, dtype=bool)
-    taken[1::2] = True
-    text = data[np.repeat(taken, np.diff(cuts))]
-    text[np.cumsum(ends - starts + 1) - 1] = ord("\n")
-    return text.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
-
-
-def _fold(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, base: int, zero: int) -> tuple[np.ndarray, int]:
-    """Each token's bytes less ``zero`` read as the digits of one number in
-    ``base``, most significant first, and the largest digit met.
-
-    Horner's rule runs over the tokens of one length at a time, a digit
-    column at a time; it is exact while ``base ** length`` stays below
-    2 ** 63.  A byte below ``zero`` wraps around to a digit above 200.
-    """
-    values = np.empty(starts.size, dtype=np.int64)
-    top = 0
-    counts = np.bincount(lengths)
-    for length in np.flatnonzero(counts).tolist():
-        group = None if counts[length] == starts.size else np.flatnonzero(lengths == length)
-        at = starts.copy() if group is None else starts[group]
-        value = np.zeros(at.size, dtype=np.int64)
-        for _ in range(length):
-            digit = data[at]
-            digit -= zero
-            top = max(top, int(digit.max()))
-            value *= base
-            value += digit
-            at += 1
-        if group is None:
-            values = value
-        else:
-            values[group] = value
-    return values, top
-
-
-def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, leading_zeros: bool) -> np.ndarray | None:
-    """The tokens' int64 values when each is 1 to ``MAX_DIGITS`` digits, with
-    no leading zero unless ``leading_zeros``, else None."""
-    if lengths.min(initial=1) < 1 or lengths.max(initial=0) > MAX_DIGITS:
-        return None
-    if not leading_zeros and ((data[starts] == ord("0")) & (lengths > 1)).any():
-        return None
-    values, top = _fold(data, starts, lengths, 10, ord("0"))
-    return values if top <= 9 else None
 
 
 def id_strings(ids: np.ndarray) -> tuple[str, ...]:
@@ -432,39 +243,6 @@ def _digit_text(values: np.ndarray, digits: np.ndarray) -> np.ndarray:
             text[at] = digit
             at -= 1
     return text
-
-
-def edge_keys(codes: np.ndarray, n: int) -> np.ndarray:
-    """Sorted distinct keys ``src * n + dst`` of flat (src, dst) codes, self-loops dropped.
-
-    One key per edge makes dedup plus the (src, dst) sort a single pass.
-    ``codes`` is overwritten: the keys are built in place in its src half.
-    """
-    src, dst = codes[0::2], codes[1::2]
-    keep = src != dst
-    src *= n
-    src += dst
-    return _sorted_unique(src[keep])
-
-
-def graph_from_keys(external_ids: tuple[str, ...], keys: np.ndarray) -> DirectedGraph:
-    """Graph over sorted ``external_ids`` with the edges of :func:`edge_keys`.
-
-    ``keys`` is overwritten with the sources, so no more than two
-    edge-sized arrays are alive at a time.
-    """
-    n = np.int64(len(external_ids))
-    dst = keys % n
-    keys //= n
-    return DirectedGraph(external_ids, keys, dst)
-
-
-class _Interner(dict):
-    """External id -> dense code; an unseen id gets the next code."""
-
-    def __missing__(self, ext):
-        code = self[ext] = len(self)
-        return code
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -501,36 +279,36 @@ def betweenness_scores(graph: DirectedGraph) -> np.ndarray:
 
 
 def _accumulate_source(graph, source, scores, depth, sigma, delta) -> None:
-    """One Brandes pass: BFS path counts, then dependency back-propagation."""
+    """One Brandes pass: BFS path counts, then dependency back-propagation
+    over the shortest-path DAG edges that the BFS recorded."""
     depth[source] = 0
     sigma[source] = 1.0
     frontier = np.array([source], dtype=np.int64)
     layers = [frontier]
+    dag = []  # per level: the DAG edges' (v, w, edge position), by (v, w)
     level = 0
     while True:
-        srcs, dsts, _ = graph.out_edges_bulk(frontier)
-        if dsts.size == 0:
-            break
+        slot, pos = graph.out_edge_slots(frontier)
+        dsts = graph.edge_dst_indices[pos]
         new_nodes = _sorted_unique(dsts[depth[dsts] == -1])
-        depth[new_nodes] = level + 1
-        on_dag = depth[dsts] == level + 1
-        if on_dag.any():
-            np.add.at(sigma, dsts[on_dag], sigma[srcs[on_dag]])
         if new_nodes.size == 0:
             break
+        depth[new_nodes] = level + 1
+        on_dag = depth[dsts] == level + 1
+        v, w = frontier[slot[on_dag]], dsts[on_dag]
+        np.add.at(sigma, w, sigma[v])
+        dag.append((v, w, pos[on_dag]))
         layers.append(new_nodes)
         frontier = new_nodes
         level += 1
-    # Shortest-path DAG edges connect consecutive BFS layers, so walking the
-    # layers deepest-first sees every delta(w) fully accumulated.
-    for layer in layers[:0:-1]:
-        targets, preds, edge_pos = graph.in_edges_bulk(layer)
-        on_dag = depth[preds] == depth[targets] - 1
-        if on_dag.any():
-            v, w, pos = preds[on_dag], targets[on_dag], edge_pos[on_dag]
-            contrib = sigma[v] / sigma[w] * (1.0 + delta[w])
-            np.add.at(scores, pos, contrib)
-            np.add.at(delta, v, contrib)
+    # DAG edges connect consecutive BFS levels, so walking the levels
+    # deepest-first sees every delta(w) fully accumulated.  The frontier is
+    # sorted and each node's out-edges ascend, so each delta(v) sums its
+    # contributions in ascending w; an edge is on the DAG at one level only.
+    for v, w, pos in reversed(dag):
+        contrib = sigma[v] / sigma[w] * (1.0 + delta[w])
+        scores[pos] += contrib
+        np.add.at(delta, v, contrib)
     for layer in layers:
         depth[layer] = -1
         sigma[layer] = 0.0
@@ -655,12 +433,10 @@ def _indptr(endpoint_ids: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _slice_gather(
-    indptr: np.ndarray, node_indices: np.ndarray, labels: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _slice_gather(indptr: np.ndarray, node_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expand CSR slices for many nodes at once.
 
-    Returns (node, or its entry of ``labels``, repeated per its slice
+    Returns (each node's index into ``node_indices``, repeated per its slice
     length; flat positions into the data array backing ``indptr``).
     """
     node_indices = np.asarray(node_indices, dtype=np.int64)
@@ -669,7 +445,7 @@ def _slice_gather(
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    rep = np.repeat(node_indices if labels is None else labels, counts)
+    rep = np.repeat(np.arange(node_indices.size), counts)
     exclusive = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]))
     pos = np.repeat(starts - exclusive, counts) + np.arange(total, dtype=np.int64)
     return rep, pos

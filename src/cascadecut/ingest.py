@@ -17,10 +17,14 @@ zero).  Any other block, and an iterable of lines that is not a file, goes
 through the line scanner, which alone skips and reports comments and
 malformed lines; both readers give the same result on a regular block.
 The bulk readers take one pass over each block's ASCII bytes (see
-:func:`~cascadecut.graph._token_bounds`) that checks the block and finds
-its token bounds, and parse the decimal fields from those bounds.  Plain
-decimal ids stay int64: the graph and the cascade table keep them as
-integer id tables and build their strings only on first use.
+:func:`_token_bounds`, the package's one scanner of id text) that checks
+the block and finds its token bounds, and parse the decimal fields from
+those bounds; :func:`decimal_values` reads the line scanner's ids with the
+same pass.  Plain decimal ids stay int64: the graph and the cascade table
+keep them as integer id tables and build their strings only on first use.
+Ids are interned (:func:`sorted_codes`) and edges deduplicated
+(:func:`edge_keys`) here too, so :mod:`~cascadecut.graph` receives
+canonical arrays and parses no text.
 
 :func:`read_network` returns the follow network as a
 :class:`~cascadecut.graph.DirectedGraph`.  :func:`load_cascades` and
@@ -47,22 +51,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError, ParseError
-from .graph import (
-    _POWERS,
-    MAX_DIGITS,
-    DirectedGraph,
-    _decimals,
-    _fold,
-    _Interner,
-    _token_bounds,
-    _token_strings,
-    decimal_values,
-    digit_counts,
-    edge_keys,
-    graph_from_keys,
-    id_strings,
-    sorted_codes,
-)
+from .graph import _POWERS, MAX_DIGITS, DirectedGraph, _sorted_unique, digit_counts, id_strings
 
 logger = logging.getLogger(__name__)
 
@@ -76,6 +65,8 @@ _SPAN_PER_VALUE = 2
 # Cascade ids of at most this many bytes are packed into one int64 key.
 _KEY_BYTES = 8
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+# decimal_values checks and parses this many tokens at a time.
+_TOKEN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +75,13 @@ class CascadeTable:
 
     ``cascade_ids`` lists the cascades in order and ``user_ids`` the
     distinct user ids, sorted: a tuple of strings, or an int64 array of
-    plain decimal ids (see :func:`~cascadecut.graph.decimal_values`) in the
-    same text order, whose strings :attr:`users` builds on first use.  Per
-    event, sorted by (cascade, user): ``cascade`` (an index into
-    ``cascade_ids``), ``user`` (an index into ``user_ids``) and ``time``,
-    with one event per (cascade, user), the earliest.  ``sizes`` is each
-    cascade's event count.  Build tables with :func:`load_cascades`, which
-    also reads a list of event lines; the constructor assumes canonical
-    arrays.
+    plain decimal ids (see :func:`decimal_values`) in the same text order,
+    whose strings :attr:`users` builds on first use.  Per event, sorted by
+    (cascade, user): ``cascade`` (an index into ``cascade_ids``), ``user``
+    (an index into ``user_ids``) and ``time``, with one event per (cascade,
+    user), the earliest.  ``sizes`` is each cascade's event count.  Build
+    tables with :func:`load_cascades`, which also reads a list of event
+    lines; the constructor assumes canonical arrays.
     """
 
     cascade_ids: tuple[str, ...]
@@ -174,14 +164,37 @@ def _cascade_table(
     return CascadeTable(cascade_ids, users, *np.divmod(key[first], width), earliest)
 
 
+def sorted_codes(tokens: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct ids of ``tokens`` in sorted order, and each token's index into them.
+
+    ``tokens`` is consumed once, as a stream.
+    """
+    # Intern ids in first-seen order while the tokens stream by, then sort the
+    # id table once and remap the codes to sorted order.
+    index = _Interner()
+    codes = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64)
+    ids = tuple(sorted(index))
+    n = len(ids)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=n)] = np.arange(n)
+    return ids, rank[codes]
+
+
+class _Interner(dict):
+    """External id -> dense code; an unseen id gets the next code."""
+
+    def __missing__(self, ext):
+        code = self[ext] = len(self)
+        return code
+
+
 def _id_codes(parts: Iterable, capacity: int) -> tuple[tuple[str, ...] | np.ndarray, np.ndarray]:
     """Distinct ids of an id column given in parts, in sorted order, and each id's index into them.
 
-    A part is int64 plain decimal values (see
-    :func:`~cascadecut.graph.decimal_values`) or a list of id strings.
-    While every id is a plain decimal the values are ranked as integers (see
-    :func:`_rank_ids`); from the first part that is not, every id is
-    interned as a string.  The values are kept in one array reserved at
+    A part is int64 plain decimal values (see :func:`decimal_values`) or a
+    list of id strings.  While every id is a plain decimal the values are
+    ranked as integers (see :func:`_rank_ids`); from the first part that is
+    not, every id is interned as a string.  The values are kept in one array reserved at
     ``capacity`` and doubled when full; the operating system maps a page
     only once it is written, so no second copy is made at the end.
     """
@@ -296,6 +309,138 @@ def _blocks(stream) -> Iterator[str]:
     tail = "".join(parts)
     if tail:
         yield tail
+
+
+def decimal_values(tokens: Sequence[str]) -> np.ndarray | None:
+    """``tokens`` as int64 values when every one is a plain decimal, else None.
+
+    A plain decimal is 1 to ``MAX_DIGITS`` ASCII digits with no sign and no
+    leading zero, so its value prints back as its text and numeric order
+    decides text order within one digit count.  Tokens are joined one per
+    line, a chunk at a time, which keeps the temporaries small, and read by
+    :func:`_token_bounds`.
+    """
+    parts = [np.empty(0, dtype=np.int64)]
+    for start in range(0, len(tokens), _TOKEN_CHUNK):
+        chunk = tokens[start : start + _TOKEN_CHUNK]
+        try:
+            text = "\n".join(chunk)
+        except TypeError:
+            return None
+        bounds = _token_bounds(text, 1, digits=True)
+        if bounds is None:
+            return None
+        data, starts, ends, _ = bounds
+        lengths = ends - starts
+        # All but the line ends are digits, and no line is empty.
+        if starts.size != len(chunk) or int(lengths.sum()) != len(text) - len(chunk) + 1:
+            return None
+        part = _decimals(data, starts, lengths, leading_zeros=False)
+        if part is None:
+            return None
+        parts.append(part)
+    return np.concatenate(parts)
+
+
+def _token_bounds(block: str, width: int, digits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
+    """The UTF-8 bytes of a regular ``block``, the start and end offsets of
+    its tokens into them and the count of its line ends, or None when the
+    block is not regular.
+
+    A block is regular when every byte is a token byte, space, tab or
+    newline, and every non-blank line holds ``width`` tokens.  A token byte
+    is a digit with ``digits``, else any byte above space but ``#`` and
+    DEL, so non-ASCII text is token bytes.  The bytes are the block's
+    between two added line ends, so every token starts and ends inside
+    them.  This is the one scanner of id text: the bulk edge and event
+    readers and :func:`decimal_values` use it.
+    """
+    data = np.frombuffer(f"\n{block}\n".encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    if digits:
+        token = data >= ord("0")
+        token &= data <= ord("9")
+    else:
+        token = data > ord(" ")
+        token &= data != 0x7F
+        token &= data != ord("#")
+    newline = data == ord("\n")
+    token_bytes = np.count_nonzero(token)
+    blanks = np.count_nonzero(data == ord(" ")) + np.count_nonzero(data == ord("\t"))
+    line_ends = int(np.count_nonzero(newline))
+    if token_bytes + blanks + line_ends != data.size:
+        return None
+    # The mask changes at every token's start and end, in turn.
+    bounds = np.flatnonzero(token[1:] != token[:-1])
+    bounds += 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    tokens = starts.size
+    if tokens:
+        # breaks[i]: whether a line end lies between tokens i and i + 1.
+        if ends[-1] - starts[0] - token_bytes == tokens - 1:  # every gap is one byte
+            breaks = data[ends[:-1]] == ord("\n")
+        else:
+            breaks = np.logical_or.reduceat(newline[: ends[-1]], ends[:-1])
+        # A break after every width-th token and nowhere else; with a last
+        # line of fewer tokens there would be one break too many.
+        if np.count_nonzero(breaks) != tokens // width - 1 or not breaks[width - 1 :: width].all():
+            return None
+    return data, starts, ends, line_ends - 2
+
+
+def _token_strings(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The tokens of ``data`` (see :func:`_token_bounds`) from ``starts`` to
+    ``ends``, as strings; no other token becomes a string."""
+    # Each token's bytes and the blank after it are taken, and the blanks
+    # become the line ends that split the text.
+    cuts = np.empty(2 * starts.size + 2, dtype=np.int64)
+    cuts[0], cuts[-1] = 0, data.size
+    cuts[1:-1:2] = starts
+    cuts[2:-1:2] = ends + 1
+    taken = np.zeros(cuts.size - 1, dtype=bool)
+    taken[1::2] = True
+    text = data[np.repeat(taken, np.diff(cuts))]
+    text[np.cumsum(ends - starts + 1) - 1] = ord("\n")
+    return text.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
+
+
+def _fold(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, base: int, zero: int) -> tuple[np.ndarray, int]:
+    """Each token's bytes less ``zero`` read as the digits of one number in
+    ``base``, most significant first, and the largest digit met.
+
+    Horner's rule runs over the tokens of one length at a time, a digit
+    column at a time; it is exact while ``base ** length`` stays below
+    2 ** 63.  A byte below ``zero`` wraps around to a digit above 200.
+    """
+    values = np.empty(starts.size, dtype=np.int64)
+    top = 0
+    counts = np.bincount(lengths)
+    for length in np.flatnonzero(counts).tolist():
+        group = None if counts[length] == starts.size else np.flatnonzero(lengths == length)
+        at = starts.copy() if group is None else starts[group]
+        value = np.zeros(at.size, dtype=np.int64)
+        for _ in range(length):
+            digit = data[at]
+            digit -= zero
+            top = max(top, int(digit.max()))
+            value *= base
+            value += digit
+            at += 1
+        if group is None:
+            values = value
+        else:
+            values[group] = value
+    return values, top
+
+
+def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, leading_zeros: bool) -> np.ndarray | None:
+    """The tokens' int64 values when each is 1 to ``MAX_DIGITS`` digits, with
+    no leading zero unless ``leading_zeros``, else None."""
+    if lengths.min(initial=1) < 1 or lengths.max(initial=0) > MAX_DIGITS:
+        return None
+    if not leading_zeros and ((data[starts] == ord("0")) & (lengths > 1)).any():
+        return None
+    values, top = _fold(data, starts, lengths, 10, ord("0"))
+    return values if top <= 9 else None
 
 
 def _edge_ids(block: str) -> tuple[np.ndarray, int] | None:
@@ -436,6 +581,31 @@ def read_network(stream: Iterable[str], strict: bool = False) -> DirectedGraph:
     keys = edge_keys(codes, len(ids))
     del codes  # free the per-edge array before the graph allocates its own
     return graph_from_keys(ids, keys)
+
+
+def edge_keys(codes: np.ndarray, n: int) -> np.ndarray:
+    """Sorted distinct keys ``src * n + dst`` of flat (src, dst) codes, self-loops dropped.
+
+    One key per edge makes dedup plus the (src, dst) sort a single pass.
+    ``codes`` is overwritten: the keys are built in place in its src half.
+    """
+    src, dst = codes[0::2], codes[1::2]
+    keep = src != dst
+    src *= n
+    src += dst
+    return _sorted_unique(src[keep])
+
+
+def graph_from_keys(external_ids: tuple[str, ...], keys: np.ndarray) -> DirectedGraph:
+    """Graph over sorted ``external_ids`` with the edges of :func:`edge_keys`.
+
+    ``keys`` is overwritten with the sources, so no more than two
+    edge-sized arrays are alive at a time.
+    """
+    n = np.int64(len(external_ids))
+    dst = keys % n
+    keys //= n
+    return DirectedGraph(external_ids, keys, dst)
 
 
 def _concat(parts: Iterable[np.ndarray]) -> np.ndarray:

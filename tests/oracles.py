@@ -22,7 +22,9 @@ string-pair plans (:func:`string_plan`, :func:`string_plan_ranks`,
 :func:`string_save_plan`), which score with the package's eigensolver and
 betweenness, and the earlier ingest and index builds
 (:func:`lexsort_cascade_table` over the package's string interning,
-:func:`eager_reverse_index`, :func:`dict_edge_positions`), and the earlier
+:func:`eager_reverse_index`, :func:`dict_edge_positions`), the earlier
+Brandes pass that read in-edges through that reverse index
+(:func:`two_gather_betweenness`), and the earlier
 join of participants with their follow edges (:func:`unfiltered_candidates`)
 over the package's cascade table and edge gather.  The earlier bulk
 readers' two passes per block live on as :func:`regular_block` (the
@@ -66,18 +68,18 @@ from cascadecut.diffusion import NON_TREE, TREE_LAST, build_batches
 from cascadecut.estimator import NEVER_DELETED
 from cascadecut.errors import InputError, ParseError
 from cascadecut.experiment import budget_for, load_dataset
-from cascadecut.graph import (
-    MAX_DIGITS,
-    DirectedGraph,
+from cascadecut.graph import MAX_DIGITS, DirectedGraph, betweenness_scores, leading_eigenpair
+from cascadecut.ingest import (
+    CascadeTable,
+    _blocks,
     _decimals,
-    betweenness_scores,
+    _rank_ids,
+    _timestamp,
     decimal_values,
     edge_keys,
     graph_from_keys,
-    leading_eigenpair,
     sorted_codes,
 )
-from cascadecut.ingest import CascadeTable, _blocks, _rank_ids, _timestamp
 
 # The package's logger, so that the frozen scanner's records read like the package's.
 ingest_logger = logging.getLogger("cascadecut.ingest")
@@ -511,6 +513,56 @@ def eager_reverse_index(network):
     indptr = np.zeros(network.node_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=network.node_count), out=indptr[1:])
     return indptr, src[perm], perm
+
+
+def two_gather_betweenness(network):
+    """The earlier Brandes pass: each BFS level gathers its out-edges, and
+    the back-propagation gathers each layer's in-edges from
+    :func:`eager_reverse_index`, sums by ``np.add.at``; the edge
+    betweenness in canonical edge order."""
+    n = network.node_count
+    src, dst = network.edge_src_indices, network.edge_dst_indices
+    fwd_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=fwd_indptr[1:])
+    rev_indptr, rev_sources, rev_pos = eager_reverse_index(network)
+
+    def gather(indptr, nodes):
+        """(each node repeated per its slice entry, the entries' positions)."""
+        spans = [np.arange(indptr[u], indptr[u + 1]) for u in nodes.tolist()]
+        return np.repeat(nodes, np.diff(indptr)[nodes]), np.concatenate([np.empty(0, dtype=np.int64), *spans])
+
+    scores = np.zeros(network.edge_count)
+    for source in range(n):
+        depth = np.full(n, -1, dtype=np.int64)
+        sigma, delta = np.zeros(n), np.zeros(n)
+        depth[source], sigma[source] = 0, 1.0
+        frontier = np.array([source], dtype=np.int64)
+        layers, level = [frontier], 0
+        while True:
+            srcs, pos = gather(fwd_indptr, frontier)
+            dsts = dst[pos]
+            if dsts.size == 0:
+                break
+            new_nodes = np.unique(dsts[depth[dsts] == -1])
+            depth[new_nodes] = level + 1
+            on_dag = depth[dsts] == level + 1
+            if on_dag.any():
+                np.add.at(sigma, dsts[on_dag], sigma[srcs[on_dag]])
+            if new_nodes.size == 0:
+                break
+            layers.append(new_nodes)
+            frontier = new_nodes
+            level += 1
+        for layer in layers[:0:-1]:
+            targets, at = gather(rev_indptr, layer)
+            preds, edge_pos = rev_sources[at], rev_pos[at]
+            on_dag = depth[preds] == depth[targets] - 1
+            if on_dag.any():
+                v, w, pos = preds[on_dag], targets[on_dag], edge_pos[on_dag]
+                contrib = sigma[v] / sigma[w] * (1.0 + delta[w])
+                np.add.at(scores, pos, contrib)
+                np.add.at(delta, v, contrib)
+    return scores
 
 
 def dict_edge_positions(network, pairs):

@@ -66,6 +66,9 @@ REMOVED = [
     (diffusion, "build_batch"),
     (diffusion, "build_variant"),
     (diffusion, "DiffusionGraph"),
+    (graph.DirectedGraph, "in_edges_bulk"),
+    (graph.DirectedGraph, "out_edges_bulk"),
+    (graph.DirectedGraph, "_reverse_index"),
 ]
 
 

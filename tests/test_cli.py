@@ -227,6 +227,18 @@ class TestPlanCommand:
         for strategy in ("netmelt", "random"):
             assert f"reusing cached {strategy} plan from {out / f'plan_{strategy}.npz'}" in caplog.text
 
+    @pytest.mark.parametrize("budget, error", [
+        (["--fraction", "2"], "--fraction must lie in [0, 1]"),
+        (["--fraction", "nan"], "--fraction must lie in [0, 1]"),
+        (["--k", "-1"], "deletion budget k must be >= 0"),
+    ])
+    def test_a_bad_budget_exits_1_before_the_edges_are_read(self, tmp_path, capsys, budget, error):
+        out = tmp_path / "plans"
+        argv = ["plan", "--edges", str(tmp_path / "missing.tsv"), "--strategy", "netmelt", *budget, "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error [input]: {error}\n"
+        assert not out.exists()
+
 
 class TestSeedsCommand:
     def test_writes_rows(self, dataset, tmp_path):
@@ -263,6 +275,12 @@ class TestSeedsCommand:
         assert code == EXIT_INPUT
         assert "error [input]: max_size must be >= 0, not -1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_max_size_exits_1_before_any_input_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.tsv")
+        argv = ["seeds", "--edges", missing, "--cascades", missing, "--max-size", "-1", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == "error [input]: max_size must be >= 0, not -1\n"
 
 
 class TestScatterCommand:

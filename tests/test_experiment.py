@@ -174,22 +174,17 @@ class TestRunSweep:
                 assert getattr(got, name).tolist() == getattr(want, name).tolist()
 
     @pytest.mark.parametrize("numeric", [False, True])
-    def test_netmelt_and_random_sweep_never_build_the_reverse_index(self, tmp_path, monkeypatch, numeric):
+    def test_sweep_builds_an_id_dict_only_over_string_ids(self, tmp_path, monkeypatch, numeric):
         calls = Counter()
-        reverse, index = DirectedGraph._reverse_index, DirectedGraph._id_index
-
-        def counting_reverse(network):
-            calls["reverse"] += 1
-            return reverse(network)
+        index = DirectedGraph._id_index
 
         def counting_index(network):
             calls["index"] += 1
             return index(network)
 
-        monkeypatch.setattr(DirectedGraph, "_reverse_index", counting_reverse)
         monkeypatch.setattr(DirectedGraph, "_id_index", counting_index)
         edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(227), 5)
-        if numeric:  # the same dataset over decimal ids: no id dict either
+        if numeric:  # the same dataset over decimal ids
             for path in (edges_path, cascades_path):
                 path.write_text(re.sub(r"\bu(\d+)", lambda m: str(7 * int(m.group(1)) + 1), path.read_text()))
         config = ExperimentConfig(
@@ -201,7 +196,6 @@ class TestRunSweep:
             budget_fractions=(0.1, 0.5),
         )
         run_sweep(config)
-        assert calls["reverse"] == 0
         assert calls["index"] == (0 if numeric else 1)
 
     def test_zero_fraction_rows_are_identities(self, tmp_path):

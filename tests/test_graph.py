@@ -14,20 +14,21 @@ from cascadecut import (
     ParseError,
     betweenness_scores,
     leading_eigenpair,
+    plan_betweenness,
     read_network,
 )
-from cascadecut import graph
+from cascadecut import graph, ingest
 from conftest import EIGHT_NODE_FOLLOW_EDGES, assert_same_graph, network_of
 from oracles import (
     all_pairs_distance_sum,
     dense_spectral_radius,
     dict_edge_positions,
-    eager_reverse_index,
     graph_edges,
     path_count_betweenness,
     random_digraph,
     reference_build_graph,
     string_fingerprint,
+    two_gather_betweenness,
 )
 
 
@@ -126,14 +127,18 @@ class TestBuildGraph:
         assert int(g.out_degrees.sum()) == g.edge_count
         assert int(g.in_degrees.sum()) == g.edge_count
 
-    def test_forward_and_reverse_describe_same_edges(self):
+    def test_out_edge_slots_describe_the_same_edges(self):
         rng = random.Random(13)
         _, edges = random_digraph(rng, 15, 0.25)
         g = network_of(edges)
-        targets, sources, _ = g.in_edges_bulk(np.arange(g.node_count))
         ids = g.external_ids
-        via_reverse = {(ids[s], ids[t]) for s, t in zip(sources.tolist(), targets.tolist())}
-        assert via_reverse == set(graph_edges(g))
+        nodes = np.array(rng.sample(range(g.node_count), g.node_count) + [0, 0], dtype=np.int64)
+        slot, pos = g.out_edge_slots(nodes)
+        src, dst = g.edge_src_indices, g.edge_dst_indices
+        assert src[pos].tolist() == nodes[slot].tolist()
+        want = [(s, d) for u in nodes.tolist() for s, d in graph_edges(g) if s == ids[u]]
+        assert [(ids[s], ids[d]) for s, d in zip(src[pos].tolist(), dst[pos].tolist())] == want
+        assert g.out_edge_slots(np.empty(0, dtype=np.int64))[1].tolist() == []
 
     def test_isolated_nodes_via_nodes_argument(self):
         g = reference_build_graph([("a", "b")], nodes=["c", "a"])
@@ -175,45 +180,23 @@ def numeric_digraph(rng, n, p):
 
 
 class TestLazyIndexes:
-    """The reverse CSR and id tables, built on first use, against eager builds."""
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_reverse_index_equals_the_eager_build(self, seed):
-        rng = random.Random(seed)
-        nodes, edges = (numeric_digraph if seed % 2 else random_digraph)(rng, rng.randint(1, 25), 0.2)
-        g = reference_build_graph(edges, nodes=nodes)
-        assert g._reverse is None and g._index is None and g._decimal is None
-        indptr, rev_sources, rev_pos = eager_reverse_index(g)
-        assert g.in_degrees.tolist() == np.diff(indptr).tolist()
-        assert g._reverse is None
-        targets, sources, pos = g.in_edges_bulk(np.arange(g.node_count))
-        built = g._reverse
-        for got, want in zip(built, (indptr, rev_sources, rev_pos)):
-            assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
-            assert not got.flags.writeable
-            with pytest.raises(ValueError):
-                got[:1] = 0
-        assert sources.tolist() == rev_sources.tolist() and pos.tolist() == rev_pos.tolist()
-        assert targets.tolist() == np.repeat(np.arange(g.node_count), np.diff(indptr)).tolist()
-        g.in_edges_bulk(np.arange(g.node_count))
-        assert g._reverse is built
-        assert g.in_degrees.tolist() == np.diff(built[0]).tolist()
+    """The id tables, built on first use, against eager builds."""
 
     def test_id_tables(self):
         rng = random.Random(5)
         ids, edges = numeric_digraph(rng, 20, 0.2)
         g = reference_build_graph(edges, nodes=ids)
         want = [ids.index("9") if "9" in ids else -1, 3, -1, 0]
+        assert g._index is None
         assert g.indices_of(iter(["9", ids[3], "404", ids[0]])).tolist() == want
-        assert g._index is None  # decimal queries never build the dict
         assert g.indices_of(("9", ids[3], "nope", ids[0])).tolist() == want
         assert g._index == {ext: i for i, ext in enumerate(ids)}
-        numeric, dense = g._decimal_index()
-        assert numeric.tolist() == sorted(map(int, ids))
-        assert [ids[i] for i in dense.tolist()] == [str(v) for v in numeric.tolist()]
-        assert network_of([("u", "v")])._decimal_index() is None
+        held = integer_graph(edges)
+        numeric, dense = held._decimal_index()
+        assert numeric.tolist() == sorted(map(int, held.external_ids))
+        assert [held.external_ids[i] for i in dense.tolist()] == [str(v) for v in numeric.tolist()]
         empty = network_of([])
-        assert empty.indices_of(["1", "2"]).tolist() == [-1, -1] and empty._index is None
+        assert empty.indices_of(["1", "2"]).tolist() == [-1, -1]
 
     @pytest.mark.parametrize("seed", range(16))
     def test_edge_positions_match_the_dict_oracle(self, seed):
@@ -336,25 +319,52 @@ class TestTokenizer:
         if seed % 5 == 0:  # a comment mark, or a line one field too long
             lines.insert(rng.randint(0, len(lines)), rng.choice(["#c " * width, "1 " * (width + 1)]))
         block = "\n".join(lines) + rng.choice(["", "\n"])
-        bounds = graph._token_bounds(block, width, digits=False)
+        bounds = ingest._token_bounds(block, width, digits=False)
         fields = block.split()
         if seed % 5 == 0:
             assert bounds is None
             return
         data, starts, ends, line_ends = bounds
         assert line_ends == block.count("\n")
-        assert graph._token_strings(data, starts, ends) == fields
+        assert ingest._token_strings(data, starts, ends) == fields
         for column in range(width):
-            assert graph._token_strings(data, starts[column::width], ends[column::width]) == fields[column::width]
+            assert ingest._token_strings(data, starts[column::width], ends[column::width]) == fields[column::width]
 
     @pytest.mark.parametrize("block", ["1 2\n3", "1\n2 3\n", "1 2 3\n4\n", "1\x0b2\n", "1\r2\n"])
     def test_irregular_blocks_are_refused(self, block):
-        assert graph._token_bounds(block, 2, digits=True) is None
+        assert ingest._token_bounds(block, 2, digits=True) is None
 
     def test_digits_take_plain_digits_only(self):
-        assert graph._token_bounds("1 2\n", 2, digits=True) is not None
-        assert graph._token_bounds("1 u\n", 2, digits=True) is None
-        assert graph._token_bounds("1 \u0661\n", 2, digits=True) is None
+        assert ingest._token_bounds("1 2\n", 2, digits=True) is not None
+        assert ingest._token_bounds("1 u\n", 2, digits=True) is None
+        assert ingest._token_bounds("1 \u0661\n", 2, digits=True) is None
+
+
+def brandes_instance(seed):
+    """A seeded graph of 1 to 120 nodes at density 0.01 to 0.5 for the
+    betweenness oracle: a G(n, p) digraph, which has cycles, or on odd seeds
+    a layered DAG whose consecutive layers are densely joined, so that many
+    shortest paths have equal length.  Ids are strings or decimals.  Graphs
+    built from a node list keep their isolated nodes; on seeds 2 mod 3 a
+    graph with edges is read from text and holds its ids as integers."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 3) if seed % 8 == 0 else rng.choice([rng.randint(4, 30), rng.randint(31, 120)])
+    p = rng.choice([0.01, 0.03, 0.1, 0.25, 0.5])
+    if seed % 3 == 0:
+        nodes = [f"u{i:03d}" for i in range(n)]
+    else:
+        nodes = list(map(str, rng.sample(range(1, 10**6), n)))
+    if seed % 2:
+        width = rng.randint(1, 8)
+        joined = rng.uniform(0.5, 1.0)
+        layer = [i // width for i in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(n) if layer[j] > layer[i]]
+        edges = [(nodes[i], nodes[j]) for i, j in pairs if rng.random() < (joined if layer[j] == layer[i] + 1 else p)]
+    else:
+        edges = [(a, b) for a in nodes for b in nodes if a != b and rng.random() < p]
+    if seed % 3 == 2 and edges:
+        return integer_graph(edges)
+    return reference_build_graph(edges, nodes=nodes)
 
 
 class TestEdgeBetweenness:
@@ -383,6 +393,19 @@ class TestEdgeBetweenness:
             assert actual.keys() == expected.keys()
             for edge, score in expected.items():
                 assert actual[edge] == pytest.approx(score, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(64))
+    def test_equals_the_two_gather_oracle_bytewise(self, seed):
+        g = brandes_instance(seed)
+        scores = betweenness_scores(g)
+        want = two_gather_betweenness(g)
+        assert scores.dtype == want.dtype and scores.tobytes() == want.tobytes()
+        src, dst = g.edge_src_indices, g.edge_dst_indices
+        for k in sorted({1, g.edge_count // 3, g.edge_count}):
+            plan = plan_betweenness(g, k)
+            top = np.lexsort((dst, src, -want))[:k]
+            assert plan.edge_pos.tolist() == top.tolist()
+            assert plan.scores.tobytes() == want[top].tobytes()
 
     def test_total_equals_sum_of_path_lengths(self):
         rng = random.Random(31)

@@ -22,10 +22,10 @@ from cascadecut import (
     load_higgs_activity,
     read_network,
 )
-from cascadecut import graph, ingest
+from cascadecut import ingest
 from cascadecut.experiment import load_dataset, load_network
 from conftest import assert_same_graph, assert_same_table, decimal_instance, network_of, random_logs
-from cascadecut.graph import decimal_values
+from cascadecut.ingest import decimal_values
 from oracles import (
     CascadeLog,
     batch_of,
@@ -812,8 +812,8 @@ class TestDecimalValues:
     @pytest.mark.parametrize("seed", range(48))
     def test_matches_the_space_cut_tokenizer(self, monkeypatch, seed):
         rng = random.Random(seed)
-        chunk = rng.choice([1, 2, 5, graph._TOKEN_CHUNK])
-        monkeypatch.setattr(graph, "_TOKEN_CHUNK", chunk)
+        chunk = rng.choice([1, 2, 5, ingest._TOKEN_CHUNK])
+        monkeypatch.setattr(ingest, "_TOKEN_CHUNK", chunk)
         count = rng.choice([0, 1, 4, chunk - 1, chunk, chunk + 1, 2 * chunk + 1])
         tokens = [
             str(rng.choice([0, rng.randint(1, 9), rng.randint(10, 10**6), rng.randint(10**17, 10**18 - 1)]))

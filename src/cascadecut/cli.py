@@ -20,7 +20,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .deletion import STRATEGIES, plan_strategy, save_plan, save_plan_cache
+from .deletion import STRATEGIES, plan_paths, plan_strategy, save_plan, save_plan_cache
 from .diffusion import NON_TREE, VARIANTS, to_dot
 from .errors import ConvergenceError, InputError, InvariantError, ParseError
 from .estimator import read_report_csv, write_csv
@@ -288,9 +288,8 @@ def _cmd_plan(args, setting) -> int:
     network = load_network(setting("edges"), setting("strict_parse"))
     k = args.k if args.k is not None else budget_for(args.fraction, network.edge_count)
     plan = plan_strategy(network, args.strategy, k, rng_seed=seed)
-    out = _out_dir(setting)
     # The text file is the export; a sweep into the same directory reuses the cache.
-    text, cache = out / f"plan_{args.strategy}.tsv", out / f"plan_{args.strategy}.npz"
+    cache, text = plan_paths(_out_dir(setting), args.strategy)
     save_plan(plan, text)
     save_plan_cache(plan, cache)
     print(text)

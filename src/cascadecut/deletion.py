@@ -20,7 +20,10 @@ Plans hold the follow-edge positions of their network; external ids appear
 only in the text export of :func:`save_plan`, which nothing reads back.
 :func:`save_plan_cache` and :func:`read_plan_cache` keep the arrays in a
 binary ``.npz`` file, with a header naming the network and the parameters
-the plan was computed with; that file is the one plan input.
+the plan was computed with; that file is the one plan input.  This module
+holds every rule of that cache: :func:`plan_paths` names a directory's
+``plan_<strategy>.npz`` and its text export, and :func:`cached_plan`
+decides whether a cache can serve a sweep.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .graph import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     DirectedGraph,
+    _sorted_unique,
     betweenness_scores,
     leading_eigenpair,
 )
@@ -80,6 +84,8 @@ class DeletionPlan:
         scores = np.asarray(self.scores, dtype=np.float64)
         if pos.ndim != 1 or pos.shape != scores.shape:
             raise InputError("edge_pos and scores must be 1-d and of equal length")
+        if pos.size > (most := min(self.k, self.network.edge_count)):
+            raise InputError(f"edge_pos holds {pos.size} positions, more than min(k, |E|) = {most}")
         if pos.size and (pos.min() < 0 or pos.max() >= self.network.edge_count):
             raise InputError("edge_pos must hold edge positions of the network")
         if np.isnan(scores).any():
@@ -257,6 +263,44 @@ def read_plan_cache(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray]:
         except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
             raise ParseError(f"{path}: not a plan cache: {exc}") from None
     return header, edge_pos, scores
+
+
+def plan_paths(out_dir: Path, strategy: str) -> tuple[Path, Path]:
+    """The plan cache ``plan_<strategy>.npz`` in ``out_dir`` and its text
+    export ``plan_<strategy>.tsv``."""
+    return out_dir / f"plan_{strategy}.npz", out_dir / f"plan_{strategy}.tsv"
+
+
+def cached_plan(
+    path: str | Path, network: DirectedGraph, strategy: str, rng_seed: int, needed: int
+) -> tuple[DeletionPlan | None, str | None]:
+    """The plan cached at ``path`` if it can serve ``needed`` edges of
+    ``network`` under these parameters, else None and why it cannot.
+
+    In order: the file must read as a plan cache; its header must carry
+    this module's format, the network's fingerprint, the strategy, the seed
+    (random only) and the eigensolver settings (netmelt only); its arrays
+    must form a :class:`DeletionPlan` of ``network``; and its first
+    ``needed`` positions must be distinct.
+    """
+    try:
+        header, edge_pos, scores = read_plan_cache(path)
+    except (ParseError, OSError) as exc:
+        return None, f"cannot be read ({exc})"
+    expected = cache_header(strategy, header["k"], rng_seed, network)
+    for key in ("format", "fingerprint", "strategy", "rng_seed", "tolerance", "max_iterations"):
+        if header.get(key) != expected[key]:
+            return None, f"has {key} {header.get(key)!r}, not {expected[key]!r}"
+    try:
+        plan = DeletionPlan(strategy, header["k"], network, edge_pos, scores, rng_seed=expected["rng_seed"])
+    except InputError as exc:
+        return None, f"does not fit this network ({exc})"
+    head = plan.edge_pos[:needed]
+    if head.size < needed:
+        return None, f"ranks {head.size} of the {needed} edge(s) needed"
+    if _sorted_unique(head.copy()).size < needed:
+        return None, f"does not name {needed} distinct edges of this network"
+    return plan, None
 
 
 def _ranked_plan(network: DirectedGraph, strategy: str, k: int, score) -> DeletionPlan:

@@ -99,7 +99,7 @@ def build_batches(network: DirectedGraph, table: CascadeTable, variants: Iterabl
     for variant in variants:
         chosen = slice(None)
         if variant != NON_TREE and slot.size:
-            chosen = _single_parent(parent, slot, tau[at], keep_last=variant == TREE_LAST)
+            chosen = _single_parent(slot, tau[at], keep_last=variant == TREE_LAST)
         child = slot[chosen]
         batches[variant] = DiffusionBatch(
             table.cascade_ids, table.sizes, seed_counts, owner[child], parent[chosen], node[child], edge_pos[chosen]
@@ -261,19 +261,18 @@ def _has_bit(bits: np.ndarray, shift: np.uint64, key: np.ndarray) -> np.ndarray:
     return mask.astype(bool)
 
 
-def _single_parent(
-    parents: np.ndarray, children: np.ndarray, parent_tau: np.ndarray, keep_last: bool
-) -> np.ndarray:
+def _single_parent(children: np.ndarray, parent_tau: np.ndarray, keep_last: bool) -> np.ndarray:
     """Indices of the one candidate parent kept per child, in child order.
 
     ``children`` may be any key that identifies a child, such as its
-    (cascade, user) slot.  Candidates are ordered by timestamp (reversed for
-    the "last" rule) with the dense node id as tie-break; dense ids follow
-    sorted external ids, so the tie-break is the lexicographically smallest
-    user id.
+    (cascade, user) slot.  Each child's candidates must be contiguous and
+    in ascending dense parent id, as :func:`_gather` returns them.  The
+    kept candidate has the earliest timestamp (the latest for the "last"
+    rule) and is the first of its run on a tie; dense ids follow sorted
+    external ids, so the tie-break is the lexicographically smallest user id.
     """
-    order = np.lexsort((parents, -parent_tau if keep_last else parent_tau, children))
-    sorted_children = children[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = sorted_children[1:] != sorted_children[:-1]
-    return order[first]
+    starts = np.flatnonzero(np.diff(children, prepend=children[:1] - 1))
+    kept_tau = (np.maximum if keep_last else np.minimum).reduceat(parent_tau, starts)
+    hits = np.flatnonzero(parent_tau == np.repeat(kept_tau, np.diff(starts, append=children.size)))
+    hit_children = children[hits]
+    return hits[np.diff(hit_children, prepend=hit_children[:1] - 1) != 0]  # each run's first hit

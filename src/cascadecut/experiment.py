@@ -7,7 +7,8 @@ requested strategy once at the largest budget.  For every
 gives the sizes at all budget points; the sweep writes one per-cascade
 report CSV per (strategy, variant, fraction) plus a single summary CSV.
 Plans are cached in the output directory as ``.npz`` files naming their
-network and parameters, and reused on re-runs that match them.
+network and parameters, and reused on re-runs that match them;
+:mod:`~cascadecut.deletion` names those files and decides the match.
 
 All outputs are plain CSV figure data; re-running an identical
 configuration reproduces every file byte for byte.
@@ -19,11 +20,11 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .deletion import STRATEGIES, DeletionPlan, cache_header, plan_strategy, read_plan_cache, save_plan_cache
+from .deletion import STRATEGIES, DeletionPlan, cached_plan, plan_paths, plan_strategy, save_plan_cache
 from .diffusion import NON_TREE, VARIANTS, build_batches
 from .errors import ConvergenceError, InputError, ParseError
 from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_csv, write_report_csv
-from .graph import DirectedGraph, _sorted_unique
+from .graph import DirectedGraph
 from .ingest import CascadeTable, filter_cascades, load_cascades, read_network
 
 logger = logging.getLogger(__name__)
@@ -210,22 +211,21 @@ def _materialise_plan(
 ) -> tuple[DeletionPlan, Path]:
     """Reuse the cached plan when it fits, else compute one and cache it.
 
-    ``plan_<strategy>.npz`` is the one plan input: it is reused when its
-    header names this network's fingerprint, the strategy and its
-    parameters, and its first min(max_budget, |E|) entries are distinct
-    edges of ``network``.  A text ``plan_<strategy>.tsv`` (the export of
-    ``plan``) names no network and is never read; when the plan is
-    computed, a warning names it, since it shows another ranking.
+    ``plan_<strategy>.npz`` is the one plan input, reused when
+    :func:`~cascadecut.deletion.cached_plan` finds that it serves
+    min(max_budget, |E|) edges of ``network`` under this sweep's
+    parameters.  A text ``plan_<strategy>.tsv`` (the export of ``plan``)
+    names no network and is never read; when the plan is computed, a
+    warning names it, since it shows another ranking.
     """
-    cache = config.out_dir / f"plan_{strategy}.npz"
+    cache, text = plan_paths(config.out_dir, strategy)
     if cache.exists():
-        cached, why = _read_cached(cache, network, strategy, config.rng_seed)
-        why = why or _unusable(cached, min(max_budget, network.edge_count))
+        cached, why = cached_plan(cache, network, strategy, config.rng_seed, min(max_budget, network.edge_count))
         if why is None:
             logger.info("reusing cached %s plan from %s", strategy, cache)
             return cached, cache
         logger.info("cached plan at %s %s; recomputing", cache, why)
-    if (text := cache.with_suffix(".tsv")).exists():
+    if text.exists():
         logger.warning("%s is not this sweep's %s plan; it was left untouched", text, strategy)
     try:
         plan = plan_strategy(network, strategy, max_budget, rng_seed=config.rng_seed)
@@ -235,31 +235,3 @@ def _materialise_plan(
         ) from exc
     save_plan_cache(plan, cache)
     return plan, cache
-
-
-def _read_cached(
-    path: Path, network: DirectedGraph, strategy: str, rng_seed: int
-) -> tuple[DeletionPlan | None, str | None]:
-    """A plan cache's plan, and why it does not match the sweep (None if it does)."""
-    try:
-        header, edge_pos, scores = read_plan_cache(path)
-    except (ParseError, OSError) as exc:
-        return None, f"cannot be read ({exc})"
-    expected = cache_header(strategy, header["k"], rng_seed, network)
-    for key in ("format", "fingerprint", "strategy", "rng_seed", "tolerance", "max_iterations"):
-        if header.get(key) != expected[key]:
-            return None, f"has {key} {header.get(key)!r}, not {expected[key]!r}"
-    try:
-        return DeletionPlan(strategy, header["k"], network, edge_pos, scores, rng_seed=expected["rng_seed"]), None
-    except InputError as exc:
-        return None, f"does not fit this network ({exc})"
-
-
-def _unusable(plan: DeletionPlan, needed: int) -> str | None:
-    """Why ``plan`` cannot serve a budget of ``needed`` edges, or None."""
-    head = plan.edge_pos[:needed]
-    if head.size < needed:
-        return f"ranks {head.size} of the {needed} edge(s) needed"
-    if _sorted_unique(head.copy()).size < needed:
-        return f"does not name {needed} distinct edges of this network"
-    return None

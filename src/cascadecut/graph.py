@@ -358,66 +358,46 @@ def leading_eigenpair(
 
 
 def _power(matvec, n: int, tolerance: float, max_iterations: int):
-    """Power iteration returning (eigenvalue, unit vector, iterations, residual)."""
-    plain_budget = max(1, max_iterations // 2)
-    result = _power_phase(matvec, n, tolerance, plain_budget, shift=0.0, stall_window=_STALL_WINDOW)
-    if result.converged:
-        return result.value, result.vector, result.iterations, result.residual
-    remaining = max_iterations - result.iterations
-    if remaining > 0:
-        shift = max(1.0, result.value) / 2.0
-        damped = _power_phase(matvec, n, tolerance, remaining, shift=shift, stall_window=None)
-        total = result.iterations + damped.iterations
-        if damped.converged:
-            return damped.value, damped.vector, total, damped.residual
-        best = min(result.best_residual, damped.best_residual)
-    else:
-        total = result.iterations
-        best = result.best_residual
-    raise ConvergenceError(
-        f"power iteration did not reach tolerance {tolerance:g} within "
-        f"{max_iterations} iterations (best residual {best:.3e})",
-        best_residual=best,
-        iterations=total,
-    )
+    """Power iteration returning (eigenvalue, unit vector, iterations, residual).
 
-
-class _PhaseResult:
-    __slots__ = ("converged", "value", "vector", "iterations", "residual", "best_residual")
-
-    def __init__(self, converged, value, vector, iterations, residual, best_residual):
-        self.converged = converged
-        self.value = value
-        self.vector = vector
-        self.iterations = iterations
-        self.residual = residual
-        self.best_residual = best_residual
-
-
-def _power_phase(matvec, n, tolerance, budget, shift, stall_window):
-    x = np.full(n, 1.0 / math.sqrt(n))
-    best = math.inf
-    value = 0.0
+    The plain iteration gets half the budget (at least one step) and stops
+    early once ``_STALL_WINDOW`` steps pass without a 0.1% residual
+    improvement.  The rest of the budget restarts it once from the start
+    vector with the shift max(1, eigenvalue estimate) / 2, without a stall
+    check.  The reported best residual is the lower of the two phases'.
+    """
+    start = x = np.full(n, 1.0 / math.sqrt(n))
+    plain_end = max(1, max_iterations // 2)
+    shift = 0.0  # >= 0.5 once restarted
+    best = plain_best = math.inf
     last_improvement = 0
-    for step in range(1, budget + 1):
+    for step in range(1, max_iterations + 1):
         y = matvec(x)
         if shift:
             y = y + shift * x
         norm_y = _norm(y)
         if norm_y == 0.0:
             # x is an exact null vector: eigenvalue 0 with zero residual.
-            return _PhaseResult(True, 0.0, x, step, 0.0, 0.0)
+            return 0.0, x, step, 0.0
         value = float(np.add.reduce(x * y)) - shift
         residual = _norm(y - (value + shift) * x)
         if residual <= tolerance:
-            return _PhaseResult(True, value, x, step, residual, residual)
+            return value, x, step, residual
         if residual < best * (1.0 - 1e-3):
             best = residual
             last_improvement = step
-        if stall_window is not None and step - last_improvement >= stall_window:
-            return _PhaseResult(False, value, x, step, residual, best)
-        x = y / norm_y
-    return _PhaseResult(False, value, x, budget, math.inf, best)
+        if not shift and (step == plain_end or step - last_improvement >= _STALL_WINDOW):
+            x, shift = start, max(1.0, value) / 2.0
+            plain_best, best = best, math.inf
+        else:
+            x = y / norm_y
+    best = min(plain_best, best)
+    raise ConvergenceError(
+        f"power iteration did not reach tolerance {tolerance:g} within "
+        f"{max_iterations} iterations (best residual {best:.3e})",
+        best_residual=best,
+        iterations=max_iterations,
+    )
 
 
 def _norm(v: np.ndarray) -> float:

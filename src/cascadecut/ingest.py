@@ -660,8 +660,8 @@ def _cascade_codes(parts: Sequence[np.ndarray | list[str]]) -> tuple[tuple[str, 
     """Distinct cascade ids in first-appearance order, and each event's index
     into them, from the blocks' cascade columns (see :func:`_event_columns`).
 
-    When every block has keys, one stable sort of the keys groups each id's
-    events with its first one in front.
+    When every block has keys, one sort of the keys groups each id's
+    events, and the least event position of each group is its first.
     """
     if not all(isinstance(part, np.ndarray) for part in parts):
         index = _Interner()
@@ -671,12 +671,12 @@ def _cascade_codes(parts: Sequence[np.ndarray | list[str]]) -> tuple[tuple[str, 
         codes = np.fromiter(map(index.__getitem__, names), dtype=np.int64)
         return tuple(index), codes
     keys = _concat(parts)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys = keys[order]
     new = np.empty(keys.size, dtype=bool)
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    first = order[new]  # each id's first event, ids in key order
+    first = np.minimum.reduceat(order, np.flatnonzero(new))  # each id's first event, ids in key order
     appearance = np.argsort(first)
     rank = np.empty(first.size, dtype=np.int64)
     rank[appearance] = np.arange(first.size)

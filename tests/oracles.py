@@ -36,6 +36,11 @@ network digest computed from the id strings, and :func:`line_load_plan` the
 earlier per-line plan reader, its edges resolved by :func:`dict_edge_positions`.
 :func:`space_cut_decimals` is the earlier tokenizer of ``decimal_values``:
 tokens joined by spaces and cut at them, over the package's digit parser.
+:func:`two_phase_power` is the earlier power iteration, a plain phase and a
+shifted restart run by one phase function; :func:`lexsort_single_parent`
+the earlier tree-variant parent choice by a three-key ``lexsort``; and
+:func:`stable_cascade_codes` the earlier first-appearance coding of packed
+cascade keys by one stable sort.
 :func:`graph_edges` and :func:`load_follow_edges` are the id-pair views of
 a network and of an edge file that tests compare with.
 :func:`whole_file_scan` is the earlier line scanner, which read every file
@@ -66,7 +71,7 @@ import numpy as np
 from cascadecut.deletion import RANDOM, STRATEGIES, DeletionPlan, plan_strategy
 from cascadecut.diffusion import NON_TREE, TREE_LAST, build_batches
 from cascadecut.estimator import NEVER_DELETED
-from cascadecut.errors import InputError, ParseError
+from cascadecut.errors import ConvergenceError, InputError, ParseError
 from cascadecut.experiment import budget_for, load_dataset
 from cascadecut.graph import MAX_DIGITS, DirectedGraph, betweenness_scores, leading_eigenpair
 from cascadecut.ingest import (
@@ -868,3 +873,100 @@ def space_cut_decimals(tokens):
         return None
     starts = np.r_[0, cuts + 1]
     return _decimals(data, starts, np.r_[cuts, data.size] - starts, leading_zeros=False)
+
+
+STALL_WINDOW = 100
+
+
+class PhaseResult(NamedTuple):
+    converged: bool
+    value: float
+    vector: np.ndarray
+    iterations: int
+    residual: float
+    best_residual: float
+
+
+def two_phase_power(matvec, n, tolerance, max_iterations):
+    """The earlier power iteration: (eigenvalue, unit vector, iterations, residual).
+
+    The plain phase gets half the budget and stops when it stalls; a
+    second call of the phase function restarts from the start vector with
+    a diagonal shift for the rest of the budget.
+    """
+    plain_budget = max(1, max_iterations // 2)
+    result = power_phase(matvec, n, tolerance, plain_budget, shift=0.0, stall_window=STALL_WINDOW)
+    if result.converged:
+        return result.value, result.vector, result.iterations, result.residual
+    remaining = max_iterations - result.iterations
+    if remaining > 0:
+        shift = max(1.0, result.value) / 2.0
+        damped = power_phase(matvec, n, tolerance, remaining, shift=shift, stall_window=None)
+        total = result.iterations + damped.iterations
+        if damped.converged:
+            return damped.value, damped.vector, total, damped.residual
+        best = min(result.best_residual, damped.best_residual)
+    else:
+        total = result.iterations
+        best = result.best_residual
+    raise ConvergenceError(
+        f"power iteration did not reach tolerance {tolerance:g} within "
+        f"{max_iterations} iterations (best residual {best:.3e})",
+        best_residual=best,
+        iterations=total,
+    )
+
+
+def power_phase(matvec, n, tolerance, budget, shift, stall_window):
+    """One phase of :func:`two_phase_power` from the uniform start vector."""
+    x = np.full(n, 1.0 / math.sqrt(n))
+    best = math.inf
+    value = 0.0
+    last_improvement = 0
+    for step in range(1, budget + 1):
+        y = matvec(x)
+        if shift:
+            y = y + shift * x
+        norm_y = math.sqrt(np.add.reduce(y * y))
+        if norm_y == 0.0:
+            return PhaseResult(True, 0.0, x, step, 0.0, 0.0)
+        value = float(np.add.reduce(x * y)) - shift
+        r = y - (value + shift) * x
+        residual = math.sqrt(np.add.reduce(r * r))
+        if residual <= tolerance:
+            return PhaseResult(True, value, x, step, residual, residual)
+        if residual < best * (1.0 - 1e-3):
+            best = residual
+            last_improvement = step
+        if stall_window is not None and step - last_improvement >= stall_window:
+            return PhaseResult(False, value, x, step, residual, best)
+        x = y / norm_y
+    return PhaseResult(False, value, x, budget, math.inf, best)
+
+
+def lexsort_single_parent(parents, children, parent_tau, keep_last):
+    """The earlier tree-variant parent choice: indices of the candidate kept
+    per child, by (child, time or negated time, parent) ``lexsort``."""
+    order = np.lexsort((parents, -parent_tau if keep_last else parent_tau, children))
+    sorted_children = children[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = sorted_children[1:] != sorted_children[:-1]
+    return order[first]
+
+
+def stable_cascade_codes(keys):
+    """The earlier coding of int64 cascade keys: the distinct keys in
+    first-appearance order, and each key's index into them, from one stable
+    sort that puts each key's first event in front of its group."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = order[new]
+    appearance = np.argsort(first)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[appearance] = np.arange(first.size)
+    codes = np.empty(keys.size, dtype=np.int64)
+    codes[order] = rank[np.cumsum(new) - 1]
+    return keys[new][appearance], codes

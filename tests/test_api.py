@@ -27,7 +27,8 @@ PUBLIC = {
 
 # Each removed name with where it lived; the sweep's integer path, its one
 # plan input, the .npz cache, its one network constructor, read_network,
-# and its one diffusion builder, build_batches, replaced them.
+# its one diffusion builder, build_batches, the cache rule in
+# deletion.cached_plan and the one-loop power iteration replaced them.
 REMOVED = [
     (estimator, "apply_deletion"),
     (estimator, "estimate_size"),
@@ -69,6 +70,10 @@ REMOVED = [
     (graph.DirectedGraph, "in_edges_bulk"),
     (graph.DirectedGraph, "out_edges_bulk"),
     (graph.DirectedGraph, "_reverse_index"),
+    (experiment, "_read_cached"),
+    (experiment, "_unusable"),
+    (graph, "_power_phase"),
+    (graph, "_PhaseResult"),
 ]
 
 

@@ -363,6 +363,58 @@ class TestPlanCache:
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "elsewhere" / "b.npz").read_bytes()
 
 
+def rewrite_cache(path, **edits):
+    """Rewrite the plan cache at ``path`` with header entries replaced."""
+    header, edge_pos, scores = read_plan_cache(path)
+    np.savez(path, header=np.array(json.dumps({**header, **edits})), edge_pos=edge_pos, scores=scores)
+
+
+class TestCachedPlan:
+    """``deletion.cached_plan``, the one rule for reusing a sweep's plan cache."""
+
+    def cache(self, tmp_path, strategy):
+        g = network_of(random_digraph(random.Random(43), 10, 0.3)[1])
+        plan = plan_strategy(g, strategy, g.edge_count, rng_seed=4)
+        path, _ = deletion.plan_paths(tmp_path, strategy)
+        save_plan_cache(plan, path)
+        return g, plan, path
+
+    @pytest.mark.parametrize("strategy", ["netmelt", "edge-degree", "random"])
+    def test_a_matching_cache_is_the_plan(self, tmp_path, strategy):
+        g, plan, path = self.cache(tmp_path, strategy)
+        cached, why = deletion.cached_plan(path, g, strategy, 4, g.edge_count)
+        assert why is None and cached == plan and cached.network is g
+
+    @pytest.mark.parametrize(
+        "strategy, edit, reason",
+        [
+            ("random", {"format": 2}, "has format 2, not 1"),
+            ("random", {"fingerprint": "0" * 64}, "has fingerprint '" + "0" * 64 + "', not {fingerprint!r}"),
+            ("random", {"strategy": "edge-degree"}, "has strategy 'edge-degree', not 'random'"),
+            ("random", {"rng_seed": 5}, "has rng_seed 5, not 4"),
+            ("netmelt", {"tolerance": 1e-6}, "has tolerance 1e-06, not 1e-09"),
+            ("netmelt", {"max_iterations": 5}, "has max_iterations 5, not 10000"),
+            ("edge-degree", {"rng_seed": 4}, "has rng_seed 4, not None"),
+            ("netmelt", {"tolerance": None}, "has tolerance None, not 1e-09"),
+            ("random", {"format": 2, "fingerprint": "0"}, "has format 2, not 1"),
+            ("edge-degree", {"k": 1}, "does not fit this network (edge_pos holds {edges} positions, "
+                                      "more than min(k, |E|) = 1)"),
+        ],
+        ids=["format", "fingerprint", "strategy", "seed", "tolerance", "max-iterations", "seed-of-edge-degree",
+             "no-tolerance", "format-first", "longer-than-k"],
+    )
+    def test_each_compared_entry_alone_gives_its_reason(self, tmp_path, strategy, edit, reason):
+        g, _, path = self.cache(tmp_path, strategy)
+        rewrite_cache(path, **edit)
+        want = reason.format(fingerprint=g.fingerprint, edges=g.edge_count)
+        assert deletion.cached_plan(path, g, strategy, 4, 1) == (None, want)
+
+    def test_names_the_cache_and_its_export(self, tmp_path):
+        assert deletion.plan_paths(tmp_path, "edge-degree") == (
+            tmp_path / "plan_edge-degree.npz", tmp_path / "plan_edge-degree.tsv"
+        )
+
+
 class TestPlanContracts:
     def _plans(self, g, k, seed=0):
         return [
@@ -657,6 +709,14 @@ class TestDeletionPlan:
         assert plan != DeletionPlan("random", 2, g, [1, 0], [1, 0], rng_seed=3)
         assert plan != DeletionPlan("random", 2, g, [1], [0], rng_seed=3)
 
+    @pytest.mark.parametrize("k, pos", [(1, [0, 1, 2]), (2, [0, 1, 2]), (5, [0, 1, 2, 0])])
+    def test_more_positions_than_min_k_and_edges_rejected(self, k, pos):
+        g = network_of([("a", "b"), ("b", "c"), ("c", "a")])
+        most = min(k, g.edge_count)
+        DeletionPlan("netmelt", k, g, pos[:most], np.arange(most, 0, -1.0))
+        with pytest.raises(InputError, match=rf"edge_pos holds {len(pos)} positions, more than min\(k, \|E\|\) = {most}$"):
+            DeletionPlan("netmelt", k, g, pos, np.arange(len(pos), 0, -1.0))
+
     def test_prefix_slices_the_arrays(self):
         g = network_of([("a", "b"), ("b", "c"), ("c", "a")])
         plan = DeletionPlan("edge-degree", 5, g, [2, 0, 1], [3, 2, 1])
@@ -706,8 +766,10 @@ class TestMatchesStringOracle:
         rng = random.Random(4127)
         for g in _oracle_graphs():
             edges = graph_edges(g)
-            ranked = rng.sample(range(len(edges)), rng.randint(1, len(edges)))
-            ranked += rng.choices(ranked, k=rng.randint(1, 3))
+            # A plan holds at most |E| positions, so repeats take the place of other edges.
+            ranked = rng.sample(range(len(edges)), rng.randint(1, max(1, len(edges) - 1)))
+            room = len(edges) - len(ranked)
+            ranked += rng.choices(ranked, k=rng.randint(min(1, room), min(3, room)))
             rng.shuffle(ranked)
             scores = sorted((rng.choice([0.0, 0.5, 1.0, rng.random()]) for _ in ranked), reverse=True)
             plan = DeletionPlan("edge-degree", len(ranked) + rng.randint(0, 2), g, ranked, scores)

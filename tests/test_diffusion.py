@@ -37,6 +37,7 @@ from oracles import (
     closure_from,
     graph_dot,
     indegree_zero,
+    lexsort_single_parent,
     single_parent_edges,
     spread_rule_edges,
     string_variant,
@@ -345,6 +346,55 @@ class TestBuildVariantAgainstStrings:
         for variant in VARIANTS:
             assert build_variant(eight_node_network, table_of([]), variant) == []
             assert to_dot(eight_node_network, table_of([]), variant) == ""
+
+
+def candidate_runs(rng):
+    """(children, parents, parent times) as ``_gather`` orders them: each
+    child's candidates contiguous, children ascending, parents ascending
+    within a child, and times drawn from a few values so that they tie."""
+    children, parents, times = [], [], []
+    child = 0
+    for _ in range(rng.randint(1, 80)):
+        child += rng.randint(1, 3)
+        for parent in sorted(rng.sample(range(50), rng.randint(1, 7))):
+            children.append(child)
+            parents.append(parent)
+            times.append(rng.randint(-3, 3))
+    return np.array(children), np.array(parents), np.array(times)
+
+
+class TestSingleParent:
+    """The run-wise choice of one parent per child against the earlier three-key lexsort."""
+
+    @pytest.mark.parametrize("keep_last", [False, True], ids=["first", "last"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_lexsort_oracle(self, seed, keep_last):
+        children, parents, times = candidate_runs(random.Random(seed))
+        got = diffusion._single_parent(children, times, keep_last)
+        assert got.tobytes() == lexsort_single_parent(parents, children, times, keep_last).tobytes()
+
+    @pytest.mark.parametrize("decimal", [False, True])
+    def test_gathered_candidates_choose_as_the_oracle(self, decimal):
+        rng = random.Random(641 + decimal)
+        for _ in range(20):
+            network, _, edges, _ = random_instance(rng, max_nodes=25, outside_user_chance=0.0)
+            logs = random_logs(rng, network, rng.randint(1, 10))
+            if decimal:
+                edges, logs = decimal_instance(rng, edges, logs)
+                network = network_of(edges)
+            _, _, tau, slot, at, parent, _ = diffusion._gather(network, table_of(logs))
+            for keep_last in (False, True):
+                got = diffusion._single_parent(slot, tau[at], keep_last)
+                assert got.tobytes() == lexsort_single_parent(parent, slot, tau[at], keep_last).tobytes()
+
+    def test_tree_last_takes_the_latest_parent_next_to_the_least_time(self):
+        # The lexsort negated the times, and -(-2**63) wraps to -2**63, so it
+        # took the earliest parent as the latest.
+        edges = [("c", "a"), ("c", "b")]
+        log = CascadeLog.from_events("t", [("a", -(2**63)), ("b", 0), ("c", 5)])
+        for variant, parent in ((TREE_FIRST, "a"), (TREE_LAST, "b")):
+            assert one_variant(network_of(edges), log, variant).edges == {(parent, "c")}
+            assert string_variant(edges, log, variant).edges == {(parent, "c")}
 
 
 class TestParticipantFilter:

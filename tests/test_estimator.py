@@ -172,10 +172,11 @@ class TestEstimateBudgets:
             network, log, edges, _ = random_instance(rng)
             if not edges:
                 continue
-            ranked = rng.sample(edges, rng.randint(1, len(edges)))
-            # repeats of earlier edges, and a reversed edge where the network has it
-            ranked += rng.choices(ranked, k=3)
-            if (edges[0][1], edges[0][0]) in edges:
+            ranked = rng.sample(edges, rng.randint(1, max(1, len(edges) - 4)))
+            # repeats of earlier edges, and a reversed edge where the network
+            # has it, within the |E| positions a plan holds
+            ranked += rng.choices(ranked, k=min(3, len(edges) - len(ranked)))
+            if (edges[0][1], edges[0][0]) in edges and len(ranked) < len(edges):
                 ranked.insert(rng.randint(0, len(ranked)), (edges[0][1], edges[0][0]))
             plan = manual_plan(network, ranked)
             budgets = list(range(len(ranked) + 2))

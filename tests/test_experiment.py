@@ -593,6 +593,28 @@ class TestPlanCache:
         assert recomputing(caplog) == [f"cached plan at {out / next(n for n in want if n.endswith('.npz'))} {reason}; recomputing"]
         assert {name: got[name] for name in want} == want
 
+    def test_cache_holding_more_positions_than_its_budget_is_recomputed(self, tmp_path, caplog):
+        # The header says k=1, yet the file ranks 3 edges (another ranking
+        # than the sweep's); a budget of 3 must not read them.
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        options = {"strategies": ("edge-degree",), "budget_fractions": (0.375,)}
+        want = sweep_files(edges_path, cascades_path, tmp_path / "fresh", **options)
+        network = load_network(edges_path, False)
+        fresh = read_plan_cache(tmp_path / "fresh" / "plan_edge-degree.npz")[1]
+        pos = [p for p in range(network.edge_count) if p not in fresh.tolist()][:3]
+        out = tmp_path / "out"
+        out.mkdir()
+        header = json.dumps(cache_header("edge-degree", 1, None, network), sort_keys=True)
+        np.savez(out / "plan_edge-degree.npz", header=np.array(header), edge_pos=np.array(pos, dtype=np.int64),
+                 scores=np.array([3.0, 2.0, 1.0]))
+        with caplog.at_level("INFO", logger="cascadecut.experiment"):
+            got = sweep_files(edges_path, cascades_path, out, **options)
+        assert recomputing(caplog) == [
+            f"cached plan at {out / 'plan_edge-degree.npz'} does not fit this network "
+            "(edge_pos holds 3 positions, more than min(k, |E|) = 1); recomputing"
+        ]
+        assert got == want
+
     def test_cache_of_another_strategy_is_recomputed(self, tmp_path, caplog):
         edges_path, cascades_path = write_eight_node_dataset(tmp_path)
         want = sweep_files(edges_path, cascades_path, tmp_path / "fresh", strategies=("netmelt", "edge-degree"))

@@ -29,6 +29,7 @@ from oracles import (
     reference_build_graph,
     string_fingerprint,
     two_gather_betweenness,
+    two_phase_power,
 )
 
 
@@ -418,7 +419,66 @@ class TestEdgeBetweenness:
             assert total == pytest.approx(all_pairs_distance_sum(nodes, edges), abs=1e-6)
 
 
+def power_graph(seed):
+    """A seeded graph for the eigensolver oracle: a single edge, the
+    defective spectrum below or two coupled cycles, a 2- or 3-cycle with
+    pendant edges, a DAG, or a G(n, p) digraph."""
+    rng = random.Random(seed)
+    kind = seed % 8
+    if kind == 0:
+        return network_of([("a", "b")])
+    if kind == 1 and seed % 16 == 1:
+        return network_of([("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "c")])
+    if kind == 1:
+        lengths = [rng.randint(2, 5) for _ in range(2)]
+        edges = [(f"r{r}n{i}", f"r{r}n{(i + 1) % size}") for r, size in enumerate(lengths) for i in range(size)]
+        return network_of([*edges, ("r0n0", "r1n0")])
+    if kind in (2, 3):
+        cycle = [f"c{i}" for i in range(kind)]
+        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+        for i in range(rng.randint(1, 4)):
+            end, leaf = rng.choice(cycle), f"p{i}"
+            edges.append((end, leaf) if rng.random() < 0.5 else (leaf, end))
+        return network_of(edges)
+    if kind == 4:
+        n = rng.randint(2, 12)
+        dag = [(f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        return network_of(dag or [("v0", "v1")])
+    while True:
+        _, edges = random_digraph(rng, rng.randint(2, 30), rng.uniform(0.05, 0.4))
+        if edges:
+            return network_of(edges)
+
+
+def eigen_outcome(g, max_iterations):
+    """``leading_eigenpair``'s result, or its error's text and fields, with
+    floats as hex and vectors as bytes."""
+    try:
+        pair = leading_eigenpair(g, max_iterations=max_iterations)
+    except ConvergenceError as exc:
+        return "error", str(exc), exc.best_residual.hex(), exc.iterations
+    vectors = pair.left_vector.tobytes(), pair.right_vector.tobytes()
+    return "pair", pair.eigenvalue.hex(), *vectors, pair.iterations, pair.residual.hex()
+
+
 class TestLeadingEigenpair:
+    @pytest.mark.parametrize("seed", range(64))
+    def test_one_loop_equals_the_two_phase_oracle(self, seed, monkeypatch):
+        g = power_graph(seed)
+        for max_iterations in (10_000, 2_000, 7, 2, 1):
+            got = eigen_outcome(g, max_iterations)
+            with monkeypatch.context() as patched:
+                patched.setattr(graph, "_power", two_phase_power)
+                assert got == eigen_outcome(g, max_iterations)
+
+    def test_oracle_graphs_take_every_path(self):
+        outcomes = [eigen_outcome(power_graph(seed), m) for seed in range(16) for m in (2_000, 7, 1)]
+        assert {"error", "pair"} == {outcome[0] for outcome in outcomes}
+        # converged after the shifted restart, which follows 100 stalled steps
+        assert any(outcome[0] == "pair" and 100 < outcome[4] < 1_000 for outcome in outcomes)
+        # an exact null vector ends the iteration with eigenvalue 0
+        assert any(outcome[:2] == ("pair", "0x0.0p+0") for outcome in outcomes)
+
     def test_two_cycle(self):
         g = network_of([("a", "b"), ("b", "a")])
         pair = leading_eigenpair(g)

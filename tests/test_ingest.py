@@ -38,6 +38,7 @@ from oracles import (
     regular_block,
     space_cut_decimals,
     split_events,
+    stable_cascade_codes,
     table_of,
     text_rank,
     two_pass_read_network,
@@ -916,6 +917,23 @@ class TestOneSortCascadeTable:
         cascade, user, time = (np.empty(0, dtype=np.int64) for _ in range(3))
         got = ingest._cascade_table(("a",), cascade, (), user, time)
         assert got.sizes.tolist() == [0] and logs_of(got) == [CascadeLog("a", ())]
+
+
+class TestCascadeCodes:
+    """First-appearance coding of packed cascade keys against the earlier stable sort."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_equals_the_stable_sort_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        # One- and two-letter ids, so keys repeat far apart and in long runs.
+        alphabet = rng.integers(65, 91, size=(int(rng.integers(1, 60)), 2))
+        keys = np.where(alphabet[:, 0] % 3 == 0, alphabet[:, 1], alphabet[:, 0] << 8 | alphabet[:, 1])
+        events = keys[rng.integers(0, keys.size, size=int(rng.integers(0, 4000)))].astype(np.int64)
+        cut = int(rng.integers(0, events.size + 1))
+        ids, codes = ingest._cascade_codes([events[:cut], events[cut:]])
+        want_keys, want_codes = stable_cascade_codes(events)
+        assert ids == tuple(map(ingest._unpack, want_keys.tolist()))
+        assert codes.dtype == np.int64 and codes.tobytes() == want_codes.tobytes()
 
 
 class TestLoadCascades:

@@ -19,9 +19,10 @@ lexicographically smallest user id so rebuilds are deterministic.
 :class:`~cascadecut.ingest.CascadeTable` at once, one
 :class:`DiffusionBatch` of flat integer arrays per variant.  The tree
 variants select from the non-tree edges, so the follow edges are gathered
-once for all of them.  :func:`to_dot` renders each cascade of a variant as
-the DOT text that ``export-dot`` writes, read off its batch and the two id
-tables.
+once for all of them, and every variant's edges join the one numbering of
+(cascade, user) participants that the gather made.  :func:`to_dot` renders
+each cascade of a variant as the DOT text that ``export-dot`` writes, read
+off its batch and the two id tables.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InputError
-from .graph import DirectedGraph, _sorted_unique
+from .graph import DirectedGraph, _run_starts, _sorted_unique
 from .ingest import CascadeTable
 
 logger = logging.getLogger(__name__)
@@ -58,24 +59,29 @@ class DiffusionBatch:
     """One variant's spread graphs for many cascades, as flat integer arrays.
 
     Per cascade, in table order: ``cascade_ids``, ``sizes`` (users in the
-    cascade, those absent from the network included) and ``seed_counts``.  Per
-    spread edge, sorted by (cascade, child, parent): ``cascade`` (an index
-    into ``cascade_ids``), ``parent`` and ``child`` (dense network ids) and
-    ``follow_edge_pos`` (the position of the follow edge child -> parent in
-    the network's canonical edge arrays).
+    cascade, those absent from the network included) and ``seed_counts``.
+    Per participant (a cascade's user present in the network), sorted by
+    (cascade, dense id) and shared by every variant of one build: ``owner``
+    (an index into ``cascade_ids``) and ``node`` (its dense network id).  Per
+    spread edge, sorted by (child, parent): ``child_slot`` and
+    ``parent_slot`` (participant indices, so both ends lie in one cascade)
+    and ``follow_edge_pos`` (the position of the follow edge child -> parent
+    in the network's canonical edge arrays).
     """
 
     cascade_ids: tuple[str, ...]
     sizes: np.ndarray = field(repr=False)
     seed_counts: np.ndarray = field(repr=False)
-    cascade: np.ndarray = field(repr=False)
-    parent: np.ndarray = field(repr=False)
-    child: np.ndarray = field(repr=False)
+    owner: np.ndarray = field(repr=False)
+    node: np.ndarray = field(repr=False)
+    child_slot: np.ndarray = field(repr=False)
+    parent_slot: np.ndarray = field(repr=False)
     follow_edge_pos: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.sizes, self.seed_counts, self.cascade, self.parent, self.child, self.follow_edge_pos):
-            arr.flags.writeable = False
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 def build_batches(network: DirectedGraph, table: CascadeTable, variants: Iterable[str]) -> dict[str, DiffusionBatch]:
@@ -91,7 +97,7 @@ def build_batches(network: DirectedGraph, table: CascadeTable, variants: Iterabl
     for variant in variants:
         if variant not in VARIANTS:
             raise InputError(f"unknown diffusion variant {variant!r}; expected one of {VARIANTS}")
-    owner, node, tau, slot, at, parent, edge_pos = _gather(network, table)
+    owner, node, tau, slot, at, edge_pos = _gather(network, table)
     has_parent = np.zeros(owner.size, dtype=bool)
     has_parent[slot] = True
     seed_counts = table.sizes - np.bincount(owner[has_parent], minlength=len(table))
@@ -100,9 +106,8 @@ def build_batches(network: DirectedGraph, table: CascadeTable, variants: Iterabl
         chosen = slice(None)
         if variant != NON_TREE and slot.size:
             chosen = _single_parent(slot, tau[at], keep_last=variant == TREE_LAST)
-        child = slot[chosen]
         batches[variant] = DiffusionBatch(
-            table.cascade_ids, table.sizes, seed_counts, owner[child], parent[chosen], node[child], edge_pos[chosen]
+            table.cascade_ids, table.sizes, seed_counts, owner, node, slot[chosen], at[chosen], edge_pos[chosen]
         )
     return batches
 
@@ -119,8 +124,9 @@ def to_dot(network: DirectedGraph, table: CascadeTable, variant: str) -> str:
     ids, users = network.external_ids, table.users
     bounds = np.arange(len(table) + 1)
     events = np.searchsorted(table.cascade, bounds).tolist()
-    spread = np.searchsorted(batch.cascade, bounds).tolist()
-    user, parent, child = table.user.tolist(), batch.parent.tolist(), batch.child.tolist()
+    spread = np.searchsorted(batch.owner[batch.child_slot], bounds).tolist()
+    parent, child = batch.node[batch.parent_slot].tolist(), batch.node[batch.child_slot].tolist()
+    user = table.user.tolist()
     lines = []
     for i, cascade_id in enumerate(table.cascade_ids):
         lo, hi = spread[i], spread[i + 1]
@@ -147,9 +153,9 @@ def _gather(network: DirectedGraph, table: CascadeTable) -> tuple[np.ndarray, ..
 
     Returns, per participant present in the network and sorted by
     (cascade, dense id), ``owner`` (cascade index), ``node`` (dense id) and
-    ``tau`` (time); then, per qualifying edge in (cascade, child, parent)
-    order, ``slot`` and ``at`` (the child's and the parent's participant
-    index), ``parent`` (dense id) and ``edge_pos`` (follow-edge position).
+    ``tau`` (time); then, per qualifying edge in (child, parent) order,
+    ``slot`` and ``at`` (the child's and the parent's participant index)
+    and ``edge_pos`` (follow-edge position).
 
     A gathered follow edge child -> parent qualifies when the parent is a
     participant of the child's cascade that posted strictly earlier.  Most
@@ -194,12 +200,12 @@ def _gather(network: DirectedGraph, table: CascadeTable) -> tuple[np.ndarray, ..
     base = key - idx
     bits, shift = _bit_table(key)
     parts = [_candidates(network, key, base, tau, bits, shift, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    slot, at, parent, edge_pos, probes = (np.concatenate(arrays) for arrays in zip(*parts))
+    slot, at, edge_pos, probes = (np.concatenate(arrays) for arrays in zip(*parts))
     logger.info(
         "gathered %d follow edge(s) of %d participant(s); %d passed the filter, %d qualify",
         total, key.size, probes.sum(), slot.size,
     )
-    return owner, idx, tau, slot, at, parent, edge_pos
+    return owner, idx, tau, slot, at, edge_pos
 
 
 def _candidates(
@@ -211,14 +217,14 @@ def _candidates(
     shift: np.uint64,
     lo: int,
     hi: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Qualifying spread edges into participants ``lo:hi``.
 
     Participants are sorted by ``key`` = cascade * n + dense id, and ``base``
     is each one's cascade * n; ``bits`` and ``shift`` are their
-    :func:`_bit_table`.  Returns (child slot, parent slot, parent id,
-    follow-edge position) per qualifying edge, in (child, parent) order, and
-    the number of probes that passed the filter as a one-element array.
+    :func:`_bit_table`.  Returns (child slot, parent slot, follow-edge
+    position) per qualifying edge, in (child, parent) order, and the number
+    of probes that passed the filter as a one-element array.
     """
     slot, edge_pos = network.out_edge_slots(key[lo:hi] - base[lo:hi])
     slot += lo
@@ -229,8 +235,7 @@ def _candidates(
     at = np.searchsorted(key, parent_key)
     qualifies = key.take(at, mode="clip") == parent_key
     qualifies &= tau.take(at, mode="clip") < tau[slot]
-    edge_pos = edge_pos[qualifies]
-    return slot[qualifies], at[qualifies], network.edge_dst_indices[edge_pos], edge_pos, np.array([probe.size])
+    return slot[qualifies], at[qualifies], edge_pos[qualifies], np.array([probe.size])
 
 
 def _bit_of(key: np.ndarray, shift: np.uint64) -> tuple[np.ndarray, np.ndarray]:
@@ -271,8 +276,7 @@ def _single_parent(children: np.ndarray, parent_tau: np.ndarray, keep_last: bool
     rule) and is the first of its run on a tie; dense ids follow sorted
     external ids, so the tie-break is the lexicographically smallest user id.
     """
-    starts = np.flatnonzero(np.diff(children, prepend=children[:1] - 1))
+    starts = np.flatnonzero(_run_starts(children))
     kept_tau = (np.maximum if keep_last else np.minimum).reduceat(parent_tau, starts)
     hits = np.flatnonzero(parent_tau == np.repeat(kept_tau, np.diff(starts, append=children.size)))
-    hit_children = children[hits]
-    return hits[np.diff(hit_children, prepend=hit_children[:1] - 1) != 0]  # each run's first hit
+    return hits[_run_starts(children[hits])]  # each run's first hit

@@ -8,10 +8,11 @@ leaves other nodes with no incoming edge: such nodes are exactly the users
 the deletion cut off.
 
 Plan prefixes are nested, so :func:`estimate_budgets` gives the sizes at
-every budget in one pass over integer edge arrays; :func:`run_estimation`
-is the single budget point of a whole plan.  An :class:`EstimateReport`
-holds one budget point as int64 columns, and :func:`write_csv` writes it
-and every other figure-data file.
+every budget in one pass over a batch's edges, which join the slots of its
+participants (see :class:`~cascadecut.diffusion.DiffusionBatch`);
+:func:`run_estimation` is the single budget point of a whole plan.  An
+:class:`EstimateReport` holds one budget point as int64 columns, and
+:func:`write_csv` writes it and every other figure-data file.
 """
 
 from __future__ import annotations
@@ -56,10 +57,12 @@ class EstimateReport:
     def __post_init__(self):
         ids = self.cascade_ids
         order = sorted(range(len(ids)), key=ids.__getitem__)
-        columns = np.array([self.original_sizes, self.estimated_sizes, self.seed_counts], dtype=np.int64)
-        if columns.shape != (3, len(ids)):
-            raise InvariantError(f"expected 3 columns of {len(ids)} sizes, got shape {columns.shape}")
-        columns = columns[:, order]  # a copy: the caller's arrays stay writeable
+        columns = [np.asarray(c, dtype=np.int64) for c in (self.original_sizes, self.estimated_sizes, self.seed_counts)]
+        shapes = [column.shape for column in columns]
+        if shapes != [(len(ids),)] * 3:
+            got = f"shape {(3, *shapes[0])}" if len(set(shapes)) == 1 else f"column shapes {shapes}"
+            raise InvariantError(f"expected 3 columns of {len(ids)} sizes, got {got}")
+        columns = np.stack(columns)[:, order]  # a copy: the caller's arrays stay writeable
         columns.flags.writeable = False
         original, estimated, seeds = columns
         bad = np.flatnonzero((seeds > estimated) | (estimated > original))
@@ -120,33 +123,21 @@ def estimate_budgets(
     """
     if any(k < 0 for k in budgets):
         raise InputError("deletion budget k must be >= 0")
-    cascade, parent, child = batch.cascade, batch.parent, batch.child
+    owner, child, parent = batch.owner, batch.child_slot, batch.parent_slot
     rank = ranks[batch.follow_edge_pos]
 
-    # One slot per (cascade, non-seed user).  Edges are sorted by (cascade,
-    # child), so a slot starts wherever that pair changes.  Every seed
-    # parent reads the last slot, which stays at infinity.
-    span = int(max(parent.max(initial=0), child.max(initial=0))) + 1
-    child_key = cascade * span + child
-    starts = np.ones(child_key.size, dtype=bool)
-    np.not_equal(child_key[1:], child_key[:-1], out=starts[1:])
-    child_slot = np.cumsum(starts) - 1
-    non_seeds = child_key[starts]
-    parent_key = cascade * span + parent
-    parent_slot = np.searchsorted(non_seeds, parent_key)
-    parent_slot[non_seeds.take(parent_slot, mode="clip") != parent_key] = non_seeds.size
-    best = np.full(non_seeds.size + 1, -1, dtype=np.int64)
-    best[-1] = NEVER_DELETED
-    while True:
-        offer = np.minimum(best[parent_slot], rank)
-        if not (offer > best[child_slot]).any():
-            break
-        np.maximum.at(best, child_slot, offer)
-
-    owner, best = cascade[starts], best[:-1]
+    # b over the batch's participants: the seeds are those no edge reaches.
+    best = np.full(owner.size, NEVER_DELETED, dtype=np.int64)
+    best[child] = -1
     count = len(batch.cascade_ids)
-    if not np.array_equal(np.bincount(owner, minlength=count), batch.sizes - batch.seed_counts):
+    if not np.array_equal(np.bincount(owner[best < 0], minlength=count), batch.sizes - batch.seed_counts):
         raise InputError("every non-seed user must have a parent, as in batches from build_batches")
+    while True:
+        offer = np.minimum(best[parent], rank)
+        if not (offer > best[child]).any():
+            break
+        np.maximum.at(best, child, offer)
+
     out = np.empty((len(budgets), count), dtype=np.int64)
     for k, row in zip(budgets, out):
         np.subtract(batch.sizes, np.bincount(owner[best < k], minlength=count), out=row)
@@ -188,8 +179,9 @@ def write_report_csv(report: EstimateReport, path: str | Path) -> None:
 def read_report_csv(path: str | Path) -> EstimateReport:
     """Read a file written by :func:`write_report_csv`.
 
-    Every row must name the first row's strategy, variant and k, and each
-    cascade once; any other row is a :class:`ParseError` naming its line,
+    Every row must name the first row's strategy, variant and k, each
+    cascade once, and sizes with 0 <= seed_count <= estimated_size <=
+    original_size; any other row is a :class:`ParseError` naming its line,
     and text that is not UTF-8 one naming the file.
     """
     try:
@@ -214,6 +206,11 @@ def read_report_csv(path: str | Path) -> EstimateReport:
             sizes = (int(fields[4]), int(fields[5]), int(fields[6]))
         except ValueError:
             raise ParseError(f"{where}: expected integer k and sizes, got {fields!r}") from None
+        original, estimated, seeds = sizes
+        if not 0 <= seeds <= estimated <= original:
+            raise ParseError(
+                f"{where}: expected 0 <= seed_count <= estimated_size <= original_size, got {fields[4:]!r}"
+            )
         first = first or key
         if key != first:
             raise ParseError(f"{where}: strategy, variant and k {key!r} differ from the first row's {first!r}")

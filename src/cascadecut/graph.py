@@ -158,9 +158,7 @@ class DirectedGraph:
             return found
         order = np.argsort(values)
         wanted = values[order]
-        new = np.empty(wanted.size, dtype=bool)
-        new[0] = True
-        np.not_equal(wanted[1:], wanted[:-1], out=new[1:])
+        new = _run_starts(wanted)
         wanted = wanted[new]
         at = np.searchsorted(numeric, wanted)
         np.minimum(at, numeric.size - 1, out=at)
@@ -251,10 +249,15 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     numpy's own ``unique`` may take a hash path that is far slower on int64.
     """
     values.sort()
-    keep = np.empty(values.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    return values[_run_starts(values)]
+
+
+def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """One bool per element: whether it starts a run of equal values, so the first always does."""
+    starts = np.empty(sorted_values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
+    return starts
 
 
 def betweenness_scores(graph: DirectedGraph) -> np.ndarray:

@@ -51,7 +51,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError, ParseError
-from .graph import _POWERS, MAX_DIGITS, DirectedGraph, _sorted_unique, digit_counts, id_strings
+from .graph import _POWERS, MAX_DIGITS, DirectedGraph, _run_starts, _sorted_unique, digit_counts, id_strings
 
 logger = logging.getLogger(__name__)
 
@@ -157,9 +157,7 @@ def _cascade_table(
     # not matter, since only their earliest time is kept.
     order = np.argsort(key)
     key = key[order]
-    first = np.empty(key.size, dtype=bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = _run_starts(key)
     earliest = np.minimum.reduceat(time[order], np.flatnonzero(first))
     return CascadeTable(cascade_ids, users, *np.divmod(key[first], width), earliest)
 
@@ -261,9 +259,7 @@ def _rank_by_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # rank back through the sort order remaps every value.
     order = np.argsort(values)
     values.sort()
-    new = np.empty(values.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(values[1:], values[:-1], out=new[1:])
+    new = _run_starts(values)
     ids = values[new]
     text_order = _text_order(ids)
     rank = np.empty(ids.size, dtype=np.int64)
@@ -673,9 +669,7 @@ def _cascade_codes(parts: Sequence[np.ndarray | list[str]]) -> tuple[tuple[str, 
     keys = _concat(parts)
     order = np.argsort(keys)
     keys = keys[order]
-    new = np.empty(keys.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    new = _run_starts(keys)
     first = np.minimum.reduceat(order, np.flatnonzero(new))  # each id's first event, ids in key order
     appearance = np.argsort(first)
     rank = np.empty(first.size, dtype=np.int64)

@@ -177,8 +177,9 @@ def build_variant(network, table, variant):
     ids, users = network.external_ids, table.users
     bounds = np.arange(len(table) + 1)
     events = np.searchsorted(table.cascade, bounds).tolist()
-    spread = np.searchsorted(batch.cascade, bounds).tolist()
-    user, parent, child = table.user.tolist(), batch.parent.tolist(), batch.child.tolist()
+    spread = np.searchsorted(batch.owner[batch.child_slot], bounds).tolist()
+    parent, child = batch.node[batch.parent_slot].tolist(), batch.node[batch.child_slot].tolist()
+    user = table.user.tolist()
     graphs = []
     for i, cascade_id in enumerate(table.cascade_ids):
         lo, hi = spread[i], spread[i + 1]
@@ -591,9 +592,10 @@ def list_estimate_budgets(network, logs, variant, ranks, budgets):
     """The bottleneck pass over a list of per-cascade graphs that the batch replaced.
 
     Builds each log's arrays with its own :func:`batch_of` over a one-cascade
-    table (see :func:`table_of`), concatenates
-    them, numbers the (cascade, child) slots with ``np.unique`` and relaxes
-    max-min offers to the fixed point.  Returns the estimated sizes as an
+    table (see :func:`table_of`), concatenates the dense ids of their edge
+    ends, numbers the (cascade, child) slots with ``np.unique`` rather than
+    the batch's participant slots, and relaxes max-min offers to the fixed
+    point.  Returns the estimated sizes as an
     int64 array, one row per budget and one column per log.
     """
     if any(k < 0 for k in budgets):
@@ -604,9 +606,9 @@ def list_estimate_budgets(network, logs, variant, ranks, budgets):
     def concat(arrays):
         return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
 
-    cascade = np.repeat(np.arange(len(graphs)), [b.child.size for b in batches])
-    parent = concat([b.parent for b in batches])
-    child = concat([b.child for b in batches])
+    cascade = np.repeat(np.arange(len(graphs)), [b.child_slot.size for b in batches])
+    parent = concat([b.node[b.parent_slot] for b in batches])
+    child = concat([b.node[b.child_slot] for b in batches])
     rank = ranks[concat([b.follow_edge_pos for b in batches])]
 
     span = int(max(parent.max(initial=0), child.max(initial=0))) + 1
@@ -724,12 +726,11 @@ def unfiltered_candidates(network, table):
     tau = table.time[present]
     owner, idx = np.divmod(key, n)
     slot, edge_pos = network.out_edge_slots(idx)
-    parent = network.edge_dst_indices[edge_pos]
-    parent_key = owner[slot] * n + parent
+    parent_key = owner[slot] * n + network.edge_dst_indices[edge_pos]
     at = np.searchsorted(key, parent_key)
     qualifies = key.take(at, mode="clip") == parent_key
     qualifies &= tau.take(at, mode="clip") < tau[slot]
-    found = (owner, idx, tau, slot[qualifies], at[qualifies], parent[qualifies], edge_pos[qualifies])
+    found = (owner, idx, tau, slot[qualifies], at[qualifies], edge_pos[qualifies])
     return found, slot.size
 
 

@@ -320,6 +320,18 @@ class TestScatterCommand:
         assert "error [parse]" in err
         assert "report.csv: line 2" in err
 
+    @pytest.mark.parametrize("row", ["netmelt,non-tree,3,c1,5,9,1", "netmelt,non-tree,3,c1,-4,-5,-6"])
+    def test_report_sizes_out_of_order_exit_1(self, tmp_path, capsys, row):
+        report = tmp_path / "report.csv"
+        report.write_text(
+            f"strategy,variant,k,cascade_id,original_size,estimated_size,seed_count\n{row}\n", encoding="utf-8"
+        )
+        code = main(["scatter", "--report", str(report), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error [parse]" in err and "report.csv: line 2: " in err
+        assert not (tmp_path / "out").exists()
+
     def test_two_joined_reports_exit_1(self, dataset, tmp_path, capsys):
         edges_path, cascades_path = dataset
         out = tmp_path / "out"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import random
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from cascadecut import (
+    DiffusionBatch,
     InputError,
     NON_TREE,
     TREE_FIRST,
@@ -49,8 +51,8 @@ GATHER_LOG = re.compile(
     r"gathered (\d+) follow edge\(s\) of (\d+) participant\(s\); (\d+) passed the filter, (\d+) qualify"
 )
 # The arrays of diffusion._gather, in order.
-GATHER_ARRAYS = ("owner", "node", "tau", "slot", "at", "parent", "edge_pos")
-BATCH_ARRAYS = ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos")
+GATHER_ARRAYS = ("owner", "node", "tau", "slot", "at", "edge_pos")
+BATCH_ARRAYS = ("sizes", "seed_counts", "owner", "node", "child_slot", "parent_slot", "follow_edge_pos")
 
 
 def assert_same_batch(got, want):
@@ -58,6 +60,11 @@ def assert_same_batch(got, want):
     for name in BATCH_ARRAYS:
         array = getattr(got, name)
         assert array.dtype == np.int64 and array.tolist() == getattr(want, name).tolist(), name
+
+
+def edge_ends(batch):
+    """(cascade, child, parent) of each spread edge: a cascade index and two dense ids."""
+    return batch.owner[batch.child_slot], batch.node[batch.child_slot], batch.node[batch.parent_slot]
 
 
 def present_times(network, log):
@@ -204,13 +211,14 @@ class TestRandomInstances:
             for variant in VARIANTS:
                 dg = one_variant(network, log, variant)
                 batch = batch_of(network, table_of([log]), variant)
-                pairs = list(zip(batch.child.tolist(), batch.parent.tolist()))
+                _, child, parent = edge_ends(batch)
+                pairs = list(zip(child.tolist(), parent.tolist()))
                 assert pairs == sorted(pairs)
                 assert {(ids[p], ids[c]) for c, p in pairs} == dg.edges
                 assert len(pairs) == len(dg.edges)
                 # the child follows the parent along the recorded follow edge
-                assert src[batch.follow_edge_pos].tolist() == batch.child.tolist()
-                assert dst[batch.follow_edge_pos].tolist() == batch.parent.tolist()
+                assert src[batch.follow_edge_pos].tolist() == child.tolist()
+                assert dst[batch.follow_edge_pos].tolist() == parent.tolist()
 
     def test_build_independent_of_event_order(self, eight_node_network):
         rng = random.Random(97)
@@ -233,15 +241,18 @@ class TestBuildBatch:
             for variant in VARIANTS:
                 batch = batch_of(network, table_of(logs), variant)
                 assert batch.cascade_ids == tuple(log.cascade_id for log in logs)
-                keys = list(zip(batch.cascade.tolist(), batch.child.tolist(), batch.parent.tolist()))
+                cascade, child, parent = edge_ends(batch)
+                keys = list(zip(cascade.tolist(), child.tolist(), parent.tolist()))
                 assert keys == sorted(keys)
                 for i, log in enumerate(logs):
                     dg = one_variant(network, log, variant)
-                    mine = batch.cascade == i
+                    mine = cascade == i
                     alone = batch_of(network, table_of([log]), variant)
-                    for name in ("parent", "child", "follow_edge_pos"):
-                        assert getattr(batch, name)[mine].tolist() == getattr(alone, name).tolist()
-                    pairs = zip(batch.parent[mine].tolist(), batch.child[mine].tolist())
+                    _, alone_child, alone_parent = edge_ends(alone)
+                    assert child[mine].tolist() == alone_child.tolist()
+                    assert parent[mine].tolist() == alone_parent.tolist()
+                    assert batch.follow_edge_pos[mine].tolist() == alone.follow_edge_pos.tolist()
+                    pairs = zip(parent[mine].tolist(), child[mine].tolist())
                     edges = {(ids[p], ids[c]) for p, c in pairs}
                     assert edges == dg.edges
                     assert batch.sizes[i] == len(dg.nodes) == log.size
@@ -270,9 +281,9 @@ class TestBuildBatch:
         assert list(batches) == list(VARIANTS)
         for batch in batches.values():
             assert batch.cascade_ids == ()
-            for arr in (batch.sizes, batch.seed_counts, batch.cascade, batch.parent, batch.child,
-                        batch.follow_edge_pos):
-                assert arr.size == 0 and arr.dtype == np.int64
+            for name in BATCH_ARRAYS:
+                arr = getattr(batch, name)
+                assert arr.size == 0 and arr.dtype == np.int64, name
 
     def test_one_absent_user_warning_per_build(self, eight_node_network, caplog):
         logs = [
@@ -312,9 +323,37 @@ class TestBuildBatch:
                     assert_same_batch(batch, alone[variant])
 
     def test_batches_are_read_only(self, eight_node_network, eight_node_table):
+        # BATCH_ARRAYS names every field but the cascade ids.
+        assert [f.name for f in dataclasses.fields(DiffusionBatch)] == ["cascade_ids", *BATCH_ARRAYS]
         for batch in build_batches(eight_node_network, eight_node_table, VARIANTS).values():
             for name in BATCH_ARRAYS:
                 assert not getattr(batch, name).flags.writeable, name
+
+    def test_participants_are_the_gathered_ones(self):
+        # Every variant shares the (cascade, user) numbering the gather made,
+        # absent users left out.
+        rng = random.Random(419)
+        for _ in range(20):
+            network, _, _, _ = random_instance(rng, max_nodes=20, outside_user_chance=0.0)
+            table = table_of(random_logs(rng, network, rng.randint(0, 10)))
+            owner, node, *_ = diffusion._gather(network, table)
+            present = network.indices_of(table.user_ids)[table.user] >= 0
+            assert owner.tolist() == table.cascade[present].tolist()
+            for batch in build_batches(network, table, VARIANTS).values():
+                assert batch.owner.tolist() == owner.tolist() and batch.node.tolist() == node.tolist()
+
+    def test_slots_name_the_ends_of_the_follow_edge(self):
+        rng = random.Random(421)
+        for _ in range(20):
+            network, _, _, _ = random_instance(rng, max_nodes=20, outside_user_chance=0.0)
+            table = table_of(random_logs(rng, network, rng.randint(0, 10)))
+            src, dst = network.edge_src_indices, network.edge_dst_indices
+            for batch in build_batches(network, table, VARIANTS).values():
+                _, child, parent = edge_ends(batch)
+                assert child.tolist() == src[batch.follow_edge_pos].tolist()
+                assert parent.tolist() == dst[batch.follow_edge_pos].tolist()
+                # both ends are participants of one cascade
+                assert batch.owner[batch.parent_slot].tolist() == batch.owner[batch.child_slot].tolist()
 
 
 class TestBuildVariantAgainstStrings:
@@ -382,10 +421,10 @@ class TestSingleParent:
             if decimal:
                 edges, logs = decimal_instance(rng, edges, logs)
                 network = network_of(edges)
-            _, _, tau, slot, at, parent, _ = diffusion._gather(network, table_of(logs))
+            _, node, tau, slot, at, _ = diffusion._gather(network, table_of(logs))
             for keep_last in (False, True):
                 got = diffusion._single_parent(slot, tau[at], keep_last)
-                assert got.tobytes() == lexsort_single_parent(parent, slot, tau[at], keep_last).tobytes()
+                assert got.tobytes() == lexsort_single_parent(node[at], slot, tau[at], keep_last).tobytes()
 
     def test_tree_last_takes_the_latest_parent_next_to_the_least_time(self):
         # The lexsort negated the times, and -(-2**63) wraps to -2**63, so it

@@ -62,8 +62,9 @@ def surviving_edges(network, log, variant, plan):
     """The batch's spread edges whose follow edge the whole plan leaves, as id pairs."""
     batch = batch_of(network, table_of([log]), variant)
     keep = plan_ranks(network, plan)[batch.follow_edge_pos] >= plan.edge_pos.size
-    ids = network.external_ids
-    return {(ids[p], ids[c]) for p, c in zip(batch.parent[keep].tolist(), batch.child[keep].tolist())}
+    ids, node = network.external_ids, batch.node
+    parent, child = node[batch.parent_slot[keep]].tolist(), node[batch.child_slot[keep]].tolist()
+    return {(ids[p], ids[c]) for p, c in zip(parent, child)}
 
 
 def rows_of(report):
@@ -238,6 +239,26 @@ class TestEstimateBudgets:
                 assert batch.sizes.tolist() == [len(dg.nodes) for dg in graphs]
                 assert batch.seed_counts.tolist() == [len(dg.seeds) for dg in graphs]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_list_oracle_with_absent_users_and_no_cascades(self, seed):
+        # The oracle numbers the (cascade, child) pairs itself, apart from the
+        # batch's participant slots.
+        rng = random.Random(1009 + seed)
+        network, _, edges, _ = random_instance(rng, max_nodes=25, outside_user_chance=0.0)
+        users = network.external_ids
+        ranked = rng.choices(edges, k=len(edges))  # repeats delete nothing more
+        ranks = plan_ranks(network, manual_plan(network, ranked))
+        budgets = list(range(len(ranked) + 2))
+        mixed = CascadeLog.from_events("mixed", [(users[0], 3), ("ghost", 1), (users[-1], 5), ("spook", 4)])
+        for logs in ([], random_logs(rng, network, rng.randint(1, 12)) + [mixed]):
+            table = table_of(logs)
+            assert not logs or (network.indices_of(table.user_ids) < 0).any()
+            for variant in VARIANTS:
+                got = estimate_budgets(batch_of(network, table, variant), ranks, budgets)
+                want = list_estimate_budgets(network, logs, variant, ranks, budgets)
+                assert got.shape == want.shape == (len(budgets), len(logs))
+                assert got.tolist() == want.tolist()
+
     def test_one_read_only_int64_row_per_budget(self, eight_node_network, eight_node_table):
         batch = batch_of(eight_node_network, eight_node_table, NON_TREE)
         ranks = plan_ranks(eight_node_network, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES))
@@ -277,9 +298,8 @@ class TestEstimateBudgets:
         keep = ~np.isin(batch.follow_edge_pos, cut)
         after = replace(
             batch,
-            cascade=batch.cascade[keep],
-            parent=batch.parent[keep],
-            child=batch.child[keep],
+            child_slot=batch.child_slot[keep],
+            parent_slot=batch.parent_slot[keep],
             follow_edge_pos=batch.follow_edge_pos[keep],
         )
         with pytest.raises(InputError):
@@ -411,6 +431,10 @@ class TestReportInvariants:
         with pytest.raises(InvariantError, match=r"expected 3 columns of 2 sizes, got shape \(3, 3\)"):
             EstimateReport("random", "non-tree", 1, ("a", "b"), [3, 2, 3], [2, 2, 1], [1, 1, 1])
 
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(InvariantError, match=r"expected 3 columns of 2 sizes, got column shapes"):
+            EstimateReport("a", "b", 1, ("x", "y"), [1, 2], [1], [0, 0])
+
     def test_columns_are_read_only_copies_in_id_order(self):
         # Python str order: "a" < "a\0" < "b", which a numpy string sort would not keep apart.
         original = np.array([4, 2, 3])
@@ -439,7 +463,14 @@ class TestReportInvariants:
 
     @pytest.mark.parametrize(
         "row",
-        ["random,non-tree,x,c,3,3,1", "random,non-tree,1,c", "random,non-tree,1,c,3,three,1"],
+        [
+            "random,non-tree,x,c,3,3,1",
+            "random,non-tree,1,c",
+            "random,non-tree,1,c,3,three,1",
+            # an estimate above its original size, and negative sizes in order
+            "random,non-tree,1,c,5,9,1",
+            "random,non-tree,1,c,-4,-5,-6",
+        ],
     )
     def test_malformed_row_is_parse_error_naming_the_line(self, tmp_path, row):
         path = tmp_path / "report.csv"

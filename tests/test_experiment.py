@@ -170,7 +170,7 @@ class TestRunSweep:
         for variant, got in batches.items():
             want = batch_of(network, table, variant)
             assert got.cascade_ids == want.cascade_ids
-            for name in ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos"):
+            for name in ("sizes", "seed_counts", "owner", "node", "child_slot", "parent_slot", "follow_edge_pos"):
                 assert getattr(got, name).tolist() == getattr(want, name).tolist()
 
     @pytest.mark.parametrize("numeric", [False, True])

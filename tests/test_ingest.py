@@ -352,7 +352,7 @@ class TestCascadeTableMatchesListLoader:
         for variant in (NON_TREE, TREE_LAST):
             got, expected = batch_of(network, table, variant), batch_of(network, table_of(want), variant)
             assert got.cascade_ids == expected.cascade_ids
-            for name in ("sizes", "seed_counts", "cascade", "parent", "child", "follow_edge_pos"):
+            for name in ("sizes", "seed_counts", "owner", "node", "child_slot", "parent_slot", "follow_edge_pos"):
                 assert getattr(got, name).tolist() == getattr(expected, name).tolist()
 
     def test_list_of_lines_is_line_scanned(self):
@@ -534,7 +534,7 @@ class TestCascadeTable:
         table = table_of([log, log])
         assert table.cascade_ids == ("c", "c") and logs_of(table) == [log, log]
         batch = batch_of(eight_node_network, table, NON_TREE)
-        assert batch.cascade.tolist() == [0, 1] and batch.seed_counts.tolist() == [1, 1]
+        assert batch.owner[batch.child_slot].tolist() == [0, 1] and batch.seed_counts.tolist() == [1, 1]
 
     def test_earliest_event_kept_per_cascade_and_user(self):
         table = load_cascades(io.StringIO("a\tu\t5\nb\tu\t1\na\tu\t2\na\tv\t2\n"))

@@ -43,8 +43,7 @@ __version__ = "0.1.0"
 # Each public name, under the module that defines it.
 _EXPORTS = {
     "deletion": (
-        "BETWEENNESS", "EDGE_DEGREE", "NETMELT", "RANDOM", "STRATEGIES", "DeletionPlan",
-        "plan_betweenness", "plan_edge_degree", "plan_netmelt", "plan_random", "plan_strategy",
+        "BETWEENNESS", "EDGE_DEGREE", "NETMELT", "RANDOM", "STRATEGIES", "DeletionPlan", "plan_strategy",
         "read_plan_cache", "save_plan", "save_plan_cache",
     ),
     "diffusion": (
@@ -54,7 +53,7 @@ _EXPORTS = {
     "estimator": (
         "EstimateReport", "estimate_budgets", "plan_ranks", "read_report_csv", "run_estimation", "write_report_csv",
     ),
-    "experiment": ("DEFAULT_FRACTIONS", "ExperimentConfig", "run_sweep", "scatter_report", "seed_analysis"),
+    "experiment": ("DEFAULT_FRACTIONS", "ExperimentConfig", "run_sweep", "seed_analysis"),
     "graph": ("DirectedGraph", "EigenPair", "betweenness_scores", "leading_eigenpair"),
     "ingest": (
         "CascadeTable", "DatasetStats", "compute_stats", "filter_cascades", "load_cascades",

@@ -35,7 +35,6 @@ from .experiment import (
     load_dataset,
     load_network,
     run_sweep,
-    scatter_report,
     seed_analysis,
     write_gnuplot_script,
 )
@@ -60,11 +59,13 @@ def _number(convert, value: str):
 _int = partial(_number, int)
 
 
-def _threads(value: str) -> int:
-    threads = _int(value)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return threads
+def _int_at_least(low: int, name: str):
+    def convert(value: str) -> int:
+        number = _int(value)
+        if number < low:
+            raise ValueError(f"{name} must be >= {low}, not {number}")
+        return number
+    return convert
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
@@ -116,11 +117,11 @@ SETTINGS = {
     "strategies": (_names(STRATEGIES), STRATEGIES, "comma-separated strategy list"),
     "variants": (_names(VARIANTS), VARIANTS, "comma-separated variant list"),
     "fractions": (_floats, DEFAULT_FRACTIONS, "comma-separated budget fractions in [0,1]"),
-    "seed": (_int, 0, "rng seed for the random strategy (an integer >= 0)"),
+    "seed": (_int_at_least(0, "rng seed"), 0, "rng seed for the random strategy (an integer >= 0)"),
     "strict_parse": (_bool, False, "fail on malformed input lines instead of skipping them"),
     # Accepted and validated only so that existing scripts and config files
     # keep working; no result depends on it.
-    "threads": (_threads, 1, "no effect (accepted for compatibility; must be an integer >= 1)"),
+    "threads": (_int_at_least(1, "threads"), 1, "no effect (accepted for compatibility; must be an integer >= 1)"),
 }
 
 
@@ -326,7 +327,8 @@ def _cmd_seeds(args, setting) -> int:
 
 
 def _cmd_scatter(args, setting) -> int:
-    rows = scatter_report(read_report_csv(args.report))
+    report = read_report_csv(args.report)
+    rows = zip(report.cascade_ids, report.original_sizes.tolist(), report.estimated_sizes.tolist())
     path = _out_dir(setting) / f"scatter_{Path(args.report).stem}.csv"
     write_csv(path, SCATTER_HEADER, rows)
     print(path)

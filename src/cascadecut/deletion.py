@@ -1,15 +1,16 @@
 """Strategies for choosing which follow edges to delete.
 
-Every strategy scores the follow network once and returns the ``k``
-best-scoring edges, so a plan computed at a large budget can be reused for
-every smaller budget by taking prefixes:
+:func:`plan_strategy` is the one planner.  Every strategy scores the follow
+network once and returns the ``k`` best-scoring edges, so a plan computed
+at a large budget can be reused for every smaller budget by taking
+prefixes:
 
 * ``netmelt``: score of edge (i, j) is left_vector[i] * right_vector[j] of
   the leading adjacency eigenpair, the first-order estimate of how much
-  deleting the edge lowers the spectral radius.  One-shot scoring (no
-  re-computation between deletions) keeps multi-million-edge budgets
-  tractable.  The eigensolver runs with its default settings, which the
-  plan cache records.
+  deleting the edge lowers the spectral radius (Tong et al., CIKM 2012).
+  One-shot scoring (no re-computation between deletions) keeps
+  multi-million-edge budgets tractable.  The eigensolver runs with its
+  default settings, which the plan cache records.
 * ``betweenness``: descending directed edge betweenness.
 * ``edge-degree``: score of (u, v) is in_degree(u) * out_degree(v).
 * ``random``: a seeded Fisher-Yates shuffle of all edges, prefix taken.
@@ -29,7 +30,7 @@ decides whether a cache can serve a sweep.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,6 @@ from .graph import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     DirectedGraph,
-    _sorted_unique,
     betweenness_scores,
     leading_eigenpair,
 )
@@ -115,18 +115,39 @@ class DeletionPlan:
         src, dst = self.network.edge_src_indices, self.network.edge_dst_indices
         return tuple((ids[src[p]], ids[dst[p]]) for p in self.edge_pos.tolist())
 
-    def prefix(self, k: int) -> "DeletionPlan":
-        """The same ranking truncated to budget ``k``."""
-        return replace(self, k=k, edge_pos=self.edge_pos[:k], scores=self.scores[:k])
 
+def plan_strategy(network: DirectedGraph, strategy: str, k: int, rng_seed: int = 0) -> DeletionPlan:
+    """The plan of the named strategy (see the module docstring) at budget ``k``.
 
-def plan_netmelt(network: DirectedGraph, k: int) -> DeletionPlan:
-    """Top-k edges by the product of leading left/right eigenvector entries,
-    from :func:`~cascadecut.graph.leading_eigenpair` at the settings that
-    :func:`cache_header` records."""
-    if k >= 0 and network.edge_count == 0:  # a negative budget is the error _ranked_plan raises
+    ``rng_seed`` is read by the random strategy alone.  Its plan is the
+    first k of ``list(range(E))`` shuffled by
+    ``random.Random(rng_seed).shuffle``, so plans for different budgets
+    under the same seed are prefixes of one permutation.  It is computed
+    from the same Mersenne Twister words without building the list; a
+    network of more than ``MAX_RANDOM_EDGES`` edges, where a draw would
+    take two words, is an :class:`InputError`, as is a negative seed, which
+    ``random.Random`` would take as its absolute value.  A netmelt plan of
+    a network without edges, a negative ``k`` and an unknown strategy are
+    :class:`InputError` too.
+    """
+    if strategy == RANDOM:
+        if k < 0:
+            raise InputError("deletion budget k must be >= 0")
+        if rng_seed < 0:
+            raise InputError(f"rng seed must be >= 0, not {rng_seed}")
+        if network.edge_count > MAX_RANDOM_EDGES:
+            raise InputError(f"random plans support at most {MAX_RANDOM_EDGES} edges, not {network.edge_count}")
+        top = _shuffled_prefix(network.edge_count, k, random.Random(rng_seed))
+        return DeletionPlan(RANDOM, k, network, top, np.zeros(top.size), rng_seed=rng_seed)
+    # Built on each call, so that the module's scoring functions are looked
+    # up when the plan is made and a replaced one is the one called.
+    score = {NETMELT: _eigen_scores, BETWEENNESS: betweenness_scores, EDGE_DEGREE: _degree_scores}.get(strategy)
+    if score is None:
+        raise InputError(f"unknown deletion strategy {strategy!r}; expected one of {STRATEGIES}")
+    # A negative budget is left to the error _ranked_plan raises.
+    if strategy == NETMELT and k >= 0 and network.edge_count == 0:
         raise InputError("netmelt requires a network with at least one edge")
-    return _ranked_plan(network, NETMELT, k, _eigen_scores)
+    return _ranked_plan(network, strategy, k, score)
 
 
 def _eigen_scores(network: DirectedGraph) -> np.ndarray:
@@ -134,52 +155,8 @@ def _eigen_scores(network: DirectedGraph) -> np.ndarray:
     return pair.left_vector[network.edge_src_indices] * pair.right_vector[network.edge_dst_indices]
 
 
-def plan_betweenness(network: DirectedGraph, k: int) -> DeletionPlan:
-    """Top-k edges by descending edge betweenness."""
-    return _ranked_plan(network, BETWEENNESS, k, betweenness_scores)
-
-
-def plan_edge_degree(network: DirectedGraph, k: int) -> DeletionPlan:
-    """Top-k edges by in_degree(src) * out_degree(dst)."""
-    return _ranked_plan(network, EDGE_DEGREE, k, _degree_scores)
-
-
 def _degree_scores(network: DirectedGraph) -> np.ndarray:
     return (network.in_degrees[network.edge_src_indices] * network.out_degrees[network.edge_dst_indices]).astype(float)
-
-
-def plan_random(network: DirectedGraph, k: int, rng_seed: int) -> DeletionPlan:
-    """Uniform sample of k edges without replacement, reproducible by seed.
-
-    The plan is the first k of ``list(range(E))`` shuffled by
-    ``random.Random(rng_seed).shuffle``, so plans for different budgets under
-    the same seed are prefixes of one permutation.  It is computed from the
-    same Mersenne Twister words without building the list; a network of more
-    than ``MAX_RANDOM_EDGES`` edges, where a draw would take two words, is an
-    :class:`InputError`, as is a negative seed, which ``random.Random``
-    would take as its absolute value.
-    """
-    if k < 0:
-        raise InputError("deletion budget k must be >= 0")
-    if rng_seed < 0:
-        raise InputError(f"rng seed must be >= 0, not {rng_seed}")
-    if network.edge_count > MAX_RANDOM_EDGES:
-        raise InputError(f"random plans support at most {MAX_RANDOM_EDGES} edges, not {network.edge_count}")
-    top = _shuffled_prefix(network.edge_count, k, random.Random(rng_seed))
-    return DeletionPlan(RANDOM, k, network, top, np.zeros(top.size), rng_seed=rng_seed)
-
-
-def plan_strategy(network: DirectedGraph, strategy: str, k: int, rng_seed: int = 0) -> DeletionPlan:
-    """Dispatch to the named strategy."""
-    if strategy == NETMELT:
-        return plan_netmelt(network, k)
-    if strategy == BETWEENNESS:
-        return plan_betweenness(network, k)
-    if strategy == EDGE_DEGREE:
-        return plan_edge_degree(network, k)
-    if strategy == RANDOM:
-        return plan_random(network, k, rng_seed)
-    raise InputError(f"unknown deletion strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
 def save_plan(plan: DeletionPlan, path: str | Path) -> None:
@@ -298,7 +275,10 @@ def cached_plan(
     head = plan.edge_pos[:needed]
     if head.size < needed:
         return None, f"ranks {head.size} of the {needed} edge(s) needed"
-    if _sorted_unique(head.copy()).size < needed:
+    # DeletionPlan has range-checked the positions, so they index a table.
+    named = np.zeros(network.edge_count, dtype=bool)
+    named[head] = True
+    if np.count_nonzero(named) < needed:
         return None, f"does not name {needed} distinct edges of this network"
     return plan, None
 

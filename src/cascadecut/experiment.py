@@ -174,11 +174,6 @@ def seed_analysis(
     return sorted(zip(batch.cascade_ids, batch.sizes.tolist(), batch.seed_counts.tolist()))
 
 
-def scatter_report(report: EstimateReport) -> list[tuple[str, int, int]]:
-    """(cascade_id, original_size, estimated_size) projection, sorted by id."""
-    return list(zip(report.cascade_ids, report.original_sizes.tolist(), report.estimated_sizes.tolist()))
-
-
 def write_gnuplot_script(out_dir: Path, strategies: tuple[str, ...], variants: tuple[str, ...]) -> Path:
     """Emit a gnuplot script plotting summary.csv totals against fraction."""
     lines = [

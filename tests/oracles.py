@@ -51,6 +51,8 @@ user, in (time, user) order) that cascade tables are checked against:
 :func:`table_of` builds a table from logs without the package's ingest,
 :func:`logs_of` reads a table back, and :func:`string_variant` builds one
 cascade's diffusion graph from its string events by the pairwise rule.
+:func:`prefix` is the earlier ``DeletionPlan.prefix``: a plan cut to a
+smaller budget.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import random
 from hashlib import blake2b
 from itertools import chain
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -407,6 +409,11 @@ def cut_edges(dg, plan):
     return dg.edges - {(v, u) for u, v in filter(None, plan.ranked_edges)}
 
 
+def prefix(plan, k):
+    """The same ranking truncated to budget ``k``, as a plan of its own."""
+    return replace(plan, k=k, edge_pos=plan.edge_pos[:k], scores=plan.scores[:k])
+
+
 def size_after(dg, plan, seeds=None):
     """Users reachable from ``seeds`` (the graph's own by default) after the plan's cut."""
     seeds = dg.seeds if seeds is None else set(seeds)
@@ -433,7 +440,7 @@ def per_budget_sweep(config, out_dir: Path) -> None:
         for variant in config.variants:
             graphs = sorted(build_variant(network, table, variant), key=lambda dg: dg.cascade_id)
             for fraction, k in zip(config.budget_fractions, budgets):
-                sub = plan.prefix(k)
+                sub = prefix(plan, k)
                 rows = [
                     (strategy, variant, k, dg.cascade_id, len(dg.nodes), size_after(dg, sub), len(dg.seeds))
                     for dg in graphs

@@ -26,7 +26,9 @@ import pytest
 from cascadecut import (
     DeletionPlan,
     ExperimentConfig,
+    NETMELT,
     NON_TREE,
+    RANDOM,
     STRATEGIES,
     VARIANTS,
     betweenness_scores,
@@ -35,8 +37,6 @@ from cascadecut import (
     filter_cascades,
     leading_eigenpair,
     load_higgs_activity,
-    plan_netmelt,
-    plan_random,
     plan_ranks,
     plan_strategy,
     read_network,
@@ -59,6 +59,7 @@ from oracles import (
     dict_edge_positions,
     graph_edges,
     path_count_betweenness,
+    prefix,
     random_digraph,
     reference_build_graph,
     table_of,
@@ -126,7 +127,7 @@ def test_a3_tree_variants_never_beat_non_tree():
     instances = 0
     for _, rng, network, log, edges in _random_instances(220, seed=1009):
         k = rng.randint(0, max(0, len(edges)))
-        plan = plan_random(network, k, rng_seed=rng.randint(0, 10**6))
+        plan = plan_strategy(network, RANDOM, k, rng_seed=rng.randint(0, 10**6))
         table = table_of([log])
         non_tree = run_estimation(network, table, plan, "non-tree").total_estimated
         for variant in ("tree-first", "tree-last"):
@@ -154,7 +155,7 @@ def test_a4_totals_non_increasing_in_budget():
             for variant in VARIANTS:
                 previous = None
                 for k in grid:
-                    total = run_estimation(network, table, plan.prefix(k), variant).total_estimated
+                    total = run_estimation(network, table, prefix(plan, k), variant).total_estimated
                     if previous is not None:
                         assert total <= previous, (strategy, variant, k)
                     previous = total
@@ -193,7 +194,7 @@ def test_a6_eigenpair_oracle_and_single_deletion_quality():
         pair = leading_eigenpair(network)
         assert abs(pair.eigenvalue - dense_spectral_radius(nodes, edges)) <= 1e-6
 
-        chosen = plan_netmelt(network, 1).ranked_edges[0]
+        chosen = plan_strategy(network, NETMELT, 1).ranked_edges[0]
         after = {
             edge: dense_spectral_radius(nodes, [e for e in edges if e != edge]) for edge in edges
         }
@@ -212,7 +213,7 @@ def test_a7_estimates_never_below_seed_count():
     rows_checked = 0
     for _, rng, network, log, edges in _random_instances(120, seed=1031):
         for k in (0, len(edges) // 2, len(edges)):
-            plan = plan_random(network, k, rng_seed=rng.randint(0, 10**6))
+            plan = plan_strategy(network, RANDOM, k, rng_seed=rng.randint(0, 10**6))
             for variant in VARIANTS:
                 report = run_estimation(network, table_of([log]), plan, variant)
                 for estimated, seeds in zip(report.estimated_sizes.tolist(), report.seed_counts.tolist()):

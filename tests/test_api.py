@@ -20,15 +20,15 @@ PUBLIC = {
     "NETMELT", "NON_TREE", "ParseError", "RANDOM", "STRATEGIES", "TREE_FIRST", "TREE_LAST", "VARIANTS",
     "betweenness_scores", "build_batches", "compute_stats", "estimate_budgets",
     "filter_cascades", "leading_eigenpair", "load_cascades", "load_higgs_activity",
-    "plan_betweenness", "plan_edge_degree", "plan_netmelt", "plan_random", "plan_ranks",
-    "plan_strategy", "read_network", "read_plan_cache", "read_report_csv", "run_estimation", "run_sweep",
-    "save_plan", "save_plan_cache", "scatter_report", "seed_analysis", "to_dot", "write_report_csv",
+    "plan_ranks", "plan_strategy", "read_network", "read_plan_cache", "read_report_csv", "run_estimation",
+    "run_sweep", "save_plan", "save_plan_cache", "seed_analysis", "to_dot", "write_report_csv",
 }
 
 # Each removed name with where it lived; the sweep's integer path, its one
 # plan input, the .npz cache, its one network constructor, read_network,
 # its one diffusion builder, build_batches, the cache rule in
-# deletion.cached_plan and the one-loop power iteration replaced them.
+# deletion.cached_plan, the one-loop power iteration and the one planner,
+# plan_strategy, replaced them.
 REMOVED = [
     (estimator, "apply_deletion"),
     (estimator, "estimate_size"),
@@ -74,11 +74,17 @@ REMOVED = [
     (experiment, "_unusable"),
     (graph, "_power_phase"),
     (graph, "_PhaseResult"),
+    (deletion, "plan_netmelt"),
+    (deletion, "plan_betweenness"),
+    (deletion, "plan_edge_degree"),
+    (deletion, "plan_random"),
+    (deletion.DeletionPlan, "prefix"),
+    (experiment, "scatter_report"),
 ]
 
 
 def test_all_names_the_public_surface():
-    assert len(cascadecut.__all__) == len(set(cascadecut.__all__)) == 48
+    assert len(cascadecut.__all__) == len(set(cascadecut.__all__)) == 43
     assert set(cascadecut.__all__) == PUBLIC
 
 

@@ -11,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from cascadecut import DeletionPlan, ExperimentConfig, InvariantError, ParseError, read_plan_cache, read_report_csv
+from cascadecut import (
+    DeletionPlan,
+    ExperimentConfig,
+    InvariantError,
+    ParseError,
+    STRATEGIES,
+    read_plan_cache,
+    read_report_csv,
+)
 from cascadecut.cli import (
     EXIT_CONVERGENCE,
     EXIT_INPUT,
@@ -573,9 +581,29 @@ class TestNumericSettings:
         out = tmp_path / "out"
         argv = _sweep_args(edges_path, cascades_path, out, "--strategies", "random", "--seed", "-1")
         assert main(argv) == EXIT_INPUT
-        assert "error [input]: rng seed must be >= 0, not -1" in capsys.readouterr().err
+        assert "error [input]: seed: rng seed must be >= 0, not -1" in capsys.readouterr().err
         assert not list(out.glob("*"))
         assert ">= 0" in SETTINGS["seed"][2]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["sweep", *(f"plan-{strategy}" for strategy in STRATEGIES)])
+    def test_negative_seed_exits_1_before_any_input_is_read(self, tmp_path, capsys, command, source):
+        # The edge and cascade files do not exist, so the seed's error must come first.
+        missing, out = tmp_path / "missing.tsv", tmp_path / "out"
+        if command == "sweep":
+            argv = _sweep_args(missing, missing, out)
+        else:
+            strategy = command.removeprefix("plan-")
+            argv = ["plan", "--edges", str(missing), "--strategy", strategy, "--k", "2", "--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed=-1\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == "error [input]: seed: rng seed must be >= 0, not -1\n"
+        assert sorted(tmp_path.iterdir()) == ([] if source == "flag" else [tmp_path / "run.cfg"])
 
 
     @pytest.mark.parametrize(

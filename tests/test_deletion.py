@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from cascadecut import (
+    BETWEENNESS,
     DeletionPlan,
+    EDGE_DEGREE,
     InputError,
+    NETMELT,
     ParseError,
+    RANDOM,
     STRATEGIES,
-    plan_betweenness,
-    plan_edge_degree,
-    plan_netmelt,
-    plan_random,
     plan_ranks,
     plan_strategy,
     read_network,
@@ -28,7 +28,7 @@ from cascadecut import (
     save_plan_cache,
 )
 from cascadecut import deletion
-from cascadecut.deletion import CACHE_FORMAT, EDGE_DEGREE, MAX_RANDOM_EDGES, _accepted, _ranked_plan, _shuffled_prefix
+from cascadecut.deletion import CACHE_FORMAT, MAX_RANDOM_EDGES, _accepted, _ranked_plan, _shuffled_prefix
 from cascadecut.experiment import ExperimentConfig, _materialise_plan
 from conftest import network_of
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     dense_spectral_radius,
     graph_edges,
     line_load_plan,
+    prefix,
     random_digraph,
     reference_build_graph,
     shuffled_prefix,
@@ -48,25 +49,25 @@ from oracles import (
 class TestPlanNetmelt:
     def test_pendant_edge_scores_zero(self):
         g = network_of([("a", "b"), ("b", "a"), ("b", "c")])
-        plan = plan_netmelt(g, 3)
+        plan = plan_strategy(g, NETMELT, 3)
         scores = dict(zip(plan.ranked_edges, plan.scores))
         assert scores[("b", "c")] == pytest.approx(0.0, abs=1e-9)
         assert plan.ranked_edges[0] in {("a", "b"), ("b", "a")}
 
     def test_zero_budget(self):
         g = network_of([("a", "b"), ("b", "a")])
-        plan = plan_netmelt(g, 0)
+        plan = plan_strategy(g, NETMELT, 0)
         assert plan.ranked_edges == ()
         assert plan.k == 0
 
     def test_edgeless_network_rejected(self):
         with pytest.raises(InputError):
-            plan_netmelt(reference_build_graph([], nodes=["a"]), 1)
+            plan_strategy(reference_build_graph([], nodes=["a"]), NETMELT, 1)
 
     def test_the_solver_runs_with_the_settings_the_cache_records(self, monkeypatch):
         g = network_of([("a", "b"), ("b", "a"), ("b", "c")])
         with pytest.raises(TypeError):
-            plan_netmelt(g, 1, tolerance=1e-3)
+            plan_strategy(g, NETMELT, 1, tolerance=1e-3)
         solve, runs = deletion.leading_eigenpair, []
 
         def spy(*args, **kwargs):
@@ -76,7 +77,7 @@ class TestPlanNetmelt:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(deletion, "leading_eigenpair", spy)
-        plan = plan_netmelt(g, 2)
+        plan = plan_strategy(g, NETMELT, 2)
         header = deletion.cache_header(plan.strategy, plan.k, None, g)
         assert runs == [(header["tolerance"], header["max_iterations"])]
         assert header["tolerance"] is not None and header["max_iterations"] is not None
@@ -84,7 +85,7 @@ class TestPlanNetmelt:
     @pytest.mark.parametrize("k, error", [(-1, "budget k must be >= 0"), (0, "at least one edge")])
     def test_budget_is_checked_before_the_edgeless_network(self, k, error):
         with pytest.raises(InputError, match=error):
-            plan_netmelt(reference_build_graph([], nodes=["a"]), k)
+            plan_strategy(reference_build_graph([], nodes=["a"]), NETMELT, k)
 
     def test_single_deletion_close_to_exhaustive_optimum(self):
         rng = random.Random(101)
@@ -93,7 +94,7 @@ class TestPlanNetmelt:
         for _ in range(trials):
             nodes, edges = random_digraph(rng, rng.randint(8, 16), rng.uniform(0.25, 0.4))
             g = reference_build_graph(edges, nodes=nodes)
-            plan = plan_netmelt(g, 1)
+            plan = plan_strategy(g, NETMELT, 1)
             chosen = plan.ranked_edges[0]
             after = {
                 edge: dense_spectral_radius(nodes, [e for e in edges if e != edge])
@@ -110,9 +111,9 @@ class TestPlanNetmelt:
         fresh = [f"w{i:02d}" for i in range(len(nodes))]
         rng.shuffle(fresh)
         rename = dict(zip(nodes, fresh))
-        original = plan_netmelt(reference_build_graph(edges, nodes=nodes), len(edges))
-        relabeled = plan_netmelt(
-            reference_build_graph([(rename[a], rename[b]) for a, b in edges], nodes=fresh), len(edges)
+        original = plan_strategy(reference_build_graph(edges, nodes=nodes), NETMELT, len(edges))
+        relabeled = plan_strategy(
+            reference_build_graph([(rename[a], rename[b]) for a, b in edges], nodes=fresh), NETMELT, len(edges)
         )
         mapped = {
             (rename[a], rename[b]): s for (a, b), s in zip(original.ranked_edges, original.scores)
@@ -124,13 +125,13 @@ class TestPlanNetmelt:
 class TestPlanBetweenness:
     def test_path_middle_edge_first(self):
         g = network_of([("a", "b"), ("b", "c"), ("c", "d")])
-        plan = plan_betweenness(g, 1)
+        plan = plan_strategy(g, BETWEENNESS, 1)
         assert plan.ranked_edges == (("b", "c"),)
         assert plan.scores == (pytest.approx(4.0),)
 
     def test_budget_beyond_edge_count_ranks_everything(self):
         g = network_of([("a", "b"), ("b", "c"), ("c", "d")])
-        plan = plan_betweenness(g, 99)
+        plan = plan_strategy(g, BETWEENNESS, 99)
         assert len(plan.ranked_edges) == 3
         assert plan.k == 99
         assert set(plan.ranked_edges) == set(graph_edges(g))
@@ -144,7 +145,7 @@ class TestPlanBetweenness:
             if not edges:
                 continue
             g = reference_build_graph(edges, nodes=nodes)
-            plan = plan_betweenness(g, len(edges))
+            plan = plan_strategy(g, BETWEENNESS, len(edges))
             expected = path_count_betweenness(nodes, edges)
             for edge, score in zip(plan.ranked_edges, plan.scores):
                 assert score == pytest.approx(expected[edge], abs=1e-9)
@@ -162,18 +163,18 @@ class TestPlanEdgeDegree:
     def test_star_scores_all_zero(self):
         leaves = [f"l{i}" for i in range(5)]
         g = network_of([(leaf, "c") for leaf in leaves])
-        plan = plan_edge_degree(g, 99)
+        plan = plan_strategy(g, EDGE_DEGREE, 99)
         assert set(plan.scores) == {0.0}
 
     def test_hand_counted_triangle(self):
         g = network_of([("a", "b"), ("b", "c"), ("c", "b")])
-        plan = plan_edge_degree(g, 1)
+        plan = plan_strategy(g, EDGE_DEGREE, 1)
         assert plan.ranked_edges == (("b", "c"),)
         assert plan.scores == (pytest.approx(2.0),)
 
     def test_matches_product_scan(self, eight_node_network):
         g = eight_node_network
-        plan = plan_edge_degree(g, g.edge_count)
+        plan = plan_strategy(g, EDGE_DEGREE, g.edge_count)
         product = degree_product(g)
         for edge, score in zip(plan.ranked_edges, plan.scores):
             assert score == product[edge]
@@ -185,7 +186,7 @@ class TestPlanEdgeDegree:
             if not edges:
                 continue
             g = reference_build_graph(edges, nodes=nodes)
-            plan = plan_edge_degree(g, len(edges))
+            plan = plan_strategy(g, EDGE_DEGREE, len(edges))
             product = degree_product(g)
             for edge, score in zip(plan.ranked_edges, plan.scores):
                 assert score == product[edge]
@@ -199,7 +200,7 @@ class TestPlanEdgeDegree:
         g = reference_build_graph(edges, nodes=nodes)
         if g.edge_count == 0:
             return
-        plan = plan_edge_degree(g, g.edge_count)
+        plan = plan_strategy(g, EDGE_DEGREE, g.edge_count)
         by_edge = dict(zip(plan.ranked_edges, plan.scores))
         scores = np.array([by_edge[edge] for edge in graph_edges(g)])
         assert len(set(scores.tolist())) < scores.size
@@ -208,7 +209,7 @@ class TestPlanEdgeDegree:
         want = tuple((ids[src[i]], ids[dst[i]]) for i in np.lexsort((dst, src, -scores)).tolist())
         assert plan.ranked_edges == want
         cut = rng.randint(0, g.edge_count)
-        assert plan_edge_degree(g, cut).ranked_edges == want[:cut]
+        assert plan_strategy(g, EDGE_DEGREE, cut).ranked_edges == want[:cut]
 
 
 class TestPlanRandom:
@@ -217,16 +218,16 @@ class TestPlanRandom:
 
     def test_full_budget_is_a_permutation(self):
         g = self._ten_edge_graph()
-        plan = plan_random(g, g.edge_count, rng_seed=5)
+        plan = plan_strategy(g, RANDOM, g.edge_count, rng_seed=5)
         assert sorted(plan.ranked_edges) == sorted(graph_edges(g))
 
     def test_same_seed_same_plan(self):
         g = self._ten_edge_graph()
-        assert plan_random(g, 4, rng_seed=42) == plan_random(g, 4, rng_seed=42)
+        assert plan_strategy(g, RANDOM, 4, rng_seed=42) == plan_strategy(g, RANDOM, 4, rng_seed=42)
 
     def test_selection_frequency_is_uniform(self):
         g = self._ten_edge_graph()
-        counts = Counter(plan_random(g, 1, rng_seed=seed).ranked_edges[0] for seed in range(10_000))
+        counts = Counter(plan_strategy(g, RANDOM, 1, rng_seed=seed).ranked_edges[0] for seed in range(10_000))
         for edge in graph_edges(g):
             assert abs(counts[edge] / 10_000 - 0.1) <= 0.01
 
@@ -258,7 +259,7 @@ class TestShuffleOracle:
         for seed in self.SEEDS:
             if seed < 0:  # see test_negative_seed_is_rejected
                 continue
-            plan = plan_random(g, 25, rng_seed=seed)
+            plan = plan_strategy(g, RANDOM, 25, rng_seed=seed)
             assert plan.edge_pos.tolist() == shuffled_prefix(g.edge_count, 25, seed)
 
     def test_negative_seed_is_rejected(self):
@@ -268,10 +269,8 @@ class TestShuffleOracle:
         assert shuffled_prefix(g.edge_count, 10, -5) == shuffled_prefix(g.edge_count, 10, 5)
         for seed in (-5, -1):
             with pytest.raises(InputError, match=f"rng seed must be >= 0, not {seed}"):
-                plan_random(g, 10, rng_seed=seed)
-            with pytest.raises(InputError, match="rng seed"):
-                plan_strategy(g, "random", 10, rng_seed=seed)
-        assert plan_random(g, 10, rng_seed=0).rng_seed == 0
+                plan_strategy(g, RANDOM, 10, rng_seed=seed)
+        assert plan_strategy(g, RANDOM, 10, rng_seed=0).rng_seed == 0
 
     def test_fixed_point_resolves_candidates_in_the_undecided_band(self):
         # Bound 100 drops by one per acceptance.  Each pair of equal
@@ -300,7 +299,12 @@ class TestShuffleOracle:
             edge_count = MAX_RANDOM_EDGES + 1
 
         with pytest.raises(InputError, match="at most 4294967295 edges"):
-            plan_random(Huge(), 1, rng_seed=0)
+            plan_strategy(Huge(), RANDOM, 1, rng_seed=0)
+        # The budget is checked first, then the seed, then the edge count.
+        with pytest.raises(InputError, match="rng seed must be >= 0"):
+            plan_strategy(Huge(), RANDOM, 1, rng_seed=-1)
+        with pytest.raises(InputError, match="budget k must be >= 0"):
+            plan_strategy(Huge(), RANDOM, -1, rng_seed=-1)
 
 
 class TestPlanCache:
@@ -356,10 +360,10 @@ class TestPlanCache:
 
     def test_bytes_depend_only_on_the_plan_and_network(self, tmp_path):
         g = network_of(random_digraph(random.Random(41), 10, 0.3)[1])
-        plan = plan_netmelt(g, 5)
+        plan = plan_strategy(g, NETMELT, 5)
         save_plan_cache(plan, tmp_path / "a.npz")
         (tmp_path / "elsewhere").mkdir()
-        save_plan_cache(plan_netmelt(network_of(graph_edges(g)), 5), tmp_path / "elsewhere" / "b.npz")
+        save_plan_cache(plan_strategy(network_of(graph_edges(g)), NETMELT, 5), tmp_path / "elsewhere" / "b.npz")
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "elsewhere" / "b.npz").read_bytes()
 
 
@@ -418,10 +422,10 @@ class TestCachedPlan:
 class TestPlanContracts:
     def _plans(self, g, k, seed=0):
         return [
-            plan_netmelt(g, k),
-            plan_betweenness(g, k),
-            plan_edge_degree(g, k),
-            plan_random(g, k, rng_seed=seed),
+            plan_strategy(g, NETMELT, k),
+            plan_strategy(g, BETWEENNESS, k),
+            plan_strategy(g, EDGE_DEGREE, k),
+            plan_strategy(g, RANDOM, k, rng_seed=seed),
         ]
 
     def test_prefix_consistency(self):
@@ -430,7 +434,7 @@ class TestPlanContracts:
         g = reference_build_graph(edges, nodes=nodes)
         for small, large in zip(self._plans(g, 4), self._plans(g, 11)):
             assert large.ranked_edges[:4] == small.ranked_edges
-            assert large.prefix(4).ranked_edges == small.ranked_edges
+            assert prefix(large, 4).ranked_edges == small.ranked_edges
 
     def test_only_existing_edges_no_duplicates(self):
         rng = random.Random(127)
@@ -457,12 +461,36 @@ class TestPlanContracts:
     def test_negative_budget_rejected(self):
         g = network_of([("a", "b")])
         with pytest.raises(InputError):
-            plan_edge_degree(g, -1)
+            plan_strategy(g, EDGE_DEGREE, -1)
 
     def test_unknown_strategy_rejected(self):
         g = network_of([("a", "b")])
         with pytest.raises(InputError):
             plan_strategy(g, "bogus", 1)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_strategy_rejects_a_negative_budget(self, strategy):
+        with pytest.raises(InputError, match="budget k must be >= 0"):
+            plan_strategy(network_of([("a", "b")]), strategy, -1, rng_seed=-1)
+
+    @pytest.mark.parametrize(
+        "strategy, scorer",
+        [(NETMELT, "leading_eigenpair"), (BETWEENNESS, "betweenness_scores"), (EDGE_DEGREE, None), (RANDOM, None)],
+    )
+    def test_scoring_functions_are_looked_up_on_each_call(self, monkeypatch, strategy, scorer):
+        # A wrapper put in the module's place after import, as a profiler
+        # puts one, is the function the planner calls.
+        g = network_of([("a", "b"), ("b", "a"), ("b", "c")])
+        want = plan_strategy(g, strategy, 2)
+        calls = Counter()
+        for name in ("leading_eigenpair", "betweenness_scores"):
+            def counting(*args, _name=name, _score=getattr(deletion, name), **kwargs):
+                calls[_name] += 1
+                return _score(*args, **kwargs)
+
+            monkeypatch.setattr(deletion, name, counting)
+        assert plan_strategy(g, strategy, 2) == want
+        assert calls == ({scorer: 1} if scorer else {})
 
 
 class TestPlanSerialization:
@@ -478,7 +506,7 @@ class TestPlanSerialization:
 
     def test_file_format(self, tmp_path):
         g = network_of([("a", "b"), ("b", "a")])
-        plan = plan_random(g, 2, rng_seed=3)
+        plan = plan_strategy(g, RANDOM, 2, rng_seed=3)
         path = tmp_path / "plan.tsv"
         save_plan(plan, path)
         lines = path.read_text().splitlines()
@@ -487,7 +515,7 @@ class TestPlanSerialization:
 
     def test_header_without_seed(self, tmp_path):
         g = network_of([("a", "b"), ("b", "c")])
-        plan = plan_edge_degree(g, 1)
+        plan = plan_strategy(g, EDGE_DEGREE, 1)
         path = tmp_path / "plan.tsv"
         save_plan(plan, path)
         assert path.read_text().splitlines()[0] == "edge-degree,1,"
@@ -720,10 +748,10 @@ class TestDeletionPlan:
     def test_prefix_slices_the_arrays(self):
         g = network_of([("a", "b"), ("b", "c"), ("c", "a")])
         plan = DeletionPlan("edge-degree", 5, g, [2, 0, 1], [3, 2, 1])
-        assert plan.prefix(2) == DeletionPlan("edge-degree", 2, g, [2, 0], [3, 2])
-        assert plan.prefix(9).edge_pos.tolist() == [2, 0, 1]
+        assert prefix(plan, 2) == DeletionPlan("edge-degree", 2, g, [2, 0], [3, 2])
+        assert prefix(plan, 9).edge_pos.tolist() == [2, 0, 1]
         with pytest.raises(InputError):
-            plan.prefix(-1)
+            prefix(plan, -1)
 
 
 def _oracle_graphs():
@@ -741,7 +769,7 @@ class TestMatchesStringOracle:
     def test_graphs_have_many_tied_edge_degree_scores(self):
         tied = 0
         for g in _oracle_graphs():
-            scores = plan_edge_degree(g, g.edge_count).scores
+            scores = plan_strategy(g, EDGE_DEGREE, g.edge_count).scores
             tied += np.unique(scores).size <= scores.size // 2
         assert tied >= 3
 

@@ -10,16 +10,17 @@ import pytest
 
 from cascadecut import (
     DeletionPlan,
+    EDGE_DEGREE,
     EstimateReport,
     InputError,
     InvariantError,
     NON_TREE,
     ParseError,
+    RANDOM,
     VARIANTS,
     estimate_budgets,
-    plan_edge_degree,
-    plan_random,
     plan_ranks,
+    plan_strategy,
     read_report_csv,
     run_estimation,
     write_report_csv,
@@ -42,6 +43,7 @@ from oracles import (
     dict_edge_positions,
     graph_edges,
     list_estimate_budgets,
+    prefix,
     size_after,
     table_of,
 )
@@ -150,7 +152,7 @@ class TestEstimateSize:
 
 def prefix_oracle(graphs, plan, k):
     """Sizes at budget k the direct way: cut the plan prefix, then search."""
-    sub = plan.prefix(k)
+    sub = prefix(plan, k)
     return [size_after(dg, sub) for dg in graphs]
 
 
@@ -317,7 +319,7 @@ class TestPlanRanks:
 
     def test_plan_for_another_network_is_rejected(self):
         # Both networks have two edges, so the plan's positions fit either.
-        plan = plan_edge_degree(network_of([("x", "y"), ("y", "z")]), 2)
+        plan = plan_strategy(network_of([("x", "y"), ("y", "z")]), EDGE_DEGREE, 2)
         other = network_of([("1", "2"), ("2", "3")])
         table = table_of([CascadeLog.from_events("c", [("3", 1), ("2", 2), ("1", 3)])])
         with pytest.raises(InputError, match="another follow network"):
@@ -327,7 +329,7 @@ class TestPlanRanks:
 
     def test_plan_for_an_equal_network_is_accepted(self):
         edges = [("x", "y"), ("y", "z")]
-        plan = plan_edge_degree(network_of(edges), 2)
+        plan = plan_strategy(network_of(edges), EDGE_DEGREE, 2)
         equal = network_of(edges[::-1])
         assert equal is not plan.network
         assert plan_ranks(equal, plan).tolist() == plan_ranks(plan.network, plan).tolist()
@@ -367,10 +369,10 @@ class TestRunEstimation:
             network, log, edges, _ = random_instance(rng)
             if not edges:
                 continue
-            full = plan_random(network, len(edges), rng_seed=7)
+            full = plan_strategy(network, RANDOM, len(edges), rng_seed=7)
             last_total = None
             for k in range(0, len(edges) + 1, max(1, len(edges) // 5)):
-                report = run_estimation(network, table_of([log]), full.prefix(k), "non-tree")
+                report = run_estimation(network, table_of([log]), prefix(full, k), "non-tree")
                 if last_total is not None:
                     assert report.total_estimated <= last_total
                 last_total = report.total_estimated

@@ -33,14 +33,14 @@ from cascadecut import (
     run_sweep,
     save_plan,
     save_plan_cache,
-    scatter_report,
     seed_analysis,
+    write_report_csv,
 )
 from cascadecut import cli, diffusion, experiment, graph, ingest
 from cascadecut.deletion import cache_header
-from cascadecut.experiment import budget_for, load_network, write_gnuplot_script
+from cascadecut.experiment import SCATTER_HEADER, budget_for, load_network, write_gnuplot_script
 from conftest import network_of, one_variant, random_instance, write_eight_node_dataset
-from oracles import CascadeLog, batch_of, dict_edge_positions, graph_edges, per_budget_sweep, table_of
+from oracles import CascadeLog, batch_of, dict_edge_positions, graph_edges, per_budget_sweep, prefix, table_of
 
 
 def read_summary(out_dir):
@@ -357,7 +357,7 @@ class TestRunSweep:
             for variant in VARIANTS:
                 for fraction in (0.0, 0.5, 1.0):
                     k = budget_for(fraction, network.edge_count)
-                    report = run_estimation(network, table, plan.prefix(k), variant)
+                    report = run_estimation(network, table, prefix(plan, k), variant)
                     assert summary[(strategy, variant, f"{fraction:g}")] == (
                         report.total_estimated,
                         report.total_original,
@@ -414,7 +414,8 @@ class TestRunSweep:
         _, *rows = csv.reader(text.splitlines())
         assert [row[3] for row in rows] == ["a,b", "c2", 'q"x']
         report = read_report_csv(path)
-        assert scatter_report(report) == [(cid, int(orig), int(est)) for _, _, _, cid, orig, est, _ in rows]
+        columns = zip(report.cascade_ids, report.original_sizes.tolist(), report.estimated_sizes.tolist())
+        assert list(columns) == [(cid, int(orig), int(est)) for _, _, _, cid, orig, est, _ in rows]
         assert report.seed_counts.tolist() == [int(row[6]) for row in rows]
         assert cli.main(["scatter", "--report", str(path), "--out", str(tmp_path / "scatter")]) == 0
         scatter = (tmp_path / "scatter" / f"scatter_{path.stem}.csv").read_text(encoding="utf-8")
@@ -791,24 +792,35 @@ class TestSeedAnalysis:
 
 
 class TestScatter:
-    def test_zero_budget_points_on_diagonal(self, eight_node_network, eight_node_table):
+    @staticmethod
+    def scatter_rows(report, tmp_path):
+        """The rows ``cascadecut scatter`` writes for ``report``."""
+        path = tmp_path / "report.csv"
+        write_report_csv(report, path)
+        assert cli.main(["scatter", "--report", str(path), "--out", str(tmp_path / "scatter")]) == 0
+        text = (tmp_path / "scatter" / "scatter_report.csv").read_text(encoding="utf-8")
+        header, *rows = csv.reader(text.splitlines())
+        assert tuple(header) == SCATTER_HEADER
+        return [(cid, int(orig), int(est)) for cid, orig, est in rows]
+
+    def test_zero_budget_points_on_diagonal(self, eight_node_network, eight_node_table, tmp_path):
         from test_estimator import manual_plan
 
         report = run_estimation(eight_node_network, eight_node_table, manual_plan(eight_node_network, []), "non-tree")
-        assert scatter_report(report) == [("t", 8, 8)]
+        assert self.scatter_rows(report, tmp_path) == [("t", 8, 8)]
 
-    def test_eight_node_cut_row(self, eight_node_network, eight_node_table):
+    def test_eight_node_cut_row(self, eight_node_network, eight_node_table, tmp_path):
         from conftest import EIGHT_NODE_CUT_FOLLOW_EDGES
         from test_estimator import manual_plan
 
         report = run_estimation(
             eight_node_network, eight_node_table, manual_plan(eight_node_network, EIGHT_NODE_CUT_FOLLOW_EDGES), "non-tree"
         )
-        assert scatter_report(report) == [("t", 8, 5)]
+        assert self.scatter_rows(report, tmp_path) == [("t", 8, 5)]
 
-    def test_projection_of_arbitrary_report(self):
+    def test_projection_of_arbitrary_report(self, tmp_path):
         report = EstimateReport("random", "non-tree", 2, ("b", "a"), [4, 2], [3, 2], [1, 2])
-        assert scatter_report(report) == [("a", 2, 2), ("b", 4, 3)]
+        assert self.scatter_rows(report, tmp_path) == [("a", 2, 2), ("b", 4, 3)]
 
 
 class TestGnuplot:

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from cascadecut import (
+    BETWEENNESS,
     ConvergenceError,
     InputError,
     ParseError,
     betweenness_scores,
     leading_eigenpair,
-    plan_betweenness,
+    plan_strategy,
     read_network,
 )
 from cascadecut import graph, ingest
@@ -403,7 +404,7 @@ class TestEdgeBetweenness:
         assert scores.dtype == want.dtype and scores.tobytes() == want.tobytes()
         src, dst = g.edge_src_indices, g.edge_dst_indices
         for k in sorted({1, g.edge_count // 3, g.edge_count}):
-            plan = plan_betweenness(g, k)
+            plan = plan_strategy(g, BETWEENNESS, k)
             top = np.lexsort((dst, src, -want))[:k]
             assert plan.edge_pos.tolist() == top.tolist()
             assert plan.scores.tobytes() == want[top].tobytes()

@@ -10,21 +10,21 @@ Fields may in practice be separated by any whitespace run, which lets the
 publicly distributed follower edge lists (space-separated) load unchanged.
 
 :func:`read_network` and :func:`load_cascades` read a file in blocks that
-end at a line end, and a *regular* block in bulk: printable ASCII plus tab
-and newline only, no ``#``, and the same field count on every non-blank
-line (for edges, also decimal ids of at most 18 digits without a leading
-zero).  Any other block, and an iterable of lines that is not a file, goes
-through the line scanner, which alone skips and reports comments and
-malformed lines; both readers give the same result on a regular block.
-The bulk readers take one pass over each block's ASCII bytes (see
-:func:`_token_bounds`, the package's one scanner of id text) that checks
-the block and finds its token bounds, and parse the decimal fields from
-those bounds; :func:`decimal_values` reads the line scanner's ids with the
-same pass.  Plain decimal ids stay int64: the graph and the cascade table
-keep them as integer id tables and build their strings only on first use.
-Ids are interned (:func:`sorted_codes`) and edges deduplicated
-(:func:`edge_keys`) here too, so :mod:`~cascadecut.graph` receives
-canonical arrays and parses no text.
+end at a line end, and a *regular* block in bulk: ASCII text of tokens
+(runs of printable bytes other than ``#``) parted by spaces, tabs and line
+ends, with the same token count on every non-blank line.  Any other block,
+and an iterable of lines that is not a file, goes through the line
+scanner, which alone skips and reports comments and malformed lines; both
+readers give the same result on a regular block.  One pass over a block's
+bytes (:func:`_token_bounds`, the package's one scanner of id text) checks
+it and finds its token bounds, and both bulk readers read an id column
+from those bounds (:func:`_id_column`): int64 values when every id is a
+plain decimal, strings otherwise.  :func:`decimal_values` reads the line
+scanner's ids with the same pass.  Plain decimal ids stay int64: the graph
+and the cascade table keep them as integer id tables and build their
+strings only on first use.  Ids are interned (:func:`sorted_codes`) and
+edges deduplicated (:func:`edge_keys`) here too, so
+:mod:`~cascadecut.graph` receives canonical arrays and parses no text.
 
 :func:`read_network` returns the follow network as a
 :class:`~cascadecut.graph.DirectedGraph`.  :func:`load_cascades` and
@@ -323,12 +323,12 @@ def decimal_values(tokens: Sequence[str]) -> np.ndarray | None:
             text = "\n".join(chunk)
         except TypeError:
             return None
-        bounds = _token_bounds(text, 1, digits=True)
+        bounds = _token_bounds(text, 1)
         if bounds is None:
             return None
         data, starts, ends, _ = bounds
         lengths = ends - starts
-        # All but the line ends are digits, and no line is empty.
+        # Every line is one token, with no blank around it.
         if starts.size != len(chunk) or int(lengths.sum()) != len(text) - len(chunk) + 1:
             return None
         part = _decimals(data, starts, lengths, leading_zeros=False)
@@ -338,27 +338,26 @@ def decimal_values(tokens: Sequence[str]) -> np.ndarray | None:
     return np.concatenate(parts)
 
 
-def _token_bounds(block: str, width: int, digits: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
-    """The UTF-8 bytes of a regular ``block``, the start and end offsets of
+def _token_bounds(block: str, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
+    """The ASCII bytes of a regular ``block``, the start and end offsets of
     its tokens into them and the count of its line ends, or None when the
     block is not regular.
 
-    A block is regular when every byte is a token byte, space, tab or
-    newline, and every non-blank line holds ``width`` tokens.  A token byte
-    is a digit with ``digits``, else any byte above space but ``#`` and
-    DEL, so non-ASCII text is token bytes.  The bytes are the block's
+    A block is regular when it is ASCII, every byte is a token byte, space,
+    tab or newline, and every non-blank line holds ``width`` tokens.  A
+    token byte is any printable byte but ``#``.  The bytes are the block's
     between two added line ends, so every token starts and ends inside
-    them.  This is the one scanner of id text: the bulk edge and event
-    readers and :func:`decimal_values` use it.
+    them.  This is the one token rule: the bulk edge and event readers and
+    :func:`decimal_values` use it, and :func:`_decimals` tells which tokens
+    are plain decimals.
     """
-    data = np.frombuffer(f"\n{block}\n".encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    if digits:
-        token = data >= ord("0")
-        token &= data <= ord("9")
-    else:
-        token = data > ord(" ")
-        token &= data != 0x7F
-        token &= data != ord("#")
+    # The line scanner splits at Unicode blanks too, so other text is left to it.
+    if not block.isascii():
+        return None
+    data = np.frombuffer(f"\n{block}\n".encode("ascii"), dtype=np.uint8)
+    token = data > ord(" ")
+    token &= data != 0x7F
+    token &= data != ord("#")
     newline = data == ord("\n")
     token_bytes = np.count_nonzero(token)
     blanks = np.count_nonzero(data == ord(" ")) + np.count_nonzero(data == ord("\t"))
@@ -396,7 +395,7 @@ def _token_strings(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> li
     taken[1::2] = True
     text = data[np.repeat(taken, np.diff(cuts))]
     text[np.cumsum(ends - starts + 1) - 1] = ord("\n")
-    return text.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
+    return text.tobytes().decode("ascii").split("\n")[:-1]
 
 
 def _fold(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, base: int, zero: int) -> tuple[np.ndarray, int]:
@@ -439,15 +438,21 @@ def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, leading
     return values if top <= 9 else None
 
 
-def _edge_ids(block: str) -> tuple[np.ndarray, int] | None:
-    """The ids of a regular edge block of plain decimals, in file order, and
-    the block's line end count, or None."""
-    bounds = _token_bounds(block, 2, digits=True)
+def _id_column(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | list[str]:
+    """One id column of :func:`_token_bounds`'s ``data``, the tokens from ``starts`` to ``ends``:
+    int64 values when all are plain decimals (see :func:`decimal_values`), else strings."""
+    values = _decimals(data, starts, ends - starts, leading_zeros=False)
+    return _token_strings(data, starts, ends) if values is None else values
+
+
+def _edge_ids(block: str) -> tuple[np.ndarray | list[str], int] | None:
+    """The ids of a regular edge block in file order (see :func:`_id_column`)
+    and the block's line end count, or None."""
+    bounds = _token_bounds(block, 2)
     if bounds is None:
         return None
     data, starts, ends, line_ends = bounds
-    ids = _decimals(data, starts, ends - starts, leading_zeros=False)
-    return None if ids is None else (ids, line_ends)
+    return _id_column(data, starts, ends), line_ends
 
 
 def _event_columns(block: str) -> tuple[tuple[np.ndarray | list[str], np.ndarray | list[str], np.ndarray], int] | None:
@@ -456,30 +461,23 @@ def _event_columns(block: str) -> tuple[tuple[np.ndarray | list[str], np.ndarray
     timestamp is not an int64.
 
     Cascade ids of at most ``_KEY_BYTES`` bytes come as int64 keys (their
-    bytes in base 256), others as strings; plain decimal users come as
-    int64 values, others as strings.
+    bytes in base 256), others as strings; users come as :func:`_id_column`
+    gives them.
     """
-    # The line scanner splits at Unicode blanks too, so other text is left to it.
-    bounds = _token_bounds(block, 3, digits=False) if block.isascii() else None
+    bounds = _token_bounds(block, 3)
     if bounds is None:
         return None
     data, starts, ends, line_ends = bounds
     lengths = ends - starts
-
-    def strings(column: int) -> list[str]:
-        return _token_strings(data, starts[column::3], ends[column::3])
-
     if lengths[0::3].max(initial=0) <= _KEY_BYTES:
         cascades = _fold(data, starts[0::3], lengths[0::3], 256, 0)[0]
     else:
-        cascades = strings(0)
-    users = _decimals(data, starts[1::3], lengths[1::3], leading_zeros=False)
-    if users is None:
-        users = strings(1)
+        cascades = _token_strings(data, starts[0::3], ends[0::3])
+    users = _id_column(data, starts[1::3], ends[1::3])
     times = _decimals(data, starts[2::3], lengths[2::3], leading_zeros=True)
     if times is None:  # signs or 19 digits: parse one by one
         try:
-            times = np.array(strings(2), dtype=np.int64)
+            times = np.array(_token_strings(data, starts[2::3], ends[2::3]), dtype=np.int64)
         except (ValueError, OverflowError):
             return None
     return (cascades, users, times), line_ends
@@ -563,9 +561,9 @@ def _edge_tokens(records: Iterable[tuple[int, list[str]]]) -> list[str]:
 def read_network(stream: Iterable[str], strict: bool = False) -> DirectedGraph:
     """The follow network of an edge file, or of a list of edge lines.
 
-    Each block of a regular file of decimal ids is parsed in bulk into
-    integer arrays; any other block goes through the line scanner (see
-    :func:`_scan`), with its warnings and errors.  Duplicate edges and
+    Each regular block of a file is read in bulk (see
+    :func:`_token_bounds`); any other block goes through the line scanner
+    (see :func:`_scan`), with its warnings and errors.  Duplicate edges and
     self-loops are dropped, and nodes are numbered in sorted id order, so
     the same edge set always gives the same graph.  When every id is a
     plain decimal, the graph keeps its ids as integers.  To build a network

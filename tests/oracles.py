@@ -28,7 +28,8 @@ Brandes pass that read in-edges through that reverse index
 join of participants with their follow edges (:func:`unfiltered_candidates`)
 over the package's cascade table and edge gather.  The earlier bulk
 readers' two passes per block live on as :func:`regular_block` (the
-regularity check), :func:`block_ints` (the ``np.fromstring`` parse) and
+regularity check), :func:`plain_decimal` (the test of a decimal id that
+the integer paths take), :func:`block_ints` (the ``np.fromstring`` parse) and
 :func:`split_events` (the ``str.split`` of an event block); with them,
 :func:`two_pass_read_network` is the earlier bulk edge reader, over the
 package's block cutter and id ranking.  :func:`string_fingerprint` is the
@@ -132,7 +133,7 @@ def table_of(logs):
     index = {user: i for i, user in enumerate(users)}
     rows = sorted((c, index[user], ts) for c, log in enumerate(logs) for user, ts in log.events)
     cascade, user, time = (np.array([row[i] for row in rows], dtype=np.int64) for i in range(3))
-    plain = all(u.isascii() and u.isdigit() and len(u) <= MAX_DIGITS and str(int(u)) == u for u in users)
+    plain = all(map(plain_decimal, users))
     user_ids = np.array([int(u) for u in users], dtype=np.int64) if users and plain else tuple(users)
     return CascadeTable(tuple(log.cascade_id for log in logs), user_ids, cascade, user, time)
 
@@ -741,18 +742,14 @@ def unfiltered_candidates(network, table):
     return found, slot.size
 
 
-def regular_block(block, width, digits):
+def regular_block(block, width):
     """The earlier regularity check: whether ``block`` is printable ASCII, tab
-    and newline without ``#``, with ``width`` fields on every non-blank line,
-    and with ``digits`` every field a decimal of at most 18 digits without a
-    leading zero."""
+    and newline without ``#``, with ``width`` fields on every non-blank
+    line."""
     if not block.isascii():
         return False
     data = np.frombuffer(f"\n{block}\n".encode("ascii"), dtype=np.uint8)
-    if digits:
-        token = (data >= ord("0")) & (data <= ord("9"))
-    else:
-        token = (data > ord(" ")) & (data < 0x7F) & (data != ord("#"))
+    token = (data > ord(" ")) & (data < 0x7F) & (data != ord("#"))
     line_end = data == ord("\n")
     if not (token | line_end | (data == ord(" ")) | (data == ord("\t"))).all():
         return False
@@ -761,14 +758,12 @@ def regular_block(block, width, digits):
     marks = np.flatnonzero(starts | line_end)
     is_end = line_end[marks]
     fields = np.diff(np.flatnonzero(is_end)) - 1
-    if not ((fields == 0) | (fields == width)).all():
-        return False
-    if digits:
-        first = marks[~is_end]
-        lengths = np.flatnonzero(token[1:] < token[:-1]) + 1 - first
-        if lengths.max(initial=0) > MAX_DIGITS or ((data[first] == ord("0")) & (lengths > 1)).any():
-            return False
-    return True
+    return bool(((fields == 0) | (fields == width)).all())
+
+
+def plain_decimal(token):
+    """Whether ``token`` is 1 to 18 ASCII digits without a leading zero."""
+    return token.isascii() and token.isdigit() and len(token) <= MAX_DIGITS and str(int(token)) == token
 
 
 def block_ints(block):
@@ -793,9 +788,10 @@ def split_events(blocks):
 
 def two_pass_read_network(stream):
     """The earlier bulk edge reader: check every block, then parse each with
-    ``np.fromstring``; None when a block is not regular."""
+    ``np.fromstring``; None when a block is not regular or an id is not a
+    plain decimal."""
     blocks = list(_blocks(stream))
-    if not all(regular_block(block, 2, digits=True) for block in blocks):
+    if not all(regular_block(block, 2) and all(map(plain_decimal, block.split())) for block in blocks):
         return None
     values = np.concatenate([np.empty(0, dtype=np.int64), *map(block_ints, blocks)])
     ids, codes = _rank_ids(values)

@@ -311,17 +311,18 @@ class TestTokenizer:
     def test_columns_are_the_split_fields(self, seed):
         rng = random.Random(seed)
         width = rng.randint(1, 4)
-        pool = ["1", "22", "007", "u3", "\u00fcber", "x" * 20, "9" * 19]
+        pool = ["1", "22", "007", "u3", "~$%&", "x" * 20, "9" * 19]
         lines = []
         for _ in range(rng.randint(0, 30)):
             fields = [rng.choice(pool) for _ in range(width)]
             lines.append(rng.choice(["", " "]) + "".join(f + rng.choice([" ", "\t", " \t", "  "]) for f in fields))
             if rng.random() < 0.2:
                 lines.append(rng.choice(["", " ", "\t "]))
-        if seed % 5 == 0:  # a comment mark, or a line one field too long
-            lines.insert(rng.randint(0, len(lines)), rng.choice(["#c " * width, "1 " * (width + 1)]))
+        if seed % 5 == 0:  # a comment mark, a line one field too long, or non-ASCII text
+            odd = rng.choice(["#c " * width, "1 " * (width + 1), "\u00fcber " * width])
+            lines.insert(rng.randint(0, len(lines)), odd)
         block = "\n".join(lines) + rng.choice(["", "\n"])
-        bounds = ingest._token_bounds(block, width, digits=False)
+        bounds = ingest._token_bounds(block, width)
         fields = block.split()
         if seed % 5 == 0:
             assert bounds is None
@@ -334,12 +335,19 @@ class TestTokenizer:
 
     @pytest.mark.parametrize("block", ["1 2\n3", "1\n2 3\n", "1 2 3\n4\n", "1\x0b2\n", "1\r2\n"])
     def test_irregular_blocks_are_refused(self, block):
-        assert ingest._token_bounds(block, 2, digits=True) is None
+        assert ingest._token_bounds(block, 2) is None
 
-    def test_digits_take_plain_digits_only(self):
-        assert ingest._token_bounds("1 2\n", 2, digits=True) is not None
-        assert ingest._token_bounds("1 u\n", 2, digits=True) is None
-        assert ingest._token_bounds("1 \u0661\n", 2, digits=True) is None
+    def test_token_bytes_are_printable_ascii_but_the_comment_mark(self):
+        # One byte inside the first of two tokens: a token byte keeps the
+        # block regular, a blank splits the token, and any other byte
+        # (controls, DEL, ``#``, non-ASCII) makes the block irregular.
+        for code in [*range(0x80), 0xA0, 0xFC, 0x661]:
+            block = f"1{chr(code)}2 u\n"
+            bounds = ingest._token_bounds(block, 2)
+            if 0x20 < code < 0x7F and chr(code) != "#":
+                assert ingest._token_strings(*bounds[:3]) == block.split(), hex(code)
+            else:
+                assert bounds is None, hex(code)
 
 
 def brandes_instance(seed):

@@ -34,6 +34,7 @@ from oracles import (
     list_load_cascades,
     load_follow_edges,
     logs_of,
+    plain_decimal,
     reference_build_graph,
     regular_block,
     space_cut_decimals,
@@ -171,13 +172,14 @@ def reader_line(kind, records, text, parse):
     return f"read {records} {kind} record(s); {scanned} of {len(blocks)} block(s) by the line scanner"
 
 
-# One irregularity per edge file, or none (None, weighted up).  Only None
-# keeps a file regular; CRLF ends are regular once a text-mode file read
-# has turned them into newlines.
+# One irregularity per edge file, or none (None, weighted up).  None and
+# the ids that are not plain decimals keep a file regular; CRLF ends are
+# regular once a text-mode file read has turned them into newlines.
 EDGE_QUIRKS = (
     None, None, None, "leading zero", "19 digits", "20 digits", "letters",
     "comment", "non-ascii", "malformed", "crlf", "form feed",
 )
+BULK_EDGE_QUIRKS = (None, "leading zero", "19 digits", "20 digits", "letters")
 
 
 def numeric_edge_text(rng, quirk):
@@ -223,7 +225,7 @@ def numeric_edge_text(rng, quirk):
 
 
 class TestBulkEdgeReader:
-    """Regular numeric edge files are read in bulk; the list-based build is the oracle."""
+    """Regular edge files are read in bulk, whatever their ids; the list-based build is the oracle."""
 
     @pytest.mark.parametrize("seed", range(48))
     def test_matches_list_based_build(self, tmp_path, caplog, monkeypatch, seed):
@@ -245,7 +247,7 @@ class TestBulkEdgeReader:
                 got, got_log = logged(caplog, lambda: read_network(io.StringIO(text)))
             assert_same_graph(got, want)
             assert warnings_of(got_log) == warnings_of(want_log)
-            bulk = quirk is None or (quirk == "crlf" and from_file)
+            bulk = quirk in BULK_EDGE_QUIRKS or (quirk == "crlf" and from_file)
             # The oracle's own INFO line counts the records it read.
             (read_line,) = [m for level, m in want_log if level == logging.INFO]
             seen = path.read_text(encoding="utf-8") if from_file else text
@@ -371,11 +373,12 @@ class TestCascadeTableMatchesListLoader:
 # per block, and the default.
 PASS_BLOCKS = (4, 5, 16, 64, 1 << 17)
 
-# Edge texts beside numeric_edge_text's: digit-count limits, zeros, blank
-# runs and lines, and files without a final newline.
+# Edge texts beside numeric_edge_text's: digit-count limits, zeros, names
+# and punctuation, blank runs and lines, and files without a final newline.
 EDGE_EXTRAS = (
     "1 2\n", "9\t0\n", "0 0\n", "0\t10\n", "123456789012345678\t1\n", "1234567890123456789 1\n",
-    "00 1\n", "01\t2\n", "1 007\n", "1  \t 2\n3\t\t4\n", "\n\n1 2\n\n\n3 4\n\n", "1 2\n3 4", " 1 2 \n",
+    "00 1\n", "01\t2\n", "1 007\n", "u17\tu2\n", "~!\t$%\n", "1 2\x7f\n", "1  \t 2\n3\t\t4\n",
+    "\n\n1 2\n\n\n3 4\n\n", "1 2\n3 4", " 1 2 \n",
     "1 2 3\n", "1\n2\n", "", "\n", "  \n\t\n", "1 2\n3", "12 34\n56 78\n", "1 2\n\f\n",
     "1\n2 3 4\n", "1 2 3\n4\n", "1 2 3",
 )
@@ -399,11 +402,15 @@ class ReadOnly:
 
 
 def edge_oracle(block):
-    return block_ints(block) if regular_block(block, 2, digits=True) else None
+    """The ids of a regular edge block: int64 when every one is a plain decimal, else strings."""
+    if not regular_block(block, 2):
+        return None
+    tokens = block.split()
+    return block_ints(block) if all(map(plain_decimal, tokens)) else tokens
 
 
 def event_oracle(block):
-    return split_events([block]) if regular_block(block, 3, digits=False) else None
+    return split_events([block]) if regular_block(block, 3) else None
 
 
 def column_strings(column, unpack=str):
@@ -426,7 +433,8 @@ class TestOnePass:
                 if want is not None:
                     got, line_ends = got
                     assert line_ends == block.count("\n")
-                    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+                    assert got.dtype == np.int64 if isinstance(want, np.ndarray) else isinstance(got, list)
+                    assert column_strings(got) == column_strings(want)
             want = two_pass_read_network(io.StringIO(text))
             got = ingest.read_network(io.StringIO(text))
             assert_same_graph(got, reference_build_graph(load_follow_edges(io.StringIO(text))))
@@ -455,7 +463,7 @@ class TestOnePass:
                     assert column_strings(cascades, ingest._unpack) == want[0]
                     assert column_strings(users) == want[1]
                     assert times.dtype == np.int64 and times.tolist() == want[2].tolist()
-            bulk = all(regular_block(block, 3, digits=False) for block in blocks) and split_events(blocks) is not None
+            bulk = all(regular_block(block, 3) for block in blocks) and split_events(blocks) is not None
             try:
                 want = list_load_cascades(io.StringIO(text))
             except ParseError as listed:
@@ -679,18 +687,21 @@ class TestReaderChoice:
         monkeypatch.setattr(ingest, "_scan", counting)
         return calls
 
-    def test_regular_numeric_dataset_is_never_line_scanned(self, tmp_path, monkeypatch):
+    def _never_scanned(self, tmp_path, monkeypatch, caplog, ids):
+        """Read a regular dataset over ``ids`` with no line-scanner call, and
+        the same graph and table from its ``#``-commented, scanned copy."""
         rng = random.Random(8)
         edges, cascades = tmp_path / "edges.tsv", tmp_path / "cascades.tsv"
-        ids = [str(rng.randint(1, 10**rng.randint(1, 12))) for _ in range(40)]
         edge_lines = [f"{rng.choice(ids)}\t{rng.choice(ids)}\n" for _ in range(300)]
         event_lines = [f"c{rng.randint(0, 9)}\t{rng.choice(ids)}\t{rng.randint(0, 50)}\n" for _ in range(200)]
         edges.write_text("".join(edge_lines), encoding="utf-8")
         cascades.write_text("".join(event_lines), encoding="utf-8")
         config = ExperimentConfig(edges, cascades, tmp_path / "out", min_cascade_size=0)
         calls = self._count_scans(monkeypatch)
-        network, kept = load_dataset(config)
+        (network, kept), records = logged(caplog, lambda: load_dataset(config))
         assert calls == []
+        assert (logging.INFO, "read 300 edge record(s) with the bulk reader") in records
+        assert (logging.INFO, "read 200 event record(s) with the bulk reader") in records
 
         commented = edge_lines[:5] + ["# follower followee\n"] + edge_lines[5:]
         edges.write_text("".join(commented), encoding="utf-8")
@@ -698,7 +709,22 @@ class TestReaderChoice:
         scanned_network, scanned_kept = load_dataset(config)
         assert calls == ["edge", "event"]
         assert_same_graph(scanned_network, network)
+        assert scanned_network.fingerprint == network.fingerprint
         assert_same_table(scanned_kept, kept)
+        return network, kept
+
+    def test_regular_numeric_dataset_is_never_line_scanned(self, tmp_path, monkeypatch, caplog):
+        rng = random.Random(8)
+        ids = [str(rng.randint(1, 10**rng.randint(1, 12))) for _ in range(40)]
+        network, kept = self._never_scanned(tmp_path, monkeypatch, caplog, ids)
+        assert network._values is not None and isinstance(kept.user_ids, np.ndarray)
+
+    def test_regular_dataset_of_mixed_ids_is_never_line_scanned(self, tmp_path, monkeypatch, caplog):
+        rng = random.Random(9)
+        ids = [f"u{rng.randint(0, 99)}" for _ in range(10)] + ["007", "0", "1234567890123456789"]
+        ids += [str(rng.randint(1, 10**rng.randint(1, 18))) for _ in range(20)]
+        network, kept = self._never_scanned(tmp_path, monkeypatch, caplog, ids)
+        assert network._values is None and isinstance(kept.user_ids, tuple)
 
 
 def spy(monkeypatch, module, name):
@@ -793,9 +819,13 @@ class TestDecimalValues:
         (["00"], None),
         (["+5"], None),
         (["-3"], None),
+        (["0x1f"], None),
+        (["1a"], None),
         (["1_0"], None),
         (["1e3"], None),
         (["u3"], None),
+        (["1\x7f"], None),
+        (["\x7f"], None),
         (["1 2"], None),
         ([""], None),
         (["1", ""], None),

@@ -58,7 +58,7 @@ class ExperimentConfig:
         self.out_dir = Path(self.out_dir)
         if self.min_cascade_size < 0:
             raise InputError("min_cascade_size must be >= 0")
-        # Checked here as well as in plan_random: a matching plan cache
+        # Checked here as well as in plan_strategy: a matching plan cache
         # would be reused without calling it.
         if self.rng_seed < 0:
             raise InputError(f"rng seed must be >= 0, not {self.rng_seed}")

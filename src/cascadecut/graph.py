@@ -2,15 +2,16 @@
 
 A :class:`DirectedGraph` maps opaque string node ids onto dense integers
 (sorted by external id, so builds are reproducible) and stores the edge set
-in one compressed sparse index by source; the id lookup tables are built on
-first use.  Plain decimal ids may be held as int64 values, whose strings
-are built only when asked for.  Nodes and edges are addressed by dense id
-and canonical edge position; external ids are looked up in bulk only,
-through :meth:`DirectedGraph.indices_of`, and out-edges gathered in bulk
-only, through :meth:`DirectedGraph.out_edge_slots`.  On top of it this
-module provides directed edge betweenness (Brandes-style accumulation) and
-the leading eigenpair of the adjacency matrix via power iteration.  Id text
-is parsed only in :mod:`~cascadecut.ingest`.
+in one compressed sparse index by source.  Plain decimal ids may be held as
+int64 values, whose strings are built only when asked for.  Nodes and edges
+are addressed by dense id and canonical edge position; external ids are
+looked up in bulk only, through :meth:`DirectedGraph.indices_of`, which
+ranks them together with the node ids as ingest ranks an id column, so the
+graph keeps no lookup table.  Out-edges are gathered in bulk only, through
+:meth:`DirectedGraph.out_edge_slots`.  On top of it this module provides
+directed edge betweenness (Brandes-style accumulation) and the leading
+eigenpair of the adjacency matrix via power iteration.  Id text is parsed
+only in :mod:`~cascadecut.ingest`.
 
 Graphs are immutable after construction.
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -49,11 +49,11 @@ class DirectedGraph:
     self-loop-free, sorted) edge arrays.  The external ids
     are a tuple of strings, or an int64 array of plain decimal ids (see
     :func:`~cascadecut.ingest.decimal_values`) in the same text order, whose
-    strings are built on first use.  The id lookup tables are built on
-    first use too, so a caller that never looks ids up pays for neither.
+    strings are built on first use.  Ids are looked up by ranking them with
+    the node ids (see :meth:`indices_of`), so the graph holds no lookup table.
     """
 
-    __slots__ = ("_ids", "_values", "_edge_src", "_edge_dst", "_fwd_indptr", "_index", "_decimal", "_fingerprint")
+    __slots__ = ("_ids", "_values", "_edge_src", "_edge_dst", "_fwd_indptr", "_fingerprint")
 
     def __init__(self, external_ids: tuple[str, ...] | np.ndarray, edge_src: np.ndarray, edge_dst: np.ndarray):
         if isinstance(external_ids, np.ndarray):
@@ -64,24 +64,9 @@ class DirectedGraph:
         self._edge_src = edge_src
         self._edge_dst = edge_dst
         self._fwd_indptr = _indptr(edge_src, len(external_ids))
-        self._index = None
-        self._decimal = None
         self._fingerprint = None
         for arr in (self._edge_src, self._edge_dst, self._fwd_indptr):
             arr.flags.writeable = False
-
-    def _id_index(self) -> dict[str, int]:
-        """External id -> dense id."""
-        if self._index is None:
-            self._index = {ext: i for i, ext in enumerate(self.external_ids)}
-        return self._index
-
-    def _decimal_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The int64 ids in numeric order and their dense ids; only for ids held as integers."""
-        if self._decimal is None:
-            order = np.argsort(self._values)
-            self._decimal = (self._values[order], order)
-        return self._decimal
 
     # ---- identity -------------------------------------------------------
 
@@ -131,40 +116,25 @@ class DirectedGraph:
         """Dense id of each external id, -1 where it is not a node.
 
         ``external_ids`` are strings, or an int64 array of plain decimal ids
-        (see :func:`~cascadecut.ingest.decimal_values`).  When the node ids
-        and the queries are both held as integers, the queries are found as
-        integers (see :meth:`_find`); otherwise each one is looked up in a
-        dict.
+        (see :func:`~cascadecut.ingest.decimal_values`).  The node ids and
+        the queries are ranked together, as ingest ranks an id column (see
+        :func:`~cascadecut.ingest._id_codes`), and each query takes the
+        dense id of the node of its rank.
         """
+        from .ingest import _id_codes
+
         if isinstance(external_ids, np.ndarray):
-            if self._values is not None:
-                return self._find(external_ids)
-            queries = id_strings(external_ids)
+            if external_ids.dtype != np.int64:
+                raise InputError(f"external ids must be strings or int64 values, not {external_ids.dtype}")
+            queries = external_ids
         else:
-            queries = external_ids if isinstance(external_ids, (list, tuple)) else list(external_ids)
-        index = self._id_index()
-        return np.fromiter(map(index.get, queries, repeat(-1)), dtype=np.int64, count=len(queries))
-
-    def _find(self, values: np.ndarray) -> np.ndarray:
-        """Dense id of each int64 id in ``values``, -1 where it is not a node.
-
-        The values are sorted and each distinct one is found by binary
-        search in the numerically sorted ids; in random order the search
-        would cost a mispredicted branch per step.
-        """
-        numeric, dense = self._decimal_index()
-        found = np.full(values.size, -1, dtype=np.int64)
-        if not numeric.size or not values.size:
-            return found
-        order = np.argsort(values)
-        wanted = values[order]
-        new = _run_starts(wanted)
-        wanted = wanted[new]
-        at = np.searchsorted(numeric, wanted)
-        np.minimum(at, numeric.size - 1, out=at)
-        distinct = np.where(numeric[at] == wanted, dense[at], -1)
-        found[order] = distinct[np.cumsum(new) - 1]
-        return found
+            queries = list(external_ids)
+        nodes = list(self._ids) if self._values is None else self._values
+        n = len(nodes)
+        ids, codes = _id_codes([nodes, queries], n + len(queries))
+        node = np.full(len(ids), -1, dtype=np.int64)
+        node[codes[:n]] = np.arange(n)
+        return node[codes[n:]]
 
     # ---- edges and degrees ------------------------------------------------
 

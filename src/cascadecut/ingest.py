@@ -429,10 +429,12 @@ def _fold(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, base: int, 
 
 def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, leading_zeros: bool) -> np.ndarray | None:
     """The tokens' int64 values when each is 1 to ``MAX_DIGITS`` digits, with
-    no leading zero unless ``leading_zeros``, else None."""
+    no leading zero unless ``leading_zeros``, else None.  A column whose
+    first bytes are not all digits is rejected before any token is folded."""
     if lengths.min(initial=1) < 1 or lengths.max(initial=0) > MAX_DIGITS:
         return None
-    if not leading_zeros and ((data[starts] == ord("0")) & (lengths > 1)).any():
+    lead = data[starts] - ord("0")  # a byte below "0" wraps around above 200
+    if (lead > 9).any() or not leading_zeros and ((lead == 0) & (lengths > 1)).any():
         return None
     values, top = _fold(data, starts, lengths, 10, ord("0"))
     return values if top <= 9 else None

@@ -19,7 +19,6 @@ import pytest
 
 from cascadecut import (
     DeletionPlan,
-    DirectedGraph,
     EstimateReport,
     ExperimentConfig,
     InputError,
@@ -172,31 +171,6 @@ class TestRunSweep:
             assert got.cascade_ids == want.cascade_ids
             for name in ("sizes", "seed_counts", "owner", "node", "child_slot", "parent_slot", "follow_edge_pos"):
                 assert getattr(got, name).tolist() == getattr(want, name).tolist()
-
-    @pytest.mark.parametrize("numeric", [False, True])
-    def test_sweep_builds_an_id_dict_only_over_string_ids(self, tmp_path, monkeypatch, numeric):
-        calls = Counter()
-        index = DirectedGraph._id_index
-
-        def counting_index(network):
-            calls["index"] += 1
-            return index(network)
-
-        monkeypatch.setattr(DirectedGraph, "_id_index", counting_index)
-        edges_path, cascades_path = write_random_dataset(tmp_path, random.Random(227), 5)
-        if numeric:  # the same dataset over decimal ids
-            for path in (edges_path, cascades_path):
-                path.write_text(re.sub(r"\bu(\d+)", lambda m: str(7 * int(m.group(1)) + 1), path.read_text()))
-        config = ExperimentConfig(
-            edges_path=edges_path,
-            cascades_path=cascades_path,
-            out_dir=tmp_path / "out",
-            min_cascade_size=0,
-            strategies=("netmelt", "random"),
-            budget_fractions=(0.1, 0.5),
-        )
-        run_sweep(config)
-        assert calls["index"] == (0 if numeric else 1)
 
     def test_zero_fraction_rows_are_identities(self, tmp_path):
         rng = random.Random(191)

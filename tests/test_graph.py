@@ -26,6 +26,7 @@ from oracles import (
     dict_edge_positions,
     graph_edges,
     path_count_betweenness,
+    plain_decimal,
     random_digraph,
     reference_build_graph,
     string_fingerprint,
@@ -182,21 +183,15 @@ def numeric_digraph(rng, n, p):
 
 
 class TestLazyIndexes:
-    """The id tables, built on first use, against eager builds."""
+    """Id lookups and edge positions against eager builds."""
 
     def test_id_tables(self):
         rng = random.Random(5)
         ids, edges = numeric_digraph(rng, 20, 0.2)
         g = reference_build_graph(edges, nodes=ids)
         want = [ids.index("9") if "9" in ids else -1, 3, -1, 0]
-        assert g._index is None
         assert g.indices_of(iter(["9", ids[3], "404", ids[0]])).tolist() == want
         assert g.indices_of(("9", ids[3], "nope", ids[0])).tolist() == want
-        assert g._index == {ext: i for i, ext in enumerate(ids)}
-        held = integer_graph(edges)
-        numeric, dense = held._decimal_index()
-        assert numeric.tolist() == sorted(map(int, held.external_ids))
-        assert [held.external_ids[i] for i in dense.tolist()] == [str(v) for v in numeric.tolist()]
         empty = network_of([])
         assert empty.indices_of(["1", "2"]).tolist() == [-1, -1]
 
@@ -223,8 +218,49 @@ class TestLazyIndexes:
         assert got.tolist() == dict_edge_positions(g, queries)
 
 
+# Ids that are no plain decimal, though some hold one's digits.
+ODD_IDS = ["007", "-1", "+5", "1234567890123456789", "7\0", "n\0", "\ud800", "u\ud800", "x", ""]
+
+
+def lookup_graphs(rng):
+    """Graphs that hold decimal ids as integers and as strings, one over
+    plain decimals mixed with :data:`ODD_IDS`, and empty ones of both kinds."""
+    values = rng.sample(range(1, 60), rng.randint(2, 12)) + [rng.randint(10**17, 10**18 - 1)]
+    ids = sorted(map(str, values))
+    edges = [(a, b) for a in ids for b in ids if a != b and rng.random() < 0.3] or [(ids[0], ids[1])]
+    mixed = ids[: len(ids) // 2] + rng.sample([i for i in ODD_IDS if i], 5) + ["7"]
+    return [
+        integer_graph(edges),
+        reference_build_graph(edges, nodes=ids),
+        reference_build_graph([], nodes=mixed),
+        integer_graph([]),
+        reference_build_graph([]),
+    ]
+
+
 class TestIntegerIdLookup:
-    """Lookups in graphs that hold their ids as integers, against the dict oracle."""
+    """Lookups in graphs that hold their ids as integers or as strings, against the dict oracle."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_indices_match_the_dict_oracle(self, seed):
+        rng = random.Random(seed)
+        for g in lookup_graphs(rng):
+            index = {ext: i for i, ext in enumerate(g.external_ids)}
+            pool = list(g.external_ids) + ODD_IDS + ["0", "7", "8", "60", str(10**18 - 1), "u1"]
+            for k in (0, rng.randint(1, 40)):
+                queries = rng.choices(pool, k=k)  # repeated, unsorted and absent ids
+                want = [index.get(ext, -1) for ext in queries]
+                for form in (list, tuple, iter):
+                    got = g.indices_of(form(queries))
+                    assert got.dtype == np.int64
+                    assert got.tolist() == want
+                decimal = [ext for ext in queries if plain_decimal(ext)]
+                got = g.indices_of(np.array(list(map(int, decimal)), dtype=np.int64))
+                assert got.tolist() == [index.get(ext, -1) for ext in decimal]
+            # A float 7.0 would otherwise be ranked as the decimal 7.
+            for floats in (np.array([7.5]), np.array([7.0])):
+                with pytest.raises(InputError, match="float64"):
+                    g.indices_of(floats)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_edge_positions_and_indices(self, seed):

@@ -861,6 +861,22 @@ class TestDecimalValues:
         else:
             assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
+    @pytest.mark.parametrize("block, want, folds", [
+        ("u1\tu2\n3\t4\n", ["u1", "u2", "3", "4"], 0),
+        ("1\t2\n3\t+4\n", ["1", "2", "3", "+4"], 0),
+        ("1\t2\n3\t4\n", [1, 2, 3, 4], 1),
+        ("17\t2\n305\t4\n", [17, 2, 305, 4], 1),
+        ("1u\t2\n3\t4\n", ["1u", "2", "3", "4"], 1),  # led by digits, so folded to find the letter
+    ])
+    def test_a_column_not_led_by_digits_is_not_folded(self, monkeypatch, block, want, folds):
+        calls = []
+        fold = ingest._fold
+        monkeypatch.setattr(ingest, "_fold", lambda *args: calls.append(args[1].size) or fold(*args))
+        ids, line_ends = ingest._edge_ids(block)
+        assert (ids.tolist() if isinstance(ids, np.ndarray) else ids) == want
+        assert isinstance(ids, np.ndarray) == isinstance(want[0], int)
+        assert line_ends == 2 and len(calls) == folds
+
 
 # Tokens that are not plain decimals: blanks inside or around digits, empty,
 # leading zeros, 19 or 20 digits, non-ASCII digits and blanks, and signs.

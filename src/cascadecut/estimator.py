@@ -41,9 +41,9 @@ REPORT_HEADER = ("strategy", "variant", "k", "cascade_id", "original_size", "est
 class EstimateReport:
     """Per-cascade post-deletion sizes for one (strategy, variant, k).
 
-    Given in any one order, the columns are kept as read-only int64 arrays
-    in cascade-id order (Python ``str`` order), where every cascade has
-    seed_count <= estimated <= original.  Reports compare by identity.
+    The columns are kept in the order given, as read-only int64 copies, and
+    every cascade must have seed_count <= estimated <= original.  Reports
+    compare by identity.
     """
 
     strategy: str
@@ -55,18 +55,16 @@ class EstimateReport:
     seed_counts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        ids = self.cascade_ids
-        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids = tuple(self.cascade_ids)
         columns = [np.asarray(c, dtype=np.int64) for c in (self.original_sizes, self.estimated_sizes, self.seed_counts)]
         shapes = [column.shape for column in columns]
         if shapes != [(len(ids),)] * 3:
             got = f"shape {(3, *shapes[0])}" if len(set(shapes)) == 1 else f"column shapes {shapes}"
             raise InvariantError(f"expected 3 columns of {len(ids)} sizes, got {got}")
-        columns = np.stack(columns)[:, order]  # a copy: the caller's arrays stay writeable
+        columns = np.stack(columns)  # a copy: the caller's arrays stay writeable
         columns.flags.writeable = False
         original, estimated, seeds = columns
         bad = np.flatnonzero((seeds > estimated) | (estimated > original))
-        ids = tuple(ids[i] for i in order)
         if bad.size:
             i = int(bad[0])
             raise InvariantError(
@@ -154,8 +152,7 @@ def run_estimation(
     """Build, cut, and measure every cascade of ``table``; totals are order-independent.
 
     Every edge the plan lists is deleted, in one vectorised pass over all
-    cascades.  The report is in cascade-id order whatever the table's
-    cascade order.
+    cascades.  The report lists the cascades in the table's order.
     """
     (batch,) = build_batches(network, table, [variant]).values()
     (estimated,) = estimate_budgets(batch, plan_ranks(network, plan), [plan.edge_pos.size])

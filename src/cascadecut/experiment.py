@@ -163,7 +163,7 @@ def seed_analysis(
     table: CascadeTable,
     max_size: int = DEFAULT_MAX_SEED_ANALYSIS_SIZE,
 ) -> list[tuple[str, int, int]]:
-    """(cascade_id, original_size, seed_count) rows for the cascades of ``table`` up to max_size.
+    """(cascade_id, original_size, seed_count) rows, in table order, for the cascades up to max_size.
 
     Seed sets are identical across diffusion variants, so the rows are
     variant-independent.  A negative ``max_size`` is an :class:`InputError`.
@@ -171,7 +171,7 @@ def seed_analysis(
     if max_size < 0:
         raise InputError(f"max_size must be >= 0, not {max_size}")
     (batch,) = build_batches(network, table.select(table.sizes <= max_size), [NON_TREE]).values()
-    return sorted(zip(batch.cascade_ids, batch.sizes.tolist(), batch.seed_counts.tolist()))
+    return list(zip(batch.cascade_ids, batch.sizes.tolist(), batch.seed_counts.tolist()))
 
 
 def write_gnuplot_script(out_dir: Path, strategies: tuple[str, ...], variants: tuple[str, ...]) -> Path:

@@ -73,15 +73,16 @@ _TOKEN_CHUNK = 1 << 16
 class CascadeTable:
     """Many cascades' events as flat integer arrays.
 
-    ``cascade_ids`` lists the cascades in order and ``user_ids`` the
-    distinct user ids, sorted: a tuple of strings, or an int64 array of
-    plain decimal ids (see :func:`decimal_values`) in the same text order,
-    whose strings :attr:`users` builds on first use.  Per event, sorted by
-    (cascade, user): ``cascade`` (an index into ``cascade_ids``), ``user``
-    (an index into ``user_ids``) and ``time``, with one event per (cascade,
-    user), the earliest.  ``sizes`` is each cascade's event count.  Build
-    tables with :func:`load_cascades`, which also reads a list of event
-    lines; the constructor assumes canonical arrays.
+    ``cascade_ids`` lists the cascades (sorted, as :func:`load_cascades`
+    reads them) and ``user_ids`` the distinct user ids, sorted: a tuple of
+    strings, or an int64 array of plain decimal ids (see
+    :func:`decimal_values`) in the same text order, whose strings
+    :attr:`users` builds on first use.  Per event, sorted by (cascade,
+    user): ``cascade`` (an index into ``cascade_ids``), ``user`` (an index
+    into ``user_ids``) and ``time``, with one event per (cascade, user), the
+    earliest.  ``sizes`` is each cascade's event count.  Build tables with
+    :func:`load_cascades`, which also reads a list of event lines; the
+    constructor assumes canonical arrays and keeps the cascade order given.
     """
 
     cascade_ids: tuple[str, ...]
@@ -462,8 +463,8 @@ def _event_columns(block: str) -> tuple[tuple[np.ndarray | list[str], np.ndarray
     block's line end count, or None when the block is not regular or a
     timestamp is not an int64.
 
-    Cascade ids of at most ``_KEY_BYTES`` bytes come as int64 keys (their
-    bytes in base 256), others as strings; users come as :func:`_id_column`
+    Cascade ids of at most ``_KEY_BYTES`` bytes come as int64 keys (see
+    :func:`_keys`), others as strings; users come as :func:`_id_column`
     gives them.
     """
     bounds = _token_bounds(block, 3)
@@ -472,7 +473,7 @@ def _event_columns(block: str) -> tuple[tuple[np.ndarray | list[str], np.ndarray
     data, starts, ends, line_ends = bounds
     lengths = ends - starts
     if lengths[0::3].max(initial=0) <= _KEY_BYTES:
-        cascades = _fold(data, starts[0::3], lengths[0::3], 256, 0)[0]
+        cascades = _keys(data, starts[0::3], lengths[0::3])
     else:
         cascades = _token_strings(data, starts[0::3], ends[0::3])
     users = _id_column(data, starts[1::3], ends[1::3])
@@ -619,7 +620,7 @@ def _timestamp(lineno: int, text: str) -> int:
 
 
 def load_cascades(stream: Iterable[str], strict: bool = False) -> CascadeTable:
-    """Read cascade events into a table, cascades in first-appearance order.
+    """Read cascade events into a table, cascades in sorted id order.
 
     Duplicate events for a user within a cascade keep the earliest
     timestamp.  A non-integer timestamp is always a :class:`ParseError`;
@@ -648,40 +649,41 @@ def _event_records(records: Iterable[tuple[int, list[str]]]) -> tuple[np.ndarray
     lengths = np.fromiter(map(len, cascades), dtype=np.int64, count=len(cascades))
     if text.isascii() and "\0" not in text and lengths.max(initial=0) <= _KEY_BYTES:
         data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        cascades = _fold(data, np.cumsum(lengths) - lengths, lengths, 256, 0)[0]
+        cascades = _keys(data, np.cumsum(lengths) - lengths, lengths)
     return cascades, users, np.array(times, dtype=np.int64)
 
 
 def _cascade_codes(parts: Sequence[np.ndarray | list[str]]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Distinct cascade ids in first-appearance order, and each event's index
-    into them, from the blocks' cascade columns (see :func:`_event_columns`).
+    """Distinct cascade ids in sorted order, and each event's index into
+    them, from the blocks' cascade columns (see :func:`_event_columns`).
 
-    When every block has keys, one sort of the keys groups each id's
-    events, and the least event position of each group is its first.
+    When every block has keys, which sort as their ids do, one sort of the
+    keys ranks them; otherwise the ids are interned as strings.
     """
     if not all(isinstance(part, np.ndarray) for part in parts):
-        index = _Interner()
-        names = chain.from_iterable(
-            map(_unpack, part.tolist()) if isinstance(part, np.ndarray) else part for part in parts
+        return sorted_codes(
+            chain.from_iterable(map(_unpack, part.tolist()) if isinstance(part, np.ndarray) else part for part in parts)
         )
-        codes = np.fromiter(map(index.__getitem__, names), dtype=np.int64)
-        return tuple(index), codes
     keys = _concat(parts)
     order = np.argsort(keys)
     keys = keys[order]
     new = _run_starts(keys)
-    first = np.minimum.reduceat(order, np.flatnonzero(new))  # each id's first event, ids in key order
-    appearance = np.argsort(first)
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[appearance] = np.arange(first.size)
     codes = np.empty(keys.size, dtype=np.int64)
-    codes[order] = rank[np.cumsum(new) - 1]
-    return tuple(map(_unpack, keys[new][appearance].tolist())), codes
+    codes[order] = np.cumsum(new) - 1
+    return tuple(map(_unpack, keys[new].tolist())), codes
+
+
+def _keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Int64 keys of cascade ids of 1 to ``_KEY_BYTES`` ASCII bytes, no NUL: their bytes
+    in base 256, left-aligned and zero-padded, so keys sort as the ids do, a prefix first."""
+    keys = _fold(data, starts, lengths, 256, 0)[0]
+    keys <<= 8 * (_KEY_BYTES - lengths)
+    return keys
 
 
 def _unpack(key: int) -> str:
-    """The cascade id packed in ``key``; ids hold no NUL byte."""
-    return key.to_bytes(_KEY_BYTES, "big").lstrip(b"\0").decode("ascii")
+    """The cascade id packed in ``key`` (see :func:`_keys`)."""
+    return key.to_bytes(_KEY_BYTES, "big").rstrip(b"\0").decode("ascii")
 
 
 def load_higgs_activity(

@@ -39,9 +39,7 @@ earlier per-line plan reader, its edges resolved by :func:`dict_edge_positions`.
 tokens joined by spaces and cut at them, over the package's digit parser.
 :func:`two_phase_power` is the earlier power iteration, a plain phase and a
 shifted restart run by one phase function; :func:`lexsort_single_parent`
-the earlier tree-variant parent choice by a three-key ``lexsort``; and
-:func:`stable_cascade_codes` the earlier first-appearance coding of packed
-cascade keys by one stable sort.
+the earlier tree-variant parent choice by a three-key ``lexsort``.
 :func:`graph_edges` and :func:`load_follow_edges` are the id-pair views of
 a network and of an edge file that tests compare with.
 :func:`whole_file_scan` is the earlier line scanner, which read every file
@@ -589,11 +587,11 @@ def dict_edge_positions(network, pairs):
 
 def list_load_cascades(stream, strict=False):
     """The list loader that the cascade table replaced: one ``CascadeLog`` per
-    cascade id, in first-appearance order, read by the whole-file scanner."""
+    cascade id, in sorted id order, read by the whole-file scanner."""
     grouped = {}
     for lineno, (cascade_id, user, ts_text) in whole_file_scan(stream, 3, "event", strict):
         grouped.setdefault(cascade_id, []).append((user, _timestamp(lineno, ts_text)))
-    return [CascadeLog.from_events(cid, events) for cid, events in grouped.items()]
+    return [CascadeLog.from_events(cid, events) for cid, events in sorted(grouped.items())]
 
 
 def list_estimate_budgets(network, logs, variant, ranks, budgets):
@@ -956,21 +954,3 @@ def lexsort_single_parent(parents, children, parent_tau, keep_last):
     first = np.ones(order.size, dtype=bool)
     first[1:] = sorted_children[1:] != sorted_children[:-1]
     return order[first]
-
-
-def stable_cascade_codes(keys):
-    """The earlier coding of int64 cascade keys: the distinct keys in
-    first-appearance order, and each key's index into them, from one stable
-    sort that puts each key's first event in front of its group."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    new = np.empty(keys.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    first = order[new]
-    appearance = np.argsort(first)
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[appearance] = np.arange(first.size)
-    codes = np.empty(keys.size, dtype=np.int64)
-    codes[order] = rank[np.cumsum(new) - 1]
-    return keys[new][appearance], codes

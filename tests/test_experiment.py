@@ -794,7 +794,7 @@ class TestScatter:
 
     def test_projection_of_arbitrary_report(self, tmp_path):
         report = EstimateReport("random", "non-tree", 2, ("b", "a"), [4, 2], [3, 2], [1, 2])
-        assert self.scatter_rows(report, tmp_path) == [("a", 2, 2), ("b", 4, 3)]
+        assert self.scatter_rows(report, tmp_path) == [("b", 4, 3), ("a", 2, 2)]
 
 
 class TestGnuplot:

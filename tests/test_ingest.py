@@ -39,7 +39,6 @@ from oracles import (
     regular_block,
     space_cut_decimals,
     split_events,
-    stable_cascade_codes,
     table_of,
     text_rank,
     two_pass_read_network,
@@ -498,12 +497,13 @@ class TestOnePass:
             next(fh)  # the file can no longer tell its position
             assert_same_graph(read_network(fh), network_of([("3", "4"), ("5", "x")]))
 
-    def test_cascade_ids_in_first_appearance_order(self, monkeypatch):
+    def test_cascade_ids_in_id_order(self, monkeypatch):
         monkeypatch.setattr(ingest, "_BLOCK", 16)
         text = "b\t1\t1\na\t1\t1\nlong-cascade-id\t2\t1\nb\t2\t0\n~\t3\t3\na\t3\t2\n"
-        for body in (text, text.replace("long-cascade-id", "short")):
+        for long_id in ("long-cascade-id", "short"):
+            body = text.replace("long-cascade-id", long_id)
             table = load_cascades(io.StringIO(body))
-            assert table.cascade_ids == tuple(log.cascade_id for log in list_load_cascades(io.StringIO(body)))
+            assert table.cascade_ids == ("a", "b", long_id, "~")
             assert logs_of(table) == list_load_cascades(io.StringIO(body))
 
     def test_integer_tables_build_their_strings_once(self):
@@ -966,20 +966,64 @@ class TestOneSortCascadeTable:
 
 
 class TestCascadeCodes:
-    """First-appearance coding of packed cascade keys against the earlier stable sort."""
+    """Sorted coding of packed cascade keys against Python's sort of the id strings."""
 
     @pytest.mark.parametrize("seed", range(24))
     def test_equals_the_stable_sort_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        # One- and two-letter ids, so keys repeat far apart and in long runs.
-        alphabet = rng.integers(65, 91, size=(int(rng.integers(1, 60)), 2))
-        keys = np.where(alphabet[:, 0] % 3 == 0, alphabet[:, 1], alphabet[:, 0] << 8 | alphabet[:, 1])
-        events = keys[rng.integers(0, keys.size, size=int(rng.integers(0, 4000)))].astype(np.int64)
+        # One- and two-letter ids, so keys repeat far apart and in long runs
+        # and some ids are prefixes of others.
+        letters = rng.integers(65, 91, size=(int(rng.integers(1, 60)), 2)).tolist()
+        names = [chr(a) if a % 3 == 0 else chr(a) + chr(b) for a, b in letters]
+        strings = [names[i] for i in rng.integers(0, len(names), size=int(rng.integers(0, 4000))).tolist()]
+        events = np.array([int.from_bytes(name.encode().ljust(8, b"\0"), "big") for name in strings], dtype=np.int64)
+        lengths = np.array(list(map(len, strings)), dtype=np.int64)
+        data = np.frombuffer("".join(strings).encode(), dtype=np.uint8)
+        assert ingest._keys(data, np.cumsum(lengths) - lengths, lengths).tolist() == events.tolist()
+        assert list(map(ingest._unpack, events.tolist())) == strings
         cut = int(rng.integers(0, events.size + 1))
         ids, codes = ingest._cascade_codes([events[:cut], events[cut:]])
-        want_keys, want_codes = stable_cascade_codes(events)
-        assert ids == tuple(map(ingest._unpack, want_keys.tolist()))
-        assert codes.dtype == np.int64 and codes.tobytes() == want_codes.tobytes()
+        want = sorted(set(strings))
+        index = {name: i for i, name in enumerate(want)}
+        assert ids == tuple(want)
+        assert codes.dtype == np.int64 and codes.tolist() == [index[name] for name in strings]
+
+
+class TestCascadeOrder:
+    """Cascades are numbered in id order, so the order of the event lines does not matter."""
+
+    # Prefixes of one another, the last ASCII id byte, and 8-byte ids, which
+    # are packed into keys; a 9-byte id sends its block to string interning.
+    IDS = ("a", "ab", "abc", "b", "~", "abcdefgh", "~~~~~~~~")
+
+    @staticmethod
+    def columns(table):
+        users = table.user_ids
+        users = list(users) if isinstance(users, tuple) else (users.dtype, users.tolist())
+        return table.cascade_ids, users, table.cascade.tolist(), table.user.tolist(), table.time.tolist()
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_shuffled_lines_give_an_equal_table(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        monkeypatch.setattr(ingest, "_BLOCK", PASS_BLOCKS[seed // 4 % 4])
+        quirk = (None, "odd timestamps", "comment", "non-ascii")[seed % 4]
+        lines = cascade_text(rng, quirk).split("\n")
+        ids = self.IDS + (("abcdefghi",) if seed % 3 else ())
+        lines += [f"{cid}\t{rng.choice(['1', '9', '10', 'u3'])}\t{rng.randint(0, 9)}" for cid in ids for _ in range(2)]
+        reads = {
+            "bulk": lambda lines: load_cascades(io.StringIO("\n".join(lines) + "\n")),
+            "scanned": lambda lines: load_cascades(io.StringIO("\n".join(["# cascade user time", *lines]) + "\n")),
+            "list": lambda lines: load_cascades([*lines, "a\0\t1\t5", "\0\t9\t4"]),
+        }
+        want = {how: self.columns(read(lines)) for how, read in reads.items()}
+        assert want["bulk"] == want["scanned"]
+        assert want["list"][0] == tuple(sorted({*want["bulk"][0], "a\0", "\0"}))
+        for how, table in want.items():
+            assert table[0] == tuple(sorted(table[0])), how
+        for _ in range(4):
+            rng.shuffle(lines)
+            for how, read in reads.items():
+                assert self.columns(read(lines)) == want[how], how
 
 
 class TestLoadCascades:

@@ -14,6 +14,7 @@ a setting that does not convert, an unreadable or malformed input file);
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -126,6 +127,10 @@ SETTINGS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Everything alive now (the imported modules, numpy's above all) lives
+    # until the process exits.  Frozen, it is skipped by every later
+    # collection, the one at interpreter shutdown included.
+    gc.freeze()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         args = _build_parser().parse_args(argv)

@@ -2,10 +2,12 @@
 
 A sweep loads one dataset, gathers its cascades' follow edges once,
 derives each variant's diffusion graphs from them, and scores each
-requested strategy once at the largest budget.  For every
-(strategy, variant) pair one bottleneck pass over the plan's edge ranks
-gives the sizes at all budget points; the sweep writes one per-cascade
-report CSV per (strategy, variant, fraction) plus a single summary CSV.
+requested strategy once at the largest budget; the cascade side runs on
+a second thread while the first plan is computed (see :func:`run_sweep`).
+For every (strategy, variant) pair one bottleneck pass over the plan's
+edge ranks gives the sizes at all budget points; the sweep writes one
+per-cascade report CSV per (strategy, variant, fraction) plus a single
+summary CSV.
 Plans are cached in the output directory as ``.npz`` files naming their
 network and parameters, and reused on re-runs that match them;
 :mod:`~cascadecut.deletion` names those files and decides the match.
@@ -17,6 +19,7 @@ configuration reproduces every file byte for byte.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,11 +96,34 @@ def budget_for(fraction: float, edge_count: int) -> int:
 
 
 def run_sweep(config: ExperimentConfig) -> list[Path]:
-    """Run the full sweep; returns the paths of every file written."""
-    network, table = load_dataset(config)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    """Run the full sweep; returns the paths of every file written.
 
-    batches = build_batches(network, table, config.variants)
+    Once the network has loaded, a second thread reads and filters the
+    cascades and builds every variant's diffusion batches, while this one
+    hashes the network and computes the first plan.  Nothing is written
+    before that thread is joined, and an error of the cascade side is
+    raised in place of any error of the plan side, as if the cascades had
+    been read first.
+    """
+    network = load_network(config.edges_path, config.strict_parse)
+    cascade_side = _Background(lambda: build_batches(network, _kept_cascades(config, network), config.variants))
+    try:
+        return _sweep(config, network, cascade_side.result)
+    except BaseException:
+        cascade_side.result()  # the cascade side's error, if it had one, is raised in place of this one
+        raise
+
+
+def _sweep(config: ExperimentConfig, network: DirectedGraph, cascade_side) -> list[Path]:
+    """The plans, reports and summary of :func:`run_sweep`; ``cascade_side()``
+    waits for the diffusion batches by variant."""
+    network.fingerprint  # hashed alongside the cascade side; every plan cache names it
+
+    def joined():
+        batches = cascade_side()
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+        return batches
+
     edge_count = network.edge_count
     budgets = [budget_for(f, edge_count) for f in config.budget_fractions]
     max_budget = max(budgets)
@@ -105,10 +131,10 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
     written: list[Path] = []
     summary_rows: list[tuple] = []
     for strategy in config.strategies:
-        plan, plan_path = _materialise_plan(config, network, strategy, max_budget)
+        plan, plan_path = _materialise_plan(config, network, strategy, max_budget, joined)
         written.append(plan_path)
         ranks = plan_ranks(network, plan)
-        for variant, batch in batches.items():
+        for variant, batch in joined().items():
             estimated = estimate_budgets(batch, ranks, budgets)
             for fraction, k, sizes in zip(config.budget_fractions, budgets, estimated):
                 report = EstimateReport(strategy, variant, k, batch.cascade_ids, batch.sizes, sizes, batch.seed_counts)
@@ -125,6 +151,29 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
     return written
 
 
+class _Background(threading.Thread):
+    """Calls ``work()`` on a thread of its own, started at once."""
+
+    def __init__(self, work):
+        super().__init__(name="cascadecut-cascades")
+        self._work = work
+        self._value = self._error = None
+        self.start()
+
+    def run(self):
+        try:
+            self._value = self._work()
+        except BaseException as exc:  # handed to the caller by result()
+            self._error = exc
+
+    def result(self):
+        """Waits for ``work()`` and returns its value, or raises its exception."""
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 def load_network(edges_path: Path, strict_parse: bool) -> DirectedGraph:
     """Parse and index a follow-edge file; no list of edges is held.
 
@@ -136,13 +185,18 @@ def load_network(edges_path: Path, strict_parse: bool) -> DirectedGraph:
 def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, CascadeTable]:
     """Parse, filter, and index the configured dataset."""
     network = load_network(config.edges_path, config.strict_parse)
+    return network, _kept_cascades(config, network)
+
+
+def _kept_cascades(config: ExperimentConfig, network: DirectedGraph) -> CascadeTable:
+    """The configured cascades that pass the size filter; logs the dataset's counts."""
     table = _read_input(config.cascades_path, "cascades", load_cascades, config.strict_parse)
     kept = filter_cascades(table, config.min_cascade_size)
     logger.info(
         "loaded %d nodes, %d edges, %d/%d cascades at min size %d",
         network.node_count, network.edge_count, len(kept), len(table), config.min_cascade_size,
     )
-    return network, kept
+    return kept
 
 
 def _read_input(path: Path, kind: str, read, strict_parse: bool):
@@ -203,6 +257,7 @@ def _materialise_plan(
     network: DirectedGraph,
     strategy: str,
     max_budget: int,
+    joined,
 ) -> tuple[DeletionPlan, Path]:
     """Reuse the cached plan when it fits, else compute one and cache it.
 
@@ -211,7 +266,8 @@ def _materialise_plan(
     min(max_budget, |E|) edges of ``network`` under this sweep's
     parameters.  A text ``plan_<strategy>.tsv`` (the export of ``plan``)
     names no network and is never read; when the plan is computed, a
-    warning names it, since it shows another ranking.
+    warning names it, since it shows another ranking.  ``joined()`` is
+    called before the cache is written.
     """
     cache, text = plan_paths(config.out_dir, strategy)
     if cache.exists():
@@ -228,5 +284,6 @@ def _materialise_plan(
         raise ConvergenceError(
             f"plan({strategy}): {exc}", exc.best_residual, exc.iterations
         ) from exc
+    joined()
     save_plan_cache(plan, cache)
     return plan, cache

@@ -7,8 +7,10 @@ cuts a cascade's string edges by set difference and counts with
 :func:`closure_from`, and :func:`per_budget_sweep` computes a sweep one
 budget point at a time with it and writes its files with its own
 ``csv.writer``; both read their graphs through :func:`build_variant` and
-their plans through the package's ``ranked_edges``.  :func:`build_variant`
-is the tests' string view of a batch (one :class:`DiffusionGraph` per
+their plans through the package's ``ranked_edges``.  :func:`serial_sweep`
+is the earlier ``run_sweep``, which read the cascades before it planned,
+over the package's planner, plan cache, estimator and writers.
+:func:`build_variant` is the tests' string view of a batch (one :class:`DiffusionGraph` per
 cascade, read off :func:`batch_of`, the package's ``build_batches`` for
 one variant), and :func:`graph_dot` the earlier DOT renderer of one such
 graph.  The other
@@ -69,11 +71,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cascadecut.deletion import RANDOM, STRATEGIES, DeletionPlan, plan_strategy
+from cascadecut.deletion import (
+    RANDOM, STRATEGIES, DeletionPlan, cached_plan, plan_paths, plan_strategy, save_plan_cache,
+)
 from cascadecut.diffusion import NON_TREE, TREE_LAST, build_batches
-from cascadecut.estimator import NEVER_DELETED
+from cascadecut.estimator import (
+    NEVER_DELETED, EstimateReport, estimate_budgets, plan_ranks, write_csv, write_report_csv,
+)
 from cascadecut.errors import ConvergenceError, InputError, ParseError
-from cascadecut.experiment import budget_for, load_dataset
+from cascadecut.experiment import SUMMARY_HEADER, budget_for, load_dataset
 from cascadecut.graph import MAX_DIGITS, DirectedGraph, betweenness_scores, leading_eigenpair
 from cascadecut.ingest import (
     CascadeTable,
@@ -457,6 +463,41 @@ def per_budget_sweep(config, out_dir: Path) -> None:
         ("strategy", "variant", "k", "fraction", "total_estimated", "total_original"),
         summary,
     )
+
+
+def serial_sweep(config) -> list[Path]:
+    """The earlier ``run_sweep``, one step after another on one thread.
+
+    It reads both inputs and creates the output directory before the first
+    plan, then for each strategy in turn reuses or computes and caches the
+    plan and writes its reports, and last the summary.  A plan error is
+    raised as the planner raised it.
+    """
+    network, table = load_dataset(config)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    batches = build_batches(network, table, config.variants)
+    budgets = [budget_for(f, network.edge_count) for f in config.budget_fractions]
+    written, summary = [], []
+    for strategy in config.strategies:
+        cache, _ = plan_paths(config.out_dir, strategy)
+        plan = None
+        if cache.exists():
+            plan, _ = cached_plan(cache, network, strategy, config.rng_seed, min(max(budgets), network.edge_count))
+        if plan is None:
+            plan = plan_strategy(network, strategy, max(budgets), rng_seed=config.rng_seed)
+            save_plan_cache(plan, cache)
+        written.append(cache)
+        ranks = plan_ranks(network, plan)
+        for variant, batch in batches.items():
+            estimated = estimate_budgets(batch, ranks, budgets)
+            for fraction, k, sizes in zip(config.budget_fractions, budgets, estimated):
+                report = EstimateReport(strategy, variant, k, batch.cascade_ids, batch.sizes, sizes, batch.seed_counts)
+                path = config.out_dir / f"report_{strategy}_{variant}_{fraction:g}.csv"
+                write_report_csv(report, path)
+                written.append(path)
+                summary.append((strategy, variant, k, f"{fraction:g}", report.total_estimated, report.total_original))
+    write_csv(config.out_dir / "summary.csv", SUMMARY_HEADER, summary)
+    return [*written, config.out_dir / "summary.csv"]
 
 
 def _write_rows(path, header, rows):

@@ -622,12 +622,13 @@ def quirky_plan(rng, lines, quirk):
 
 def _sweep_plan(tmp_path, caplog, network, strategy, k, seed):
     """The sweep's plan for ``network``, with ``tmp_path`` as its output
-    directory, and the messages it logged."""
+    directory and no cascade side to wait for before the cache write, and
+    the messages it logged."""
     config = ExperimentConfig(tmp_path / "edges.tsv", tmp_path / "cascades.tsv", tmp_path, strategies=(strategy,),
                               rng_seed=seed)
     caplog.clear()
     with caplog.at_level("INFO", logger="cascadecut.experiment"):
-        plan, path = _materialise_plan(config, network, strategy, k)
+        plan, path = _materialise_plan(config, network, strategy, k, lambda: None)
     assert path == tmp_path / f"plan_{strategy}.npz"
     return plan, [record.getMessage() for record in caplog.records]
 

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from collections import Counter
@@ -18,11 +19,13 @@ import numpy as np
 import pytest
 
 from cascadecut import (
+    ConvergenceError,
     DeletionPlan,
     EstimateReport,
     ExperimentConfig,
     InputError,
     NON_TREE,
+    ParseError,
     STRATEGIES,
     VARIANTS,
     plan_strategy,
@@ -38,8 +41,10 @@ from cascadecut import (
 from cascadecut import cli, diffusion, experiment, graph, ingest
 from cascadecut.deletion import cache_header
 from cascadecut.experiment import SCATTER_HEADER, budget_for, load_network, write_gnuplot_script
-from conftest import network_of, one_variant, random_instance, write_eight_node_dataset
-from oracles import CascadeLog, batch_of, dict_edge_positions, graph_edges, per_budget_sweep, prefix, table_of
+from conftest import network_of, one_variant, random_instance, random_logs, write_eight_node_dataset
+from oracles import (
+    CascadeLog, batch_of, dict_edge_positions, graph_edges, per_budget_sweep, prefix, serial_sweep, table_of,
+)
 
 
 def read_summary(out_dir):
@@ -475,11 +480,15 @@ class TestRunSweep:
             run_sweep(config)
 
 
+def files_in(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
 def sweep_files(edges_path, cascades_path, out, **options):
     """Run a sweep into ``out``; every file there by name, with its bytes."""
     options = {"min_cascade_size": 0, "budget_fractions": (0.25,), **options}
     run_sweep(ExperimentConfig(edges_path=edges_path, cascades_path=cascades_path, out_dir=out, **options))
-    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return files_in(out)
 
 
 def plant_cache(path, network, strategy, edge_pos, scores):
@@ -492,6 +501,116 @@ def plant_cache(path, network, strategy, edge_pos, scores):
 
 def recomputing(caplog):
     return [r.getMessage() for r in caplog.records if r.getMessage().endswith("; recomputing")]
+
+
+# Chained two-cycles: a defective leading eigenvalue, on which netmelt does not converge.
+NON_CONVERGING_EDGES = "a\tb\nb\ta\nb\tc\nc\td\nd\tc\n"
+
+
+def outcome(sweep, config):
+    """(files written, type of the error raised) of ``sweep(config)``."""
+    try:
+        sweep(config)
+        error = None
+    except (ConvergenceError, InputError) as exc:
+        error = type(exc)
+    return (files_in(config.out_dir) if config.out_dir.exists() else None), error
+
+
+def finishing_first(monkeypatch, first):
+    """Make the cascade side (``"cascades"``) or the planner (``"plan"``) of a
+    sweep finish before the other one starts its work."""
+    done = {"cascades": threading.Event(), "plan": threading.Event()}
+
+    def ordered(name, fn):
+        other = "plan" if name == "cascades" else "cascades"
+
+        def run(*args, **kwargs):
+            if first == other and not done[other].wait(30):
+                raise TimeoutError(f"{other} never finished")
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                done[name].set()
+        return run
+
+    monkeypatch.setattr(experiment, "_kept_cascades", ordered("cascades", experiment._kept_cascades))
+    monkeypatch.setattr(experiment, "plan_strategy", ordered("plan", experiment.plan_strategy))
+
+
+class TestCascadeSide:
+    """The sweep reads its cascades on a second thread while it plans: same
+    files as the serial sweep, nothing written before the join, the cascade
+    side's error first, and no thread left behind."""
+
+    FRACTIONS = [(0.0,), (0.25,), (0.1, 0.5), (0.05, 0.3, 1.0), (0.2, 0.4, 0.6, 0.8)]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_files_equal_the_serial_sweep(self, tmp_path, seed):
+        rng = random.Random(4000 + seed)
+        network, _, edges, _ = random_instance(rng, max_nodes=16, outside_user_chance=0.0)
+        logs = random_logs(rng, network, rng.randint(1, 8))  # absent users and single-user cascades too
+        edges_path, cascades_path = tmp_path / "edges.tsv", tmp_path / "cascades.tsv"
+        edges_path.write_text("".join(f"{a}\t{b}\n" for a, b in edges), encoding="utf-8")
+        cascades_path.write_text(
+            "".join(f"{log.cascade_id}\t{u}\t{t}\n" for log in rng.sample(logs, len(logs)) for u, t in log.events),
+            encoding="utf-8",
+        )
+        for run in range(2):  # the second run finds the first one's plan caches
+            options = dict(
+                min_cascade_size=rng.randint(0, 2),
+                strategies=tuple(rng.sample(STRATEGIES, rng.randint(1, len(STRATEGIES)))),
+                variants=tuple(rng.sample(VARIANTS, rng.randint(1, len(VARIANTS)))),
+                budget_fractions=rng.choice(self.FRACTIONS),
+                rng_seed=rng.randint(0, 2) if run else 0,
+            )
+            threads = threading.active_count()
+            got = outcome(run_sweep, ExperimentConfig(edges_path, cascades_path, tmp_path / "threaded", **options))
+            assert threading.active_count() == threads
+            want = outcome(serial_sweep, ExperimentConfig(edges_path, cascades_path, tmp_path / "serial", **options))
+            assert got == want
+
+    @pytest.mark.parametrize("first", ["cascades", "plan"])
+    def test_cascade_parse_error_outranks_non_convergence(self, tmp_path, monkeypatch, capsys, first):
+        edges_path, cascades_path, out = tmp_path / "edges.tsv", tmp_path / "cascades.tsv", tmp_path / "out"
+        edges_path.write_text(NON_CONVERGING_EDGES, encoding="utf-8")
+        cascades_path.write_text("t\ta\t1\nt\tb\n", encoding="utf-8")
+        finishing_first(monkeypatch, first)
+        threads = threading.active_count()
+        code = cli.main(["sweep", "--edges", str(edges_path), "--cascades", str(cascades_path), "--min-size", "0",
+                         "--strategies", "netmelt", "--fractions", "0.5", "--strict-parse", "--out", str(out)])
+        assert threading.active_count() == threads
+        assert code == cli.EXIT_INPUT
+        assert "error [parse]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first", ["cascades", "plan"])
+    def test_missing_cascade_file_writes_no_plan(self, tmp_path, monkeypatch, first):
+        edges_path, _ = write_eight_node_dataset(tmp_path)
+        out = tmp_path / "out"
+        finishing_first(monkeypatch, first)
+        threads = threading.active_count()
+        with pytest.raises(InputError, match="cascades file"):
+            run_sweep(ExperimentConfig(edges_path, tmp_path / "missing.tsv", out, strategies=("edge-degree",)))
+        assert threading.active_count() == threads
+        assert not out.exists()
+
+    def test_non_convergence_on_the_second_strategy_leaves_the_serial_files(self, tmp_path, capsys):
+        edges_path, cascades_path = tmp_path / "edges.tsv", tmp_path / "cascades.tsv"
+        edges_path.write_text(NON_CONVERGING_EDGES, encoding="utf-8")
+        cascades_path.write_text("t\ta\t1\nt\tb\t2\nu\tc\t1\nu\td\t3\n", encoding="utf-8")
+        options = dict(min_cascade_size=0, strategies=("edge-degree", "netmelt"), budget_fractions=(0.2, 0.6))
+        with pytest.raises(ConvergenceError):
+            serial_sweep(ExperimentConfig(edges_path, cascades_path, tmp_path / "serial", **options))
+        threads = threading.active_count()
+        code = cli.main(["sweep", "--edges", str(edges_path), "--cascades", str(cascades_path), "--min-size", "0",
+                         "--strategies", "edge-degree,netmelt", "--fractions", "0.2,0.6",
+                         "--out", str(tmp_path / "threaded")])
+        assert threading.active_count() == threads
+        assert code == cli.EXIT_CONVERGENCE
+        assert "eigensolver" in capsys.readouterr().err
+        assert files_in(tmp_path / "threaded") == files_in(tmp_path / "serial")
+        assert "plan_edge-degree.npz" in files_in(tmp_path / "serial")
 
 
 class TestPlanCache:

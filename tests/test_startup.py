@@ -1,5 +1,6 @@
 """Importing the package: one BLAS thread, an unchanged environment, no BLAS
-call, and public names imported only on first use.
+call, and public names imported only on first use; and a command line that
+freezes the import heap, so that exit skips collecting it.
 
 Each import test runs in a fresh interpreter whose environment holds none
 of the thread variables unless the test sets one.
@@ -109,6 +110,17 @@ def test_numpy_imported_first_leaves_the_environment_untouched():
         "print(json.dumps([before == dict(os.environ), writes]))"
     )
     assert run_fresh(code) == [True, []]
+
+
+def test_a_command_freezes_the_import_heap(tmp_path):
+    (tmp_path / "summary.csv").write_text("", encoding="utf-8")
+    code = (
+        "import contextlib, gc, io, json\nfrom cascadecut.cli import main\nbefore = gc.get_freeze_count()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['gnuplot', '--out', {str(tmp_path)!r}])\n"
+        "print(json.dumps([before, code, gc.get_freeze_count() > 0]))"
+    )
+    assert run_fresh(code) == [0, 0, True]
 
 
 BLAS_NAMES = {"dot", "matmul", "linalg", "inner", "vdot", "tensordot", "einsum"}

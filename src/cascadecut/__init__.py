@@ -51,7 +51,7 @@ _EXPORTS = {
     ),
     "errors": ("CascadecutError", "ConvergenceError", "InputError", "InvariantError", "ParseError"),
     "estimator": (
-        "EstimateReport", "estimate_budgets", "plan_ranks", "read_report_csv", "run_estimation", "write_report_csv",
+        "EstimateReport", "estimate_budgets", "plan_ranks", "read_report_csv", "write_report_csv",
     ),
     "experiment": ("DEFAULT_FRACTIONS", "ExperimentConfig", "run_sweep", "seed_analysis"),
     "graph": ("DirectedGraph", "EigenPair", "betweenness_scores", "leading_eigenpair"),

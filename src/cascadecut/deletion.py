@@ -59,6 +59,9 @@ MAX_RANDOM_EDGES = 2**32 - 1
 # Fewest shuffle steps per chunk of rejection draws; see _swap_slots.
 _MIN_CHUNK = 1024
 
+# Plan edges per chunk of save_plan's text, so that one chunk's Python lists are alive at a time.
+_SAVE_CHUNK = 1 << 18
+
 @dataclass(frozen=True, eq=False)
 class DeletionPlan:
     """An ordered selection of follow edges of one network to delete.
@@ -162,18 +165,22 @@ def _degree_scores(network: DirectedGraph) -> np.ndarray:
 def save_plan(plan: DeletionPlan, path: str | Path) -> None:
     """Write ``strategy,k,seed`` header plus ``src<TAB>dst<TAB>score`` lines.
 
-    Ids come from the plan's network.  The file is an export for people and
-    other tools; the sweep reads only the cache of :func:`save_plan_cache`.
+    Ids come from the plan's network, and the lines are written
+    ``_SAVE_CHUNK`` plan edges at a time.  The file is an export for people
+    and other tools; the sweep reads only the cache of
+    :func:`save_plan_cache`.
     """
     network = plan.network
     ids = network.external_ids
-    src = network.edge_src_indices[plan.edge_pos].tolist()
-    dst = network.edge_dst_indices[plan.edge_pos].tolist()
     seed_text = "" if plan.rng_seed is None else str(plan.rng_seed)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{plan.strategy},{plan.k},{seed_text}\n")
-        for s, d, score in zip(src, dst, plan.scores.tolist()):
-            fh.write(f"{ids[s]}\t{ids[d]}\t{score!r}\n")
+        for start in range(0, plan.edge_pos.size, _SAVE_CHUNK):
+            pos = plan.edge_pos[start : start + _SAVE_CHUNK]
+            src = network.edge_src_indices[pos].tolist()
+            dst = network.edge_dst_indices[pos].tolist()
+            scores = plan.scores[start : start + _SAVE_CHUNK].tolist()
+            fh.writelines(f"{ids[s]}\t{ids[d]}\t{score!r}\n" for s, d, score in zip(src, dst, scores))
 
 
 def cache_header(strategy: str, k: int, rng_seed: int | None, network: DirectedGraph) -> dict:

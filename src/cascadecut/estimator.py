@@ -7,12 +7,14 @@ the cascade's original seed set.  Seeds stay fixed even when a deletion
 leaves other nodes with no incoming edge: such nodes are exactly the users
 the deletion cut off.
 
-Plan prefixes are nested, so :func:`estimate_budgets` gives the sizes at
-every budget in one pass over a batch's edges, which join the slots of its
-participants (see :class:`~cascadecut.diffusion.DiffusionBatch`);
-:func:`run_estimation` is the single budget point of a whole plan.  An
-:class:`EstimateReport` holds one budget point as int64 columns, and
-:func:`write_csv` writes it and every other figure-data file.
+The one estimation path is the sweep's (see
+:func:`~cascadecut.experiment.run_sweep`): :func:`plan_ranks` gives every
+follow edge its rank in a plan, and plan prefixes are nested, so
+:func:`estimate_budgets` gives the sizes at every budget in one pass over
+a batch's edges, which join the slots of its participants (see
+:class:`~cascadecut.diffusion.DiffusionBatch`).  An :class:`EstimateReport`
+holds one budget point as int64 columns, and :func:`write_csv` writes it
+and every other figure-data file.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .deletion import DeletionPlan
-from .diffusion import DiffusionBatch, build_batches
+from .diffusion import DiffusionBatch
 from .errors import InputError, InvariantError, ParseError
 from .graph import DirectedGraph
-from .ingest import CascadeTable
 
 # Rank of a follow edge that no budget deletes.
 NEVER_DELETED = np.iinfo(np.int64).max
@@ -141,22 +142,6 @@ def estimate_budgets(
         np.subtract(batch.sizes, np.bincount(owner[best < k], minlength=count), out=row)
     out.flags.writeable = False
     return out
-
-
-def run_estimation(
-    network: DirectedGraph,
-    table: CascadeTable,
-    plan: DeletionPlan,
-    variant: str,
-) -> EstimateReport:
-    """Build, cut, and measure every cascade of ``table``; totals are order-independent.
-
-    Every edge the plan lists is deleted, in one vectorised pass over all
-    cascades.  The report lists the cascades in the table's order.
-    """
-    (batch,) = build_batches(network, table, [variant]).values()
-    (estimated,) = estimate_budgets(batch, plan_ranks(network, plan), [plan.edge_pos.size])
-    return EstimateReport(plan.strategy, variant, plan.k, batch.cascade_ids, batch.sizes, estimated, batch.seed_counts)
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

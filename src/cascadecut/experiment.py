@@ -1,16 +1,18 @@
 """Budget sweeps across deletion strategies and diffusion variants.
 
-A sweep loads one dataset, gathers its cascades' follow edges once,
-derives each variant's diffusion graphs from them, and scores each
-requested strategy once at the largest budget; the cascade side runs on
-a second thread while the first plan is computed (see :func:`run_sweep`).
-For every (strategy, variant) pair one bottleneck pass over the plan's
-edge ranks gives the sizes at all budget points; the sweep writes one
-per-cascade report CSV per (strategy, variant, fraction) plus a single
-summary CSV.
+A sweep (:func:`run_sweep`, one loop) loads one dataset, gathers its
+cascades' follow edges once, derives each variant's diffusion graphs from
+them, and scores each requested strategy once at the largest budget.  The
+cascade side runs on a second thread while the first plan is computed;
+the loop joins it once, when that plan is ready, and writes nothing
+before.  For every (strategy, variant) pair one bottleneck pass over the
+plan's edge ranks gives the sizes at all budget points; the sweep writes
+one per-cascade report CSV per (strategy, variant, fraction) plus a
+single summary CSV.
 Plans are cached in the output directory as ``.npz`` files naming their
 network and parameters, and reused on re-runs that match them;
-:mod:`~cascadecut.deletion` names those files and decides the match.
+:mod:`~cascadecut.deletion` names those files and decides the match, and
+only a plan the sweep computed is saved.
 
 All outputs are plain CSV figure data; re-running an identical
 configuration reproduces every file byte for byte.
@@ -100,55 +102,47 @@ def run_sweep(config: ExperimentConfig) -> list[Path]:
 
     Once the network has loaded, a second thread reads and filters the
     cascades and builds every variant's diffusion batches, while this one
-    hashes the network and computes the first plan.  Nothing is written
-    before that thread is joined, and an error of the cascade side is
-    raised in place of any error of the plan side, as if the cascades had
-    been read first.
+    hashes the network and computes the first plan.  The sweep joins that
+    thread when the first plan is ready and only then creates ``out_dir``
+    and writes; an error of the cascade side is raised in place of any
+    error of the plan side, as if the cascades had been read first.
     """
     network = load_network(config.edges_path, config.strict_parse)
     cascade_side = _Background(lambda: build_batches(network, _kept_cascades(config, network), config.variants))
     try:
-        return _sweep(config, network, cascade_side.result)
+        network.fingerprint  # hashed alongside the cascade side; every plan cache names it
+        budgets = [budget_for(f, network.edge_count) for f in config.budget_fractions]
+        batches = None
+        written: list[Path] = []
+        summary_rows: list[tuple] = []
+        for strategy in config.strategies:
+            plan, cache, computed = _materialise_plan(config, network, strategy, max(budgets))
+            if batches is None:
+                batches = cascade_side.result()
+                config.out_dir.mkdir(parents=True, exist_ok=True)
+            if computed:
+                save_plan_cache(plan, cache)
+            written.append(cache)
+            ranks = plan_ranks(network, plan)
+            for variant, batch in batches.items():
+                estimated = estimate_budgets(batch, ranks, budgets)
+                for fraction, k, sizes in zip(config.budget_fractions, budgets, estimated):
+                    report = EstimateReport(strategy, variant, k, batch.cascade_ids, batch.sizes, sizes,
+                                            batch.seed_counts)
+                    path = config.out_dir / f"report_{strategy}_{variant}_{fraction:g}.csv"
+                    write_report_csv(report, path)
+                    written.append(path)
+                    summary_rows.append(
+                        (strategy, variant, k, f"{fraction:g}", report.total_estimated, report.total_original)
+                    )
+            del plan, ranks  # free this strategy's plan before the next one is computed
+        summary_path = config.out_dir / "summary.csv"
+        write_csv(summary_path, SUMMARY_HEADER, summary_rows)
+        written.append(summary_path)
+        return written
     except BaseException:
         cascade_side.result()  # the cascade side's error, if it had one, is raised in place of this one
         raise
-
-
-def _sweep(config: ExperimentConfig, network: DirectedGraph, cascade_side) -> list[Path]:
-    """The plans, reports and summary of :func:`run_sweep`; ``cascade_side()``
-    waits for the diffusion batches by variant."""
-    network.fingerprint  # hashed alongside the cascade side; every plan cache names it
-
-    def joined():
-        batches = cascade_side()
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-        return batches
-
-    edge_count = network.edge_count
-    budgets = [budget_for(f, edge_count) for f in config.budget_fractions]
-    max_budget = max(budgets)
-
-    written: list[Path] = []
-    summary_rows: list[tuple] = []
-    for strategy in config.strategies:
-        plan, plan_path = _materialise_plan(config, network, strategy, max_budget, joined)
-        written.append(plan_path)
-        ranks = plan_ranks(network, plan)
-        for variant, batch in joined().items():
-            estimated = estimate_budgets(batch, ranks, budgets)
-            for fraction, k, sizes in zip(config.budget_fractions, budgets, estimated):
-                report = EstimateReport(strategy, variant, k, batch.cascade_ids, batch.sizes, sizes, batch.seed_counts)
-                path = config.out_dir / f"report_{strategy}_{variant}_{fraction:g}.csv"
-                write_report_csv(report, path)
-                written.append(path)
-                summary_rows.append(
-                    (strategy, variant, k, f"{fraction:g}", report.total_estimated, report.total_original)
-                )
-        del plan, ranks  # free this strategy's plan before the next one is computed
-    summary_path = config.out_dir / "summary.csv"
-    write_csv(summary_path, SUMMARY_HEADER, summary_rows)
-    written.append(summary_path)
-    return written
 
 
 class _Background(threading.Thread):
@@ -257,24 +251,23 @@ def _materialise_plan(
     network: DirectedGraph,
     strategy: str,
     max_budget: int,
-    joined,
-) -> tuple[DeletionPlan, Path]:
-    """Reuse the cached plan when it fits, else compute one and cache it.
+) -> tuple[DeletionPlan, Path, bool]:
+    """(plan, cache path, computed): the cached plan when it fits, else a new one.
 
     ``plan_<strategy>.npz`` is the one plan input, reused when
     :func:`~cascadecut.deletion.cached_plan` finds that it serves
-    min(max_budget, |E|) edges of ``network`` under this sweep's
-    parameters.  A text ``plan_<strategy>.tsv`` (the export of ``plan``)
-    names no network and is never read; when the plan is computed, a
-    warning names it, since it shows another ranking.  ``joined()`` is
-    called before the cache is written.
+    ``max_budget`` edges of ``network`` under this sweep's parameters.  A
+    text ``plan_<strategy>.tsv`` (the export of ``plan``) names no network
+    and is never read; when the plan is computed, a warning names it,
+    since it shows another ranking.  Nothing is written: the caller saves
+    a computed plan at the cache path.
     """
     cache, text = plan_paths(config.out_dir, strategy)
     if cache.exists():
-        cached, why = cached_plan(cache, network, strategy, config.rng_seed, min(max_budget, network.edge_count))
+        cached, why = cached_plan(cache, network, strategy, config.rng_seed, max_budget)
         if why is None:
             logger.info("reusing cached %s plan from %s", strategy, cache)
-            return cached, cache
+            return cached, cache, False
         logger.info("cached plan at %s %s; recomputing", cache, why)
     if text.exists():
         logger.warning("%s is not this sweep's %s plan; it was left untouched", text, strategy)
@@ -284,6 +277,4 @@ def _materialise_plan(
         raise ConvergenceError(
             f"plan({strategy}): {exc}", exc.best_residual, exc.iterations
         ) from exc
-    joined()
-    save_plan_cache(plan, cache)
-    return plan, cache
+    return plan, cache, True

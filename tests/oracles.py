@@ -53,7 +53,9 @@ user, in (time, user) order) that cascade tables are checked against:
 :func:`logs_of` reads a table back, and :func:`string_variant` builds one
 cascade's diffusion graph from its string events by the pairwise rule.
 :func:`prefix` is the earlier ``DeletionPlan.prefix``: a plan cut to a
-smaller budget.
+smaller budget.  :func:`run_estimation` is the earlier
+``estimator.run_estimation``, one whole plan's report made of the sweep's
+own calls.
 """
 
 from __future__ import annotations
@@ -417,6 +419,13 @@ def cut_edges(dg, plan):
 def prefix(plan, k):
     """The same ranking truncated to budget ``k``, as a plan of its own."""
     return replace(plan, k=k, edge_pos=plan.edge_pos[:k], scores=plan.scores[:k])
+
+
+def run_estimation(network, table, plan, variant):
+    """The report of one variant's cascades of ``table`` with every edge the plan lists deleted."""
+    (batch,) = build_batches(network, table, [variant]).values()
+    (estimated,) = estimate_budgets(batch, plan_ranks(network, plan), [plan.edge_pos.size])
+    return EstimateReport(plan.strategy, variant, plan.k, batch.cascade_ids, batch.sizes, estimated, batch.seed_counts)
 
 
 def size_after(dg, plan, seeds=None):

@@ -40,7 +40,6 @@ from cascadecut import (
     plan_ranks,
     plan_strategy,
     read_network,
-    run_estimation,
     run_sweep,
 )
 from cascadecut.experiment import budget_for
@@ -62,6 +61,7 @@ from oracles import (
     prefix,
     random_digraph,
     reference_build_graph,
+    run_estimation,
     table_of,
 )
 

@@ -20,7 +20,7 @@ PUBLIC = {
     "NETMELT", "NON_TREE", "ParseError", "RANDOM", "STRATEGIES", "TREE_FIRST", "TREE_LAST", "VARIANTS",
     "betweenness_scores", "build_batches", "compute_stats", "estimate_budgets",
     "filter_cascades", "leading_eigenpair", "load_cascades", "load_higgs_activity",
-    "plan_ranks", "plan_strategy", "read_network", "read_plan_cache", "read_report_csv", "run_estimation",
+    "plan_ranks", "plan_strategy", "read_network", "read_plan_cache", "read_report_csv",
     "run_sweep", "save_plan", "save_plan_cache", "seed_analysis", "to_dot", "write_report_csv",
 }
 
@@ -28,7 +28,8 @@ PUBLIC = {
 # plan input, the .npz cache, its one network constructor, read_network,
 # its one diffusion builder, build_batches, the cache rule in
 # deletion.cached_plan, the one-loop power iteration and the one planner,
-# plan_strategy, replaced them.
+# plan_strategy, replaced them; the sweep's plan_ranks, estimate_budgets
+# and EstimateReport replaced run_estimation.
 REMOVED = [
     (estimator, "apply_deletion"),
     (estimator, "estimate_size"),
@@ -80,11 +81,12 @@ REMOVED = [
     (deletion, "plan_random"),
     (deletion.DeletionPlan, "prefix"),
     (experiment, "scatter_report"),
+    (estimator, "run_estimation"),
 ]
 
 
 def test_all_names_the_public_surface():
-    assert len(cascadecut.__all__) == len(set(cascadecut.__all__)) == 43
+    assert len(cascadecut.__all__) == len(set(cascadecut.__all__)) == 42
     assert set(cascadecut.__all__) == PUBLIC
 
 

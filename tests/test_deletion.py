@@ -522,6 +522,56 @@ class TestPlanSerialization:
         assert line_load_plan(path, g).rng_seed is None
 
 
+def _string_view(plan):
+    """The plan as the string writer's input: id pairs and Python floats."""
+    return StringPlan(plan.strategy, plan.k, plan.ranked_edges, tuple(plan.scores.tolist()), plan.rng_seed)
+
+
+class TestChunkedPlanWriter:
+    """``save_plan`` writes its text ``_SAVE_CHUNK`` plan edges at a time; the
+    earlier one-pass writer over the string pairs is the oracle."""
+
+    @staticmethod
+    def graphs(rng, min_edges=1):
+        """A graph with string ids and one with int64 ids, each with at least ``min_edges`` edges."""
+        nodes, edges = [], []
+        while len(edges) < min_edges:
+            nodes, edges = random_digraph(rng, rng.randint(2, 14), 0.3)
+        numeric = network_of([])
+        while numeric.edge_count < min_edges:
+            ids = [str(rng.choice([rng.randint(0, 50), rng.randint(1, 10**18 - 1)])) for _ in range(10)]
+            numeric = read_network(io.StringIO("".join(f"{rng.choice(ids)}\t{rng.choice(ids)}\n" for _ in range(30))))
+        assert isinstance(numeric._values, np.ndarray)
+        return [reference_build_graph(edges, nodes=nodes), numeric]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, None])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_same_bytes_as_the_string_writer(self, tmp_path, monkeypatch, strategy, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(deletion, "_SAVE_CHUNK", chunk)
+        rng = random.Random(f"{strategy} {chunk}")
+        for g in self.graphs(rng):
+            e = g.edge_count
+            for k in sorted({0, 1, 2, 3, e // 2, e, e + 4}):
+                plan = plan_strategy(g, strategy, k, rng_seed=rng.randint(0, 9))
+                save_plan(plan, tmp_path / "got.tsv")
+                string_save_plan(_string_view(plan), tmp_path / "want.tsv")
+                assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, None])
+    def test_signed_zero_subnormal_and_integral_scores(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(deletion, "_SAVE_CHUNK", chunk)
+        scores = [1e300, 1e16, 2.0**53, 123456789.0, 3.0, 0.1, 5e-324, 0.0, -0.0, 0.0, -0.0, -5e-324, -1.0, -1e22]
+        for g in self.graphs(random.Random(chunk), min_edges=len(scores)):
+            plan = DeletionPlan(EDGE_DEGREE, len(scores), g, np.arange(len(scores)), scores)
+            save_plan(plan, tmp_path / "got.tsv")
+            string_save_plan(_string_view(plan), tmp_path / "want.tsv")
+            text = (tmp_path / "got.tsv").read_bytes()
+            assert text == (tmp_path / "want.tsv").read_bytes()
+            assert [line.rsplit(b"\t", 1)[1] for line in text.splitlines()[1:]] == [repr(x).encode() for x in scores]
+
+
 CACHE_QUIRKS = (
     None, None, None, "minus one", "past the edges", "repeated edge", "nan score", "rising score", "short",
     "other fingerprint", "other strategy", "other seed", "other format", "bad budget", "int32 positions",
@@ -621,16 +671,20 @@ def quirky_plan(rng, lines, quirk):
 
 
 def _sweep_plan(tmp_path, caplog, network, strategy, k, seed):
-    """The sweep's plan for ``network``, with ``tmp_path`` as its output
-    directory and no cascade side to wait for before the cache write, and
-    the messages it logged."""
+    """The sweep's plan for ``network`` at budget ``k``, with ``tmp_path`` as
+    its output directory, and the messages it logged.  The plan step writes
+    nothing, and says whether it computed the plan or reused the cache."""
     config = ExperimentConfig(tmp_path / "edges.tsv", tmp_path / "cascades.tsv", tmp_path, strategies=(strategy,),
                               rng_seed=seed)
     caplog.clear()
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
     with caplog.at_level("INFO", logger="cascadecut.experiment"):
-        plan, path = _materialise_plan(config, network, strategy, k, lambda: None)
+        plan, path, computed = _materialise_plan(config, network, strategy, k)
     assert path == tmp_path / f"plan_{strategy}.npz"
-    return plan, [record.getMessage() for record in caplog.records]
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+    messages = [record.getMessage() for record in caplog.records]
+    assert computed == (f"reusing cached {strategy} plan from {path}" not in messages)
+    return plan, messages
 
 
 class TestBulkPlanReader:
@@ -652,18 +706,16 @@ class TestBulkPlanReader:
                 ids = [str(rng.choice([rng.randint(0, 50), rng.randint(1, 10**18 - 1)])) for _ in range(12)]
                 g = read_network(io.StringIO("".join(f"{rng.choice(ids)}\t{rng.choice(ids)}\n" for _ in range(30))))
         strategy = rng.choice(["edge-degree", "random", "netmelt"])
-        k = rng.randint(2, g.edge_count + 2)
+        k = min(rng.randint(2, g.edge_count + 2), g.edge_count)  # a sweep's budget, which budget_for caps at |E|
         plan = plan_strategy(g, strategy, k, rng_seed=seed)
         save_plan(plan, tmp_path / "export.tsv")
         want = line_load_plan(tmp_path / "export.tsv", g)
         cache = tmp_path / f"plan_{strategy}.npz"
         save_plan_cache(plan, cache)
-        fresh = cache.read_bytes()
         reason = quirky_cache(rng, cache, g, quirk) if quirk else None
         got, messages = _sweep_plan(tmp_path, caplog, g, strategy, k, seed)
         assert got == want
         assert got.edge_pos.tolist() == want.edge_pos.tolist()
-        assert cache.read_bytes() == fresh
         if quirk is None:
             assert messages == [f"reusing cached {strategy} plan from {cache}"]
         else:
@@ -681,7 +733,7 @@ class TestBulkPlanReader:
         text = "".join(f"{rng.choice(ids)}\t{rng.choice(ids)}\n" for _ in range(60))
         g = read_network(io.StringIO(text + "u\tv\n" if seed % 2 else text))
         strategy = rng.choice(["edge-degree", "random", "netmelt"])
-        k = g.edge_count + 2
+        k = g.edge_count
         plan = plan_strategy(g, strategy, k, rng_seed=seed)
         path = tmp_path / f"plan_{strategy}.tsv"
         save_plan(plan, path)
@@ -703,8 +755,6 @@ class TestBulkPlanReader:
             f"reusing cached {strategy} plan from {cache}" if cached
             else f"{path} is not this sweep's {strategy} plan; it was left untouched"
         ]
-        save_plan_cache(plan, tmp_path / "fresh.npz")
-        assert cache.read_bytes() == (tmp_path / "fresh.npz").read_bytes()
 
 
 class TestDeletionPlan:

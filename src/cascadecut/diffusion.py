@@ -66,7 +66,7 @@ class DiffusionBatch:
     spread edge, sorted by (child, parent): ``child_slot`` and
     ``parent_slot`` (participant indices, so both ends lie in one cascade)
     and ``follow_edge_pos`` (the position of the follow edge child -> parent
-    in the network's canonical edge arrays).
+    in the network's canonical edge arrays), all five of dtype ``INDEX``.
     """
 
     cascade_ids: tuple[str, ...]
@@ -186,6 +186,7 @@ def _gather(network: DirectedGraph, table: CascadeTable) -> tuple[np.ndarray, ..
     # followee end of each gathered follow edge that passes the filter is
     # looked up by binary search on the key.
     n = np.int64(network.node_count)
+    # An int64 key split back into int64 owner and idx: a narrower INDEX widens by astype first.
     key = table.cascade[present] * n
     key += node[present]
     tau = table.time[present]
@@ -247,7 +248,7 @@ def _bit_of(key: np.ndarray, shift: np.uint64) -> tuple[np.ndarray, np.ndarray]:
     h >>= shift
     mask = np.left_shift(np.uint8(1), (h & np.uint64(7)).astype(np.uint8))
     h >>= np.uint64(3)
-    return h.view(np.int64), mask
+    return h.view(np.int64), mask  # a view of the uint64 hash, so int64 whatever INDEX is
 
 
 def _bit_table(key: np.ndarray) -> tuple[np.ndarray, np.uint64]:

@@ -4,14 +4,14 @@ A :class:`DirectedGraph` maps opaque string node ids onto dense integers
 (sorted by external id, so builds are reproducible) and stores the edge set
 in one compressed sparse index by source.  Plain decimal ids may be held as
 int64 values, whose strings are built only when asked for.  Nodes and edges
-are addressed by dense id and canonical edge position; external ids are
-looked up in bulk only, through :meth:`DirectedGraph.indices_of`, which
-ranks them together with the node ids as ingest ranks an id column, so the
-graph keeps no lookup table.  Out-edges are gathered in bulk only, through
-:meth:`DirectedGraph.out_edge_slots`.  On top of it this module provides
-directed edge betweenness (Brandes-style accumulation) and the leading
-eigenpair of the adjacency matrix via power iteration.  Id text is parsed
-only in :mod:`~cascadecut.ingest`.
+are addressed by dense id and canonical edge position, of dtype
+:data:`INDEX`; external ids are looked up in bulk only, through
+:meth:`DirectedGraph.indices_of`, which ranks them with the node ids as
+ingest ranks an id column, so the graph keeps no lookup table.  Out-edges
+are gathered in bulk only, through :meth:`DirectedGraph.out_edge_slots`.
+On top of it this module provides directed edge betweenness (Brandes-style
+accumulation) and the leading eigenpair of the adjacency matrix via power
+iteration.  Id text is parsed only in :mod:`~cascadecut.ingest`.
 
 Graphs are immutable after construction.
 """
@@ -35,6 +35,11 @@ DEFAULT_MAX_ITERATIONS = 10_000
 # Ids of at most this many decimal digits are read as int64.
 MAX_DIGITS = 18
 _POWERS = 10 ** np.arange(MAX_DIGITS + 1, dtype=np.int64)
+
+# The dtype of every index array: dense node ids, follow-edge positions, CSR
+# offsets, participant slots, and cascade, user and ranking codes.  Id values,
+# packed keys, times, ranks and sizes, and the arrays written out, stay int64.
+INDEX = np.int64
 
 # Iterations without residual improvement before the undamped power phase is
 # declared stalled (periodic structure) and restarted with a diagonal shift.
@@ -107,6 +112,7 @@ class DirectedGraph:
             digest = blake2b(np.array([lengths.size, len(text), self.edge_count], dtype=np.int64), digest_size=32)
             digest.update(lengths)
             digest.update(text)
+            # The edge arrays' int64 bytes: a narrower INDEX must hash them widened, or every cache header changes.
             digest.update(self._edge_src)
             digest.update(self._edge_dst)
             self._fingerprint = digest.hexdigest()
@@ -123,16 +129,17 @@ class DirectedGraph:
         """
         from .ingest import _id_codes
 
-        if isinstance(external_ids, np.ndarray):
-            if external_ids.dtype != np.int64:
-                raise InputError(f"external ids must be strings or int64 values, not {external_ids.dtype}")
-            queries = external_ids
-        else:
-            queries = list(external_ids)
+        is_array = isinstance(external_ids, np.ndarray)
+        if is_array and external_ids.dtype != np.int64:
+            raise InputError(f"external ids must be strings or int64 values, not {external_ids.dtype}")
+        queries = external_ids if is_array else list(external_ids)
         nodes = list(self._ids) if self._values is None else self._values
         n = len(nodes)
-        ids, codes = _id_codes([nodes, queries], n + len(queries))
-        node = np.full(len(ids), -1, dtype=np.int64)
+        try:
+            ids, codes = _id_codes([nodes, queries], n + len(queries))
+        except TypeError:  # a query that is not a str cannot be ranked with the ids
+            raise InputError("external ids must be strings or int64 values") from None
+        node = np.full(len(ids), -1, dtype=INDEX)
         node[codes[:n]] = np.arange(n)
         return node[codes[n:]]
 
@@ -243,7 +250,7 @@ def betweenness_scores(graph: DirectedGraph) -> np.ndarray:
     scores = np.zeros(graph.edge_count)
     # Workspace reused across sources; only entries touched by a BFS are
     # reset afterwards, so sparse passes stay cheap.
-    depth = np.full(graph.node_count, -1, dtype=np.int64)
+    depth = np.full(graph.node_count, -1, dtype=INDEX)
     sigma = np.zeros(graph.node_count)
     delta = np.zeros(graph.node_count)
     for s in range(graph.node_count):
@@ -256,7 +263,7 @@ def _accumulate_source(graph, source, scores, depth, sigma, delta) -> None:
     over the shortest-path DAG edges that the BFS recorded."""
     depth[source] = 0
     sigma[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
+    frontier = np.array([source], dtype=INDEX)
     layers = [frontier]
     dag = []  # per level: the DAG edges' (v, w, edge position), by (v, w)
     level = 0
@@ -380,9 +387,8 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _indptr(endpoint_ids: np.ndarray, n: int) -> np.ndarray:
-    counts = np.bincount(endpoint_ids, minlength=n) if endpoint_ids.size else np.zeros(n, dtype=np.int64)
-    out = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
+    out = np.zeros(n + 1, dtype=INDEX)
+    np.cumsum(np.bincount(endpoint_ids, minlength=n), out=out[1:])
     return out
 
 
@@ -392,13 +398,13 @@ def _slice_gather(indptr: np.ndarray, node_indices: np.ndarray) -> tuple[np.ndar
     Returns (each node's index into ``node_indices``, repeated per its slice
     length; flat positions into the data array backing ``indptr``).
     """
-    node_indices = np.asarray(node_indices, dtype=np.int64)
+    node_indices = np.asarray(node_indices, dtype=INDEX)
     starts = indptr[node_indices]
     counts = indptr[node_indices + 1] - starts
     total = int(counts.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    rep = np.repeat(np.arange(node_indices.size), counts)
-    exclusive = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]))
-    pos = np.repeat(starts - exclusive, counts) + np.arange(total, dtype=np.int64)
+        return np.empty(0, dtype=INDEX), np.empty(0, dtype=INDEX)
+    rep = np.repeat(np.arange(node_indices.size, dtype=INDEX), counts)
+    exclusive = np.concatenate((np.zeros(1, dtype=INDEX), np.cumsum(counts)[:-1]))
+    pos = np.repeat(starts - exclusive, counts) + np.arange(total, dtype=INDEX)
     return rep, pos

@@ -51,7 +51,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError, ParseError
-from .graph import _POWERS, MAX_DIGITS, DirectedGraph, _run_starts, _sorted_unique, digit_counts, id_strings
+from .graph import _POWERS, INDEX, MAX_DIGITS, DirectedGraph, _run_starts, _sorted_unique, digit_counts, id_strings
 
 logger = logging.getLogger(__name__)
 
@@ -77,9 +77,9 @@ class CascadeTable:
     reads them) and ``user_ids`` the distinct user ids, sorted: a tuple of
     strings, or an int64 array of plain decimal ids (see
     :func:`decimal_values`) in the same text order, whose strings
-    :attr:`users` builds on first use.  Per event, sorted by (cascade,
-    user): ``cascade`` (an index into ``cascade_ids``), ``user`` (an index
-    into ``user_ids``) and ``time``, with one event per (cascade, user), the
+    :attr:`users` builds on first use.  Per event, sorted by (cascade, user):
+    ``cascade`` and ``user`` (``INDEX`` indices into ``cascade_ids`` and
+    ``user_ids``) and ``time``, with one event per (cascade, user), the
     earliest.  ``sizes`` is each cascade's event count.  Build tables with
     :func:`load_cascades`, which also reads a list of event lines; the
     constructor assumes canonical arrays and keeps the cascade order given.
@@ -115,7 +115,7 @@ class CascadeTable:
     def select(self, keep: np.ndarray) -> "CascadeTable":
         """The cascades where the per-cascade bool array ``keep`` holds, order kept."""
         keep = np.asarray(keep, dtype=bool)
-        code = np.cumsum(keep) - 1
+        code = np.cumsum(keep, dtype=INDEX) - 1
         kept = keep[self.cascade]
         return CascadeTable(
             tuple(compress(self.cascade_ids, keep.tolist())),
@@ -152,6 +152,7 @@ def _cascade_table(
     if not time.size:
         return CascadeTable(cascade_ids, users, cascade, user, time)
     width = np.int64(len(users))
+    # An int64 key split back into int64 codes: a narrower INDEX widens ``cascade`` by astype first.
     key = cascade * width
     key += user
     # One sort by (cascade, user); the order among one pair's events does
@@ -171,11 +172,11 @@ def sorted_codes(tokens: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
     # Intern ids in first-seen order while the tokens stream by, then sort the
     # id table once and remap the codes to sorted order.
     index = _Interner()
-    codes = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64)
+    codes = np.fromiter(map(index.__getitem__, tokens), dtype=INDEX)
     ids = tuple(sorted(index))
     n = len(ids)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=n)] = np.arange(n)
+    rank = np.empty(n, dtype=INDEX)
+    rank[np.fromiter(map(index.__getitem__, ids), dtype=INDEX, count=n)] = np.arange(n)
     return ids, rank[codes]
 
 
@@ -197,6 +198,7 @@ def _id_codes(parts: Iterable, capacity: int) -> tuple[tuple[str, ...] | np.ndar
     ``capacity`` and doubled when full; the operating system maps a page
     only once it is written, so no second copy is made at the end.
     """
+    # Holds int64 id values, then (see _rank_ids) their codes in place, so those come as int64, not INDEX.
     data = np.empty(max(capacity, 1), dtype=np.int64)
     size = 0
     parts = iter(parts)
@@ -245,7 +247,7 @@ def _rank_by_table(values: np.ndarray, lo: np.int64, span: int) -> tuple[np.ndar
     ids = np.flatnonzero(present)
     del present
     ids = ids[_text_order(ids + lo)]
-    table = np.empty(span, dtype=np.int64)
+    table = np.empty(span, dtype=INDEX)
     table[ids] = np.arange(ids.size)
     for start in range(0, values.size, _BLOCK):
         chunk = values[start : start + _BLOCK]
@@ -263,7 +265,7 @@ def _rank_by_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new = _run_starts(values)
     ids = values[new]
     text_order = _text_order(ids)
-    rank = np.empty(ids.size, dtype=np.int64)
+    rank = np.empty(ids.size, dtype=INDEX)
     rank[text_order] = np.arange(ids.size)
     np.cumsum(new, out=values)
     values -= 1
@@ -388,7 +390,7 @@ def _token_strings(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> li
     ``ends``, as strings; no other token becomes a string."""
     # Each token's bytes and the blank after it are taken, and the blanks
     # become the line ends that split the text.
-    cuts = np.empty(2 * starts.size + 2, dtype=np.int64)
+    cuts = np.empty(2 * starts.size + 2, dtype=INDEX)
     cuts[0], cuts[-1] = 0, data.size
     cuts[1:-1:2] = starts
     cuts[2:-1:2] = ends + 1
@@ -586,6 +588,7 @@ def edge_keys(codes: np.ndarray, n: int) -> np.ndarray:
     One key per edge makes dedup plus the (src, dst) sort a single pass.
     ``codes`` is overwritten: the keys are built in place in its src half.
     """
+    # Keys need int64: INDEX codes (string ids, see sorted_codes) narrower than that are widened by astype first.
     src, dst = codes[0::2], codes[1::2]
     keep = src != dst
     src *= n
@@ -600,6 +603,7 @@ def graph_from_keys(external_ids: tuple[str, ...], keys: np.ndarray) -> Directed
     edge-sized arrays are alive at a time.
     """
     n = np.int64(len(external_ids))
+    # Both halves of an int64 key come out int64; a narrower INDEX needs them cast.
     dst = keys % n
     keys //= n
     return DirectedGraph(external_ids, keys, dst)
@@ -668,7 +672,7 @@ def _cascade_codes(parts: Sequence[np.ndarray | list[str]]) -> tuple[tuple[str, 
     order = np.argsort(keys)
     keys = keys[order]
     new = _run_starts(keys)
-    codes = np.empty(keys.size, dtype=np.int64)
+    codes = np.empty(keys.size, dtype=INDEX)
     codes[order] = np.cumsum(new) - 1
     return tuple(map(_unpack, keys[new].tolist())), codes
 
@@ -717,7 +721,7 @@ def load_higgs_activity(
     tally.report(sum(rows))
     return _cascade_table(
         (cascade_id,) if times.size else (),
-        np.zeros(times.size, dtype=np.int64),
+        np.zeros(times.size, dtype=INDEX),
         *_id_codes(users, times.size),
         times,
     )

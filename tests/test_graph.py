@@ -292,6 +292,12 @@ class TestIntegerIdLookup:
         g = network_of([("7", "x"), ("10", "7")])
         assert g.indices_of(np.array([10, 7, 8], dtype=np.int64)).tolist() == [0, 1, -1]
 
+    @pytest.mark.parametrize("queries", [[1, 2], [7], [b"1"], ["1", None], [None], ["x", 2.0]])
+    def test_query_lists_holding_a_non_string_are_input_errors(self, queries):
+        for g in (read_network(["1\t2"]), integer_graph([("1", "2")]), network_of([("x", "y")])):
+            with pytest.raises(InputError, match="strings or int64 values"):
+                g.indices_of(queries)
+
 
 # Ids drawn from this pool collide often (duplicates, self-loops) and mix
 # ASCII with non-ASCII text, whose code-point order the dense ids must keep.

@@ -39,9 +39,7 @@ from .experiment import (
     seed_analysis,
     write_gnuplot_script,
 )
-from .ingest import compute_stats
-
-logger = logging.getLogger(__name__)
+from .ingest import _read_input, compute_stats
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -227,16 +225,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def read_config_file(path: Path) -> dict[str, str]:
     """Parse a flat key=value file; blank lines and # comments are ignored.
 
-    An unknown or repeated key is a :class:`ParseError`.
+    An unknown or repeated key is a :class:`ParseError`.  As for every input
+    file (see :func:`~cascadecut.ingest._read_input`), an unreadable file is
+    an :class:`InputError` and text that is not UTF-8 a :class:`ParseError`.
     """
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise InputError(f"config: cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"config {path}: not UTF-8 text ({exc.reason})") from None
+    text = _read_input(path, "config", lambda fh: fh.read())
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

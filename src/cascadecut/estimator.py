@@ -31,6 +31,7 @@ from .deletion import DeletionPlan
 from .diffusion import DiffusionBatch
 from .errors import InputError, InvariantError, ParseError
 from .graph import DirectedGraph
+from .ingest import _read_input
 
 # Rank of a follow edge that no budget deletes.
 NEVER_DELETED = np.iinfo(np.int64).max
@@ -163,14 +164,12 @@ def read_report_csv(path: str | Path) -> EstimateReport:
 
     Every row must name the first row's strategy, variant and k, each
     cascade once, and sizes with 0 <= seed_count <= estimated_size <=
-    original_size; any other row is a :class:`ParseError` naming its line,
-    and text that is not UTF-8 one naming the file.
+    original_size; any other row is a :class:`ParseError` naming its line.
+    As for every input file (see :func:`~cascadecut.ingest._read_input`), an
+    unreadable file is an :class:`InputError` and text that is not UTF-8 a
+    :class:`ParseError` naming the file.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    text = _read_input(path, "report", lambda fh: fh.read(), newline="")
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header != list(REPORT_HEADER):

@@ -23,14 +23,15 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .deletion import STRATEGIES, DeletionPlan, cached_plan, plan_paths, plan_strategy, save_plan_cache
 from .diffusion import NON_TREE, VARIANTS, build_batches
-from .errors import ConvergenceError, InputError, ParseError
+from .errors import ConvergenceError, InputError
 from .estimator import EstimateReport, estimate_budgets, plan_ranks, write_csv, write_report_csv
 from .graph import DirectedGraph
-from .ingest import CascadeTable, filter_cascades, load_cascades, read_network
+from .ingest import CascadeTable, _read_input, filter_cascades, load_cascades, read_network
 
 logger = logging.getLogger(__name__)
 
@@ -173,7 +174,7 @@ def load_network(edges_path: Path, strict_parse: bool) -> DirectedGraph:
 
     The file is read as UTF-8, and a leading byte-order mark is dropped.
     """
-    return _read_input(edges_path, "edges", read_network, strict_parse)
+    return _read_input(edges_path, "edges", partial(read_network, strict=strict_parse))
 
 
 def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, CascadeTable]:
@@ -184,26 +185,13 @@ def load_dataset(config: ExperimentConfig) -> tuple[DirectedGraph, CascadeTable]
 
 def _kept_cascades(config: ExperimentConfig, network: DirectedGraph) -> CascadeTable:
     """The configured cascades that pass the size filter; logs the dataset's counts."""
-    table = _read_input(config.cascades_path, "cascades", load_cascades, config.strict_parse)
+    table = _read_input(config.cascades_path, "cascades", partial(load_cascades, strict=config.strict_parse))
     kept = filter_cascades(table, config.min_cascade_size)
     logger.info(
         "loaded %d nodes, %d edges, %d/%d cascades at min size %d",
         network.node_count, network.edge_count, len(kept), len(table), config.min_cascade_size,
     )
     return kept
-
-
-def _read_input(path: Path, kind: str, read, strict_parse: bool):
-    """``read(stream, strict=strict_parse)`` of a UTF-8 input file, a leading
-    byte-order mark dropped; an unreadable file is an :class:`InputError`
-    and text that is not UTF-8 a :class:`ParseError` naming the file."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return read(fh, strict=strict_parse)
-    except OSError as exc:
-        raise InputError(f"ingest: cannot read {kind} file: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def seed_analysis(

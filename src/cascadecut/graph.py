@@ -18,16 +18,14 @@ Graphs are immutable after construction.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_ITERATIONS = 10_000
@@ -129,16 +127,17 @@ class DirectedGraph:
         """
         from .ingest import _id_codes
 
-        is_array = isinstance(external_ids, np.ndarray)
-        if is_array and external_ids.dtype != np.int64:
-            raise InputError(f"external ids must be strings or int64 values, not {external_ids.dtype}")
-        queries = external_ids if is_array else list(external_ids)
+        if isinstance(external_ids, np.ndarray):
+            if external_ids.dtype != np.int64:
+                raise InputError(f"external ids must be strings or int64 values, not {external_ids.dtype}")
+            queries = external_ids
+        else:
+            queries = list(external_ids)
+            if not all(map(isinstance, queries, repeat(str))):
+                raise InputError("external ids must be strings or int64 values")
         nodes = list(self._ids) if self._values is None else self._values
         n = len(nodes)
-        try:
-            ids, codes = _id_codes([nodes, queries], n + len(queries))
-        except TypeError:  # a query that is not a str cannot be ranked with the ids
-            raise InputError("external ids must be strings or int64 values") from None
+        ids, codes = _id_codes([nodes, queries], n + len(queries))
         node = np.full(len(ids), -1, dtype=INDEX)
         node[codes[:n]] = np.arange(n)
         return node[codes[n:]]

@@ -293,6 +293,20 @@ def _value_bound(stream) -> int:
         return _BLOCK // 2
 
 
+def _read_input(path: str | os.PathLike, kind: str, read, newline: str | None = None):
+    """``read(stream)`` of a UTF-8 input file of the given kind, a leading
+    byte-order mark dropped: the one reader of edge, cascade, config and
+    report text.  An unreadable file is an :class:`InputError` and text
+    that is not UTF-8 a :class:`ParseError` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+            return read(fh)
+    except OSError as exc:
+        raise InputError(f"ingest: cannot read {kind} file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _blocks(stream) -> Iterator[str]:
     """The text of ``stream`` in blocks of about ``_BLOCK`` characters, each
     ending at a line end (the last one may end without)."""

@@ -14,6 +14,7 @@ import pytest
 from cascadecut import (
     DeletionPlan,
     ExperimentConfig,
+    InputError,
     InvariantError,
     ParseError,
     STRATEGIES,
@@ -176,6 +177,28 @@ class TestSweep:
         )
         assert code == EXIT_INVARIANT
 
+    @pytest.mark.parametrize("config", [None, "min_size=0\n"])
+    def test_no_edges_flag_or_key_exits_1(self, dataset, tmp_path, capsys, config):
+        _, cascades_path = dataset
+        out = tmp_path / "out"
+        argv = ["sweep", "--cascades", str(cascades_path), "--out", str(out)]
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config, encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == "error [input]: edges: required (flag or config file)\n"
+        assert not out.exists()
+
+    def test_a_failing_write_exits_1_as_an_io_error(self, dataset, tmp_path, capsys):
+        edges_path, cascades_path = dataset
+        out = tmp_path / "out"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert main(_sweep_args(edges_path, cascades_path, out, "--strategies", "edge-degree")) == EXIT_INPUT
+        [error] = capsys.readouterr().err.splitlines()
+        assert error.startswith("error [io]: ") and str(out) in error
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
+
     def test_repeated_names_give_one_summary_row_each(self, dataset, tmp_path, capsys):
         edges_path, cascades_path = dataset
         out = tmp_path / "out"
@@ -327,6 +350,16 @@ class TestScatterCommand:
         err = capsys.readouterr().err
         assert "error [parse]" in err
         assert "report.csv: line 2" in err
+
+    def test_report_with_another_header_exits_1(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        report.write_text("cascade_id,original_size,estimated_size\nt,8,8\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["scatter", "--report", str(report), "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error [input]: {report}: unexpected report header ['cascade_id', 'original_size', 'estimated_size']\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("row", ["netmelt,non-tree,3,c1,5,9,1", "netmelt,non-tree,3,c1,-4,-5,-6"])
     def test_report_sizes_out_of_order_exit_1(self, tmp_path, capsys, row):
@@ -825,3 +858,32 @@ class TestTextThatIsNotUtf8:
         assert error.startswith("error [parse]: ") and error.endswith(f"{bad}: not UTF-8 text (invalid start byte)")
         assert "Traceback" not in done.stderr
         assert not out.exists()
+
+
+class TestUnreadableInput:
+    """An input file of any kind that cannot be opened fails in one shape: an input error naming its kind."""
+
+    @pytest.mark.parametrize("unreadable", ["directory", "missing"])
+    @pytest.mark.parametrize("kind", ["edges", "cascades", "config", "report"])
+    def test_exits_1_naming_the_kind(self, dataset, tmp_path, capsys, kind, unreadable):
+        edges_path, cascades_path = dataset
+        bad = tmp_path / f"bad-{kind}"
+        if unreadable == "directory":
+            bad.mkdir()
+        out = tmp_path / "out"
+        argv = {
+            "edges": ["stats", "--edges", str(bad), "--cascades", str(cascades_path)],
+            "cascades": ["stats", "--edges", str(edges_path), "--cascades", str(bad)],
+            "config": ["stats", "--config", str(bad), "--edges", str(edges_path), "--cascades", str(cascades_path)],
+            "report": ["scatter", "--report", str(bad), "--out", str(out)],
+        }[kind]
+        assert main(argv) == EXIT_INPUT
+        [error] = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+        assert error.startswith(f"error [input]: ingest: cannot read {kind} file: ") and str(bad) in error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("read, kind", [(read_config_file, "config"), (read_report_csv, "report")])
+    def test_config_and_report_readers_raise_input_errors(self, tmp_path, read, kind):
+        with pytest.raises(InputError, match=f"^ingest: cannot read {kind} file: ") as caught:
+            read(tmp_path)
+        assert type(caught.value) is InputError and isinstance(caught.value.__cause__, OSError)

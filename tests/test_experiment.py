@@ -107,6 +107,20 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             self._config(tmp_path, variants=("bogus",))
 
+    def test_negative_min_size_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="min_cascade_size must be >= 0"):
+            self._config(tmp_path, min_cascade_size=-1)
+        assert self._config(tmp_path, min_cascade_size=0).min_cascade_size == 0
+
+    @pytest.mark.parametrize("field, error", [
+        ("strategies", "at least one strategy is required"),
+        ("variants", "at least one variant is required"),
+        ("budget_fractions", "at least one budget fraction is required"),
+    ])
+    def test_empty_lists_rejected(self, tmp_path, field, error):
+        with pytest.raises(InputError, match=error):
+            self._config(tmp_path, **{field: ()})
+
     def test_negative_seed_rejected(self, tmp_path):
         # Before any plan: a cache written under seed -1 by an earlier
         # version would be reused without calling plan_random.

@@ -294,7 +294,7 @@ class TestIntegerIdLookup:
 
     @pytest.mark.parametrize("queries", [[1, 2], [7], [b"1"], ["1", None], [None], ["x", 2.0]])
     def test_query_lists_holding_a_non_string_are_input_errors(self, queries):
-        for g in (read_network(["1\t2"]), integer_graph([("1", "2")]), network_of([("x", "y")])):
+        for g in (read_network(["1\t2"]), integer_graph([("1", "2")]), network_of([("x", "y")]), read_network([])):
             with pytest.raises(InputError, match="strings or int64 values"):
                 g.indices_of(queries)
 

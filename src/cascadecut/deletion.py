@@ -116,7 +116,7 @@ class DeletionPlan:
         A read-only view built on each access; the sweep reads ``edge_pos``.
         """
         ids = self.network.external_ids
-        src, dst = self.network.edge_src_indices, self.network.edge_dst_indices
+        src, dst = self.network.edge_sources(), self.network.edge_dst_indices
         return tuple((ids[src[p]], ids[dst[p]]) for p in self.edge_pos.tolist())
 
 
@@ -156,11 +156,13 @@ def plan_strategy(network: DirectedGraph, strategy: str, k: int, rng_seed: int =
 
 def _eigen_scores(network: DirectedGraph) -> np.ndarray:
     pair = leading_eigenpair(network)
-    return pair.left_vector[network.edge_src_indices] * pair.right_vector[network.edge_dst_indices]
+    # A node's value repeated over its out-edges is the gather by edge source, bit for bit.
+    return np.repeat(pair.left_vector, network.out_degrees) * pair.right_vector[network.edge_dst_indices]
 
 
 def _degree_scores(network: DirectedGraph) -> np.ndarray:
-    return (network.in_degrees[network.edge_src_indices] * network.out_degrees[network.edge_dst_indices]).astype(float)
+    out_degrees = network.out_degrees
+    return (np.repeat(network.in_degrees, out_degrees) * out_degrees[network.edge_dst_indices]).astype(float)
 
 
 def save_plan(plan: DeletionPlan, path: str | Path) -> None:
@@ -173,12 +175,13 @@ def save_plan(plan: DeletionPlan, path: str | Path) -> None:
     """
     network = plan.network
     ids = network.external_ids
+    sources = network.edge_sources()
     seed_text = "" if plan.rng_seed is None else str(plan.rng_seed)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{plan.strategy},{plan.k},{seed_text}\n")
         for start in range(0, plan.edge_pos.size, _SAVE_CHUNK):
             pos = plan.edge_pos[start : start + _SAVE_CHUNK]
-            src = network.edge_src_indices[pos].tolist()
+            src = sources[pos].tolist()
             dst = network.edge_dst_indices[pos].tolist()
             scores = plan.scores[start : start + _SAVE_CHUNK].tolist()
             fh.writelines(f"{ids[s]}\t{ids[d]}\t{score!r}\n" for s, d, score in zip(src, dst, scores))

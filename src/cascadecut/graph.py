@@ -2,7 +2,9 @@
 
 A :class:`DirectedGraph` maps opaque string node ids onto dense integers
 (sorted by external id, so builds are reproducible) and stores the edge set
-in one compressed sparse index by source.  Plain decimal ids may be held as
+in one compressed sparse index by source: each edge's destination and each
+node's offset, from which :meth:`DirectedGraph.edge_sources` rebuilds the
+sources on request.  Plain decimal ids may be held as
 int64 values, whose strings are built only when asked for.  Nodes and edges
 are addressed by dense id and canonical edge position, of dtype
 :data:`INDEX`; external ids are looked up in bulk only, through
@@ -48,15 +50,16 @@ class DirectedGraph:
     """Directed graph over dense node ids 0..n-1 with an external-id table.
 
     Build one with :func:`~cascadecut.ingest.read_network`, which also reads
-    a list of edge lines; the constructor assumes canonical (deduplicated,
-    self-loop-free, sorted) edge arrays.  The external ids
+    a list of edge lines; the constructor checks that the edge arrays are
+    canonical (see :func:`_check_canonical`), counts the sources into
+    offsets and keeps only the destinations and offsets.  The external ids
     are a tuple of strings, or an int64 array of plain decimal ids (see
     :func:`~cascadecut.ingest.decimal_values`) in the same text order, whose
     strings are built on first use.  Ids are looked up by ranking them with
     the node ids (see :meth:`indices_of`), so the graph holds no lookup table.
     """
 
-    __slots__ = ("_ids", "_values", "_edge_src", "_edge_dst", "_fwd_indptr", "_fingerprint")
+    __slots__ = ("_ids", "_values", "_edge_dst", "_fwd_indptr", "_fingerprint")
 
     def __init__(self, external_ids: tuple[str, ...] | np.ndarray, edge_src: np.ndarray, edge_dst: np.ndarray):
         if isinstance(external_ids, np.ndarray):
@@ -64,11 +67,12 @@ class DirectedGraph:
             self._values.flags.writeable = False
         else:
             self._ids, self._values = external_ids, None
-        self._edge_src = edge_src
+        n = len(external_ids)
+        _check_canonical(edge_src, edge_dst, n)
         self._edge_dst = edge_dst
-        self._fwd_indptr = _indptr(edge_src, len(external_ids))
+        self._fwd_indptr = _indptr(edge_src, n)
         self._fingerprint = None
-        for arr in (self._edge_src, self._edge_dst, self._fwd_indptr):
+        for arr in (self._edge_dst, self._fwd_indptr):
             arr.flags.writeable = False
 
     # ---- identity -------------------------------------------------------
@@ -79,7 +83,7 @@ class DirectedGraph:
 
     @property
     def edge_count(self) -> int:
-        return int(self._edge_src.size)
+        return int(self._edge_dst.size)
 
     @property
     def external_ids(self) -> tuple[str, ...]:
@@ -90,11 +94,13 @@ class DirectedGraph:
 
     @property
     def fingerprint(self) -> str:
-        """Hex ``blake2b`` digest of the node ids and both edge arrays, computed once.
+        """Hex ``blake2b`` digest of the node ids, the edge sources and the
+        edge destinations, computed once.
 
         Graphs with equal ids and edges have equal fingerprints; a changed,
         added or removed id or edge changes it.  Ids held as integers are
         hashed from their digits, with the same digest as their strings.
+        The sources are rebuilt by :meth:`edge_sources` for the hash.
         """
         if self._fingerprint is None:
             from hashlib import blake2b
@@ -111,7 +117,7 @@ class DirectedGraph:
             digest.update(lengths)
             digest.update(text)
             # The edge arrays' int64 bytes: a narrower INDEX must hash them widened, or every cache header changes.
-            digest.update(self._edge_src)
+            digest.update(self.edge_sources())
             digest.update(self._edge_dst)
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
@@ -144,9 +150,10 @@ class DirectedGraph:
 
     # ---- edges and degrees ------------------------------------------------
 
-    @property
-    def edge_src_indices(self) -> np.ndarray:
-        return self._edge_src
+    def edge_sources(self) -> np.ndarray:
+        """The source of each canonical edge, rebuilt from the offsets: a new
+        edge-sized array on every call."""
+        return np.repeat(np.arange(self.node_count, dtype=INDEX), self.out_degrees)
 
     @property
     def edge_dst_indices(self) -> np.ndarray:
@@ -317,7 +324,7 @@ def leading_eigenpair(
     if max_iterations < 1:
         raise InputError("max_iterations must be >= 1")
     n = graph.node_count
-    src, dst = graph.edge_src_indices, graph.edge_dst_indices
+    src, dst = graph.edge_sources(), graph.edge_dst_indices
 
     def matvec_right(x: np.ndarray) -> np.ndarray:
         return np.bincount(src, weights=x[dst], minlength=n)
@@ -383,6 +390,26 @@ def _norm(v: np.ndarray) -> float:
     # A plain reduction, not np.linalg.norm: BLAS splits a norm or dot of
     # this length across threads, which stalls whenever the machine is busy.
     return math.sqrt(np.add.reduce(v * v))
+
+
+def _check_canonical(src: np.ndarray, dst: np.ndarray, n: int) -> None:
+    """Raise :class:`InputError` unless ``src`` and ``dst`` are canonical
+    edge arrays over ``n`` nodes: 1-d and of equal length, every id in
+    ``[0, n)``, no self-loop, sources non-decreasing and destinations
+    strictly increasing within each source."""
+    if src.ndim != 1 or dst.ndim != 1 or src.size != dst.size:
+        raise InputError("edge arrays must be 1-d and of equal length")
+    if not src.size:
+        return
+    if (src[1:] < src[:-1]).any():
+        raise InputError("edge sources must be non-decreasing")
+    # Sorted sources have their least and greatest at the ends.
+    if src[0] < 0 or src[-1] >= n or dst.min() < 0 or dst.max() >= n:
+        raise InputError(f"edge endpoints must be node ids in [0, {n})")
+    if (src == dst).any():
+        raise InputError("edges must not be self-loops")
+    if ((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1])).any():
+        raise InputError("edge destinations must strictly increase within each source")
 
 
 def _indptr(endpoint_ids: np.ndarray, n: int) -> np.ndarray:

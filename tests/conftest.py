@@ -113,10 +113,10 @@ def write_eight_node_dataset(tmp_path):
 
 
 def assert_same_graph(got, want):
-    """Same id table and bit-identical canonical edge arrays."""
+    """Same id table and bit-identical canonical edge arrays: the sources
+    rebuilt by ``edge_sources`` and the destinations."""
     assert got.external_ids == want.external_ids
-    for name in ("edge_src_indices", "edge_dst_indices"):
-        a, b = getattr(got, name), getattr(want, name)
+    for a, b in ((got.edge_sources(), want.edge_sources()), (got.edge_dst_indices, want.edge_dst_indices)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 

@@ -15,7 +15,8 @@ cascade, read off :func:`batch_of`, the package's ``build_batches`` for
 one variant), and :func:`graph_dot` the earlier DOT renderer of one such
 graph.  The other
 exceptions are :func:`reference_build_graph`, the earlier list-based graph
-build, which hands its arrays to the package's ``DirectedGraph``,
+build, which hands the arrays of :func:`reference_edge_arrays` to the
+package's ``DirectedGraph``,
 :func:`list_load_cascades`, the earlier list loader over
 :func:`whole_file_scan`, :func:`list_estimate_budgets`, the earlier bottleneck pass over
 per-cascade arrays, each from its own :func:`batch_of`, the earlier list
@@ -43,7 +44,9 @@ tokens joined by spaces and cut at them, over the package's digit parser.
 shifted restart run by one phase function; :func:`lexsort_single_parent`
 the earlier tree-variant parent choice by a three-key ``lexsort``.
 :func:`graph_edges` and :func:`load_follow_edges` are the id-pair views of
-a network and of an edge file that tests compare with.
+a network and of an edge file that tests compare with; the oracles read a
+network's edge sources through :func:`slot_sources`, off its out-edge
+slices, not through ``edge_sources``.
 :func:`whole_file_scan` is the earlier line scanner, which read every file
 with one irregular block from its first line; with ``reference_build_graph``
 and :func:`list_load_cascades` it is the oracle of the per-block readers.
@@ -218,10 +221,19 @@ def _dot_id(text):
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def slot_sources(network):
+    """Each canonical edge's source, read off every node's out-edge slice
+    through ``out_edge_slots`` rather than ``edge_sources``."""
+    slot, pos = network.out_edge_slots(np.arange(network.node_count))
+    sources = np.empty(network.edge_count, dtype=np.int64)
+    sources[pos] = slot
+    return sources
+
+
 def graph_edges(network):
     """The network's edges as (src, dst) id pairs, in canonical order."""
     ids = network.external_ids
-    return [(ids[s], ids[d]) for s, d in zip(network.edge_src_indices.tolist(), network.edge_dst_indices.tolist())]
+    return [(ids[s], ids[d]) for s, d in zip(slot_sources(network).tolist(), network.edge_dst_indices.tolist())]
 
 
 def whole_file_scan(stream, width, kind, strict):
@@ -517,7 +529,13 @@ def _write_rows(path, header, rows):
 
 
 def reference_build_graph(edges, nodes=()):
-    """The list-based graph build that the package's network readers replaced.
+    """The list-based graph build that the package's network readers
+    replaced: the graph of :func:`reference_edge_arrays`."""
+    return DirectedGraph(*reference_edge_arrays(edges, nodes))
+
+
+def reference_edge_arrays(edges, nodes=()):
+    """(sorted external ids, sources, destinations) of the list-based build.
 
     Materialises the edges, collects the id set (with ``nodes``, the only
     way the tests build isolated nodes), indexes each endpoint through a
@@ -543,7 +561,7 @@ def reference_build_graph(edges, nodes=()):
     else:
         src = np.empty(0, dtype=np.int64)
         dst = np.empty(0, dtype=np.int64)
-    return DirectedGraph(external_ids, src, dst)
+    return external_ids, src, dst
 
 
 def lexsort_cascade_table(cascade_ids, cascade, users, time):
@@ -570,7 +588,7 @@ def text_rank(values):
 
 def eager_reverse_index(network):
     """The reverse CSR that graphs built eagerly: (indptr, sources, edge positions) by (dst, src)."""
-    src, dst = network.edge_src_indices, network.edge_dst_indices
+    src, dst = slot_sources(network), network.edge_dst_indices
     perm = np.lexsort((src, dst))
     indptr = np.zeros(network.node_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=network.node_count), out=indptr[1:])
@@ -583,7 +601,7 @@ def two_gather_betweenness(network):
     :func:`eager_reverse_index`, sums by ``np.add.at``; the edge
     betweenness in canonical edge order."""
     n = network.node_count
-    src, dst = network.edge_src_indices, network.edge_dst_indices
+    src, dst = slot_sources(network), network.edge_dst_indices
     fwd_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=fwd_indptr[1:])
     rev_indptr, rev_sources, rev_pos = eager_reverse_index(network)
@@ -630,7 +648,7 @@ def two_gather_betweenness(network):
 def dict_edge_positions(network, pairs):
     """Edge positions through the two dict passes that the vectorised lookup replaced."""
     index = {ext: i for i, ext in enumerate(network.external_ids)}
-    position = {edge: pos for pos, edge in enumerate(zip(network.edge_src_indices.tolist(),
+    position = {edge: pos for pos, edge in enumerate(zip(slot_sources(network).tolist(),
                                                           network.edge_dst_indices.tolist()))}
     return [position.get((index.get(src, -1), index.get(dst, -1)), -1) for src, dst in pairs]
 
@@ -716,7 +734,7 @@ def string_plan(network, strategy, k, rng_seed=0):
     is the prefix of one ``random.Random(rng_seed)`` shuffle.
     """
     ids = network.external_ids
-    src, dst = network.edge_src_indices, network.edge_dst_indices
+    src, dst = slot_sources(network), network.edge_dst_indices
     cut = min(k, network.edge_count)
     if strategy == RANDOM:
         ranked = tuple((ids[src[i]], ids[dst[i]]) for i in shuffled_prefix(network.edge_count, cut, rng_seed))
@@ -848,13 +866,14 @@ def two_pass_read_network(stream):
 
 def string_fingerprint(network):
     """The network digest from its id strings: counts, lengths, the UTF-8 text
-    of the joined ids and both edge arrays."""
+    of the joined ids, the edge sources (from :func:`slot_sources`) and
+    destinations."""
     ids = network.external_ids
     text = "".join(ids).encode("utf-8", "surrogatepass")
     digest = blake2b(np.array([len(ids), len(text), network.edge_count], dtype=np.int64), digest_size=32)
     digest.update(np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)))
     digest.update(text)
-    digest.update(network.edge_src_indices)
+    digest.update(slot_sources(network))
     digest.update(network.edge_dst_indices)
     return digest.hexdigest()
 

@@ -43,6 +43,7 @@ REMOVED = [
     (graph.DirectedGraph, "out_degree"),
     (graph.DirectedGraph, "in_degree"),
     (graph.DirectedGraph, "edge_positions"),
+    (graph.DirectedGraph, "edge_src_indices"),
     (ingest, "load_follow_edges"),
     (ingest, "dump_follow_edges"),
     (ingest, "dump_cascades"),

@@ -204,7 +204,7 @@ class TestPlanEdgeDegree:
         by_edge = dict(zip(plan.ranked_edges, plan.scores))
         scores = np.array([by_edge[edge] for edge in graph_edges(g)])
         assert len(set(scores.tolist())) < scores.size
-        src, dst = g.edge_src_indices, g.edge_dst_indices
+        src, dst = g.edge_sources(), g.edge_dst_indices
         ids = g.external_ids
         want = tuple((ids[src[i]], ids[dst[i]]) for i in np.lexsort((dst, src, -scores)).tolist())
         assert plan.ranked_edges == want
@@ -862,7 +862,7 @@ class TestTopK:
 
     def test_tie_heavy_edge_degree_scores(self):
         for g in _oracle_graphs():
-            scores = (g.in_degrees[g.edge_src_indices] * g.out_degrees[g.edge_dst_indices]).astype(float)
+            scores = (g.in_degrees[g.edge_sources()] * g.out_degrees[g.edge_dst_indices]).astype(float)
             e = g.edge_count
             want = np.argsort(-scores, kind="stable")
             for k in sorted({0, 1, e // 2, e - 1, e}):

@@ -207,7 +207,7 @@ class TestRandomInstances:
         for _ in range(25):
             network, log, _, _ = random_instance(rng)
             ids = network.external_ids
-            src, dst = network.edge_src_indices, network.edge_dst_indices
+            src, dst = network.edge_sources(), network.edge_dst_indices
             for variant in VARIANTS:
                 dg = one_variant(network, log, variant)
                 batch = batch_of(network, table_of([log]), variant)
@@ -347,7 +347,7 @@ class TestBuildBatch:
         for _ in range(20):
             network, _, _, _ = random_instance(rng, max_nodes=20, outside_user_chance=0.0)
             table = table_of(random_logs(rng, network, rng.randint(0, 10)))
-            src, dst = network.edge_src_indices, network.edge_dst_indices
+            src, dst = network.edge_sources(), network.edge_dst_indices
             for batch in build_batches(network, table, VARIANTS).values():
                 _, child, parent = edge_ends(batch)
                 assert child.tolist() == src[batch.follow_edge_pos].tolist()

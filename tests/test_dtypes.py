@@ -76,7 +76,7 @@ class TestIndexDtype:
         activity = load_higgs_activity([f"{user}\t0\t{t}\tRT\n" for user, t in zip(table.users, table.time.tolist())])
         assert_dtype(
             INDEX,
-            edge_src_indices=network.edge_src_indices,
+            edge_sources=network.edge_sources(),
             edge_dst_indices=network.edge_dst_indices,
             slot=slot,
             pos=pos,

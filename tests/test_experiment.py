@@ -313,7 +313,7 @@ class TestRunSweep:
         assert calls == Counter()
         # A text plan beside no cache is not read, so no id is resolved either.
         network = load_network(edges_path, False)
-        ids, src, dst = network.external_ids, network.edge_src_indices, network.edge_dst_indices
+        ids, src, dst = network.external_ids, network.edge_sources(), network.edge_dst_indices
         text = "".join(f"{ids[src[p]]}\t{ids[dst[p]]}\t{1.0 - p / 4}\n" for p in range(2))
         only_text = tmp_path / "text"
         only_text.mkdir()
@@ -669,7 +669,7 @@ class TestPlanCache:
         in_plans = {p for s in ("edge-degree", "netmelt") for p in read_plan_cache(out / f"plan_{s}.npz")[1].tolist()}
         # Drop an edge no plan ranks whose ends keep other edges, and add one
         # between existing ids, so the id table stays the same.
-        src, dst = old.edge_src_indices.tolist(), old.edge_dst_indices.tolist()
+        src, dst = old.edge_sources().tolist(), old.edge_dst_indices.tolist()
         ends = Counter(src + dst)
         drop = next(p for p in range(old.edge_count) if p not in in_plans and ends[src[p]] > 1 and ends[dst[p]] > 1)
         edges = set(zip(src, dst))

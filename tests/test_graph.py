@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from oracles import (
     plain_decimal,
     random_digraph,
     reference_build_graph,
+    reference_edge_arrays,
     string_fingerprint,
     two_gather_betweenness,
     two_phase_power,
@@ -137,7 +139,7 @@ class TestBuildGraph:
         ids = g.external_ids
         nodes = np.array(rng.sample(range(g.node_count), g.node_count) + [0, 0], dtype=np.int64)
         slot, pos = g.out_edge_slots(nodes)
-        src, dst = g.edge_src_indices, g.edge_dst_indices
+        src, dst = g.edge_sources(), g.edge_dst_indices
         assert src[pos].tolist() == nodes[slot].tolist()
         want = [(s, d) for u in nodes.tolist() for s, d in graph_edges(g) if s == ids[u]]
         assert [(ids[s], ids[d]) for s, d in zip(src[pos].tolist(), dst[pos].tolist())] == want
@@ -168,7 +170,7 @@ def edge_positions(g, pairs):
     codes ``src * n + dst``, which canonical (src, dst) order keeps sorted."""
     src = g.indices_of([src for src, _ in pairs])
     dst = g.indices_of([dst for _, dst in pairs])
-    codes = g.edge_src_indices * g.node_count + g.edge_dst_indices
+    codes = g.edge_sources() * g.node_count + g.edge_dst_indices
     if not codes.size:
         return np.full(len(pairs), -1, dtype=np.int64)
     wanted = src * g.node_count + dst
@@ -341,6 +343,96 @@ class TestStreamingBuildMatchesReference:
             read_network(["a\tb", "c"], strict=True)
 
 
+# (ids, sources, destinations) that are not canonical edge arrays.
+NOT_CANONICAL = {
+    "sources decrease": (("a", "b", "c"), [1, 0], [2, 1]),
+    "destinations decrease": (("a", "b", "c"), [0, 0], [2, 1]),
+    "duplicate edge": (("a", "b"), [0, 0], [1, 1]),
+    "self-loop": (("a", "b"), [0], [0]),
+    "source out of range": (("a", "b"), [5], [0]),
+    "destination out of range": (("a", "b"), [0], [5]),
+    "negative id": (("a", "b"), [-1], [0]),
+    "edges over no nodes": ((), [0], [1]),
+    "unequal lengths": (("a", "b"), [0, 1], [1]),
+    "2-d arrays": (("a", "b"), [[0]], [[1]]),
+}
+
+
+class TestCanonicalEdgeArrays:
+    """The constructor rejects edge arrays that are not canonical."""
+
+    @pytest.mark.parametrize("ids, src, dst", NOT_CANONICAL.values(), ids=NOT_CANONICAL)
+    def test_rejected(self, ids, src, dst):
+        with pytest.raises(InputError):
+            graph.DirectedGraph(ids, np.array(src, dtype=graph.INDEX), np.array(dst, dtype=graph.INDEX))
+
+    def test_graphs_without_edges_still_build(self):
+        empty = np.empty(0, dtype=graph.INDEX)
+        for g in (read_network([]), reference_build_graph([], nodes=["b", "a"]),
+                  graph.DirectedGraph(("a", "b"), empty, empty.copy())):
+            assert g.edge_count == 0 and g.edge_sources().tolist() == []
+            assert g.out_degrees.tolist() == [0] * g.node_count
+
+
+SOURCE_SHAPES = ("no edges", "sinks", "last node holds edges")
+
+
+class TestEdgeSources:
+    """``edge_sources`` against the sources the list-based build computes."""
+
+    @staticmethod
+    def edges(rng, ids, shape):
+        pool = [f"u{i}" for i in range(rng.randint(3, 15))]
+        if ids == "decimal":
+            pool = list(map(str, rng.sample(range(1, 10**6), len(pool))))
+        pool.sort()
+        if shape == "no edges":
+            return []
+        # Sources from the first half of the ids only, so the last half, the
+        # last node among them, has no out-edge.
+        sources = pool[: len(pool) // 2] if shape == "sinks" else pool
+        edges = [(rng.choice(sources), rng.choice(pool)) for _ in range(rng.randint(1, 40))]
+        edges = [(a, b) for a, b in edges if a != b] or [(pool[0], pool[-1])]
+        if shape == "last node holds edges":
+            edges.append((pool[-1], pool[0]))
+        return edges
+
+    @pytest.mark.parametrize("shape", SOURCE_SHAPES)
+    @pytest.mark.parametrize("reader", ("lines", "file"))
+    @pytest.mark.parametrize("ids", ("string", "decimal"))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_the_reference_arrays(self, seed, ids, reader, shape):
+        rng = random.Random(seed)
+        edges = self.edges(rng, ids, shape)
+        lines = [f"{a}\t{b}\n" for a, b in edges]
+        # Edge lines go through the line scanner, a file through the bulk reader.
+        g = read_network(lines if reader == "lines" else io.StringIO("".join(lines)))
+        external_ids, src, dst = reference_edge_arrays(edges)
+        assert g.external_ids == external_ids
+        sources = g.edge_sources()
+        assert sources.dtype == graph.INDEX and sources.tolist() == src.tolist()
+        assert g.edge_dst_indices.tolist() == dst.tolist()
+        if shape == "sinks":
+            assert g.out_degrees[-1] == 0
+        elif shape == "last node holds edges":
+            assert g.out_degrees[-1] > 0
+
+    def test_each_call_builds_a_new_array(self):
+        g = network_of(EIGHT_NODE_FOLLOW_EDGES)
+        first = g.edge_sources()
+        first[:] = 0
+        assert g.edge_sources().tolist() == reference_edge_arrays(EIGHT_NODE_FOLLOW_EDGES)[1].tolist()
+
+    def test_the_graph_keeps_no_reference_to_the_sources(self):
+        external_ids, src, dst = reference_edge_arrays(EIGHT_NODE_FOLLOW_EDGES)
+        want = src.tolist()
+        passed = weakref.ref(src)
+        g = graph.DirectedGraph(external_ids, src, dst)
+        del src
+        assert passed() is None
+        assert g.edge_sources().tolist() == want
+
+
 def edge_betweenness(g):
     """Betweenness keyed by (src, dst) id pair."""
     return dict(zip(graph_edges(g), betweenness_scores(g).tolist()))
@@ -452,7 +544,7 @@ class TestEdgeBetweenness:
         scores = betweenness_scores(g)
         want = two_gather_betweenness(g)
         assert scores.dtype == want.dtype and scores.tobytes() == want.tobytes()
-        src, dst = g.edge_src_indices, g.edge_dst_indices
+        src, dst = g.edge_sources(), g.edge_dst_indices
         for k in sorted({1, g.edge_count // 3, g.edge_count}):
             plan = plan_strategy(g, BETWEENNESS, k)
             top = np.lexsort((dst, src, -want))[:k]

@@ -21,6 +21,7 @@ Graphs are immutable after construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable
@@ -50,10 +51,11 @@ class DirectedGraph:
     """Directed graph over dense node ids 0..n-1 with an external-id table.
 
     Build one with :func:`~cascadecut.ingest.read_network`, which also reads
-    a list of edge lines; the constructor checks that the edge arrays are
-    canonical (see :func:`_check_canonical`), counts the sources into
-    offsets and keeps only the destinations and offsets.  The external ids
-    are a tuple of strings, or an int64 array of plain decimal ids (see
+    a list of edge lines; the constructor checks that the ids and edge
+    arrays are canonical (see :func:`_check_ids` and :func:`_check_canonical`),
+    counts the sources into offsets and keeps only the destinations and
+    offsets.  The external ids are a sorted tuple of distinct strings, or an
+    int64 array of plain decimal ids (see
     :func:`~cascadecut.ingest.decimal_values`) in the same text order, whose
     strings are built on first use.  Ids are looked up by ranking them with
     the node ids (see :meth:`indices_of`), so the graph holds no lookup table.
@@ -62,6 +64,7 @@ class DirectedGraph:
     __slots__ = ("_ids", "_values", "_edge_dst", "_fwd_indptr", "_fingerprint")
 
     def __init__(self, external_ids: tuple[str, ...] | np.ndarray, edge_src: np.ndarray, edge_dst: np.ndarray):
+        _check_ids(external_ids)
         if isinstance(external_ids, np.ndarray):
             self._ids, self._values = None, external_ids
             self._values.flags.writeable = False
@@ -394,11 +397,13 @@ def _norm(v: np.ndarray) -> float:
 
 def _check_canonical(src: np.ndarray, dst: np.ndarray, n: int) -> None:
     """Raise :class:`InputError` unless ``src`` and ``dst`` are canonical
-    edge arrays over ``n`` nodes: 1-d and of equal length, every id in
-    ``[0, n)``, no self-loop, sources non-decreasing and destinations
-    strictly increasing within each source."""
+    edge arrays over ``n`` nodes: 1-d, of equal length and of an integer
+    dtype within int64, every id in ``[0, n)``, no self-loop, sources
+    non-decreasing and destinations strictly increasing within each source."""
     if src.ndim != 1 or dst.ndim != 1 or src.size != dst.size:
         raise InputError("edge arrays must be 1-d and of equal length")
+    if not all(arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64) for arr in (src, dst)):
+        raise InputError(f"edge arrays must be of an integer dtype within int64, not {src.dtype} and {dst.dtype}")
     if not src.size:
         return
     if (src[1:] < src[:-1]).any():
@@ -410,6 +415,22 @@ def _check_canonical(src: np.ndarray, dst: np.ndarray, n: int) -> None:
         raise InputError("edges must not be self-loops")
     if ((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1])).any():
         raise InputError("edge destinations must strictly increase within each source")
+
+
+def _check_ids(ids: tuple[str, ...] | np.ndarray) -> None:
+    """Raise :class:`InputError` unless ``ids`` strictly increase in text
+    order: strings, or int64 plain decimals compared by their digits padded
+    to full width, then the shorter first (as ingest ranks them)."""
+    if not isinstance(ids, np.ndarray):
+        if not all(map(operator.lt, ids, ids[1:])):
+            raise InputError("external ids must be distinct and sorted")
+        return
+    if ids.dtype != np.int64 or ids.ndim != 1 or ids.size and not (0 <= ids.min() and ids.max() < _POWERS[MAX_DIGITS]):
+        raise InputError("integer external ids must be plain decimals in a 1-d int64 array")
+    digits = digit_counts(ids)
+    key = ids * _POWERS[MAX_DIGITS - digits]
+    if not ((key[1:] > key[:-1]) | (key[1:] == key[:-1]) & (digits[1:] > digits[:-1])).all():
+        raise InputError("external ids must be distinct and sorted")
 
 
 def _indptr(endpoint_ids: np.ndarray, n: int) -> np.ndarray:

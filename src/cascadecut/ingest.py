@@ -9,21 +9,17 @@ Timestamps are integer time units (epoch seconds for the bundled adapters).
 Fields may in practice be separated by any whitespace run, which lets the
 publicly distributed follower edge lists (space-separated) load unchanged.
 
-:func:`read_network` and :func:`load_cascades` read a file in blocks that
-end at a line end, and a *regular* block in bulk: ASCII text of tokens
-(runs of printable bytes other than ``#``) parted by spaces, tabs and line
-ends, with the same token count on every non-blank line.  Any other block,
-and an iterable of lines that is not a file, goes through the line
-scanner, which alone skips and reports comments and malformed lines; both
-readers give the same result on a regular block.  One pass over a block's
-bytes (:func:`_token_bounds`, the package's one scanner of id text) checks
-it and finds its token bounds, and both bulk readers read an id column
-from those bounds (:func:`_id_column`): int64 values when every id is a
-plain decimal, strings otherwise.  :func:`decimal_values` reads the line
-scanner's ids with the same pass.  Plain decimal ids stay int64: the graph
-and the cascade table keep them as integer id tables and build their
-strings only on first use.  Ids are interned (:func:`sorted_codes`) and
-edges deduplicated (:func:`edge_keys`) here too, so
+Every loader reads a file in blocks that end at a line end, and a list of
+lines as one block.  One pass over a block's UTF-8 bytes
+(:func:`_token_bounds`, the package's one reader of input text) finds its
+tokens where ``str.split()`` finds them, and :func:`_records` drops its
+blank lines and ``#`` comments and skips, or with ``strict`` raises at,
+its lines of another field count.  The id columns are read from the
+record tokens' bounds (:func:`_id_column`): int64 values when every id is
+a plain decimal, strings otherwise.  Plain decimal ids stay int64: the
+graph and the cascade table keep them as integer id tables and build
+their strings only on first use.  Ids are interned (:func:`sorted_codes`)
+and edges deduplicated (:func:`edge_keys`) here too, so
 :mod:`~cascadecut.graph` receives canonical arrays and parses no text.
 
 :func:`read_network` returns the follow network as a
@@ -42,10 +38,10 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -55,9 +51,13 @@ from .graph import _POWERS, INDEX, MAX_DIGITS, DirectedGraph, _run_starts, _sort
 
 logger = logging.getLogger(__name__)
 
-# Characters per block of the bulk readers' pass, which keeps its per-byte
+# Characters per block of the byte pass, which keeps its per-byte
 # temporaries small.
 _BLOCK = 1 << 17
+# The blanks at which str.split() splits: the ASCII ones as bytes, and the
+# others, which become a space before the block is encoded.
+_BLANKS = np.array([*b"\t\n\v\f\r\x1c\x1d\x1e\x1f "], dtype=np.uint8)
+_UNICODE_BLANKS = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 # Integer ids are ranked through a table indexed by value when their span is
 # at most this many times their count; the table then takes at most twice
 # the values' own memory.
@@ -340,10 +340,9 @@ def decimal_values(tokens: Sequence[str]) -> np.ndarray | None:
             text = "\n".join(chunk)
         except TypeError:
             return None
-        bounds = _token_bounds(text, 1)
-        if bounds is None:
+        if not text.isascii():
             return None
-        data, starts, ends, _ = bounds
+        data, starts, ends, _, _ = _token_bounds(text)
         lengths = ends - starts
         # Every line is one token, with no blank around it.
         if starts.size != len(chunk) or int(lengths.sum()) != len(text) - len(chunk) + 1:
@@ -355,48 +354,78 @@ def decimal_values(tokens: Sequence[str]) -> np.ndarray | None:
     return np.concatenate(parts)
 
 
-def _token_bounds(block: str, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
-    """The ASCII bytes of a regular ``block``, the start and end offsets of
-    its tokens into them and the count of its line ends, or None when the
-    block is not regular.
+def _token_bounds(block: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The UTF-8 bytes of ``block`` between two added line ends, the start
+    and end offsets of its tokens into them, whether a line end lies between
+    each token and the next, and the block's line end count.
 
-    A block is regular when it is ASCII, every byte is a token byte, space,
-    tab or newline, and every non-blank line holds ``width`` tokens.  A
-    token byte is any printable byte but ``#``.  The bytes are the block's
-    between two added line ends, so every token starts and ends inside
-    them.  This is the one token rule: the bulk edge and event readers and
-    :func:`decimal_values` use it, and :func:`_decimals` tells which tokens
-    are plain decimals.
+    The tokens are those of ``block.split()``: the blanks beyond ASCII
+    become a space first, and every byte but an ASCII blank is a token byte.
+    UTF-8 codes every other code point in bytes above 0x7F, so no blank
+    byte occurs inside one.
     """
-    # The line scanner splits at Unicode blanks too, so other text is left to it.
     if not block.isascii():
-        return None
-    data = np.frombuffer(f"\n{block}\n".encode("ascii"), dtype=np.uint8)
+        block = _UNICODE_BLANKS.sub(" ", block)
+    data = np.frombuffer(f"\n{block}\n".encode("utf-8", "surrogatepass"), dtype=np.uint8)
     token = data > ord(" ")
-    token &= data != 0x7F
-    token &= data != ord("#")
     newline = data == ord("\n")
     token_bytes = np.count_nonzero(token)
-    blanks = np.count_nonzero(data == ord(" ")) + np.count_nonzero(data == ord("\t"))
     line_ends = int(np.count_nonzero(newline))
-    if token_bytes + blanks + line_ends != data.size:
-        return None
+    blanks = np.count_nonzero(data == ord(" ")) + np.count_nonzero(data == ord("\t"))
+    if token_bytes + blanks + line_ends != data.size:  # other blanks, or control bytes, which split() keeps
+        token = ~np.isin(data, _BLANKS)
+        token_bytes = np.count_nonzero(token)
     # The mask changes at every token's start and end, in turn.
     bounds = np.flatnonzero(token[1:] != token[:-1])
     bounds += 1
     starts, ends = bounds[0::2], bounds[1::2]
+    if not starts.size or ends[-1] - starts[0] - token_bytes == starts.size - 1:  # every gap is one byte
+        breaks = data[ends[:-1]] == ord("\n")
+    else:
+        breaks = np.logical_or.reduceat(newline[: ends[-1]], ends[:-1])
+    return data, starts, ends, breaks, line_ends - 2
+
+
+def _records(block: str, width: int, tally: _Tally, offset: int, lines: Sequence[str] | None = None) -> tuple:
+    """The bytes of ``block`` and the bounds of its record tokens (see
+    :func:`_token_bounds`), ``width`` per record, its line end count, and
+    with ``tally.strict`` the error of its first malformed line, or None.
+
+    Blank lines and ``#`` comments (lines whose first token starts with
+    ``#``) are dropped.  A line of another token count is malformed: it is
+    counted in ``tally``, or with ``tally.strict`` the records end before
+    it.  The first line is number ``offset + 1``; a message quotes the line
+    stripped, or ``lines``' item of its number when given.
+    """
+    data, starts, ends, breaks, line_ends = _token_bounds(block)
     tokens = starts.size
-    if tokens:
-        # breaks[i]: whether a line end lies between tokens i and i + 1.
-        if ends[-1] - starts[0] - token_bytes == tokens - 1:  # every gap is one byte
-            breaks = data[ends[:-1]] == ord("\n")
+    # A break after every width-th token and nowhere else (with a last line
+    # of fewer tokens there would be one break too many), and no comment.
+    if not tokens or (
+        np.count_nonzero(breaks) == tokens // width - 1
+        and breaks[width - 1 :: width].all()
+        and not (data[starts[::width]] == ord("#")).any()
+    ):
+        return data, starts, ends, line_ends, None
+    firsts = np.flatnonzero(np.concatenate(([True], breaks)))
+    counts = np.diff(firsts, append=tokens)
+    comment = data[starts[firsts]] == ord("#")
+    record = (counts == width) & ~comment
+    bad = np.flatnonzero((counts != width) & ~comment)
+    error = None
+    if bad.size and (tally.strict or not tally.first_bad):
+        # The added line end before the block counts, so this is the line's number in the block.
+        lineno = int(np.count_nonzero(data[: starts[firsts[bad[0]]]] == ord("\n")))
+        line = (block.split("\n", lineno)[lineno - 1] if lines is None else lines[lineno - 1]).strip()
+        if tally.strict:
+            error = ParseError(f"line {offset + lineno}: expected {width} fields, got {counts[bad[0]]}: {line!r}")
+            record[bad[0] :] = False
         else:
-            breaks = np.logical_or.reduceat(newline[: ends[-1]], ends[:-1])
-        # A break after every width-th token and nowhere else; with a last
-        # line of fewer tokens there would be one break too many.
-        if np.count_nonzero(breaks) != tokens // width - 1 or not breaks[width - 1 :: width].all():
-            return None
-    return data, starts, ends, line_ends - 2
+            tally.first_bad = f"line {offset + lineno}: {line!r}"
+    if not tally.strict:
+        tally.malformed += bad.size
+    keep = np.repeat(record, counts)
+    return data, starts[keep], ends[keep], line_ends, error
 
 
 def _token_strings(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
@@ -412,7 +441,7 @@ def _token_strings(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> li
     taken[1::2] = True
     text = data[np.repeat(taken, np.diff(cuts))]
     text[np.cumsum(ends - starts + 1) - 1] = ord("\n")
-    return text.tobytes().decode("ascii").split("\n")[:-1]
+    return text.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
 
 
 def _fold(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, base: int, zero: int) -> tuple[np.ndarray, int]:
@@ -464,132 +493,91 @@ def _id_column(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nda
     return _token_strings(data, starts, ends) if values is None else values
 
 
-def _edge_ids(block: str) -> tuple[np.ndarray | list[str], int] | None:
-    """The ids of a regular edge block in file order (see :func:`_id_column`)
-    and the block's line end count, or None."""
-    bounds = _token_bounds(block, 2)
-    if bounds is None:
-        return None
-    data, starts, ends, line_ends = bounds
-    return _id_column(data, starts, ends), line_ends
-
-
-def _event_columns(block: str) -> tuple[tuple[np.ndarray | list[str], np.ndarray | list[str], np.ndarray], int] | None:
-    """(cascade ids, users, timestamps) of a regular event block and the
-    block's line end count, or None when the block is not regular or a
-    timestamp is not an int64.
-
-    Cascade ids of at most ``_KEY_BYTES`` bytes come as int64 keys (see
-    :func:`_keys`), others as strings; users come as :func:`_id_column`
-    gives them.
-    """
-    bounds = _token_bounds(block, 3)
-    if bounds is None:
-        return None
-    data, starts, ends, line_ends = bounds
-    lengths = ends - starts
-    if lengths[0::3].max(initial=0) <= _KEY_BYTES:
-        cascades = _keys(data, starts[0::3], lengths[0::3])
+def _event_columns(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, offset: int) -> tuple:
+    """(cascade ids, users, timestamps) of one block's event records (see
+    :func:`_parts`).  Cascade ids come as int64 keys (see :func:`_keys`)
+    when the block is ASCII without a NUL byte and none is longer than
+    ``_KEY_BYTES``, else as strings; users as :func:`_id_column` gives them."""
+    lengths = ends[0::3] - starts[0::3]
+    if data.min() > 0 and data.max() < 0x80 and lengths.max(initial=0) <= _KEY_BYTES:
+        cascades = _keys(data, starts[0::3], lengths)
     else:
         cascades = _token_strings(data, starts[0::3], ends[0::3])
-    users = _id_column(data, starts[1::3], ends[1::3])
-    times = _decimals(data, starts[2::3], lengths[2::3], leading_zeros=True)
+    return cascades, _id_column(data, starts[1::3], ends[1::3]), _times(data, starts[2::3], ends[2::3], offset)
+
+
+def _times(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, offset: int) -> np.ndarray:
+    """The int64 timestamps from ``starts`` to ``ends``; the first that is
+    not one is a :class:`ParseError` naming its line (see :func:`_parts`)."""
+    times = _decimals(data, starts, ends - starts, leading_zeros=True)
     if times is None:  # signs or 19 digits: parse one by one
+        texts = _token_strings(data, starts, ends)
         try:
-            times = np.array(_token_strings(data, starts[2::3], ends[2::3]), dtype=np.int64)
+            times = np.array(texts, dtype=np.int64)
         except (ValueError, OverflowError):
-            return None
-    return (cascades, users, times), line_ends
+            linenos = offset + np.searchsorted(np.flatnonzero(data == ord("\n")), starts)
+            times = np.array(list(map(_timestamp, linenos.tolist(), texts)), dtype=np.int64)
+    return times
 
 
 @dataclass
 class _Tally:
-    """One file's blocks, those the line scanner read (see :func:`_scan`),
-    and the malformed lines it skipped, or with ``strict`` raised at."""
+    """One file's malformed lines, skipped, or with ``strict`` raised at."""
 
     kind: str
     strict: bool
-    blocks: int = 0
-    scanned: int = 0
     malformed: int = 0
     first_bad: str = ""
 
     def report(self, records: int) -> None:
-        """Log one WARNING naming the first malformed line, if any, and one
-        INFO line on the ``records`` read and the reader that read them."""
+        """Log a WARNING naming the first malformed line, if any, and an INFO line."""
         if self.malformed:
             logger.warning("skipped %d malformed %s line(s); first: %s", self.malformed, self.kind, self.first_bad)
-        scanner = f"; {self.scanned} of {self.blocks} block(s) by the line scanner"
-        logger.info("read %d %s record(s)%s", records, self.kind, scanner if self.scanned else " with the bulk reader")
+        logger.info("read %d %s record(s)", records, self.kind)
 
 
-def _scan(lines: Iterable[str], width: int, tally: _Tally, offset: int = 0) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each record line of ``lines`` with
-    ``width`` fields; the first line is number ``offset + 1``.
-
-    Blank lines and ``#`` comments are skipped.  Lines with another field
-    count are skipped and counted in ``tally``; with ``tally.strict`` the
-    first raises :class:`ParseError`.
+def _parts(stream: Iterable[str], width: int, tally: _Tally, parse) -> Iterator:
+    """``parse(data, starts, ends, offset)`` of the records (see
+    :func:`_records`) of each block of a file-like ``stream`` (see
+    :func:`_blocks`; no block is kept), or of a list of lines joined into
+    one block, each item's own line ends read as blanks so that item ``i``
+    is line ``i + 1``.  A strict error is raised once the block's part is
+    parsed, so an earlier line's bad timestamp raises first.
     """
-    tally.scanned += 1
-    # split() drops the blanks that strip() drops, so a comment is a line
-    # whose first field starts with #.
-    for lineno, raw in enumerate(lines, start=offset + 1):
-        fields = raw.split()
-        if len(fields) == width and fields[0][0] != "#":
-            yield lineno, fields
-        elif fields and fields[0][0] != "#":
-            line = raw.strip()
-            if tally.strict:
-                raise ParseError(f"line {lineno}: expected {width} fields, got {len(fields)}: {line!r}")
-            tally.malformed += 1
-            if not tally.first_bad:
-                tally.first_bad = f"line {lineno}: {line!r}"
-
-
-def _parts(stream: Iterable[str], width: int, tally: _Tally, parse, scanned) -> Iterator:
-    """One part per block of ``stream`` (see :func:`_blocks`): ``parse`` of
-    the block, or where ``parse`` rejects it (returns None), ``scanned`` of
-    the line scanner's records of that block's lines alone.  ``parse``
-    returns the part with the block's line end count, which numbers the
-    lines of the blocks after it.
-
-    Only file-like streams are read in blocks, and no block is kept; a plain
-    iterable of lines is scanned as one part.
-    """
-    if not hasattr(stream, "read"):
-        tally.blocks = 1
-        yield scanned(_scan(stream, width, tally))
-        return
+    if hasattr(stream, "read"):
+        blocks = ((block, None) for block in _blocks(stream))
+    else:
+        lines = list(stream)
+        try:
+            block = "\n".join(lines)
+        except TypeError:
+            raise InputError(f"{tally.kind} lines must be strings") from None
+        if block.count("\n") >= len(lines):  # an item holds a line end
+            block = "\n".join(line.replace("\n", " ") for line in lines)
+        blocks = [(block, lines)]
     offset = 0
-    for block in _blocks(stream):
-        tally.blocks += 1
-        parsed = parse(block)
-        if parsed is None:
-            # A block ending at a line end splits into one more, empty, line.
-            parsed = scanned(_scan(block.split("\n"), width, tally, offset)), block.count("\n")
-        part, line_ends = parsed
+    for block, lines in blocks:
+        data, starts, ends, line_ends, error = _records(block, width, tally, offset, lines)
+        part = parse(data, starts, ends, offset)
+        del data, starts, ends  # held into the next block, they raised a wide sweep's peak RSS by about 0.7 MiB
+        if error is not None:
+            raise error
         yield part
         offset += line_ends
-
-
-def _edge_tokens(records: Iterable[tuple[int, list[str]]]) -> list[str]:
-    return list(chain.from_iterable(map(itemgetter(1), records)))
 
 
 def read_network(stream: Iterable[str], strict: bool = False) -> DirectedGraph:
     """The follow network of an edge file, or of a list of edge lines.
 
-    Each regular block of a file is read in bulk (see
-    :func:`_token_bounds`); any other block goes through the line scanner
-    (see :func:`_scan`), with its warnings and errors.  Duplicate edges and
-    self-loops are dropped, and nodes are numbered in sorted id order, so
-    the same edge set always gives the same graph.  When every id is a
-    plain decimal, the graph keeps its ids as integers.  To build a network
-    from Python data, pass a list of ``src<TAB>dst`` lines.
+    Comments and blank lines are skipped, and a line that is not two fields
+    is skipped with a warning or, with ``strict``, a :class:`ParseError`
+    (see :func:`_records`).  Duplicate edges and self-loops are dropped, and
+    nodes are numbered in sorted id order, so the same edge set always gives
+    the same graph; plain decimal ids are kept as integers.
     """
     tally = _Tally("edge", strict)
-    ids, codes = _id_codes(_parts(stream, 2, tally, _edge_ids, _edge_tokens), _value_bound(stream))
+    parts = _parts(stream, 2, tally, lambda data, starts, ends, offset: _id_column(data, starts, ends))
+    ids, codes = _id_codes(parts, _value_bound(stream))
     tally.report(codes.size // 2)
     keys = edge_keys(codes, len(ids))
     del codes  # free the per-edge array before the graph allocates its own
@@ -643,32 +631,14 @@ def load_cascades(stream: Iterable[str], strict: bool = False) -> CascadeTable:
     Duplicate events for a user within a cascade keep the earliest
     timestamp.  A non-integer timestamp is always a :class:`ParseError`;
     lines with the wrong field count follow the strict/skip rule of
-    :func:`_scan`.  Each block of a regular file is read in
-    bulk, any other block by the line scanner (see :func:`read_network`).
+    :func:`read_network`, which reads a list of lines the same way.
     """
     tally = _Tally("event", strict)
-    parts = list(_parts(stream, 3, tally, _event_columns, _event_records))
+    parts = list(_parts(stream, 3, tally, _event_columns))
     cascades, users, times = zip(*parts) if parts else ((), (), ())
     times = _concat(times)
     tally.report(times.size)
     return _cascade_table(*_cascade_codes(cascades), *_id_codes(users, times.size), times)
-
-
-def _event_records(records: Iterable[tuple[int, list[str]]]) -> tuple[np.ndarray | list[str], list[str], np.ndarray]:
-    """(cascade ids, users, timestamps) of the line scanner's event records,
-    as :func:`_event_columns` gives them: cascade ids of at most
-    ``_KEY_BYTES`` ASCII bytes as int64 keys, others as strings."""
-    cascades, users, times = [], [], []
-    for lineno, (cascade_id, user, ts_text) in records:
-        cascades.append(cascade_id)
-        users.append(user)
-        times.append(_timestamp(lineno, ts_text))
-    text = "".join(cascades)
-    lengths = np.fromiter(map(len, cascades), dtype=np.int64, count=len(cascades))
-    if text.isascii() and "\0" not in text and lengths.max(initial=0) <= _KEY_BYTES:
-        data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        cascades = _keys(data, np.cumsum(lengths) - lengths, lengths)
-    return cascades, users, np.array(times, dtype=np.int64)
 
 
 def _cascade_codes(parts: Sequence[np.ndarray | list[str]]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -716,20 +686,20 @@ def load_higgs_activity(
     row becomes an event for the acting user, and the whole file is one
     cascade (none when no row is selected).  ``interactions`` picks the row
     kinds to keep (retweets by default); pass ``frozenset()`` to keep
-    everything.  The log is read in blocks like the other files (see
-    :func:`_parts`), each through the line scanner.
+    everything.  The log, or a list of its lines, is read as the other
+    files are (see :func:`read_network`); a row of a kind not picked is
+    dropped before its timestamp is read.
     """
     tally = _Tally("activity", strict)
 
-    def selected(records: Iterable[tuple[int, list[str]]]) -> tuple[list[str], np.ndarray, int]:
-        users, times, rows = [], [], 0
-        for rows, (lineno, (user, _, ts_text, kind)) in enumerate(records, start=1):
-            if not interactions or kind in interactions:
-                users.append(user)
-                times.append(_timestamp(lineno, ts_text))
-        return users, np.array(times, dtype=np.int64), rows
+    def selected(data, starts, ends, offset):
+        keep = slice(None)
+        if interactions:
+            keep = np.array([kind in interactions for kind in _token_strings(data, starts[3::4], ends[3::4])], bool)
+        users = _id_column(data, starts[0::4][keep], ends[0::4][keep])
+        return users, _times(data, starts[2::4][keep], ends[2::4][keep], offset), starts.size // 4
 
-    parts = list(_parts(stream, 4, tally, lambda block: None, selected))
+    parts = list(_parts(stream, 4, tally, selected))
     users, times, rows = zip(*parts) if parts else ((), (), ())
     times = _concat(times)
     tally.report(sum(rows))

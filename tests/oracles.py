@@ -18,7 +18,8 @@ exceptions are :func:`reference_build_graph`, the earlier list-based graph
 build, which hands the arrays of :func:`reference_edge_arrays` to the
 package's ``DirectedGraph``,
 :func:`list_load_cascades`, the earlier list loader over
-:func:`whole_file_scan`, :func:`list_estimate_budgets`, the earlier bottleneck pass over
+:func:`whole_file_scan`, :func:`list_load_higgs_activity`,
+:func:`list_estimate_budgets`, the earlier bottleneck pass over
 per-cascade arrays, each from its own :func:`batch_of`, the earlier list
 shuffle of the random plan (:func:`shuffled_prefix`), the earlier
 string-pair plans (:func:`string_plan`, :func:`string_plan_ranks`,
@@ -47,9 +48,10 @@ the earlier tree-variant parent choice by a three-key ``lexsort``.
 a network and of an edge file that tests compare with; the oracles read a
 network's edge sources through :func:`slot_sources`, off its out-edge
 slices, not through ``edge_sources``.
-:func:`whole_file_scan` is the earlier line scanner, which read every file
-with one irregular block from its first line; with ``reference_build_graph``
-and :func:`list_load_cascades` it is the oracle of the per-block readers.
+:func:`whole_file_scan` is the earlier line scanner, which read files
+line by line in Python; with ``reference_build_graph``,
+:func:`list_load_cascades` and :func:`list_load_higgs_activity` (the
+earlier activity record loop) it is the oracle of the loaders' byte pass.
 :class:`CascadeLog` is the string-level cascade record (earliest event per
 user, in (time, user) order) that cascade tables are checked against:
 :func:`table_of` builds a table from logs without the package's ingest,
@@ -660,6 +662,19 @@ def list_load_cascades(stream, strict=False):
     for lineno, (cascade_id, user, ts_text) in whole_file_scan(stream, 3, "event", strict):
         grouped.setdefault(cascade_id, []).append((user, _timestamp(lineno, ts_text)))
     return [CascadeLog.from_events(cid, events) for cid, events in sorted(grouped.items())]
+
+
+def list_load_higgs_activity(stream, cascade_id="higgs", interactions=frozenset({"RT"}), strict=False):
+    """The earlier activity record loop over the whole-file scanner: one
+    ``CascadeLog`` of the acting users of the rows of a picked kind (any
+    kind when ``interactions`` is empty), or none when no row is picked.  A
+    row of another kind is dropped before its timestamp is read."""
+    events = [
+        (user, _timestamp(lineno, ts_text))
+        for lineno, (user, _, ts_text, kind) in whole_file_scan(stream, 4, "activity", strict)
+        if not interactions or kind in interactions
+    ]
+    return [CascadeLog.from_events(cascade_id, events)] if events else []
 
 
 def list_estimate_budgets(network, logs, variant, ranks, budgets):

@@ -45,8 +45,8 @@ def assert_dtype(dtype, **arrays):
 
 def instance(seed: int, ids: str, reader: str):
     """A seeded network and cascade table read from text, with string or
-    decimal ids, from a list of lines (the line scanner) or a file (the
-    bulk reader).  Some cascade users are absent from the network."""
+    decimal ids, from a list of lines (one block) or a file (read in
+    blocks).  Some cascade users are absent from the network."""
     rng = random.Random(seed)
     _, edges = random_digraph(rng, rng.randint(2, 20), 0.25)
     logs = random_logs(rng, network_of(edges), rng.randint(1, 6))

@@ -29,33 +29,35 @@ from cascadecut.ingest import decimal_values
 from oracles import (
     CascadeLog,
     batch_of,
-    block_ints,
     lexsort_cascade_table,
     list_load_cascades,
+    list_load_higgs_activity,
     load_follow_edges,
     logs_of,
     plain_decimal,
     reference_build_graph,
-    regular_block,
     space_cut_decimals,
     split_events,
     table_of,
     text_rank,
     two_pass_read_network,
+    whole_file_scan,
 )
 
 
 def follow_edges(stream, strict=False):
-    """The line scanner's (src, dst) records of an edge stream, in file order,
-    with the warning and INFO lines that a loader logs for them."""
-    tally = ingest._Tally("edge", strict, blocks=1)
-    pairs = [tuple(fields) for _, fields in ingest._scan(stream, 2, tally)]
-    tally.report(len(pairs))
-    return pairs
+    """The (src, dst) records of an edge stream as the byte pass reads them
+    (see ``ingest._parts``), in file order, with the warning and INFO lines
+    that a loader logs for them."""
+    tally = ingest._Tally("edge", strict)
+    parts = ingest._parts(stream, 2, tally, lambda data, starts, ends, _: ingest._token_strings(data, starts, ends))
+    tokens = [token for part in parts for token in part]
+    tally.report(len(tokens) // 2)
+    return list(zip(tokens[0::2], tokens[1::2]))
 
 
 class TestLoadFollowEdges:
-    """``_scan``, the line scanner that every loader reads through, on edge lines."""
+    """The records of the byte pass that every loader reads through, on edge lines."""
 
     def test_single_line(self):
         assert follow_edges(io.StringIO("a\tb\n")) == [("a", "b")]
@@ -161,24 +163,20 @@ def warnings_of(records):
     return [message for level, message in records if level == logging.WARNING]
 
 
-def reader_line(kind, records, text, parse):
-    """The INFO line of a block reader that read ``records`` records of
-    ``text``, as it reaches the reader, where ``parse`` is its bulk parse."""
-    blocks = list(ingest._blocks(io.StringIO(text)))
-    scanned = sum(parse(block) is None for block in blocks)
-    if not scanned:
-        return f"read {records} {kind} record(s) with the bulk reader"
-    return f"read {records} {kind} record(s); {scanned} of {len(blocks)} block(s) by the line scanner"
+def read_lines(records, kind):
+    """The INFO line a loader logs for the records that the whole-file
+    scanner's INFO line among ``records`` counts."""
+    (scanned,) = [m for level, m in records if level == logging.INFO]
+    return logging.INFO, f"read {scanned.split()[1]} {kind} record(s)"
 
 
-# One irregularity per edge file, or none (None, weighted up).  None and
-# the ids that are not plain decimals keep a file regular; CRLF ends are
-# regular once a text-mode file read has turned them into newlines.
+# One irregularity per edge file, or none (None, weighted up); CRLF ends
+# reach the reader as newlines from a text-mode file, as blanks from a
+# StringIO.
 EDGE_QUIRKS = (
     None, None, None, "leading zero", "19 digits", "20 digits", "letters",
     "comment", "non-ascii", "malformed", "crlf", "form feed",
 )
-BULK_EDGE_QUIRKS = (None, "leading zero", "19 digits", "20 digits", "letters")
 
 
 def numeric_edge_text(rng, quirk):
@@ -224,7 +222,7 @@ def numeric_edge_text(rng, quirk):
 
 
 class TestBulkEdgeReader:
-    """Regular edge files are read in bulk, whatever their ids; the list-based build is the oracle."""
+    """Edge files of every quirk, whatever their ids, against the list-based build."""
 
     @pytest.mark.parametrize("seed", range(48))
     def test_matches_list_based_build(self, tmp_path, caplog, monkeypatch, seed):
@@ -246,13 +244,7 @@ class TestBulkEdgeReader:
                 got, got_log = logged(caplog, lambda: read_network(io.StringIO(text)))
             assert_same_graph(got, want)
             assert warnings_of(got_log) == warnings_of(want_log)
-            bulk = quirk in BULK_EDGE_QUIRKS or (quirk == "crlf" and from_file)
-            # The oracle's own INFO line counts the records it read.
-            (read_line,) = [m for level, m in want_log if level == logging.INFO]
-            seen = path.read_text(encoding="utf-8") if from_file else text
-            info = reader_line("edge", int(read_line.split()[1]), seen, ingest._edge_ids)
-            assert ("bulk reader" in info) == bulk
-            assert (logging.INFO, info) in got_log
+            assert read_lines(want_log, "edge") in got_log
 
     @pytest.mark.parametrize("seed", range(48))
     def test_strict_matches_list_based_read(self, tmp_path, monkeypatch, seed):
@@ -345,8 +337,7 @@ class TestCascadeTableMatchesListLoader:
         assert table.cascade_ids == tuple(log.cascade_id for log in want)
         assert table.sizes.tolist() == [log.size for log in want]
         assert warnings_of(got_log) == warnings_of(want_log)
-        bulk = quirk in (None, "odd timestamps")
-        assert any(("bulk reader" if bulk else "line scanner") in m for _, m in got_log)
+        assert read_lines(want_log, "event") in got_log
 
         # Users outside the network stay isolated seeds, as with the list.
         network = network_of([(a, b) for a in ("1", "2", "9", "u3") for b in ("10", "2", "ab") if a != b])
@@ -400,16 +391,14 @@ class ReadOnly:
         self.read = io.StringIO(text).read
 
 
-def edge_oracle(block):
-    """The ids of a regular edge block: int64 when every one is a plain decimal, else strings."""
-    if not regular_block(block, 2):
-        return None
-    tokens = block.split()
-    return block_ints(block) if all(map(plain_decimal, tokens)) else tokens
-
-
-def event_oracle(block):
-    return split_events([block]) if regular_block(block, 3) else None
+def block_records(block, width):
+    """The bounds of ``block``'s records read by the byte pass, whose line
+    end count is checked, and the fields of its records by the whole-file
+    scanner."""
+    data, starts, ends, line_ends, error = ingest._records(block, width, ingest._Tally("any", False), 0)
+    assert error is None and line_ends == block.count("\n")
+    fields = [field for _, record in whole_file_scan(block.split("\n"), width, "any", False) for field in record]
+    return (data, starts, ends), fields
 
 
 def column_strings(column, unpack=str):
@@ -417,7 +406,8 @@ def column_strings(column, unpack=str):
 
 
 class TestOnePass:
-    """The one classify-and-tokenize pass per block against the two passes it replaced."""
+    """The byte pass per block against the whole-file scanner and the two
+    passes of the earlier reader of decimal files."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_edge_blocks_and_files(self, monkeypatch, seed):
@@ -427,20 +417,17 @@ class TestOnePass:
         extras = "".join(rng.choice(EDGE_EXTRAS) for _ in range(rng.randint(0, 3)))
         for text in (numeric_edge_text(rng, quirk), extras, rng.choice(EDGE_EXTRAS)):
             for block in ingest._blocks(io.StringIO(text)):
-                got, want = ingest._edge_ids(block), edge_oracle(block)
-                assert (got is None) == (want is None), block
-                if want is not None:
-                    got, line_ends = got
-                    assert line_ends == block.count("\n")
-                    assert got.dtype == np.int64 if isinstance(want, np.ndarray) else isinstance(got, list)
-                    assert column_strings(got) == column_strings(want)
+                bounds, fields = block_records(block, 2)
+                got = ingest._id_column(*bounds)
+                assert isinstance(got, np.ndarray) == all(map(plain_decimal, fields)), block
+                assert column_strings(got) == fields
             want = two_pass_read_network(io.StringIO(text))
             got = ingest.read_network(io.StringIO(text))
             assert_same_graph(got, reference_build_graph(load_follow_edges(io.StringIO(text))))
             if want is not None:
                 assert_same_graph(got, want)
-            # Ids read in bulk are kept as integers, as are plain decimal ids
-            # the line scanner read.
+            # Plain decimal ids are kept as integers, those of the earlier
+            # decimal reader included.
             tokens = [token for pair in load_follow_edges(io.StringIO(text)) for token in pair]
             assert (got._values is not None) == (decimal_values(tokens) is not None)
             assert want is None or got._values is not None
@@ -452,19 +439,19 @@ class TestOnePass:
         quirk = CASCADE_QUIRKS[seed % len(CASCADE_QUIRKS)]
         extras = "".join(rng.choice(EVENT_EXTRAS) for _ in range(rng.randint(0, 3)))
         for text in (cascade_text(rng, quirk), extras, rng.choice(EVENT_EXTRAS)):
-            blocks = list(ingest._blocks(io.StringIO(text)))
-            for block in blocks:
-                got, want = ingest._event_columns(block), event_oracle(block)
-                assert (got is None) == (want is None), block
-                if want is not None:
-                    (cascades, users, times), line_ends = got
-                    assert line_ends == block.count("\n")
-                    assert column_strings(cascades, ingest._unpack) == want[0]
-                    assert column_strings(users) == want[1]
-                    assert times.dtype == np.int64 and times.tolist() == want[2].tolist()
-            bulk = all(regular_block(block, 3) for block in blocks) and split_events(blocks) is not None
+            for block in ingest._blocks(io.StringIO(text)):
+                bounds, fields = block_records(block, 3)
+                want = split_events([" ".join(fields)])
+                if want is None:  # a timestamp that is not an int64
+                    with pytest.raises(ParseError):
+                        ingest._event_columns(*bounds, 0)
+                    continue
+                cascades, users, times = ingest._event_columns(*bounds, 0)
+                assert column_strings(cascades, ingest._unpack) == want[0]
+                assert column_strings(users) == want[1]
+                assert times.dtype == np.int64 and times.tolist() == want[2].tolist()
             try:
-                want = list_load_cascades(io.StringIO(text))
+                want, want_log = logged(caplog, lambda: list_load_cascades(io.StringIO(text)))
             except ParseError as listed:
                 with pytest.raises(ParseError) as got:
                     load_cascades(io.StringIO(text))
@@ -472,7 +459,7 @@ class TestOnePass:
                 continue
             table, records = logged(caplog, lambda: load_cascades(io.StringIO(text)))
             assert logs_of(table) == want
-            assert any(("bulk reader" if bulk else "line scanner") in m for _, m in records)
+            assert read_lines(want_log, "event") in records
 
     @pytest.mark.parametrize("seed", range(12))
     def test_unseekable_streams_read_as_the_file_does(self, monkeypatch, seed):
@@ -548,7 +535,7 @@ class TestCascadeTable:
         table = load_cascades(io.StringIO("a\tu\t5\nb\tu\t1\na\tu\t2\na\tv\t2\n"))
         assert logs_of(table) == [CascadeLog("a", (("u", 2), ("v", 2))), CascadeLog("b", (("u", 1),))]
 
-# Lines that make a block irregular: comments, blank lines, malformed lines,
+# Lines beside regular ones: comments, blank lines, malformed lines,
 # non-ASCII text, ids that are not plain decimals, a form feed, and for
 # events timestamps that are odd or not int64.
 ODD_EDGE_LINES = (
@@ -584,28 +571,33 @@ def sources(kind, text, path):
     return io.StringIO(text), reader
 
 
-class TestPerBlockScan:
-    """Blocks the bulk readers reject go to the line scanner one by one; the
-    whole-file scanner they replaced is the oracle."""
+def assert_same_reads(caplog, tmp_path, text, kind, oracle, read, compare):
+    """The same result, warnings and strict error from ``read`` as from
+    ``oracle``, with ``text`` read as ``kind``."""
+    path = tmp_path / "input.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    for strict in (False, True):
+        want_stream, stream = sources(kind, text, path)
+        with want_stream, stream if kind == "file" else contextlib.nullcontext():
+            try:
+                want, want_log = logged(caplog, lambda: oracle(want_stream, strict))
+            except ParseError as listed:
+                with pytest.raises(ParseError) as got:
+                    read(stream, strict)
+                assert str(got.value) == str(listed)
+                continue
+            got, got_log = logged(caplog, lambda: read(stream, strict))
+        compare(got, want)
+        assert warnings_of(got_log) == warnings_of(want_log)
 
-    def same(self, caplog, tmp_path, text, kind, oracle, read, compare):
-        """The same result, warnings and strict error from ``read`` as from
-        ``oracle``, with ``text`` read as ``kind``."""
-        path = tmp_path / "input.tsv"
-        path.write_bytes(text.encode("utf-8"))
-        for strict in (False, True):
-            want_stream, stream = sources(kind, text, path)
-            with want_stream, stream if kind == "file" else contextlib.nullcontext():
-                try:
-                    want, want_log = logged(caplog, lambda: oracle(want_stream, strict))
-                except ParseError as listed:
-                    with pytest.raises(ParseError) as got:
-                        read(stream, strict)
-                    assert str(got.value) == str(listed)
-                    continue
-                got, got_log = logged(caplog, lambda: read(stream, strict))
-            compare(got, want)
-            assert warnings_of(got_log) == warnings_of(want_log)
+
+def assert_same_logs(table, want):
+    assert logs_of(table) == want
+    assert table.cascade_ids == tuple(log.cascade_id for log in want)
+
+
+class TestPerBlockScan:
+    """Files read in blocks, and lists of lines, against the whole-file scanner."""
 
     @pytest.mark.parametrize("seed", range(48))
     def test_edges(self, caplog, tmp_path, monkeypatch, seed):
@@ -614,7 +606,7 @@ class TestPerBlockScan:
         ids = [str(rng.randint(0, 10 ** rng.randint(1, 18))) for _ in range(12)]
         regular = [rng.choice(["\t", " ", " \t "]).join(rng.sample(ids, 2)) for _ in range(rng.randint(0, 80))]
         text = odd_text(rng, regular, ODD_EDGE_LINES)
-        self.same(
+        assert_same_reads(
             caplog, tmp_path, text, SOURCES[seed // len(BLOCK_SIZES) % len(SOURCES)],
             lambda stream, strict: reference_build_graph(load_follow_edges(stream, strict)),
             lambda stream, strict: read_network(stream, strict),
@@ -631,65 +623,111 @@ class TestPerBlockScan:
             for _ in range(rng.randint(0, 80))
         ]
         text = odd_text(rng, regular, ODD_EVENT_LINES)
-
-        def compare(table, want):
-            assert logs_of(table) == want
-            assert table.cascade_ids == tuple(log.cascade_id for log in want)
-
-        self.same(
+        assert_same_reads(
             caplog, tmp_path, text, SOURCES[seed // len(BLOCK_SIZES) % len(SOURCES)],
-            list_load_cascades, lambda stream, strict: load_cascades(stream, strict), compare,
+            list_load_cascades, lambda stream, strict: load_cascades(stream, strict), assert_same_logs,
         )
 
-    def scanned_lines(self, monkeypatch):
-        """The lines of each call of the line scanner."""
-        calls = []
-        scan = ingest._scan
-
-        def recording(lines, width, tally, offset=0):
-            calls.append(list(lines))
-            return scan(calls[-1], width, tally, offset)
-
-        monkeypatch.setattr(ingest, "_scan", recording)
-        return calls
-
     @pytest.mark.parametrize("kind", ["edge", "event"])
-    def test_the_scanner_reads_only_the_irregular_blocks(self, caplog, monkeypatch, kind):
+    def test_line_numbers_run_across_blocks(self, caplog, monkeypatch, kind):
         monkeypatch.setattr(ingest, "_BLOCK", 16)
         if kind == "edge":
-            lines, parse, read = [f"{i} {i + 1}" for i in range(40)], ingest._edge_ids, read_network
+            lines, read = [f"{i} {i + 1}" for i in range(40)], read_network
             lines[0], lines[25] = "# follower followee", "1 2 3"
         else:
-            lines, parse, read = [f"c{i % 3}\t{i}\t{i}" for i in range(40)], ingest._event_columns, load_cascades
+            lines, read = [f"c{i % 3}\t{i}\t{i}" for i in range(40)], load_cascades
             lines[0], lines[25] = "# cascade user time", "c1 1"
         text = "\n".join(lines) + "\n"
-        blocks = list(ingest._blocks(io.StringIO(text)))
-        irregular = [block for block in blocks if parse(block) is None]
-        assert len(irregular) == 2 and len(blocks) > 10 and irregular[0] == blocks[0]
-        calls = self.scanned_lines(monkeypatch)
-        _, records = logged(caplog, lambda: read(io.StringIO(text)))
-        assert calls == [block.split("\n") for block in irregular]
-        assert (logging.INFO, f"read 38 {kind} record(s); 2 of {len(blocks)} block(s) by the line scanner") in records
-        assert warnings_of(records) == [f"skipped 1 malformed {kind} line(s); first: line 26: {lines[25]!r}"]
+        assert len(list(ingest._blocks(io.StringIO(text)))) > 10
+        for source in (io.StringIO(text), lines):
+            _, records = logged(caplog, lambda: read(source))
+            assert (logging.INFO, f"read 38 {kind} record(s)") in records
+            assert warnings_of(records) == [f"skipped 1 malformed {kind} line(s); first: line 26: {lines[25]!r}"]
 
 
-class TestReaderChoice:
-    """The bulk readers cannot silently fall away: count line-scanner calls."""
+# Fields and blanks of the seeded texts that all three loaders read:
+# str.split()'s blanks beyond space and tab, control bytes and DEL inside
+# ids, comment marks inside and at the start of a line, non-ASCII ids, and
+# timestamps that are odd or no int64.
+FUZZ_IDS = ("1", "10", "9", "007", "u3", "b#c", "#x", "\u7528\u6237", "\u00fc", "a\0", "\x7fz", "\x01")
+FUZZ_TIMES = ("0", "5", "17", "007", "+5", "-3", "1_0", "12345678901234567890", "soon", "1.5")
+FUZZ_BLANKS = (" ", "\t", "  ", "\u00a0", "\u3000", "\x1f", "\v", "\r", "\u2028", "\x85")
+FUZZ_KINDS = ("RT", "MT", "RE")
 
-    def _count_scans(self, monkeypatch):
-        calls = []
-        scan = ingest._scan
 
-        def counting(lines, width, tally, offset=0):
-            calls.append(tally.kind)
-            return scan(lines, width, tally, offset)
+def fuzz_text(rng, width):
+    """Lines of ``width`` fields (the last a timestamp for events, a kind
+    for activity logs) with comments, blank and malformed lines among them."""
+    lines = []
+    for _ in range(rng.randint(0, 40)):
+        fields = [rng.choice(FUZZ_IDS) for _ in range(width)]
+        if width >= 3:
+            fields[2] = rng.choice(FUZZ_TIMES) if rng.random() < 0.04 else str(rng.randint(0, 9))
+        if width == 4:
+            fields[3] = rng.choice(FUZZ_KINDS)
+        roll = rng.random()
+        if roll < 0.08:
+            fields = ["#"] + fields
+        elif roll < 0.16:
+            fields = fields[: rng.choice([0, 1, width - 1, width + 1])] + [rng.choice(FUZZ_IDS)] * (roll < 0.12)
+        pad = rng.choice(["", " ", "\u3000"])
+        lines.append(pad + "".join(field + rng.choice(FUZZ_BLANKS) for field in fields).rstrip(" "))
+    return "".join(line + rng.choice(["\n", "\n", "\r\n"]) for line in lines)
 
-        monkeypatch.setattr(ingest, "_scan", counting)
-        return calls
 
-    def _never_scanned(self, tmp_path, monkeypatch, caplog, ids):
-        """Read a regular dataset over ``ids`` with no line-scanner call, and
-        the same graph and table from its ``#``-commented, scanned copy."""
+# Per loader: the field count, the oracle, the loader and the comparison.
+LOADERS = {
+    "edge": (2, lambda stream, strict: reference_build_graph(load_follow_edges(stream, strict)), read_network,
+             assert_same_graph),
+    "event": (3, list_load_cascades, load_cascades, assert_same_logs),
+    "activity": (4, list_load_higgs_activity, load_higgs_activity, assert_same_logs),
+}
+
+
+class TestOneReader:
+    """Every loader against the whole-file scanner, on seeded texts of
+    every quirk, strict and not, read from a file and as a list of lines."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_same_result_warnings_and_errors(self, caplog, tmp_path, monkeypatch, kind, seed):
+        rng = random.Random(seed)
+        monkeypatch.setattr(ingest, "_BLOCK", BLOCK_SIZES[seed % len(BLOCK_SIZES)])
+        width, oracle, read, compare = LOADERS[kind]
+        text = fuzz_text(rng, width)
+        for source in ("file", "lines"):
+            assert_same_reads(caplog, tmp_path, text, source, oracle, read, compare)
+
+    def test_a_bad_timestamp_raises_before_a_later_malformed_line(self):
+        text = "c\t1\t5\nc\t2\tsoon\nc 3\n"
+        for stream in (io.StringIO(text), text.split("\n")):
+            with pytest.raises(ParseError, match=r"^line 2: invalid timestamp 'soon'$"):
+                load_cascades(stream, strict=True)
+        with pytest.raises(ParseError, match=r"^line 3: expected 3 fields, got 2: 'c 3'$"):
+            load_cascades(io.StringIO("c\t1\t5\nc\t2\t6\nc 3\nc\t4\tsoon\n"), strict=True)
+
+    def test_a_list_item_with_a_line_end_is_one_line(self, caplog):
+        items = ["1 2", "3\n4 5\n", "6 7"]
+        network, records = logged(caplog, lambda: read_network(items))
+        assert warnings_of(records) == ["skipped 1 malformed edge line(s); first: line 2: '3\\n4 5'"]
+        assert network.external_ids == ("1", "2", "6", "7")
+        with pytest.raises(ParseError, match=r"^line 2: expected 2 fields, got 3: '3\\n4 5'$"):
+            read_network(items, strict=True)
+
+    @pytest.mark.parametrize("item", [b"1 2", ("1", "2"), None])
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_list_items_must_be_strings(self, kind, item):
+        read = LOADERS[kind][2]
+        with pytest.raises(InputError, match=f"^{kind} lines must be strings$"):
+            read(["1 2 3 RT", item])
+
+
+class TestCommentedCopy:
+    """A dataset and its ``#``-commented copy read alike."""
+
+    def _commented_copy(self, tmp_path, caplog, ids):
+        """Read a dataset over ``ids``, and the same graph and table from
+        its ``#``-commented copy."""
         rng = random.Random(8)
         edges, cascades = tmp_path / "edges.tsv", tmp_path / "cascades.tsv"
         edge_lines = [f"{rng.choice(ids)}\t{rng.choice(ids)}\n" for _ in range(300)]
@@ -697,33 +735,30 @@ class TestReaderChoice:
         edges.write_text("".join(edge_lines), encoding="utf-8")
         cascades.write_text("".join(event_lines), encoding="utf-8")
         config = ExperimentConfig(edges, cascades, tmp_path / "out", min_cascade_size=0)
-        calls = self._count_scans(monkeypatch)
         (network, kept), records = logged(caplog, lambda: load_dataset(config))
-        assert calls == []
-        assert (logging.INFO, "read 300 edge record(s) with the bulk reader") in records
-        assert (logging.INFO, "read 200 event record(s) with the bulk reader") in records
+        assert records[:2] == [(logging.INFO, "read 300 edge record(s)"), (logging.INFO, "read 200 event record(s)")]
 
         commented = edge_lines[:5] + ["# follower followee\n"] + edge_lines[5:]
         edges.write_text("".join(commented), encoding="utf-8")
         cascades.write_text("".join(["# cascade user time\n"] + event_lines), encoding="utf-8")
-        scanned_network, scanned_kept = load_dataset(config)
-        assert calls == ["edge", "event"]
-        assert_same_graph(scanned_network, network)
-        assert scanned_network.fingerprint == network.fingerprint
-        assert_same_table(scanned_kept, kept)
+        (commented_network, commented_kept), commented_records = logged(caplog, lambda: load_dataset(config))
+        assert commented_records == records
+        assert_same_graph(commented_network, network)
+        assert commented_network.fingerprint == network.fingerprint
+        assert_same_table(commented_kept, kept)
         return network, kept
 
-    def test_regular_numeric_dataset_is_never_line_scanned(self, tmp_path, monkeypatch, caplog):
+    def test_numeric_dataset_reads_as_its_commented_copy(self, tmp_path, caplog):
         rng = random.Random(8)
         ids = [str(rng.randint(1, 10**rng.randint(1, 12))) for _ in range(40)]
-        network, kept = self._never_scanned(tmp_path, monkeypatch, caplog, ids)
+        network, kept = self._commented_copy(tmp_path, caplog, ids)
         assert network._values is not None and isinstance(kept.user_ids, np.ndarray)
 
-    def test_regular_dataset_of_mixed_ids_is_never_line_scanned(self, tmp_path, monkeypatch, caplog):
+    def test_mixed_id_dataset_reads_as_its_commented_copy(self, tmp_path, caplog):
         rng = random.Random(9)
         ids = [f"u{rng.randint(0, 99)}" for _ in range(10)] + ["007", "0", "1234567890123456789"]
         ids += [str(rng.randint(1, 10**rng.randint(1, 18))) for _ in range(20)]
-        network, kept = self._never_scanned(tmp_path, monkeypatch, caplog, ids)
+        network, kept = self._commented_copy(tmp_path, caplog, ids)
         assert network._values is None and isinstance(kept.user_ids, tuple)
 
 
@@ -869,10 +904,11 @@ class TestDecimalValues:
         ("1u\t2\n3\t4\n", ["1u", "2", "3", "4"], 1),  # led by digits, so folded to find the letter
     ])
     def test_a_column_not_led_by_digits_is_not_folded(self, monkeypatch, block, want, folds):
+        data, starts, ends, _, line_ends = ingest._token_bounds(block)
         calls = []
         fold = ingest._fold
         monkeypatch.setattr(ingest, "_fold", lambda *args: calls.append(args[1].size) or fold(*args))
-        ids, line_ends = ingest._edge_ids(block)
+        ids = ingest._id_column(data, starts, ends)
         assert (ids.tolist() if isinstance(ids, np.ndarray) else ids) == want
         assert isinstance(ids, np.ndarray) == isinstance(want[0], int)
         assert line_ends == 2 and len(calls) == folds
@@ -1011,13 +1047,13 @@ class TestCascadeOrder:
         ids = self.IDS + (("abcdefghi",) if seed % 3 else ())
         lines += [f"{cid}\t{rng.choice(['1', '9', '10', 'u3'])}\t{rng.randint(0, 9)}" for cid in ids for _ in range(2)]
         reads = {
-            "bulk": lambda lines: load_cascades(io.StringIO("\n".join(lines) + "\n")),
-            "scanned": lambda lines: load_cascades(io.StringIO("\n".join(["# cascade user time", *lines]) + "\n")),
+            "file": lambda lines: load_cascades(io.StringIO("\n".join(lines) + "\n")),
+            "commented": lambda lines: load_cascades(io.StringIO("\n".join(["# cascade user time", *lines]) + "\n")),
             "list": lambda lines: load_cascades([*lines, "a\0\t1\t5", "\0\t9\t4"]),
         }
         want = {how: self.columns(read(lines)) for how, read in reads.items()}
-        assert want["bulk"] == want["scanned"]
-        assert want["list"][0] == tuple(sorted({*want["bulk"][0], "a\0", "\0"}))
+        assert want["file"] == want["commented"]
+        assert want["list"][0] == tuple(sorted({*want["file"][0], "a\0", "\0"}))
         for how, table in want.items():
             assert table[0] == tuple(sorted(table[0])), how
         for _ in range(4):
@@ -1106,13 +1142,12 @@ class TestHiggsAdapter:
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="cascadecut.ingest"):
             got = load_higgs_activity(io.StringIO(text))
+        messages = [r.getMessage() for r in caplog.records]
         want = load_higgs_activity(lines)
         assert_same_table(got, want)
         assert logs_of(got)[0].events == (("7", 80), ("3", 90), ("007", 95))
-        messages = [r.getMessage() for r in caplog.records]
-        assert messages[0] == "skipped 1 malformed activity line(s); first: line 4: 'broken row'"
-        blocks = len(list(ingest._blocks(io.StringIO(text))))
-        assert messages[1] == f"read 5 activity record(s); {blocks} of {blocks} block(s) by the line scanner"
+        assert messages == ["skipped 1 malformed activity line(s); first: line 4: 'broken row'",
+                            "read 5 activity record(s)"]
         for stream in (io.StringIO(text), lines):
             with pytest.raises(ParseError, match=r"^line 4: expected 4 fields, got 2: 'broken row'$"):
                 load_higgs_activity(stream, strict=True)

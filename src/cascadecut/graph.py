@@ -54,9 +54,9 @@ class DirectedGraph:
     a list of edge lines; the constructor checks that the ids and edge
     arrays are canonical (see :func:`_check_ids` and :func:`_check_canonical`),
     counts the sources into offsets and keeps only the destinations and
-    offsets.  The external ids are a sorted tuple of distinct strings, or an
-    int64 array of plain decimal ids (see
-    :func:`~cascadecut.ingest.decimal_values`) in the same text order, whose
+    offsets.  The external ids are sorted distinct strings, kept as a
+    tuple, or an int64 array of plain decimal ids (see
+    :func:`~cascadecut.ingest._id_column`) in the same text order, whose
     strings are built on first use.  Ids are looked up by ranking them with
     the node ids (see :meth:`indices_of`), so the graph holds no lookup table.
     """
@@ -64,6 +64,8 @@ class DirectedGraph:
     __slots__ = ("_ids", "_values", "_edge_dst", "_fwd_indptr", "_fingerprint")
 
     def __init__(self, external_ids: tuple[str, ...] | np.ndarray, edge_src: np.ndarray, edge_dst: np.ndarray):
+        if not isinstance(external_ids, np.ndarray):
+            external_ids = tuple(external_ids)  # a copy of a list, which its owner may still change
         _check_ids(external_ids)
         if isinstance(external_ids, np.ndarray):
             self._ids, self._values = None, external_ids
@@ -128,13 +130,14 @@ class DirectedGraph:
     def indices_of(self, external_ids: Iterable[str] | np.ndarray) -> np.ndarray:
         """Dense id of each external id, -1 where it is not a node.
 
-        ``external_ids`` are strings, or an int64 array of plain decimal ids
-        (see :func:`~cascadecut.ingest.decimal_values`).  The node ids and
-        the queries are ranked together, as ingest ranks an id column (see
+        ``external_ids`` are strings, read as int64 by
+        :func:`~cascadecut.ingest.decimal_values` against int64 node ids, or
+        an int64 array of plain decimal ids.  The node ids and the queries
+        are ranked together, as ingest ranks an id column (see
         :func:`~cascadecut.ingest._id_codes`), and each query takes the
         dense id of the node of its rank.
         """
-        from .ingest import _id_codes
+        from .ingest import _id_codes, decimal_values
 
         if isinstance(external_ids, np.ndarray):
             if external_ids.dtype != np.int64:
@@ -144,6 +147,8 @@ class DirectedGraph:
             queries = list(external_ids)
             if not all(map(isinstance, queries, repeat(str))):
                 raise InputError("external ids must be strings or int64 values")
+            values = None if self._values is None else decimal_values(queries)
+            queries = queries if values is None else values
         nodes = list(self._ids) if self._values is None else self._values
         n = len(nodes)
         ids, codes = _id_codes([nodes, queries], n + len(queries))
@@ -422,6 +427,8 @@ def _check_ids(ids: tuple[str, ...] | np.ndarray) -> None:
     order: strings, or int64 plain decimals compared by their digits padded
     to full width, then the shorter first (as ingest ranks them)."""
     if not isinstance(ids, np.ndarray):
+        if not all(map(isinstance, ids, repeat(str))):
+            raise InputError("external ids must be strings or an int64 array")
         if not all(map(operator.lt, ids, ids[1:])):
             raise InputError("external ids must be distinct and sorted")
         return

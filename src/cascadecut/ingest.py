@@ -14,13 +14,13 @@ lines as one block.  One pass over a block's UTF-8 bytes
 (:func:`_token_bounds`, the package's one reader of input text) finds its
 tokens where ``str.split()`` finds them, and :func:`_records` drops its
 blank lines and ``#`` comments and skips, or with ``strict`` raises at,
-its lines of another field count.  The id columns are read from the
-record tokens' bounds (:func:`_id_column`): int64 values when every id is
-a plain decimal, strings otherwise.  Plain decimal ids stay int64: the
-graph and the cascade table keep them as integer id tables and build
-their strings only on first use.  Ids are interned (:func:`sorted_codes`)
-and edges deduplicated (:func:`edge_keys`) here too, so
-:mod:`~cascadecut.graph` receives canonical arrays and parses no text.
+its lines of another field count.  Each id column is classified once, as
+its tokens are read (:func:`_id_column`): int64 values when every id is
+a plain decimal, else strings, or uint64 keys of short cascade ids; one
+ranker, :func:`_id_codes`, numbers every id column in that kind.  The
+graph and the cascade table keep plain decimal ids as int64 and build
+their strings only on first use.  Edges are deduplicated (:func:`edge_keys`)
+here too, so :mod:`~cascadecut.graph` receives canonical arrays.
 
 :func:`read_network` returns the follow network as a
 :class:`~cascadecut.graph.DirectedGraph`.  :func:`load_cascades` and
@@ -42,7 +42,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -62,11 +62,9 @@ _UNICODE_BLANKS = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u20
 # at most this many times their count; the table then takes at most twice
 # the values' own memory.
 _SPAN_PER_VALUE = 2
-# Cascade ids of at most this many bytes are packed into one int64 key.
+# Cascade ids of at most this many bytes are packed into one uint64 key.
 _KEY_BYTES = 8
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-# decimal_values checks and parses this many tokens at a time.
-_TOKEN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +74,7 @@ class CascadeTable:
     ``cascade_ids`` lists the cascades (sorted, as :func:`load_cascades`
     reads them) and ``user_ids`` the distinct user ids, sorted: a tuple of
     strings, or an int64 array of plain decimal ids (see
-    :func:`decimal_values`) in the same text order, whose strings
+    :func:`_id_column`) in the same text order, whose strings
     :attr:`users` builds on first use.  Per event, sorted by (cascade, user):
     ``cascade`` and ``user`` (``INDEX`` indices into ``cascade_ids`` and
     ``user_ids``) and ``time``, with one event per (cascade, user), the
@@ -191,33 +189,43 @@ class _Interner(dict):
 def _id_codes(parts: Iterable, capacity: int) -> tuple[tuple[str, ...] | np.ndarray, np.ndarray]:
     """Distinct ids of an id column given in parts, in sorted order, and each id's index into them.
 
-    A part is int64 plain decimal values (see :func:`decimal_values`) or a
-    list of id strings.  While every id is a plain decimal the values are
-    ranked as integers (see :func:`_rank_ids`); from the first part that is
-    not, every id is interned as a string.  The values are kept in one array reserved at
-    ``capacity`` and doubled when full; the operating system maps a page
-    only once it is written, so no second copy is made at the end.
+    Each part comes in the kind it was read as and is not classified again:
+    int64 plain decimal values (see :func:`_id_column`), uint64 keys of
+    short ids (see :func:`_keys`), which sort as the ids do, or a list of
+    strings.  Parts all of one array kind are ranked as values (see
+    :func:`_rank_ids`; no part at all is an empty int64 column) or as keys
+    (see :func:`_rank_by_sort`); from the first list, or the first part of
+    another kind, every id is interned as a string.  The 8-byte values are
+    kept in one array reserved at ``capacity`` and doubled when full; the OS
+    maps a page only once it is written, so no copy is made at the end.
     """
-    # Holds int64 id values, then (see _rank_ids) their codes in place, so those come as int64, not INDEX.
+    # Holds the parts' 8-byte values, then (see _rank_ids) their codes in place, so those come as int64, not INDEX.
     data = np.empty(max(capacity, 1), dtype=np.int64)
-    size = 0
+    size, kind = 0, None
     parts = iter(parts)
     for part in parts:
-        if isinstance(part, list):
-            values = decimal_values(part)
-            if values is None:
-                done = (id_strings(data[start : min(start + _BLOCK, size)]) for start in range(0, size, _BLOCK))
-                rest = (p if isinstance(p, list) else id_strings(p) for p in parts)
-                return sorted_codes(chain.from_iterable(chain(done, [part], rest)))
-            part = values
+        if isinstance(part, list) or size and part.dtype != kind:
+            done = (_strings(data[start : min(start + _BLOCK, size)].view(kind)) for start in range(0, size, _BLOCK))
+            return sorted_codes(chain.from_iterable(chain(done, map(_strings, chain([part], parts)))))
+        kind = part.dtype
         end = size + part.size
         if end > data.size:
             grown = np.empty(max(end, 2 * data.size), dtype=np.int64)
             grown[:size] = data[:size]
             data = grown
-        data[size:end] = part
+        data[size:end] = part.view(np.int64)
         size = end
-    return _rank_ids(data[:size])
+    if kind != np.uint64:
+        return _rank_ids(data[:size])
+    keys, codes = _rank_by_sort(data[:size])
+    return tuple(map(_unpack, keys.tolist())), codes
+
+
+def _strings(part: np.ndarray | list[str]) -> Iterable[str]:
+    """The ids of one part of an id column (see :func:`_id_codes`) as strings."""
+    if isinstance(part, list):
+        return part
+    return map(_unpack, part.tolist()) if part.dtype == np.uint64 else id_strings(part)
 
 
 def _rank_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,8 +235,8 @@ def _rank_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are overwritten with the indices, which are returned.  When the ids
     span at most ``_SPAN_PER_VALUE`` times as many integers as there are
     values, they are ranked through a table indexed by value; otherwise
-    through one sort.  Either way at most three value-sized arrays are
-    alive at a time.
+    through one sort (see :func:`_rank_by_sort`).  Either way at most three
+    value-sized arrays are alive at a time.
     """
     if not values.size:
         return values.copy(), values
@@ -236,7 +244,7 @@ def _rank_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     span = int(values.max() - lo) + 1
     if span <= _SPAN_PER_VALUE * values.size:
         return _rank_by_table(values, lo, span)
-    return _rank_by_sort(values)
+    return _rank_by_sort(values, _text_order)
 
 
 def _rank_by_table(values: np.ndarray, lo: np.int64, span: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,24 +264,27 @@ def _rank_by_table(values: np.ndarray, lo: np.int64, span: int) -> tuple[np.ndar
     return ids, values
 
 
-def _rank_by_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_rank_ids` through one sort of the values."""
-    # The sorted values give the distinct ids, and scattering each one's
+def _rank_by_sort(values: np.ndarray, arrange: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``values`` in ascending order, or in the order that
+    ``arrange(distinct)`` gives, and each value's index into them, by one
+    sort.  ``values`` is overwritten with the indices, which are returned,
+    and at most three value-sized arrays are alive at a time."""
+    # The sorted values give the distinct ones, and scattering each one's
     # rank back through the sort order remaps every value.
     order = np.argsort(values)
     values.sort()
     new = _run_starts(values)
     ids = values[new]
-    text_order = _text_order(ids)
+    arranged = slice(None) if arrange is None else arrange(ids)
     rank = np.empty(ids.size, dtype=INDEX)
-    rank[text_order] = np.arange(ids.size)
+    rank[arranged] = np.arange(ids.size)
     np.cumsum(new, out=values)
     values -= 1
     del new
     ranked = rank[values]
     del rank
     values[order] = ranked
-    return ids[text_order], values
+    return ids[arranged], values
 
 
 def _text_order(ids: np.ndarray) -> np.ndarray:
@@ -329,29 +340,24 @@ def decimal_values(tokens: Sequence[str]) -> np.ndarray | None:
 
     A plain decimal is 1 to ``MAX_DIGITS`` ASCII digits with no sign and no
     leading zero, so its value prints back as its text and numeric order
-    decides text order within one digit count.  Tokens are joined one per
-    line, a chunk at a time, which keeps the temporaries small, and read by
-    :func:`_token_bounds`.
+    decides text order within one digit count.  The tokens are joined one
+    per line and cut at the line ends; :func:`_decimals`' digit check
+    rejects a blank or a sign, so no tokenizer is needed.
     """
-    parts = [np.empty(0, dtype=np.int64)]
-    for start in range(0, len(tokens), _TOKEN_CHUNK):
-        chunk = tokens[start : start + _TOKEN_CHUNK]
-        try:
-            text = "\n".join(chunk)
-        except TypeError:
-            return None
-        if not text.isascii():
-            return None
-        data, starts, ends, _, _ = _token_bounds(text)
-        lengths = ends - starts
-        # Every line is one token, with no blank around it.
-        if starts.size != len(chunk) or int(lengths.sum()) != len(text) - len(chunk) + 1:
-            return None
-        part = _decimals(data, starts, lengths, leading_zeros=False)
-        if part is None:
-            return None
-        parts.append(part)
-    return np.concatenate(parts)
+    if not tokens:
+        return np.empty(0, dtype=np.int64)
+    try:
+        text = "\n".join(tokens) + "\n"
+    except TypeError:
+        return None
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if ends.size != len(tokens):  # a token holds a line end
+        return None
+    lengths = np.diff(ends, prepend=-1) - 1
+    return _decimals(data, ends - lengths, lengths, leading_zeros=False)
 
 
 def _token_bounds(block: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
@@ -488,19 +494,19 @@ def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, leading
 
 def _id_column(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | list[str]:
     """One id column of :func:`_token_bounds`'s ``data``, the tokens from ``starts`` to ``ends``:
-    int64 values when all are plain decimals (see :func:`decimal_values`), else strings."""
+    int64 values when all are plain decimals (no leading zero; see :func:`_decimals`), else strings."""
     values = _decimals(data, starts, ends - starts, leading_zeros=False)
     return _token_strings(data, starts, ends) if values is None else values
 
 
 def _event_columns(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, offset: int) -> tuple:
     """(cascade ids, users, timestamps) of one block's event records (see
-    :func:`_parts`).  Cascade ids come as int64 keys (see :func:`_keys`)
+    :func:`_parts`).  Cascade ids come as uint64 keys (see :func:`_keys`)
     when the block is ASCII without a NUL byte and none is longer than
     ``_KEY_BYTES``, else as strings; users as :func:`_id_column` gives them."""
     lengths = ends[0::3] - starts[0::3]
     if data.min() > 0 and data.max() < 0x80 and lengths.max(initial=0) <= _KEY_BYTES:
-        cascades = _keys(data, starts[0::3], lengths)
+        cascades = _keys(data, starts[0::3], lengths).view(np.uint64)
     else:
         cascades = _token_strings(data, starts[0::3], ends[0::3])
     return cascades, _id_column(data, starts[1::3], ends[1::3]), _times(data, starts[2::3], ends[2::3], offset)
@@ -546,6 +552,8 @@ def _parts(stream: Iterable[str], width: int, tally: _Tally, parse) -> Iterator:
     """
     if hasattr(stream, "read"):
         blocks = ((block, None) for block in _blocks(stream))
+    elif isinstance(stream, (str, bytes)):
+        raise InputError(f"{tally.kind} lines must be a file or a list of strings, not {type(stream).__name__}")
     else:
         lines = list(stream)
         try:
@@ -635,30 +643,11 @@ def load_cascades(stream: Iterable[str], strict: bool = False) -> CascadeTable:
     """
     tally = _Tally("event", strict)
     parts = list(_parts(stream, 3, tally, _event_columns))
-    cascades, users, times = zip(*parts) if parts else ((), (), ())
+    # A stream of no block has one empty list of cascade ids, so that they too come as a tuple.
+    cascades, users, times = zip(*parts) if parts else (([],), (), ())
     times = _concat(times)
     tally.report(times.size)
-    return _cascade_table(*_cascade_codes(cascades), *_id_codes(users, times.size), times)
-
-
-def _cascade_codes(parts: Sequence[np.ndarray | list[str]]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Distinct cascade ids in sorted order, and each event's index into
-    them, from the blocks' cascade columns (see :func:`_event_columns`).
-
-    When every block has keys, which sort as their ids do, one sort of the
-    keys ranks them; otherwise the ids are interned as strings.
-    """
-    if not all(isinstance(part, np.ndarray) for part in parts):
-        return sorted_codes(
-            chain.from_iterable(map(_unpack, part.tolist()) if isinstance(part, np.ndarray) else part for part in parts)
-        )
-    keys = _concat(parts)
-    order = np.argsort(keys)
-    keys = keys[order]
-    new = _run_starts(keys)
-    codes = np.empty(keys.size, dtype=INDEX)
-    codes[order] = np.cumsum(new) - 1
-    return tuple(map(_unpack, keys[new].tolist())), codes
+    return _cascade_table(*_id_codes(cascades, times.size), *_id_codes(users, times.size), times)
 
 
 def _keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -363,6 +363,8 @@ NOT_CANONICAL = {
     "int64 ids out of text order": (np.array([9, 10]), [0], [1]),
     "negative int64 id": (np.array([-1, 5]), [0], [1]),
     "19-digit int64 id": (np.array([1, 10**18]), [0], [1]),
+    "an id not a string": (("a", 1), [0], [1]),
+    "bytes ids": ((b"a", b"b"), [0], [1]),
 }
 
 
@@ -380,6 +382,13 @@ class TestCanonicalEdgeArrays:
         edge = np.array([0], dtype=graph.INDEX)
         for ids in (("a", "b"), np.array([10, 9]), np.array([0, 1, 10, 100, 2, 10**18 - 1])):
             assert graph.DirectedGraph(ids, edge, edge + 1).node_count == len(ids)
+
+    def test_a_list_of_ids_is_copied(self):
+        ids = ["a", "b"]
+        network = graph.DirectedGraph(ids, np.array([0], dtype=graph.INDEX), np.array([1], dtype=graph.INDEX))
+        ids[0] = "z"
+        assert network.external_ids == ("a", "b")
+        assert network.indices_of(["a", "z"]).tolist() == [0, -1]
 
     def test_graphs_without_edges_still_build(self):
         empty = np.empty(0, dtype=graph.INDEX)

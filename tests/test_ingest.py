@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import logging
 import random
 
@@ -721,6 +722,15 @@ class TestOneReader:
         with pytest.raises(InputError, match=f"^{kind} lines must be strings$"):
             read(["1 2 3 RT", item])
 
+    @pytest.mark.parametrize("text", ["1 2\n3 4\n", "c 1 5\n", b"1 2\n"])
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_text_is_not_a_list_of_lines(self, kind, text):
+        # Read as a list, a str would be one line per character.
+        read = LOADERS[kind][2]
+        message = f"^{kind} lines must be a file or a list of strings, not {type(text).__name__}$"
+        with pytest.raises(InputError, match=message):
+            read(text)
+
 
 class TestCommentedCopy:
     """A dataset and its ``#``-commented copy read alike."""
@@ -800,13 +810,19 @@ class TestRankIds:
         want = text_rank(values)
         arr = np.array(values, dtype=np.int64)
         lo, span = arr.min(), int(arr.max() - arr.min()) + 1
-        paths = [ingest._rank_by_sort(arr.copy()), ingest._rank_ids(arr.copy())]
+        # _rank_ids takes the sort path on the wide-range cases.
+        paths = [ingest._rank_ids(arr.copy())]
         if span <= 10_000:  # the table holds one entry per integer in the span
             paths.append(ingest._rank_by_table(arr.copy(), lo, span))
         for got in paths:
             ids, codes = got
             assert ids.dtype == codes.dtype == np.int64
             assert (list(map(str, ids.tolist())), codes.tolist()) == want
+        # The sort alone ranks in ascending order, as packed keys need.
+        ascending = sorted(set(values))
+        ids, codes = ingest._rank_by_sort(arr.copy())
+        assert ids.dtype == codes.dtype == np.int64
+        assert (ids.tolist(), codes.tolist()) == (ascending, [ascending.index(v) for v in values])
 
     def test_empty(self):
         assert ranked([]) == ([], [])
@@ -862,6 +878,8 @@ class TestDecimalValues:
         (["1\x7f"], None),
         (["\x7f"], None),
         (["1 2"], None),
+        (["1\n2"], None),
+        (["7", "8\n"], None),
         ([""], None),
         (["1", ""], None),
         (["\u0661"], None),
@@ -876,10 +894,10 @@ class TestDecimalValues:
             assert got.dtype == np.int64 and got.tolist() == want
 
     @pytest.mark.parametrize("seed", range(48))
-    def test_matches_the_space_cut_tokenizer(self, monkeypatch, seed):
+    def test_matches_the_space_cut_tokenizer(self, seed):
         rng = random.Random(seed)
-        chunk = rng.choice([1, 2, 5, ingest._TOKEN_CHUNK])
-        monkeypatch.setattr(ingest, "_TOKEN_CHUNK", chunk)
+        # Counts and odd-token places around a few sizes, the largest a 2^16-token list.
+        chunk = rng.choice([1, 2, 5, 1 << 16])
         count = rng.choice([0, 1, 4, chunk - 1, chunk, chunk + 1, 2 * chunk + 1])
         tokens = [
             str(rng.choice([0, rng.randint(1, 9), rng.randint(10, 10**6), rng.randint(10**17, 10**18 - 1)]))
@@ -1002,7 +1020,8 @@ class TestOneSortCascadeTable:
 
 
 class TestCascadeCodes:
-    """Sorted coding of packed cascade keys against Python's sort of the id strings."""
+    """Sorted coding of cascade ids by ``_id_codes``, from packed keys and
+    from a later part of strings, against Python's sort of the id strings."""
 
     @pytest.mark.parametrize("seed", range(24))
     def test_equals_the_stable_sort_oracle(self, seed):
@@ -1012,17 +1031,58 @@ class TestCascadeCodes:
         letters = rng.integers(65, 91, size=(int(rng.integers(1, 60)), 2)).tolist()
         names = [chr(a) if a % 3 == 0 else chr(a) + chr(b) for a, b in letters]
         strings = [names[i] for i in rng.integers(0, len(names), size=int(rng.integers(0, 4000))).tolist()]
-        events = np.array([int.from_bytes(name.encode().ljust(8, b"\0"), "big") for name in strings], dtype=np.int64)
+        events = np.array([int.from_bytes(name.encode().ljust(8, b"\0"), "big") for name in strings], dtype=np.uint64)
         lengths = np.array(list(map(len, strings)), dtype=np.int64)
         data = np.frombuffer("".join(strings).encode(), dtype=np.uint8)
-        assert ingest._keys(data, np.cumsum(lengths) - lengths, lengths).tolist() == events.tolist()
+        assert ingest._keys(data, np.cumsum(lengths) - lengths, lengths).view(np.uint64).tolist() == events.tolist()
         assert list(map(ingest._unpack, events.tolist())) == strings
         cut = int(rng.integers(0, events.size + 1))
-        ids, codes = ingest._cascade_codes([events[:cut], events[cut:]])
+        # Every fourth seed reads the later part as strings, as a block whose ids were not packed.
+        parts = [events[:cut], strings[cut:] if seed % 4 == 3 else events[cut:]]
+        ids, codes = ingest._id_codes(parts, int(rng.integers(0, events.size + 1)))
         want = sorted(set(strings))
         index = {name: i for i, name in enumerate(want)}
         assert ids == tuple(want)
         assert codes.dtype == np.int64 and codes.tolist() == [index[name] for name in strings]
+
+
+class TestOneRanker:
+    """``_id_codes`` over int64, uint64 and list parts in every order, against
+    ``sorted_codes`` over the parts' strings."""
+
+    @staticmethod
+    def texts(part):
+        if isinstance(part, list):
+            return part
+        if part.dtype == np.uint64:
+            return [key.to_bytes(8, "big").rstrip(b"\0").decode() for key in part.tolist()]
+        return list(map(str, part.tolist()))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_order_of_part_kinds(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        monkeypatch.setattr(ingest, "_BLOCK", rng.choice([1, 3, 1 << 17]))
+        # Ids that more than one kind can hold ("7", "10") meet as one id.
+        values = [rng.choice([0, 7, 10, 99, 10**17, rng.randint(1, 10**6)]) for _ in range(rng.randint(1, 30))]
+        names = [rng.choice(["7", "10", "a", "ab", "b", "zzzzzzzz"]) for _ in range(rng.randint(1, 30))]
+        strings = [rng.choice(["7", "a", "u1", "用户", "longer than eight"]) for _ in range(rng.randint(1, 30))]
+        kinds = {
+            "int64": np.array(values, dtype=np.int64),
+            "uint64": np.array([int.from_bytes(n.encode().ljust(8, b"\0"), "big") for n in names], dtype=np.uint64),
+            "list": strings,
+        }
+        for size in (1, 2, 3):
+            for order in itertools.permutations(kinds, size):
+                parts = [kinds[kind] for kind in order]
+                column = [text for part in parts for text in self.texts(part)]
+                ids, codes = ingest._id_codes(parts, rng.randint(0, len(column)))
+                if isinstance(ids, np.ndarray):
+                    assert order == ("int64",)
+                    ids = tuple(map(str, ids.tolist()))
+                want_ids, want_codes = ingest.sorted_codes(column)
+                assert ids == want_ids, order
+                assert codes.dtype == np.int64 and codes.tolist() == want_codes.tolist(), order
+        assert kinds["int64"].tolist() == values  # the parts are read, not overwritten
 
 
 class TestCascadeOrder:

@@ -14,13 +14,13 @@ lines as one block.  One pass over a block's UTF-8 bytes
 (:func:`_token_bounds`, the package's one reader of input text) finds its
 tokens where ``str.split()`` finds them, and :func:`_records` drops its
 blank lines and ``#`` comments and skips, or with ``strict`` raises at,
-its lines of another field count.  Each id column is classified once, as
-its tokens are read (:func:`_id_column`): int64 values when every id is
-a plain decimal, else strings, or uint64 keys of short cascade ids; one
-ranker, :func:`_id_codes`, numbers every id column in that kind.  The
-graph and the cascade table keep plain decimal ids as int64 and build
-their strings only on first use.  Edges are deduplicated (:func:`edge_keys`)
-here too, so :mod:`~cascadecut.graph` receives canonical arrays.
+its lines of another field count.  Every id column, of nodes, users or
+cascades, is classified by one rule from its own tokens (:func:`_id_column`):
+int64 values when every id is a plain decimal, else uint64 keys when none
+is over ``_KEY_BYTES`` bytes, else strings; one ranker, :func:`_id_codes`,
+numbers every id column in that kind and builds strings of distinct ids
+only.  Plain decimal node and user ids stay int64.  Edges are deduplicated
+(:func:`edge_keys`) here too, so :mod:`~cascadecut.graph` receives canonical arrays.
 
 :func:`read_network` returns the follow network as a
 :class:`~cascadecut.graph.DirectedGraph`.  :func:`load_cascades` and
@@ -62,7 +62,7 @@ _UNICODE_BLANKS = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u20
 # at most this many times their count; the table then takes at most twice
 # the values' own memory.
 _SPAN_PER_VALUE = 2
-# Cascade ids of at most this many bytes are packed into one uint64 key.
+# Ids of at most this many bytes are packed into one uint64 key.
 _KEY_BYTES = 8
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
@@ -71,10 +71,10 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 class CascadeTable:
     """Many cascades' events as flat integer arrays.
 
-    ``cascade_ids`` lists the cascades (sorted, as :func:`load_cascades`
-    reads them) and ``user_ids`` the distinct user ids, sorted: a tuple of
-    strings, or an int64 array of plain decimal ids (see
-    :func:`_id_column`) in the same text order, whose strings
+    ``cascade_ids`` lists the cascades as strings, sorted as
+    :func:`load_cascades` reads them, and ``user_ids`` the distinct user
+    ids, sorted: a tuple of strings, or an int64 array of plain decimal ids
+    (see :func:`_id_column`) in the same text order, whose strings
     :attr:`users` builds on first use.  Per event, sorted by (cascade, user):
     ``cascade`` and ``user`` (``INDEX`` indices into ``cascade_ids`` and
     ``user_ids``) and ``time``, with one event per (cascade, user), the
@@ -192,17 +192,17 @@ def _id_codes(parts: Iterable, capacity: int) -> tuple[tuple[str, ...] | np.ndar
     Each part comes in the kind it was read as and is not classified again:
     int64 plain decimal values (see :func:`_id_column`), uint64 keys of
     short ids (see :func:`_keys`), which sort as the ids do, or a list of
-    strings.  Parts all of one array kind are ranked as values (see
-    :func:`_rank_ids`; no part at all is an empty int64 column) or as keys
-    (see :func:`_rank_by_sort`); from the first list, or the first part of
-    another kind, every id is interned as a string.  The 8-byte values are
-    kept in one array reserved at ``capacity`` and doubled when full; the OS
-    maps a page only once it is written, so no copy is made at the end.
+    strings; an empty part is passed over.  Parts all of one array kind are
+    ranked as values (see :func:`_rank_ids`; no part at all is an empty int64
+    column) or as uint64 keys (see :func:`_rank_by_sort`); from the first
+    list, or part of another kind, every id is interned as a string.  The
+    8-byte values are kept in one array reserved at ``capacity`` and doubled
+    when full; the OS maps a page only once written, so none is copied.
     """
     # Holds the parts' 8-byte values, then (see _rank_ids) their codes in place, so those come as int64, not INDEX.
     data = np.empty(max(capacity, 1), dtype=np.int64)
     size, kind = 0, None
-    parts = iter(parts)
+    parts = filter(len, parts)
     for part in parts:
         if isinstance(part, list) or size and part.dtype != kind:
             done = (_strings(data[start : min(start + _BLOCK, size)].view(kind)) for start in range(0, size, _BLOCK))
@@ -217,15 +217,15 @@ def _id_codes(parts: Iterable, capacity: int) -> tuple[tuple[str, ...] | np.ndar
         size = end
     if kind != np.uint64:
         return _rank_ids(data[:size])
-    keys, codes = _rank_by_sort(data[:size])
-    return tuple(map(_unpack, keys.tolist())), codes
+    keys, codes = _rank_by_sort(data[:size].view(np.uint64))
+    return tuple(_key_strings(keys)), codes.view(np.int64)
 
 
 def _strings(part: np.ndarray | list[str]) -> Iterable[str]:
     """The ids of one part of an id column (see :func:`_id_codes`) as strings."""
     if isinstance(part, list):
         return part
-    return map(_unpack, part.tolist()) if part.dtype == np.uint64 else id_strings(part)
+    return _key_strings(part) if part.dtype == np.uint64 else id_strings(part)
 
 
 def _rank_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -450,21 +450,22 @@ def _token_strings(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> li
     return text.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
 
 
-def _fold(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, base: int, zero: int) -> tuple[np.ndarray, int]:
+def _fold(
+    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, base: int, zero: int, dtype=np.int64
+) -> tuple[np.ndarray, int]:
     """Each token's bytes less ``zero`` read as the digits of one number in
-    ``base``, most significant first, and the largest digit met.
+    ``base``, most significant first, as ``dtype``, and the largest digit met.
 
-    Horner's rule runs over the tokens of one length at a time, a digit
-    column at a time; it is exact while ``base ** length`` stays below
-    2 ** 63.  A byte below ``zero`` wraps around to a digit above 200.
+    Horner's rule runs over the tokens of one length at a time, a digit column at a time; it
+    is exact while ``base ** length`` fits ``dtype``.  A byte below ``zero`` wraps to a digit above 200.
     """
-    values = np.empty(starts.size, dtype=np.int64)
+    values = np.empty(starts.size, dtype=dtype)
     top = 0
     counts = np.bincount(lengths)
     for length in np.flatnonzero(counts).tolist():
         group = None if counts[length] == starts.size else np.flatnonzero(lengths == length)
         at = starts.copy() if group is None else starts[group]
-        value = np.zeros(at.size, dtype=np.int64)
+        value = np.zeros(at.size, dtype=dtype)
         for _ in range(length):
             digit = data[at]
             digit -= zero
@@ -493,23 +494,21 @@ def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, leading
 
 
 def _id_column(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | list[str]:
-    """One id column of :func:`_token_bounds`'s ``data``, the tokens from ``starts`` to ``ends``:
-    int64 values when all are plain decimals (no leading zero; see :func:`_decimals`), else strings."""
-    values = _decimals(data, starts, ends - starts, leading_zeros=False)
+    """One id column of :func:`_token_bounds`'s ``data``, the tokens from ``starts`` to ``ends``, in the kind
+    its own tokens allow: int64 values when all are plain decimals (see :func:`_decimals`), else uint64 keys
+    (see :func:`_keys`) when none is over ``_KEY_BYTES`` bytes or ends in a NUL, whatever its text, else strings."""
+    lengths = ends - starts
+    values = _decimals(data, starts, lengths, leading_zeros=False)
+    if values is None and lengths.max() <= _KEY_BYTES and data[ends - 1].all():
+        values = _keys(data, starts, lengths)
     return _token_strings(data, starts, ends) if values is None else values
 
 
 def _event_columns(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, offset: int) -> tuple:
     """(cascade ids, users, timestamps) of one block's event records (see
-    :func:`_parts`).  Cascade ids come as uint64 keys (see :func:`_keys`)
-    when the block is ASCII without a NUL byte and none is longer than
-    ``_KEY_BYTES``, else as strings; users as :func:`_id_column` gives them."""
-    lengths = ends[0::3] - starts[0::3]
-    if data.min() > 0 and data.max() < 0x80 and lengths.max(initial=0) <= _KEY_BYTES:
-        cascades = _keys(data, starts[0::3], lengths).view(np.uint64)
-    else:
-        cascades = _token_strings(data, starts[0::3], ends[0::3])
-    return cascades, _id_column(data, starts[1::3], ends[1::3]), _times(data, starts[2::3], ends[2::3], offset)
+    :func:`_parts`), each id column as :func:`_id_column` gives it."""
+    ids = (_id_column(data, starts[column::3], ends[column::3]) for column in (0, 1))
+    return *ids, _times(data, starts[2::3], ends[2::3], offset)
 
 
 def _times(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, offset: int) -> np.ndarray:
@@ -643,24 +642,25 @@ def load_cascades(stream: Iterable[str], strict: bool = False) -> CascadeTable:
     """
     tally = _Tally("event", strict)
     parts = list(_parts(stream, 3, tally, _event_columns))
-    # A stream of no block has one empty list of cascade ids, so that they too come as a tuple.
-    cascades, users, times = zip(*parts) if parts else (([],), (), ())
+    cascades, users, times = zip(*parts) if parts else ((), (), ())
     times = _concat(times)
     tally.report(times.size)
-    return _cascade_table(*_id_codes(cascades, times.size), *_id_codes(users, times.size), times)
+    ids, cascade = _id_codes(cascades, times.size)  # plain decimal ids come as int64, ranked in text order
+    ids = id_strings(ids) if isinstance(ids, np.ndarray) else ids
+    return _cascade_table(ids, cascade, *_id_codes(users, times.size), times)
 
 
 def _keys(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Int64 keys of cascade ids of 1 to ``_KEY_BYTES`` ASCII bytes, no NUL: their bytes
-    in base 256, left-aligned and zero-padded, so keys sort as the ids do, a prefix first."""
-    keys = _fold(data, starts, lengths, 256, 0)[0]
-    keys <<= 8 * (_KEY_BYTES - lengths)
+    """Uint64 keys of ids of 1 to ``_KEY_BYTES`` UTF-8 bytes, none ending in a NUL: their bytes in base 256,
+    left-aligned and zero-padded, so keys sort as the ids do (UTF-8 is in code-point order), a prefix first."""
+    keys = _fold(data, starts, lengths, 256, 0, np.uint64)[0]
+    keys <<= (8 * (_KEY_BYTES - lengths)).astype(np.uint64)
     return keys
 
 
-def _unpack(key: int) -> str:
-    """The cascade id packed in ``key`` (see :func:`_keys`)."""
-    return key.to_bytes(_KEY_BYTES, "big").rstrip(b"\0").decode("ascii")
+def _key_strings(keys: np.ndarray) -> list[str]:
+    """The ids packed in ``keys`` (see :func:`_keys`): numpy drops the padding NULs, no id holds a line end."""
+    return b"\n".join(keys.astype(">u8").view("S8").tolist()).decode("utf-8", "surrogatepass").split("\n")
 
 
 def load_higgs_activity(

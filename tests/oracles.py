@@ -33,7 +33,9 @@ join of participants with their follow edges (:func:`unfiltered_candidates`)
 over the package's cascade table and edge gather.  The earlier bulk
 readers' two passes per block live on as :func:`regular_block` (the
 regularity check), :func:`plain_decimal` (the test of a decimal id that
-the integer paths take), :func:`block_ints` (the ``np.fromstring`` parse) and
+the integer paths take), :func:`id_kind` (the kind an id column is read
+as, whose ids :func:`column_texts` gives as strings, its keys decoded one
+at a time by :func:`unpack`), :func:`block_ints` (the ``np.fromstring`` parse) and
 :func:`split_events` (the ``str.split`` of an event block); with them,
 :func:`two_pass_read_network` is the earlier bulk edge reader, over the
 package's block cutter and id ranking.  :func:`string_fingerprint` is the
@@ -845,6 +847,29 @@ def regular_block(block, width):
 def plain_decimal(token):
     """Whether ``token`` is 1 to 18 ASCII digits without a leading zero."""
     return token.isascii() and token.isdigit() and len(token) <= MAX_DIGITS and str(int(token)) == token
+
+
+def unpack(key):
+    """The id packed in the uint64 ``key``: the earlier decoder of one key at a time."""
+    return key.to_bytes(8, "big").rstrip(b"\0").decode("utf-8", "surrogatepass")
+
+
+def id_kind(tokens):
+    """The kind that one id column of ``tokens`` is read as: ``int64`` when
+    every token is a plain decimal, else ``uint64`` keys when every one is
+    at most 8 UTF-8 bytes and none ends in a NUL, else ``list``."""
+    if all(map(plain_decimal, tokens)):
+        return "int64"
+    packable = (len(t.encode("utf-8", "surrogatepass")) <= 8 and not t.endswith("\0") for t in tokens)
+    return "uint64" if all(packable) else "list"
+
+
+def column_texts(column):
+    """The ids of one id column (see ``id_kind``) as strings, and its kind."""
+    if isinstance(column, list):
+        return column, "list"
+    texts = map(unpack, column.tolist()) if column.dtype == np.uint64 else map(str, column.tolist())
+    return list(texts), str(column.dtype)
 
 
 def block_ints(block):

@@ -35,12 +35,14 @@ from oracles import (
     list_load_higgs_activity,
     load_follow_edges,
     logs_of,
-    plain_decimal,
+    column_texts,
+    id_kind,
     reference_build_graph,
     space_cut_decimals,
     split_events,
     table_of,
     text_rank,
+    unpack,
     two_pass_read_network,
     whole_file_scan,
 )
@@ -402,10 +404,6 @@ def block_records(block, width):
     return (data, starts, ends), fields
 
 
-def column_strings(column, unpack=str):
-    return list(map(unpack, column.tolist())) if isinstance(column, np.ndarray) else column
-
-
 class TestOnePass:
     """The byte pass per block against the whole-file scanner and the two
     passes of the earlier reader of decimal files."""
@@ -420,8 +418,7 @@ class TestOnePass:
             for block in ingest._blocks(io.StringIO(text)):
                 bounds, fields = block_records(block, 2)
                 got = ingest._id_column(*bounds)
-                assert isinstance(got, np.ndarray) == all(map(plain_decimal, fields)), block
-                assert column_strings(got) == fields
+                assert column_texts(got) == (fields, id_kind(fields)), block
             want = two_pass_read_network(io.StringIO(text))
             got = ingest.read_network(io.StringIO(text))
             assert_same_graph(got, reference_build_graph(load_follow_edges(io.StringIO(text))))
@@ -448,8 +445,8 @@ class TestOnePass:
                         ingest._event_columns(*bounds, 0)
                     continue
                 cascades, users, times = ingest._event_columns(*bounds, 0)
-                assert column_strings(cascades, ingest._unpack) == want[0]
-                assert column_strings(users) == want[1]
+                assert column_texts(cascades) == (want[0], id_kind(want[0])), block
+                assert column_texts(users) == (want[1], id_kind(want[1])), block
                 assert times.dtype == np.int64 and times.tolist() == want[2].tolist()
             try:
                 want, want_log = logged(caplog, lambda: list_load_cascades(io.StringIO(text)))
@@ -914,22 +911,23 @@ class TestDecimalValues:
         else:
             assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
+    # Each block's ids and the kind they are read as; ``folds`` counts the folds as decimals.
     @pytest.mark.parametrize("block, want, folds", [
-        ("u1\tu2\n3\t4\n", ["u1", "u2", "3", "4"], 0),
-        ("1\t2\n3\t+4\n", ["1", "2", "3", "+4"], 0),
-        ("1\t2\n3\t4\n", [1, 2, 3, 4], 1),
-        ("17\t2\n305\t4\n", [17, 2, 305, 4], 1),
-        ("1u\t2\n3\t4\n", ["1u", "2", "3", "4"], 1),  # led by digits, so folded to find the letter
+        ("u1\tu2\n3\t4\n", (["u1", "u2", "3", "4"], "uint64"), 0),
+        ("1\t2\n3\t+4\n", (["1", "2", "3", "+4"], "uint64"), 0),
+        ("1\t2\n3\t4\n", (["1", "2", "3", "4"], "int64"), 1),
+        ("17\t2\n305\t4\n", (["17", "2", "305", "4"], "int64"), 1),
+        ("1u\t2\n3\t4\n", (["1u", "2", "3", "4"], "uint64"), 1),  # led by digits, so folded to find the letter
+        ("u1\tlonger-than-8\n3\t4\n", (["u1", "longer-than-8", "3", "4"], "list"), 0),
+        ("1\t2\n3\t1234u6789\n", (["1", "2", "3", "1234u6789"], "list"), 1),  # folded, then too long for a key
     ])
     def test_a_column_not_led_by_digits_is_not_folded(self, monkeypatch, block, want, folds):
         data, starts, ends, _, line_ends = ingest._token_bounds(block)
         calls = []
         fold = ingest._fold
-        monkeypatch.setattr(ingest, "_fold", lambda *args: calls.append(args[1].size) or fold(*args))
-        ids = ingest._id_column(data, starts, ends)
-        assert (ids.tolist() if isinstance(ids, np.ndarray) else ids) == want
-        assert isinstance(ids, np.ndarray) == isinstance(want[0], int)
-        assert line_ends == 2 and len(calls) == folds
+        monkeypatch.setattr(ingest, "_fold", lambda *args: calls.append(args[3]) or fold(*args))
+        assert column_texts(ingest._id_column(data, starts, ends)) == want
+        assert line_ends == 2 and calls.count(10) == folds
 
 
 # Tokens that are not plain decimals: blanks inside or around digits, empty,
@@ -1035,7 +1033,7 @@ class TestCascadeCodes:
         lengths = np.array(list(map(len, strings)), dtype=np.int64)
         data = np.frombuffer("".join(strings).encode(), dtype=np.uint8)
         assert ingest._keys(data, np.cumsum(lengths) - lengths, lengths).view(np.uint64).tolist() == events.tolist()
-        assert list(map(ingest._unpack, events.tolist())) == strings
+        assert ingest._key_strings(events) == list(map(unpack, events.tolist())) == strings
         cut = int(rng.integers(0, events.size + 1))
         # Every fourth seed reads the later part as strings, as a block whose ids were not packed.
         parts = [events[:cut], strings[cut:] if seed % 4 == 3 else events[cut:]]
@@ -1049,14 +1047,6 @@ class TestCascadeCodes:
 class TestOneRanker:
     """``_id_codes`` over int64, uint64 and list parts in every order, against
     ``sorted_codes`` over the parts' strings."""
-
-    @staticmethod
-    def texts(part):
-        if isinstance(part, list):
-            return part
-        if part.dtype == np.uint64:
-            return [key.to_bytes(8, "big").rstrip(b"\0").decode() for key in part.tolist()]
-        return list(map(str, part.tolist()))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_every_order_of_part_kinds(self, monkeypatch, seed):
@@ -1074,7 +1064,7 @@ class TestOneRanker:
         for size in (1, 2, 3):
             for order in itertools.permutations(kinds, size):
                 parts = [kinds[kind] for kind in order]
-                column = [text for part in parts for text in self.texts(part)]
+                column = [text for part in parts for text in column_texts(part)[0]]
                 ids, codes = ingest._id_codes(parts, rng.randint(0, len(column)))
                 if isinstance(ids, np.ndarray):
                     assert order == ("int64",)
@@ -1083,6 +1073,128 @@ class TestOneRanker:
                 assert ids == want_ids, order
                 assert codes.dtype == np.int64 and codes.tolist() == want_codes.tolist(), order
         assert kinds["int64"].tolist() == values  # the parts are read, not overwritten
+
+
+# Ids of the one-rule tests: plain decimals, 19 digits and leading zeros;
+# prefixes of one another and ids equal in their first 8 bytes; ASCII and
+# non-ASCII ids of 1 to 12 UTF-8 bytes; and a NUL inside and at the end of
+# an id, which the keys must not confuse with their padding.
+DECIMAL_IDS = ("0", "7", "9", "10", "99", "100", "123456789012345678", "999999999999999999")
+KEY_IDS = ("007", "0123", "a", "ab", "abc", "abcdefgh", "ü", "üü", "üüüü", "用户", "😀", "😀😀", "a\0b", "~")
+LONG_IDS = ("1234567890123456789", "abcdefghi", "abcdefgh-xyz", "üüüüü", "用户名字", "😀😀😀", "a\0", "\0")
+
+
+def random_id(rng):
+    """An id of random code points, surrogates and astral ones included."""
+    points = [rng.choice([rng.randint(33, 126), rng.randint(0xA1, 0x7FF), rng.randint(0x800, 0xFFFF),
+                          rng.randint(0x10000, 0x10FFFF)]) for _ in range(rng.randint(1, 4))]
+    return "".join(map(chr, points))
+
+
+class TestOneIdRule:
+    """Every id column, of nodes, event users, activity users and cascades,
+    takes one rule: int64 values, else uint64 keys of ids of at most 8
+    bytes, else strings; whatever the kinds, the loaders equal the
+    ``sorted_codes`` string oracle."""
+
+    POOLS = {
+        "decimal": DECIMAL_IDS,
+        "keys": KEY_IDS,
+        "mixed": DECIMAL_IDS + KEY_IDS + LONG_IDS,
+    }
+
+    @staticmethod
+    def kinds_read(monkeypatch):
+        """The kind of each id column part that ``_id_column`` reads."""
+        kinds = []
+        column = ingest._id_column
+
+        def classified(*args):
+            ids = column(*args)
+            kinds.append(column_texts(ids)[1])
+            return ids
+
+        monkeypatch.setattr(ingest, "_id_column", classified)
+        return kinds
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_loaders_equal_the_string_oracle(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        pool = self.POOLS[("decimal", "keys", "mixed")[seed % 3]]
+        if seed % 3:
+            pool += tuple(random_id(rng) for _ in range(4))
+        monkeypatch.setattr(ingest, "_BLOCK", (16, 64, 1 << 17)[seed // 3 % 3])
+        kinds = self.kinds_read(monkeypatch)
+        for listed in (False, True):
+            # A lone surrogate can be an id only in a list of lines.
+            extra = ["\ud800\tab", "ab\t\udfff"] if listed else []
+            edges = [f"{rng.choice(pool)}\t{rng.choice(pool)}" for _ in range(rng.randint(1, 80))] + extra
+            events = [f"{rng.choice(pool)}\t{rng.choice(pool)}\t{rng.randint(0, 9)}" for _ in range(rng.randint(1, 80))]
+            events += [f"{line}\t1" for line in extra]
+            activity = [f"{rng.choice(pool)} 1 {rng.randint(0, 9)} {rng.choice(['RT', 'MT'])}" for _ in range(80)]
+            read = (lambda lines: lines) if listed else (lambda lines: io.StringIO("\n".join(lines) + "\n"))
+
+            got = read_network(read(edges))
+            ids, codes = ingest.sorted_codes(token for pair in load_follow_edges(edges) for token in pair)
+            want = ingest.graph_from_keys(ids, ingest.edge_keys(codes, len(ids)))
+            assert_same_graph(got, want)
+            assert got.fingerprint == want.fingerprint
+
+            records = [fields for _, fields in whole_file_scan(events, 3, "event", False)]
+            cascade_ids, cascade = ingest.sorted_codes(cascade for cascade, _, _ in records)
+            times = np.array([int(time) for _, _, time in records], dtype=np.int64)
+            want = lexsort_cascade_table(cascade_ids, cascade, [user for _, user, _ in records], times)
+            self.assert_same_columns(load_cascades(read(events)), want)
+
+            rows = [fields for _, fields in whole_file_scan(activity, 4, "activity", False) if fields[3] == "RT"]
+            users = [user for user, _, _, _ in rows]
+            times = np.array([int(time) for _, _, time, _ in rows], dtype=np.int64)
+            want = lexsort_cascade_table(("higgs",) if rows else (), np.zeros(len(rows), dtype=np.int64), users, times)
+            self.assert_same_columns(load_higgs_activity(read(activity)), want)
+        if seed % 3 == 2 and seed // 3 % 3 == 0:  # mixed ids in blocks of a line or two
+            assert {"int64", "uint64", "list"} <= set(kinds)
+
+    @staticmethod
+    def assert_same_columns(got, want):
+        assert got.cascade_ids == want.cascade_ids and got.users == want.users
+        for name in ("cascade", "user", "time", "sizes"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_keys_decode_and_sort_as_their_ids(self, seed):
+        rng = random.Random(seed)
+        utf8 = {i: i.encode("utf-8", "surrogatepass") for i in (*KEY_IDS, *(random_id(rng) for _ in range(40)))}
+        ids = rng.choices([i for i, code in utf8.items() if len(code) <= 8], k=rng.randint(1, 300))
+        data = np.frombuffer(b"".join(utf8[i] for i in ids), dtype=np.uint8)
+        lengths = np.array([len(utf8[i]) for i in ids], dtype=np.int64)
+        keys = ingest._keys(data, np.cumsum(lengths) - lengths, lengths)
+        assert keys.dtype == np.uint64
+        assert ingest._key_strings(keys) == list(map(unpack, keys.tolist())) == ids
+        assert [ids[i] for i in np.argsort(keys, kind="stable").tolist()] == sorted(ids)
+
+    def test_a_non_ascii_comment_leaves_cascade_ids_packed(self, monkeypatch):
+        text = "# données\nc1\tu1\t5\nc2\t7\t3\nc1\t7\t4\n"
+        data, starts, ends, _, _ = ingest._records(text, 3, ingest._Tally("event", False), 0)
+        cascades, users, _ = ingest._event_columns(data, starts, ends, 0)
+        assert column_texts(cascades) == (["c1", "c2", "c1"], "uint64")
+        assert column_texts(users) == (["u1", "7", "7"], "uint64")
+        interned = spy(monkeypatch, ingest, "sorted_codes")
+        table = load_cascades(io.StringIO(text))
+        assert interned == [] and table.cascade_ids == ("c1", "c2") and table.users == ("7", "u1")
+
+    def test_a_block_of_no_record_leaves_the_column_kind(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK", 16)
+        text = "c1\tu1\t5\n" + "#" * 23 + "\nc2\tu2\t3\n"  # the comment ends the second block
+        assert [block.startswith("#") for block in ingest._blocks(io.StringIO(text))] == [False, True, False]
+        interned = spy(monkeypatch, ingest, "sorted_codes")
+        table = load_cascades(io.StringIO(text))
+        assert interned == [] and table.cascade_ids == ("c1", "c2") and table.users == ("u1", "u2")
+
+    def test_decimal_cascade_ids_come_as_strings(self, monkeypatch):
+        ranks = spy(monkeypatch, ingest, "_rank_ids")
+        table = load_cascades(io.StringIO("10\tu\t1\n9\tu\t2\n10\tv\t0\n"))
+        assert ranks == ["_rank_ids"] and table.cascade_ids == ("10", "9")
+        assert table.sizes.tolist() == [2, 1]
 
 
 class TestCascadeOrder:
